@@ -2,10 +2,14 @@
 
 A *line* is one checkpoint per in-service process — the state the system
 would restart from.  :class:`ProcessView` decodes a checkpoint (through
-the codec registry of :mod:`repro.snapshot`, replaying any delta
-chains) into the underlying :class:`~repro.host.ProcessSnapshot` plus
-the metadata the invariant checkers need (epoch, dirty bit at snapshot
-time, ground-truth corruption, the per-section byte breakdown).  Lines
+the codec registry of :mod:`repro.snapshot`) into the underlying
+:class:`~repro.host.ProcessSnapshot` plus the metadata the invariant
+checkers need (epoch, dirty bit at snapshot time, ground-truth
+corruption, the per-section byte breakdown).  A one-off view replays
+the checkpoint's delta chains from their base; a caller that walks one
+process's checkpoints in order (the online auditor) passes that
+process's :class:`~repro.snapshot.ChainReader` and pays for each delta
+once.  Views are read-only either way.  Lines
 can be built from stable storage (the hardware recovery line), from
 volatile storage (the MDCD recovery anchors), or from the live process
 states (for end-of-run oracles).
@@ -18,6 +22,7 @@ from typing import Dict, List, Optional
 
 from ..checkpoint import Checkpoint
 from ..host import FtProcess, ProcessSnapshot
+from ..snapshot import ChainReader
 from ..types import ProcessId
 
 
@@ -74,9 +79,14 @@ def install_view_cache(cache: Optional[Dict[int, tuple]]) -> None:
     _VIEW_CACHE = cache
 
 
-def view_from_checkpoint(checkpoint: Checkpoint) -> ProcessView:
-    """Decode a checkpoint into a view (codec-registry lookup plus
-    delta-chain replay happen inside ``restore_state``)."""
+def view_from_checkpoint(checkpoint: Checkpoint,
+                         reader: Optional[ChainReader] = None) -> ProcessView:
+    """Decode a checkpoint into a view.
+
+    Without a ``reader`` the state is a private ``restore_state()``
+    copy (full delta-chain replay).  With the owning process's reader
+    only the chain links past its cursor are decoded, and the state
+    shares structure with the reader's earlier views."""
     cache = _VIEW_CACHE
     if cache is not None:
         entry = cache.get(id(checkpoint))
@@ -84,7 +94,8 @@ def view_from_checkpoint(checkpoint: Checkpoint) -> ProcessView:
             return entry[1]
     view = ProcessView(
         process_id=checkpoint.process_id,
-        snapshot=checkpoint.restore_state(),
+        snapshot=(reader.read(checkpoint.payload) if reader is not None
+                  else checkpoint.restore_state()),
         taken_at=checkpoint.taken_at,
         work_done=checkpoint.work_done,
         epoch=checkpoint.epoch,
@@ -112,12 +123,16 @@ def live_view(process: FtProcess) -> ProcessView:
         kind="live")
 
 
-def stable_line(system, epoch: Optional[int] = None) -> Dict[ProcessId, ProcessView]:
+def stable_line(system, epoch: Optional[int] = None,
+                readers: Optional[Dict[ProcessId, ChainReader]] = None
+                ) -> Dict[ProcessId, ProcessView]:
     """The stable-storage line of a system.
 
     ``epoch=None`` picks, for each process, its latest completed stable
     checkpoint; an explicit epoch picks that establishment (falling back
-    to the latest if the epoch is not retained).
+    to the latest if the epoch is not retained).  ``readers`` holds one
+    chain reader per process for a caller that builds line after line
+    (see :func:`view_from_checkpoint`); missing processes are added.
     """
     line: Dict[ProcessId, ProcessView] = {}
     for proc in system.process_list():
@@ -130,7 +145,12 @@ def stable_line(system, epoch: Optional[int] = None) -> Dict[ProcessId, ProcessV
         if checkpoint is None:
             checkpoint = store.peek(proc.process_id)
         if checkpoint is not None:
-            line[proc.process_id] = view_from_checkpoint(checkpoint)
+            reader = None
+            if readers is not None:
+                reader = readers.get(proc.process_id)
+                if reader is None:
+                    reader = readers[proc.process_id] = ChainReader()
+            line[proc.process_id] = view_from_checkpoint(checkpoint, reader)
     return line
 
 

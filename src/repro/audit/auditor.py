@@ -37,6 +37,7 @@ from ..analysis.invariants import (
     summarize_violations,
 )
 from ..errors import AuditViolation
+from ..snapshot import ChainReader
 from ..types import ProcessId
 
 #: Live-state hook categories: instants where the healthy protocol
@@ -144,11 +145,25 @@ class OnlineAuditor:
         self._pending_epochs: set = set()
         self._checked_epochs: set = set()
         self._max_epoch_seen = -1
+        #: One chain reader per process: consecutive stable lines decode
+        #: only the delta links between them.  A cache, nothing more —
+        #: kept out of pickles (images, flock dumps) and dropped at
+        #: :meth:`finalize`.
+        self._readers: Dict[ProcessId, ChainReader] = {}
         # Subscribe the bound method and remember it (not the closure
         # subscribe() returns) so auditors pickle into warm-start images.
         self._listener = self._on_record
         system.trace.subscribe(self._listener)
         self._finalized = False
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        del state["_readers"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._readers = {}
 
     # ------------------------------------------------------------------
     @property
@@ -202,7 +217,7 @@ class OnlineAuditor:
         return True
 
     def _check_stable_epoch(self, now: float, epoch: int, hook: str) -> None:
-        line = stable_line(self.system, epoch=epoch)
+        line = stable_line(self.system, epoch=epoch, readers=self._readers)
         if not line:
             return
         self.epochs_checked += 1
@@ -242,8 +257,11 @@ class OnlineAuditor:
         self._finalized = True
         self.system.trace.unsubscribe(self._listener)
         now = self.system.sim.now
-        self._drain_pending(now)
-        self._check_live(now, hook="end-of-run")
+        try:
+            self._drain_pending(now)
+            self._check_live(now, hook="end-of-run")
+        finally:
+            self._readers.clear()
         return self.findings
 
     def stats(self) -> Dict[str, int]:

@@ -62,6 +62,7 @@ def audit_schedule(config: AuditConfig, schedule: FaultSchedule,
         auditor.finalize()
     except AuditViolation:
         pass  # end-of-run oracle fired; likewise recorded
+    system.release()
     return auditor.findings
 
 

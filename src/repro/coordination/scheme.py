@@ -460,6 +460,25 @@ class System:
         self.start()
         self.sim.run(until=until if until is not None else self.config.horizon)
 
+    def release(self) -> None:
+        """Drop the bulk of a finished run: checkpoint stores, encoder
+        chains, the trace and the event queue.
+
+        A system is a web of reference cycles (processes, engines and
+        timers point at each other), so without this its checkpoints
+        and trace wait for a full garbage collection; campaigns that
+        run thousands of systems call it once a schedule's findings are
+        in hand, and the memory goes back by reference count.  The
+        system must not be run or inspected afterwards.
+        """
+        for node in self.nodes.values():
+            node.volatile.erase()
+            node.stable.release()
+        for proc in self.process_list():
+            proc.snapshot_encoder.reset()
+        self.trace.clear()
+        self.sim.clear()
+
     def commission_upgrade(self) -> None:
         """Declare the guarded upgrade successful: retire the shadow,
         trust the upgraded version, and let the coordination disengage

@@ -218,8 +218,14 @@ def collect_shared(context: ForkContext, system, auditor=None,
                 node = node.base
         # Delta baselines are snapshots built at capture time and only
         # ever *replaced*; the mapping dicts stay private (reset clears
-        # them in place).
-        context.share_all(encoder._journal_baselines.values())
+        # them in place).  A journal baseline holds the journal's own
+        # record objects and is compared by identity: while every one
+        # of them is validated it reaches only the frozen records
+        # shared below, but one that still holds an unvalidated record
+        # stays private, so each fork diffs against *its* copy of it.
+        context.share_all(baseline
+                          for baseline in encoder._journal_baselines.values()
+                          if not baseline.unvalidated)
         context.share_all(encoder._log_baselines.values())
         # Validated journal records are frozen: ``validated`` is the
         # only field ever written after construction, and it is

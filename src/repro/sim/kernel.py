@@ -256,6 +256,16 @@ class Simulator:
         current event finishes.  Queued events remain queued."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every queued event — the end of a simulation whose
+        remaining future nobody will run."""
+        if self._running:
+            raise SchedulingError("cannot clear a running simulator")
+        for event in self._heap:
+            event.in_heap = False
+        self._heap.clear()
+        self._cancelled_in_heap = 0
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

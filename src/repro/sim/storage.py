@@ -123,6 +123,12 @@ class StableStore(_AccountingMixin):
         del chain[:-self._history]
         self._account(checkpoint)
 
+    def release(self) -> None:
+        """Drop every retained checkpoint: a finished run handing its
+        bulk back (the accounting counters stay).  Not a fault model —
+        stable storage survives every crash the simulation injects."""
+        self._chain.clear()
+
     def latest(self, process_id: ProcessId) -> Checkpoint:
         """Most recent completed stable checkpoint of ``process_id``."""
         chain = self._chain.get(process_id)

@@ -156,6 +156,10 @@ class TraceRecorder:
                 lines.append(fmt(rec))
         return lines
 
+    def clear(self) -> None:
+        """Drop every record kept so far (listeners stay subscribed)."""
+        self._records.clear()
+
     def __len__(self) -> int:
         return len(self._records)
 

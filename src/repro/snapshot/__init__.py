@@ -16,7 +16,9 @@ through this package instead of a hard-wired ``pickle.dumps``:
   of steady-state captures encode as *deltas* against the previous
   capture of the same process, cutting volatile-checkpoint cost from
   O(journal) to O(new entries); restores replay the delta chain back to
-  the nearest full section.
+  the nearest full section, while a read-only consumer that follows one
+  process's captures (the online auditor) advances a
+  :class:`ChainReader` cursor and decodes each delta once.
 
 Codec choice and incremental capture are pure representation concerns:
 they never touch the simulator's RNG streams or event ordering, so the
@@ -36,6 +38,7 @@ from .codec import (
 )
 from .sections import (
     SECTION_ORDER,
+    ChainReader,
     SectionPayload,
     SnapshotEncoder,
     SnapshotPayload,
@@ -57,6 +60,7 @@ __all__ = [
     "SectionPayload",
     "SnapshotPayload",
     "SnapshotEncoder",
+    "ChainReader",
     "declared_section",
     "decode_payload",
     "encode_full",

@@ -14,11 +14,17 @@ difference of a section against the previous capture and replays it:
   reclaim/clear effect) and the monitoring counter.
 
 Capture-side *baselines* record just enough of the previous state to
-diff against (per-key validity fingerprints; the log's sequence
-numbers) — not a copy of the section.  A baseline is only valid for
-the state the previous payload encodes, so the encoder refreshes it at
-every capture and drops it entirely on restore (the full-section
-fallback).
+diff against (the journal's record objects and which of them were still
+unvalidated; the log's sequence numbers) — references, not a copy of
+the section.  A baseline is only valid for the state the previous
+payload encodes, so the encoder refreshes it at every capture and drops
+it entirely on restore (the full-section fallback).
+
+A delta is replayed in one of two ways.  A rollback owns the value it
+decodes, so :func:`apply_journal_delta` / :func:`apply_log_delta`
+mutate it in place; the auditor's chain reader hands its values out as
+read-only views, so :func:`advance_journal` / :func:`advance_log` build
+a new container that shares every unchanged record with the old one.
 
 If the live section has changed in a way the delta language cannot
 express (a message log whose sequence numbers restarted after
@@ -29,8 +35,9 @@ representable.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..journal import Journal, JournalRecord
 from ..messages.log import LogEntry, MessageLog
@@ -43,46 +50,53 @@ DELTA_SECTIONS = ("journals", "msg_log")
 def _pack_record(rec: JournalRecord) -> Tuple:
     """A journal record as a plain tuple — steady-state deltas are tiny
     and mostly overhead, so the wire form avoids pickling class
-    references and field names for every payload."""
-    return (rec.key, rec.kind.value, rec.sender, rec.receiver, rec.sn,
-            rec.sent_dirty, rec.validated, rec.corrupt, rec.time,
-            rec.taint_sn, rec.dsn)
+    references and field names for every payload.
+
+    ``taint_map`` rides as an optional last slot: records without one
+    (every record outside the N-component topologies) keep the wire
+    form, and so the accounted bytes, they always had.
+    """
+    packed = (rec.key, rec.kind.value, rec.sender, rec.receiver, rec.sn,
+              rec.sent_dirty, rec.validated, rec.corrupt, rec.time,
+              rec.taint_sn, rec.dsn)
+    return packed if rec.taint_map is None else packed + (rec.taint_map,)
 
 
 def _unpack_record(data: Tuple) -> JournalRecord:
     (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
-     time, taint_sn, dsn) = data
+     time, taint_sn, dsn) = data[:11]
     return JournalRecord(key=key, kind=MessageKind(kind), sender=sender,
                          receiver=receiver, sn=sn, sent_dirty=sent_dirty,
                          validated=validated, corrupt=corrupt, time=time,
-                         taint_sn=taint_sn, dsn=dsn)
+                         taint_sn=taint_sn, dsn=dsn,
+                         taint_map=data[11] if len(data) > 11 else None)
 
 
 # ----------------------------------------------------------------------
 # journals
 # ----------------------------------------------------------------------
-def _record_identity(rec: JournalRecord) -> Tuple:
-    """Every field of a record except the mutable ``validated`` flag.
-
-    A key whose identity changed between captures (discarded and
-    re-added by recovery) is encoded as remove + add rather than
-    trusting the stale base record.
-    """
-    return (rec.kind, rec.sender, rec.receiver, rec.sn, rec.sent_dirty,
-            rec.corrupt, rec.time, rec.taint_sn, rec.dsn)
-
-
 @dataclasses.dataclass(frozen=True)
 class JournalBaseline:
-    """Capture-side fingerprint of one journal at the previous capture."""
+    """Capture-side memory of one journal at the previous capture: its
+    record objects (a shallow copy of the mapping) and the keys that
+    were still unvalidated.
 
-    ids: Dict[object, Tuple[bool, Tuple]]
+    Comparing by object identity is exact: a live record is only ever
+    mutated through ``validated`` (one-way), and a key that recovery
+    discarded and re-added is a new object — encoded as remove + add
+    rather than trusting the stale base record.
+    """
+
+    records: Dict[object, JournalRecord]
+    unvalidated: FrozenSet[object]
     pruned_before: float
 
     @classmethod
     def of(cls, journal: Journal) -> "JournalBaseline":
-        return cls(ids={key: (rec.validated, _record_identity(rec))
-                        for key, rec in journal._records.items()},
+        records = dict(journal._records)
+        return cls(records=records,
+                   unvalidated=frozenset([key for key, rec in records.items()
+                                          if not rec.validated]),
                    pruned_before=journal.pruned_before)
 
 
@@ -114,19 +128,16 @@ class JournalDelta:
 
 def journal_delta(journal: Journal, base: JournalBaseline) -> JournalDelta:
     """Diff a live journal against its baseline."""
+    records = journal._records
+    was = base.records
+    unvalidated = base.unvalidated
+    removed = [key for key, rec in was.items() if records.get(key) is not rec]
     added: List[JournalRecord] = []
     revalidated: List[object] = []
-    removed: List[object] = []
-    records = journal._records
-    for key, (_, ident) in base.ids.items():
-        rec = records.get(key)
-        if rec is None or _record_identity(rec) != ident:
-            removed.append(key)
     for key, rec in records.items():
-        old = base.ids.get(key)
-        if old is None or old[1] != _record_identity(rec):
+        if was.get(key) is not rec:
             added.append(rec)
-        elif rec.validated and not old[0]:
+        elif rec.validated and key in unvalidated:
             revalidated.append(key)
     return JournalDelta(added=tuple(added), revalidated=tuple(revalidated),
                         removed=tuple(removed),
@@ -146,6 +157,24 @@ def apply_journal_delta(journal: Journal, delta: JournalDelta) -> Journal:
         journal._records[key].validated = True
     journal.pruned_before = delta.pruned_before
     return journal
+
+
+def advance_journal(journal: Journal, delta: JournalDelta) -> Journal:
+    """The journal ``delta`` leads to, leaving ``journal`` untouched.
+
+    The persistent twin of :func:`apply_journal_delta`: the replay runs
+    on a new container that shares the unchanged records with
+    ``journal`` and holds a copy of every record whose flag is about to
+    flip (a revalidated key is by construction neither removed nor
+    added), so a view that holds ``journal`` never changes.
+    """
+    if not delta.entry_count and delta.pruned_before == journal.pruned_before:
+        return journal
+    out = Journal()
+    out._records = dict(journal._records)
+    for key in delta.revalidated:
+        out._records[key] = copy.copy(out._records[key])
+    return apply_journal_delta(out, delta)
 
 
 # ----------------------------------------------------------------------
@@ -235,3 +264,11 @@ def apply_log_delta(log: MessageLog, delta: LogDelta) -> MessageLog:
     log._entries.extend(delta.appended)
     log.reclaimed_count = delta.reclaimed_count
     return log
+
+
+def advance_log(log: MessageLog, delta: LogDelta) -> MessageLog:
+    """The log ``delta`` leads to, leaving ``log`` untouched (the
+    persistent twin of :func:`apply_log_delta`; entries are shared)."""
+    out = MessageLog()
+    out._entries = list(log._entries)
+    return apply_log_delta(out, delta)

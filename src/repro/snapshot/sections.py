@@ -32,6 +32,13 @@ deltas against the previous capture (see :mod:`~repro.snapshot.delta`),
 emitting a full section on first capture, after a restore, when the
 delta language cannot express the change, or every ``max_chain``
 captures (bounding restore replay length and the retained chain).
+
+There are two ways back.  :func:`decode_payload` replays every chain
+from its full base into a private value — what a rollback needs, since
+the restored process goes on to mutate it.  :class:`ChainReader` is the
+encoder's read-side twin for a consumer that reads one process's
+payloads in capture order and only inspects them (the online auditor):
+it keeps a cursor per delta section and decodes just the links past it.
 """
 
 from __future__ import annotations
@@ -41,10 +48,13 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from .codec import Codec, get_codec
 from .delta import (
+    DELTA_SECTIONS,
     JournalBaseline,
     JournalDelta,
     LogBaseline,
     LogDelta,
+    advance_journal,
+    advance_log,
     apply_journal_delta,
     apply_log_delta,
     journal_delta,
@@ -145,16 +155,44 @@ def encode_value(value: Any, codec: Codec) -> Tuple[Any, int]:
     return data, codec.measure(value, data)
 
 
+#: Field -> section layout per snapshot class, as ``(section, field
+#: names)`` pairs in ``SECTION_ORDER`` (``None``: not sectioned).  The
+#: declaration lives on a field's value type and a dataclass field
+#: holds one kind of value, so the layout is resolved from the first
+#: instance of a class instead of reflecting over it at every capture.
+_LAYOUTS: Dict[type, Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]] = {}
+
+
+def _layout(state: Any) -> Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]:
+    """The section layout of ``state``'s class; ``None`` unless it is a
+    dataclass with section-declaring fields (in practice: a
+    :class:`~repro.host.ProcessSnapshot`)."""
+    cls = type(state)
+    try:
+        return _LAYOUTS[cls]
+    except KeyError:
+        pass
+    layout = None
+    if dataclasses.is_dataclass(state) and not isinstance(state, type):
+        groups: Dict[str, list] = {name: [] for name in SECTION_ORDER}
+        declared = False
+        for field in dataclasses.fields(state):
+            section = declared_section(getattr(state, field.name))
+            declared = declared or section is not None
+            groups[section if section in groups else "counters"].append(
+                field.name)
+        if declared:
+            layout = tuple((name, tuple(names))
+                           for name, names in groups.items() if names)
+    _LAYOUTS[cls] = layout
+    return layout
+
+
 def split_sections(snapshot: Any) -> Dict[str, Dict[str, Any]]:
-    """Group a dataclass snapshot's fields by declared section."""
-    sections: Dict[str, Dict[str, Any]] = {name: {} for name in SECTION_ORDER}
-    for field in dataclasses.fields(snapshot):
-        value = getattr(snapshot, field.name)
-        section = declared_section(value)
-        if section not in sections:
-            section = "counters"
-        sections[section][field.name] = value
-    return {name: fields for name, fields in sections.items() if fields}
+    """Group a snapshot's fields by declared section (empty for a
+    state that is not sectioned)."""
+    return {section: {name: getattr(snapshot, name) for name in names}
+            for section, names in _layout(snapshot) or ()}
 
 
 def encode_full(state: Any, codec: Union[str, Codec, None] = None
@@ -166,9 +204,10 @@ def encode_full(state: Any, codec: Union[str, Codec, None] = None
     arbitrary test states and rewritten snapshots take.
     """
     chosen = get_codec(codec)
-    if _is_sectioned(state):
+    sections = split_sections(state)
+    if sections:
         payloads = []
-        for name, fields in split_sections(state).items():
+        for name, fields in sections.items():
             data, nbytes = encode_value(fields, chosen)
             payloads.append(SectionPayload(section=name,
                                            codec_id=chosen.codec_id,
@@ -178,15 +217,6 @@ def encode_full(state: Any, codec: Union[str, Codec, None] = None
     return SnapshotPayload(sections=(SectionPayload(
         section=OPAQUE_SECTION, codec_id=chosen.codec_id,
         data=data, nbytes=nbytes),))
-
-
-def _is_sectioned(state: Any) -> bool:
-    """Whether ``state`` is a dataclass with section-declaring fields
-    (in practice: a :class:`~repro.host.ProcessSnapshot`)."""
-    if not (dataclasses.is_dataclass(state) and not isinstance(state, type)):
-        return False
-    return any(declared_section(getattr(state, f.name)) is not None
-               for f in dataclasses.fields(state))
 
 
 #: Optional chain-resolution memo, installed by flock group execution.
@@ -243,8 +273,12 @@ def _resolve_section(payload: SectionPayload) -> Dict[str, Any]:
 
 
 def _apply_section_delta(section: str, base_value: Dict[str, Any],
-                         delta_value: Dict[str, Any]) -> Dict[str, Any]:
-    """Replay one decoded delta onto a (private) decoded base value.
+                         delta_value: Dict[str, Any],
+                         persistent: bool = False) -> Dict[str, Any]:
+    """Replay one decoded delta onto a decoded base value: in place on
+    a private one, or — ``persistent`` — leaving ``base_value`` and
+    everything it holds untouched (the chain reader's values are out in
+    views).
 
     Deltas travel in their packed (plain-tuple) wire form, so dispatch
     is by section name, not payload type.
@@ -252,10 +286,11 @@ def _apply_section_delta(section: str, base_value: Dict[str, Any],
     out = dict(base_value)
     for field, packed in delta_value.items():
         if section == "journals":
-            out[field] = apply_journal_delta(out[field],
-                                             JournalDelta.unpack(packed))
+            step = advance_journal if persistent else apply_journal_delta
+            out[field] = step(out[field], JournalDelta.unpack(packed))
         elif section == "msg_log":
-            out[field] = apply_log_delta(out[field], LogDelta.unpack(packed))
+            step = advance_log if persistent else apply_log_delta
+            out[field] = step(out[field], LogDelta.unpack(packed))
         else:  # a field the delta encoder chose to ship whole
             out[field] = packed
     return out
@@ -274,8 +309,77 @@ def decode_payload(payload: SnapshotPayload) -> Any:
     fields: Dict[str, Any] = {}
     for section_payload in payload.sections:
         fields.update(_resolve_section(section_payload))
+    return _snapshot_from(fields)
+
+
+def _snapshot_from(fields: Dict[str, Any]) -> Any:
     from ..host import ProcessSnapshot  # deferred: host imports this package
     return ProcessSnapshot(**fields)
+
+
+class ChainReader:
+    """Incremental decoding of one process's payloads, for readers that
+    never mutate what they read.
+
+    Per delta section the reader keeps a *cursor*: the last
+    :class:`SectionPayload` it resolved and the value it resolved to.
+    A payload whose ``base`` links lead back to the cursor (at most
+    ``max_chain`` identity checks) is a descendant: only the links past
+    the cursor are decoded, and each is applied *persistently* — a new
+    journal / log container sharing the unchanged records — so a value
+    handed out earlier never changes.  Anything else (an older epoch, a
+    fresh full section after a restore reset the encoder) is resolved
+    by the full replay of :func:`decode_payload` and becomes the new
+    cursor.
+
+    Values of successive reads share structure with each other and with
+    the cursor; they are read-only by contract.  A rollback needs a
+    private copy and keeps using :func:`decode_payload`.
+
+    The cursor is a cache and nothing else: it is dropped on pickling,
+    so it never enters a warm-start image or a flock dump.
+    """
+
+    def __init__(self) -> None:
+        self._cursor: Dict[str, Tuple[SectionPayload, Dict[str, Any]]] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"_cursor": {}}
+
+    def read(self, payload: SnapshotPayload) -> Any:
+        """The state ``payload`` froze; equal to ``decode_payload(
+        payload)``, but not private to the caller."""
+        if payload.opaque:
+            return decode_payload(payload)
+        fields: Dict[str, Any] = {}
+        for section_payload in payload.sections:
+            if section_payload.section in DELTA_SECTIONS:
+                fields.update(self._read_section(section_payload))
+            else:
+                fields.update(_resolve_section(section_payload))
+        return _snapshot_from(fields)
+
+    def _read_section(self, payload: SectionPayload) -> Dict[str, Any]:
+        cursor = self._cursor.get(payload.section)
+        value: Optional[Dict[str, Any]] = None
+        if cursor is not None:
+            at, at_value = cursor
+            links = []
+            node: Optional[SectionPayload] = payload
+            while node is not None and node is not at and not node.full:
+                links.append(node)
+                node = node.base
+            if node is at:
+                value = at_value
+                for link in reversed(links):
+                    value = _apply_section_delta(
+                        link.section, value,
+                        get_codec(link.codec_id).decode(link.data),
+                        persistent=True)
+        if value is None:
+            value = _resolve_section(payload)
+        self._cursor[payload.section] = (payload, value)
+        return value
 
 
 class SnapshotEncoder:
@@ -321,10 +425,11 @@ class SnapshotEncoder:
                         ) -> SnapshotPayload:
         """Encode one capture, emitting delta sections where possible."""
         chosen = get_codec(codec)
-        if not _is_sectioned(snapshot):
+        sections = split_sections(snapshot)
+        if not sections:
             return encode_full(snapshot, chosen)
         payloads = []
-        for name, fields in split_sections(snapshot).items():
+        for name, fields in sections.items():
             if self.incremental and name == "journals":
                 payloads.append(self._encode_journals(fields, chosen))
             elif self.incremental and name == "msg_log":

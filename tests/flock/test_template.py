@@ -106,6 +106,41 @@ class TestForkTemplate:
         assert trace_digest(canonical_trace_lines(system)) == \
             _cold_digest(sched)
 
+    @pytest.mark.parametrize("crash_at", [38.96, 57.92, 67.4])
+    def test_fork_accounts_checkpoint_bytes_like_cold(self, crash_at):
+        """Under ``naive`` a fork position usually finds unvalidated
+        journal records in the encoder's baselines.  They are compared
+        by identity, so the fork must diff against *its own* copies —
+        a baseline shared with the template would re-encode every one
+        of them as remove + add and the byte counters would drift."""
+        naive = AuditConfig(scheme="naive", seed=11, schedules=8,
+                            horizon=120.0, tb_interval=20.0)
+        seed = share_schedule_seeds(
+            naive, [FaultSchedule(label="probe", system_seed=0,
+                                  origin="test")])[0].system_seed
+        sched = FaultSchedule(label="bytes", system_seed=seed,
+                              crashes=(CrashSpec(node_id="N2",
+                                                 crash_at=crash_at,
+                                                 repair_time=2.0),),
+                              origin="test")
+
+        def written(system):
+            return [(node.stable.bytes_written, node.volatile.bytes_written)
+                    for node in system.nodes.values()]
+
+        cold = build_audit_system(naive, sched)
+        cold.run()
+        template = ForkTemplate.from_reference(naive, sched)
+        template.advance_to(fork_position(crash_at, naive.horizon))
+        assert any(baseline.unvalidated
+                   for proc in template.system.process_list()
+                   for baseline in
+                   proc.snapshot_encoder._journal_baselines.values())
+        system, _auditor = template.fork(fail_fast=False)
+        sched.arm(system)
+        system.run()
+        assert written(system) == written(cold)
+
     def test_sequential_forks_are_independent(self):
         a, b = _crash("a", 40.0), _crash("b", 40.0)
         template = ForkTemplate.from_reference(SMALL, a)

@@ -2,6 +2,7 @@
 and incremental (delta-chain) capture/restore."""
 
 import copy
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,16 +12,30 @@ from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
 from repro.messages.message import Message
-from repro.snapshot import available_codecs, decode_payload, encode_full
+from repro.snapshot import (
+    ChainReader,
+    available_codecs,
+    decode_payload,
+    encode_full,
+)
 from repro.snapshot.sections import SnapshotEncoder
 from repro.types import MessageKind, ProcessId
 
 
-def make_msg(sn, t=0.0):
+def make_msg(sn, t=0.0, taint_sn=None, taint_map=None, dsn=None):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
-                receiver=ProcessId("B"), sn=sn, dirty_bit=1)
+                receiver=ProcessId("B"), sn=sn, dirty_bit=1,
+                taint_sn=taint_sn, taint_map=taint_map, dsn=dsn)
     m.send_time = t
     return m
+
+
+#: Provenance a journal record may carry: (taint_sn, taint_map, dsn).
+_provenance = st.tuples(
+    st.none() | st.integers(0, 60),
+    st.none() | st.dictionaries(st.sampled_from(("C1_act", "C2_act")),
+                                st.integers(0, 60), min_size=1),
+    st.none() | st.integers(0, 60))
 
 
 @st.composite
@@ -30,8 +45,8 @@ def snapshots(draw):
     for journal in (journal_sent, journal_recv):
         for sn in draw(st.lists(st.integers(1, 60), unique=True,
                                 max_size=10)):
-            journal.add(make_msg(sn), validated=draw(st.booleans()),
-                        time=float(sn))
+            journal.add(make_msg(sn, 0.0, *draw(_provenance)),
+                        validated=draw(st.booleans()), time=float(sn))
         journal.pruned_before = draw(st.floats(0.0, 10.0))
     log = MessageLog()
     for sn in sorted(draw(st.lists(st.integers(1, 60), unique=True,
@@ -77,7 +92,7 @@ class TestCodecRoundTrip:
 
 #: One mutation step of the live journals/log between captures.
 _ops = st.lists(st.one_of(
-    st.just(("send",)),
+    st.tuples(st.just("send"), _provenance),
     st.tuples(st.just("validate"), st.integers(0, 80)),
     st.tuples(st.just("prune"), st.floats(0.0, 80.0)),
     st.tuples(st.just("reclaim"), st.integers(0, 80)),
@@ -88,59 +103,67 @@ _ops = st.lists(st.one_of(
 ), max_size=30)
 
 
+def drive_captures(ops, max_chain):
+    """Drive random journal/log mutations — including the pruning
+    ``compact_journals`` performs and recovery restores (decode the last
+    capture, ``encoder.reset()``) — through one encoder, capturing along
+    the way with whichever codec each capture names (the volatile and
+    stable stores of one process interleave theirs).  Returns
+    ``[(payload, deep copy of the state it froze)]`` in capture order.
+    """
+    encoder = SnapshotEncoder(max_chain=max_chain)
+    journal = Journal()
+    log = MessageLog()
+    next_key = [1]
+    log_sn = [1]
+
+    def snapshot():
+        return ProcessSnapshot(
+            app_state=AppState(), mdcd=MdcdState(), sn_value=next_key[0],
+            dedup_seen=set(), unacked=[], journal_sent=journal,
+            journal_recv=Journal(), msg_log=log, cursor=0)
+
+    captured = []
+    for op in ops + [("capture", "pickle")]:
+        if op[0] == "send":
+            msg = make_msg(next_key[0], float(next_key[0]), *op[1])
+            journal.add(msg, validated=False, time=float(next_key[0]))
+            log.append(log_sn[0], msg)
+            next_key[0] += 1
+            log_sn[0] += 1
+        elif op[0] == "validate":
+            journal.mark_validated(ProcessId("A"), up_to_sn=op[1])
+        elif op[0] == "prune":
+            journal.prune_validated_before(op[1])
+        elif op[0] == "reclaim":
+            log.reclaim_up_to(op[1])
+        elif op[0] == "clear":
+            log.clear()
+            log_sn[0] = 1   # restart: the delta language gives up
+        elif op[0] == "capture":
+            payload = encoder.encode_snapshot(snapshot(), op[1])
+            captured.append((payload, copy.deepcopy(snapshot())))
+        elif op[0] == "recover":
+            if not captured:
+                continue
+            restored = decode_payload(captured[-1][0])
+            journal = restored.journal_sent
+            log = restored.msg_log
+            # The real system restores its sn counter from the
+            # snapshot too — resync past the restored log's tail.
+            log_sn[0] = (log._entries[-1].sn + 1) if log._entries else 1
+            encoder.reset()
+    return captured
+
+
 class TestIncrementalCapture:
     @settings(max_examples=40, deadline=None)
     @given(_ops, st.integers(1, 5))
     def test_every_payload_in_the_chain_restores_its_capture(
             self, ops, max_chain):
-        """Drive random journal/log mutations — including the pruning
-        ``compact_journals`` performs and recovery restores — capturing
-        along the way; every payload must decode to the state it froze,
-        regardless of where its delta chain was cut."""
-        encoder = SnapshotEncoder(max_chain=max_chain)
-        journal = Journal()
-        log = MessageLog()
-        next_key = [1]
-        log_sn = [1]
-
-        def snapshot():
-            return ProcessSnapshot(
-                app_state=AppState(), mdcd=MdcdState(), sn_value=next_key[0],
-                dedup_seen=set(), unacked=[], journal_sent=journal,
-                journal_recv=Journal(), msg_log=log, cursor=0)
-
-        captured = []
-        for op in ops + [("capture", "pickle")]:
-            if op[0] == "send":
-                msg = make_msg(next_key[0], t=float(next_key[0]))
-                journal.add(msg, validated=False, time=float(next_key[0]))
-                log.append(log_sn[0], msg)
-                next_key[0] += 1
-                log_sn[0] += 1
-            elif op[0] == "validate":
-                journal.mark_validated(ProcessId("A"), up_to_sn=op[1])
-            elif op[0] == "prune":
-                journal.prune_validated_before(op[1])
-            elif op[0] == "reclaim":
-                log.reclaim_up_to(op[1])
-            elif op[0] == "clear":
-                log.clear()
-                log_sn[0] = 1   # restart: the delta language gives up
-            elif op[0] == "capture":
-                payload = encoder.encode_snapshot(snapshot(), op[1])
-                captured.append((payload, copy.deepcopy(snapshot())))
-            elif op[0] == "recover":
-                if not captured:
-                    continue
-                restored = decode_payload(captured[-1][0])
-                journal = restored.journal_sent
-                log = restored.msg_log
-                # The real system restores its sn counter from the
-                # snapshot too — resync past the restored log's tail.
-                log_sn[0] = (log._entries[-1].sn + 1) if log._entries else 1
-                encoder.reset()
-
-        for payload, expected in captured:
+        """Every payload must decode to the state it froze, regardless
+        of where its delta chain was cut."""
+        for payload, expected in drive_captures(ops, max_chain):
             assert decode_payload(payload) == expected
 
     @settings(max_examples=20, deadline=None)
@@ -164,3 +187,52 @@ class TestIncrementalCapture:
             for section in payload.sections:
                 assert section.depth < max_chain
             assert decode_payload(payload) == expected
+
+
+class TestChainReader:
+    """The incremental read path returns what ``decode_payload`` does,
+    whatever order the payloads are read in, and never changes a value
+    it has already handed out."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ops, st.integers(1, 16), st.data())
+    def test_reads_equal_full_decodes_in_any_order(
+            self, ops, max_chain, data):
+        captured = drive_captures(ops, max_chain)
+        indices = list(range(len(captured)))
+        orders = {
+            "in order": indices,
+            "reversed": indices[::-1],
+            "with gaps": indices[::2],
+            "with repeats": [i for i in indices for _ in range(2)],
+            "shuffled": data.draw(st.permutations(indices)),
+        }
+        for name, order in orders.items():
+            reader = ChainReader()
+            for i in order:
+                payload, expected = captured[i]
+                assert reader.read(payload) == expected, (name, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ops, st.integers(1, 16))
+    def test_advancing_never_changes_an_earlier_value(self, ops, max_chain):
+        captured = drive_captures(ops, max_chain)
+        reader = ChainReader()
+        values = [reader.read(payload) for payload, _ in captured]
+        for value, (_, expected) in zip(values, captured):
+            assert value == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(_ops, st.integers(1, 16), st.integers(0, 30))
+    def test_pickled_reader_has_no_cursor_and_still_reads(
+            self, ops, max_chain, cut):
+        captured = drive_captures(ops, max_chain)
+        cut = min(cut, len(captured))
+        reader = ChainReader()
+        for payload, _ in captured[:cut]:
+            reader.read(payload)
+        assert len(pickle.dumps(reader)) == len(pickle.dumps(ChainReader()))
+        thawed = pickle.loads(pickle.dumps(reader))
+        assert thawed._cursor == {}
+        for payload, expected in captured[max(cut - 1, 0):]:
+            assert thawed.read(payload) == expected

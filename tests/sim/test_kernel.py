@@ -193,6 +193,26 @@ class TestPendingCountAccounting:
         assert sim.pending_count() == 3
 
 
+class TestClear:
+    def test_clear_drops_queued_events_and_late_cancels_are_harmless(
+            self, sim):
+        fired = []
+        kept = sim.schedule_at(1.0, fired.append, args=("a",))
+        cancelled = sim.schedule_at(2.0, fired.append, args=("b",))
+        cancelled.cancel()
+        sim.clear()
+        assert sim.pending_count() == 0
+        kept.cancel()           # a handle that outlived the queue
+        assert sim.pending_count() == 0
+        sim.run(until=5.0)
+        assert fired == [] and sim.now == 5.0
+
+    def test_clear_refuses_inside_a_run(self, sim):
+        sim.schedule_at(1.0, sim.clear)
+        with pytest.raises(SchedulingError):
+            sim.run()
+
+
 class TestCompaction:
     def test_compaction_shrinks_heap_and_keeps_live_events(self, sim):
         fired = []

@@ -95,5 +95,13 @@ class TestStableStore:
         # Stable storage has no erase: its persistence is structural.
         assert not hasattr(StableStore(), "erase")
 
+    def test_release_drops_checkpoints_but_keeps_accounting(self):
+        store = StableStore()
+        store.save(ckpt(epoch=1))
+        written = store.bytes_written
+        store.release()
+        assert store.peek(ProcessId("P")) is None
+        assert (store.saves, store.bytes_written) == (1, written)
+
     def test_write_latency_attribute(self):
         assert StableStore(write_latency=0.2).write_latency == 0.2
