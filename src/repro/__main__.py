@@ -242,42 +242,15 @@ def _cmd_bench_warmstart(args) -> int:
     return 0 if record["equivalent"] else 1
 
 
-def _cmd_bench_fabric(args) -> int:
-    from .experiments.fabric_bench import (
-        bench_record,
-        format_record,
-        write_record,
-    )
-
-    kwargs = {}
-    if args.schedules is not None:
-        kwargs["schedules"] = args.schedules
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    record = bench_record(**kwargs)
-    if args.json:
-        write_record(record, args.json)
-    print(format_record(record))
-    # The CLI gates on equivalence and transfer economics; the speedup
-    # floor (CPU-conditional) is asserted by benchmarks/bench_fabric.py.
-    ok = record["equivalent"] and record["transfers"]["transfer_once"]
-    return 0 if ok else 1
-
-
 def _cmd_audit(args) -> int:
     import dataclasses
     from .audit import (
         AuditConfig,
         artifact_schedules,
         audit_schedule,
-        format_audit_report,
         read_artifact,
-        run_audit,
         sensitivity_config,
         sensitivity_schedules,
-        write_artifact,
     )
 
     if args.expect_violation and args.expect_clean:
@@ -304,7 +277,6 @@ def _cmd_audit(args) -> int:
             return 0 if violated else 1
         return 0 if not violated else 1
 
-    timeline = None
     if args.mutation is not None:
         config = sensitivity_config(mutation=args.mutation,
                                     scheme=args.scheme, seed=args.seed)
@@ -315,17 +287,6 @@ def _cmd_audit(args) -> int:
                              topology=args.topology, flock=args.flock,
                              fork_batch=args.fork_batch)
         schedules = None
-        if args.warmstart or args.flock:
-            # Warm-start and flock both trade per-schedule seed
-            # diversity for prefix reuse: generate the campaign once
-            # (reference timeline computed here, reused for image
-            # capture), then rewrite every schedule onto the shared
-            # system seed.
-            from .audit.generator import generate_schedules, reference_timeline
-            from .warmstart import share_schedule_seeds
-            timeline = reference_timeline(config)
-            schedules = share_schedule_seeds(
-                config, generate_schedules(config, timeline=timeline))
     fabric = getattr(args, "fabric", None)
     fabric_opts = None
     if fabric is not None:
@@ -334,66 +295,59 @@ def _cmd_audit(args) -> int:
             fabric_opts["journal"] = args.journal
         if getattr(args, "cas_dir", None):
             fabric_opts["cas_dir"] = args.cas_dir
-    report = run_audit(config, workers=args.workers, shrink=args.shrink,
-                       schedules=schedules, log=lambda msg: print(msg),
+    return _run_campaign(args, config, schedules, workers=args.workers,
+                         fabric=fabric, fabric_opts=fabric_opts)
+
+
+def _run_campaign(args, config, schedules, **where) -> int:
+    """Run one audit campaign with ``args``' execution hints, print the
+    report, write the artifact; the exit status encodes the expectation
+    (``--expect-violation``: mutation testing / naive-scheme CI, where
+    success means the audit *caught* something)."""
+    from .audit import format_audit_report, run_audit, write_artifact
+
+    timeline = None
+    if schedules is None and (args.warmstart or args.flock):
+        # Warm-start and flock both trade per-schedule seed diversity
+        # for prefix reuse: generate the campaign once (reference
+        # timeline computed here, reused for image capture), then
+        # rewrite every schedule onto the shared system seed.
+        from .audit.generator import generate_schedules, reference_timeline
+        from .warmstart import share_schedule_seeds
+        timeline = reference_timeline(config)
+        schedules = share_schedule_seeds(
+            config, generate_schedules(config, timeline=timeline))
+    report = run_audit(config, shrink=args.shrink, schedules=schedules,
+                       log=lambda msg: print(msg, flush=True),
                        warmstart=args.warmstart, timeline=timeline,
-                       flock=args.flock, fork_batch=args.fork_batch,
-                       fabric=fabric, fabric_opts=fabric_opts)
+                       flock=args.flock, **where)
     print(format_audit_report(report))
     if args.out is not None:
         write_artifact(report, args.out)
         print(f"artifact written to {args.out}")
     if args.expect_violation:
-        # Mutation testing / naive-scheme CI: success means the audit
-        # *caught* something.
         return 0 if report.violations else 1
     return 0 if report.clean else 1
 
 
 def _cmd_fabric_supervisor(args) -> int:
     """Serve one campaign to externally-started fabric workers."""
-    from .audit import (
-        AuditConfig,
-        format_audit_report,
-        run_audit,
-        write_artifact,
-    )
+    from .audit import AuditConfig
     from .fabric import FabricConfig
 
     config = AuditConfig(scheme=args.scheme, seed=args.seed,
                          schedules=args.schedules, horizon=args.horizon,
-                         topology=args.topology, flock=args.flock,
-                         fork_batch=args.fork_batch)
-    timeline = None
-    schedules = None
-    if args.warmstart or args.flock:
-        from .audit.generator import generate_schedules, reference_timeline
-        from .warmstart import share_schedule_seeds
-        timeline = reference_timeline(config)
-        schedules = share_schedule_seeds(
-            config, generate_schedules(config, timeline=timeline))
+                         topology=args.topology, flock=args.flock)
     fabric_opts = {
         "cas_dir": args.cas_dir,
         "fabric": FabricConfig(host=args.host, port=args.port,
                                shard_size=args.shard_size,
                                heartbeat_timeout=args.heartbeat_timeout),
-        "workers": args.spawn_workers,
     }
     if args.journal:
         fabric_opts["journal"] = args.journal
-    report = run_audit(config, shrink=args.shrink, schedules=schedules,
-                       log=lambda msg: print(msg, flush=True),
-                       warmstart=args.warmstart, timeline=timeline,
-                       flock=args.flock, fork_batch=args.fork_batch,
-                       fabric=fabric_opts.pop("workers"),
-                       fabric_opts=fabric_opts)
-    print(format_audit_report(report))
-    if args.out is not None:
-        write_artifact(report, args.out)
-        print(f"artifact written to {args.out}")
-    if args.expect_violation:
-        return 0 if report.violations else 1
-    return 0 if report.clean else 1
+    return _run_campaign(args, config, None, fabric=args.spawn_workers,
+                         fabric_opts=fabric_opts)
 
 
 def _cmd_fabric_worker(args) -> int:
@@ -628,23 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pinned golden digests path override")
     bench_warm.set_defaults(fn=_cmd_bench_warmstart)
 
-    bench_fab = sub.add_parser(
-        "bench-fabric",
-        help="measure fabric campaign scaling vs serial execution and "
-             "verify result-digest equivalence and once-only image-set "
-             "transfers")
-    bench_fab.add_argument("--json", metavar="PATH", default=None,
-                           help="write BENCH_fabric.json-style record "
-                                "to PATH")
-    bench_fab.add_argument("--schedules", type=int, default=None,
-                           help="bench campaign schedule count")
-    bench_fab.add_argument("--horizon", type=float, default=None,
-                           help="bench campaign horizon (seconds)")
-    bench_fab.add_argument("--workers", type=int, default=None,
-                           help="fabric worker count (default: usable "
-                                "CPUs clamped to [2, 4])")
-    bench_fab.set_defaults(fn=_cmd_bench_fabric)
-
     snapstats = sub.add_parser(
         "snapshot-stats",
         help="run a short seeded scenario and print the per-section "
@@ -753,8 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "schedule (combine with --warmstart to thaw "
                             "templates from images; identical findings)")
     audit.add_argument("--fork-batch", type=int, default=32,
-                       help="flock shard size: prefix groups larger than "
-                            "this split across workers")
+                       help="largest shard handed to a --workers pool: "
+                            "prefix groups larger than this split across "
+                            "workers")
     audit.add_argument("--expect-violation", action="store_true",
                        help="exit 0 iff the audit FOUND violations "
                             "(naive-scheme and mutation CI)")
@@ -788,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the content-addressed store)")
     fsup.add_argument("--flock", action="store_true",
                       help="suffix-fork execution mode on each worker")
-    fsup.add_argument("--fork-batch", type=int, default=32)
     fsup.add_argument("--shrink", action="store_true")
     fsup.add_argument("--host", default="0.0.0.0",
                       help="bind address for worker connections")

@@ -14,9 +14,11 @@ schedules.
 from .auditor import AuditFinding, OnlineAuditor, line_summary
 from .campaign import (
     AuditReport,
+    ScheduleRunner,
     artifact_schedules,
     audit_schedule,
     build_audit_system,
+    execute_shard,
     format_audit_report,
     read_artifact,
     run_audit,
@@ -66,6 +68,7 @@ __all__ = [
     "OnlineAuditor",
     "ReferenceTimeline",
     "SYSTEM_NODES",
+    "ScheduleRunner",
     "ShrinkResult",
     "SoftwareFaultSpec",
     "artifact_schedules",
@@ -73,6 +76,7 @@ __all__ = [
     "boundary_schedules",
     "build_audit_system",
     "canonical_trace_lines",
+    "execute_shard",
     "format_audit_report",
     "generate_schedules",
     "golden_digests",

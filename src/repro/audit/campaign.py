@@ -1,24 +1,37 @@
-"""Audit campaigns: fan schedules out over workers, shrink violations.
+"""Audit campaigns: one pipeline from schedules to a shrunk report.
 
-The worker function is module-level and takes/returns plain dicts, so
-:func:`repro.parallel.parallel_map` can ship it across process
-boundaries (and degrade to in-process execution transparently).  Each
-worker rebuilds the system from the :class:`AuditConfig` plus one
-:class:`FaultSchedule` — both fully serializable — so a campaign is
-deterministic regardless of worker count or placement.
+:func:`run_audit` is a straight line — **plan** the campaign into
+prefix-grouped shards (:func:`repro.fabric.plan.plan_shards`, the only
+grouping code), **prepare** the image sets shards will start from when
+they leave this process, **execute** every shard through one function
+(:func:`execute_shard`), **merge** the results back into schedule order
+and shrink the violators.  The execution hints choose only *where* a
+shard runs (``workers``: the local pool; ``fabric``: the multi-host
+fabric; neither: this process) and *what a schedule starts from*
+(``warmstart``: a thawed reference image; ``flock``: a fork of a
+resident template; neither: a fresh build).  Every combination
+assembles the same report from the same result dicts.
 
-Shrinking runs in the coordinator (each shrink step is a full replay of
-one schedule, already fast); the shrunk minimal schedules are written
-into the JSON artifact next to the raw violations so a failing CI run
-uploads directly replayable counterexamples.
+Shards cross process boundaries as plain dicts — the
+:class:`AuditConfig` plus each :class:`FaultSchedule`, both fully
+serializable — and every worker rebuilds its systems from them, so a
+campaign is deterministic regardless of worker count or placement.
+
+Shrinking runs in the coordinator on the campaign's resident runner
+(each shrink step is a full replay of one schedule); the shrunk minimal
+schedules are written into the JSON artifact next to the raw violations
+so a failing CI run uploads directly replayable counterexamples.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
+import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import AuditViolation
 from ..parallel import parallel_map
@@ -43,57 +56,235 @@ def build_audit_system(config: AuditConfig, schedule: FaultSchedule):
     return system
 
 
+def start_fresh(config: AuditConfig, schedule: FaultSchedule,
+                fail_fast: bool):
+    """The fresh build any schedule can start from: its armed system
+    with the online auditor attached, as ``(system, auditor)``."""
+    system = build_audit_system(config, schedule)
+    return system, OnlineAuditor(
+        system, fail_fast=fail_fast,
+        include_ground_truth=config.include_ground_truth)
+
+
+class ScheduleRunner:
+    """Audits schedules of one campaign; the cold strategy.
+
+    The one place a schedule is run: :meth:`traced_audit` takes a
+    started ``(system, auditor)`` from :meth:`_start`, runs it to the
+    horizon and finalizes the auditor.  Subclasses override
+    :meth:`_start` to supply a thawed image
+    (:class:`~repro.warmstart.engine.WarmRunner`) or a template fork
+    (:class:`~repro.flock.runner.FlockRunner`); whenever it yields
+    ``None`` — always, here — the schedule starts from a fresh build.
+    Findings are identical whichever way a schedule starts.
+    """
+
+    #: What ``run_audit`` and the fabric call this strategy.
+    mode = "cold"
+
+    def __init__(self, config: AuditConfig, timeline=None) -> None:
+        self.config = config
+        self.timeline = timeline
+        #: Planned size of each shared prefix group, by prefix digest.
+        self._group_counts: Dict[str, int] = {}
+        #: Schedules that started from a fresh build.
+        self.cold_runs = 0
+        #: Wall-clock running audited systems to the horizon.
+        self.run_seconds = 0.0
+
+    # ------------------------------------------------------------------
+    def plan(self, schedules) -> None:
+        """Count the campaign's shared-prefix group sizes — what makes
+        an image set or a template worth building.  Recounts from
+        scratch, so planning the same campaign twice changes nothing."""
+        from ..fabric.plan import plan_shards
+        self._group_counts = {
+            shard.prefix: len(shard.indices)
+            for shard in plan_shards(self.config, schedules,
+                                     shard_size=len(schedules))
+            if shard.prefix is not None}
+
+    @contextlib.contextmanager
+    def _start(self, schedule: FaultSchedule, fail_fast: bool
+               ) -> Iterator[Optional[Tuple]]:
+        """Yield an armed ``(system, auditor)`` positioned before
+        ``schedule``'s first fault, or ``None`` for a fresh build; the
+        run happens inside the ``with`` block."""
+        yield None
+
+    def _audit(self, schedule: FaultSchedule, fail_fast: bool,
+               release: bool):
+        with self._start(schedule, fail_fast) as started:
+            fresh = started is None
+            if fresh:
+                self.cold_runs += 1
+                started = start_fresh(self.config, schedule, fail_fast)
+            system, auditor = started
+            begin = time.monotonic()
+            try:
+                system.run()
+            except AuditViolation:
+                pass  # the finding is already recorded
+            try:
+                auditor.finalize()
+            except AuditViolation:
+                pass  # end-of-run oracle fired; likewise recorded
+            self.run_seconds += time.monotonic() - begin
+        if release and fresh:
+            # A fresh build owns everything it references; a thawed or
+            # forked system may share objects with its source.
+            system.release()
+        return auditor.findings, system
+
+    def audit_schedule(self, schedule: FaultSchedule,
+                       fail_fast: bool = True) -> List[AuditFinding]:
+        """Run one schedule under the online auditor; its findings.
+
+        ``fail_fast`` stops the simulation at the first violation (the
+        campaign's mode); ``fail_fast=False`` runs to the horizon and
+        collects every finding (the replay/diagnosis mode).
+        """
+        return self._audit(schedule, fail_fast, release=True)[0]
+
+    def traced_audit(self, schedule: FaultSchedule, fail_fast: bool = False):
+        """Audit one schedule, returning ``(findings, system)`` — the
+        system with its full trace (prefix records travel inside an
+        image or a fork), for digest cross-checks against a cold run."""
+        return self._audit(schedule, fail_fast, release=False)
+
+    def violates(self, schedule: FaultSchedule) -> bool:
+        """The shrinker's predicate: does this schedule violate at all?
+
+        A replay that *crashes* the simulator (an unmodelled corner a
+        mutated candidate can reach, e.g. a crash pinned exactly onto a
+        recovery action) counts as non-violating: the shrinker must only
+        walk through candidates whose violation is an invariant finding.
+        """
+        try:
+            return bool(self.audit_schedule(schedule, fail_fast=True))
+        except Exception:
+            return False
+
+    def result(self, schedule: FaultSchedule) -> Dict:
+        """One schedule's campaign result dict (the same whichever way
+        and wherever the schedule ran)."""
+        try:
+            findings = self.audit_schedule(schedule, fail_fast=True)
+            error = None
+        except Exception as exc:  # simulation bug — report, don't abort
+            findings, error = [], f"{type(exc).__name__}: {exc}"
+        return {"schedule": schedule.to_dict(),
+                "violated": bool(findings),
+                "findings": [f.to_dict() for f in findings],
+                "error": error}
+
+    def prepare_shrink(self, original: FaultSchedule) -> None:
+        """Get ready to replay dozens of subsets of ``original``'s
+        faults (every shrink candidate shares its prefix)."""
+
+    def stats(self) -> Dict[str, float]:
+        """Counters for reports and benches."""
+        return {"cold_runs": self.cold_runs,
+                "run_seconds": round(self.run_seconds, 6)}
+
+    def summary(self) -> str:
+        """One log line about what this runner did."""
+        return (f"cold: {self.cold_runs} coordinator runs "
+                f"({self.run_seconds:.2f}s running)")
+
+
 def audit_schedule(config: AuditConfig, schedule: FaultSchedule,
                    fail_fast: bool = True) -> List[AuditFinding]:
-    """Run one schedule under the online auditor; returns its findings.
-
-    ``fail_fast`` stops the simulation at the first violation (the
-    campaign's mode); ``fail_fast=False`` runs to the horizon and
-    collects every finding (the replay/diagnosis mode).
-    """
-    system = build_audit_system(config, schedule)
-    auditor = OnlineAuditor(system, fail_fast=fail_fast,
-                            include_ground_truth=config.include_ground_truth)
-    try:
-        system.run()
-    except AuditViolation:
-        pass  # the finding is already recorded
-    try:
-        auditor.finalize()
-    except AuditViolation:
-        pass  # end-of-run oracle fired; likewise recorded
-    system.release()
-    return auditor.findings
+    """Cold-run one schedule under the online auditor; its findings
+    (:meth:`ScheduleRunner.audit_schedule`)."""
+    return ScheduleRunner(config).audit_schedule(schedule, fail_fast)
 
 
 def schedule_violates(config: AuditConfig, schedule: FaultSchedule) -> bool:
-    """The shrinker's predicate: does this schedule violate at all?
+    """Cold shrink predicate (:meth:`ScheduleRunner.violates`)."""
+    return ScheduleRunner(config).violates(schedule)
 
-    A replay that *crashes* the simulator (an unmodelled corner a
-    mutated candidate can reach, e.g. a crash pinned exactly onto a
-    recovery action) counts as non-violating: the shrinker must only
-    walk through candidates whose violation is an invariant finding.
+
+def make_runner(config: AuditConfig, mode: str, store=None, timeline=None,
+                build_missing: bool = True) -> ScheduleRunner:
+    """The runner whose schedules start the way ``mode`` says.
+
+    ``store`` is the :class:`~repro.warmstart.store.ImageStore` images
+    are thawed from; ``build_missing=False`` makes the runner
+    consume-only (it degrades to a fresh build where a set or template
+    is missing instead of running the reference itself).
     """
-    try:
-        return bool(audit_schedule(config, schedule, fail_fast=True))
-    except Exception:
-        return False
+    if mode == "flock":
+        from ..flock import FlockRunner
+        return FlockRunner(config, store=store, timeline=timeline,
+                           build_missing=build_missing)
+    if mode == "warm":
+        from ..warmstart import WarmRunner
+        return WarmRunner(config, store=store, timeline=timeline,
+                          build_missing=build_missing)
+    if mode != "cold":
+        raise ValueError(f"unknown execution mode {mode!r}")
+    return ScheduleRunner(config, timeline=timeline)
 
 
-def _run_one_schedule(item) -> Dict:
-    """Worker: audit one ``(config_dict, schedule_dict)`` pair."""
-    config_dict, schedule_dict = item
-    config = AuditConfig.from_dict(config_dict)
-    schedule = FaultSchedule.from_dict(schedule_dict)
-    try:
-        findings = audit_schedule(config, schedule, fail_fast=True)
-    except Exception as exc:  # simulation bug — report, don't kill the pool
-        return {"schedule": schedule.to_dict(), "violated": False,
-                "findings": [], "error": f"{type(exc).__name__}: {exc}"}
-    return {"schedule": schedule.to_dict(),
-            "violated": bool(findings),
-            "findings": [f.to_dict() for f in findings],
-            "error": None}
+def execute_shard(config_dict: Dict, schedule_dicts: List[Dict], *,
+                  mode: str = "cold", images_root: Optional[str] = None,
+                  runner: Optional[ScheduleRunner] = None) -> List[Dict]:
+    """Run one shard; one result dict per schedule, in shard order.
+
+    The execution-equivalence seam: the in-process loop, the local pool,
+    every fabric worker and the fabric supervisor's degradation path all
+    call this function.  In-process callers pass the campaign's resident
+    ``runner``; anywhere else the shard gets its own, planned over the
+    shard alone, thawing from the pre-built store at ``images_root``
+    without ever building into it (or, handed no store, building what
+    ``mode`` needs itself).
+    """
+    schedules = [FaultSchedule.from_dict(d) for d in schedule_dicts]
+    if runner is None:
+        store = None
+        if images_root is not None:
+            from ..warmstart import ImageStore
+            store = ImageStore(images_root)
+        runner = make_runner(AuditConfig.from_dict(config_dict), mode,
+                             store=store, build_missing=store is None)
+        runner.plan(schedules)
+    return [runner.result(schedule) for schedule in schedules]
+
+
+def _dispatch(runner: ScheduleRunner, schedules: List[FaultSchedule], *,
+              images: bool, workers: Optional[int], fabric: Optional[int],
+              fabric_opts: Optional[Dict], log: Callable[[str], None]
+              ) -> Tuple[List[Dict], Dict]:
+    """Plan, prepare and execute where the hints say: every schedule's
+    result dict in schedule order, plus the executor's own counters."""
+    config = runner.config
+    if fabric is not None:
+        from ..fabric import run_fabric_campaign
+        return run_fabric_campaign(
+            config, schedules, mode=runner.mode, workers=fabric,
+            timeline=runner.timeline, log=log, **(fabric_opts or {}))
+    from ..fabric.plan import assemble, plan_shards
+    pool = workers if workers is not None and workers > 1 else 1
+    # Two shards per worker keeps a pool busy when run times vary.
+    plan = plan_shards(config, schedules, shard_size=min(
+        config.fork_batch, -(-len(schedules) // (2 * pool))))
+    counters: Dict = {}
+    root = None
+    if pool > 1 and images:
+        # Pool workers read image sets through the filesystem: build
+        # each shared prefix once here, fan consumption out.
+        from ..warmstart import ensure_planned_sets
+        counters = ensure_planned_sets(config, runner.store, schedules,
+                                       plan, runner.timeline)
+        root = str(runner.store.root)
+    shard_fn = functools.partial(
+        execute_shard, config.to_dict(), mode=runner.mode, images_root=root,
+        runner=runner if pool == 1 else None)
+    items = [[schedules[i].to_dict() for i in shard.indices]
+             for shard in plan]
+    return assemble(plan, parallel_map(shard_fn, items, workers=pool),
+                    len(schedules)), counters
 
 
 @dataclasses.dataclass
@@ -109,7 +300,9 @@ class AuditReport:
     #: ``[{"original": label, "schedule": ..., "replays": n}]``.
     shrunk: List[Dict]
     wall_seconds: float
-    #: Warm-start execution counters (``None`` for cold campaigns).
+    #: Execution counters: the coordinator's resident runner (its
+    #: ``mode``, runs, timings, image store) plus whatever the pool or
+    #: fabric that executed the shards counted.
     warmstart: Optional[Dict] = None
 
     @property
@@ -140,25 +333,6 @@ class AuditReport:
                    warmstart=data.get("warmstart"))
 
 
-def _run_warm_serial(runner, config: AuditConfig,
-                     schedules: List[FaultSchedule]) -> List[Dict]:
-    """Coordinator-side warm loop (same result dicts as the worker)."""
-    results: List[Dict] = []
-    for schedule in schedules:
-        try:
-            findings = runner.audit_schedule(schedule, fail_fast=True)
-        except Exception as exc:
-            results.append({"schedule": schedule.to_dict(), "violated": False,
-                            "findings": [],
-                            "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        results.append({"schedule": schedule.to_dict(),
-                        "violated": bool(findings),
-                        "findings": [f.to_dict() for f in findings],
-                        "error": None})
-    return results
-
-
 def run_audit(config: AuditConfig, workers: Optional[int] = None,
               shrink: bool = False,
               schedules: Optional[List[FaultSchedule]] = None,
@@ -167,44 +341,41 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
               image_store=None,
               timeline=None,
               flock: Optional[bool] = None,
-              fork_batch: Optional[int] = None,
               fabric: Optional[int] = None,
               fabric_opts: Optional[Dict] = None) -> AuditReport:
-    """Run a full campaign: generate, fan out, optionally shrink.
+    """Run a full campaign: generate, execute, optionally shrink.
 
-    ``warmstart=True`` executes schedules by prefix-resume from
-    full-system reference images (:mod:`repro.warmstart`) wherever a
-    usable image exists, falling back to cold replay otherwise — the
-    findings are identical either way.  Warm-start pays off when
-    schedules share a ``(seed, overrides)`` prefix (see
+    ``warmstart=True`` starts schedules from full-system reference
+    images (:mod:`repro.warmstart`) wherever a usable image exists,
+    falling back to a fresh build otherwise — the findings are
+    identical either way.  Warm-start pays off when schedules share a
+    ``(seed, overrides)`` prefix (see
     ``repro.warmstart.share_schedule_seeds``) and always pays off for
     shrinking, whose replays all share the violator's prefix.  The
     reference timeline is computed at most once per campaign and
     threaded into generation and image capture; callers that already
     have it pass ``timeline``.
 
-    ``flock`` (default: ``config.flock``) switches execution to
-    suffix-fork batching (:mod:`repro.flock`): each prefix group keeps
-    ONE resident template — thawed once from a warm-start image when
-    ``warmstart`` is also on, otherwise built directly from the
-    reference — and forks per-schedule copies from it.  Results stay
-    bit-for-bit identical to warm and cold.  ``fork_batch`` (default:
-    ``config.fork_batch``) shards large groups across workers.
+    ``flock`` (default: ``config.flock``) starts schedules as forks of
+    ONE resident template per prefix group (:mod:`repro.flock`) —
+    thawed once from a warm-start image when ``warmstart`` is also on,
+    otherwise built directly from the reference.
 
-    ``fabric`` dispatches execution over the multi-host campaign
-    fabric (:mod:`repro.fabric`) instead of an in-process pool: the
-    value is how many local worker *processes* to spawn (``0`` serves
-    externally-started workers only).  The flock/warm flags choose the
-    fabric's execution mode exactly as they do locally, and the
-    results — hence violations, errors, shrunk forms — are bit-for-bit
-    identical.  ``fabric_opts`` passes through to
-    :func:`repro.fabric.run_fabric_campaign` (``journal=``,
-    ``cas_dir=``, ``fabric=FabricConfig(...)``, ...).
+    ``workers`` runs the shards in a local process pool
+    (``config.fork_batch`` caps a shard); ``fabric`` runs them over the
+    multi-host campaign fabric (:mod:`repro.fabric`): the value is how
+    many local worker *processes* to spawn (``0`` serves
+    externally-started workers only) and ``fabric_opts`` passes through
+    to :func:`repro.fabric.run_fabric_campaign` (``journal=``,
+    ``cas_dir=``, ``fabric=FabricConfig(...)``, ...).  Neither keeps
+    everything in this process, on one resident runner whose image
+    store (``image_store``, if given) and templates stay live from the
+    first shard to the last shrink replay.  Violations, errors and
+    shrunk forms are bit-for-bit identical in every combination.
     """
     emit = log or (lambda _msg: None)
     start = time.monotonic()
     use_flock = config.flock if flock is None else bool(flock)
-    batch = config.fork_batch if fork_batch is None else int(fork_batch)
     if timeline is None and (schedules is None or warmstart):
         timeline = reference_timeline(config)
     if schedules is None:
@@ -214,100 +385,24 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
          f"(scheme={config.scheme}, seed={config.seed}, "
          f"workers={workers or 1}, mode={mode})")
 
-    config_dict = config.to_dict()
-    runner = None
-    flock_runner = None
-    builder = None
-    fabric_stats: Optional[Dict] = None
-    cleanup_root: Optional[str] = None
-    if fabric is not None:
-        pass  # the supervisor owns planning, stores, and image builds
-    elif use_flock:
-        from ..flock import FlockRunner
+    with contextlib.ExitStack() as cleanup:
         store = image_store
-        if warmstart and workers is not None and workers > 1 and (
-                store is None or store.root is None):
-            # Workers thaw their shard's template through the filesystem.
-            import tempfile
+        if (warmstart and fabric is None and workers is not None
+                and workers > 1 and (store is None or store.root is None)):
+            # Pool workers thaw through the filesystem.
             from ..warmstart import ImageStore
-            cleanup_root = tempfile.mkdtemp(prefix="repro-flock-")
-            store = ImageStore(root=cleanup_root)
-        flock_runner = FlockRunner(config, store=store, timeline=timeline,
-                                   fork_batch=batch)
-        flock_runner.plan(schedules)
-    elif warmstart:
-        from ..warmstart import ImageStore, WarmRunner
-        store = image_store
-        if workers is not None and workers > 1 and (
-                store is None or store.root is None):
-            # Workers consume images through the filesystem.
-            import tempfile
-            cleanup_root = tempfile.mkdtemp(prefix="repro-warmstart-")
-            store = ImageStore(root=cleanup_root)
-        runner = WarmRunner(config, store=store, timeline=timeline)
+            store = ImageStore(cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-images-")))
+        runner = make_runner(config, mode, store=store, timeline=timeline)
         runner.plan(schedules)
-
-    try:
-        if fabric is not None:
-            from ..fabric import run_fabric_campaign
-            results, fabric_stats = run_fabric_campaign(
-                config, schedules, mode=mode, workers=fabric,
-                fork_batch=batch, timeline=timeline, log=emit,
-                **(fabric_opts or {}))
-        elif flock_runner is not None and workers is not None and workers > 1:
-            from ..flock import _run_flock_shard
-            root = None
-            if warmstart and flock_runner.store is not None:
-                # Build each shared prefix's image set once; workers
-                # decode each image at most once per shard.
-                from ..warmstart import WarmRunner
-                builder = WarmRunner(config, store=flock_runner.store,
-                                     timeline=timeline)
-                builder.plan(schedules)
-                built = set()
-                for sched in schedules:
-                    digest = builder._key(sched).digest()
-                    if digest not in built:
-                        built.add(digest)
-                        builder.ensure_images(sched)
-                if flock_runner.store.root is not None:
-                    root = str(flock_runner.store.root)
-            shards = flock_runner.shards(schedules)
-            items = [(config_dict,
-                      [schedules[i].to_dict() for i in shard], root, batch)
-                     for shard in shards]
-            shard_results = parallel_map(_run_flock_shard, items,
-                                         workers=workers)
-            ordered: List[Optional[Dict]] = [None] * len(schedules)
-            for shard, outcome in zip(shards, shard_results):
-                for idx, result in zip(shard, outcome or ()):
-                    ordered[idx] = result
-            results = [r for r in ordered if r is not None]
-        elif flock_runner is not None:
-            results = flock_runner.run_batch(schedules)
-        elif runner is not None and workers is not None and workers > 1:
-            # Build each shared prefix once here, fan consumption out.
-            from ..warmstart.engine import _run_one_schedule_warm
-            built = set()
-            for sched in schedules:
-                digest = runner._key(sched).digest()
-                if digest not in built:
-                    built.add(digest)
-                    runner.ensure_images(sched)
-            items = [(config_dict, sched.to_dict(), str(runner.store.root))
-                     for sched in schedules]
-            results = parallel_map(_run_one_schedule_warm, items,
-                                   workers=workers)
-        elif runner is not None:
-            results = _run_warm_serial(runner, config, schedules)
-        else:
-            items = [(config_dict, sched.to_dict()) for sched in schedules]
-            results = parallel_map(_run_one_schedule, items, workers=workers)
+        results, counters = _dispatch(
+            runner, schedules, images=warmstart, workers=workers,
+            fabric=fabric, fabric_opts=fabric_opts, log=emit)
 
         violations: List[Dict] = []
         errors: List[Dict] = []
         for result in results:
-            if result.get("error"):
+            if result["error"]:
                 errors.append({"schedule": result["schedule"],
                                "error": result["error"]})
             elif result["violated"]:
@@ -315,77 +410,28 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
                                    "findings": result["findings"]})
 
         shrunk: List[Dict] = []
-        if shrink and violations:
-            for entry in violations:
-                original = FaultSchedule.from_dict(entry["schedule"])
-                emit(f"shrinking {original.describe()}")
-                if flock_runner is not None:
-                    # Candidates keep subsets of the violator's faults:
-                    # one resident template, pre-dumped at its fault
-                    # instants, serves every replay.
-                    flock_runner.ensure_template(original)
-                    predicate = flock_runner.violates
-                elif runner is not None:
-                    # Every shrink candidate shares the violator's
-                    # prefix: always worth a reference image set.
-                    runner.ensure_images(original, force=True)
-                    predicate = runner.violates
-                else:
-                    predicate = lambda s: schedule_violates(config, s)  # noqa: E731
-                result: ShrinkResult = shrink_schedule(
-                    original,
-                    violates=predicate,
-                    horizon=config.horizon,
-                    max_replays=SHRINK_MAX_REPLAYS)
-                if result.violated:
-                    emit(f"  -> {result.schedule.describe()} "
-                         f"({result.replays} replays, "
-                         f"{result.cache_hits} memo hits)")
-                    shrunk.append({"original": original.label,
-                                   "schedule": result.schedule.to_dict(),
-                                   "replays": result.replays,
-                                   "cache_hits": result.cache_hits})
-    finally:
-        if cleanup_root is not None:
-            import shutil
-            shutil.rmtree(cleanup_root, ignore_errors=True)
+        for entry in violations if shrink else ():
+            original = FaultSchedule.from_dict(entry["schedule"])
+            emit(f"shrinking {original.describe()}")
+            runner.prepare_shrink(original)
+            result: ShrinkResult = shrink_schedule(
+                original, violates=runner.violates,
+                horizon=config.horizon, max_replays=SHRINK_MAX_REPLAYS)
+            if result.violated:
+                emit(f"  -> {result.schedule.describe()} "
+                     f"({result.replays} replays, "
+                     f"{result.cache_hits} memo hits)")
+                shrunk.append({"original": original.label,
+                               "schedule": result.schedule.to_dict(),
+                               "replays": result.replays,
+                               "cache_hits": result.cache_hits})
 
-    warm_stats = None
-    if fabric_stats is not None:
-        warm_stats = fabric_stats
-        emit(f"fabric: {fabric_stats['shards']} shards over "
-             f"{len(fabric_stats['workers'])} workers, "
-             f"{fabric_stats['steals']} steals, "
-             f"{fabric_stats['requeues']} requeues, "
-             f"{fabric_stats['recovered_shards']} recovered from journal")
-    elif flock_runner is not None:
-        warm_stats = flock_runner.stats()
-        warm_stats["mode"] = "flock"
-        warm_stats["fork_batch"] = batch
-        if builder is not None:
-            warm_stats["sets_built"] = builder.sets_built
-            warm_stats["image_build_seconds"] = round(
-                builder.build_seconds, 6)
-        if workers is not None and workers > 1:
-            warm_stats["worker_flock_runs"] = sum(
-                1 for r in results if r.get("flock"))
-        emit(f"flock: {flock_runner.flock_runs} forked / "
-             f"{flock_runner.cold_runs} cold coordinator runs, "
-             f"{flock_runner.templates_built} templates "
-             f"({flock_runner.fork_seconds:.2f}s forking)")
-    elif runner is not None:
-        warm_stats = runner.stats()
-        if workers is not None and workers > 1:
-            warm_stats["worker_warm_runs"] = sum(
-                1 for r in results if r.get("warm"))
-        emit(f"warmstart: {runner.warm_runs} warm / {runner.cold_runs} cold "
-             f"coordinator runs, {runner.sets_built} image sets "
-             f"({runner.build_seconds:.2f}s building)")
-
+    emit(runner.summary())
     return AuditReport(config=config, schedules_run=len(schedules),
                        violations=violations, errors=errors, shrunk=shrunk,
                        wall_seconds=time.monotonic() - start,
-                       warmstart=warm_stats)
+                       warmstart={**runner.stats(), "mode": mode,
+                                  **counters})
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Content-addressed blob store: the fabric's transfer-dedup layer.
+"""Content-addressed blob store: verified files, transfer dedup.
 
-Every payload the fabric ships between hosts — warm-start image sets,
-result-cache entries — is stored as an immutable *blob* keyed by the
-sha256 of its bytes.  Content addressing gives the fabric its transfer
-economics for free:
+A leaf module: :mod:`repro.warmstart` keeps its on-disk image sets here
+(:class:`~repro.warmstart.store.ImageStore` is a typed view over a
+:class:`BlobStore`) and :mod:`repro.fabric` ships the same blobs between
+hosts, so an image set exists once per directory whoever wrote it.
+Every payload is stored as an immutable *blob* keyed by the sha256 of
+its bytes.  Content addressing gives the fabric its transfer economics
+for free:
 
 * a blob digest names exactly one byte sequence forever, so a worker
   that already holds a digest never fetches it again — across shards,
   across campaigns, across supervisors;
-* writes are atomic-rename (the :mod:`repro.parallel.cache` idiom) and
-  idempotent, so concurrent writers of the same content cannot corrupt
-  each other — last rename wins and both renames carry identical bytes;
+* writes are atomic-rename (:func:`atomic_write`) and idempotent, so
+  concurrent writers of the same content cannot corrupt each other —
+  last rename wins and both renames carry identical bytes;
 * reads verify the digest before returning, so a torn or corrupted file
   counts as absent rather than poisoning a campaign.
 
@@ -37,6 +40,17 @@ _REF_RE = re.compile(r"^[0-9A-Za-z_.-]{1,128}$")
 def blob_digest(data: bytes) -> str:
     """The content address of ``data``."""
     return hashlib.sha256(data).hexdigest()
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a pid-suffixed temp file and
+    one rename: readers see the old content or the new, never a torn
+    file, and two processes writing the same path never share a temp."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 class BlobStore:
@@ -72,26 +86,27 @@ class BlobStore:
             raise ValueError(f"malformed ref name {name!r}")
         return self.root / "refs" / name
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-
     # ------------------------------------------------------------------
     # blobs
     # ------------------------------------------------------------------
+    def _read(self, digest: str) -> Optional[bytes]:
+        """The blob's bytes if they are on disk and hash to its name."""
+        try:
+            data = self._blob_path(digest).read_bytes()
+        except OSError:
+            return None
+        return data if blob_digest(data) == digest else None
+
     def put(self, data: bytes) -> str:
         """Store ``data``; returns its digest.  Idempotent — content
-        already present is not rewritten (``dedup_puts``)."""
+        already present is not rewritten (``dedup_puts``); a file that
+        no longer hashes to its name is."""
         digest = blob_digest(data)
         path = self._blob_path(digest)
-        if path.is_file():
+        if self._read(digest) is not None:
             self.dedup_puts += 1
             return digest
-        self._atomic_write(path, data)
+        atomic_write(path, data)
         self.puts += 1
         self.bytes_written += len(data)
         return digest
@@ -99,15 +114,11 @@ class BlobStore:
     def get(self, digest: str) -> Optional[bytes]:
         """The blob's bytes, or ``None``.  A file whose content does not
         hash to its name (torn write, disk fault) counts as absent."""
-        try:
-            data = self._blob_path(digest).read_bytes()
-        except OSError:
+        data = self._read(digest)
+        if data is None:
             self.misses += 1
-            return None
-        if blob_digest(data) != digest:
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return data
 
     def has(self, digest: str) -> bool:
@@ -133,7 +144,7 @@ class BlobStore:
         """Point ref ``name`` at ``digest`` (atomic replace)."""
         if not _DIGEST_RE.match(digest):
             raise ValueError(f"malformed blob digest {digest!r}")
-        self._atomic_write(self._ref_path(name), digest.encode("ascii"))
+        atomic_write(self._ref_path(name), digest.encode("ascii"))
 
     def ref(self, name: str) -> Optional[str]:
         """The digest ref ``name`` points at, if the ref exists *and*
@@ -145,6 +156,26 @@ class BlobStore:
         if not _DIGEST_RE.match(digest) or not self.has(digest):
             return None
         return digest
+
+    def ref_names(self) -> List[str]:
+        """Every ref currently on disk (sorted)."""
+        refs = self.root / "refs"
+        if not refs.is_dir():
+            return []
+        return sorted(p.name for p in refs.iterdir() if _REF_RE.match(p.name))
+
+    def drop_ref(self, name: str) -> bool:
+        """Remove ref ``name`` and the blob it names; whether a ref was
+        there.  For stores whose refs each own their blob."""
+        path = self._ref_path(name)
+        try:
+            digest = path.read_text("ascii").strip()
+            path.unlink()
+        except (OSError, ValueError):
+            return False
+        if _DIGEST_RE.match(digest):
+            self._blob_path(digest).unlink(missing_ok=True)
+        return True
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

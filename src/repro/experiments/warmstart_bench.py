@@ -41,10 +41,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from ..audit.auditor import OnlineAuditor
 from ..audit.campaign import (
     SHRINK_MAX_REPLAYS,
-    build_audit_system,
+    ScheduleRunner,
     run_audit,
     schedule_violates,
 )
@@ -53,7 +52,6 @@ from ..audit.generator import boundary_schedules, reference_timeline
 from ..audit.golden import canonical_trace_lines, golden_digests, trace_digest
 from ..audit.schedule import FaultSchedule
 from ..audit.shrink import shrink_schedule
-from ..errors import AuditViolation
 from ..flock import FlockRunner
 from ..warmstart import (
     ImageStore,
@@ -198,17 +196,7 @@ def measure_shrink(config: AuditConfig, violators: List[Dict],
 # ----------------------------------------------------------------------
 def _cold_traced_digest(config: AuditConfig, schedule: FaultSchedule) -> str:
     """Canonical trace digest of one cold, run-to-horizon audit."""
-    system = build_audit_system(config, schedule)
-    auditor = OnlineAuditor(system, fail_fast=False,
-                            include_ground_truth=config.include_ground_truth)
-    try:
-        system.run()
-    except AuditViolation:
-        pass
-    try:
-        auditor.finalize()
-    except AuditViolation:
-        pass
+    _findings, system = ScheduleRunner(config).traced_audit(schedule)
     return trace_digest(canonical_trace_lines(system))
 
 

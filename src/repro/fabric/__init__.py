@@ -8,18 +8,18 @@ per-host :class:`~repro.fabric.worker.FabricWorker` agents over the
 dispatch, heartbeat liveness, bounded-retry requeue, and a
 crash-survivable :class:`~repro.fabric.journal.DispatchJournal`.
 Warm-start image sets ship through a content-addressed
-:class:`~repro.fabric.cas.BlobStore`, so each set crosses the wire to
-a given host at most once — ever.
+:class:`~repro.cas.BlobStore`, so each set crosses the wire to a given
+host at most once — ever.
 """
 
-from .cas import BlobStore, blob_digest
+from ..cas import BlobStore, blob_digest
 from .campaign import run_fabric_campaign, spawn_worker
 from .journal import DispatchJournal, JournalMismatch, campaign_key, \
     read_journal
 from .plan import DEFAULT_SHARD_SIZE, Shard, plan_prefixes, plan_shards
 from .protocol import FABRIC_VERSION, FabricProtocolError
 from .supervisor import FabricConfig, FabricSupervisor
-from .worker import FabricWorker, execute_shard
+from .worker import FabricWorker
 
 __all__ = [
     "BlobStore", "blob_digest",
@@ -28,5 +28,5 @@ __all__ = [
     "DEFAULT_SHARD_SIZE", "Shard", "plan_prefixes", "plan_shards",
     "FABRIC_VERSION", "FabricProtocolError",
     "FabricConfig", "FabricSupervisor",
-    "FabricWorker", "execute_shard",
+    "FabricWorker",
 ]

@@ -55,7 +55,6 @@ def spawn_worker(host: str, port: int, cas_dir: str, *,
 def run_fabric_campaign(config, schedules: Sequence, *,
                         mode: str = "cold",
                         workers: int = 2,
-                        fork_batch: int = 32,
                         cas_dir: Optional[str] = None,
                         worker_cas_dirs: Optional[Sequence[str]] = None,
                         journal: Optional[str] = None,
@@ -77,7 +76,7 @@ def run_fabric_campaign(config, schedules: Sequence, *,
         tmp = tempfile.TemporaryDirectory(prefix="repro-fabric-")
         cas_dir = tmp.name
     supervisor = FabricSupervisor(
-        config, schedules, mode=mode, fork_batch=fork_batch,
+        config, schedules, mode=mode,
         cas_root=cas_dir, journal_path=journal,
         fabric=fabric or FabricConfig(), timeline=timeline, log=log)
     procs: List[subprocess.Popen] = []
@@ -91,6 +90,11 @@ def run_fabric_campaign(config, schedules: Sequence, *,
                                       name=f"w{rank}"))
         results = supervisor.serve()
         stats = supervisor.stats()
+        if log is not None:
+            log(f"fabric: {stats['shards']} shards over "
+                f"{len(stats['workers'])} workers, "
+                f"{stats['steals']} steals, {stats['requeues']} requeues, "
+                f"{stats['recovered_shards']} recovered from journal")
     finally:
         for proc in procs:
             try:

@@ -1,16 +1,19 @@
-"""Flock-aware shard planning for fabric campaigns.
+"""Prefix-aware shard planning — the campaign pipeline's only grouping.
 
-The planner turns a campaign's schedule list into dispatchable shards.
-Grouping follows the suffix-fork layer's economics
-(:mod:`repro.flock`): schedules sharing a warm-start prefix —
+The planner turns a campaign's schedule list into dispatchable shards,
+for every executor: the in-process loop, the local pool and the fabric
+all run what :func:`plan_shards` returns, and the runners count their
+prefix groups through it.  Grouping follows the suffix-fork layer's
+economics (:mod:`repro.flock`): schedules sharing a warm-start prefix —
 ``PrefixKey`` digest over (config fingerprint, system seed, timing
 overrides) — land in the same shard wherever possible, so the worker
 that executes the shard decodes **one** resident
 :class:`~repro.flock.template.ForkTemplate` (or thaws one image) and
 forks every schedule from it.  Groups larger than ``shard_size`` split
-into chunks (one resident template per chunk, the
-``FlockRunner.shards`` rule); singleton prefixes coalesce into mixed
-cold shards so tiny groups don't degenerate into per-schedule dispatch
+into chunks (one resident template per chunk); prefixes shared by fewer
+than :data:`~repro.warmstart.engine.MIN_GROUP` schedules are not worth
+an image set or a template, so their schedules coalesce into mixed
+cold shards instead of degenerating into per-schedule dispatch
 round-trips.
 
 Shards are ordered largest-prefix-group first — the work-stealing
@@ -24,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
+from ..warmstart.engine import MIN_GROUP, divergence_time
 from ..warmstart.store import PrefixKey
 
 #: Default schedules per shard: small enough that stealing a dead
@@ -50,15 +54,8 @@ class Shard:
 
 
 def plan_shards(config, schedules: Sequence, *,
-                shard_size: int = DEFAULT_SHARD_SIZE,
-                min_group: int = 2) -> List[Shard]:
-    """The campaign's shard plan (deterministic in its inputs).
-
-    ``min_group`` mirrors :data:`repro.warmstart.engine.MIN_GROUP`:
-    prefixes shared by fewer schedules than this are not worth an image
-    set, so their schedules pool into mixed shards instead of carrying
-    a useless prefix tag.
-    """
+                shard_size: int = DEFAULT_SHARD_SIZE) -> List[Shard]:
+    """The campaign's shard plan (deterministic in its inputs)."""
     shard_size = max(1, int(shard_size))
     by_prefix: Dict[str, List[int]] = {}
     for index, sched in enumerate(schedules):
@@ -66,17 +63,16 @@ def plan_shards(config, schedules: Sequence, *,
         by_prefix.setdefault(digest, []).append(index)
 
     grouped = sorted(
-        (item for item in by_prefix.items() if len(item[1]) >= min_group),
+        (item for item in by_prefix.items() if len(item[1]) >= MIN_GROUP),
         key=lambda item: (-len(item[1]), item[1][0]))
     singles: List[int] = sorted(
         index for _digest, idxs in by_prefix.items()
-        if len(idxs) < min_group for index in idxs)
+        if len(idxs) < MIN_GROUP for index in idxs)
 
     shards: List[Shard] = []
     for digest, idxs in grouped:
         # Divergence-ascending execution order inside a group is the
         # resident template's monotone-advancement order.
-        from ..warmstart.engine import divergence_time
         idxs = sorted(idxs, key=lambda i: (divergence_time(schedules[i]), i))
         for at in range(0, len(idxs), shard_size):
             shards.append(Shard(shard_id=len(shards),
@@ -87,6 +83,20 @@ def plan_shards(config, schedules: Sequence, *,
                             indices=tuple(singles[at:at + shard_size]),
                             prefix=None))
     return shards
+
+
+def assemble(plan: Sequence[Shard], shard_results: Sequence[Sequence[Dict]],
+             count: int) -> List[Dict]:
+    """Merge per-shard result lists (aligned with ``plan``) back into
+    schedule order."""
+    ordered: List[Optional[Dict]] = [None] * count
+    for shard, results in zip(plan, shard_results):
+        for index, result in zip(shard.indices, results):
+            ordered[index] = result
+    missing = [i for i, r in enumerate(ordered) if r is None]
+    if missing:
+        raise RuntimeError(f"campaign lost results for schedules {missing}")
+    return ordered
 
 
 def plan_prefixes(plan: Sequence[Shard]) -> List[str]:

@@ -34,7 +34,7 @@ import socket
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..runtime.wire import FrameReader, WireIntegrityError, encode_frame
-from .cas import blob_digest
+from ..cas import blob_digest
 
 #: Fabric dialogue version; bumped when frame semantics change.
 FABRIC_VERSION = 1

@@ -27,12 +27,14 @@ Durability: every completed shard is appended to the
 restarted supervisor over the same journal re-dispatches only the
 shards without a ``done`` record and reassembles the identical report.
 
-Transfer economics: warm/flock campaigns export each prefix's image
-set once into the content-addressed :class:`~repro.fabric.cas
-.BlobStore` and announce ``(prefix digest, blob digest)`` pairs in
-every task; workers fetch each blob at most once per host, ever —
-re-campaigns re-announce the same content address (the supervisor refs
-exported sets by prefix), so the re-transfer count is zero.
+Transfer economics: warm/flock campaigns build each prefix's image set
+once, straight into the content-addressed :class:`~repro.cas.BlobStore`
+(the campaign pipeline's prepare step,
+:func:`~repro.warmstart.engine.ensure_planned_sets`), and announce
+``(prefix digest, blob digest)`` pairs in every task; workers fetch
+each blob at most once per host, ever — re-campaigns find the set by
+its prefix ref and re-announce the same content address, so the
+re-transfer count is zero.
 """
 
 from __future__ import annotations
@@ -42,15 +44,16 @@ import dataclasses
 import selectors
 import socket
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..audit.campaign import execute_shard
+from ..cas import BlobStore
 from ..runtime.wire import FrameReader, WireIntegrityError, encode_frame
-from ..warmstart.engine import MIN_GROUP, WarmRunner
-from ..warmstart.store import ImageStore, PrefixKey
-from .cas import BlobStore
+from ..warmstart.engine import ensure_planned_sets
+from ..warmstart.store import ImageStore
 from .journal import DispatchJournal, campaign_key
-from .plan import DEFAULT_SHARD_SIZE, Shard, plan_prefixes, plan_shards
+from .plan import (DEFAULT_SHARD_SIZE, Shard, assemble, plan_prefixes,
+                   plan_shards)
 from .protocol import FABRIC_VERSION, FabricProtocolError, blob_frames, frame
 
 #: Execution modes a campaign may dispatch under.
@@ -95,22 +98,17 @@ class FabricSupervisor:
     """Plan and run one campaign over the worker fleet."""
 
     def __init__(self, config, schedules, *, mode: str = "cold",
-                 fork_batch: int = 32,
-                 cas: Optional[BlobStore] = None,
-                 cas_root: Optional[str] = None,
+                 cas_root: str,
                  journal_path: Optional[str] = None,
                  fabric: FabricConfig = FabricConfig(),
                  timeline=None,
                  log: Optional[Callable[[str], None]] = None) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown fabric mode {mode!r}")
-        if cas is None and cas_root is None:
-            raise ValueError("supervisor needs a cas= store or cas_root=")
         self.config = config
         self.schedules = list(schedules)
         self.mode = mode
-        self.fork_batch = int(fork_batch)
-        self.cas = cas if cas is not None else BlobStore(cas_root)
+        self.cas = BlobStore(cas_root)
         self.fabric = fabric
         self.timeline = timeline
         self._emit = log or (lambda _msg: None)
@@ -140,8 +138,7 @@ class FabricSupervisor:
         self.requeues = 0
         self.local_runs = 0
         self.blob_serves: Dict[str, int] = {}
-        self.sets_exported = 0
-        self.export_seconds = 0.0
+        self._export = {"sets_exported": 0, "export_seconds": 0.0}
         self._listen: Optional[socket.socket] = None
         self.port: Optional[int] = None
         self._wall_start: Optional[float] = None
@@ -152,8 +149,7 @@ class FabricSupervisor:
     def prepare(self) -> None:
         """Plan shards, export image sets, open the journal, bind."""
         self.plan = plan_shards(self.config, self.schedules,
-                                shard_size=self.fabric.shard_size,
-                                min_group=MIN_GROUP)
+                                shard_size=self.fabric.shard_size)
         self.key = campaign_key(self.config, self.schedules, self.mode)
         if self.mode in ("warm", "flock"):
             self._export_image_sets()
@@ -178,47 +174,21 @@ class FabricSupervisor:
                    f"({len(self.schedules)} schedules, mode={self.mode}) "
                    f"on {self.fabric.host}:{self.port}")
 
-    @property
-    def images_dir(self) -> Path:
-        """Where image-set files materialize (shared CAS layout: the
-        same place workers materialize fetched blobs)."""
-        return self.cas.root / "images"
-
     def _export_image_sets(self) -> None:
-        """Build (or reuse) each shared prefix's image set and publish
-        it as a content-addressed blob, ref'd by prefix digest."""
+        """Build (or reuse) each shared prefix's image set in the CAS
+        and note which blob workers must hold for it."""
         prefixes = plan_prefixes(self.plan)
         if not prefixes:
             return
-        begin = time.monotonic()
-        store = ImageStore(root=self.images_dir)
-        runner = WarmRunner(self.config, store=store, timeline=self.timeline)
-        by_prefix: Dict[str, Any] = {}
-        for sched in self.schedules:
-            by_prefix.setdefault(
-                PrefixKey.for_schedule(self.config, sched).digest(), sched)
-        for prefix in prefixes:
-            ref_name = f"imgset-{prefix}"
-            existing = self.cas.ref(ref_name)
-            if existing is not None:
-                self.blob_map[prefix] = existing
-                continue
-            sched = by_prefix[prefix]
-            key = PrefixKey.for_schedule(self.config, sched)
-            if not store.has(key):
-                # ensure_images takes the store's build_lock itself, so
-                # a co-located sibling supervisor can't double-build.
-                runner.ensure_images(sched, force=True)
-                self.sets_exported += 1
-            data = store._path(key).read_bytes()
-            digest = self.cas.put(data)
-            self.cas.set_ref(ref_name, digest)
-            self.blob_map[prefix] = digest
-        self.export_seconds = time.monotonic() - begin
+        images = ImageStore(self.cas)
+        self._export = ensure_planned_sets(
+            self.config, images, self.schedules, self.plan, self.timeline)
+        self.blob_map = {prefix: images.blob_of(prefix)
+                         for prefix in prefixes}
+        built = self._export["sets_exported"]
         self._emit(f"fabric: {len(prefixes)} image sets published "
-                   f"({self.sets_exported} built, "
-                   f"{len(prefixes) - self.sets_exported} reused, "
-                   f"{self.export_seconds:.2f}s)")
+                   f"({built} built, {len(prefixes) - built} reused, "
+                   f"{self._export['export_seconds']:.2f}s)")
 
     # ------------------------------------------------------------------
     # the serve loop
@@ -248,7 +218,9 @@ class FabricSupervisor:
             selector.close()
             if self.journal is not None:
                 self.journal.close()
-        return self._assemble()
+        return assemble(self.plan,
+                        [self._done[shard.shard_id] for shard in self.plan],
+                        len(self.schedules))
 
     # -- connection plumbing -------------------------------------------
     def _accept(self, selector) -> None:
@@ -358,7 +330,7 @@ class FabricSupervisor:
         self._by_worker[worker] = conn
         self._send(conn, frame(
             "welcome", campaign=self.key, mode=self.mode,
-            config=self.config.to_dict(), fork_batch=self.fork_batch,
+            config=self.config.to_dict(),
             heartbeat_interval=self.fabric.heartbeat_interval,
             idle_delay=self.fabric.idle_delay,
             shards=len(self.plan)))
@@ -526,14 +498,11 @@ class FabricSupervisor:
             self._complete(shard_id, "supervisor", results)
 
     def _run_local(self, shard: Shard) -> List[Dict[str, Any]]:
-        from .worker import execute_shard
         return execute_shard(
             self.config.to_dict(),
             [self.schedules[i].to_dict() for i in shard.indices],
             mode=self.mode,
-            images_root=(str(self.images_dir)
-                         if self.mode in ("warm", "flock") else None),
-            fork_batch=self.fork_batch)
+            images_root=str(self.cas.root) if self.mode != "cold" else None)
 
     def _complete(self, shard_id: int, worker: str,
                   results: List[Dict[str, Any]]) -> None:
@@ -550,17 +519,6 @@ class FabricSupervisor:
                 self._send(conn, frame("done"))
 
     # ------------------------------------------------------------------
-    def _assemble(self) -> List[Dict[str, Any]]:
-        ordered: List[Optional[Dict[str, Any]]] = [None] * len(self.schedules)
-        for shard in self.plan:
-            results = self._done[shard.shard_id]
-            for index, result in zip(shard.indices, results):
-                ordered[index] = result
-        missing = [i for i, r in enumerate(ordered) if r is None]
-        if missing:
-            raise RuntimeError(f"fabric lost results for schedules {missing}")
-        return [r for r in ordered if r is not None]
-
     def stats(self) -> Dict[str, Any]:
         """The fabric counters an :class:`AuditReport` carries."""
         wall = (time.monotonic() - self._wall_start
@@ -577,8 +535,7 @@ class FabricSupervisor:
             "excluded": sorted(self._excluded),
             "recovered_shards": (len(self.journal.recovered)
                                  if self.journal is not None else 0),
-            "sets_exported": self.sets_exported,
-            "export_seconds": round(self.export_seconds, 6),
+            **self._export,
             "blob_serves": dict(self.blob_serves),
             "cas": self.cas.stats(),
             "serve_seconds": round(wall, 6),

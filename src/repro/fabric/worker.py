@@ -2,20 +2,20 @@
 
 A worker is one process per host.  It connects to the supervisor,
 registers, and then pulls shards in a request/execute/report loop.
-Execution reuses the **exact** module-level worker functions the
-in-process pool paths use (:func:`repro.audit.campaign._run_one_schedule`,
-:func:`repro.warmstart.engine._run_one_schedule_warm`,
-:func:`repro.flock.runner._run_flock_shard`) — the fabric changes where
+Execution is the campaign pipeline's one shard function
+(:func:`repro.audit.campaign.execute_shard`) — the fabric changes where
 schedules run, never what a schedule computes, which is what makes the
 bit-for-bit-equal-to-serial acceptance tests hold by construction.
 
 Shards execute on a background thread while the connection thread keeps
 sending heartbeats — a shard that takes seconds must not look like a
 dead host.  Image sets needed by warm/flock shards resolve through the
-local content-addressed :class:`~repro.fabric.cas.BlobStore` before the
-wire: a digest already cached (from an earlier shard, an earlier
-campaign, or a co-located worker sharing the cache dir) is a
-``cas_hit``; only a genuinely new digest costs a ``transfer``.
+local content-addressed :class:`~repro.cas.BlobStore` before the wire:
+a digest already cached (from an earlier shard, an earlier campaign, or
+a co-located worker sharing the cache dir) is a ``cas_hit``; only a
+genuinely new digest costs a ``transfer``.  The shard then thaws
+straight from the CAS (:class:`~repro.warmstart.store.ImageStore` is a
+view over it) — a fetched set exists once on the host.
 """
 
 from __future__ import annotations
@@ -24,36 +24,13 @@ import os
 import socket
 import threading
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .cas import BlobStore
+from ..audit.campaign import execute_shard
+from ..cas import BlobStore
+from ..warmstart.store import ImageStore
 from .protocol import (FABRIC_VERSION, FabricProtocolError, FrameChannel,
                        expect, frame)
-
-
-def execute_shard(config_dict: Dict[str, Any],
-                  schedule_dicts: List[Dict[str, Any]], *,
-                  mode: str = "cold",
-                  images_root: Optional[str] = None,
-                  fork_batch: int = 32) -> List[Dict[str, Any]]:
-    """Run one shard exactly as the in-process pool paths would.
-
-    This is the fabric's execution-equivalence seam: the supervisor's
-    degradation path and every worker call the same function, and the
-    function delegates to the same per-schedule workers the serial and
-    ``parallel_map`` paths use.
-    """
-    if mode == "flock":
-        from ..flock.runner import _run_flock_shard
-        return _run_flock_shard(
-            (config_dict, schedule_dicts, images_root, fork_batch))
-    if mode == "warm" and images_root is not None:
-        from ..warmstart.engine import _run_one_schedule_warm
-        return [_run_one_schedule_warm((config_dict, d, images_root))
-                for d in schedule_dicts]
-    from ..audit.campaign import _run_one_schedule
-    return [_run_one_schedule((config_dict, d)) for d in schedule_dicts]
 
 
 class _ShardThread(threading.Thread):
@@ -75,14 +52,12 @@ class _ShardThread(threading.Thread):
 class FabricWorker:
     """One host's agent: connect, pull shards, execute, heartbeat."""
 
-    def __init__(self, name: Optional[str] = None, *,
-                 cas: Optional[BlobStore] = None,
-                 cas_root: Optional[str] = None,
+    def __init__(self, name: Optional[str] = None, *, cas_root: str,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        if cas is None and cas_root is None:
-            raise ValueError("worker needs a cas= store or cas_root=")
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
-        self.cas = cas if cas is not None else BlobStore(cas_root)
+        self.cas = BlobStore(cas_root)
+        #: The image-set view of ``cas``: which blob holds which prefix.
+        self.images = ImageStore(self.cas)
         self._emit = log or (lambda _msg: None)
         # Cumulative across campaigns — the transfer-exactly-once
         # assertions read these after back-to-back campaigns.
@@ -91,13 +66,6 @@ class FabricWorker:
         self.shards = 0
         self.schedules_run = 0
         self.campaigns = 0
-
-    @property
-    def images_dir(self) -> Path:
-        """Where fetched image sets materialize for ``ImageStore``
-        consumption.  Keyed by prefix digest (which already encodes the
-        config fingerprint), so one directory serves every campaign."""
-        return self.cas.root / "images"
 
     # ------------------------------------------------------------------
     def run(self, host: str, port: int, *,
@@ -163,7 +131,6 @@ class FabricWorker:
                 f"supervisor refused: {body.get('reason')}")
         config = dict(body["config"])
         mode = str(body["mode"])
-        fork_batch = int(body.get("fork_batch", 32))
         heartbeat = float(body.get("heartbeat_interval", 0.25))
         idle_delay = float(body.get("idle_delay", 0.2))
         self._emit(f"worker {self.name}: joined campaign "
@@ -186,23 +153,19 @@ class FabricWorker:
                 channel.send(frame("heartbeat"))
                 channel.send(frame("request"))
                 continue
-            self._run_task(channel, task, config, mode, fork_batch,
-                           heartbeat)
+            self._run_task(channel, task, config, mode, heartbeat)
             channel.send(frame("request"))
 
     def _run_task(self, channel: FrameChannel, task: Dict[str, Any],
-                  config: Dict[str, Any], mode: str, fork_batch: int,
+                  config: Dict[str, Any], mode: str,
                   heartbeat: float) -> None:
         shard_id = int(task["shard"])
         schedule_dicts = list(task["schedules"])
-        images_root: Optional[str] = None
         for prefix, digest in dict(task.get("blobs") or {}).items():
             self._ensure_image_set(channel, str(prefix), str(digest))
-        if mode in ("warm", "flock"):
-            images_root = str(self.images_dir)
+        images_root = str(self.cas.root) if mode != "cold" else None
         runner = _ShardThread(lambda: execute_shard(
-            config, schedule_dicts, mode=mode, images_root=images_root,
-            fork_batch=fork_batch))
+            config, schedule_dicts, mode=mode, images_root=images_root))
         runner.start()
         while runner.is_alive():
             runner.join(timeout=heartbeat)
@@ -220,14 +183,10 @@ class FabricWorker:
     # ------------------------------------------------------------------
     def _ensure_image_set(self, channel: FrameChannel, prefix: str,
                           digest: str) -> None:
-        """Make ``<images>/<prefix>.imgset`` exist, cheapest path first:
-        already materialized > local CAS > one wire transfer."""
-        target = self.images_dir / f"{prefix}.imgset"
-        if target.is_file():
-            self.cas_hits += 1
-            return
-        data = self.cas.get(digest)
-        if data is not None:
+        """Make ``prefix``'s image set be blob ``digest`` in the local
+        CAS: a verified local copy is a hit, anything else costs one
+        wire transfer (which also replaces a copy gone bad)."""
+        if self.cas.get(digest) is not None:
             self.cas_hits += 1
         else:
             channel.send(frame("blob-get", digest=digest))
@@ -239,10 +198,8 @@ class FabricWorker:
             self.transfers += 1
             self._emit(f"worker {self.name}: fetched image set "
                        f"{prefix[:12]} ({len(data)} bytes)")
-        self.images_dir.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + f".tmp{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
+        if self.images.blob_of(prefix) != digest:
+            self.images.adopt(prefix, digest)
 
     def stats(self) -> Dict[str, Any]:
         """Cumulative per-host counters (carried on result frames)."""

@@ -5,16 +5,16 @@ thaws one full-system image *per schedule*, a flock decodes each image
 **once** into a resident :class:`~repro.flock.template.ForkTemplate`
 and forks per-schedule ``(system, auditor)`` copies from it through a
 memo-seeded fast clone (:class:`~repro.flock.fork.ForkContext`).  The
-:class:`~repro.flock.runner.FlockRunner` batches a campaign by prefix
-group, executes groups largest-first, and recycles view/chain memos
-and the kernel event pool across a group's forks.
+:class:`~repro.flock.runner.FlockRunner` keeps one template per prefix
+group and recycles view/chain memos and the kernel event pool across a
+group's forks.
 
 Results are bit-for-bit identical to warm and cold execution —
 findings, errors, shrink results, trace digests.
 """
 
 from .fork import ForkContext, collect_shared
-from .runner import DEFAULT_FORK_BATCH, FlockRunner, _run_flock_shard
+from .runner import DEFAULT_FORK_BATCH, FlockRunner
 from .template import FORK_QUANTUM, ForkTemplate, fork_position
 
 __all__ = [

@@ -1,14 +1,15 @@
-"""Suffix-fork batch execution of audit campaigns.
+"""Suffix-fork execution of audit campaigns.
 
-:class:`FlockRunner` is the batch layer over
-:class:`~repro.flock.template.ForkTemplate`: it groups a campaign's
-schedules by warm-start prefix (``PrefixKey`` digest — same config,
-seed, and timing overrides), makes one resident template per group
-(thawed **once** from a warm-start image, or built directly from the
-reference config), and executes the group's schedules back-to-back as
-cheap forks while the template advances monotonically along the
-reference timeline.  Groups run largest-first, so a worker keeps one
-template resident at a time and the biggest amortization happens first.
+:class:`FlockRunner` is the campaign runner
+(:class:`~repro.audit.campaign.ScheduleRunner`) whose schedules start
+as forks of a :class:`~repro.flock.template.ForkTemplate`: one resident
+template per warm-start prefix group (``PrefixKey`` digest — same
+config, seed, and timing overrides), thawed **once** from a warm-start
+image or built directly from the reference config, serving the group's
+schedules back-to-back as cheap forks while it advances monotonically
+along the reference timeline.  The shard plan
+(:func:`repro.fabric.plan.plan_shards`) runs groups largest-first and
+divergence-ascending, so the biggest amortization happens first.
 
 Within a group, three things are recycled across forks on top of the
 shared-object table itself:
@@ -28,10 +29,11 @@ property tests and the bench's digest cross-checks are the oracle.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..errors import AuditViolation
+from ..audit.campaign import ScheduleRunner
 from ..warmstart.engine import MIN_GROUP, divergence_time
 from ..warmstart.store import ImageStore, PrefixKey
 from .template import FORK_EPS, FORK_QUANTUM, ForkTemplate, fork_position
@@ -41,80 +43,54 @@ from .template import FORK_EPS, FORK_QUANTUM, ForkTemplate, fork_position
 DEFAULT_FORK_BATCH = 32
 
 
-class FlockRunner:
-    """Flock execution of one campaign's schedules (drop-in for
-    :class:`~repro.warmstart.engine.WarmRunner` where it matters:
-    ``plan`` / ``audit_schedule`` / ``traced_audit`` / ``violates`` /
-    ``stats``)."""
+class FlockRunner(ScheduleRunner):
+    """Campaign runner whose schedules start as template forks."""
+
+    mode = "flock"
 
     def __init__(self, config, store: Optional[ImageStore] = None,
-                 timeline=None, min_group: int = MIN_GROUP,
-                 fork_batch: int = DEFAULT_FORK_BATCH,
+                 timeline=None, fork_batch: int = DEFAULT_FORK_BATCH,
                  build_missing: bool = True) -> None:
-        self.config = config
+        super().__init__(config, timeline=timeline)
         self.store = store
-        self.timeline = timeline
-        self.min_group = min_group
         self.fork_batch = max(1, int(fork_batch))
         #: Whether a missing template may be built from a direct
         #: reference run (workers consuming a pre-built image store
         #: turn this off and degrade to cold instead).
         self.build_missing = build_missing
         self._templates: Dict[str, ForkTemplate] = {}
-        self._group_counts: Dict[str, int] = {}
         # Runner-lifetime memo dicts: entries pin their keys, so they
         # stay valid across groups; shrink replays profit most.
         self._view_cache: Dict = {}
         self._resolve_cache: Dict = {}
         self._pool = None
         self.flock_runs = 0
-        self.cold_runs = 0
         self.templates_built = 0
         self.decode_seconds = 0.0
         self.build_seconds = 0.0
         self.fork_seconds = 0.0
-        self.run_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # planning and grouping
+    # grouping
     # ------------------------------------------------------------------
     def _key(self, schedule) -> PrefixKey:
         return PrefixKey.for_schedule(self.config, schedule)
 
-    def plan(self, schedules) -> None:
-        """Count prefix-group sizes (the template-worthiness signal).
-
-        Recounts from scratch, so planning the same campaign twice
-        (``run_audit`` plans, then hands the batch to ``run_batch``,
-        which plans again) cannot inflate singleton groups past the
-        ``min_group`` gate."""
-        counts: Dict[str, int] = {}
-        for sched in schedules:
-            digest = self._key(sched).digest()
-            counts[digest] = counts.get(digest, 0) + 1
-        self._group_counts = counts
-
-    def groups(self, schedules) -> List[List[int]]:
-        """Campaign schedule indices grouped by prefix, largest group
-        first; within a group, divergence-ascending (the template's
-        advancement order)."""
-        by_digest: Dict[str, List[int]] = {}
-        for idx, sched in enumerate(schedules):
-            by_digest.setdefault(self._key(sched).digest(), []).append(idx)
-        ordered = sorted(by_digest.values(),
-                         key=lambda idxs: (-len(idxs), idxs[0]))
-        for idxs in ordered:
-            idxs.sort(key=lambda i: (divergence_time(schedules[i]), i))
-        return ordered
+    def _planned(self, schedules, shard_size: int) -> List[List[int]]:
+        from ..fabric.plan import plan_shards
+        return [list(shard.indices) for shard in plan_shards(
+            self.config, schedules, shard_size=shard_size)]
 
     def shards(self, schedules) -> List[List[int]]:
-        """Groups split into ``fork_batch``-sized chunks for parallel
-        dispatch (one resident template per chunk per worker)."""
-        shards: List[List[int]] = []
-        for idxs in self.groups(schedules):
-            for at in range(0, len(idxs), self.fork_batch):
-                shards.append(idxs[at:at + self.fork_batch])
-        return shards
+        """The campaign's shard plan as index lists: prefix groups
+        largest first, divergence-ascending (the template's advancement
+        order), split into ``fork_batch``-sized chunks; schedules whose
+        prefix nobody shares pooled last."""
+        return self._planned(schedules, self.fork_batch)
+
+    def groups(self, schedules) -> List[List[int]]:
+        """:meth:`shards` with every group left whole."""
+        return self._planned(schedules, len(schedules))
 
     # ------------------------------------------------------------------
     # template lifecycle
@@ -125,7 +101,7 @@ class FlockRunner:
         template = self._templates.get(digest)
         if template is not None:
             return template
-        if not force and self._group_counts.get(digest, 0) < self.min_group:
+        if not force and self._group_counts.get(digest, 0) < MIN_GROUP:
             return None
         template = self._make_template(schedule)
         if template is not None:
@@ -154,15 +130,15 @@ class FlockRunner:
         self.build_seconds += time.monotonic() - begin
         return template
 
-    def ensure_template(self, schedule) -> None:
+    def prepare_shrink(self, schedule) -> None:
         """Force-build the template for ``schedule``'s prefix and
         pre-dump at each of its fault instants.
 
-        The shrink hook: every shrink candidate keeps a subset of the
-        violator's faults, so its divergence time is one of the
-        violator's fault instants — pre-dumping there (ascending) lets
-        candidates fork no matter which order the shrinker tries them
-        in, even though template advancement is monotone.
+        Every shrink candidate keeps a subset of the violator's faults,
+        so its divergence time is one of the violator's fault instants
+        — pre-dumping there (ascending) lets candidates fork no matter
+        which order the shrinker tries them in, even though template
+        advancement is monotone.
         """
         times = [spec.activate_at for spec in schedule.software]
         times += [spec.crash_at for spec in schedule.crashes]
@@ -172,8 +148,7 @@ class FlockRunner:
             # override leave the prefix group anyway.  Let the shrink
             # replay cold.
             return
-        self._install_caches()
-        try:
+        with self._caches():
             template = self._template_for(schedule, force=True)
             if template is None:
                 return
@@ -187,17 +162,13 @@ class FlockRunner:
                 if not template.advance_to(position):
                     break
                 template.dump()
-        finally:
-            self._remove_caches()
-
-    def release(self) -> None:
-        """Drop resident templates (end of campaign / shrink phase)."""
-        self._templates.clear()
 
     # ------------------------------------------------------------------
     # cache scope
     # ------------------------------------------------------------------
-    def _install_caches(self) -> None:
+    @contextlib.contextmanager
+    def _caches(self):
+        """The group-scoped memos, installed for the ``with`` block."""
         from ..analysis.global_state import install_view_cache
         from ..snapshot.sections import install_resolve_cache
         install_view_cache(self._view_cache)
@@ -205,12 +176,11 @@ class FlockRunner:
         if self._pool is None:
             from ..sim.events import EventPool
             self._pool = EventPool()
-
-    def _remove_caches(self) -> None:
-        from ..analysis.global_state import install_view_cache
-        from ..snapshot.sections import install_resolve_cache
-        install_view_cache(None)
-        install_resolve_cache(None)
+        try:
+            yield
+        finally:
+            install_view_cache(None)
+            install_resolve_cache(None)
 
     # ------------------------------------------------------------------
     # execution
@@ -237,104 +207,38 @@ class FlockRunner:
         self.fork_seconds += time.monotonic() - begin
         return system, auditor
 
-    def audit_schedule(self, schedule, fail_fast: bool = True):
-        """Flock-or-cold audit of one schedule (cold-identical
-        findings).  Mirrors ``WarmRunner.audit_schedule``."""
-        return self.traced_audit(schedule, fail_fast=fail_fast)[0]
-
-    def traced_audit(self, schedule, fail_fast: bool = False,
-                     force_template: bool = False):
-        """Audit one schedule, returning ``(findings, system)`` — the
-        system with its full trace (prefix records travel in the fork),
-        for the bench's digest cross-checks.
-
-        The group-scoped caches are installed only around template
+    @contextlib.contextmanager
+    def _start(self, schedule, fail_fast: bool):
+        """A fork off the prefix group's template, run inside the
+        group-scoped caches; they are installed only around template
         advancement and forked execution, where prefix objects are
-        genuinely shared; a cold fallback runs bare (caching a run's
-        private payloads costs an extra encode per miss and can never
-        hit).
-        """
-        from ..audit.auditor import OnlineAuditor
-        from ..audit.campaign import build_audit_system
-        template = self._template_for(schedule, force=force_template)
+        genuinely shared — a fresh-build fallback runs bare (caching a
+        run's private payloads costs an extra encode per miss and can
+        never hit)."""
+        template = self._template_for(schedule)
+        forked = None
         if template is not None:
-            self._install_caches()
-            try:
+            with self._caches():
                 forked = self._fork_for(template, schedule)
                 if forked is not None:
                     self.flock_runs += 1
-                    system, auditor = forked
-                    auditor.fail_fast = fail_fast
-                    return self._execute(system, auditor)
-            finally:
-                self._remove_caches()
-        self.cold_runs += 1
-        system = build_audit_system(self.config, schedule)
-        auditor = OnlineAuditor(
-            system, fail_fast=fail_fast,
-            include_ground_truth=self.config.include_ground_truth)
-        return self._execute(system, auditor)
-
-    def _execute(self, system, auditor):
-        begin = time.monotonic()
-        try:
-            system.run()
-        except AuditViolation:
-            pass
-        try:
-            auditor.finalize()
-        except AuditViolation:
-            pass
-        self.run_seconds += time.monotonic() - begin
-        return auditor.findings, system
-
-    def violates(self, schedule) -> bool:
-        """Flock drop-in for the shrink predicate (crashed replays are
-        non-violating, matching ``schedule_violates``)."""
-        try:
-            return bool(self.audit_schedule(schedule, fail_fast=True))
-        except Exception:
-            return False
-
-    def run_batch(self, schedules) -> List[Dict]:
-        """Execute a whole campaign serially: grouped, largest group
-        first, one resident template per group.  Returns result dicts
-        (in input order) shaped exactly like the campaign workers'."""
-        self.plan(schedules)
-        results: List[Optional[Dict]] = [None] * len(schedules)
-        for idxs in self.groups(schedules):
-            for idx in idxs:
-                results[idx] = self._run_one(schedules[idx])
-        return [r for r in results if r is not None]
-
-    def _run_one(self, schedule) -> Dict:
-        before = self.flock_runs
-        try:
-            findings = self.audit_schedule(schedule, fail_fast=True)
-        except Exception as exc:  # simulation bug — report, don't abort
-            return {"schedule": schedule.to_dict(), "violated": False,
-                    "findings": [],
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "flock": self.flock_runs > before}
-        return {"schedule": schedule.to_dict(),
-                "violated": bool(findings),
-                "findings": [f.to_dict() for f in findings],
-                "error": None,
-                "flock": self.flock_runs > before}
+                    forked[1].fail_fast = fail_fast
+                    yield forked
+        if forked is None:
+            yield None
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         """Counters and the per-phase timing breakdown."""
-        stats: Dict[str, float] = {
+        stats = super().stats()
+        stats.update({
             "flock_runs": self.flock_runs,
-            "cold_runs": self.cold_runs,
             "templates_built": self.templates_built,
             "flock_groups": len(self._group_counts),
             "decode_seconds": round(self.decode_seconds, 6),
             "build_seconds": round(self.build_seconds, 6),
             "fork_seconds": round(self.fork_seconds, 6),
-            "run_seconds": round(self.run_seconds, 6),
-        }
+        })
         forks = dumps = dump_bytes = shared = 0
         advance = encode = 0.0
         for template in self._templates.values():
@@ -357,20 +261,7 @@ class FlockRunner:
             stats.update(self.store.stats())
         return stats
 
-
-def _run_flock_shard(item) -> List[Dict]:
-    """Worker: flock-audit one shard of schedules off one template.
-
-    The coordinator pre-built image sets into the on-disk store at
-    ``root``; the worker thaws its shard's template from the newest
-    usable image exactly once and forks every schedule from it.
-    """
-    from ..audit.config import AuditConfig
-    from ..audit.schedule import FaultSchedule
-    config_dict, schedule_dicts, root, fork_batch = item
-    config = AuditConfig.from_dict(config_dict)
-    schedules = [FaultSchedule.from_dict(d) for d in schedule_dicts]
-    store = ImageStore(root=root) if root else None
-    runner = FlockRunner(config, store=store, fork_batch=fork_batch,
-                         build_missing=store is None)
-    return runner.run_batch(schedules)
+    def summary(self) -> str:
+        return (f"flock: {self.flock_runs} forked / {self.cold_runs} cold "
+                f"coordinator runs, {self.templates_built} templates "
+                f"({self.fork_seconds:.2f}s forking)")

@@ -100,17 +100,13 @@ class ForkTemplate:
                        ) -> "ForkTemplate":
         """Build a template by constructing the fault-free reference
         directly (no image set needed — the serial path)."""
-        from ..audit.auditor import OnlineAuditor
-        from ..audit.campaign import build_audit_system
+        from ..audit.campaign import start_fresh
         from ..audit.schedule import FaultSchedule
         probe = FaultSchedule(label="flock-ref",
                               system_seed=schedule.system_seed,
                               overrides=tuple(sorted(schedule.overrides)),
                               origin="flock")
-        system = build_audit_system(config, probe)
-        auditor = OnlineAuditor(
-            system, fail_fast=False,
-            include_ground_truth=config.include_ground_truth)
+        system, auditor = start_fresh(config, probe, fail_fast=False)
         return cls(system, auditor, context=context)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,8 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..cas import atomic_write
+
 
 def stable_dumps(obj: Any) -> bytes:
     """One shared ``dumps``: highest-protocol pickling of ``obj``.
@@ -120,8 +122,9 @@ class ResultCache:
         return samples
 
     def put(self, key: CacheKey, samples: List[float]) -> None:
-        """Store ``samples`` for ``key`` (atomic rename write)."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Store ``samples`` for ``key`` (atomic rename write through a
+        per-process temp file: writers sharing the directory never move
+        each other's)."""
         record: Dict[str, Any] = {
             "label": key.label,
             "master_seed": key.master_seed,
@@ -129,10 +132,7 @@ class ResultCache:
             "fingerprint": key.fingerprint,
             "samples": list(samples),
         }
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record), encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write(self._path(key), json.dumps(record).encode("utf-8"))
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -25,7 +25,7 @@ import dataclasses
 import multiprocessing
 import random
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .progress import ProgressReporter
 
@@ -170,10 +170,20 @@ class ShardSupervisor:
                     land(index, worker_fn(shards[index]))
                 return results
 
-            futures = {executor.submit(worker_fn, shards[index]):
-                       (index, attempt) for index, attempt in pending}
+            futures: Dict[concurrent.futures.Future, Tuple[int, int]] = {}
             abandoned = False
             try:
+                try:
+                    for index, attempt in pending:
+                        futures[executor.submit(worker_fn, shards[index])] = \
+                            (index, attempt)
+                except concurrent.futures.process.BrokenProcessPool:
+                    # A worker died while shards were still being
+                    # submitted and the pool takes no more.  The death
+                    # surfaces (and is charged) on a submitted future
+                    # below; the rest wait for the next round.
+                    submitted = set(futures.values())
+                    requeue.extend(p for p in pending if p not in submitted)
                 for future in list(futures):
                     index, attempt = futures[future]
                     if abandoned:

@@ -23,6 +23,7 @@ from .engine import (
     build_image_set,
     capture_times,
     divergence_time,
+    ensure_planned_sets,
     share_schedule_seeds,
 )
 from .image import SystemImage, capture, resume
@@ -38,6 +39,7 @@ __all__ = [
     "capture",
     "capture_times",
     "divergence_time",
+    "ensure_planned_sets",
     "resume",
     "share_schedule_seeds",
 ]

@@ -13,14 +13,16 @@ exploits that:
    boundary schedules pin faults).  Capturing stops at the reference's
    first own finding — an image past it would bake the finding into
    every resumed future, which a cold run would have reported earlier.
-2. :meth:`WarmRunner.audit_schedule` computes a schedule's
-   :func:`divergence_time`, thaws the newest image *strictly before*
-   it, arms the schedule's faults on the copy, and runs forward —
-   skipping the shared prefix entirely.  Schedules with no usable
-   image (different prefix, divergence before the first capture, or a
-   singleton group not worth a reference run) fall back to the cold
-   path, so warm execution is always a pure optimization: identical
-   findings, traces, and shrink results, just less wall-clock.
+2. :class:`WarmRunner` — the campaign runner
+   (:class:`~repro.audit.campaign.ScheduleRunner`) whose schedules
+   start from an image — computes a schedule's :func:`divergence_time`,
+   thaws the newest image *strictly before* it, arms the schedule's
+   faults on the copy, and runs forward — skipping the shared prefix
+   entirely.  Schedules with no usable image (different prefix,
+   divergence before the first capture, or a singleton group not worth
+   a reference run) start from a fresh build, so warm execution is
+   always a pure optimization: identical findings, traces, and shrink
+   results, just less wall-clock.
 
 Determinism fine print: fault injectors schedule at ``CONTROL``
 priority, the lowest, so arming them late (at resume time, with higher
@@ -33,10 +35,12 @@ assert the bit-for-bit contract on every configuration we ship.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import AuditViolation
+from ..audit.campaign import ScheduleRunner, start_fresh
+from ..audit.schedule import FaultSchedule
 from ..sim.rng import derive_seed
 from .image import SystemImage, capture, resume
 from .store import ImageStore, PrefixKey
@@ -55,6 +59,9 @@ MAX_IMAGES = 48
 #: Build a prefix's image set only when at least this many schedules
 #: will share it (a reference run + captures must amortize).
 MIN_GROUP = 2
+
+#: The codec every image is captured with.
+IMAGE_CODEC = "pickle"
 
 
 def divergence_time(schedule) -> float:
@@ -126,8 +133,7 @@ def share_schedule_seeds(config, schedules) -> List:
 def build_image_set(config, seed: int,
                     overrides: Tuple[Tuple[str, float], ...] = (),
                     times: Optional[List[float]] = None,
-                    timeline=None, codec: str = "pickle"
-                    ) -> List[SystemImage]:
+                    timeline=None) -> List[SystemImage]:
     """Run one fault-free reference and capture its image set.
 
     The probe carries the prefix's timing overrides (and the campaign's
@@ -137,73 +143,88 @@ def build_image_set(config, seed: int,
     image — with ``fail_fast`` off, so capture can never abort — and
     capturing stops at the reference's first finding.
     """
-    from ..audit.auditor import OnlineAuditor
-    from ..audit.campaign import build_audit_system
-    from ..audit.schedule import FaultSchedule
-
     if times is None:
         times = capture_times(config, timeline)
     fingerprint = config.fingerprint()
     probe = FaultSchedule(label="warmstart-ref", system_seed=seed,
                           overrides=tuple(sorted(overrides)),
                           origin="warmstart")
-    system = build_audit_system(config, probe)
-    auditor = OnlineAuditor(system, fail_fast=False,
-                            include_ground_truth=config.include_ground_truth)
+    system, auditor = start_fresh(config, probe, fail_fast=False)
     images: List[SystemImage] = []
     for t in times:
         system.run(until=t)
         if auditor.violated:
             break
-        images.append(capture(system, auditor, codec=codec, seed=seed,
+        images.append(capture(system, auditor, codec=IMAGE_CODEC, seed=seed,
                               overrides=probe.overrides,
                               config_fingerprint=fingerprint))
     return images
 
 
-class WarmRunner:
-    """Warm-start execution of one campaign's schedules.
+def ensure_image_set(config, store: ImageStore, schedule,
+                     times: List[float]) -> bool:
+    """Build ``schedule``'s prefix image set into ``store`` unless one
+    is there already; whether this call built it."""
+    key = PrefixKey.for_schedule(config, schedule)
+    if store.has(key):
+        return False
+    with store.build_lock(key):
+        # Double-checked: another process sharing this on-disk store (a
+        # co-located fabric worker, a sibling coordinator) may have
+        # built the set while we waited on the lock.
+        if store.has(key):
+            return False
+        store.put(key, build_image_set(
+            config, schedule.system_seed,
+            overrides=tuple(sorted(schedule.overrides)), times=times))
+    return True
+
+
+def ensure_planned_sets(config, store: ImageStore, schedules: Sequence,
+                        plan: Sequence, timeline=None) -> Dict[str, float]:
+    """The campaign pipeline's *prepare* step: give every prefix the
+    shard ``plan`` shares an image set in ``store``, each built at most
+    once, before shards that only consume leave this process."""
+    begin = time.monotonic()
+    times = capture_times(config, timeline)
+    # Any schedule of a prefix names it: only seed and overrides count.
+    probes = {shard.prefix: shard.indices[0] for shard in plan
+              if shard.prefix is not None}
+    built = sum(ensure_image_set(config, store, schedules[index], times)
+                for index in probes.values())
+    return {"sets_exported": built,
+            "export_seconds": round(time.monotonic() - begin, 6)}
+
+
+class WarmRunner(ScheduleRunner):
+    """Campaign runner whose schedules start from a thawed image.
 
     Owns an :class:`ImageStore`, decides per schedule whether a warm
     resume is available (building reference image sets on demand for
-    prefixes that :meth:`plan` saw enough schedules share), and falls
-    back to the cold path whenever it is not.  ``build_missing=False``
+    prefixes that :meth:`plan` saw enough schedules share), and starts
+    from a fresh build whenever it is not.  ``build_missing=False``
     makes the runner consume-only — the worker-process mode, where the
     coordinator pre-built every set into a shared on-disk store.
     """
 
+    mode = "warm"
+
     def __init__(self, config, store: Optional[ImageStore] = None,
-                 timeline=None, codec: str = "pickle",
-                 min_group: int = MIN_GROUP,
-                 build_missing: bool = True) -> None:
-        self.config = config
-        self.fingerprint = config.fingerprint()
+                 timeline=None, build_missing: bool = True) -> None:
+        super().__init__(config, timeline=timeline)
         self.store = store if store is not None else ImageStore()
-        self.timeline = timeline
-        self.codec = codec
-        self.min_group = min_group
         self.build_missing = build_missing
         self._times: Optional[List[float]] = None
-        self._group_counts: Dict[str, int] = {}
         self.warm_runs = 0
-        self.cold_runs = 0
         self.sets_built = 0
         self.build_seconds = 0.0
         #: Wall-clock decoding images back into live systems (the cost
         #: the flock path amortizes to once per group).
         self.decode_seconds = 0.0
-        #: Wall-clock running audited suffixes (and cold fallbacks).
-        self.run_seconds = 0.0
 
     # ------------------------------------------------------------------
     def _key(self, schedule) -> PrefixKey:
         return PrefixKey.for_schedule(self.config, schedule)
-
-    def plan(self, schedules) -> None:
-        """Count prefix-group sizes (the build-worthiness signal)."""
-        for sched in schedules:
-            digest = self._key(sched).digest()
-            self._group_counts[digest] = self._group_counts.get(digest, 0) + 1
 
     def planned_times(self) -> List[float]:
         """The capture plan (computed once per runner)."""
@@ -215,32 +236,22 @@ class WarmRunner:
         """Make sure the schedule's prefix has an image set.
 
         Builds one when allowed (``build_missing``) and worth it (the
-        planned group reaches ``min_group``, or ``force`` — the shrink
-        path, which replays one prefix dozens of times).  Returns
-        whether a set exists afterwards.
+        planned group reaches :data:`MIN_GROUP`, or ``force`` — the
+        shrink path, which replays one prefix dozens of times).
+        Returns whether a set exists afterwards.
         """
         key = self._key(schedule)
         if self.store.has(key):
             return True
         if not self.build_missing:
             return False
-        if not force:
-            if self._group_counts.get(key.digest(), 0) < self.min_group:
-                return False
-        with self.store.build_lock(key):
-            # Double-checked: another process sharing this on-disk
-            # store (a co-located fabric worker, a sibling coordinator)
-            # may have built the set while we waited on the lock.
-            if self.store.has(key):
-                return True
-            begin = time.monotonic()
-            images = build_image_set(
-                self.config, schedule.system_seed,
-                overrides=tuple(sorted(schedule.overrides)),
-                times=self.planned_times(), codec=self.codec)
+        if not force and self._group_counts.get(key.digest(), 0) < MIN_GROUP:
+            return False
+        begin = time.monotonic()
+        if ensure_image_set(self.config, self.store, schedule,
+                            self.planned_times()):
             self.build_seconds += time.monotonic() - begin
             self.sets_built += 1
-            self.store.put(key, images)
         return True
 
     def image_for(self, schedule) -> Optional[SystemImage]:
@@ -251,88 +262,34 @@ class WarmRunner:
                                         divergence_time(schedule))
 
     # ------------------------------------------------------------------
-    def audit_schedule(self, schedule, fail_fast: bool = True):
-        """Warm-or-cold audit of one schedule; findings, cold-identical."""
-        return self.traced_audit(schedule, fail_fast=fail_fast)[0]
-
-    def traced_audit(self, schedule, fail_fast: bool = False):
-        """Audit one schedule, returning ``(findings, system)``.
-
-        The system comes back with its full trace — prefix records
-        travel inside the image, so a resumed run's trace is the whole
-        run's trace.  The equivalence bench digests it against a cold
-        run of the same schedule.
-        """
-        from ..audit.auditor import OnlineAuditor
-        from ..audit.campaign import build_audit_system
+    @contextlib.contextmanager
+    def _start(self, schedule, fail_fast: bool):
         image = self.image_for(schedule)
         if image is None:
-            self.cold_runs += 1
-            system = build_audit_system(self.config, schedule)
-            auditor = OnlineAuditor(
-                system, fail_fast=fail_fast,
-                include_ground_truth=self.config.include_ground_truth)
-        else:
-            self.warm_runs += 1
-            begin = time.monotonic()
-            system, auditor = resume(image, fail_fast=fail_fast)
-            self.decode_seconds += time.monotonic() - begin
-            schedule.arm(system)
+            yield None
+            return
+        self.warm_runs += 1
         begin = time.monotonic()
-        try:
-            system.run()
-        except AuditViolation:
-            pass
-        try:
-            auditor.finalize()
-        except AuditViolation:
-            pass
-        self.run_seconds += time.monotonic() - begin
-        return auditor.findings, system
+        system, auditor = resume(image, fail_fast=fail_fast)
+        self.decode_seconds += time.monotonic() - begin
+        schedule.arm(system)
+        yield system, auditor
 
-    def violates(self, schedule) -> bool:
-        """Warm-start drop-in for ``schedule_violates`` (the shrink
-        predicate): crashed replays count as non-violating there too."""
-        try:
-            return bool(self.audit_schedule(schedule, fail_fast=True))
-        except Exception:
-            return False
+    def prepare_shrink(self, original) -> None:
+        """Every shrink candidate shares the violator's prefix: always
+        worth a reference image set."""
+        self.ensure_images(original, force=True)
 
     def stats(self) -> Dict[str, float]:
-        """Counters for reports and benches."""
-        stats: Dict[str, float] = {
-            "warm_runs": self.warm_runs, "cold_runs": self.cold_runs,
-            "sets_built": self.sets_built,
+        stats = super().stats()
+        stats.update({
+            "warm_runs": self.warm_runs, "sets_built": self.sets_built,
             "build_seconds": round(self.build_seconds, 6),
-            "decode_seconds": round(self.decode_seconds, 6),
-            "run_seconds": round(self.run_seconds, 6)}
+            "decode_seconds": round(self.decode_seconds, 6)})
         stats.update(self.store.stats())
         return stats
 
-
-def _run_one_schedule_warm(item) -> Dict:
-    """Worker: warm-audit one ``(config, schedule, store root)`` item.
-
-    The coordinator pre-built every worthwhile image set into the
-    on-disk store at ``root``; workers only consume (``build_missing``
-    off), so a missing set degrades to the cold path instead of
-    duplicating reference runs across the pool.
-    """
-    from ..audit.config import AuditConfig
-    from ..audit.schedule import FaultSchedule
-    config_dict, schedule_dict, root = item
-    config = AuditConfig.from_dict(config_dict)
-    schedule = FaultSchedule.from_dict(schedule_dict)
-    runner = WarmRunner(config, store=ImageStore(root=root),
-                        build_missing=False)
-    try:
-        findings = runner.audit_schedule(schedule, fail_fast=True)
-    except Exception as exc:  # simulation bug — report, don't kill the pool
-        return {"schedule": schedule.to_dict(), "violated": False,
-                "findings": [], "error": f"{type(exc).__name__}: {exc}",
-                "warm": bool(runner.warm_runs)}
-    return {"schedule": schedule.to_dict(),
-            "violated": bool(findings),
-            "findings": [f.to_dict() for f in findings],
-            "error": None,
-            "warm": bool(runner.warm_runs)}
+    def summary(self) -> str:
+        return (f"warmstart: {self.warm_runs} warm / {self.cold_runs} cold "
+                f"coordinator runs, {self.sets_built} image sets "
+                f"({self.build_seconds:.2f}s building)")

@@ -9,9 +9,13 @@ one reference run and consumed together), with:
 
 * an in-memory layer with LRU eviction bounded by total image bytes,
   so long campaigns cannot grow without limit;
-* an optional on-disk layer (one file per prefix set, digest-named,
-  atomic-rename writes — the :mod:`repro.parallel.cache` idioms), which
-  is how image sets built in the coordinator reach worker processes.
+* an optional on-disk layer, a typed view over a content-addressed
+  :class:`~repro.cas.BlobStore` (``refs/imgset-<prefix>`` names the
+  ``blobs/<sha256>`` holding the pickled set), which is how image sets
+  built in the coordinator reach pool workers and fabric hosts.  A set
+  read back is trusted only if its bytes hash to the blob's name, they
+  unpickle, and the key stored inside is the key asked for; anything
+  else is a miss.
 
 Lookups are by :meth:`ImageStore.latest_before`: the newest image
 captured *strictly before* a divergence time, the only resume point the
@@ -29,13 +33,14 @@ import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 try:  # advisory locking is POSIX-only; degrade to lock-free elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
+from ..cas import BlobStore
 from .image import SystemImage
 
 #: Default in-memory budget for cached image sets (bytes of payload).
@@ -70,14 +75,17 @@ class ImageStore:
     """Bounded cache of prefix image sets, optionally disk-backed.
 
     ``root=None`` keeps everything in memory (the serial-campaign
-    mode); with a directory, every ``put`` writes through to disk and
-    ``get`` falls back to disk on a memory miss (the multi-process
-    mode — workers open the same root read-only).
+    mode); with a directory — or the :class:`~repro.cas.BlobStore` a
+    fabric host already holds open on it — every ``put`` writes through
+    to disk and ``get`` falls back to disk on a memory miss (the
+    multi-process mode — workers open the same root read-only).
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None,
+    def __init__(self, root: Union[os.PathLike, BlobStore, None] = None,
                  max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        self.root = Path(root) if root is not None else None
+        self.cas: Optional[BlobStore] = (
+            root if root is None or isinstance(root, BlobStore)
+            else BlobStore(root))
         self.max_bytes = max_bytes
         self._sets: "OrderedDict[str, List[SystemImage]]" = OrderedDict()
         self._bytes: Dict[str, int] = {}
@@ -86,9 +94,26 @@ class ImageStore:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _path(self, key: PrefixKey) -> Path:
-        assert self.root is not None
-        return self.root / f"{key.digest()}.imgset"
+    @property
+    def root(self) -> Optional[Path]:
+        """The on-disk layer's directory (``None``: memory only)."""
+        return self.cas.root if self.cas is not None else None
+
+    @staticmethod
+    def _ref(prefix: str) -> str:
+        return f"imgset-{prefix}"
+
+    def blob_of(self, prefix: str) -> Optional[str]:
+        """Digest of the blob holding prefix digest ``prefix``'s set on
+        disk, if there is one (what the fabric announces to workers)."""
+        if self.cas is None:
+            return None
+        return self.cas.ref(self._ref(prefix))
+
+    def adopt(self, prefix: str, digest: str) -> None:
+        """Name a blob already in the CAS as ``prefix``'s image set (a
+        fabric worker, after fetching what the supervisor announced)."""
+        self.cas.set_ref(self._ref(prefix), digest)
 
     def _charge(self, digest: str, images: List[SystemImage]) -> None:
         self._bytes[digest] = sum(img.nbytes for img in images)
@@ -106,32 +131,40 @@ class ImageStore:
         self._sets[digest] = images
         self._sets.move_to_end(digest)
         self._charge(digest, images)
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                pickle.dump({"key": dataclasses.asdict(key),
-                             "images": images}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+        if self.cas is not None:
+            blob = self.cas.put(pickle.dumps(
+                {"key": dataclasses.asdict(key), "images": images},
+                protocol=pickle.HIGHEST_PROTOCOL))
+            self.adopt(digest, blob)
+
+    def _load(self, key: PrefixKey) -> Optional[List[SystemImage]]:
+        """``key``'s set from disk, verified — or ``None``."""
+        blob = self.blob_of(key.digest())
+        data = self.cas.get(blob) if blob is not None else None
+        if data is None:
+            return None
+        try:
+            record = pickle.loads(data)
+            if record["key"] != dataclasses.asdict(key):
+                return None  # another prefix's set under this ref
+            return list(record["images"])
+        except Exception:
+            # The bytes hash to their name, so they are what some writer
+            # stored — but not necessarily this program: unpickling
+            # foreign bytes can raise nearly anything.
+            return None
 
     def get(self, key: PrefixKey) -> Optional[List[SystemImage]]:
-        """The image set for ``key``, or ``None`` (unreadable/corrupt
-        disk entries count as absent)."""
+        """The image set for ``key``, or ``None`` (unreadable, corrupt
+        or misfiled disk entries count as absent)."""
         digest = key.digest()
         images = self._sets.get(digest)
         if images is not None:
             self._sets.move_to_end(digest)
             self.hits += 1
             return images
-        if self.root is not None:
-            try:
-                with open(self._path(key), "rb") as fh:
-                    data = pickle.load(fh)
-                images = list(data["images"])
-            except (OSError, pickle.PickleError, KeyError, EOFError):
-                images = None
+        if self.cas is not None:
+            images = self._load(key)
             if images is not None:
                 self._sets[digest] = images
                 self._charge(digest, images)
@@ -141,10 +174,10 @@ class ImageStore:
         return None
 
     def has(self, key: PrefixKey) -> bool:
-        """Whether a set exists (without counting a hit/miss)."""
-        if key.digest() in self._sets:
-            return True
-        return self.root is not None and self._path(key).is_file()
+        """Whether a set exists (without counting a hit/miss, and
+        without reading it — ``get`` verifies)."""
+        digest = key.digest()
+        return digest in self._sets or self.blob_of(digest) is not None
 
     @contextlib.contextmanager
     def build_lock(self, key: PrefixKey):
@@ -154,8 +187,8 @@ class ImageStore:
         check-then-build) share one on-disk store; without mutual
         exclusion two processes that both miss can build the same
         reference prefix twice — wasted work — or interleave writes.
-        The lock is per-prefix (``<digest>.lock`` beside the set file),
-        blocking, and released on exit even if the build raises.  A
+        The lock is per-prefix (``imgset-<digest>.lock`` in the store
+        root), blocking, and released on exit even if the build raises.  A
         memory-only store, or a platform without :mod:`fcntl`, degrades
         to lock-free behavior: correctness never depended on the lock
         (writes stay atomic-rename), only build economy does.
@@ -164,7 +197,7 @@ class ImageStore:
             yield
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        lock_path = self.root / f"{key.digest()}.lock"
+        lock_path = self.root / f"{self._ref(key.digest())}.lock"
         with open(lock_path, "a+") as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
@@ -200,11 +233,8 @@ class ImageStore:
         removed = len(self._sets)
         self._sets.clear()
         self._bytes.clear()
-        if self.root is not None and self.root.is_dir():
-            for path in self.root.glob("*.imgset"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        if self.cas is not None:
+            removed += sum(self.cas.drop_ref(name)
+                           for name in self.cas.ref_names()
+                           if name.startswith(self._ref("")))
         return removed

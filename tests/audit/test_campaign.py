@@ -7,6 +7,8 @@ results must be byte-identical regardless of worker count (determinism
 is what makes the JSON artifacts replayable).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.audit import (
@@ -14,10 +16,13 @@ from repro.audit import (
     FaultSchedule,
     artifact_schedules,
     audit_schedule,
+    generate_schedules,
     read_artifact,
+    reference_timeline,
     run_audit,
     write_artifact,
 )
+from repro.warmstart import ImageStore, share_schedule_seeds
 
 pytestmark = pytest.mark.audit
 
@@ -85,6 +90,60 @@ class TestDeterminism:
         parallel = run_audit(config, workers=4)
         assert serial.violations == parallel.violations
         assert serial.errors == parallel.errors
+
+
+class TestPipelineEquivalence:
+    """One campaign through every start strategy and every executor:
+    the hints move work, they never change the report."""
+
+    CONFIG = AuditConfig(scheme="naive", seed=7, schedules=12, horizon=300.0)
+    STARTS = {"cold": {}, "warm": {"warmstart": True},
+              "flock": {"flock": True},
+              "flock_warm": {"flock": True, "warmstart": True}}
+    EXECUTORS = {"in_process": {}, "workers2": {"workers": 2},
+                 "fabric2": {"fabric": 2}}
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        timeline = reference_timeline(self.CONFIG)
+        own = generate_schedules(self.CONFIG, timeline=timeline)
+        # One shared prefix plus a schedule on a prefix of its own (it
+        # lands in a mixed shard and always starts from a fresh build).
+        schedules = share_schedule_seeds(self.CONFIG, own) + [
+            dataclasses.replace(own[0], label="own-prefix")]
+        cold = run_audit(self.CONFIG, schedules=schedules, timeline=timeline,
+                         shrink=True)
+        assert cold.violations and cold.shrunk and not cold.errors
+        return timeline, schedules, cold
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_report_matches_cold_in_process(self, campaign, start, executor,
+                                            tmp_path):
+        timeline, schedules, cold = campaign
+        hints = {**self.STARTS[start], **self.EXECUTORS[executor]}
+        if "fabric" in hints:
+            hints["fabric_opts"] = {"cas_dir": str(tmp_path / "cas")}
+        elif "workers" not in hints:
+            hints["image_store"] = ImageStore()
+        report = run_audit(self.CONFIG, schedules=schedules,
+                           timeline=timeline, shrink=True, **hints)
+        assert report.violations == cold.violations
+        assert report.errors == cold.errors
+        assert report.shrunk == cold.shrunk
+        assert report.schedules_run == len(schedules)
+        stats = report.warmstart
+        assert stats["mode"].endswith(start.split("_")[0])
+        if executor == "in_process" and start != "cold":
+            # The resident runner really started schedules warm.
+            assert stats.get("warm_runs", 0) + stats.get("flock_runs", 0) > 0
+        if "fabric" in hints and start != "cold":
+            # One on-disk layout: each image set once, as ref -> blob.
+            cas = tmp_path / "cas"
+            refs = [p.name for p in (cas / "refs").iterdir()]
+            assert refs and all(r.startswith("imgset-") for r in refs)
+            assert len(list((cas / "blobs").iterdir())) == len(refs)
+            assert not list(cas.rglob("*.imgset"))
 
 
 class TestArtifacts:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fabric.cas import BlobStore, blob_digest
+from repro.cas import BlobStore, blob_digest
 
 
 @pytest.fixture
@@ -33,6 +33,13 @@ class TestBlobs:
         (store.root / "blobs" / digest).write_bytes(b"bit-flipped")
         assert store.get(digest) is None
         assert store.misses == 1
+
+    def test_put_heals_a_corrupt_blob(self, store):
+        digest = store.put(b"original bytes")
+        (store.root / "blobs" / digest).write_bytes(b"bit-flipped")
+        assert store.put(b"original bytes") == digest
+        assert store.get(digest) == b"original bytes"
+        assert store.puts == 2 and store.dedup_puts == 0
 
     def test_has_does_not_verify_or_count(self, store):
         digest = store.put(b"x" * 100)

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.fabric import protocol
-from repro.fabric.cas import blob_digest
+from repro.cas import blob_digest
 from repro.fabric.protocol import (
     BlobAssembler,
     FabricProtocolError,

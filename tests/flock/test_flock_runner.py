@@ -1,11 +1,21 @@
 """Flock-runner tests: grouping, sharding, gates, equivalence, workers."""
 
-from repro.audit.campaign import audit_schedule, run_audit
+from repro.audit.campaign import (
+    audit_schedule,
+    execute_shard,
+    make_runner,
+    run_audit,
+)
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
 from repro.audit.schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
-from repro.flock import FlockRunner, _run_flock_shard
-from repro.warmstart import ImageStore, WarmRunner, share_schedule_seeds
+from repro.flock import FlockRunner
+from repro.warmstart import (
+    MIN_GROUP,
+    ImageStore,
+    WarmRunner,
+    share_schedule_seeds,
+)
 
 import pytest
 
@@ -46,14 +56,14 @@ class TestGrouping:
         assert runner.shards(schedules) == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_plan_is_idempotent(self):
-        """run_audit plans, then run_batch plans the same campaign
-        again — singleton groups must not inflate past the gate."""
+        """Planning the same campaign twice must not inflate singleton
+        groups past the gate."""
         schedules = [_crash("solo", 40.0, seed=999)]
         runner = FlockRunner(SMALL)
         runner.plan(schedules)
         runner.plan(schedules)
-        assert runner._group_counts[
-            runner._key(schedules[0]).digest()] == 1
+        assert runner._group_counts.get(
+            runner._key(schedules[0]).digest(), 0) < MIN_GROUP
 
 
 class TestPolicy:
@@ -92,21 +102,28 @@ class TestPolicy:
         assert runner.templates_built == 0 and runner.cold_runs == 1
 
 
+def _run_shard(runner, schedules):
+    """One in-process shard on a resident runner, as run_audit does."""
+    runner.plan(schedules)
+    return execute_shard(SMALL.to_dict(), [s.to_dict() for s in schedules],
+                         runner=runner)
+
+
 class TestRunBatch:
     def test_matches_cold_campaign(self):
         schedules = [_crash("a", 30.2), _crash("b", 30.4),
                      _crash("c", 62.0), _crash("d", 95.0)]
         runner = FlockRunner(SMALL)
-        results = runner.run_batch(schedules)
+        results = _run_shard(runner, schedules)
         assert [r["schedule"]["label"] for r in results] == \
-            ["a", "b", "c", "d"]          # input order restored
+            ["a", "b", "c", "d"]
         for sched, result in zip(schedules, results):
             cold = audit_schedule(SMALL, sched)
             assert result["violated"] == bool(cold)
             assert result["findings"] == [f.to_dict() for f in cold]
             assert result["error"] is None
-            assert result["flock"] is True
         stats = runner.stats()
+        assert stats["flock_runs"] == 4 and stats["cold_runs"] == 0
         assert stats["templates_built"] == 1
         assert stats["forks"] == 4
         # Nearby divergences share a quantized dump position.
@@ -121,14 +138,14 @@ class TestRunBatch:
             _crash("cr", 70.0),
         ]
         runner = FlockRunner(SMALL)
-        for sched, result in zip(schedules, runner.run_batch(schedules)):
+        for sched, result in zip(schedules, _run_shard(runner, schedules)):
             cold = audit_schedule(SMALL, sched)
             assert result["violated"] == bool(cold)
             assert result["findings"] == [f.to_dict() for f in cold]
 
     def test_stats_shape(self):
         runner = FlockRunner(SMALL)
-        runner.run_batch([_crash("a", 50.0), _crash("b", 80.0)])
+        _run_shard(runner, [_crash("a", 50.0), _crash("b", 80.0)])
         stats = runner.stats()
         for field in ("flock_runs", "cold_runs", "templates_built",
                       "decode_seconds", "build_seconds", "fork_seconds",
@@ -149,7 +166,7 @@ class TestEnsureTemplate:
                                repair_time=2.0),),
             origin="test")
         runner = FlockRunner(SMALL)
-        runner.ensure_template(original)
+        runner.prepare_shrink(original)
         assert runner.templates_built == 1
         digest = runner._key(original).digest()
         assert runner._templates[digest].dump_positions() == [39.0, 63.0]
@@ -172,19 +189,34 @@ class TestEnsureTemplate:
                                  overrides=(("clock_delta", 0.9),),
                                  origin="test")
         runner = FlockRunner(SMALL)
-        runner.ensure_template(original)
+        runner.prepare_shrink(original)
         assert runner.templates_built == 0
 
 
 class TestWorkerShard:
-    def test_shard_without_store_builds_reference(self):
-        schedules = [_crash("a", 50.0), _crash("b", 80.0)]
-        results = _run_flock_shard(
-            (SMALL.to_dict(), [s.to_dict() for s in schedules], None, 32))
+    """The shard function away from the coordinator: its own runner,
+    consume-only when handed a pre-built store."""
+
+    @staticmethod
+    def _worker_shard(schedules, root):
+        store = ImageStore(root) if root is not None else None
+        runner = make_runner(SMALL, "flock", store=store,
+                             build_missing=store is None)
+        runner.plan(schedules)
+        dicts = [s.to_dict() for s in schedules]
+        results = execute_shard(SMALL.to_dict(), dicts, runner=runner)
+        # What execute_shard builds for itself computes the same.
+        assert results == execute_shard(SMALL.to_dict(), dicts, mode="flock",
+                                        images_root=root)
         for sched, result in zip(schedules, results):
             assert result["error"] is None
-            assert result["flock"] is True
             assert result["violated"] == bool(audit_schedule(SMALL, sched))
+        return runner
+
+    def test_shard_without_store_builds_reference(self):
+        runner = self._worker_shard([_crash("a", 50.0), _crash("b", 80.0)],
+                                    None)
+        assert runner.flock_runs == 2 and runner.build_seconds > 0.0
 
     def test_shard_with_store_thaws_image(self, timeline, tmp_path):
         schedules = [_crash("a", 50.0), _crash("b", 80.0)]
@@ -192,35 +224,16 @@ class TestWorkerShard:
                              timeline=timeline)
         builder.plan(schedules)
         assert builder.ensure_images(schedules[0])
-        results = _run_flock_shard(
-            (SMALL.to_dict(), [s.to_dict() for s in schedules],
-             str(tmp_path), 32))
-        assert all(r["flock"] for r in results)
-        assert all(r["error"] is None for r in results)
+        runner = self._worker_shard(schedules, str(tmp_path))
+        assert runner.flock_runs == 2 and runner.decode_seconds > 0.0
 
     def test_shard_with_empty_store_degrades_cold(self, tmp_path):
-        schedules = [_crash("a", 50.0), _crash("b", 80.0)]
-        results = _run_flock_shard(
-            (SMALL.to_dict(), [s.to_dict() for s in schedules],
-             str(tmp_path), 32))
-        for sched, result in zip(schedules, results):
-            assert result["error"] is None
-            assert result["flock"] is False
-            assert result["violated"] == bool(audit_schedule(SMALL, sched))
+        runner = self._worker_shard([_crash("a", 50.0), _crash("b", 80.0)],
+                                    str(tmp_path))
+        assert runner.flock_runs == 0 and runner.cold_runs == 2
 
 
 class TestRunAuditIntegration:
-    def test_flock_report_matches_cold(self, timeline):
-        schedules = [_crash("a", 30.0), _crash("b", 60.0),
-                     _crash("c", 90.0)]
-        cold = run_audit(SMALL, schedules=schedules, timeline=timeline)
-        flock = run_audit(SMALL, schedules=schedules, timeline=timeline,
-                          flock=True)
-        assert flock.violations == cold.violations
-        assert flock.errors == cold.errors
-        assert flock.warmstart["mode"] == "flock"
-        assert flock.warmstart["flock_runs"] == 3
-
     def test_flock_config_knob_enables_it(self, timeline):
         config = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                              horizon=120.0, tb_interval=20.0, flock=True)

@@ -1,6 +1,7 @@
 """Tests for the on-disk campaign result cache."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -50,7 +51,37 @@ class TestCacheKey:
         assert len(digests) == 5
 
 
+def _hammer_one_key(root, barrier, rounds):
+    cache = ResultCache(root)
+    key = CacheKey("shared", 1, 0, "fp")
+    barrier.wait()  # both writers in their put loops together
+    for n in range(rounds):
+        cache.put(key, [float(n)])
+
+
 class TestResultCache:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork for cheap process fixtures")
+    def test_two_writers_of_one_key_never_collide(self, tmp_path):
+        """Two processes sharing the cache directory and racing on one
+        cell: neither may move the other's temp file away (a shared
+        temp name raised FileNotFoundError in the loser)."""
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [ctx.Process(target=_hammer_one_key,
+                             args=(tmp_path, barrier, 400))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert ResultCache(tmp_path).get(
+            CacheKey("shared", 1, 0, "fp")) == [399.0]
+        assert [p.name for p in tmp_path.iterdir()
+                if ".tmp" in p.name] == []
+
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = CacheKey("fig7:r60", 2001, 0, "abc")

@@ -5,10 +5,12 @@ worker processes; the ones that must misbehave only inside a worker
 key off the process name.
 """
 
+import concurrent.futures
 import multiprocessing
 import os
 import random
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -116,6 +118,40 @@ class TestFailureHandling:
         sup, _ = fast_supervisor(shard_timeout=0.2, max_retries=1)
         assert sup.run(_hang_in_worker, [1, 2], workers=2) == [8, 9]
         assert any("timeout" in e for e in sup.events)
+
+    def test_pool_broken_at_submission_requeues(self, monkeypatch):
+        """A worker that dies before every shard is submitted breaks
+        the pool under ``submit`` itself: the unsubmitted shards must
+        requeue like any other casualty, not kill the campaign."""
+        broken = BrokenProcessPool("worker died")
+
+        class Pool:
+            rounds = 0
+
+            def __init__(self, **_kwargs):
+                Pool.rounds += 1
+                self.breaks = Pool.rounds == 1
+                self.submitted = 0
+
+            def submit(self, fn, shard):
+                self.submitted += 1
+                future = concurrent.futures.Future()
+                if not self.breaks:
+                    future.set_result(fn(shard))
+                elif self.submitted == 1:
+                    future.set_exception(broken)
+                else:
+                    raise broken
+                return future
+
+            def shutdown(self, **_kwargs):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        sup, _ = fast_supervisor(max_retries=1)
+        assert sup.run(_double, [1, 2, 3], workers=2) == [2, 4, 6]
+        assert Pool.rounds == 2
+        assert sum("worker process died" in e for e in sup.events) == 1
 
     def test_deterministic_error_finally_surfaces(self):
         sup, _ = fast_supervisor(max_retries=1)

@@ -15,8 +15,7 @@ class TestParser:
         for command in ("scenarios", "fig7", "table1", "overhead",
                         "ablations", "demo", "timeline", "report",
                         "snapshot-stats", "bench-kernel", "bench-warmstart",
-                        "bench-fabric", "audit", "live-demo",
-                        "live-crosscheck"):
+                        "audit", "live-demo", "live-crosscheck"):
             args = parser.parse_args([command])
             assert callable(args.fn)
 
@@ -89,22 +88,6 @@ class TestParser:
         assert args.fabric is None
         assert args.journal is None
         assert args.cas_dir is None
-
-    def test_bench_fabric_flags(self):
-        args = build_parser().parse_args(
-            ["bench-fabric", "--schedules", "16", "--horizon", "300",
-             "--workers", "3", "--json", "out.json"])
-        assert args.schedules == 16
-        assert args.horizon == 300.0
-        assert args.workers == 3
-        assert args.json == "out.json"
-
-    def test_bench_fabric_defaults(self):
-        args = build_parser().parse_args(["bench-fabric"])
-        assert args.schedules is None
-        assert args.horizon is None
-        assert args.workers is None
-        assert args.json is None
 
     def test_fabric_supervisor_flags(self):
         args = build_parser().parse_args(
@@ -410,20 +393,6 @@ class TestExecution:
                       "decode_seconds", "build_seconds",
                       "dump_encode_seconds", "forks", "dumps"):
             assert field in flock["flock_stats"], field
-
-    def test_bench_fabric_reduced_writes_record(self, capsys, tmp_path):
-        import json
-        out = tmp_path / "BENCH_fabric.json"
-        assert main(["bench-fabric", "--schedules", "8", "--horizon",
-                     "240", "--workers", "2", "--json", str(out)]) == 0
-        assert "transfers" in capsys.readouterr().out
-        document = json.loads(out.read_text())
-        assert document["bench"] == "fabric"
-        entry = document["trajectory"][-1]
-        assert entry["equivalent"] and entry["transfer_once"]
-        record = document["latest"]
-        assert record["campaign"]["digests_identical"]
-        assert record["transfers"]["second_transfers"] == 0
 
     def test_audit_fabric_small_campaign_clean(self, capsys, tmp_path):
         assert main(["audit", "--scheme", "coordinated", "--seed", "7",

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.audit.auditor import OnlineAuditor
-from repro.audit.campaign import audit_schedule, build_audit_system
+from repro.audit.campaign import (
+    audit_schedule,
+    build_audit_system,
+    execute_shard,
+)
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
 from repro.audit.golden import canonical_trace_lines, trace_digest
@@ -23,8 +27,7 @@ from repro.warmstart import (
     resume,
     share_schedule_seeds,
 )
-from repro.warmstart.engine import MAX_IMAGES, MIN_CAPTURE_GAP, \
-    _run_one_schedule_warm
+from repro.warmstart.engine import MAX_IMAGES, MIN_CAPTURE_GAP
 
 SMALL = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                     horizon=120.0, tb_interval=20.0)
@@ -229,11 +232,15 @@ class TestWarmEqualsCold:
         sched = _crash("wk", 60.0)
         runner.plan([sched])
         runner.ensure_images(sched, force=True)
-        result = _run_one_schedule_warm(
-            (SMALL.to_dict(), sched.to_dict(), str(tmp_path)))
+        [result] = execute_shard(SMALL.to_dict(), [sched.to_dict()],
+                                 mode="warm", images_root=str(tmp_path))
         assert result["error"] is None
-        assert result["warm"] is True
         assert result["violated"] == bool(audit_schedule(SMALL, sched))
+        # The worker's runner is consume-only and thaws what it finds.
+        worker = WarmRunner(SMALL, store=ImageStore(root=tmp_path),
+                            build_missing=False)
+        assert worker.result(sched) == result
+        assert worker.warm_runs == 1 and worker.sets_built == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,10 @@
 """Image-store tests: keys, LRU bounds, disk layer, lookup strictness."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
 from repro.warmstart import ImageStore, PrefixKey, SystemImage
@@ -99,25 +104,67 @@ class TestMemoryLayer:
         assert store.stats()["evictions"] == 2
 
 
+def _flip_bit(path, offset=-1):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _foreign_blob(cas, ref, _blob, payload):
+    """Point the ref at a digest-valid blob that is not its set."""
+    ref.write_text(cas.put(payload))
+
+
+#: name -> damage(cas, ref path, blob path) for one stored set.
+DAMAGE = {
+    "truncated-blob": lambda cas, ref, blob: blob.write_bytes(
+        blob.read_bytes()[:-7]),
+    "bit-flipped-blob": lambda cas, ref, blob: _flip_bit(blob, 40),
+    "bit-flipped-ref": lambda cas, ref, blob: _flip_bit(ref),
+    "dangling-ref": lambda cas, ref, blob: blob.unlink(),
+    "other-prefix-set": lambda cas, ref, blob:
+        ref.write_text((ref.parent / f"imgset-{_key(seed=2).digest()}")
+                       .read_text()),
+    "unpicklable-set": lambda cas, ref, blob: _foreign_blob(
+        cas, ref, blob, b"\x80\x05not a pickle at all"),
+    "wrong-shape-set": lambda cas, ref, blob:
+        _foreign_blob(cas, ref, blob, pickle.dumps(
+            {"key": dataclasses.asdict(_key()), "images": 7})),
+}
+
+
 class TestDiskLayer:
     def test_write_through_and_fresh_store_reads_back(self, tmp_path):
         writer = ImageStore(root=tmp_path)
         writer.put(_key(), [_img(10.0), _img(20.0)])
-        assert list(tmp_path.glob("*.imgset"))
+        [ref] = (tmp_path / "refs").iterdir()
+        assert ref.name == f"imgset-{_key().digest()}"
+        assert (tmp_path / "blobs" / ref.read_text()).is_file()
         reader = ImageStore(root=tmp_path)
         images = reader.get(_key())
         assert [img.captured_at for img in images] == [10.0, 20.0]
         assert reader.has(_key())
         assert not reader.has(_key(seed=2))
 
-    def test_corrupt_file_counts_as_absent(self, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_files_count_as_absent(self, tmp_path, damage):
+        """Every way the files of a stored set can go bad is detected
+        and reads as a miss — never an exception, never a wrong set."""
         writer = ImageStore(root=tmp_path)
         writer.put(_key(), [_img(10.0)])
-        for path in tmp_path.glob("*.imgset"):
-            path.write_bytes(b"not a pickle")
+        writer.put(_key(seed=2), [_img(30.0)])
+        ref = tmp_path / "refs" / f"imgset-{_key().digest()}"
+        digest = ref.read_text()
+        DAMAGE[damage](writer.cas, ref, tmp_path / "blobs" / digest)
+
         reader = ImageStore(root=tmp_path)
         assert reader.get(_key()) is None
         assert reader.stats()["misses"] == 1
+        if damage.endswith("-blob"):  # BlobStore's own rows
+            assert reader.cas.get(digest) is None
+            assert reader.cas.misses >= 1
+        # The neighbouring set is untouched.
+        assert reader.get(_key(seed=2))[0].captured_at == 30.0
 
     def test_evicted_set_refetched_from_disk(self, tmp_path):
         # The memory cap never loses disk-backed sets: an evicted set
@@ -140,5 +187,6 @@ class TestDiskLayer:
         store.put(_key(seed=1), [_img(10.0)])
         store.put(_key(seed=2), [_img(10.0)])
         assert store.clear() >= 2
-        assert not list(tmp_path.glob("*.imgset"))
+        assert not list((tmp_path / "refs").iterdir())
+        assert not list((tmp_path / "blobs").iterdir())
         assert ImageStore(root=tmp_path).get(_key(seed=1)) is None

@@ -119,8 +119,8 @@ class TestBuildLock:
         key = PrefixKey(config_fingerprint="fp", system_seed=4)
         store.put(key, [])
         assert store.has(key)
-        leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+        leftovers = [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
         assert leftovers == []
         # The naming contract two racing pids rely on:
-        assert str(os.getpid()) not in "".join(
-            p.name for p in tmp_path.iterdir())
+        assert f".tmp{os.getpid()}" not in "".join(
+            p.name for p in tmp_path.rglob("*"))
