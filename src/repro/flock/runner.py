@@ -193,15 +193,14 @@ class FlockRunner(ScheduleRunner):
                                  self.config.horizon)
         if position < FORK_QUANTUM or position < template.start_position:
             return None
-        data: Optional[bytes] = None
         if position >= template.position and template.advance_to(position):
-            data = template.dump()
+            image = template.dump()
         else:
-            data = template.dump_at(position)
-        if data is None:
+            image = template.dump_at(position)
+        if image is None:
             return None
         begin = time.monotonic()
-        system, auditor = template.fork(data, fail_fast=True)
+        system, auditor = template.fork(image, fail_fast=True)
         system.sim._pool = self._pool
         schedule.arm(system)
         self.fork_seconds += time.monotonic() - begin

@@ -3,10 +3,10 @@
 A :class:`ForkTemplate` holds a *live* fault-free ``(system, auditor)``
 pair — thawed once from a warm-start image, or built directly from the
 campaign config — and advances it along the reference timeline on
-demand.  At any clean position it can emit a compact dump (shared
-substructure factored out through the group's
-:class:`~repro.flock.fork.ForkContext`) and thaw any number of
-independent forks from it.
+demand.  At any clean position it can emit a compact dump — a
+:class:`~repro.warmstart.image.SystemImage` like any warm-start image,
+captured against the group's shared-object table — and thaw any number
+of independent forks from it.
 
 Template lifetime rules:
 
@@ -22,7 +22,7 @@ Template lifetime rules:
   bit-for-bit correct).
 * **Forks never write back.**  A fork gets private copies of all
   mutable state; the only objects it shares with the template are the
-  registered fork-safe ones (see :mod:`repro.flock.fork`).
+  registered fork-safe ones (see :mod:`repro.warmstart.image`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import math
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .fork import ForkContext, collect_shared
+from ..warmstart.image import (ForkContext, SystemImage, capture,
+                               collect_shared, resume)
 
 #: Fork positions are quantized to this grid so schedules with nearby
 #: divergence times reuse one cached dump (boundary schedules cluster
@@ -76,7 +77,7 @@ class ForkTemplate:
         #: 0 for a from-scratch reference).  It can never serve a fork
         #: position before this.
         self.start_position = system.sim.now
-        self._dumps: Dict[float, bytes] = {}
+        self._dumps: Dict[float, SystemImage] = {}
         self._trace_seen = collect_shared(self.context, system, auditor)
         #: Wall-clock spent advancing the reference (shared work).
         self.advance_seconds = 0.0
@@ -86,18 +87,17 @@ class ForkTemplate:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_image(cls, image, context: Optional[ForkContext] = None
-                   ) -> "ForkTemplate":
+    def from_image(cls, image) -> "ForkTemplate":
         """Thaw a template from a warm-start image (decoded **once**;
-        every fork of the group reuses the resident copy)."""
-        from ..warmstart.image import resume
+        every fork of the group reuses the resident copy).  The image's
+        table becomes the template's context: everything the thawed
+        reference shares with it is registered already, and the
+        template's own advancement only appends."""
         system, auditor = resume(image, fail_fast=False)
-        return cls(system, auditor, context=context)
+        return cls(system, auditor, context=image.context)
 
     @classmethod
-    def from_reference(cls, config, schedule,
-                       context: Optional[ForkContext] = None
-                       ) -> "ForkTemplate":
+    def from_reference(cls, config, schedule) -> "ForkTemplate":
         """Build a template by constructing the fault-free reference
         directly (no image set needed — the serial path)."""
         from ..audit.campaign import start_fresh
@@ -107,7 +107,7 @@ class ForkTemplate:
                               overrides=tuple(sorted(schedule.overrides)),
                               origin="flock")
         system, auditor = start_fresh(config, probe, fail_fast=False)
-        return cls(system, auditor, context=context)
+        return cls(system, auditor)
 
     # ------------------------------------------------------------------
     @property
@@ -141,60 +141,48 @@ class ForkTemplate:
         return self.clean
 
     # ------------------------------------------------------------------
-    def dump(self) -> bytes:
-        """The (cached) dump of the current clean position."""
+    def dump(self) -> SystemImage:
+        """The (cached) image of the current clean position."""
         if not self.clean:
             raise RuntimeError("refusing to dump a violated reference "
                                "(forks would inherit its finding)")
         key = round(self.position, 6)
-        data = self._dumps.get(key)
-        if data is None:
+        image = self._dumps.get(key)
+        if image is None:
             begin = time.monotonic()
-            data = self.context.dumps(
-                {"system": self.system, "auditor": self.auditor})
+            image = capture(self.system, self.auditor, context=self.context)
             self.dump_seconds += time.monotonic() - begin
-            self._dumps[key] = data
-        return data
+            self._dumps[key] = image
+        return image
 
     def dump_positions(self) -> List[float]:
         """Positions with a cached dump (ascending)."""
         return sorted(self._dumps)
 
-    def dump_at(self, position: float) -> Optional[bytes]:
-        """The newest cached dump at or before ``position``, with its
-        position — or ``None`` when nothing early enough is cached."""
-        best: Optional[float] = None
-        for key in self._dumps:
-            if key <= position + FORK_EPS and (best is None or key > best):
-                best = key
-        if best is None:
-            return None
-        return self._dumps[best]
+    def dump_at(self, position: float) -> Optional[SystemImage]:
+        """The newest cached dump at or before ``position``, if any."""
+        keys = [key for key in self._dumps if key <= position + FORK_EPS]
+        return self._dumps[max(keys)] if keys else None
 
     # ------------------------------------------------------------------
-    def fork(self, data: Optional[bytes] = None,
+    def fork(self, image: Optional[SystemImage] = None,
              fail_fast: bool = True) -> Tuple[object, object]:
         """Thaw one independent ``(system, auditor)`` fork.
 
-        ``data`` selects a cached dump (default: the current position).
+        ``image`` selects a cached dump (default: the current position).
         The fork's auditor switches to the campaign's fail-fast mode;
         the caller arms the schedule's faults on the copy, exactly as
         the warm path arms them on a thawed image.
         """
-        if data is None:
-            data = self.dump()
-        state = self.context.loads(data)
-        system, auditor = state["system"], state["auditor"]
-        if auditor is not None:
-            auditor.fail_fast = fail_fast
         self.forks += 1
-        return system, auditor
+        return resume(image if image is not None else self.dump(),
+                      fail_fast=fail_fast)
 
     def stats(self) -> Dict[str, float]:
         return {
             "forks": self.forks,
             "dumps": len(self._dumps),
-            "dump_bytes": sum(len(d) for d in self._dumps.values()),
+            "dump_bytes": sum(len(d.dump) for d in self._dumps.values()),
             "shared_objects": len(self.context),
             "advance_seconds": round(self.advance_seconds, 6),
             "dump_seconds": round(self.dump_seconds, 6),

@@ -6,7 +6,9 @@ to the fault-free reference run up to its first armed fault.  This
 package captures the reference *once* as a series of full-system
 images — simulator event heap, RNG stream positions, clocks, timers,
 nodes, stores, processes, trace, armed hooks, the online auditor, and
-the global message-id allocator — and resumes every schedule from the
+the per-system message-id allocator, frozen against one shared-object
+table per series (:mod:`repro.warmstart.image`, the codec flock
+templates dump through too) — and resumes every schedule from the
 newest image strictly before its divergence point.  Resumed runs are
 bit-for-bit identical to cold runs (same findings, same canonical
 trace digests); warm-start is purely a wall-clock optimization.
@@ -26,11 +28,12 @@ from .engine import (
     ensure_planned_sets,
     share_schedule_seeds,
 )
-from .image import SystemImage, capture, resume
+from .image import ForkContext, SystemImage, capture, collect_shared, resume
 from .store import ImageStore, PrefixKey
 
 __all__ = [
     "MIN_GROUP",
+    "ForkContext",
     "ImageStore",
     "PrefixKey",
     "SystemImage",
@@ -38,6 +41,7 @@ __all__ = [
     "build_image_set",
     "capture",
     "capture_times",
+    "collect_shared",
     "divergence_time",
     "ensure_planned_sets",
     "resume",

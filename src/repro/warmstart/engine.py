@@ -10,7 +10,8 @@ exploits that:
    :class:`~repro.warmstart.image.SystemImage` snapshots at planned
    instants (:func:`capture_times` — a coarse grid plus points just
    ahead of the reference timeline's sensitive instants, the places
-   boundary schedules pin faults).  Capturing stops at the reference's
+   boundary schedules pin faults), all frozen against one
+   shared-object table.  Capturing stops at the reference's
    first own finding — an image past it would bake the finding into
    every resumed future, which a cold run would have reported earlier.
 2. :class:`WarmRunner` — the campaign runner
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..audit.campaign import ScheduleRunner, start_fresh
 from ..audit.schedule import FaultSchedule
 from ..sim.rng import derive_seed
-from .image import SystemImage, capture, resume
+from .image import ForkContext, SystemImage, capture, collect_shared, resume
 from .store import ImageStore, PrefixKey
 
 #: How far ahead of a sensitive instant a pre-point capture lands —
@@ -53,15 +54,13 @@ CAPTURE_LEAD = 0.75
 #: Minimum spacing between captures; closer candidates are merged.
 MIN_CAPTURE_GAP = 2.0
 
-#: Hard cap on images per prefix (memory ~100 KiB each).
+#: Hard cap on images per prefix (a ~15-20 KB dump each at horizon
+#: 900, beside the set's one ~400 KB table).
 MAX_IMAGES = 48
 
 #: Build a prefix's image set only when at least this many schedules
 #: will share it (a reference run + captures must amortize).
 MIN_GROUP = 2
-
-#: The codec every image is captured with.
-IMAGE_CODEC = "pickle"
 
 
 def divergence_time(schedule) -> float:
@@ -141,23 +140,24 @@ def build_image_set(config, seed: int,
     continue the exact system a cold run of any schedule in this prefix
     would have built.  The attached auditor is captured *inside* each
     image — with ``fail_fast`` off, so capture can never abort — and
-    capturing stops at the reference's first finding.
+    capturing stops at the reference's first finding.  Every image is
+    a dump against the set's one table, which grows with the reference.
     """
     if times is None:
         times = capture_times(config, timeline)
-    fingerprint = config.fingerprint()
     probe = FaultSchedule(label="warmstart-ref", system_seed=seed,
                           overrides=tuple(sorted(overrides)),
                           origin="warmstart")
     system, auditor = start_fresh(config, probe, fail_fast=False)
+    context = ForkContext()
+    trace_seen = 0
     images: List[SystemImage] = []
     for t in times:
         system.run(until=t)
         if auditor.violated:
             break
-        images.append(capture(system, auditor, codec=IMAGE_CODEC, seed=seed,
-                              overrides=probe.overrides,
-                              config_fingerprint=fingerprint))
+        trace_seen = collect_shared(context, system, auditor, trace_seen)
+        images.append(capture(system, auditor, context=context))
     return images
 
 

@@ -3,19 +3,22 @@
 A *prefix* is one fault-free reference execution — identified by
 ``(campaign-config fingerprint, system seed, timing overrides)`` — and
 its *image set* is the ascending-by-time list of
-:class:`~repro.warmstart.image.SystemImage` captures taken along it.
+:class:`~repro.warmstart.image.SystemImage` captures taken along it:
+one shared-object table and one table-relative dump per capture.
 The store keeps whole sets as the unit of caching (they are built in
-one reference run and consumed together), with:
+one reference run, share their table, and are consumed together), with:
 
-* an in-memory layer with LRU eviction bounded by total image bytes,
-  so long campaigns cannot grow without limit;
+* an in-memory layer with LRU eviction bounded by total set bytes
+  (table and dumps), so long campaigns cannot grow without limit;
 * an optional on-disk layer, a typed view over a content-addressed
   :class:`~repro.cas.BlobStore` (``refs/imgset-<prefix>`` names the
-  ``blobs/<sha256>`` holding the pickled set), which is how image sets
-  built in the coordinator reach pool workers and fabric hosts.  A set
-  read back is trusted only if its bytes hash to the blob's name, they
-  unpickle, and the key stored inside is the key asked for; anything
-  else is a miss.
+  ``blobs/<sha256>`` holding the pickled ``{key, table, dumps}``),
+  which is how image sets built in the coordinator reach pool workers
+  and fabric hosts.  A set read back is trusted only if its bytes hash
+  to the blob's name, they unpickle, the key stored inside is the key
+  asked for and every dump names the table beside it; anything else is
+  a miss.  Reading the blob decodes the table — once per set per
+  process — and a dump only when resumed from.
 
 Lookups are by :meth:`ImageStore.latest_before`: the newest image
 captured *strictly before* a divergence time, the only resume point the
@@ -24,7 +27,6 @@ determinism contract permits.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import dataclasses
 import hashlib
@@ -43,7 +45,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..cas import BlobStore
 from .image import SystemImage
 
-#: Default in-memory budget for cached image sets (bytes of payload).
+#: Default in-memory budget for cached image sets (pickled-set bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
@@ -115,30 +117,39 @@ class ImageStore:
         fabric worker, after fetching what the supervisor announced)."""
         self.cas.set_ref(self._ref(prefix), digest)
 
-    def _charge(self, digest: str, images: List[SystemImage]) -> None:
-        self._bytes[digest] = sum(img.nbytes for img in images)
+    def _admit(self, digest: str, images: List[SystemImage],
+               nbytes: int) -> None:
+        """Enter a set into the memory layer, charged ``nbytes`` — the
+        length of its pickled form, table included."""
+        self._sets[digest] = images
+        self._sets.move_to_end(digest)
+        self._bytes[digest] = nbytes
         while (len(self._sets) > 1
                and sum(self._bytes.values()) > self.max_bytes):
             victim, _ = self._sets.popitem(last=False)
-            self._bytes.pop(victim, None)
+            del self._bytes[victim]
             self.evictions += 1
 
     # ------------------------------------------------------------------
     def put(self, key: PrefixKey, images: List[SystemImage]) -> None:
         """Cache ``images`` (sorted by capture time) under ``key``."""
         images = sorted(images, key=lambda img: img.captured_at)
+        if any(img.context is not images[0].context for img in images):
+            raise ValueError("the images of one set share one table")
+        blob = pickle.dumps(
+            {"key": dataclasses.asdict(key),
+             "table": images[0].context if images else None,
+             "dumps": [(img.captured_at, img.dump) for img in images]},
+            protocol=pickle.HIGHEST_PROTOCOL)
         digest = key.digest()
-        self._sets[digest] = images
-        self._sets.move_to_end(digest)
-        self._charge(digest, images)
+        self._admit(digest, images, len(blob))
         if self.cas is not None:
-            blob = self.cas.put(pickle.dumps(
-                {"key": dataclasses.asdict(key), "images": images},
-                protocol=pickle.HIGHEST_PROTOCOL))
-            self.adopt(digest, blob)
+            self.adopt(digest, self.cas.put(blob))
 
-    def _load(self, key: PrefixKey) -> Optional[List[SystemImage]]:
-        """``key``'s set from disk, verified — or ``None``."""
+    def _load(self, key: PrefixKey
+              ) -> Optional[Tuple[List[SystemImage], int]]:
+        """``key``'s set from disk, verified, and its blob's length —
+        or ``None``."""
         blob = self.blob_of(key.digest())
         data = self.cas.get(blob) if blob is not None else None
         if data is None:
@@ -147,7 +158,14 @@ class ImageStore:
             record = pickle.loads(data)
             if record["key"] != dataclasses.asdict(key):
                 return None  # another prefix's set under this ref
-            return list(record["images"])
+            table = record["table"]
+            images = [SystemImage(float(at), dump, table)
+                      for at, dump in record["dumps"]]
+            times = [img.captured_at for img in images]
+            if times != sorted(times) or not all(
+                    table.owns(img.dump) for img in images):
+                return None  # resuming would mis-decode or mis-order
+            return images, len(data)
         except Exception:
             # The bytes hash to their name, so they are what some writer
             # stored — but not necessarily this program: unpickling
@@ -164,12 +182,11 @@ class ImageStore:
             self.hits += 1
             return images
         if self.cas is not None:
-            images = self._load(key)
-            if images is not None:
-                self._sets[digest] = images
-                self._charge(digest, images)
+            loaded = self._load(key)
+            if loaded is not None:
+                self._admit(digest, *loaded)
                 self.hits += 1
-                return images
+                return loaded[0]
         self.misses += 1
         return None
 
@@ -213,12 +230,9 @@ class ImageStore:
         a fault time may already include events the armed fault must
         interleave with.
         """
-        images = self.get(key)
-        if not images:
-            return None
-        times = [img.captured_at for img in images]
-        idx = bisect.bisect_left(times, t) - 1
-        return images[idx] if idx >= 0 else None
+        # Newest first: campaigns resume late, and a set is <= 48 long.
+        return next((img for img in reversed(self.get(key) or ())
+                     if img.captured_at < t), None)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

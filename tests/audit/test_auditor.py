@@ -193,11 +193,11 @@ class TestIncrementalReadPath:
         auditor = OnlineAuditor(system)
         system.run(until=200.0)
         assert any(reader._cursor for reader in auditor._readers.values())
-        with_cursors = capture(system, auditor).nbytes
+        with_cursors = len(capture(system, auditor).dump)
         _, thawed = resume(capture(system, auditor))
         assert thawed._readers == {}
         auditor._readers.clear()
-        assert capture(system, auditor).nbytes == with_cursors
+        assert len(capture(system, auditor).dump) == with_cursors
 
     def test_finalize_drops_the_readers(self):
         _, auditor = _run_audited(

@@ -8,6 +8,10 @@ is what makes the JSON artifacts replayable).
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +96,24 @@ class TestDeterminism:
         assert serial.errors == parallel.errors
 
 
+#: Builds a campaign's image sets into an on-disk store and exits: the
+#: "other process" whose table a reader only ever sees decoded.
+_SET_WRITER = """
+import json, sys
+from repro.audit import AuditConfig, FaultSchedule, reference_timeline
+from repro.fabric import plan_shards
+from repro.warmstart import ImageStore, ensure_planned_sets
+spec = json.load(open(sys.argv[1]))
+config = AuditConfig.from_dict(spec["config"])
+schedules = [FaultSchedule.from_dict(d) for d in spec["schedules"]]
+counters = ensure_planned_sets(
+    config, ImageStore(spec["root"]), schedules,
+    plan_shards(config, schedules, shard_size=len(schedules)),
+    reference_timeline(config))
+assert counters["sets_exported"] == 1, counters
+"""
+
+
 class TestPipelineEquivalence:
     """One campaign through every start strategy and every executor:
     the hints move work, they never change the report."""
@@ -144,6 +166,43 @@ class TestPipelineEquivalence:
             assert refs and all(r.startswith("imgset-") for r in refs)
             assert len(list((cas / "blobs").iterdir())) == len(refs)
             assert not list(cas.rglob("*.imgset"))
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_warm_off_a_set_another_process_wrote(self, campaign, executor,
+                                                  tmp_path):
+        """The table is read back from disk, never the builder's own
+        objects — in the coordinator too, not only in its workers."""
+        timeline, schedules, cold = campaign
+        root = tmp_path / "store"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "config": self.CONFIG.to_dict(), "root": str(root),
+            "schedules": [sched.to_dict() for sched in schedules]}))
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _SET_WRITER, str(spec)],
+                       env=env, check=True, timeout=120)
+        [blob] = (root / "blobs").iterdir()
+        written = blob.read_bytes()
+
+        hints = dict(self.EXECUTORS[executor], image_store=ImageStore(root))
+        if "fabric" in hints:
+            hints["fabric_opts"] = {"cas_dir": str(root)}
+        report = run_audit(self.CONFIG, schedules=schedules,
+                           timeline=timeline, shrink=True, warmstart=True,
+                           **hints)
+        assert report.violations == cold.violations
+        assert report.errors == cold.errors
+        assert report.shrunk == cold.shrunk
+        stats = report.warmstart
+        # Nobody rebuilt, nobody rewrote: every warm start and every
+        # shrink replay came off the other process's blob.
+        assert stats["sets_built"] == 0
+        assert stats.get("sets_exported", 0) == 0
+        assert stats["warm_runs"] > 0
+        assert [p.read_bytes() for p in (root / "blobs").iterdir()] == \
+            [written]
 
 
 class TestArtifacts:

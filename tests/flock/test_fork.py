@@ -1,10 +1,17 @@
 """Fork-context tests: shared-table growth, dump stability, registry."""
 
+import pickle
+
+import pytest
+
 from repro.audit.campaign import build_audit_system
 from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
-from repro.flock import ForkContext, collect_shared
-from repro.flock.fork import SHARED_STR_MIN
+from repro.warmstart.image import (
+    SHARED_STR_MIN,
+    ForkContext,
+    collect_shared,
+)
 
 SMALL = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                     horizon=120.0, tb_interval=20.0)
@@ -53,6 +60,51 @@ class TestForkContext:
         context.share(label)
         data = context.dumps({"label": label})
         assert context.loads(data)["label"] == "ab"
+
+    def test_dump_is_rejected_against_another_table(self):
+        """Same length, same kind of entries — the references would
+        resolve, to the wrong objects.  Refused instead."""
+        ours, theirs = ForkContext(), ForkContext()
+        mine, other = {"owner": "ours"}, {"owner": "theirs"}
+        ours.share(mine)
+        theirs.share(other)
+        data = ours.dumps({"ref": mine})
+        assert ours.owns(data) and not theirs.owns(data)
+        with pytest.raises(ValueError):
+            theirs.loads(data)
+        assert not ours.owns(data[:5])
+
+    def test_dump_is_rejected_against_a_shorter_table(self):
+        context = ForkContext()
+        context.share({"gen": 1})
+        early = pickle.loads(pickle.dumps(context))
+        late = {"gen": 2}
+        context.share(late)
+        data = context.dumps({"ref": late})
+        assert early.tag == context.tag and not early.owns(data)
+        with pytest.raises(ValueError):
+            early.loads(data)
+
+    def test_pickled_table_decodes_its_dumps_and_keeps_growing(self):
+        """What a worker reads back from an image-set blob: the copy
+        resolves every dump of the original, and a template adopting
+        it registers nothing twice."""
+        context = ForkContext()
+        shared = {"k": [1, 2, 3]}
+        label = "y" * (SHARED_STR_MIN + 1)
+        context.share(shared)
+        data = context.dumps({"inner": shared, "label": label})
+        copy = pickle.loads(pickle.dumps(context))
+        assert len(copy) == len(context)
+        state = copy.loads(data)
+        assert state["inner"] == shared and state["inner"] is not shared
+        before = len(copy)
+        copy.share(state["inner"])
+        assert copy.dumps({"label": label}) and len(copy) == before
+        extra = {"gen": 2}
+        copy.share(extra)
+        assert copy.loads(copy.dumps({"e": extra}))["e"] is extra
+        assert copy.loads(data)["inner"] is state["inner"]
 
     def test_unshared_objects_copy(self):
         context = ForkContext()

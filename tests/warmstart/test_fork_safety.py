@@ -1,0 +1,225 @@
+"""Fork safety on the warm path: one table, any number of resumes.
+
+Every image of a set is a dump against the set's one shared-object
+table, so the table's objects are shared *by identity* between the
+reference while it is still advancing, every resume and every shrink
+replay, in any order.  These tests hold the rule of
+:mod:`repro.warmstart.image` to that: nothing a run mutates is in the
+table, and nothing two resumes can both write is shared between them.
+"""
+
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.audit.auditor import OnlineAuditor
+from repro.audit.campaign import build_audit_system, start_fresh
+from repro.audit.config import AuditConfig
+from repro.audit.generator import reference_timeline
+from repro.audit.golden import canonical_trace_lines, trace_digest
+from repro.audit.schedule import SYSTEM_NODES, CrashSpec, FaultSchedule, \
+    SoftwareFaultSpec
+from repro.errors import AuditViolation
+from repro.flock import ForkTemplate
+from repro.warmstart import (
+    ForkContext,
+    build_image_set,
+    capture,
+    capture_times,
+    collect_shared,
+    resume,
+    share_schedule_seeds,
+)
+
+CONFIGS = {scheme: AuditConfig(scheme=scheme, seed=11, schedules=8,
+                               horizon=120.0, tb_interval=20.0)
+           for scheme in ("coordinated", "naive")}
+
+
+def _seed(config) -> int:
+    return share_schedule_seeds(
+        config, [FaultSchedule(label="probe", system_seed=0,
+                               origin="test")])[0].system_seed
+
+
+def _table_digest(context: ForkContext, length: int) -> str:
+    """Everything reachable from the table's first ``length`` objects."""
+    return hashlib.sha256(
+        pickle.dumps(context._objects[:length])).hexdigest()
+
+
+def _drain(system, auditor):
+    try:
+        system.run()
+    except AuditViolation:
+        pass
+    try:
+        auditor.finalize()
+    except AuditViolation:
+        pass
+    return (trace_digest(canonical_trace_lines(system)),
+            [f.to_dict() for f in auditor.findings])
+
+
+def _cold(config, sched):
+    system = build_audit_system(config, sched)
+    return _drain(system, OnlineAuditor(system, fail_fast=False))
+
+
+class BuiltSet:
+    """One image set built the way ``build_image_set`` builds it, with
+    the table's digest noted at every capture."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.seed = _seed(config)
+        probe = FaultSchedule(label="ref", system_seed=self.seed,
+                              origin="test")
+        system, auditor = start_fresh(config, probe, fail_fast=False)
+        self.context = ForkContext()
+        self.images = []
+        #: ``(table length, digest)`` right after each capture.
+        self.marks = []
+        seen = 0
+        for t in capture_times(config, reference_timeline(config)):
+            system.run(until=t)
+            seen = collect_shared(self.context, system, auditor, seen)
+            self.images.append(capture(system, auditor,
+                                       context=self.context))
+            self.marks.append((len(self.context), _table_digest(
+                self.context, len(self.context))))
+        # The reference runs on, past its last capture, to the horizon.
+        system.run()
+
+    def assert_table_untouched(self) -> None:
+        for length, digest in self.marks:
+            assert _table_digest(self.context, length) == digest
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def built(request):
+    return BuiltSet(CONFIGS[request.param])
+
+
+def test_reference_advancement_leaves_earlier_captures_table_alone(built):
+    assert len(built.images) > 5
+    lengths = [length for length, _digest in built.marks]
+    assert lengths == sorted(lengths) and lengths[-1] > lengths[0]
+    built.assert_table_untouched()
+
+
+def test_template_thawed_from_an_image_adopts_and_only_appends(built):
+    """``ForkTemplate.from_image`` takes the set's table as its own:
+    the thawed reference finds everything registered, and advancing it
+    past later captures leaves what they decode against untouched."""
+    before = len(built.context)
+    template = ForkTemplate.from_image(built.images[1])
+    assert template.context is built.context
+    # Only the thawed reference's own RNG snapshots are new.
+    streams = len(template.system.rng._streams)
+    assert len(built.context) - before <= streams
+    template.advance_to(built.config.horizon - 1.0)
+    assert len(built.context) > before + streams
+    built.assert_table_untouched()
+    image = built.images[len(built.images) // 2]
+    sched = FaultSchedule(
+        label="late", system_seed=built.seed,
+        crashes=(CrashSpec(node_id="N2", crash_at=image.captured_at + 3.0,
+                           repair_time=2.0),), origin="test")
+    system, auditor = resume(image, fail_fast=False)
+    sched.arm(system)
+    assert _drain(system, auditor) == _cold(built.config, sched)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_property_resumes_in_any_order_equal_cold(built, data):
+    """Shuffled, repeated, non-ascending resumes with faults armed:
+    each equals its cold run, and the table never changes."""
+    config, images = built.config, built.images
+    picks = data.draw(st.lists(st.integers(0, len(images) - 1),
+                               min_size=4, max_size=7), label="order")
+    picks.append(picks[0])                      # at least one repeat
+    picks.append(max(picks))                    # ... and one step back up
+    picks.append(min(picks))                    # ... and down again
+    for n, pick in enumerate(picks):
+        image = images[pick]
+        # Strictly after the image, whole seconds clear of the horizon.
+        earliest = int(image.captured_at) + 1
+        at = float(data.draw(st.integers(
+            earliest, max(earliest, int(config.horizon) - 5)), label=f"t{n}"))
+        if data.draw(st.booleans(), label=f"software{n}"):
+            sched = FaultSchedule(
+                label=f"sw{n}", system_seed=built.seed, origin="test",
+                software=(SoftwareFaultSpec(activate_at=at),))
+        else:
+            sched = FaultSchedule(
+                label=f"hw{n}", system_seed=built.seed, origin="test",
+                crashes=(CrashSpec(
+                    node_id=data.draw(st.sampled_from(SYSTEM_NODES),
+                                      label=f"node{n}"),
+                    crash_at=at, repair_time=2.0),))
+        system, auditor = resume(image, fail_fast=False)
+        sched.arm(system)
+        assert _drain(system, auditor) == _cold(config, sched)
+    built.assert_table_untouched()
+
+
+def test_two_resumes_of_one_image_share_nothing_mutable(built):
+    image = built.images[len(built.images) // 2]
+    one, _ = resume(image)
+    two, _ = resume(image)
+    fresh, _ = resume(image)
+
+    # RNG streams: drawing from one copy's registry moves no other's.
+    assert one.rng._streams.keys() == two.rng._streams.keys()
+    for name, stream in one.rng._streams.items():
+        assert stream is not two.rng._streams[name]
+    drawn = {name: [stream.random() for _ in range(3)]
+             for name, stream in one.rng._streams.items()}
+    for name, stream in two.rng._streams.items():
+        assert [stream.random() for _ in range(3)] == drawn[name]
+    assert one.msg_ids is not two.msg_ids
+
+    # Journals: a record appended to one copy's journals is in no
+    # other's, and the containers themselves are private.
+    for ours, theirs, untouched in zip(one.process_list(),
+                                       two.process_list(),
+                                       fresh.process_list()):
+        for attr in ("journal_sent", "journal_recv"):
+            journal, other = getattr(ours, attr), getattr(theirs, attr)
+            assert journal._records is not other._records
+            assert other == getattr(untouched, attr)
+            size = len(other)
+            donor = next(iter(journal._records.values()), None)
+            if donor is None:
+                continue
+            journal._records[("appended", attr)] = dataclasses.replace(
+                donor, key=("appended", attr), validated=False)
+            assert len(journal) == size + 1 and len(other) == size
+            assert other == getattr(untouched, attr)
+
+    # The trace and event heap are private too: running one copy on
+    # leaves the other where it was.
+    records = len(two.trace._records)
+    one.run(until=one.sim.now + 5.0)
+    assert len(two.trace._records) == records
+    assert two.sim.now == pytest.approx(image.captured_at)
+    built.assert_table_untouched()
+
+
+def test_dump_is_rejected_against_another_sets_table():
+    """Two real sets of one config, two seeds: an image paired with the
+    other set's table is refused, never thawed into a chimera."""
+    config = CONFIGS["coordinated"]
+    times = capture_times(config)[:3]
+    ours = build_image_set(config, 1, times=times)
+    theirs = build_image_set(config, 2, times=times)
+    assert len(theirs[-1].context) >= len(ours[0].context)
+    with pytest.raises(ValueError):
+        resume(dataclasses.replace(ours[0], context=theirs[-1].context))
+    system, _ = resume(ours[0])
+    assert system.config.seed == 1

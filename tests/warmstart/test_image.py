@@ -153,12 +153,11 @@ class TestRoundTrip:
         schedule = _schedule()
         system = build_audit_system(SMALL, schedule)
         system.run(until=30.0)
-        image = capture(system, seed=schedule.system_seed,
-                        overrides=(("clock_delta", 0.5),),
-                        config_fingerprint=SMALL.fingerprint())
+        image = capture(system)
         assert image.captured_at == pytest.approx(30.0)
-        assert image.codec_id == "pickle"
-        assert image.nbytes > 0
-        assert image.seed == schedule.system_seed
-        assert image.overrides == (("clock_delta", 0.5),)
-        assert image.config_fingerprint == SMALL.fingerprint()
+        assert image.context.owns(image.dump)
+        # Captured into a set under construction, the image is a dump
+        # against the set's table, not one of its own.
+        later = capture(system, context=image.context)
+        assert later.context is image.context
+        assert image.context.owns(later.dump)

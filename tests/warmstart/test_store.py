@@ -7,15 +7,36 @@ import pytest
 
 from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
-from repro.warmstart import ImageStore, PrefixKey, SystemImage
+from repro.warmstart import ForkContext, ImageStore, PrefixKey, SystemImage
 
 CONFIG = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                      horizon=120.0, tb_interval=20.0)
 
+#: What every image of the test sets shares through its table.
+SHARED = {"frozen": ["prefix", "state"]}
 
-def _img(t: float, nbytes: int = 100) -> SystemImage:
-    return SystemImage(captured_at=t, codec_id="pickle",
-                       payload=b"payload", nbytes=nbytes)
+
+def _table(*extra) -> ForkContext:
+    context = ForkContext()
+    context.share_all((SHARED,) + extra)
+    return context
+
+
+TABLE = _table()
+
+
+def _img(t: float, nbytes: int = 100, context: ForkContext = TABLE
+         ) -> SystemImage:
+    return SystemImage(
+        captured_at=t, context=context,
+        dump=context.dumps({"shared": SHARED, "private": bytes(nbytes)}))
+
+
+def _charged(images) -> int:
+    """What a store charges for ``images`` as one set."""
+    store = ImageStore()
+    store.put(_key(), images)
+    return store.stats()["bytes"]
 
 
 def _key(seed: int = 1, overrides=()) -> PrefixKey:
@@ -70,11 +91,11 @@ class TestMemoryLayer:
         assert store.latest_before(_key(seed=2), 25.0) is None
 
     def test_lru_eviction_bounded_by_bytes(self):
-        store = ImageStore(max_bytes=250)
-        store.put(_key(seed=1), [_img(10.0, nbytes=100)])
-        store.put(_key(seed=2), [_img(10.0, nbytes=100)])
+        store = ImageStore(max_bytes=int(2.5 * _charged([_img(10.0)])))
+        store.put(_key(seed=1), [_img(10.0)])
+        store.put(_key(seed=2), [_img(10.0)])
         store.get(_key(seed=1))  # refresh 1: seed-2 becomes the LRU
-        store.put(_key(seed=3), [_img(10.0, nbytes=100)])
+        store.put(_key(seed=3), [_img(10.0)])
         assert store.get(_key(seed=2)) is None
         assert store.get(_key(seed=1)) is not None
         assert store.get(_key(seed=3)) is not None
@@ -82,26 +103,41 @@ class TestMemoryLayer:
 
     def test_eviction_always_keeps_newest_set(self):
         store = ImageStore(max_bytes=10)  # smaller than any one set
-        store.put(_key(seed=1), [_img(10.0, nbytes=100)])
-        store.put(_key(seed=2), [_img(10.0, nbytes=100)])
+        store.put(_key(seed=1), [_img(10.0)])
+        store.put(_key(seed=2), [_img(10.0)])
         assert store.stats()["sets"] == 1
         assert store.get(_key(seed=2)) is not None
 
     def test_eviction_order_is_least_recently_used(self):
-        # Room for two 100-byte sets; runs of puts/gets must evict in
+        # Room for two one-image sets; runs of puts/gets must evict in
         # exact recency order, not insertion order.
-        store = ImageStore(max_bytes=200)
-        store.put(_key(seed=1), [_img(10.0, nbytes=100)])
-        store.put(_key(seed=2), [_img(10.0, nbytes=100)])
+        store = ImageStore(max_bytes=2 * _charged([_img(10.0)]))
+        store.put(_key(seed=1), [_img(10.0)])
+        store.put(_key(seed=2), [_img(10.0)])
         store.get(_key(seed=1))           # recency now: 2, 1
-        store.put(_key(seed=3), [_img(10.0, nbytes=100)])  # evicts 2
+        store.put(_key(seed=3), [_img(10.0)])  # evicts 2
         assert store.get(_key(seed=2)) is None
         store.get(_key(seed=1))           # recency now: 3, 1
-        store.put(_key(seed=4), [_img(10.0, nbytes=100)])  # evicts 3
+        store.put(_key(seed=4), [_img(10.0)])  # evicts 3
         assert store.get(_key(seed=3)) is None
         assert store.get(_key(seed=1)) is not None
         assert store.get(_key(seed=4)) is not None
         assert store.stats()["evictions"] == 2
+
+    def test_one_set_one_table(self):
+        with pytest.raises(ValueError):
+            ImageStore().put(_key(), [_img(10.0),
+                                      _img(20.0, context=_table())])
+
+    def test_bytes_charge_the_table_once_per_set(self):
+        """``bytes`` is what the set occupies — its table and every
+        dump — not the dumps alone."""
+        ballast = bytes(range(256)) * 40
+        context = _table(ballast)
+        images = [_img(t, context=context) for t in (10.0, 20.0, 30.0)]
+        charged = _charged(images)
+        dumps = sum(len(img.dump) for img in images)
+        assert dumps + len(ballast) < charged < dumps + 2 * len(ballast)
 
 
 def _flip_bit(path, offset=-1):
@@ -113,6 +149,19 @@ def _flip_bit(path, offset=-1):
 def _foreign_blob(cas, ref, _blob, payload):
     """Point the ref at a digest-valid blob that is not its set."""
     ref.write_text(cas.put(payload))
+
+
+def _rewritten(cas, ref, blob, edit):
+    """Point the ref at a digest-valid blob: the set's own record after
+    ``edit`` changed it in place."""
+    record = pickle.loads(blob.read_bytes())
+    edit(record)
+    _foreign_blob(cas, ref, blob, pickle.dumps(record))
+
+
+def _cut_table(record):
+    # The dumps still reference what the table no longer holds.
+    del record["table"]._objects[:]
 
 
 #: name -> damage(cas, ref path, blob path) for one stored set.
@@ -129,7 +178,15 @@ DAMAGE = {
         cas, ref, blob, b"\x80\x05not a pickle at all"),
     "wrong-shape-set": lambda cas, ref, blob:
         _foreign_blob(cas, ref, blob, pickle.dumps(
-            {"key": dataclasses.asdict(_key()), "images": 7})),
+            {"key": dataclasses.asdict(_key()), "table": 7,
+             "dumps": [(10.0, b"dump")]})),
+    "table-index-out-of-range-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _cut_table),
+    "other-table-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob,
+                   lambda record: record.update(table=_table())),
+    "unordered-dumps-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, lambda record: record["dumps"].reverse()),
 }
 
 
@@ -145,13 +202,23 @@ class TestDiskLayer:
         assert [img.captured_at for img in images] == [10.0, 20.0]
         assert reader.has(_key())
         assert not reader.has(_key(seed=2))
+        # One table read back for the whole set: both dumps resolve
+        # their shared reference to the same decoded object.
+        first, second = (img.context.loads(img.dump) for img in images)
+        assert first["shared"] == SHARED
+        assert first["shared"] is second["shared"] is not SHARED
+        assert first["private"] is not second["private"]
+        # The charge is the blob the writer stored, on both sides.
+        blob = tmp_path / "blobs" / ref.read_text()
+        assert (reader.stats()["bytes"] == writer.stats()["bytes"]
+                == blob.stat().st_size)
 
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_files_count_as_absent(self, tmp_path, damage):
         """Every way the files of a stored set can go bad is detected
         and reads as a miss — never an exception, never a wrong set."""
         writer = ImageStore(root=tmp_path)
-        writer.put(_key(), [_img(10.0)])
+        writer.put(_key(), [_img(10.0), _img(20.0)])
         writer.put(_key(seed=2), [_img(30.0)])
         ref = tmp_path / "refs" / f"imgset-{_key().digest()}"
         digest = ref.read_text()
@@ -166,12 +233,30 @@ class TestDiskLayer:
         # The neighbouring set is untouched.
         assert reader.get(_key(seed=2))[0].captured_at == 30.0
 
+    def test_every_single_bit_flip_is_a_miss(self, tmp_path):
+        """Exhaustive over the stored blob — key, table and dumps: no
+        flipped bit reads back as a set, let alone a different one."""
+        writer = ImageStore(root=tmp_path)
+        writer.put(_key(), [_img(10.0, nbytes=8), _img(20.0, nbytes=8)])
+        blob = tmp_path / "blobs" / writer.blob_of(_key().digest())
+        pristine = blob.read_bytes()
+        reader = ImageStore(root=tmp_path)
+        for bit in range(8 * len(pristine)):
+            data = bytearray(pristine)
+            data[bit // 8] ^= 1 << (bit % 8)
+            blob.write_bytes(bytes(data))
+            assert reader.get(_key()) is None, f"bit {bit} went unnoticed"
+        assert reader.stats()["misses"] == 8 * len(pristine)
+        blob.write_bytes(pristine)
+        assert [img.captured_at for img in reader.get(_key())] == [10.0, 20.0]
+
     def test_evicted_set_refetched_from_disk(self, tmp_path):
         # The memory cap never loses disk-backed sets: an evicted set
         # comes back through the disk layer on the next get.
-        store = ImageStore(root=tmp_path, max_bytes=150)
-        store.put(_key(seed=1), [_img(10.0, nbytes=100)])
-        store.put(_key(seed=2), [_img(10.0, nbytes=100)])  # evicts seed-1
+        store = ImageStore(root=tmp_path,
+                           max_bytes=int(1.5 * _charged([_img(10.0)])))
+        store.put(_key(seed=1), [_img(10.0)])
+        store.put(_key(seed=2), [_img(10.0)])  # evicts seed-1
         assert store.stats()["evictions"] == 1
         assert store.stats()["sets"] == 1
         images = store.get(_key(seed=1))
