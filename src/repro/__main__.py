@@ -10,12 +10,14 @@ Every reproduction artifact is runnable from the shell:
     python -m repro overhead            # performance cost by scheme
     python -m repro ablations           # design-choice removals
     python -m repro demo                # one coordinated run, narrated
+    python -m repro --help              # ... and the other nine
 
 The campaign commands (``fig7``, ``overhead``, ``ablations``) take
 ``--seed`` / ``--replications`` to reshape the campaign, ``--workers N``
 to shard replications over worker processes, and (where results are
 cacheable) ``--no-cache`` to bypass the on-disk result cache
-(``$REPRO_CACHE_DIR``, default ``~/.cache/repro-campaigns``).
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro-campaigns``).  Speed is
+measured by the campaign ledger, ``benchmarks/e2e``, not from here.
 """
 
 from __future__ import annotations
@@ -188,58 +190,6 @@ def _cmd_snapshot_stats(args) -> int:
                         "delta captures"], enc_rows,
                        title="Incremental-capture engagement"))
     return 0
-
-
-def _cmd_bench_kernel(args) -> int:
-    import json
-    from .experiments.kernel_bench import (
-        bench_record,
-        format_record,
-        write_record,
-    )
-
-    kwargs = dict(repeats=args.repeats)
-    if args.events is not None:
-        kwargs["churn_events"] = args.events
-        kwargs["storm_events"] = args.events
-    if args.horizon is not None:
-        kwargs["campaign_horizon"] = args.horizon
-    if args.quick:
-        kwargs.setdefault("churn_events", 30_000)
-        kwargs.setdefault("storm_events", 30_000)
-        kwargs.setdefault("campaign_horizon", 3_000.0)
-        kwargs["repeats"] = 1
-    record = bench_record(**kwargs)
-    if args.json:
-        write_record(record, args.json)
-    print(format_record(record))
-    ok = (record["determinism"]["all"]
-          and all(bench["identical_execution"]
-                  for bench in record["microbench"].values()))
-    if not ok:
-        print(json.dumps(record["determinism"], indent=2), file=sys.stderr)
-    return 0 if ok else 1
-
-
-def _cmd_bench_warmstart(args) -> int:
-    from .experiments.warmstart_bench import (
-        bench_record,
-        format_record,
-        write_record,
-    )
-
-    kwargs = {}
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    if args.golden is not None:
-        kwargs["golden_path"] = args.golden
-    record = bench_record(**kwargs)
-    if args.json:
-        write_record(record, args.json)
-    print(format_record(record))
-    # The CLI gates on equivalence (a fast wrong answer is worthless);
-    # the speedup floor is asserted by benchmarks/bench_warmstart.py.
-    return 0 if record["equivalent"] else 1
 
 
 def _cmd_audit(args) -> int:
@@ -551,36 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("report", help="regenerate the full reproduction "
                    "report in one run").set_defaults(fn=_cmd_report)
-
-    bench_kernel = sub.add_parser(
-        "bench-kernel",
-        help="measure event-kernel throughput vs the pinned seed kernel "
-             "and verify representation-knob determinism")
-    bench_kernel.add_argument("--json", metavar="PATH", default=None,
-                              help="write BENCH_kernel.json-style record "
-                                   "to PATH")
-    bench_kernel.add_argument("--events", type=int, default=None,
-                              help="microbench event count")
-    bench_kernel.add_argument("--horizon", type=float, default=None,
-                              help="campaign horizon (seconds)")
-    bench_kernel.add_argument("--repeats", type=int, default=3,
-                              help="timing repetitions (best-of)")
-    bench_kernel.add_argument("--quick", action="store_true",
-                              help="small sizes for a smoke run")
-    bench_kernel.set_defaults(fn=_cmd_bench_kernel)
-
-    bench_warm = sub.add_parser(
-        "bench-warmstart",
-        help="measure warm-start prefix-resume speedup vs cold replay "
-             "and verify findings / shrink / trace-digest equivalence")
-    bench_warm.add_argument("--json", metavar="PATH", default=None,
-                            help="write BENCH_warmstart.json-style record "
-                                 "to PATH")
-    bench_warm.add_argument("--horizon", type=float, default=None,
-                            help="bench campaign horizon (seconds)")
-    bench_warm.add_argument("--golden", metavar="PATH", default=None,
-                            help="pinned golden digests path override")
-    bench_warm.set_defaults(fn=_cmd_bench_warmstart)
 
     snapstats = sub.add_parser(
         "snapshot-stats",

@@ -22,7 +22,6 @@ from .campaign import (
     format_audit_report,
     read_artifact,
     run_audit,
-    schedule_violates,
     write_artifact,
 )
 from .config import AUDIT_TRACE_CATEGORIES, AUDITABLE_SCHEMES, AuditConfig
@@ -88,7 +87,6 @@ __all__ = [
     "read_artifact",
     "reference_timeline",
     "run_audit",
-    "schedule_violates",
     "sensitivity_config",
     "sensitivity_schedules",
     "shrink_schedule",

@@ -200,11 +200,6 @@ def audit_schedule(config: AuditConfig, schedule: FaultSchedule,
     return ScheduleRunner(config).audit_schedule(schedule, fail_fast)
 
 
-def schedule_violates(config: AuditConfig, schedule: FaultSchedule) -> bool:
-    """Cold shrink predicate (:meth:`ScheduleRunner.violates`)."""
-    return ScheduleRunner(config).violates(schedule)
-
-
 def make_runner(config: AuditConfig, mode: str, store=None, timeline=None,
                 build_missing: bool = True) -> ScheduleRunner:
     """The runner whose schedules start the way ``mode`` says.

@@ -2,7 +2,8 @@
 
 A leaf module: :mod:`repro.warmstart` keeps its on-disk image sets here
 (:class:`~repro.warmstart.store.ImageStore` is a typed view over a
-:class:`BlobStore`) and :mod:`repro.fabric` ships the same blobs between
+:class:`BlobStore`, as :class:`~repro.parallel.cache.ResultCache` is for
+campaign cells) and :mod:`repro.fabric` ships the same blobs between
 hosts, so an image set exists once per directory whoever wrote it.
 Every payload is stored as an immutable *blob* keyed by the sha256 of
 its bytes.  Content addressing gives the fabric its transfer economics

@@ -120,8 +120,9 @@ class SystemConfig:
     #: trace set this so every other record costs nothing.
     trace_categories: Optional[tuple] = None
     #: Recycle fired kernel events through a free-list (see
-    #: :class:`repro.sim.events.EventPool`).  Pure representation: the
-    #: kernel bench asserts campaign samples are identical on/off.
+    #: :class:`repro.sim.events.EventPool`).  Pure representation:
+    #: ``tests/integration/test_representation_knobs.py`` asserts a
+    #: faulted run's samples are identical on/off.
     event_pooling: bool = False
     #: Retention window for validated journal records; the effective
     #: value is never below four TB intervals so pruning cannot touch

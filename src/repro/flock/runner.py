@@ -24,7 +24,8 @@ shared-object table itself:
 
 Everything observable is bit-for-bit identical to the warm and cold
 paths: findings, error strings, shrink results, trace digests.  The
-property tests and the bench's digest cross-checks are the oracle.
+property tests and the campaign ledger's cold cross-check are the
+oracle.
 """
 
 from __future__ import annotations

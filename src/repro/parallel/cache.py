@@ -3,15 +3,23 @@
 A campaign cell — one replication of one labelled configuration — is
 pure: its samples are a deterministic function of ``(label, master
 seed, replication index, configuration)``.  The cache stores each
-cell's samples as one small JSON file keyed by a digest of exactly
-those coordinates, so re-running a sweep after an interruption (or
-re-running with one parameter changed) only computes the missing cells.
+cell's samples keyed by a digest of exactly those coordinates, so
+re-running a sweep after an interruption (or re-running with one
+parameter changed) only computes the missing cells.
+
+:class:`ResultCache` is a typed view over a content-addressed
+:class:`~repro.cas.BlobStore`, as the warm-start ``ImageStore`` is:
+``refs/cell-<key digest>`` names the ``blobs/<sha256>`` holding the
+cell's canonical JSON record.  A cell read back is trusted only if its
+bytes hash to the blob's name and are exactly the record ``put`` writes
+for the key asked for; anything else — torn, flipped, misfiled, foreign
+— is a miss, and the cell is recomputed.
 
 Invalidation is by construction: the configuration fingerprint feeds
 the digest, so any change to the swept parameters — or to the package
-version, which :func:`campaign_fingerprint` folds in — lands in a fresh
-file and stale entries are simply never read again.  ``clear()`` (or
-deleting the directory) reclaims the space.
+version, which :func:`campaign_fingerprint` folds in — lands under a
+fresh ref and stale entries are simply never read again.  ``clear()``
+(or deleting the directory) reclaims the space.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
-from ..cas import atomic_write
+from ..cas import BlobStore
 
 
 def stable_dumps(obj: Any) -> bytes:
@@ -97,56 +105,75 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-campaigns"
 
 
+#: Ref-name prefix of a cell: ``refs/cell-<CacheKey.digest()>``.
+_CELL = "cell-"
+
+
+def _record(key: CacheKey, samples: List[float]) -> bytes:
+    """The canonical blob of one cell: what :meth:`ResultCache.put`
+    stores and the only bytes :meth:`ResultCache.get` accepts."""
+    return json.dumps({"label": key.label,
+                       "master_seed": key.master_seed,
+                       "replication": key.replication,
+                       "fingerprint": key.fingerprint,
+                       "samples": samples},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 class ResultCache:
-    """Directory of one-JSON-file-per-cell campaign results."""
+    """Campaign results, one ref and one verified blob per cell."""
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        self.cas = BlobStore(root if root is not None
+                             else default_cache_dir())
+        self.root = self.cas.root
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: CacheKey) -> Path:
-        return self.root / f"{key.digest()}.json"
+    def _load(self, key: CacheKey) -> Optional[List[float]]:
+        """``key``'s samples from disk, verified — or ``None``."""
+        blob = self.cas.ref(_CELL + key.digest())
+        data = self.cas.get(blob) if blob is not None else None
+        if data is None:
+            return None
+        try:
+            record = json.loads(data)
+        except (ValueError, RecursionError):
+            return None  # hashes to its name, but is not a record
+        samples = record.get("samples") if isinstance(record, dict) else None
+        # Re-encoding under the requested key must reproduce the bytes:
+        # one comparison checks the stored coordinates and the record's
+        # shape, so another cell's blob under this ref is not this cell.
+        if (isinstance(samples, list)
+                and all(type(v) is float for v in samples)
+                and _record(key, samples) == data):
+            return samples
+        return None
 
     def get(self, key: CacheKey) -> Optional[List[float]]:
-        """Samples for ``key``, or ``None`` on a miss (including any
-        unreadable/corrupt file, which is treated as absent)."""
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            samples = [float(v) for v in data["samples"]]
-        except (OSError, ValueError, TypeError, KeyError):
+        """Samples for ``key``, or ``None`` on a miss (unreadable,
+        corrupt or misfiled entries count as absent)."""
+        samples = self._load(key)
+        if samples is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return samples
 
     def put(self, key: CacheKey, samples: List[float]) -> None:
-        """Store ``samples`` for ``key`` (atomic rename write through a
-        per-process temp file: writers sharing the directory never move
-        each other's)."""
-        record: Dict[str, Any] = {
-            "label": key.label,
-            "master_seed": key.master_seed,
-            "replication": key.replication,
-            "fingerprint": key.fingerprint,
-            "samples": list(samples),
-        }
-        atomic_write(self._path(key), json.dumps(record).encode("utf-8"))
+        """Store ``samples`` for ``key`` (blob first, then the ref;
+        both atomic-rename writes through per-process temp files, so
+        writers sharing the directory never move each other's)."""
+        blob = self.cas.put(_record(key, [float(v) for v in samples]))
+        self.cas.set_ref(_CELL + key.digest(), blob)
+
+    def _cells(self) -> List[str]:
+        return [name for name in self.cas.ref_names()
+                if name.startswith(_CELL)]
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
+        return len(self._cells())
 
     def clear(self) -> int:
         """Delete every cached cell; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sum(self.cas.drop_ref(name) for name in self._cells())

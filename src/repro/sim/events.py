@@ -169,8 +169,9 @@ class EventPool:
     must not call :meth:`Event.cancel` on it (the object may already
     describe a different scheduled event).  All in-tree callers null or
     guard their handles (e.g. ``Alarm.cancel`` checks both its ``fired``
-    and ``cancelled`` flags); the kernel bench asserts campaign samples
-    are bit-for-bit identical pooling on/off.
+    and ``cancelled`` flags);
+    ``tests/integration/test_representation_knobs.py`` asserts a faulted
+    run's samples are bit-for-bit identical pooling on/off.
     """
 
     __slots__ = ("_free", "max_size", "reused", "released")

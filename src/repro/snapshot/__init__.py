@@ -23,8 +23,8 @@ through this package instead of a hard-wired ``pickle.dumps``:
 Codec choice and incremental capture are pure representation concerns:
 they never touch the simulator's RNG streams or event ordering, so the
 campaign sample sequence is bit-for-bit independent of them (asserted
-by ``benchmarks/bench_checkpoint_cost.py`` and the snapshot test
-suite).
+by ``tests/integration/test_representation_knobs.py`` and the snapshot
+test suite).
 """
 
 from .codec import (

@@ -14,9 +14,9 @@ bit-for-bit identical to cold runs (same findings, same canonical
 trace digests); warm-start is purely a wall-clock optimization.
 
 Entry points: ``run_audit(..., warmstart=True)`` /
-``repro audit --warmstart`` for campaigns, :class:`WarmRunner` for
-custom drivers, and ``repro bench-warmstart`` for the speedup /
-equivalence gate.
+``repro audit --warmstart`` for campaigns and :class:`WarmRunner` for
+custom drivers; the speed-up is measured by the ``warm_shrink``
+workload of the campaign ledger (``benchmarks/e2e``).
 """
 
 from .engine import (

@@ -30,8 +30,9 @@ priority, the lowest, so arming them late (at resume time, with higher
 sequence numbers than the cold run's build-time arming) can only
 reorder events against other ``CONTROL`` events at the *exact* same
 float instant — and every resume happens strictly before the first
-fault time.  The bench's digest cross-checks and the golden-trace suite
-assert the bit-for-bit contract on every configuration we ship.
+fault time.  The warm-start tests' digest cross-checks and the
+golden-trace suite assert the bit-for-bit contract on every
+configuration we ship.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ simulator (event heap, sequencer, pending cancellations), every RNG
 stream at its exact position, clocks, timers, nodes, stores, processes,
 the per-system message-id allocator, the trace so far, armed fault
 injectors and, optionally, the online auditor.  The contract (asserted by the warm-start and
-flock tests and the bench's digest cross-checks): a thawed copy run to
+flock tests and the campaign ledger's cold cross-check): a thawed copy run to
 the horizon produces the *bit-for-bit* identical trace, findings and
 counters as the original running uninterrupted, whatever other copies do.
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -11,13 +13,18 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_known_commands_parse(self):
+        """The subcommand set, read off the parser: adding or removing
+        one shows up here."""
         parser = build_parser()
-        for command in ("scenarios", "fig7", "table1", "overhead",
-                        "ablations", "demo", "timeline", "report",
-                        "snapshot-stats", "bench-kernel", "bench-warmstart",
-                        "audit", "live-demo", "live-crosscheck"):
-            args = parser.parse_args([command])
-            assert callable(args.fn)
+        [subparsers] = [action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {
+            "scenarios", "fig7", "table1", "overhead", "ablations",
+            "topology-sweep", "demo", "timeline", "report",
+            "snapshot-stats", "audit", "fabric-supervisor",
+            "fabric-worker", "live-demo", "live-crosscheck"}
+        for command, subparser in subparsers.choices.items():
+            assert callable(subparser.get_default("fn")), command
 
     def test_audit_flags(self):
         args = build_parser().parse_args(
@@ -60,20 +67,6 @@ class TestParser:
         args = build_parser().parse_args(["audit"])
         assert not args.flock
         assert args.fork_batch == 32
-
-    def test_bench_warmstart_flags(self):
-        args = build_parser().parse_args(
-            ["bench-warmstart", "--horizon", "450",
-             "--json", "out.json", "--golden", "g.json"])
-        assert args.horizon == 450.0
-        assert args.json == "out.json"
-        assert args.golden == "g.json"
-
-    def test_bench_warmstart_defaults(self):
-        args = build_parser().parse_args(["bench-warmstart"])
-        assert args.horizon is None
-        assert args.json is None
-        assert args.golden is None
 
     def test_audit_fabric_flags(self):
         args = build_parser().parse_args(
@@ -189,23 +182,6 @@ class TestParser:
         args = build_parser().parse_args(["table1", "--workers", "2"])
         assert args.workers == 2
 
-    def test_bench_kernel_flags(self):
-        args = build_parser().parse_args(
-            ["bench-kernel", "--quick", "--events", "5000",
-             "--horizon", "2000", "--repeats", "2", "--json", "out.json"])
-        assert args.quick
-        assert args.events == 5000
-        assert args.horizon == 2000.0
-        assert args.repeats == 2
-        assert args.json == "out.json"
-
-    def test_bench_kernel_defaults(self):
-        args = build_parser().parse_args(["bench-kernel"])
-        assert not args.quick
-        assert args.events is None
-        assert args.horizon is None
-        assert args.json is None
-
     def test_seed_requires_integer(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig7", "--seed", "xyz"])
@@ -303,25 +279,7 @@ class TestExecution:
         assert seen["kwargs"]["workers"] == 2
         assert seen["kwargs"]["cache"] is not None
         # ...and the campaign cells landed in the cache directory.
-        assert list(tmp_path.glob("*.json"))
-
-
-    def test_bench_kernel_quick_writes_record(self, capsys, tmp_path):
-        import json
-        out = tmp_path / "BENCH_kernel.json"
-        assert main(["bench-kernel", "--quick", "--events", "4000",
-                     "--horizon", "1500", "--json", str(out)]) == 0
-        assert "determinism" in capsys.readouterr().out
-        document = json.loads(out.read_text())
-        assert document["bench"] == "kernel"
-        assert document["trajectory"]
-        assert "recorded_at" in document["trajectory"][-1]
-        record = document["latest"]
-        assert record["determinism"]["all"]
-        assert set(record["microbench"]) == {"churn", "cancel_storm"}
-        for bench in record["microbench"].values():
-            assert bench["identical_execution"]
-            assert set(bench["kernels"]) == {"legacy", "current", "pooled"}
+        assert list((tmp_path / "refs").glob("cell-*"))
 
     def test_snapshot_stats_prints_section_table(self, capsys):
         assert main(["snapshot-stats", "--horizon", "600",
@@ -370,29 +328,6 @@ class TestExecution:
         assert "mode=flock" in out
         assert "forked" in out and "templates" in out
         assert "VIOLATION" in out
-
-    def test_bench_warmstart_reduced_writes_record(self, capsys, tmp_path):
-        import json
-        out = tmp_path / "BENCH_warmstart.json"
-        assert main(["bench-warmstart", "--horizon", "300",
-                     "--json", str(out)]) == 0
-        assert "flock" in capsys.readouterr().out
-        document = json.loads(out.read_text())
-        assert document["bench"] == "warmstart"
-        assert "flock_speedup" in document["trajectory"][-1]
-        record = document["latest"]
-        assert record["equivalent"]
-        # The per-phase timing telemetry is surfaced in the record:
-        # decode/run for the warm path, build/fork/run for flock.
-        warm_stats = record["campaign"]["warmstart"]
-        for field in ("decode_seconds", "run_seconds", "build_seconds"):
-            assert field in warm_stats, field
-        flock = record["flock"]
-        assert flock["violations_identical"] and flock["digests_identical"]
-        for field in ("fork_seconds", "run_seconds", "advance_seconds",
-                      "decode_seconds", "build_seconds",
-                      "dump_encode_seconds", "forks", "dumps"):
-            assert field in flock["flock_stats"], field
 
     def test_audit_fabric_small_campaign_clean(self, capsys, tmp_path):
         assert main(["audit", "--scheme", "coordinated", "--seed", "7",

@@ -9,6 +9,8 @@ from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
 from repro.warmstart import ForkContext, ImageStore, PrefixKey, SystemImage
 
+from blob_damage import BLOB_DAMAGE, each_bit_flip, foreign_blob
+
 CONFIG = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                      horizon=120.0, tb_interval=20.0)
 
@@ -140,23 +142,12 @@ class TestMemoryLayer:
         assert dumps + len(ballast) < charged < dumps + 2 * len(ballast)
 
 
-def _flip_bit(path, offset=-1):
-    data = bytearray(path.read_bytes())
-    data[offset] ^= 0x01
-    path.write_bytes(bytes(data))
-
-
-def _foreign_blob(cas, ref, _blob, payload):
-    """Point the ref at a digest-valid blob that is not its set."""
-    ref.write_text(cas.put(payload))
-
-
 def _rewritten(cas, ref, blob, edit):
     """Point the ref at a digest-valid blob: the set's own record after
     ``edit`` changed it in place."""
     record = pickle.loads(blob.read_bytes())
     edit(record)
-    _foreign_blob(cas, ref, blob, pickle.dumps(record))
+    foreign_blob(cas, ref, pickle.dumps(record))
 
 
 def _cut_table(record):
@@ -166,18 +157,14 @@ def _cut_table(record):
 
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
-    "truncated-blob": lambda cas, ref, blob: blob.write_bytes(
-        blob.read_bytes()[:-7]),
-    "bit-flipped-blob": lambda cas, ref, blob: _flip_bit(blob, 40),
-    "bit-flipped-ref": lambda cas, ref, blob: _flip_bit(ref),
-    "dangling-ref": lambda cas, ref, blob: blob.unlink(),
+    **BLOB_DAMAGE,
     "other-prefix-set": lambda cas, ref, blob:
         ref.write_text((ref.parent / f"imgset-{_key(seed=2).digest()}")
                        .read_text()),
-    "unpicklable-set": lambda cas, ref, blob: _foreign_blob(
-        cas, ref, blob, b"\x80\x05not a pickle at all"),
+    "unpicklable-set": lambda cas, ref, blob: foreign_blob(
+        cas, ref, b"\x80\x05not a pickle at all"),
     "wrong-shape-set": lambda cas, ref, blob:
-        _foreign_blob(cas, ref, blob, pickle.dumps(
+        foreign_blob(cas, ref, pickle.dumps(
             {"key": dataclasses.asdict(_key()), "table": 7,
              "dumps": [(10.0, b"dump")]})),
     "table-index-out-of-range-set": lambda cas, ref, blob:
@@ -239,15 +226,10 @@ class TestDiskLayer:
         writer = ImageStore(root=tmp_path)
         writer.put(_key(), [_img(10.0, nbytes=8), _img(20.0, nbytes=8)])
         blob = tmp_path / "blobs" / writer.blob_of(_key().digest())
-        pristine = blob.read_bytes()
         reader = ImageStore(root=tmp_path)
-        for bit in range(8 * len(pristine)):
-            data = bytearray(pristine)
-            data[bit // 8] ^= 1 << (bit % 8)
-            blob.write_bytes(bytes(data))
+        for bit in each_bit_flip(blob):
             assert reader.get(_key()) is None, f"bit {bit} went unnoticed"
-        assert reader.stats()["misses"] == 8 * len(pristine)
-        blob.write_bytes(pristine)
+        assert reader.stats()["misses"] == 8 * blob.stat().st_size
         assert [img.captured_at for img in reader.get(_key())] == [10.0, 20.0]
 
     def test_evicted_set_refetched_from_disk(self, tmp_path):
