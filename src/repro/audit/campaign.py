@@ -130,9 +130,9 @@ class ScheduleRunner:
             except AuditViolation:
                 pass  # end-of-run oracle fired; likewise recorded
             self.run_seconds += time.monotonic() - begin
-        if release and fresh:
-            # A fresh build owns everything it references; a thawed or
-            # forked system may share objects with its source.
+        if release:
+            # However it started: a thawed or forked copy got the
+            # containers this clears through its own dump.
             system.release()
         return auditor.findings, system
 

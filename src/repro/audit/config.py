@@ -139,9 +139,19 @@ class AuditConfig:
 
     def fingerprint(self) -> str:
         """Short stable digest of the campaign parameters (cache keys,
-        artifact provenance)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        artifact provenance); computed once per (frozen) instance and
+        remembered beside the fields, out of ``to_dict``, ``==``,
+        ``dataclasses.replace`` and (:meth:`__getstate__`) pickles."""
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True).encode()
+            digest = hashlib.sha256(payload).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
+
+    def __getstate__(self) -> Dict:
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_fingerprint"}
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:

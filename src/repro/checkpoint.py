@@ -92,8 +92,8 @@ class Checkpoint:
                    epoch=epoch, content=content, meta=dict(meta or {}))
 
     def restore_state(self) -> Any:
-        """Decode a *fresh copy* of the snapshotted state, replaying
-        any delta chains back to their full base sections."""
+        """The snapshotted state, the caller's to mutate (see
+        :func:`~repro.snapshot.sections.decode_payload`)."""
         return decode_payload(self.payload)
 
     def rewritten(self, **changes: Any) -> "Checkpoint":

@@ -7,7 +7,7 @@ and forks per-schedule ``(system, auditor)`` copies from it through
 the same shared-table codec the image was frozen with
 (:mod:`repro.warmstart.image`).  The
 :class:`~repro.flock.runner.FlockRunner` keeps one template per prefix
-group and recycles view/chain memos and the kernel event pool across a
+group and recycles the view memo and the kernel event pool across a
 group's forks.
 
 Results are bit-for-bit identical to warm and cold execution —

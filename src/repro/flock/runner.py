@@ -11,14 +11,13 @@ along the reference timeline.  The shard plan
 (:func:`repro.fabric.plan.plan_shards`) runs groups largest-first and
 divergence-ascending, so the biggest amortization happens first.
 
-Within a group, three things are recycled across forks on top of the
-shared-object table itself:
+Within a group, two things are recycled across forks on top of the
+shared-object table itself (whose checkpoint payloads remember what
+they resolve to, whichever fork rolls back to one first):
 
 * the **view memo** (:func:`~repro.analysis.global_state
   .install_view_cache`) — prefix checkpoints decode to auditor views
   once per group instead of once per fork;
-* the **chain-resolution memo** (:func:`~repro.snapshot.sections
-  .install_resolve_cache`) — prefix delta chains replay once;
 * one **event pool** — each fork's kernel acquires from the previous
   fork's free list, keeping the hot event objects resident.
 
@@ -60,10 +59,9 @@ class FlockRunner(ScheduleRunner):
         #: turn this off and degrade to cold instead).
         self.build_missing = build_missing
         self._templates: Dict[str, ForkTemplate] = {}
-        # Runner-lifetime memo dicts: entries pin their keys, so they
+        # Runner-lifetime memo dict: entries pin their keys, so they
         # stay valid across groups; shrink replays profit most.
         self._view_cache: Dict = {}
-        self._resolve_cache: Dict = {}
         self._pool = None
         self.flock_runs = 0
         self.templates_built = 0
@@ -169,11 +167,9 @@ class FlockRunner(ScheduleRunner):
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def _caches(self):
-        """The group-scoped memos, installed for the ``with`` block."""
+        """The group-scoped view memo, for the ``with`` block."""
         from ..analysis.global_state import install_view_cache
-        from ..snapshot.sections import install_resolve_cache
         install_view_cache(self._view_cache)
-        install_resolve_cache(self._resolve_cache)
         if self._pool is None:
             from ..sim.events import EventPool
             self._pool = EventPool()
@@ -181,7 +177,6 @@ class FlockRunner(ScheduleRunner):
             yield
         finally:
             install_view_cache(None)
-            install_resolve_cache(None)
 
     # ------------------------------------------------------------------
     # execution
@@ -210,11 +205,9 @@ class FlockRunner(ScheduleRunner):
     @contextlib.contextmanager
     def _start(self, schedule, fail_fast: bool):
         """A fork off the prefix group's template, run inside the
-        group-scoped caches; they are installed only around template
-        advancement and forked execution, where prefix objects are
-        genuinely shared — a fresh-build fallback runs bare (caching a
-        run's private payloads costs an extra encode per miss and can
-        never hit)."""
+        group-scoped view memo — installed only around template
+        advancement and forked execution, where prefix checkpoints are
+        shared; a fresh-build fallback's private ones can never hit."""
         template = self._template_for(schedule)
         forked = None
         if template is not None:

@@ -15,9 +15,10 @@ through this package instead of a hard-wired ``pickle.dumps``:
 * :mod:`~repro.snapshot.delta` — the journal and message-log sections
   of steady-state captures encode as *deltas* against the previous
   capture of the same process, cutting volatile-checkpoint cost from
-  O(journal) to O(new entries); restores replay the delta chain back to
-  the nearest full section, while a read-only consumer that follows one
-  process's captures (the online auditor) advances a
+  O(journal) to O(new entries); a delta chain is replayed back to the
+  nearest full section once per payload (rollbacks take private
+  containers over the resolved value), while a read-only consumer that
+  follows one process's captures (the online auditor) advances a
   :class:`ChainReader` cursor and decodes each delta once.
 
 Codec choice and incremental capture are pure representation concerns:

@@ -20,11 +20,12 @@ the section.  A baseline is only valid for the state the previous
 payload encodes, so the encoder refreshes it at every capture and drops
 it entirely on restore (the full-section fallback).
 
-A delta is replayed in one of two ways.  A rollback owns the value it
-decodes, so :func:`apply_journal_delta` / :func:`apply_log_delta`
-mutate it in place; the auditor's chain reader hands its values out as
-read-only views, so :func:`advance_journal` / :func:`advance_log` build
-a new container that shares every unchanged record with the old one.
+A delta is replayed *persistently* (:func:`advance_journal` /
+:func:`advance_log`): onto a new container that shares every unchanged
+record with the old one, because the values a chain resolves to are
+held — on their payloads, in the auditor's views — and must not change.
+A rollback takes its own containers over such a value the same way
+(:func:`private_journal` / :func:`private_log`).
 
 If the live section has changed in a way the delta language cannot
 express (a message log whose sequence numbers restarted after
@@ -35,9 +36,8 @@ representable.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..journal import Journal, JournalRecord
 from ..messages.log import LogEntry, MessageLog
@@ -144,37 +144,43 @@ def journal_delta(journal: Journal, base: JournalBaseline) -> JournalDelta:
                         pruned_before=journal.pruned_before)
 
 
-def apply_journal_delta(journal: Journal, delta: JournalDelta) -> Journal:
-    """Replay a delta onto a (freshly decoded, private) base journal."""
-    for key in delta.removed:
-        journal._records.pop(key, None)
-    for rec in delta.added:
-        # A re-added key moves to the end of the insertion order,
-        # matching dict semantics in the live journal.
-        journal._records.pop(rec.key, None)
-        journal._records[rec.key] = rec
-    for key in delta.revalidated:
-        journal._records[key].validated = True
-    journal.pruned_before = delta.pruned_before
-    return journal
+def private_journal(journal: Journal, mutable: Iterable[object]) -> Journal:
+    """A new journal over ``journal``'s records: its own ``_records``
+    dict and its own copy of the record under each key in ``mutable``.
+    Sharing the rest is sound once they are validated (the only field
+    written after construction, and one-way): given the unvalidated
+    keys, the owner's writes never touch ``journal``."""
+    out = Journal()
+    records = out._records = dict(journal._records)
+    for key in mutable:
+        # copy.copy(record), minus its detour through __reduce_ex__.
+        twin = JournalRecord.__new__(JournalRecord)
+        twin.__dict__ = records[key].__dict__.copy()
+        records[key] = twin
+    out.pruned_before = journal.pruned_before
+    return out
 
 
 def advance_journal(journal: Journal, delta: JournalDelta) -> Journal:
-    """The journal ``delta`` leads to, leaving ``journal`` untouched.
-
-    The persistent twin of :func:`apply_journal_delta`: the replay runs
-    on a new container that shares the unchanged records with
-    ``journal`` and holds a copy of every record whose flag is about to
-    flip (a revalidated key is by construction neither removed nor
-    added), so a view that holds ``journal`` never changes.
-    """
+    """The journal ``delta`` leads to, leaving ``journal`` untouched:
+    the replay runs on a new container holding a copy of every record
+    whose flag is about to flip (a revalidated key is by construction
+    neither removed nor added)."""
     if not delta.entry_count and delta.pruned_before == journal.pruned_before:
         return journal
-    out = Journal()
-    out._records = dict(journal._records)
+    out = private_journal(journal, delta.revalidated)
+    records = out._records
+    for key in delta.removed:
+        records.pop(key, None)
+    for rec in delta.added:
+        # A re-added key moves to the end of the insertion order,
+        # matching dict semantics in the live journal.
+        records.pop(rec.key, None)
+        records[rec.key] = rec
     for key in delta.revalidated:
-        out._records[key] = copy.copy(out._records[key])
-    return apply_journal_delta(out, delta)
+        records[key].validated = True
+    out.pruned_before = delta.pruned_before
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +215,6 @@ class LogDelta:
     min_keep_sn: Optional[int]
     appended: Tuple[LogEntry, ...]
     reclaimed_count: int
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.appended)
 
     def pack(self) -> Tuple:
         """The delta as plain tuples (the form that gets encoded);
@@ -255,20 +257,21 @@ def log_delta(log: MessageLog, base: LogBaseline) -> Optional[LogDelta]:
                     reclaimed_count=log.reclaimed_count)
 
 
-def apply_log_delta(log: MessageLog, delta: LogDelta) -> MessageLog:
-    """Replay a delta onto a (freshly decoded, private) base log."""
-    if delta.min_keep_sn is None:
-        log._entries = []
-    else:
-        log._entries = [e for e in log._entries if e.sn >= delta.min_keep_sn]
-    log._entries.extend(delta.appended)
-    log.reclaimed_count = delta.reclaimed_count
-    return log
+def private_log(log: MessageLog) -> MessageLog:
+    """A new log over ``log``'s entries (written once; a takeover
+    re-send builds a new message from one)."""
+    out = MessageLog()
+    out._entries = list(log._entries)
+    out.reclaimed_count = log.reclaimed_count
+    return out
 
 
 def advance_log(log: MessageLog, delta: LogDelta) -> MessageLog:
-    """The log ``delta`` leads to, leaving ``log`` untouched (the
-    persistent twin of :func:`apply_log_delta`; entries are shared)."""
+    """The log ``delta`` leads to, leaving ``log`` untouched (entries
+    are shared)."""
     out = MessageLog()
-    out._entries = list(log._entries)
-    return apply_log_delta(out, delta)
+    if delta.min_keep_sn is not None:
+        out._entries = [e for e in log._entries if e.sn >= delta.min_keep_sn]
+    out._entries.extend(delta.appended)
+    out.reclaimed_count = delta.reclaimed_count
+    return out

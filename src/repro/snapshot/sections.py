@@ -33,9 +33,11 @@ emitting a full section on first capture, after a restore, when the
 delta language cannot express the change, or every ``max_chain``
 captures (bounding restore replay length and the retained chain).
 
-There are two ways back.  :func:`decode_payload` replays every chain
-from its full base into a private value — what a rollback needs, since
-the restored process goes on to mutate it.  :class:`ChainReader` is the
+There are two ways back, and a ``journals`` / ``msg_log`` section is
+decoded once for both: what it resolved to stays *on its*
+:class:`SectionPayload`.  :func:`decode_payload` — a rollback, whose
+process goes on to mutate what it gets — hands out private containers
+over the resolved value's frozen records.  :class:`ChainReader` is the
 encoder's read-side twin for a consumer that reads one process's
 payloads in capture order and only inspects them (the online auditor):
 it keeps a cursor per delta section and decodes just the links past it.
@@ -47,6 +49,7 @@ import dataclasses
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .codec import Codec, get_codec
+from ..journal import Journal
 from .delta import (
     DELTA_SECTIONS,
     JournalBaseline,
@@ -55,10 +58,10 @@ from .delta import (
     LogDelta,
     advance_journal,
     advance_log,
-    apply_journal_delta,
-    apply_log_delta,
     journal_delta,
     log_delta,
+    private_journal,
+    private_log,
 )
 
 #: Canonical section order (stable across runs; payload tuples and
@@ -83,6 +86,10 @@ class SectionPayload:
     :meth:`~repro.snapshot.codec.Codec.measure`).  A delta payload
     (``full=False``) chains to the payload it was diffed against;
     ``depth`` counts the chain links back to the nearest full section.
+
+    What a ``journals`` / ``msg_log`` payload resolved to rides beside
+    the fields (:func:`_resolved`): ``==`` and :func:`dataclasses
+    .replace` do not see it, and no pickle (image, fork dump) has it.
     """
 
     section: str
@@ -92,6 +99,10 @@ class SectionPayload:
     full: bool = True
     base: Optional["SectionPayload"] = None
     depth: int = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_resolved"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,13 +130,6 @@ class SnapshotPayload:
         """Accounted bytes per section (insertion order =
         ``SECTION_ORDER``)."""
         return {p.section: p.nbytes for p in self.sections}
-
-    def get(self, section: str) -> Optional[SectionPayload]:
-        """The payload of one section, or ``None``."""
-        for payload in self.sections:
-            if payload.section == section:
-                return payload
-        return None
 
     def replace_section(self, section: str, value: Any,
                         codec: Union[str, Codec, None] = None
@@ -219,102 +223,94 @@ def encode_full(state: Any, codec: Union[str, Codec, None] = None
         data=data, nbytes=nbytes),))
 
 
-#: Optional chain-resolution memo, installed by flock group execution.
-#: Maps ``id(payload)`` of an already-resolved *delta* payload to the
-#: payload (pinned, so the id stays valid) plus its re-encoded **full**
-#: bytes.  A memoized resolve costs one codec decode instead of a
-#: replay of up to ``max_chain`` layers — and because the cache stores
-#: bytes, every caller still receives a fresh private value, so the
-#: mutating consumers (delta application, process restores) stay safe.
-_RESOLVE_CACHE: Optional[Dict[int, tuple]] = None
-
-_RESOLVE_CACHE_MAX = 2048
+def _decode(payload: SectionPayload) -> Any:
+    return get_codec(payload.codec_id).decode(payload.data)
 
 
-def install_resolve_cache(cache: Optional[Dict[int, tuple]]) -> None:
-    """Install (or, with ``None``, remove) the chain-resolution memo.
-    Flock group execution scopes one to each group, whose forks share —
-    and repeatedly decode — their prefix's payload chains."""
-    global _RESOLVE_CACHE
-    _RESOLVE_CACHE = cache
+def _resolved(payload: SectionPayload) -> Tuple[Dict[str, Any], Dict]:
+    """What a ``journals`` / ``msg_log`` section resolves to, decoded
+    once per payload object and remembered on it: the ``{field: value}``
+    dict and, per journal field, the keys of the records still
+    unvalidated (all a private copy has to duplicate).
 
-
-def _resolve_section(payload: SectionPayload) -> Dict[str, Any]:
-    """Decode one section, replaying its delta chain if present."""
-    if payload.full:
-        return get_codec(payload.codec_id).decode(payload.data)
-    cache = _RESOLVE_CACHE
-    if cache is not None:
-        entry = cache.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            return get_codec(entry[2]).decode(entry[1])
+    The remembered value is never written to again: a delta replays
+    persistently from its nearest resolved ancestor (its full base, at
+    the latest — remembered too, so a chain's values share their frozen
+    records), and callers either copy what they get (:func:`_private`)
+    or only read it (:class:`ChainReader`).
+    """
+    known = payload.__dict__.get("_resolved")
+    if known is not None:
+        return known
     chain = []
-    node: Optional[SectionPayload] = payload
-    while node is not None and not node.full:
+    node = payload
+    while not node.full and "_resolved" not in node.__dict__:
         chain.append(node)
         node = node.base
-    if node is None:
-        raise ValueError(f"delta chain of section {payload.section!r} has "
-                         "no full base payload")
-    value = get_codec(node.codec_id).decode(node.data)
-    for delta_payload in reversed(chain):
-        delta_value = get_codec(delta_payload.codec_id).decode(
-            delta_payload.data)
-        value = _apply_section_delta(delta_payload.section, value, delta_value)
-    if cache is not None:
-        if len(cache) >= _RESOLVE_CACHE_MAX:
-            cache.clear()
-        codec = get_codec(payload.codec_id)
-        data, _nbytes = encode_value(value, codec)
-        cache[id(payload)] = (payload, data, codec.codec_id)
-        # ``value`` stays private (the cache holds independent bytes),
-        # so handing it to the mutating caller is still sound.
-    return value
+        if node is None:
+            raise ValueError(f"delta chain of section {payload.section!r} "
+                             "has no full base payload")
+    value = _resolved(node)[0] if chain else _decode(node)
+    for link in reversed(chain):
+        value = _apply_section_delta(link.section, value, _decode(link))
+    resolved = (value, {
+        field: tuple([key for key, rec in journal._records.items()
+                      if not rec.validated])
+        for field, journal in value.items() if type(journal) is Journal})
+    object.__setattr__(payload, "_resolved", resolved)
+    return resolved
+
+
+def _private(resolved: Tuple[Dict[str, Any], Dict]) -> Dict[str, Any]:
+    """Private containers over a resolved section's frozen leaves: a
+    new ``Journal`` / ``MessageLog`` per field, sharing the validated
+    records and the log entries and holding its own copy of every
+    unvalidated record.  What the owner then validates, prunes,
+    discards, appends or reclaims shows nowhere else."""
+    value, unvalidated = resolved
+    return {field: (private_journal(shared, unvalidated[field])
+                    if field in unvalidated else private_log(shared))
+            for field, shared in value.items()}
+
+
+#: Per delta section: unpack a field's packed (plain-tuple) delta,
+#: replay it.
+_REPLAY = {"journals": (JournalDelta.unpack, advance_journal),
+           "msg_log": (LogDelta.unpack, advance_log)}
 
 
 def _apply_section_delta(section: str, base_value: Dict[str, Any],
-                         delta_value: Dict[str, Any],
-                         persistent: bool = False) -> Dict[str, Any]:
-    """Replay one decoded delta onto a decoded base value: in place on
-    a private one, or — ``persistent`` — leaving ``base_value`` and
-    everything it holds untouched (the chain reader's values are out in
-    views).
-
-    Deltas travel in their packed (plain-tuple) wire form, so dispatch
-    is by section name, not payload type.
-    """
+                         delta_value: Dict[str, Any]) -> Dict[str, Any]:
+    """Replay one decoded delta onto a decoded base value, leaving
+    ``base_value`` and everything it holds untouched (it is out in
+    views, or remembered on its payload)."""
+    unpack, advance = _REPLAY[section]
     out = dict(base_value)
     for field, packed in delta_value.items():
-        if section == "journals":
-            step = advance_journal if persistent else apply_journal_delta
-            out[field] = step(out[field], JournalDelta.unpack(packed))
-        elif section == "msg_log":
-            step = advance_log if persistent else apply_log_delta
-            out[field] = step(out[field], LogDelta.unpack(packed))
-        else:  # a field the delta encoder chose to ship whole
-            out[field] = packed
+        out[field] = advance(out[field], unpack(packed))
     return out
 
 
-def decode_payload(payload: SnapshotPayload) -> Any:
-    """Decode a payload back into the captured state.
-
-    Opaque payloads return the stored object; sectioned payloads merge
-    their section dicts into a fresh
-    :class:`~repro.host.ProcessSnapshot`.
-    """
-    if payload.opaque:
-        return get_codec(payload.sections[0].codec_id).decode(
-            payload.sections[0].data)
-    fields: Dict[str, Any] = {}
-    for section_payload in payload.sections:
-        fields.update(_resolve_section(section_payload))
-    return _snapshot_from(fields)
-
-
-def _snapshot_from(fields: Dict[str, Any]) -> Any:
+def _assemble(payload: SnapshotPayload, delta_section) -> Any:
+    """A sectioned payload's section dicts merged into a fresh
+    ``ProcessSnapshot``, delta sections through ``delta_section``."""
     from ..host import ProcessSnapshot  # deferred: host imports this package
+    fields: Dict[str, Any] = {}
+    for section in payload.sections:
+        fields.update(delta_section(section)
+                      if section.section in DELTA_SECTIONS
+                      else _decode(section))
     return ProcessSnapshot(**fields)
+
+
+def decode_payload(payload: SnapshotPayload) -> Any:
+    """Decode a payload back into the captured state (opaque payloads:
+    the stored object).  The caller owns the result: every call returns
+    new containers, and new copies of whatever can still change inside
+    them, whether or not the payload was decoded before."""
+    if payload.opaque:
+        return _decode(payload.sections[0])
+    return _assemble(payload, lambda section: _private(_resolved(section)))
 
 
 class ChainReader:
@@ -328,13 +324,14 @@ class ChainReader:
     the cursor are decoded, and each is applied *persistently* — a new
     journal / log container sharing the unchanged records — so a value
     handed out earlier never changes.  Anything else (an older epoch, a
-    fresh full section after a restore reset the encoder) is resolved
-    by the full replay of :func:`decode_payload` and becomes the new
-    cursor.
+    fresh full section after a restore reset the encoder) is the
+    payload's own resolved value (:func:`_resolved`), taken as it is,
+    and becomes the new cursor — the one value that moves: links it
+    advances over are not remembered on their payloads.
 
-    Values of successive reads share structure with each other and with
-    the cursor; they are read-only by contract.  A rollback needs a
-    private copy and keeps using :func:`decode_payload`.
+    Values of successive reads share structure with each other, with
+    the cursor and with resolved payloads; they are read-only by
+    contract.  A rollback takes its own from :func:`decode_payload`.
 
     The cursor is a cache and nothing else: it is dropped on pickling,
     so it never enters a warm-start image or a flock dump.
@@ -351,33 +348,21 @@ class ChainReader:
         payload)``, but not private to the caller."""
         if payload.opaque:
             return decode_payload(payload)
-        fields: Dict[str, Any] = {}
-        for section_payload in payload.sections:
-            if section_payload.section in DELTA_SECTIONS:
-                fields.update(self._read_section(section_payload))
-            else:
-                fields.update(_resolve_section(section_payload))
-        return _snapshot_from(fields)
+        return _assemble(payload, self._read_section)
 
     def _read_section(self, payload: SectionPayload) -> Dict[str, Any]:
-        cursor = self._cursor.get(payload.section)
-        value: Optional[Dict[str, Any]] = None
-        if cursor is not None:
-            at, at_value = cursor
-            links = []
-            node: Optional[SectionPayload] = payload
-            while node is not None and node is not at and not node.full:
-                links.append(node)
-                node = node.base
-            if node is at:
-                value = at_value
-                for link in reversed(links):
-                    value = _apply_section_delta(
-                        link.section, value,
-                        get_codec(link.codec_id).decode(link.data),
-                        persistent=True)
-        if value is None:
-            value = _resolve_section(payload)
+        at, value = self._cursor.get(payload.section, (None, None))
+        links = []
+        node: Optional[SectionPayload] = payload
+        while node is not None and node is not at and not node.full:
+            links.append(node)
+            node = node.base
+        if at is not None and node is at:
+            for link in reversed(links):
+                value = _apply_section_delta(link.section, value,
+                                             _decode(link))
+        else:
+            value = _resolved(payload)[0]
         self._cursor[payload.section] = (payload, value)
         return value
 

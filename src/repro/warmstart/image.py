@@ -36,6 +36,15 @@ driver's action list).  Anything a copy writes to — journals, message
 logs, RNG streams, the event heap, the per-system message-id allocator,
 live component state — must stay private and travel through the dump.
 
+Rollback clause: the rule holds after the thaw.  A rollback decodes a
+checkpoint every copy shares, and what its ``journals`` / ``msg_log``
+sections resolve to stays on the shared payload
+(:mod:`repro.snapshot.sections`): each rollback takes its own
+containers and its own copy of every unvalidated journal record, and
+shares validated records and log entries (written once; re-sends build
+or clone new messages).  The remembered value is not pickled state, so
+it reaches neither the table nor a dump.
+
 The table is **grow-only**: dumps taken while the table held ``n``
 entries reference only indices ``< n``, so they stay decodable after
 the reference advances and registers more objects.  This is what lets
@@ -44,6 +53,8 @@ every image of a set share one table, and a shrink search fork from
 dump opens with its table's tag and that ``n``: a dump is decodable
 only against its own table, and :meth:`ForkContext.loads` refuses
 anything else instead of resolving its references to the wrong objects.
+A reference is a plain table index: the C unpickler's
+``persistent_load`` *is* the table's ``__getitem__``.
 
 Strings are additionally shared *by value*: profiling the dump of a
 mid-run system shows short strings (process ids, section names, trace
@@ -59,14 +70,18 @@ import os
 import pickle
 import random
 import struct
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Strings shorter than this inline cheaper than a table reference.
 SHARED_STR_MIN = 8
 
-#: What every dump opens with: its table's tag, and the table's length
-#: when the dump was taken.
-_HEADER = struct.Struct(">8sI")
+#: What every dump opens with: the dump format, its table's tag, and
+#: the table's length when the dump was taken.
+_HEADER = struct.Struct(">B8sI")
+
+#: 2: every persistent id is a table index, an RNG stream a
+#: :func:`_thaw_rng` reduce (before: no marker, ``("r", index)`` ids).
+_FORMAT = 2
 
 
 class ForkContext:
@@ -87,8 +102,8 @@ class ForkContext:
         #: not perturb another), but the 625-word Mersenne state at
         #: fork time is identical across the whole flock, so it lives
         #: in the table once per advancement instead of once per dump.
-        self._rng_index_by_id: Dict[int, int] = {}
-        self._rng_refs: List[random.Random] = []
+        #: ``id(stream)`` -> (the stream, pinning the id; its snapshot).
+        self._rng_states: Dict[int, Tuple[random.Random, tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -123,18 +138,16 @@ class ForkContext:
     def share_rng(self, rng: random.Random) -> None:
         """Snapshot ``rng``'s current state into the table.
 
-        Dumps taken from now on encode the stream as a reference to
-        this snapshot; each load materialises a *fresh* ``Random`` from
-        it.  Re-registering after the stream has drawn appends a new
-        snapshot (grow-only: earlier dumps keep decoding to the state
-        they were taken at)."""
+        Dumps taken from now on encode the stream as
+        ``_thaw_rng(<reference to this snapshot>)``; each load
+        materialises a *fresh* ``Random`` from it.  Re-registering
+        after the stream has drawn appends a new snapshot (grow-only:
+        earlier dumps keep decoding to the state they were taken at)."""
         state = rng.getstate()
-        idx = self._rng_index_by_id.get(id(rng))
-        if idx is not None and self._objects[idx] == state:
-            return
-        self._rng_index_by_id[id(rng)] = len(self._objects)
-        self._rng_refs.append(rng)     # pin the id for the table's life
-        self._objects.append(state)
+        known = self._rng_states.get(id(rng))
+        if known is None or known[1] != state:
+            self._rng_states[id(rng)] = (rng, state)
+            self.share(state)
 
     # ------------------------------------------------------------------
     def _persistent_id(self, obj: Any):
@@ -149,10 +162,6 @@ class ForkContext:
                 self._objects.append(obj)
                 self._index_by_str[obj] = idx
             return idx
-        if type(obj) is random.Random:
-            idx = self._rng_index_by_id.get(id(obj))
-            if idx is not None:
-                return ("r", idx)
         return self._index_by_id.get(id(obj))
 
     def dumps(self, state: Any) -> bytes:
@@ -160,21 +169,23 @@ class ForkContext:
         buffer = io.BytesIO()
         _ForkPickler(buffer, self).dump(state)
         # Strings joined the table while the body was written.
-        return _HEADER.pack(self.tag, len(self._objects)) + buffer.getvalue()
+        return _HEADER.pack(_FORMAT, self.tag, len(self)) + buffer.getvalue()
 
     def owns(self, data: bytes) -> bool:
-        """Whether ``data`` is a dump of this table at no more than its
-        present length."""
+        """Whether ``data`` is a dump of this table, in the format this
+        code reads, at no more than the table's present length."""
         if len(data) < _HEADER.size:
             return False
-        tag, length = _HEADER.unpack_from(data)
-        return tag == self.tag and length <= len(self._objects)
+        fmt, tag, length = _HEADER.unpack_from(data)
+        return (fmt, tag) == (_FORMAT, self.tag) and length <= len(self)
 
     def loads(self, data: bytes) -> Any:
         """Decode a dump; table references resolve to the originals."""
         if not self.owns(data):
             raise ValueError("dump was not taken against this table")
-        return _ForkUnpickler(io.BytesIO(data[_HEADER.size:]), self).load()
+        unpickler = pickle.Unpickler(io.BytesIO(data[_HEADER.size:]))
+        unpickler.persistent_load = self._objects.__getitem__
+        return unpickler.load()
 
 
 class _ForkPickler(pickle.Pickler):
@@ -185,27 +196,24 @@ class _ForkPickler(pickle.Pickler):
     def persistent_id(self, obj: Any):
         return self._context._persistent_id(obj)
 
+    def reducer_override(self, obj: Any):
+        # A registered stream is a call on its shared snapshot (a table
+        # reference).  Pickle's own memo resolves every reference to it
+        # inside one dump (the registry entry, a clock's `_rng`, a
+        # BatchedUniform's bound `random`) to the one stream that call
+        # returns — or the fork's draw sequence would diverge.
+        if type(obj) is random.Random:
+            known = self._context._rng_states.get(id(obj))
+            if known is not None:
+                return _thaw_rng, (known[1],)
+        return NotImplemented
 
-class _ForkUnpickler(pickle.Unpickler):
-    def __init__(self, buffer, context: ForkContext) -> None:
-        super().__init__(buffer)
-        self._objects = context._objects
-        # One fresh Random per snapshot *per load*: every reference to
-        # a stream inside one dump (the registry entry, a clock's
-        # `_rng`, a BatchedUniform's bound `random`) must resolve to
-        # the same object, or the fork's draw sequence diverges.
-        self._rng_cache: Dict[int, random.Random] = {}
 
-    def persistent_load(self, pid: Any):
-        if type(pid) is int:
-            return self._objects[pid]
-        idx = pid[1]
-        rng = self._rng_cache.get(idx)
-        if rng is None:
-            rng = random.Random()
-            rng.setstate(self._objects[idx])
-            self._rng_cache[idx] = rng
-        return rng
+def _thaw_rng(state: tuple) -> random.Random:
+    """A fresh stream at ``state`` (no ``os.urandom`` seeding first)."""
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(state)
+    return rng
 
 
 def collect_shared(context: ForkContext, system, auditor=None,

@@ -17,7 +17,9 @@ import pytest
 
 from repro.audit import (
     AuditConfig,
+    CrashSpec,
     FaultSchedule,
+    SoftwareFaultSpec,
     artifact_schedules,
     audit_schedule,
     generate_schedules,
@@ -26,6 +28,10 @@ from repro.audit import (
     run_audit,
     write_artifact,
 )
+from repro.audit.campaign import make_runner
+from repro.audit.golden import canonical_trace_lines, trace_digest
+from repro.host import FtProcess
+from repro.topology.model import parse_topology
 from repro.warmstart import ImageStore, share_schedule_seeds
 
 pytestmark = pytest.mark.audit
@@ -203,6 +209,56 @@ class TestPipelineEquivalence:
         assert stats["warm_runs"] > 0
         assert [p.read_bytes() for p in (root / "blobs").iterdir()] == \
             [written]
+
+    def test_crash_heavy_topology_row(self, monkeypatch):
+        """``2x2+3``, every schedule a node crashed twice in a row plus
+        a third crash elsewhere: cold ≡ warm ≡ flock trace for trace,
+        with the rollbacks' private journals carrying the records'
+        ``taint_map`` (the path that once dropped them silently)."""
+        config = AuditConfig(scheme="coordinated", seed=7, schedules=8,
+                             horizon=240.0, topology="2x2+3")
+        nodes = parse_topology(config.topology).node_ids()
+        schedules = share_schedule_seeds(config, [FaultSchedule(
+            label=f"heavy:{k}", system_seed=0, origin="test",
+            software=((SoftwareFaultSpec(activate_at=130.0 + 7.0 * k),)
+                      if k % 2 else ()),
+            crashes=(
+                CrashSpec(node_id=node, crash_at=150.0 + 7.0 * k),
+                CrashSpec(node_id=node, crash_at=155.0 + 7.0 * k),
+                CrashSpec(node_id=nodes[(k + 3) % len(nodes)],
+                          crash_at=161.0 + 7.0 * k)))
+            for k, node in enumerate(nodes[:6])])
+        restored = []
+        restore_from = FtProcess.restore_from
+
+        def counting(process, checkpoint, reason):
+            distance = restore_from(process, checkpoint, reason)
+            restored.append(sum(
+                bool(rec.taint_map)
+                for journal in (process.journal_sent, process.journal_recv)
+                for rec in journal.records()))
+            return distance
+        monkeypatch.setattr(FtProcess, "restore_from", counting)
+
+        timeline = reference_timeline(config)
+        runs = {}
+        for mode in ("cold", "warm", "flock"):
+            del restored[:]
+            runner = make_runner(config, mode, store=ImageStore(),
+                                 timeline=timeline)
+            runner.plan(schedules)
+            traces = []
+            for schedule in schedules:
+                findings, system = runner.traced_audit(schedule)
+                traces.append((trace_digest(canonical_trace_lines(system)),
+                               [f.to_dict() for f in findings]))
+            runs[mode] = (traces, list(restored))
+            stats = runner.stats()
+            assert mode == "cold" or (stats.get("warm_runs", 0)
+                                      + stats.get("flock_runs", 0)) >= 5
+        _, restored_maps = runs["cold"]
+        assert len(restored_maps) > 100 and sum(restored_maps) > 100
+        assert runs["warm"] == runs["cold"] == runs["flock"]
 
 
 class TestArtifacts:

@@ -1,8 +1,21 @@
-"""Unit tests for the serializable fault-schedule descriptions."""
+"""Unit tests for the serializable fault-schedule descriptions and the
+campaign config's identity."""
+
+import dataclasses
+import hashlib
+import json
+import pathlib
+import pickle
 
 import pytest
 
-from repro.audit import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from repro.audit import (
+    GOLDEN_CONFIG,
+    AuditConfig,
+    CrashSpec,
+    FaultSchedule,
+    SoftwareFaultSpec,
+)
 from repro.errors import ConfigurationError
 
 
@@ -88,3 +101,57 @@ class TestBehaviour:
         assert len(system.software) == 1
         assert len(system.crashes) == 1
         assert system.crashes[0].node_id == "N2"
+
+
+class TestConfigFingerprint:
+    """``AuditConfig.fingerprint()`` is remembered per (frozen)
+    instance, beside the fields — invisible to everything that goes by
+    them."""
+
+    CONFIG_KW = dict(scheme="naive", seed=7, schedules=12, horizon=300.0,
+                     topology="2x2+3")
+
+    @staticmethod
+    def uncached(config) -> str:
+        payload = json.dumps(config.to_dict(), sort_keys=True).encode()
+        return hashlib.sha256(payload).hexdigest()[:16]
+
+    def test_computed_once_and_equal_to_the_uncached_digest(
+            self, monkeypatch):
+        config = AuditConfig(**self.CONFIG_KW)
+        expected = self.uncached(config)
+        calls = []
+        to_dict = AuditConfig.to_dict
+        monkeypatch.setattr(
+            AuditConfig, "to_dict",
+            lambda self: calls.append(self) or to_dict(self))
+        assert [config.fingerprint() for _ in range(3)] == [expected] * 3
+        assert calls == [config]
+
+    def test_replace_yields_a_fresh_one(self):
+        config = AuditConfig(**self.CONFIG_KW)
+        config.fingerprint()
+        longer = dataclasses.replace(config, horizon=900.0)
+        assert "_fingerprint" not in vars(longer)
+        assert longer.fingerprint() == self.uncached(longer)
+        assert longer.fingerprint() != config.fingerprint()
+
+    def test_memo_is_not_part_of_the_value(self):
+        config = AuditConfig(**self.CONFIG_KW)
+        before = (config.to_dict(), pickle.dumps(config), repr(config))
+        digest = config.fingerprint()
+        assert (config.to_dict(), pickle.dumps(config), repr(config)) == before
+        assert digest not in json.dumps(config.to_dict())  # welcome frame
+        assert config == AuditConfig(**self.CONFIG_KW)
+        for copy in (AuditConfig.from_dict(config.to_dict()),
+                     pickle.loads(pickle.dumps(config))):
+            assert copy == config and "_fingerprint" not in vars(copy)
+            assert copy.fingerprint() == digest
+
+    def test_pinned_golden_fingerprint_does_not_move(self):
+        """(The ledger's pinned inputs digest covers each workload's
+        ``to_dict()``: ``benchmarks/e2e`` ``pinned_inputs``.)"""
+        golden = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                             / "golden" / "fig6_traces.json").read_text())
+        assert GOLDEN_CONFIG.fingerprint() == golden["config_fingerprint"]
+        assert self.uncached(GOLDEN_CONFIG) == golden["config_fingerprint"]

@@ -2,6 +2,7 @@
 and incremental (delta-chain) capture/restore."""
 
 import copy
+import dataclasses
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,7 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("validate"), st.integers(0, 80)),
     st.tuples(st.just("prune"), st.floats(0.0, 80.0)),
     st.tuples(st.just("reclaim"), st.integers(0, 80)),
+    st.tuples(st.just("readd"), st.integers(0, 80)),
     st.just(("clear",)),                    # sn restart -> full fallback
     st.tuples(st.just("capture"), st.sampled_from(
         ("pickle", "zpickle", "null"))),
@@ -137,6 +139,13 @@ def drive_captures(ops, max_chain):
             journal.prune_validated_before(op[1])
         elif op[0] == "reclaim":
             log.reclaim_up_to(op[1])
+        elif op[0] == "readd":
+            # Recovery discards a record and the replay re-adds its key:
+            # a new, unvalidated object at the end of the order.
+            if journal._records:
+                key = list(journal._records)[op[1] % len(journal)]
+                journal._records[key] = dataclasses.replace(
+                    journal._records.pop(key), validated=False)
         elif op[0] == "clear":
             log.clear()
             log_sn[0] = 1   # restart: the delta language gives up
@@ -236,3 +245,78 @@ class TestChainReader:
         assert thawed._cursor == {}
         for payload, expected in captured[max(cut - 1, 0):]:
             assert thawed.read(payload) == expected
+
+
+def full_replay(payload):
+    """What ``payload`` froze, by the road that shares nothing: an
+    unpickled copy of its chain (which carries no resolved value, by
+    construction) replayed from its full base."""
+    return decode_payload(pickle.loads(pickle.dumps(payload)))
+
+
+def scribble(snapshot):
+    """Everything a restored process goes on to do to its journals and
+    log: validate, prune, discard, append, reclaim."""
+    journal, log = snapshot.journal_sent, snapshot.msg_log
+    journal.mark_validated(ProcessId("A"))
+    journal.prune_validated_before(40.0)
+    journal.discard(journal.keys()[::2])
+    journal.add(make_msg(999, 99.0), validated=False, time=99.0)
+    log.reclaim_up_to(log._entries[0].sn if log._entries else 0)
+    log.append(10_000, make_msg(10_000))
+
+
+class TestSharedResolve:
+    """A section resolves once per payload and every ``decode_payload``
+    still owns what it gets (``sections._resolved`` / ``_private``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ops, st.sampled_from((1, 2, 3, 5, 16)), st.data())
+    def test_decodes_equal_the_full_replay_and_share_nothing_mutable(
+            self, ops, max_chain, data):
+        captured = drive_captures(ops, max_chain)
+        indices = list(range(len(captured)))
+        reader = ChainReader()
+        views = {}
+        for i in data.draw(st.permutations(indices), label="order"):
+            payload, expected = captured[i]
+            assert full_replay(payload) == expected
+            first = decode_payload(payload)
+            again = decode_payload(payload)
+            assert first == expected and again == expected
+            # ... after a reader took this payload, or a descendant of
+            # it, read-only (cursor miss, then an advance past it):
+            views[i] = reader.read(payload)
+            j = data.draw(st.sampled_from(indices[i:]), label=f"then{i}")
+            views[j] = reader.read(captured[j][0])
+            third = decode_payload(payload)
+            assert third == expected
+            # One owner does its worst; nobody else notices.
+            scribble(first)
+            assert first != expected
+            assert again == expected and third == expected
+            assert decode_payload(payload) == expected
+            for k, view in views.items():
+                assert view == captured[k][1], (i, k)
+        for payload, expected in captured:
+            assert decode_payload(payload) == expected
+            assert ChainReader().read(payload) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(_ops, st.integers(1, 16))
+    def test_pickled_payload_carries_no_resolved_value(self, ops, max_chain):
+        captured = drive_captures(ops, max_chain)
+        bare = [len(pickle.dumps(payload)) for payload, _ in captured]
+        for payload, _ in captured:
+            decode_payload(payload)
+        assert any("_resolved" in vars(section)
+                   for payload, _ in captured for section in payload.sections)
+        assert [len(pickle.dumps(payload)) for payload, _ in captured] == bare
+        for payload, _ in captured:
+            thawed = pickle.loads(pickle.dumps(payload))
+            assert thawed == payload
+            assert not any("_resolved" in vars(section)
+                           for section in thawed.sections)
+            for section in payload.sections:
+                copy_ = dataclasses.replace(section)
+                assert copy_ == section and "_resolved" not in vars(copy_)

@@ -22,10 +22,14 @@ from repro.audit.generator import reference_timeline
 from repro.audit.golden import canonical_trace_lines, trace_digest
 from repro.audit.schedule import SYSTEM_NODES, CrashSpec, FaultSchedule, \
     SoftwareFaultSpec
+from repro.checkpoint import Checkpoint
 from repro.errors import AuditViolation
 from repro.flock import ForkTemplate
+from repro.snapshot.sections import SectionPayload
 from repro.warmstart import (
     ForkContext,
+    ImageStore,
+    PrefixKey,
     build_image_set,
     capture,
     capture_times,
@@ -223,3 +227,190 @@ def test_dump_is_rejected_against_another_sets_table():
         resume(dataclasses.replace(ours[0], context=theirs[-1].context))
     system, _ = resume(ours[0])
     assert system.config.seed == 1
+
+
+# ----------------------------------------------------------------------
+# shared rollbacks: a prefix section resolves once, on its payload, and
+# every copy that rolls back to it takes containers of its own
+# ----------------------------------------------------------------------
+def _section_payloads(context: ForkContext):
+    """Every section payload the table reaches: its checkpoints' own,
+    the encoders' tips, and the delta chains behind them."""
+    seen = {}
+    for obj in context._objects:
+        if isinstance(obj, Checkpoint):
+            nodes = obj.payload.sections
+        elif isinstance(obj, SectionPayload):
+            nodes = (obj,)
+        else:
+            continue
+        for node in nodes:
+            while node is not None and id(node) not in seen:
+                seen[id(node)] = node
+                node = node.base
+    return list(seen.values())
+
+
+def _resolved_digests(context: ForkContext):
+    """``id(payload) -> digest`` of every resolved value riding on a
+    payload of the table."""
+    return {id(payload): hashlib.sha256(
+                pickle.dumps(vars(payload)["_resolved"])).hexdigest()
+            for payload in _section_payloads(context)
+            if "_resolved" in vars(payload)}
+
+
+def _crash_heavy(data, n, seed, earliest, horizon):
+    """Crashes only, the same node twice in a row included: the second
+    rollback of each process comes from the payload the first used,
+    unless an establishment fell in between."""
+    node = data.draw(st.sampled_from(SYSTEM_NODES), label=f"node{n}")
+    at = float(data.draw(st.integers(earliest, max(earliest, horizon - 16)),
+                         label=f"t{n}"))
+    crashes = [CrashSpec(node_id=node, crash_at=at, repair_time=2.0),
+               CrashSpec(node_id=node, crash_at=at + 5.0, repair_time=2.0)]
+    if data.draw(st.booleans(), label=f"other{n}"):
+        other = data.draw(st.sampled_from(SYSTEM_NODES), label=f"node{n}b")
+        if other != node:
+            crashes.append(CrashSpec(node_id=other, crash_at=at + 9.0,
+                                     repair_time=2.0))
+    return FaultSchedule(label=f"hw{n}", system_seed=seed, origin="test",
+                         crashes=tuple(crashes))
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_property_rollbacks_leave_resolved_sections_and_table_alone(
+        built, data):
+    """Resumes and template forks that crash and roll back (validating,
+    pruning, discarding, appending and reclaiming from then on), in
+    shuffled repeated order: every run equals cold, and no value a
+    payload resolved to — nor the table — ever changes."""
+    config, images = built.config, built.images
+    picks = data.draw(st.lists(st.integers(0, len(images) - 1),
+                               min_size=3, max_size=5), label="order")
+    picks += [picks[0], max(picks), min(picks)]
+    known = _resolved_digests(built.context)
+    rollbacks = 0
+    for n, pick in enumerate(picks):
+        image = images[pick]
+        sched = _crash_heavy(data, n, built.seed,
+                             int(image.captured_at) + 1, int(config.horizon))
+        if data.draw(st.booleans(), label=f"fork{n}"):
+            system, auditor = ForkTemplate.from_image(image).fork(
+                fail_fast=False)
+        else:
+            system, auditor = resume(image, fail_fast=False)
+        sched.arm(system)
+        assert _drain(system, auditor) == _cold(config, sched)
+        rollbacks += sum(proc.counters.get("rollback.hardware")
+                         for proc in system.process_list())
+        system.release()        # as the campaign runner does: its own only
+        now = _resolved_digests(built.context)
+        assert {pid: now.get(pid) for pid in known} == known
+        known = now
+    assert rollbacks >= len(picks) and known
+    built.assert_table_untouched()
+
+
+def _mixed_checkpoint(system) -> Checkpoint:
+    """A stable checkpoint whose journals hold validated and
+    unvalidated records both."""
+    for node in system.nodes.values():
+        for chain in node.stable._chain.values():
+            for checkpoint in chain:
+                state = checkpoint.restore_state()
+                flags = {rec.validated for journal in (state.journal_sent,
+                                                       state.journal_recv)
+                         for rec in journal.records()}
+                if flags == {True, False}:
+                    return checkpoint
+    raise AssertionError("no checkpoint with both kinds of record")
+
+
+def test_two_rollbacks_from_one_payload_own_their_containers():
+    config = CONFIGS["naive"]
+    system, _ = start_fresh(config, FaultSchedule(
+        label="ref", system_seed=_seed(config), origin="test"),
+        fail_fast=False)
+    system.run(until=100.0)
+    checkpoint = _mixed_checkpoint(system)
+    resolved = {id(p): vars(p)["_resolved"]
+                for p in checkpoint.payload.sections if "_resolved" in vars(p)}
+    assert len(resolved) == 2                       # journals, msg_log
+    pristine = pickle.dumps(list(resolved.values()))
+
+    one, two = checkpoint.restore_state(), checkpoint.restore_state()
+    assert one == two
+    shared = unshared = 0
+    for attr in ("journal_sent", "journal_recv"):
+        ours, theirs = getattr(one, attr), getattr(two, attr)
+        assert ours is not theirs and ours._records is not theirs._records
+        for key, rec in ours._records.items():
+            if rec.validated:
+                assert rec is theirs._records[key]
+                shared += 1
+            else:
+                assert rec is not theirs._records[key]
+                unshared += 1
+    assert shared and unshared
+    assert one.msg_log is not two.msg_log
+    assert one.msg_log._entries is not two.msg_log._entries
+    # Neither is the remembered value itself, container for container.
+    for value, _unvalidated in resolved.values():
+        for field, kept in value.items():
+            for copy in (one, two):
+                assert getattr(copy, field) is not kept
+                inner = "_records" if hasattr(kept, "_records") else "_entries"
+                assert getattr(getattr(copy, field), inner) \
+                    is not getattr(kept, inner)
+
+    # Everything a restored process then does to its journals and log.
+    reference = checkpoint.restore_state()
+    for journal in (one.journal_sent, one.journal_recv):
+        for sender in {rec.sender for rec in journal.records()}:
+            journal.mark_validated(sender)
+        journal.prune_validated_before(50.0)
+        journal.discard(journal.keys()[:2])
+        journal._records[("appended",)] = dataclasses.replace(
+            next(iter(reference.journal_sent._records.values())),
+            key=("appended",), validated=False)
+    one.msg_log.reclaim_up_to(10 ** 6)
+    one.msg_log.append(10 ** 6 + 1, None)
+    assert one != reference
+    assert two == reference == checkpoint.restore_state()
+    assert pickle.dumps(list(resolved.values())) == pristine
+
+
+def test_resolved_values_stay_out_of_images_and_dumps():
+    """The ``test_cursors_stay_out_of_images`` pattern: what payloads
+    remember changes neither a dump, nor a set's blob, nor
+    ``flock.dump_bytes``."""
+    config = CONFIGS["coordinated"]
+    seed = _seed(config)
+
+    def frozen(resolve: bool):
+        system, auditor = start_fresh(config, FaultSchedule(
+            label="ref", system_seed=seed, origin="test"), fail_fast=False)
+        system.run(until=90.0)
+        context = ForkContext()
+        collect_shared(context, system)
+        for obj in context._objects:
+            if resolve and isinstance(obj, Checkpoint):
+                obj.restore_state()
+        if not resolve:  # the online auditor's reads resolved a few
+            for payload in _section_payloads(context):
+                vars(payload).pop("_resolved", None)
+        carried = len(_resolved_digests(context))
+        image = capture(system, auditor)
+        store = ImageStore()
+        store.put(PrefixKey("abc", seed), [image])
+        template = ForkTemplate(system, auditor)
+        template.dump()
+        return carried, (len(image.dump), store.stats()["bytes"],
+                         template.stats()["dump_bytes"])
+
+    none, bare = frozen(resolve=False)
+    many, carrying = frozen(resolve=True)
+    assert none == 0 and many > 10
+    assert carrying == bare

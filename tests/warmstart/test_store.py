@@ -1,13 +1,17 @@
 """Image-store tests: keys, LRU bounds, disk layer, lookup strictness."""
 
 import dataclasses
+import io
 import pickle
+import random
+import struct
 
 import pytest
 
 from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
 from repro.warmstart import ForkContext, ImageStore, PrefixKey, SystemImage
+from repro.warmstart.image import _HEADER
 
 from blob_damage import BLOB_DAMAGE, each_bit_flip, foreign_blob
 
@@ -155,6 +159,30 @@ def _cut_table(record):
     del record["table"]._objects[:]
 
 
+def _parent_format_dump(table: ForkContext) -> bytes:
+    """A dump as the commit before format 2 wrote it, hand-built: it
+    opens with the table's tag (no format byte) and names a registered
+    RNG stream by an ``("r", index)`` id, which ``list.__getitem__``
+    cannot resolve."""
+    table.share(random.Random(5).getstate())
+    stream = len(table) - 1
+
+    class ParentPickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            return ("r", stream) if type(obj) is random.Random else None
+
+    body = io.BytesIO()
+    ParentPickler(body, protocol=pickle.HIGHEST_PROTOCOL).dump(
+        {"rng": random.Random(5)})
+    return struct.pack(">8sI", table.tag, len(table)) + body.getvalue()
+
+
+def _as_the_parent_wrote_it(record):
+    table = record["table"]
+    record["dumps"] = [(at, _parent_format_dump(table))
+                       for at, _dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -174,6 +202,8 @@ DAMAGE = {
                    lambda record: record.update(table=_table())),
     "unordered-dumps-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, lambda record: record["dumps"].reverse()),
+    "parent-format-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_the_parent_wrote_it),
 }
 
 
@@ -219,6 +249,22 @@ class TestDiskLayer:
             assert reader.cas.misses >= 1
         # The neighbouring set is untouched.
         assert reader.get(_key(seed=2))[0].captured_at == 30.0
+
+    def test_parent_format_dump_is_refused_by_its_header(self):
+        """The table's tag and length alone would let a parent-format
+        dump through to the unpickler, where its ``("r", index)`` id is
+        a ``TypeError`` in the middle of a resume; the header's format
+        marker turns it away first."""
+        table = _table()
+        dump = _parent_format_dump(table)
+        assert not table.owns(dump)
+        with pytest.raises(ValueError):
+            table.loads(dump)
+        # The same body under a format-2 header: what the marker averts.
+        relabelled = table.dumps(None)[:_HEADER.size] + dump[12:]
+        assert table.owns(relabelled)
+        with pytest.raises(TypeError):
+            table.loads(relabelled)
 
     def test_every_single_bit_flip_is_a_miss(self, tmp_path):
         """Exhaustive over the stored blob — key, table and dumps: no
