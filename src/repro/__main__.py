@@ -258,10 +258,10 @@ def _run_campaign(args, config, schedules, **where) -> int:
 
     timeline = None
     if schedules is None and (args.warmstart or args.flock):
-        # Warm-start and flock both trade per-schedule seed diversity
-        # for prefix reuse: generate the campaign once (reference
-        # timeline computed here, reused for image capture), then
-        # rewrite every schedule onto the shared system seed.
+        # Warm-start and flock (one runner) trade per-schedule seed
+        # diversity for prefix reuse: generate the campaign once
+        # (reference timeline computed here, reused for image capture),
+        # then rewrite every schedule onto the shared system seed.
         from .audit.generator import generate_schedules, reference_timeline
         from .warmstart import share_schedule_seeds
         timeline = reference_timeline(config)
@@ -600,15 +600,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plant the named protocol bug and run the "
                             "mutation-sensitivity campaign")
     audit.add_argument("--warmstart", action="store_true",
-                       help="execute schedules by prefix-resume from "
-                            "full-system reference images (shared "
-                            "campaign seed; identical findings, less "
-                            "wall-clock)")
+                       help="suffix-fork execution, the same runner as "
+                            "--flock (shared campaign seed; identical "
+                            "findings, less wall-clock); additionally "
+                            "exports each prefix's image set to "
+                            "--workers pool workers")
     audit.add_argument("--flock", action="store_true",
-                       help="suffix-fork batch execution: one resident "
-                            "template per prefix group, forked per "
-                            "schedule (combine with --warmstart to thaw "
-                            "templates from images; identical findings)")
+                       help="suffix-fork execution: one resident "
+                            "reference per prefix group, advanced "
+                            "lazily and forked per schedule (identical "
+                            "findings; pool workers rebuild it per "
+                            "shard unless --warmstart ships images)")
     audit.add_argument("--fork-batch", type=int, default=32,
                        help="largest shard handed to a --workers pool: "
                             "prefix groups larger than this split across "
@@ -642,10 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     fsup.add_argument("--horizon", type=float, default=600.0)
     fsup.add_argument("--topology", default="paper")
     fsup.add_argument("--warmstart", action="store_true",
-                      help="warm execution mode (image sets ship through "
-                           "the content-addressed store)")
+                      help="suffix-fork execution on each worker, its "
+                           "template thawed from the image sets shipped "
+                           "through the content-addressed store")
     fsup.add_argument("--flock", action="store_true",
-                      help="suffix-fork execution mode on each worker")
+                      help="the same, reported as mode=flock")
     fsup.add_argument("--shrink", action="store_true")
     fsup.add_argument("--host", default="0.0.0.0",
                       help="bind address for worker connections")

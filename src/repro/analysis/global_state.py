@@ -57,28 +57,6 @@ class ProcessView:
         return self.snapshot.app_state.corrupt
 
 
-#: Optional view memo, installed by flock group execution: checkpoints
-#: shared across a group's forks (the whole pre-fork prefix) decode to
-#: a view once instead of once per fork.  Entries pin the checkpoint
-#: with a strong reference so an ``id`` can never be reused while it is
-#: a key.  Views are read-only by contract (checkers only inspect
-#: them), which is what makes returning a shared instance sound.
-_VIEW_CACHE: Optional[Dict[int, tuple]] = None
-
-#: In-flock bound on memoized views (suffix checkpoints enter the cache
-#: too; they just never hit again, so the cache is periodically swept).
-_VIEW_CACHE_MAX = 4096
-
-
-def install_view_cache(cache: Optional[Dict[int, tuple]]) -> None:
-    """Install (or, with ``None``, remove) the process-wide view memo.
-
-    Only flock group execution installs one — for exactly the span of
-    one group, whose forks share their prefix checkpoints."""
-    global _VIEW_CACHE
-    _VIEW_CACHE = cache
-
-
 def view_from_checkpoint(checkpoint: Checkpoint,
                          reader: Optional[ChainReader] = None) -> ProcessView:
     """Decode a checkpoint into a view.
@@ -86,28 +64,30 @@ def view_from_checkpoint(checkpoint: Checkpoint,
     Without a ``reader`` the state is a private ``restore_state()``
     copy (full delta-chain replay).  With the owning process's reader
     only the chain links past its cursor are decoded, and the state
-    shares structure with the reader's earlier views."""
-    cache = _VIEW_CACHE
-    if cache is not None:
-        entry = cache.get(id(checkpoint))
-        if entry is not None and entry[0] is checkpoint:
-            return entry[1]
-    view = ProcessView(
-        process_id=checkpoint.process_id,
-        snapshot=(reader.read(checkpoint.payload) if reader is not None
-                  else checkpoint.restore_state()),
-        taken_at=checkpoint.taken_at,
-        work_done=checkpoint.work_done,
-        epoch=checkpoint.epoch,
-        kind=checkpoint.kind.value,
-        content=(checkpoint.content.value
-                 if checkpoint.content is not None else None),
-        meta=dict(checkpoint.meta),
-        section_bytes=checkpoint.section_sizes())
-    if cache is not None:
-        if len(cache) >= _VIEW_CACHE_MAX:
-            cache.clear()
-        cache[id(checkpoint)] = (checkpoint, view)
+    shares structure with the reader's earlier views.
+
+    A checkpoint a fork table owns
+    (:meth:`~repro.checkpoint.Checkpoint.remember_view`) keeps the view
+    and hands the same one to every fork that checks it — sound because
+    views are read-only by contract.  Any other checkpoint is private
+    to one run that checks it once: its view is the caller's alone."""
+    memo = checkpoint.__dict__
+    view = memo.get("_view")
+    if view is None:
+        view = ProcessView(
+            process_id=checkpoint.process_id,
+            snapshot=(reader.read(checkpoint.payload) if reader is not None
+                      else checkpoint.restore_state()),
+            taken_at=checkpoint.taken_at,
+            work_done=checkpoint.work_done,
+            epoch=checkpoint.epoch,
+            kind=checkpoint.kind.value,
+            content=(checkpoint.content.value
+                     if checkpoint.content is not None else None),
+            meta=dict(checkpoint.meta),
+            section_bytes=checkpoint.section_sizes())
+        if "_view" in memo:
+            memo["_view"] = view
     return view
 
 

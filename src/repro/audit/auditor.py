@@ -256,6 +256,7 @@ class OnlineAuditor:
             return self.findings
         self._finalized = True
         self.system.trace.unsubscribe(self._listener)
+        self._listener = None  # a bound method of self: a cycle
         now = self.system.sim.now
         try:
             self._drain_pending(now)

@@ -8,9 +8,10 @@ they leave this process, **execute** every shard through one function
 and shrink the violators.  The execution hints choose only *where* a
 shard runs (``workers``: the local pool; ``fabric``: the multi-host
 fabric; neither: this process) and *what a schedule starts from*
-(``warmstart``: a thawed reference image; ``flock``: a fork of a
-resident template; neither: a fresh build).  Every combination
-assembles the same report from the same result dicts.
+(``warmstart`` or ``flock``: a fork of its prefix's resident template —
+``warmstart`` additionally ships each prefix to pool workers as an
+image set; neither: a fresh build).  Every combination assembles the
+same report from the same result dicts.
 
 Shards cross process boundaries as plain dicts — the
 :class:`AuditConfig` plus each :class:`FaultSchedule`, both fully
@@ -31,7 +32,7 @@ import functools
 import json
 import tempfile
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AuditViolation
 from ..parallel import parallel_map
@@ -71,12 +72,11 @@ class ScheduleRunner:
 
     The one place a schedule is run: :meth:`traced_audit` takes a
     started ``(system, auditor)`` from :meth:`_start`, runs it to the
-    horizon and finalizes the auditor.  Subclasses override
-    :meth:`_start` to supply a thawed image
-    (:class:`~repro.warmstart.engine.WarmRunner`) or a template fork
-    (:class:`~repro.flock.runner.FlockRunner`); whenever it yields
-    ``None`` — always, here — the schedule starts from a fresh build.
-    Findings are identical whichever way a schedule starts.
+    horizon and finalizes the auditor.  The one subclass
+    (:class:`~repro.flock.runner.FlockRunner`) overrides :meth:`_start`
+    to supply a fork of the prefix's resident template; whenever it
+    returns ``None`` — always, here — the schedule starts from a fresh
+    build.  Findings are identical whichever way a schedule starts.
     """
 
     #: What ``run_audit`` and the fabric call this strategy.
@@ -85,8 +85,6 @@ class ScheduleRunner:
     def __init__(self, config: AuditConfig, timeline=None) -> None:
         self.config = config
         self.timeline = timeline
-        #: Planned size of each shared prefix group, by prefix digest.
-        self._group_counts: Dict[str, int] = {}
         #: Schedules that started from a fresh build.
         self.cold_runs = 0
         #: Wall-clock running audited systems to the horizon.
@@ -94,45 +92,35 @@ class ScheduleRunner:
 
     # ------------------------------------------------------------------
     def plan(self, schedules) -> None:
-        """Count the campaign's shared-prefix group sizes — what makes
-        an image set or a template worth building.  Recounts from
-        scratch, so planning the same campaign twice changes nothing."""
-        from ..fabric.plan import plan_shards
-        self._group_counts = {
-            shard.prefix: len(shard.indices)
-            for shard in plan_shards(self.config, schedules,
-                                     shard_size=len(schedules))
-            if shard.prefix is not None}
+        """Look over the campaign before its first schedule runs (a
+        fresh build needs to know nothing about the others)."""
 
-    @contextlib.contextmanager
     def _start(self, schedule: FaultSchedule, fail_fast: bool
-               ) -> Iterator[Optional[Tuple]]:
-        """Yield an armed ``(system, auditor)`` positioned before
-        ``schedule``'s first fault, or ``None`` for a fresh build; the
-        run happens inside the ``with`` block."""
-        yield None
+               ) -> Optional[Tuple]:
+        """An armed ``(system, auditor)`` positioned before
+        ``schedule``'s first fault, or ``None`` for a fresh build."""
+        return None
 
     def _audit(self, schedule: FaultSchedule, fail_fast: bool,
                release: bool):
-        with self._start(schedule, fail_fast) as started:
-            fresh = started is None
-            if fresh:
-                self.cold_runs += 1
-                started = start_fresh(self.config, schedule, fail_fast)
-            system, auditor = started
-            begin = time.monotonic()
-            try:
-                system.run()
-            except AuditViolation:
-                pass  # the finding is already recorded
-            try:
-                auditor.finalize()
-            except AuditViolation:
-                pass  # end-of-run oracle fired; likewise recorded
-            self.run_seconds += time.monotonic() - begin
+        started = self._start(schedule, fail_fast)
+        if started is None:
+            self.cold_runs += 1
+            started = start_fresh(self.config, schedule, fail_fast)
+        system, auditor = started
+        begin = time.monotonic()
+        try:
+            system.run()
+        except AuditViolation:
+            pass  # the finding is already recorded
+        try:
+            auditor.finalize()
+        except AuditViolation:
+            pass  # end-of-run oracle fired; likewise recorded
+        self.run_seconds += time.monotonic() - begin
         if release:
-            # However it started: a thawed or forked copy got the
-            # containers this clears through its own dump.
+            # However it started, everything this clears is the run's
+            # own: a fork got it through its own dump.
             system.release()
         return auditor.findings, system
 
@@ -204,19 +192,18 @@ def make_runner(config: AuditConfig, mode: str, store=None, timeline=None,
                 build_missing: bool = True) -> ScheduleRunner:
     """The runner whose schedules start the way ``mode`` says.
 
-    ``store`` is the :class:`~repro.warmstart.store.ImageStore` images
-    are thawed from; ``build_missing=False`` makes the runner
-    consume-only (it degrades to a fresh build where a set or template
-    is missing instead of running the reference itself).
+    ``"warm"`` and ``"flock"`` are one runner under two names.
+    ``store`` is the :class:`~repro.warmstart.store.ImageStore` a
+    template is thawed from where it holds the prefix's set;
+    ``build_missing=False`` makes the runner consume-only (it degrades
+    to a fresh build where the store has no set instead of running the
+    reference itself).
     """
-    if mode == "flock":
-        from ..flock import FlockRunner
-        return FlockRunner(config, store=store, timeline=timeline,
-                           build_missing=build_missing)
-    if mode == "warm":
-        from ..warmstart import WarmRunner
-        return WarmRunner(config, store=store, timeline=timeline,
-                          build_missing=build_missing)
+    if mode in ("warm", "flock"):
+        from ..flock.runner import FlockRunner, WarmRunner
+        runner = WarmRunner if mode == "warm" else FlockRunner
+        return runner(config, store=store, timeline=timeline,
+                      build_missing=build_missing)
     if mode != "cold":
         raise ValueError(f"unknown execution mode {mode!r}")
     return ScheduleRunner(config, timeline=timeline)
@@ -231,9 +218,8 @@ def execute_shard(config_dict: Dict, schedule_dicts: List[Dict], *,
     every fabric worker and the fabric supervisor's degradation path all
     call this function.  In-process callers pass the campaign's resident
     ``runner``; anywhere else the shard gets its own, planned over the
-    shard alone, thawing from the pre-built store at ``images_root``
-    without ever building into it (or, handed no store, building what
-    ``mode`` needs itself).
+    shard alone, its template thawed from the pre-built store at
+    ``images_root`` (or, handed no store, built from the reference).
     """
     schedules = [FaultSchedule.from_dict(d) for d in schedule_dicts]
     if runner is None:
@@ -340,21 +326,20 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
               fabric_opts: Optional[Dict] = None) -> AuditReport:
     """Run a full campaign: generate, execute, optionally shrink.
 
-    ``warmstart=True`` starts schedules from full-system reference
-    images (:mod:`repro.warmstart`) wherever a usable image exists,
-    falling back to a fresh build otherwise — the findings are
-    identical either way.  Warm-start pays off when schedules share a
-    ``(seed, overrides)`` prefix (see
-    ``repro.warmstart.share_schedule_seeds``) and always pays off for
-    shrinking, whose replays all share the violator's prefix.  The
-    reference timeline is computed at most once per campaign and
+    ``warmstart=True`` and ``flock`` (default: ``config.flock``) both
+    start every schedule of a shared ``(seed, overrides)`` prefix (see
+    ``repro.warmstart.share_schedule_seeds``) as a fork of that
+    prefix's ONE resident template (:mod:`repro.flock`), falling back
+    to a fresh build where there is none — the findings are identical
+    either way — and always pay off for shrinking, whose replays all
+    share the violator's prefix.  The template is built from the
+    reference, or thawed from ``image_store`` where that already holds
+    the prefix's image set.  What ``warmstart`` adds is the export:
+    with ``workers`` it builds each shared prefix's image set
+    (:mod:`repro.warmstart`) once, here, for the pool to thaw from.
+    The reference timeline is computed at most once per campaign and
     threaded into generation and image capture; callers that already
     have it pass ``timeline``.
-
-    ``flock`` (default: ``config.flock``) starts schedules as forks of
-    ONE resident template per prefix group (:mod:`repro.flock`) —
-    thawed once from a warm-start image when ``warmstart`` is also on,
-    otherwise built directly from the reference.
 
     ``workers`` runs the shards in a local process pool
     (``config.fork_batch`` caps a shard); ``fabric`` runs them over the

@@ -77,8 +77,8 @@ class AuditConfig:
     #: campaign fingerprints — and the warm-start caches and golden
     #: digests keyed by them — are unchanged.
     topology: str = "paper"
-    #: Execute warm groups by suffix-forking off resident templates
-    #: (:mod:`repro.flock`) instead of thawing one image per schedule.
+    #: Start the schedules of a shared prefix as forks off its resident
+    #: template (:mod:`repro.flock`) instead of from fresh builds.
     #: Pure execution strategy — findings, traces, and shrink results
     #: are bit-for-bit identical — so, like ``fork_batch``, it is
     #: excluded from :meth:`to_dict` and the campaign fingerprint.

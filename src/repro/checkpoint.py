@@ -67,6 +67,25 @@ class Checkpoint:
     content: Optional[StableContent] = None
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The fields; never a remembered view (see below).
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_view"}
+
+    def remember_view(self) -> None:
+        """Let this checkpoint keep the auditor view it decodes to
+        (:func:`repro.analysis.global_state.view_from_checkpoint`).
+
+        Called by the fork table that owns the checkpoint: every copy
+        thawed from that table reaches this very object, so the view is
+        built once for all of them and lives exactly as long as the
+        table pins the checkpoint.  The view rides beside the fields
+        the way a resolved section rides on its payload — ``==`` and
+        :func:`dataclasses.replace` do not see it, no pickle has it —
+        and a checkpoint no table owns never remembers one.
+        """
+        self.__dict__.setdefault("_view", None)
+
     @classmethod
     def capture(cls, process_id: ProcessId, kind: CheckpointKind, state: Any,
                 taken_at: float, work_done: float, epoch: Optional[int] = None,

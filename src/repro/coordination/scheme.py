@@ -462,15 +462,21 @@ class System:
         self.sim.run(until=until if until is not None else self.config.horizon)
 
     def release(self) -> None:
-        """Drop the bulk of a finished run: checkpoint stores, encoder
-        chains, the trace and the event queue.
+        """Hand a finished run back by reference count, skeleton
+        included: nothing is left for the cycle collector.
 
-        A system is a web of reference cycles (processes, engines and
-        timers point at each other), so without this its checkpoints
-        and trace wait for a full garbage collection; campaigns that
-        run thousands of systems call it once a schedule's findings are
-        in hand, and the memory goes back by reference count.  The
-        system must not be run or inspected afterwards.
+        A system is a web of reference cycles (processes, engines,
+        nodes, timers and recovery managers point at each other), so
+        without this every finished run — checkpoints, trace and all —
+        waits for a full garbage collection, which in a campaign also
+        walks whatever is resident (a fork template and its table).
+        Campaigns that run thousands of systems call it once a
+        schedule's findings are in hand.  It drops the bulk (checkpoint
+        stores, encoder chains, the trace, the event queue) and then
+        empties every object the cycles run through.  All of it is the
+        run's own: what a fork shares with its template's table is only
+        ever let go of, never cleared.  The system must not be run or
+        inspected afterwards.
         """
         for node in self.nodes.values():
             node.volatile.erase()
@@ -479,6 +485,15 @@ class System:
             proc.snapshot_encoder.reset()
         self.trace.clear()
         self.sim.clear()
+        skeleton = [self.network, self.rng, self.resync, self.hw_recovery,
+                    self.sw_recovery, self.view, *self.injectors]
+        for node in self.nodes.values():
+            skeleton += (node.timers, node.clock, node)
+        for proc in self.members.values():
+            skeleton += (proc.software, proc.hardware, proc.driver, proc)
+        for part in skeleton:
+            if part is not None:
+                vars(part).clear()
 
     def commission_upgrade(self) -> None:
         """Declare the guarded upgrade successful: retire the shadow,

@@ -2,14 +2,14 @@
 
 The planner turns a campaign's schedule list into dispatchable shards,
 for every executor: the in-process loop, the local pool and the fabric
-all run what :func:`plan_shards` returns, and the runners count their
-prefix groups through it.  Grouping follows the suffix-fork layer's
+all run what :func:`plan_shards` returns, and the flock runner plans
+its prefix groups' fork positions through it.  Grouping follows the suffix-fork layer's
 economics (:mod:`repro.flock`): schedules sharing a warm-start prefix —
 ``PrefixKey`` digest over (config fingerprint, system seed, timing
 overrides) — land in the same shard wherever possible, so the worker
-that executes the shard decodes **one** resident
-:class:`~repro.flock.template.ForkTemplate` (or thaws one image) and
-forks every schedule from it.  Groups larger than ``shard_size`` split
+that executes the shard holds **one** resident
+:class:`~repro.flock.template.ForkTemplate` and forks every schedule
+from it.  Groups larger than ``shard_size`` split
 into chunks (one resident template per chunk); prefixes shared by fewer
 than :data:`~repro.warmstart.engine.MIN_GROUP` schedules are not worth
 an image set or a template, so their schedules coalesce into mixed

@@ -1,20 +1,22 @@
-"""Suffix-fork batch execution: thousands of schedules, one image.
+"""Suffix-fork batch execution: thousands of schedules, one reference.
 
-``repro.flock`` layers on :mod:`repro.warmstart`: where warm-start
-thaws one full-system image *per schedule*, a flock decodes each image
-**once** into a resident :class:`~repro.flock.template.ForkTemplate`
-and forks per-schedule ``(system, auditor)`` copies from it through
-the same shared-table codec the image was frozen with
-(:mod:`repro.warmstart.image`).  The
-:class:`~repro.flock.runner.FlockRunner` keeps one template per prefix
-group and recycles the view memo and the kernel event pool across a
-group's forks.
+``repro.flock`` layers on :mod:`repro.warmstart`: one live fault-free
+reference per shared prefix — a resident
+:class:`~repro.flock.template.ForkTemplate`, built from the reference
+config or thawed **once** from a warm-start image — advances lazily
+along the timeline and forks per-schedule ``(system, auditor)`` copies
+through the shared-table codec images are frozen with
+(:mod:`repro.warmstart.image`), dumping only where a schedule forks.
+The :class:`~repro.flock.runner.FlockRunner` is the one campaign runner
+whose schedules do not start from a fresh build (``flock=True`` and
+``warmstart=True`` both); it keeps one template per prefix group and
+one kernel event pool across all forks.
 
-Results are bit-for-bit identical to warm and cold execution —
-findings, errors, shrink results, trace digests.
+Results are bit-for-bit identical to cold execution — findings,
+errors, shrink results, trace digests.
 """
 
-from .runner import DEFAULT_FORK_BATCH, FlockRunner
+from .runner import DEFAULT_FORK_BATCH, FlockRunner, WarmRunner
 from .template import FORK_QUANTUM, ForkTemplate, fork_position
 
 __all__ = [
@@ -22,5 +24,6 @@ __all__ = [
     "FORK_QUANTUM",
     "FlockRunner",
     "ForkTemplate",
+    "WarmRunner",
     "fork_position",
 ]

@@ -13,6 +13,10 @@ Template lifetime rules:
 * **Advancement is monotone.**  The live pair only moves forward; a
   fork at an earlier position comes from a *cached dump* taken when the
   template was there (the grow-only context keeps old dumps decodable).
+  So advancement is told where schedules are planned to fork
+  (``advance_to(t, stops)``) and dumps at each such position it passes:
+  whatever order schedules arrive in, a planned one finds the dump of
+  its own position.
 * **Advancement stops mattering at the reference's first finding.**
   A dump of a violated reference would bake the finding — and trace
   past it — into every fork, which a cold run (fail-fast) would never
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..warmstart.image import (ForkContext, SystemImage, capture,
                                collect_shared, resume)
@@ -119,25 +123,27 @@ class ForkTemplate:
         """Whether the reference has produced no finding yet."""
         return self.auditor is None or not self.auditor.violated
 
-    def advance_to(self, t: float) -> bool:
-        """Advance the resident reference to ``t`` (monotone).
+    def advance_to(self, t: float, stops: Iterable[float] = ()) -> bool:
+        """Advance the resident reference to ``t`` (monotone), dumping
+        at every position of ``stops`` passed on the way.
 
         Returns whether the template is clean (dumpable) afterwards.
         A violated template stops advancing — its current state is
         useless for forking, so running it further is wasted work.
         """
-        if not self.clean:
-            return False
-        if t > self.position:
-            begin = time.monotonic()
-            while self.position < t:
-                self.system.run(
-                    until=min(t, self.position + ADVANCE_CHECK_INTERVAL))
-                if not self.clean:
-                    break
-            self._trace_seen = collect_shared(
-                self.context, self.system, self.auditor, self._trace_seen)
-            self.advance_seconds += time.monotonic() - begin
+        for stop in sorted(s for s in stops if self.position < s < t) + [t]:
+            if not self.clean:
+                break
+            if stop > self.position:
+                begin = time.monotonic()
+                while self.position < stop and self.clean:
+                    self.system.run(until=min(
+                        stop, self.position + ADVANCE_CHECK_INTERVAL))
+                self._trace_seen = collect_shared(
+                    self.context, self.system, self.auditor, self._trace_seen)
+                self.advance_seconds += time.monotonic() - begin
+            if stop < t and self.clean:
+                self.dump()
         return self.clean
 
     # ------------------------------------------------------------------
@@ -171,8 +177,7 @@ class ForkTemplate:
 
         ``image`` selects a cached dump (default: the current position).
         The fork's auditor switches to the campaign's fail-fast mode;
-        the caller arms the schedule's faults on the copy, exactly as
-        the warm path arms them on a thawed image.
+        the caller arms the schedule's faults on the copy.
         """
         self.forks += 1
         return resume(image if image is not None else self.dump(),

@@ -258,11 +258,15 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop every queued event — the end of a simulation whose
-        remaining future nobody will run."""
+        remaining future nobody will run.  Each lets go of its callback
+        and of the kernel, so a handle someone still holds (an alarm's)
+        keeps nothing else alive."""
         if self._running:
             raise SchedulingError("cannot clear a running simulator")
         for event in self._heap:
             event.in_heap = False
+            event.callback = event.sim = None
+            event.args = ()
         self._heap.clear()
         self._cancelled_in_heap = 0
 

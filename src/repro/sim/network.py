@@ -97,7 +97,10 @@ class Network:
         self._delay = BatchedUniform(rng_registry.stream("network"),
                                      config.t_min, config.t_max)
         self._endpoints: Dict[ProcessId, Endpoint] = {}
-        self._transmissions: List[Transmission] = []
+        #: Transmissions still on the wire, by send ordinal (so in send
+        #: order); a settled one leaves, or every live-state check and
+        #: every image would walk the run's whole message history.
+        self._transmissions: Dict[int, Transmission] = {}
         self._last_arrival: Dict[tuple, float] = {}
         #: Everything delivered to the DEVICE pseudo-endpoint, in order.
         self.device_log: List[Message] = []
@@ -147,9 +150,10 @@ class Network:
             self._last_arrival[pair] = arrives_at
         tx = Transmission(message=message, sent_at=self._sim.now,
                           arrives_at=arrives_at)
-        self._transmissions.append(tx)
         self.sent_count += 1
-        self._sim.schedule_at(tx.arrives_at, self._deliver, args=(tx,),
+        self._transmissions[self.sent_count] = tx
+        self._sim.schedule_at(tx.arrives_at, self._deliver,
+                              args=(self.sent_count,),
                               priority=EventPriority.DELIVERY,
                               label=f"deliver:{message.describe()}")
         return tx
@@ -163,14 +167,14 @@ class Network:
     def in_flight(self) -> List[Message]:
         """Messages currently on the wire (sent, not yet delivered or
         dropped) — the checkers use this to find in-transit messages."""
-        return [tx.message for tx in self._transmissions
-                if not tx.delivered and not tx.dropped]
+        return [tx.message for tx in self._transmissions.values()]
 
     # ------------------------------------------------------------------
     def _draw_delay(self) -> float:
         return self._delay.next()
 
-    def _deliver(self, tx: Transmission) -> None:
+    def _deliver(self, ordinal: int) -> None:
+        tx = self._transmissions.pop(ordinal)
         message = tx.message
         if message.receiver == DEVICE:
             tx.delivered = True

@@ -29,6 +29,8 @@ class Alarm:
     callback: Callable[..., Any]
     args: tuple
     label: str
+    #: The pending simulator event; let go of once it fired or was
+    #: cancelled (it points back here: a cycle otherwise).
     event: Optional[Event] = None
     fired: bool = False
     cancelled: bool = False
@@ -44,6 +46,7 @@ class Alarm:
         self.cancelled = True
         if self.event is not None:
             self.event.cancel()
+            self.event = None
 
 
 class TimerService:
@@ -113,6 +116,7 @@ class TimerService:
         if alarm.cancelled or alarm.fired:
             return
         alarm.fired = True
+        alarm.event = None
         self._alarms.pop(alarm.alarm_id, None)
         alarm.callback(*alarm.args)
 

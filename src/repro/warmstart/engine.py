@@ -1,35 +1,39 @@
-"""Prefix-resume execution: run the shared prefix once, fork futures.
+"""Prefix images: run the shared prefix once, ship it to other processes.
 
 Every schedule of an audit campaign (and every candidate of a shrink
 search) is a *divergence* from the fault-free reference run of its
 ``(config, system seed, timing overrides)`` prefix: up to the first
-armed fault, the runs are event-for-event identical.  The engine
-exploits that:
+armed fault (:func:`divergence_time`), the runs are event-for-event
+identical, so a schedule can start from a copy of the reference frozen
+strictly before that instant instead of from a fresh build.  *Within*
+a process the copies are forks of one resident template
+(:mod:`repro.flock`), dumped only where a schedule forks.  This module
+is what carries a prefix *across* processes:
 
 1. :func:`build_image_set` runs the reference once, capturing
    :class:`~repro.warmstart.image.SystemImage` snapshots at planned
    instants (:func:`capture_times` — a coarse grid plus points just
    ahead of the reference timeline's sensitive instants, the places
    boundary schedules pin faults), all frozen against one
-   shared-object table.  Capturing stops at the reference's
-   first own finding — an image past it would bake the finding into
-   every resumed future, which a cold run would have reported earlier.
-2. :class:`WarmRunner` — the campaign runner
-   (:class:`~repro.audit.campaign.ScheduleRunner`) whose schedules
-   start from an image — computes a schedule's :func:`divergence_time`,
-   thaws the newest image *strictly before* it, arms the schedule's
-   faults on the copy, and runs forward — skipping the shared prefix
-   entirely.  Schedules with no usable image (different prefix,
-   divergence before the first capture, or a singleton group not worth
-   a reference run) start from a fresh build, so warm execution is
-   always a pure optimization: identical findings, traces, and shrink
-   results, just less wall-clock.
+   shared-object table.  The grid is dense because the builder cannot
+   know where the consumer's shard will fork.  Capturing stops at the
+   reference's first own finding — an image past it would bake the
+   finding into every resumed future, which a cold run would have
+   reported earlier.
+2. :func:`ensure_planned_sets` — the campaign pipeline's *prepare*
+   step, the only caller — builds each shared prefix's set once into
+   the store pool workers and fabric hosts read, and a worker's runner
+   thaws its template from the newest image *strictly before* its
+   shard's earliest fork.  A process that finds no usable image
+   (different prefix, divergence before the first capture) starts from
+   a fresh build, so this is always a pure optimization: identical
+   findings, traces, and shrink results, just less wall-clock.
 
 Determinism fine print: fault injectors schedule at ``CONTROL``
-priority, the lowest, so arming them late (at resume time, with higher
+priority, the lowest, so arming them late (at fork time, with higher
 sequence numbers than the cold run's build-time arming) can only
 reorder events against other ``CONTROL`` events at the *exact* same
-float instant — and every resume happens strictly before the first
+float instant — and every fork happens strictly before the first
 fault time.  The warm-start tests' digest cross-checks and the
 golden-trace suite assert the bit-for-bit contract on every
 configuration we ship.
@@ -37,14 +41,13 @@ configuration we ship.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..audit.campaign import ScheduleRunner, start_fresh
+from ..audit.campaign import start_fresh
 from ..audit.schedule import FaultSchedule
 from ..sim.rng import derive_seed
-from .image import ForkContext, SystemImage, capture, collect_shared, resume
+from .image import ForkContext, SystemImage, capture, collect_shared
 from .store import ImageStore, PrefixKey
 
 #: How far ahead of a sensitive instant a pre-point capture lands —
@@ -59,9 +62,15 @@ MIN_CAPTURE_GAP = 2.0
 #: 900, beside the set's one ~400 KB table).
 MAX_IMAGES = 48
 
-#: Build a prefix's image set only when at least this many schedules
-#: will share it (a reference run + captures must amortize).
+#: A prefix is worth a template or an image set only when at least
+#: this many schedules share it (a reference run must amortize).
 MIN_GROUP = 2
+
+
+def fault_times(schedule) -> List[float]:
+    """Every instant ``schedule`` arms a fault at."""
+    return ([spec.activate_at for spec in schedule.software]
+            + [spec.crash_at for spec in schedule.crashes])
 
 
 def divergence_time(schedule) -> float:
@@ -73,9 +82,7 @@ def divergence_time(schedule) -> float:
     only ever resumes from images of its own ``(config, seed,
     overrides)`` prefix.
     """
-    times = [spec.activate_at for spec in schedule.software]
-    times += [spec.crash_at for spec in schedule.crashes]
-    return min(times) if times else float("inf")
+    return min(fault_times(schedule), default=float("inf"))
 
 
 def capture_times(config, timeline=None) -> List[float]:
@@ -195,102 +202,3 @@ def ensure_planned_sets(config, store: ImageStore, schedules: Sequence,
                 for index in probes.values())
     return {"sets_exported": built,
             "export_seconds": round(time.monotonic() - begin, 6)}
-
-
-class WarmRunner(ScheduleRunner):
-    """Campaign runner whose schedules start from a thawed image.
-
-    Owns an :class:`ImageStore`, decides per schedule whether a warm
-    resume is available (building reference image sets on demand for
-    prefixes that :meth:`plan` saw enough schedules share), and starts
-    from a fresh build whenever it is not.  ``build_missing=False``
-    makes the runner consume-only — the worker-process mode, where the
-    coordinator pre-built every set into a shared on-disk store.
-    """
-
-    mode = "warm"
-
-    def __init__(self, config, store: Optional[ImageStore] = None,
-                 timeline=None, build_missing: bool = True) -> None:
-        super().__init__(config, timeline=timeline)
-        self.store = store if store is not None else ImageStore()
-        self.build_missing = build_missing
-        self._times: Optional[List[float]] = None
-        self.warm_runs = 0
-        self.sets_built = 0
-        self.build_seconds = 0.0
-        #: Wall-clock decoding images back into live systems (the cost
-        #: the flock path amortizes to once per group).
-        self.decode_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def _key(self, schedule) -> PrefixKey:
-        return PrefixKey.for_schedule(self.config, schedule)
-
-    def planned_times(self) -> List[float]:
-        """The capture plan (computed once per runner)."""
-        if self._times is None:
-            self._times = capture_times(self.config, self.timeline)
-        return self._times
-
-    def ensure_images(self, schedule, force: bool = False) -> bool:
-        """Make sure the schedule's prefix has an image set.
-
-        Builds one when allowed (``build_missing``) and worth it (the
-        planned group reaches :data:`MIN_GROUP`, or ``force`` — the
-        shrink path, which replays one prefix dozens of times).
-        Returns whether a set exists afterwards.
-        """
-        key = self._key(schedule)
-        if self.store.has(key):
-            return True
-        if not self.build_missing:
-            return False
-        if not force and self._group_counts.get(key.digest(), 0) < MIN_GROUP:
-            return False
-        begin = time.monotonic()
-        if ensure_image_set(self.config, self.store, schedule,
-                            self.planned_times()):
-            self.build_seconds += time.monotonic() - begin
-            self.sets_built += 1
-        return True
-
-    def image_for(self, schedule) -> Optional[SystemImage]:
-        """The newest usable image for ``schedule``, if any."""
-        if not self.ensure_images(schedule):
-            return None
-        return self.store.latest_before(self._key(schedule),
-                                        divergence_time(schedule))
-
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def _start(self, schedule, fail_fast: bool):
-        image = self.image_for(schedule)
-        if image is None:
-            yield None
-            return
-        self.warm_runs += 1
-        begin = time.monotonic()
-        system, auditor = resume(image, fail_fast=fail_fast)
-        self.decode_seconds += time.monotonic() - begin
-        schedule.arm(system)
-        yield system, auditor
-
-    def prepare_shrink(self, original) -> None:
-        """Every shrink candidate shares the violator's prefix: always
-        worth a reference image set."""
-        self.ensure_images(original, force=True)
-
-    def stats(self) -> Dict[str, float]:
-        stats = super().stats()
-        stats.update({
-            "warm_runs": self.warm_runs, "sets_built": self.sets_built,
-            "build_seconds": round(self.build_seconds, 6),
-            "decode_seconds": round(self.decode_seconds, 6)})
-        stats.update(self.store.stats())
-        return stats
-
-    def summary(self) -> str:
-        return (f"warmstart: {self.warm_runs} warm / {self.cold_runs} cold "
-                f"coordinator runs, {self.sets_built} image sets "
-                f"({self.build_seconds:.2f}s building)")

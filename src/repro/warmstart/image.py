@@ -237,19 +237,15 @@ def collect_shared(context: ForkContext, system, auditor=None,
       *list* grows, so the list itself stays private.)
     * checkpoints — frozen; stores replace/trim entries but never
       mutate a stored checkpoint.  Sharing the checkpoint shares its
-      whole payload graph (the dominant bytes).
+      whole payload graph (the dominant bytes), and — every copy now
+      reaching this one object — lets it remember the auditor view it
+      decodes to (:meth:`~repro.checkpoint.Checkpoint.remember_view`).
     * encoder chain tips — ``SectionPayload`` is frozen; suffix
       captures extend the chain with private payloads whose ``base``
       points at these shared ones.
     * the network's ``BatchedUniform`` prefetch block — refills replace
       ``_buf`` wholesale (never in place), so the block at fork time is
       final; each fork consumes it through a private index.
-    * *settled* transmissions — ``_deliver`` runs exactly once per
-      transmission, so once ``delivered``/``dropped`` is set the record
-      and its message are frozen (resends go through
-      ``clone_for_resend``, never mutating the original message).
-      In-flight transmissions stay private: the suffix still flips
-      their flags.
     * RNG stream *states* (not the streams) — see
       :meth:`ForkContext.share_rng`.  The registry's streams cover the
       clocks' and the network's draws, the bulk of a mid-run dump.
@@ -265,9 +261,11 @@ def collect_shared(context: ForkContext, system, auditor=None,
     records = system.trace._records
     context.share_all(records[trace_seen:])
     for node in system.nodes.values():
-        context.share_all(node.volatile._latest.values())
-        for chain in node.stable._chain.values():
-            context.share_all(chain)
+        for chain in (node.volatile._latest.values(),
+                      *node.stable._chain.values()):
+            for checkpoint in chain:
+                context.share(checkpoint)
+                checkpoint.remember_view()
     for process in system.process_list():
         encoder = process.snapshot_encoder
         for tip in encoder._tips.values():
@@ -297,9 +295,6 @@ def collect_shared(context: ForkContext, system, auditor=None,
     delay = getattr(system.network, "_delay", None)
     if delay is not None and getattr(delay, "_buf", None):
         context.share(delay._buf)
-    for tx in system.network._transmissions:
-        if tx.delivered or tx.dropped:
-            context.share(tx)
     context.share_all(system.network.device_log)
     registry = getattr(system, "rng", None)
     if registry is not None:

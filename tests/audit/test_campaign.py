@@ -150,10 +150,11 @@ class TestPipelineEquivalence:
                                             tmp_path):
         timeline, schedules, cold = campaign
         hints = {**self.STARTS[start], **self.EXECUTORS[executor]}
+        store = ImageStore()
         if "fabric" in hints:
             hints["fabric_opts"] = {"cas_dir": str(tmp_path / "cas")}
         elif "workers" not in hints:
-            hints["image_store"] = ImageStore()
+            hints["image_store"] = store
         report = run_audit(self.CONFIG, schedules=schedules,
                            timeline=timeline, shrink=True, **hints)
         assert report.violations == cold.violations
@@ -163,8 +164,19 @@ class TestPipelineEquivalence:
         stats = report.warmstart
         assert stats["mode"].endswith(start.split("_")[0])
         if executor == "in_process" and start != "cold":
-            # The resident runner really started schedules warm.
-            assert stats.get("warm_runs", 0) + stats.get("flock_runs", 0) > 0
+            # The resident runner really forked its schedules — all but
+            # the two on a prefix nobody shares (own-prefix, and the
+            # clock-skew override), shrink replays included — off one
+            # template, and built no image set to do it.
+            assert stats["cold_runs"] == 2
+            assert stats["flock_runs"] == len(schedules) - 2 + sum(
+                entry["replays"] for entry in cold.shrunk)
+            assert stats["templates_built"] == 1
+            assert stats["sets"] == 0 == stats["bytes"]
+            assert store.stats()["sets"] == 0
+            assert stats.get("sets_built", 0) == 0
+            assert stats.get("warm_runs", stats["flock_runs"]) == \
+                stats["flock_runs"]
         if "fabric" in hints and start != "cold":
             # One on-disk layout: each image set once, as ref -> blob.
             cas = tmp_path / "cas"

@@ -9,11 +9,11 @@ from repro.audit.campaign import (
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
 from repro.audit.schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from repro.fabric import plan_shards
 from repro.flock import FlockRunner
 from repro.warmstart import (
-    MIN_GROUP,
     ImageStore,
-    WarmRunner,
+    ensure_planned_sets,
     share_schedule_seeds,
 )
 
@@ -62,8 +62,8 @@ class TestGrouping:
         runner = FlockRunner(SMALL)
         runner.plan(schedules)
         runner.plan(schedules)
-        assert runner._group_counts.get(
-            runner._key(schedules[0]).digest(), 0) < MIN_GROUP
+        assert runner._key(schedules[0]).digest() not in runner._planned
+        assert runner.stats()["flock_groups"] == 0
 
 
 class TestPolicy:
@@ -167,11 +167,11 @@ class TestEnsureTemplate:
             origin="test")
         runner = FlockRunner(SMALL)
         runner.prepare_shrink(original)
-        assert runner.templates_built == 1
-        digest = runner._key(original).digest()
-        assert runner._templates[digest].dump_positions() == [39.0, 63.0]
-        # Candidates now fork regardless of the order the shrinker
-        # tries them in (template advancement is monotone).
+        # Planning dumps nothing by itself: the template is built by,
+        # and dumps on the way to, the first replay that needs it.
+        assert runner.templates_built == 0
+        # Candidates fork regardless of the order the shrinker tries
+        # them in (template advancement is monotone).
         late = FaultSchedule(
             label="late", system_seed=_shared_seed(),
             software=original.software, origin="test")
@@ -180,9 +180,36 @@ class TestEnsureTemplate:
             crashes=original.crashes, origin="test")
         assert runner.violates(late) == \
             bool(audit_schedule(SMALL, late))
+        digest = runner._key(original).digest()
+        assert runner._templates[digest].dump_positions() == [39.0, 63.0]
         assert runner.violates(early) == \
             bool(audit_schedule(SMALL, early))
-        assert runner.flock_runs == 2
+        assert runner.templates_built == 1
+        assert runner.flock_runs == 2 and runner.cold_runs == 0
+        assert runner.stats()["dumps"] == 2
+
+    def test_unplanned_position_resolves_the_documented_way(self):
+        """A ``_push_time`` candidate moves a fault *later*, off every
+        planned position: ahead of the template it is advanced to and
+        dumped at; behind it the newest dump at or before serves (a
+        longer suffix, the same run); a fresh build only when there is
+        no dump that early.  Never a raise."""
+        original = FaultSchedule(
+            label="orig", system_seed=_shared_seed(),
+            crashes=(CrashSpec(node_id="N2", crash_at=40.0,
+                               repair_time=2.0),), origin="test")
+        runner = FlockRunner(SMALL)
+        runner.prepare_shrink(original)
+        ahead, behind, before_any = (_crash("ahead", 90.5),
+                                     _crash("behind", 70.5),
+                                     _crash("before-any", 20.5))
+        for sched in (original, ahead, behind, before_any):
+            assert runner.audit_schedule(sched) == \
+                audit_schedule(SMALL, sched), sched.label
+        template = runner._templates[runner._key(original).digest()]
+        assert template.dump_positions() == [39.0, 90.0]
+        assert template.position == 90.0
+        assert runner.flock_runs == 3 and runner.cold_runs == 1
 
     def test_override_only_original_skipped(self):
         original = FaultSchedule(label="ovr", system_seed=_shared_seed(),
@@ -220,10 +247,10 @@ class TestWorkerShard:
 
     def test_shard_with_store_thaws_image(self, timeline, tmp_path):
         schedules = [_crash("a", 50.0), _crash("b", 80.0)]
-        builder = WarmRunner(SMALL, store=ImageStore(root=tmp_path),
-                             timeline=timeline)
-        builder.plan(schedules)
-        assert builder.ensure_images(schedules[0])
+        counters = ensure_planned_sets(
+            SMALL, ImageStore(root=tmp_path), schedules,
+            plan_shards(SMALL, schedules), timeline)
+        assert counters["sets_exported"] == 1
         runner = self._worker_shard(schedules, str(tmp_path))
         assert runner.flock_runs == 2 and runner.decode_seconds > 0.0
 

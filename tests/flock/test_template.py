@@ -168,10 +168,38 @@ class TestForkTemplate:
         assert template.position == 80.0
 
 
+    def test_advancement_dumps_at_the_stops_it_passes(self):
+        """Planned stops behind the template or past the target are not
+        its business; each one in between is dumped at in passing, the
+        target itself only on demand."""
+        template = ForkTemplate.from_reference(SMALL, _crash("t", 30.0))
+        assert template.advance_to(20.0)
+        stops = {10.0, 20.0, 35.0, 50.5, 70.0, 90.0}
+        assert template.advance_to(70.0, stops)
+        assert template.position == 70.0
+        assert template.dump_positions() == [35.0, 50.5]
+        assert template.advance_to(70.0, stops)          # nothing to pass
+        assert template.dump_positions() == [35.0, 50.5]
+        # A dump taken in passing is the dump a stop there would get.
+        straight = ForkTemplate.from_reference(SMALL, _crash("t", 30.0))
+        straight.advance_to(20.0)
+        straight.advance_to(35.0)
+        assert len(straight.dump().dump) == len(template.dump_at(35.0).dump)
+
+
 class _ViolatedAuditor:
     violated = True
     fail_fast = False
     findings = ()
+
+
+class _TurnsViolated(_ViolatedAuditor):
+    def __init__(self, system, after: float) -> None:
+        self.system, self.after = system, after
+
+    @property
+    def violated(self) -> bool:
+        return self.system.sim.now > self.after
 
 
 class TestViolatedReference:
@@ -183,6 +211,13 @@ class TestViolatedReference:
         template = ForkTemplate(system, _ViolatedAuditor())
         assert template.advance_to(60.0) is False
         assert template.position == 20.0           # never ran further
+
+    def test_violation_on_the_way_ends_the_stops(self):
+        template = ForkTemplate.from_reference(SMALL, _crash("t", 30.0))
+        template.auditor = _TurnsViolated(template.system, after=40.0)
+        assert template.advance_to(90.0, {30.0, 60.0, 80.0}) is False
+        assert template.dump_positions() == [30.0]
+        assert template.position < 60.0             # gave up early
 
     def test_dump_refuses(self):
         sched = FaultSchedule(label="v", system_seed=_shared_seed(),

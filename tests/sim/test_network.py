@@ -171,3 +171,40 @@ class TestInFlight:
         assert network.in_flight() == [m]
         sim.run()
         assert network.in_flight() == []
+
+    def test_only_unsettled_transmissions_are_kept(self):
+        """Over a horizon-900 campaign run with a crash in it the
+        network holds the handful of transmissions still on the wire,
+        not every one ever sent, and ``in_flight()`` answers what a
+        scan of all of them would (send order included)."""
+        from repro.audit.campaign import build_audit_system
+        from repro.audit.config import AuditConfig
+        from repro.audit.schedule import CrashSpec, FaultSchedule
+
+        config = AuditConfig(scheme="naive", seed=7, horizon=900.0)
+        system = build_audit_system(config, FaultSchedule(
+            label="long", system_seed=3, origin="test",
+            crashes=(CrashSpec(node_id="N2", crash_at=400.0,
+                               repair_time=5.0),)))
+        network = system.network
+        every, held = [], []
+
+        def check():
+            held.append(len(network._transmissions))
+            assert network.in_flight() == [
+                tx.message for tx in every
+                if not tx.delivered and not tx.dropped]
+
+        send = network.send
+
+        def sending(message):
+            every.append(send(message))
+            check()
+            return every[-1]
+        network.send = sending
+        for until in range(10, 901, 10):
+            system.run(until=float(until))
+            check()
+        assert network.sent_count == len(every) > 150
+        assert network.dropped_count > 0
+        assert 1 < max(held) <= 16 and min(held) == 0

@@ -317,7 +317,8 @@ class TestExecution:
                      "--expect-violation"]) == 0
         out = capsys.readouterr().out
         assert "mode=warm" in out
-        assert "warm" in out and "image sets" in out
+        # The same runner as --flock: forks off a template, no set built.
+        assert "warm: " in out and "forked" in out and "templates" in out
         assert "VIOLATION" in out
 
     def test_audit_flock_finds_violations(self, capsys):

@@ -1,5 +1,6 @@
-"""Warm-runner tests: capture planning, group policy, fallback, and the
-resume-equals-cold contract under adversarial simulator states."""
+"""Warm-start tests: capture planning, the runner's group policy and
+fallback under its warm-start names, and the resume-equals-cold
+contract under adversarial simulator states."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from repro.audit.golden import canonical_trace_lines, trace_digest
 from repro.audit.schedule import SYSTEM_NODES, CrashSpec, FaultSchedule, \
     SoftwareFaultSpec
 from repro.errors import AuditViolation
+from repro.fabric import plan_shards
 from repro.warmstart import (
     MIN_GROUP,
     ImageStore,
@@ -24,6 +26,7 @@ from repro.warmstart import (
     capture,
     capture_times,
     divergence_time,
+    ensure_planned_sets,
     resume,
     share_schedule_seeds,
 )
@@ -110,14 +113,17 @@ class TestShareScheduleSeeds:
 
 
 class TestWarmRunnerPolicy:
+    """``warmstart=True`` is the template runner: no image set is ever
+    built by the process that runs the schedules."""
+
     def test_singleton_group_stays_cold(self, timeline):
         runner = WarmRunner(SMALL, timeline=timeline)
         sched = _crash("solo", 60.0)
         runner.plan([sched])
         findings = runner.audit_schedule(sched)
         assert findings == audit_schedule(SMALL, sched)
-        assert runner.cold_runs == 1 and runner.warm_runs == 0
-        assert runner.sets_built == 0
+        assert runner.cold_runs == 1 and runner.flock_runs == 0
+        assert runner.templates_built == 0
 
     def test_min_group_triggers_build(self, timeline):
         assert MIN_GROUP == 2
@@ -126,21 +132,24 @@ class TestWarmRunnerPolicy:
         runner.plan(schedules)
         for sched in schedules:
             runner.audit_schedule(sched)
-        assert runner.warm_runs == 2 and runner.cold_runs == 0
-        assert runner.sets_built == 1  # one shared prefix, built once
+        assert runner.flock_runs == 2 and runner.cold_runs == 0
+        # One shared prefix: one template, built once — and no set.
+        assert runner.templates_built == 1
+        assert runner.store.stats()["sets"] == 0
 
     def test_force_builds_for_singletons(self, timeline):
         runner = WarmRunner(SMALL, timeline=timeline)
         sched = _crash("solo", 60.0)
         runner.plan([sched])
+        assert not runner.ensure_images(sched)
         assert runner.ensure_images(sched, force=True)
-        assert runner.sets_built == 1
+        assert runner.templates_built == 1
         runner.audit_schedule(sched)
-        assert runner.warm_runs == 1
+        assert runner.flock_runs == 1
 
     def test_divergence_before_first_capture_falls_back_cold(self, timeline):
         runner = WarmRunner(SMALL, timeline=timeline)
-        early = _crash("early", runner.planned_times()[0] / 2.0)
+        early = _crash("early", 0.5)  # before the first fork position
         runner.plan([early, _crash("late", 80.0)])
         findings = runner.audit_schedule(early)
         assert findings == audit_schedule(SMALL, early)
@@ -151,7 +160,7 @@ class TestWarmRunnerPolicy:
         sched = _crash("a", 60.0)
         runner.plan([sched, _crash("b", 80.0)])
         runner.audit_schedule(sched)
-        assert runner.sets_built == 0 and runner.cold_runs == 1
+        assert runner.templates_built == 0 and runner.cold_runs == 1
 
     def test_stats_counters(self, timeline):
         runner = WarmRunner(SMALL, timeline=timeline)
@@ -160,10 +169,13 @@ class TestWarmRunnerPolicy:
         for sched in schedules:
             runner.audit_schedule(sched)
         stats = runner.stats()
-        assert stats["warm_runs"] == 2
-        assert stats["sets_built"] == 1
-        assert stats["build_seconds"] > 0.0
-        assert stats["bytes"] > 0
+        assert stats["warm_runs"] == stats["flock_runs"] == 2
+        assert stats["sets_built"] == 0 and stats["bytes"] == 0
+        assert stats["templates_built"] == 1 and stats["dumps"] == 2
+        # The ledger's columns: build = the resident reference, decode
+        # = every thaw.
+        assert stats["build_seconds"] >= stats["advance_seconds"] > 0.0
+        assert stats["decode_seconds"] >= stats["fork_seconds"] > 0.0
 
 
 class TestWarmEqualsCold:
@@ -172,7 +184,7 @@ class TestWarmEqualsCold:
         sched = _crash("w", 60.0)
         runner.plan([sched, _crash("x", 80.0)])
         _findings, system = runner.traced_audit(sched, fail_fast=False)
-        assert runner.warm_runs == 1
+        assert runner.flock_runs == 1
 
         cold = build_audit_system(SMALL, sched)
         auditor = OnlineAuditor(cold, fail_fast=False)
@@ -227,20 +239,28 @@ class TestWarmEqualsCold:
             trace_digest(canonical_trace_lines(system))
 
     def test_worker_entry_consumes_prebuilt_store(self, timeline, tmp_path):
-        store = ImageStore(root=tmp_path)
-        runner = WarmRunner(SMALL, store=store, timeline=timeline)
-        sched = _crash("wk", 60.0)
-        runner.plan([sched])
-        runner.ensure_images(sched, force=True)
-        [result] = execute_shard(SMALL.to_dict(), [sched.to_dict()],
-                                 mode="warm", images_root=str(tmp_path))
-        assert result["error"] is None
-        assert result["violated"] == bool(audit_schedule(SMALL, sched))
-        # The worker's runner is consume-only and thaws what it finds.
+        shard = [_crash("wk", 60.0), _crash("wl", 70.0)]
+        counters = ensure_planned_sets(
+            SMALL, ImageStore(root=tmp_path), shard,
+            plan_shards(SMALL, shard), timeline)
+        assert counters["sets_exported"] == 1
+        dicts = [sched.to_dict() for sched in shard]
+        results = execute_shard(SMALL.to_dict(), dicts, mode="warm",
+                                images_root=str(tmp_path))
+        for sched, result in zip(shard, results):
+            assert result["error"] is None
+            assert result["violated"] == bool(audit_schedule(SMALL, sched))
+        # The worker's runner is consume-only: its template is thawed
+        # from what it finds, and it writes nothing back.
         worker = WarmRunner(SMALL, store=ImageStore(root=tmp_path),
                             build_missing=False)
-        assert worker.result(sched) == result
-        assert worker.warm_runs == 1 and worker.sets_built == 0
+        worker.plan(shard)
+        assert [worker.result(sched) for sched in shard] == results
+        stats = worker.stats()
+        assert stats["warm_runs"] == 2 and stats["sets_built"] == 0
+        assert stats["templates_built"] == 1
+        assert worker.decode_seconds > 0.0 and worker.build_seconds == 0.0
+        assert len(list((tmp_path / "blobs").iterdir())) == 1
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,16 @@ replay, in any order.  These tests hold the rule of
 table, and nothing two resumes can both write is shared between them.
 """
 
+import collections
 import dataclasses
+import gc
 import hashlib
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.global_state import view_from_checkpoint
 from repro.audit.auditor import OnlineAuditor
 from repro.audit.campaign import build_audit_system, start_fresh
 from repro.audit.config import AuditConfig
@@ -414,3 +417,102 @@ def test_resolved_values_stay_out_of_images_and_dumps():
     many, carrying = frozen(resolve=True)
     assert none == 0 and many > 10
     assert carrying == bare
+
+
+def _remembered_views(context: ForkContext):
+    return [vars(obj)["_view"] for obj in context._objects
+            if isinstance(obj, Checkpoint) and vars(obj).get("_view")]
+
+
+def test_remembered_views_stay_out_of_images_and_dumps():
+    """The ``test_resolved_values_stay_out_of_images_and_dumps``
+    pattern: the views a table's checkpoints remember change neither a
+    dump, nor a set's blob, nor ``flock.dump_bytes`` — and only a
+    checkpoint a table owns remembers one."""
+    config = CONFIGS["coordinated"]
+    probe = FaultSchedule(label="ref", system_seed=_seed(config),
+                          origin="test")
+
+    def frozen(remember: bool):
+        template = ForkTemplate.from_reference(config, probe)
+        assert template.advance_to(90.0, {30.0, 61.0})
+        owned = [obj for obj in template.context._objects
+                 if isinstance(obj, Checkpoint)]
+        # The reference's own auditor checked these lines before the
+        # table owned them: nothing was kept.
+        assert owned and not _remembered_views(template.context)
+        for checkpoint in owned if remember else ():
+            assert view_from_checkpoint(checkpoint) \
+                is view_from_checkpoint(checkpoint)
+        image = template.dump()
+        store = ImageStore()
+        store.put(PrefixKey("abc", probe.system_seed), [image])
+        assert template.dump_positions() == [30.0, 61.0, 90.0]
+        return len(_remembered_views(template.context)), (
+            len(image.dump), store.stats()["bytes"],
+            template.stats()["dump_bytes"])
+
+    none, bare = frozen(remember=False)
+    many, carrying = frozen(remember=True)
+    assert none == 0 and many > 10
+    assert carrying == bare
+
+    template = ForkTemplate.from_reference(config, probe)
+    template.advance_to(30.0)
+    checkpoint = next(obj for obj in template.context._objects
+                      if isinstance(obj, Checkpoint))
+    view = view_from_checkpoint(checkpoint)
+    assert vars(checkpoint)["_view"] is view
+    for copy in (pickle.loads(pickle.dumps(checkpoint)),
+                 dataclasses.replace(checkpoint)):
+        assert copy == checkpoint and "_view" not in vars(copy)
+        assert view_from_checkpoint(copy) is not view_from_checkpoint(copy)
+
+
+@pytest.mark.parametrize("start", ["cold", "thawed", "forked"])
+def test_release_hands_a_finished_run_back_by_reference_count(built, start):
+    """However a schedule started, ``release()`` leaves nothing for the
+    cycle collector — skeleton included — and clears only the run's
+    own: the table, and a cold run's checkpoints while it lasts, are
+    as they were."""
+    config = built.config
+    image = built.images[len(built.images) // 2]
+    at = image.captured_at + 3.0
+    sched = FaultSchedule(
+        label="rel", system_seed=built.seed, origin="test",
+        software=(SoftwareFaultSpec(activate_at=at),),
+        crashes=(CrashSpec(node_id="N2", crash_at=at + 6.0,
+                           repair_time=2.0),))
+    expected = _cold(config, sched)
+    template = ForkTemplate.from_image(image) if start == "forked" else None
+    gc.collect()
+    gc.disable()
+    try:
+        if start == "cold":
+            system, auditor = start_fresh(config, sched, fail_fast=False)
+        else:
+            system, auditor = (template.fork(fail_fast=False) if template
+                               else resume(image, fail_fast=False))
+            sched.arm(system)
+        outcome = _drain(system, auditor)
+        if start == "cold":
+            # No table owns a cold run's checkpoints: the auditor's
+            # views died with the check that built them.
+            assert not any(
+                "_view" in vars(checkpoint)
+                for node in system.nodes.values()
+                for chain in (node.volatile._latest.values(),
+                              *node.stable._chain.values())
+                for checkpoint in chain)
+        system.release()
+        del system, auditor
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        leaked = gc.collect()
+        kinds = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.enable()
+    assert leaked == 0, kinds.most_common(12)
+    assert outcome == expected
+    built.assert_table_untouched()

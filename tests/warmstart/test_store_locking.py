@@ -15,7 +15,7 @@ import pytest
 
 from repro.audit import AuditConfig
 from repro.audit.generator import generate_schedules
-from repro.warmstart import ImageStore, WarmRunner
+from repro.warmstart import ImageStore, capture_times, ensure_image_set
 from repro.warmstart.store import PrefixKey
 
 pytestmark = pytest.mark.skipif(
@@ -35,14 +35,14 @@ def _hold_lock_and_log(root, key, log_path, tag, hold):
             fh.flush()
 
 
-def _build_through_runner(root, barrier, queue):
+def _build_through_ensure(root, barrier, queue):
     config = AuditConfig(scheme="coordinated", seed=11, schedules=4,
                          horizon=200.0)
     schedule = generate_schedules(config)[0]
-    runner = WarmRunner(config, store=ImageStore(root=root))
+    store = ImageStore(root=root)
+    times = capture_times(config)
     barrier.wait()  # maximize the chance both processes miss together
-    runner.ensure_images(schedule, force=True)
-    queue.put(runner.sets_built)
+    queue.put(int(ensure_image_set(config, store, schedule, times)))
 
 
 class TestBuildLock:
@@ -76,7 +76,7 @@ class TestBuildLock:
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         queue = ctx.Queue()
-        procs = [ctx.Process(target=_build_through_runner,
+        procs = [ctx.Process(target=_build_through_ensure,
                              args=(str(tmp_path / "store"), barrier, queue))
                  for _ in range(2)]
         for proc in procs:
