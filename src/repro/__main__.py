@@ -229,7 +229,9 @@ def _cmd_audit(args) -> int:
 
     if args.mutation is not None:
         config = sensitivity_config(mutation=args.mutation,
-                                    scheme=args.scheme, seed=args.seed)
+                                    scheme=args.scheme, seed=args.seed,
+                                    topology=args.topology,
+                                    schedules=args.schedules)
         schedules = sensitivity_schedules(config)
     else:
         config = AuditConfig(scheme=args.scheme, seed=args.seed,

@@ -5,11 +5,11 @@ would restart from.  :class:`ProcessView` decodes a checkpoint (through
 the codec registry of :mod:`repro.snapshot`) into the underlying
 :class:`~repro.host.ProcessSnapshot` plus the metadata the invariant
 checkers need (epoch, dirty bit at snapshot time, ground-truth
-corruption, the per-section byte breakdown).  A one-off view replays
-the checkpoint's delta chains from their base; a caller that walks one
-process's checkpoints in order (the online auditor) passes that
-process's :class:`~repro.snapshot.ChainReader` and pays for each delta
-once.  Views are read-only either way.  Lines
+corruption).  A one-off view replays the checkpoint's delta chains
+from their base; a caller that walks one process's checkpoints in
+order (the online auditor) passes that process's
+:class:`~repro.snapshot.ChainReader` and pays for each delta once.
+Views are read-only either way.  Lines
 can be built from stable storage (the hardware recovery line), from
 volatile storage (the MDCD recovery anchors), or from the live process
 states (for end-of-run oracles).
@@ -39,10 +39,9 @@ class ProcessView:
     #: Stable-content case of the source checkpoint (``"current-state"``
     #: / ``"volatile-copy"``), ``None`` for volatile and live views.
     content: Optional[str] = None
+    #: The source checkpoint's annotations, by reference (read-only,
+    #: like everything a view holds); empty for live views.
     meta: Dict = dataclasses.field(default_factory=dict)
-    #: Accounted bytes per snapshot section of the source checkpoint
-    #: (empty for live views, which never encode).
-    section_bytes: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
     def dirty_bit(self) -> int:
@@ -84,8 +83,7 @@ def view_from_checkpoint(checkpoint: Checkpoint,
             kind=checkpoint.kind.value,
             content=(checkpoint.content.value
                      if checkpoint.content is not None else None),
-            meta=dict(checkpoint.meta),
-            section_bytes=checkpoint.section_sizes())
+            meta=checkpoint.meta)
         if "_view" in memo:
             memo["_view"] = view
     return view
@@ -109,21 +107,20 @@ def stable_line(system, epoch: Optional[int] = None,
     """The stable-storage line of a system.
 
     ``epoch=None`` picks, for each process, its latest completed stable
-    checkpoint; an explicit epoch picks that establishment (falling back
-    to the latest if the epoch is not retained).  ``readers`` holds one
-    chain reader per process for a caller that builds line after line
-    (see :func:`view_from_checkpoint`); missing processes are added.
+    checkpoint; an explicit epoch picks what hardware recovery restores
+    for that line (:meth:`~repro.sim.storage.StableStore.line_checkpoint`:
+    that establishment or, if no longer retained, the oldest that is —
+    a view with its own epoch).  ``readers`` holds one chain reader per
+    process for a caller that builds line after line (see
+    :func:`view_from_checkpoint`); missing processes are added.
     """
     line: Dict[ProcessId, ProcessView] = {}
     for proc in system.process_list():
         if proc.deposed:
             continue
         store = proc.node.stable
-        checkpoint = None
-        if epoch is not None:
-            checkpoint = store.at_epoch(proc.process_id, epoch)
-        if checkpoint is None:
-            checkpoint = store.peek(proc.process_id)
+        checkpoint = (store.peek(proc.process_id) if epoch is None
+                      else store.line_checkpoint(proc.process_id, epoch))
         if checkpoint is not None:
             reader = None
             if readers is not None:
@@ -135,8 +132,9 @@ def stable_line(system, epoch: Optional[int] = None,
 
 
 def common_stable_line(system) -> Dict[ProcessId, ProcessView]:
-    """The line hardware recovery would actually use: the minimum epoch
-    completed by every in-service process."""
+    """The line hardware recovery would actually restore right now: the
+    minimum epoch completed by every in-service process, each process's
+    checkpoint picked as in :func:`stable_line`."""
     epochs: List[int] = []
     for proc in system.process_list():
         if proc.deposed:

@@ -31,7 +31,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import InvariantViolation
-from ..journal import JournalRecord
 from ..messages.message import DEVICE
 from ..types import MessageKind, ProcessId
 from .global_state import ProcessView
@@ -85,17 +84,19 @@ def check_consistency(line: Dict[ProcessId, ProcessView],
     different (the paper's property is about recovery lines).
     """
     exempt = set(exempt_receivers)
+    # Hot in the online auditor: one pass over the journals' own dicts.
+    sent = {pid: view.snapshot.journal_sent for pid, view in line.items()}
     violations: List[Violation] = []
     for pid, view in line.items():
-        for rec in view.snapshot.journal_recv.records():
-            sender_view = line.get(rec.sender)
-            if sender_view is None:
+        if pid in exempt:
+            continue
+        for rec in view.snapshot.journal_recv._records.values():
+            journal = sent.get(rec.sender)
+            if journal is None:
                 continue  # sender outside the line (e.g. deposed)
-            if pid in exempt:
-                continue
-            sent_rec = sender_view.snapshot.journal_sent.get(rec.key)
+            sent_rec = journal._records.get(rec.key)
             if sent_rec is None:
-                if getattr(rec, "dsn", None) is not None:
+                if rec.dsn is not None:
                     # Replay-protected (generalized protocol): the
                     # sender's snapshot precedes the send, and its
                     # piecewise-deterministic re-execution regenerates
@@ -103,7 +104,7 @@ def check_consistency(line: Dict[ProcessId, ProcessView],
                     # which this receiver deduplicates — the "sent"
                     # side re-materializes during recovery.
                     continue
-                sender_horizon = sender_view.snapshot.journal_sent.pruned_before
+                sender_horizon = journal.pruned_before
                 if (rec.validated and sender_horizon > 0.0
                         and rec.time - PRUNE_SLACK < sender_horizon):
                     # The sender garbage-collected this old validated
@@ -166,20 +167,23 @@ def check_recoverability(line: Dict[ProcessId, ProcessView],
     guarded: Dict[ProcessId, Optional[int]] = dict(guarded_map or {})
     if guarded_active is not None:
         guarded[guarded_active] = shadow_vr
+    received = {pid: view.snapshot.journal_recv for pid, view in line.items()}
     violations: List[Violation] = []
     for pid, view in line.items():
-        unacked_keys = {m.dedup_key for m in view.snapshot.unacked}
-        for rec in view.snapshot.journal_sent.records():
+        unacked_keys: Optional[Set[int]] = None
+        for rec in view.snapshot.journal_sent._records.values():
             if rec.receiver == DEVICE:
                 continue  # external messages leave the system
-            receiver_view = line.get(rec.receiver)
-            if receiver_view is None:
+            journal = received.get(rec.receiver)
+            if journal is None:
                 continue  # receiver outside the line
-            if rec.key in receiver_view.snapshot.journal_recv:
+            if rec.key in journal._records:
                 continue  # reflected on both ends; consistency covers views
-            receiver_horizon = receiver_view.snapshot.journal_recv.pruned_before
+            receiver_horizon = journal.pruned_before
             if receiver_horizon > 0.0 and rec.time - PRUNE_SLACK < receiver_horizon:
                 continue  # receiver may have garbage-collected the record
+            if unacked_keys is None:  # most lines never get this far
+                unacked_keys = {m.dedup_key for m in view.snapshot.unacked}
             if rec.key in unacked_keys:
                 continue  # restorable: saved with the checkpoint, re-sent
             if rec.key in wire:

@@ -124,11 +124,6 @@ class ApplicationComponent:
     # ------------------------------------------------------------------
     # checkpointing support
     # ------------------------------------------------------------------
-    def snapshot(self) -> AppState:
-        """A copy of the state (the host pickles the whole process
-        snapshot; this copy keeps the live state unaliased)."""
-        return dataclasses.replace(self.state)
-
     def restore(self, state: AppState) -> None:
         """Replace the live state with a (restored) copy."""
         self.state = dataclasses.replace(state)

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 from ..analysis.global_state import ProcessView, live_line, stable_line
 from ..analysis.invariants import (
     Violation,
-    check_live_system,
     check_live_topology,
     check_system_line,
     check_topology_system_line,
@@ -237,12 +236,8 @@ class OnlineAuditor:
 
     def _check_live(self, now: float, hook: str) -> None:
         self.live_checks += 1
-        if self._topology is not None:
-            violations = check_live_topology(
-                self.system, include_ground_truth=self.include_ground_truth)
-        else:
-            violations = check_live_system(
-                self.system, include_ground_truth=self.include_ground_truth)
+        violations = check_live_topology(
+            self.system, include_ground_truth=self.include_ground_truth)
         if violations:
             self._report(AuditFinding(
                 time=now, hook=hook, epoch=None, violations=violations,

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim.rng import derive_seed
+from ..topology.model import parse_topology
 from .schedule import CrashSpec, FaultSchedule
 
 
@@ -45,8 +46,11 @@ def _skip_pseudo_dirty(system) -> None:
     MDCD, Appendix A step A2): contaminated state then reaches stable
     storage as a ``current-state`` checkpoint claiming validation —
     caught by the pseudo-conservatism oracle."""
-    engine = system.active.software
-    engine.set_pseudo_dirty = _PseudoDirtySuppressor(engine.set_pseudo_dirty)
+    for proc in system.process_list():
+        if proc.is_guarded_active:
+            engine = proc.software
+            engine.set_pseudo_dirty = _PseudoDirtySuppressor(
+                engine.set_pseudo_dirty)
 
 
 def _drop_unacked_save(system) -> None:
@@ -104,7 +108,9 @@ SENSITIVITY_SCHEDULES = 16
 
 
 def sensitivity_config(mutation: Optional[str] = None,
-                       scheme: str = "coordinated", seed: int = 7):
+                       scheme: str = "coordinated", seed: int = 7,
+                       topology: str = "paper",
+                       schedules: int = SENSITIVITY_SCHEDULES):
     """The campaign configuration under which every registered mutation
     is observably faulty.
 
@@ -117,12 +123,11 @@ def sensitivity_config(mutation: Optional[str] = None,
     many establishment epochs.
     """
     from .config import AuditConfig
-    return AuditConfig(scheme=scheme, seed=seed,
-                       schedules=SENSITIVITY_SCHEDULES,
+    return AuditConfig(scheme=scheme, seed=seed, schedules=schedules,
                        horizon=400.0, tb_interval=10.0,
                        w1_internal=0.3, w1_external=0.2,
                        w2_internal=0.3, w2_external=0.2,
-                       mutation=mutation)
+                       topology=topology, mutation=mutation)
 
 
 def sensitivity_schedules(config) -> List[FaultSchedule]:
@@ -131,12 +136,14 @@ def sensitivity_schedules(config) -> List[FaultSchedule]:
     Every schedule maximizes the clock deviation (``clock_delta=0.5``,
     the widest skew the model admits — the regime where the blocking
     period and the saved unacked sets actually protect something); even
-    indices add a crash of the peer's node, staggered across the run so
-    recovery lines form at many different epochs.
+    indices add a crash of the membership's last node (a peer's: ``N2``
+    in the paper's system), staggered across the run so recovery lines
+    form at many different epochs.
     """
+    node = parse_topology(config.topology).node_ids()[-1]
     out: List[FaultSchedule] = []
     for i in range(config.schedules):
-        crashes = ((CrashSpec(node_id="N2", crash_at=120.0 + 31.0 * (i % 6),
+        crashes = ((CrashSpec(node_id=node, crash_at=120.0 + 31.0 * (i % 6),
                               repair_time=2.0),)
                    if i % 2 == 0 else ())
         out.append(FaultSchedule(

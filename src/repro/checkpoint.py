@@ -139,7 +139,3 @@ class Checkpoint:
         """Codec id of the payload (sections share one codec per
         capture)."""
         return self.payload.sections[0].codec_id
-
-    def section_sizes(self) -> Dict[str, int]:
-        """Accounted bytes per snapshot section."""
-        return self.payload.section_sizes()

@@ -515,18 +515,19 @@ class FtProcess(SimProcess):
     # checkpoint capture / restore
     # ------------------------------------------------------------------
     def make_snapshot(self) -> ProcessSnapshot:
-        """Assemble the checkpointable state (not yet pickled)."""
+        """The checkpointable state by reference, nothing copied: the
+        codec's isolation freezes a capture, a live view reads at once."""
         return ProcessSnapshot(
-            app_state=self.component.snapshot(),
-            mdcd=self.mdcd.copy(),
+            app_state=self.component.state,
+            mdcd=self.mdcd,
             sn_value=self.sn.current,
-            dedup_seen=self.dedup.snapshot(),
+            dedup_seen=self.dedup.seen,
             unacked=self.acks.unacknowledged(),
             journal_sent=self.journal_sent,
             journal_recv=self.journal_recv,
             msg_log=self.msg_log,
             cursor=self.driver.cursor,
-            dsn_counters=dict(self._dsn_counters),
+            dsn_counters=self._dsn_counters,
         )
 
     def capture_checkpoint(self, kind: CheckpointKind,
@@ -597,7 +598,7 @@ class FtProcess(SimProcess):
         self.journal_sent = snapshot.journal_sent
         self.journal_recv = snapshot.journal_recv
         self.msg_log = snapshot.msg_log
-        self._dsn_counters = dict(getattr(snapshot, "dsn_counters", {}) or {})
+        self._dsn_counters = dict(snapshot.dsn_counters)
         self._buffer = []
         self._deferred_actions = []
         self._pending_notifications = []

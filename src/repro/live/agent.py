@@ -341,13 +341,11 @@ class LiveAgent:
         line = int(command["line"])
         process = self.process
         self.incarnation.value = int(command["incarnation"])
-        checkpoint = self.stable.at_epoch(self.process_id, line)
+        checkpoint = self.stable.line_checkpoint(self.process_id, line)
         if checkpoint is None:
-            history = self.stable.history(self.process_id)
-            if not history:
-                raise RuntimeError(f"{self.process_id} has no stable checkpoints")
+            raise RuntimeError(f"{self.process_id} has no stable checkpoints")
+        if checkpoint.epoch != line:
             process.counters.bump("recovery.line_fallback")
-            checkpoint = history[0]
         stale = self.stable.discard_after_epoch(self.process_id, line)
         if stale:
             process.counters.bump("recovery.stale_epochs_discarded", stale)

@@ -84,13 +84,3 @@ class MdcdState:
     def __post_init__(self) -> None:
         if self.dirty_sources is None:
             self.dirty_sources = set()
-
-    def copy(self) -> "MdcdState":
-        """An independent copy (checkpoints pickle the whole snapshot,
-        but in-process consumers occasionally need one too)."""
-        return dataclasses.replace(
-            self, dirty_sources=set(self.dirty_sources),
-            taint_map=dict(self.taint_map) if self.taint_map is not None else None,
-            vr_map=dict(self.vr_map) if self.vr_map is not None else None,
-            msg_sn_map=(dict(self.msg_sn_map)
-                        if self.msg_sn_map is not None else None))

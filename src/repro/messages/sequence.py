@@ -97,9 +97,11 @@ class ReceiveDeduplicator:
         """Mark the logical message as processed."""
         self._seen.add(message.dedup_key)
 
-    def snapshot(self) -> Set[int]:
-        """Copy of the seen-set, for inclusion in checkpoints."""
-        return set(self._seen)
+    @property
+    def seen(self) -> Set[int]:
+        """The live seen-set, by reference (a capture's codec freezes
+        it; :meth:`restore` takes its own copy)."""
+        return self._seen
 
     def restore(self, seen: Set[int]) -> None:
         """Restore the seen-set from a checkpoint."""

@@ -136,6 +136,8 @@ class StablePort(Protocol):
 
     def at_epoch(self, process_id: Any, epoch: int) -> Optional[Any]: ...
 
+    def line_checkpoint(self, process_id: Any, epoch: int) -> Optional[Any]: ...
+
     def discard_after_epoch(self, process_id: Any, epoch: Optional[int]) -> int: ...
 
     def epochs(self, process_id: Any) -> List[int]: ...

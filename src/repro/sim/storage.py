@@ -41,13 +41,13 @@ class _AccountingMixin:
 
     def _account(self, checkpoint: Checkpoint) -> None:
         self.saves += 1
-        self.bytes_written += checkpoint.size_bytes
+        total = checkpoint.size_bytes
+        self.bytes_written += total
         kind = checkpoint.kind.value
-        self.bytes_by_kind[kind] = (
-            self.bytes_by_kind.get(kind, 0) + checkpoint.size_bytes)
-        for section, nbytes in checkpoint.section_sizes().items():
-            self.bytes_by_section[section] = (
-                self.bytes_by_section.get(section, 0) + nbytes)
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + total
+        for part in checkpoint.payload.sections:
+            self.bytes_by_section[part.section] = (
+                self.bytes_by_section.get(part.section, 0) + part.nbytes)
 
 
 class VolatileStore(_AccountingMixin):
@@ -147,6 +147,16 @@ class StableStore(_AccountingMixin):
             if ckpt.epoch == epoch:
                 return ckpt
         return None
+
+    def line_checkpoint(self, process_id: ProcessId,
+                        epoch: int) -> Optional[Checkpoint]:
+        """What a recovery line at ``epoch`` holds for ``process_id`` —
+        restored by hardware recovery, checked by the auditor: that
+        epoch's checkpoint or, once pathological divergence pushed it
+        out of the history, the *oldest* retained (most conservative)."""
+        chain = self._chain.get(process_id)
+        oldest = chain[0] if chain else None
+        return self.at_epoch(process_id, epoch) or oldest
 
     def discard_after_epoch(self, process_id: ProcessId, epoch: int) -> int:
         """Drop retained checkpoints with an epoch *beyond* ``epoch``.

@@ -65,11 +65,9 @@ def _pack_record(rec: JournalRecord) -> Tuple:
 def _unpack_record(data: Tuple) -> JournalRecord:
     (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
      time, taint_sn, dsn) = data[:11]
-    return JournalRecord(key=key, kind=MessageKind(kind), sender=sender,
-                         receiver=receiver, sn=sn, sent_dirty=sent_dirty,
-                         validated=validated, corrupt=corrupt, time=time,
-                         taint_sn=taint_sn, dsn=dsn,
-                         taint_map=data[11] if len(data) > 11 else None)
+    return JournalRecord(key, MessageKind(kind), sender, receiver, sn,
+                         sent_dirty, validated, corrupt, time, taint_sn,
+                         data[11] if len(data) > 11 else None, dsn)
 
 
 # ----------------------------------------------------------------------

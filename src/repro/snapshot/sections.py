@@ -40,7 +40,7 @@ process goes on to mutate what it gets — hands out private containers
 over the resolved value's frozen records.  :class:`ChainReader` is the
 encoder's read-side twin for a consumer that reads one process's
 payloads in capture order and only inspects them (the online auditor):
-it keeps a cursor per delta section and decodes just the links past it.
+it keeps a cursor per section and decodes just what moved past it.
 """
 
 from __future__ import annotations
@@ -125,11 +125,6 @@ class SnapshotPayload:
         sectioned process snapshot."""
         return (len(self.sections) == 1
                 and self.sections[0].section == OPAQUE_SECTION)
-
-    def section_sizes(self) -> Dict[str, int]:
-        """Accounted bytes per section (insertion order =
-        ``SECTION_ORDER``)."""
-        return {p.section: p.nbytes for p in self.sections}
 
     def replace_section(self, section: str, value: Any,
                         codec: Union[str, Codec, None] = None
@@ -291,16 +286,21 @@ def _apply_section_delta(section: str, base_value: Dict[str, Any],
     return out
 
 
-def _assemble(payload: SnapshotPayload, delta_section) -> Any:
-    """A sectioned payload's section dicts merged into a fresh
-    ``ProcessSnapshot``, delta sections through ``delta_section``."""
+def _assemble(payload: SnapshotPayload, read_section) -> Any:
+    """A sectioned payload's section dicts (``read_section`` of each)
+    merged into a fresh ``ProcessSnapshot``."""
     from ..host import ProcessSnapshot  # deferred: host imports this package
     fields: Dict[str, Any] = {}
     for section in payload.sections:
-        fields.update(delta_section(section)
-                      if section.section in DELTA_SECTIONS
-                      else _decode(section))
+        fields.update(read_section(section))
     return ProcessSnapshot(**fields)
+
+
+def _owned_section(payload: SectionPayload) -> Dict[str, Any]:
+    """One section's fields, the caller's to mutate."""
+    if payload.section in DELTA_SECTIONS:
+        return _private(_resolved(payload))
+    return _decode(payload)
 
 
 def decode_payload(payload: SnapshotPayload) -> Any:
@@ -310,24 +310,30 @@ def decode_payload(payload: SnapshotPayload) -> Any:
     them, whether or not the payload was decoded before."""
     if payload.opaque:
         return _decode(payload.sections[0])
-    return _assemble(payload, lambda section: _private(_resolved(section)))
+    return _assemble(payload, _owned_section)
 
 
 class ChainReader:
     """Incremental decoding of one process's payloads, for readers that
     never mutate what they read.
 
-    Per delta section the reader keeps a *cursor*: the last
-    :class:`SectionPayload` it resolved and the value it resolved to.
-    A payload whose ``base`` links lead back to the cursor (at most
-    ``max_chain`` identity checks) is a descendant: only the links past
-    the cursor are decoded, and each is applied *persistently* — a new
-    journal / log container sharing the unchanged records — so a value
-    handed out earlier never changes.  Anything else (an older epoch, a
-    fresh full section after a restore reset the encoder) is the
-    payload's own resolved value (:func:`_resolved`), taken as it is,
-    and becomes the new cursor — the one value that moves: links it
-    advances over are not remembered on their payloads.
+    Per section the reader keeps a *cursor*: the last
+    :class:`SectionPayload` it read and the value it read as.  A delta
+    section (``journals`` / ``msg_log``) whose ``base`` links lead back
+    to the cursor (at most ``max_chain`` identity checks) is a
+    descendant: only the links past the cursor are decoded, and each is
+    applied *persistently* — a new journal / log container sharing the
+    unchanged records — so a value handed out earlier never changes.
+    Anything else (an older epoch, a fresh full section after a restore
+    reset the encoder) is the payload's own resolved value
+    (:func:`_resolved`), taken as it is, and becomes the new cursor —
+    the one value that moves: links it advances over are not remembered
+    on their payloads.  A full section (``app`` / ``mdcd`` /
+    ``counters``) with the cursor's codec id and encoded data is the
+    cursor's value again, and a whole payload that *is* the one last
+    read — the adapted TB protocol copies a dirty process's volatile
+    checkpoint to disk epoch after epoch, one frozen payload under many
+    checkpoint records — is the snapshot it read as: decoded once.
 
     Values of successive reads share structure with each other, with
     the cursor and with resolved payloads; they are read-only by
@@ -338,7 +344,8 @@ class ChainReader:
     """
 
     def __init__(self) -> None:
-        self._cursor: Dict[str, Tuple[SectionPayload, Dict[str, Any]]] = {}
+        #: What was last read, and as what, per section (``None``: whole).
+        self._cursor: Dict[Optional[str], Tuple[Any, Any]] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"_cursor": {}}
@@ -348,7 +355,11 @@ class ChainReader:
         payload)``, but not private to the caller."""
         if payload.opaque:
             return decode_payload(payload)
-        return _assemble(payload, self._read_section)
+        last, snapshot = self._cursor.get(None, (None, None))
+        if payload is not last:
+            snapshot = _assemble(payload, self._read_section)
+            self._cursor[None] = (payload, snapshot)
+        return snapshot
 
     def _read_section(self, payload: SectionPayload) -> Dict[str, Any]:
         at, value = self._cursor.get(payload.section, (None, None))
@@ -361,8 +372,11 @@ class ChainReader:
             for link in reversed(links):
                 value = _apply_section_delta(link.section, value,
                                              _decode(link))
-        else:
+        elif payload.section in DELTA_SECTIONS:
             value = _resolved(payload)[0]
+        elif (at is None or at.codec_id != payload.codec_id
+              or at.data != payload.data):
+            value = _decode(payload)
         self._cursor[payload.section] = (payload, value)
         return value
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from ..checkpoint import Checkpoint
 from ..errors import RecoveryError
 from ..runtime import Node, TraceRecorder
 from ..types import ProcessId
@@ -86,7 +85,10 @@ class HardwareRecoveryCoordinator:
         self.incarnation.bump()
         restored: List = []
         for proc in active:
-            checkpoint = self._line_checkpoint(proc, line)
+            # _recovery_line found a checkpoint for every one of them.
+            checkpoint = proc.node.stable.line_checkpoint(proc.process_id, line)
+            if checkpoint.epoch != line:
+                proc.counters.bump("recovery.line_fallback")
             # Checkpoints beyond the line belong to the timeline this
             # rollback abandons; drop them so no later recovery (or
             # audit) can mix them with post-rollback establishments.
@@ -143,20 +145,6 @@ class HardwareRecoveryCoordinator:
                     f"{proc.process_id} has no stable checkpoint (no genesis?)")
             epochs.append(latest.epoch)
         return min(epochs)
-
-    def _line_checkpoint(self, proc, line: int) -> Checkpoint:
-        checkpoint = proc.node.stable.at_epoch(proc.process_id, line)
-        if checkpoint is None:
-            # The line epoch fell out of this process's retained history
-            # (possible only after pathological epoch divergence); fall
-            # back to its oldest retained checkpoint, which is the most
-            # conservative state available.
-            history = proc.node.stable.history(proc.process_id)
-            if not history:
-                raise RecoveryError(f"{proc.process_id} has no stable checkpoints")
-            proc.counters.bump("recovery.line_fallback")
-            checkpoint = history[0]
-        return checkpoint
 
     def _find(self, process_id: ProcessId):
         for proc in self.processes:

@@ -66,10 +66,14 @@ class TestLines:
         line = stable_line(system, epoch=3)
         assert all(v.epoch == 3 for v in line.values())
 
-    def test_stable_line_missing_epoch_falls_back_to_latest(self):
+    def test_stable_line_missing_epoch_falls_back_to_oldest_retained(self):
         system = run_system()
         line = stable_line(system, epoch=10_000)
         assert len(line) == 3
+        for proc in system.process_list():
+            history = proc.node.stable.history(proc.process_id)
+            assert len(history) > 1
+            assert line[proc.process_id].epoch == history[0].epoch
 
     def test_common_stable_line_uses_min_epoch(self):
         system = run_system()

@@ -59,6 +59,20 @@ class TestSensitivity:
             f"mutation {mutation!r} survived the sensitivity campaign"
         assert not report.errors
 
+    @pytest.mark.parametrize("mutation", ["skip-pseudo-dirty",
+                                          "drop-unacked-save",
+                                          "skip-blocking"])
+    def test_mutation_is_flagged_on_a_topology(self, mutation):
+        """The same planted bugs on the 9-process ``2x2+3`` membership
+        (every guarded active mutated, the crash on its last peer's
+        node): the N-component checkers must flag them too."""
+        config = sensitivity_config(mutation=mutation, topology="2x2+3",
+                                    schedules=6)
+        schedules = sensitivity_schedules(config)
+        assert {c.node_id for s in schedules for c in s.crashes} == {"NP3"}
+        report = run_audit(config, schedules=schedules)
+        assert report.violations and not report.errors
+
     def test_skip_pseudo_dirty_breaks_conservatism(self):
         report = run_sensitivity("skip-pseudo-dirty")
         kinds = {v["kind"]

@@ -11,19 +11,3 @@ class TestDefaults:
         assert state.vr is None
         assert state.msg_sn_p1act == 0
         assert state.guarded
-
-
-class TestCopy:
-    def test_copy_is_independent(self):
-        state = MdcdState(dirty_bit=1, vr=5)
-        copy = state.copy()
-        copy.dirty_bit = 0
-        copy.vr = 9
-        assert state.dirty_bit == 1
-        assert state.vr == 5
-
-    def test_copy_preserves_fields(self):
-        state = MdcdState(dirty_bit=1, pseudo_dirty_bit=1, vr=3,
-                          msg_sn_p1act=7, guarded=False)
-        copy = state.copy()
-        assert copy == state

@@ -7,7 +7,9 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.global_state import view_from_checkpoint
 from repro.app.component import AppState
+from repro.checkpoint import Checkpoint
 from repro.host import ProcessSnapshot
 from repro.journal import Journal
 from repro.mdcd.state import MdcdState
@@ -20,7 +22,7 @@ from repro.snapshot import (
     encode_full,
 )
 from repro.snapshot.sections import SnapshotEncoder
-from repro.types import MessageKind, ProcessId
+from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
 
 
 def make_msg(sn, t=0.0, taint_sn=None, taint_map=None, dsn=None):
@@ -99,30 +101,44 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("reclaim"), st.integers(0, 80)),
     st.tuples(st.just("readd"), st.integers(0, 80)),
     st.just(("clear",)),                    # sn restart -> full fallback
+    st.tuples(st.just("step"), st.integers(0, 9)),     # app section moves
+    st.tuples(st.just("taint"), st.integers(0, 9)),    # mdcd section moves
+    st.tuples(st.just("ack"), st.integers(0, 9)),      # counters section moves
     st.tuples(st.just("capture"), st.sampled_from(
         ("pickle", "zpickle", "null"))),
+    st.just(("copy",)),                     # volatile copy: payload reused
     st.just(("recover",)),                  # restore + encoder reset
 ), max_size=30)
 
 
-def drive_captures(ops, max_chain):
-    """Drive random journal/log mutations — including the pruning
-    ``compact_journals`` performs and recovery restores (decode the last
-    capture, ``encoder.reset()``) — through one encoder, capturing along
-    the way with whichever codec each capture names (the volatile and
-    stable stores of one process interleave theirs).  Returns
-    ``[(payload, deep copy of the state it froze)]`` in capture order.
+def drive_checkpoints(ops, max_chain):
+    """Drive random state mutations — journal / log traffic including
+    the pruning ``compact_journals`` performs, application steps, MDCD
+    knowledge updates, acknowledgements, and recovery restores (decode
+    the last capture, ``encoder.reset()``) — through one encoder,
+    capturing along the way with whichever codec each capture names
+    (the volatile and stable stores of one process interleave theirs).
+    Captures with nothing in between leave the ``app`` / ``mdcd`` /
+    ``counters`` sections byte-identical; a ``copy`` puts the previous
+    capture's payload under a new checkpoint record, as the adapted TB
+    protocol does with a dirty process's volatile checkpoint
+    (``Checkpoint.rewritten``: other epoch, content and meta).  Returns
+    ``[(checkpoint, deep copy of the state it froze)]`` in capture
+    order.
     """
     encoder = SnapshotEncoder(max_chain=max_chain)
     journal = Journal()
     log = MessageLog()
+    app = AppState()
+    mdcd = MdcdState()
+    unacked = []
     next_key = [1]
     log_sn = [1]
 
     def snapshot():
         return ProcessSnapshot(
-            app_state=AppState(), mdcd=MdcdState(), sn_value=next_key[0],
-            dedup_seen=set(), unacked=[], journal_sent=journal,
+            app_state=app, mdcd=mdcd, sn_value=next_key[0],
+            dedup_seen=set(), unacked=unacked, journal_sent=journal,
             journal_recv=Journal(), msg_log=log, cursor=0)
 
     captured = []
@@ -131,6 +147,7 @@ def drive_captures(ops, max_chain):
             msg = make_msg(next_key[0], float(next_key[0]), *op[1])
             journal.add(msg, validated=False, time=float(next_key[0]))
             log.append(log_sn[0], msg)
+            unacked.append(msg)
             next_key[0] += 1
             log_sn[0] += 1
         elif op[0] == "validate":
@@ -149,20 +166,52 @@ def drive_captures(ops, max_chain):
         elif op[0] == "clear":
             log.clear()
             log_sn[0] = 1   # restart: the delta language gives up
+        elif op[0] == "step":
+            app.apply_step(op[1])
+        elif op[0] == "taint":
+            mdcd.dirty_bit = op[1] % 2
+            mdcd.dirty_sources.add(op[1])
+        elif op[0] == "ack":
+            del unacked[:op[1]]
         elif op[0] == "capture":
+            # Captured by reference, as FtProcess.make_snapshot does:
+            # the codec is what freezes the state.
             payload = encoder.encode_snapshot(snapshot(), op[1])
-            captured.append((payload, copy.deepcopy(snapshot())))
+            captured.append((
+                Checkpoint(process_id=ProcessId("A"),
+                           kind=CheckpointKind.TYPE_1,
+                           taken_at=float(len(captured)), work_done=0.0,
+                           payload=payload, meta={"n": len(captured)}),
+                copy.deepcopy(snapshot())))
+        elif op[0] == "copy":
+            if not captured:
+                continue
+            source, expected = captured[-1]
+            captured.append((source.rewritten(
+                kind=CheckpointKind.STABLE, epoch=len(captured),
+                content=StableContent.VOLATILE_COPY,
+                meta={**source.meta, "copied_from": source.kind.value,
+                      "copy": len(captured)}),
+                expected))
         elif op[0] == "recover":
             if not captured:
                 continue
-            restored = decode_payload(captured[-1][0])
+            restored = decode_payload(captured[-1][0].payload)
             journal = restored.journal_sent
             log = restored.msg_log
+            app, mdcd, unacked = (restored.app_state, restored.mdcd,
+                                  restored.unacked)
             # The real system restores its sn counter from the
             # snapshot too — resync past the restored log's tail.
             log_sn[0] = (log._entries[-1].sn + 1) if log._entries else 1
             encoder.reset()
     return captured
+
+
+def drive_captures(ops, max_chain):
+    """:func:`drive_checkpoints` as ``[(payload, expected state)]``."""
+    return [(checkpoint.payload, expected)
+            for checkpoint, expected in drive_checkpoints(ops, max_chain)]
 
 
 class TestIncrementalCapture:
@@ -242,9 +291,66 @@ class TestChainReader:
             reader.read(payload)
         assert len(pickle.dumps(reader)) == len(pickle.dumps(ChainReader()))
         thawed = pickle.loads(pickle.dumps(reader))
-        assert thawed._cursor == {}
+        assert thawed._cursor == {}  # section cursors and payload memo
         for payload, expected in captured[max(cut - 1, 0):]:
             assert thawed.read(payload) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ops, st.integers(1, 16))
+    def test_a_shared_payload_is_one_snapshot_under_each_record(
+            self, ops, max_chain):
+        """Checkpoints that carry one payload (``Checkpoint.rewritten``)
+        read as the same snapshot; epoch, kind, content and meta still
+        come from each record."""
+        reader = ChainReader()
+        previous = None
+        shared = 0
+        for checkpoint, expected in drive_checkpoints(
+                ops + [("capture", "pickle"), ("copy",)], max_chain):
+            view = view_from_checkpoint(checkpoint, reader)
+            assert view.snapshot == expected
+            assert (view.epoch, view.kind, view.meta) == (
+                checkpoint.epoch, checkpoint.kind.value, checkpoint.meta)
+            assert view.content == (checkpoint.content.value
+                                    if checkpoint.content else None)
+            if previous and previous[0].payload is checkpoint.payload:
+                shared += 1
+                assert view.snapshot is previous[1].snapshot
+                assert view.epoch != previous[1].epoch
+                assert view.meta != previous[1].meta
+            previous = (checkpoint, view)
+        assert shared >= 1
+
+    def test_unchanged_full_sections_are_decoded_once(self):
+        captured = drive_captures(
+            [("step", 1), ("capture", "zpickle"), ("capture", "pickle"),
+             ("capture", "pickle"), ("step", 2)], max_chain=4)
+        reader = ChainReader()
+        first, other_codec, same, moved = [reader.read(payload)
+                                           for payload, _ in captured]
+        # Another codec's bytes say nothing: decoded.
+        assert other_codec.app_state is not first.app_state
+        for name in ("app_state", "mdcd", "dedup_seen", "unacked"):
+            assert getattr(same, name) is getattr(other_codec, name), name
+        assert moved.app_state is not same.app_state
+        assert moved.mdcd is same.mdcd and moved.unacked is same.unacked
+        assert [value for value in (first, other_codec, same, moved)] == [
+            expected for _, expected in captured]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ops, st.integers(1, 16))
+    def test_scribbling_on_a_private_decode_changes_no_memoised_view(
+            self, ops, max_chain):
+        reader = ChainReader()
+        views = []
+        for payload, expected in drive_captures(ops, max_chain):
+            view = reader.read(payload)
+            assert reader.read(payload) is view  # the remembered one
+            scribble(decode_payload(payload))
+            views.append((view, expected))
+            assert reader.read(payload) is view
+            for seen, frozen in views:
+                assert seen == frozen
 
 
 def full_replay(payload):
@@ -255,9 +361,17 @@ def full_replay(payload):
 
 
 def scribble(snapshot):
-    """Everything a restored process goes on to do to its journals and
-    log: validate, prune, discard, append, reclaim."""
+    """Everything a restored process goes on to do to what it got:
+    compute, change its MDCD knowledge and its bookkeeping, and
+    validate, prune, discard, append to and reclaim its journals and
+    log."""
     journal, log = snapshot.journal_sent, snapshot.msg_log
+    snapshot.app_state.apply_step(7)
+    snapshot.mdcd.dirty_bit ^= 1
+    snapshot.mdcd.dirty_sources.add("scribble")
+    snapshot.dedup_seen.add(-1)
+    snapshot.unacked.append(make_msg(999))
+    snapshot.dsn_counters["scribble"] = 1
     journal.mark_validated(ProcessId("A"))
     journal.prune_validated_before(40.0)
     journal.discard(journal.keys()[::2])

@@ -1,5 +1,7 @@
 """Unit tests for the fault-tolerant process host."""
 
+import copy
+
 import pytest
 
 from repro.app.component import ApplicationComponent, Payload
@@ -8,6 +10,7 @@ from repro.app.workload import Action, ActionKind, WorkloadConfig, WorkloadDrive
     generate_actions
 from repro.host import FtProcess, IncarnationCounter
 from repro.messages.message import Message
+from repro.snapshot import available_codecs, get_codec
 from repro.types import CheckpointKind, MessageKind, ProcessId
 
 
@@ -188,6 +191,83 @@ class TestProgressAndCheckpoints:
         a.mdcd.dirty_bit = 1
         checkpoint = a.capture_checkpoint(CheckpointKind.TYPE_1)
         assert checkpoint.meta["dirty_bit"] == 1
+
+
+class TestCaptureIsolation:
+    """``make_snapshot`` hands the codec references to the live state;
+    the codec's isolation is all that freezes a checkpoint."""
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_checkpoint_survives_every_later_mutation(self, sim, plain_pair,
+                                                      codec):
+        a, b = plain_pair
+        a.node.volatile.codec = get_codec(codec)
+        a.replay_dedup = b.replay_dedup = True
+        for sn in (1, 2):
+            a.send_internal(Payload(sn), [b.process_id], sn=sn, dirty_bit=1,
+                            validated=False, taint_map={"C1_act": sn})
+            b.send_internal(Payload(10 + sn), [a.process_id], sn=sn,
+                            dirty_bit=0, validated=True)
+        sim.run()
+        held = a.send_internal(Payload(3), [b.process_id], sn=3, dirty_bit=1,
+                               validated=False)  # stays unacknowledged
+        a.perform_action(step_action())
+        a.mdcd.dirty_bit = 1
+        a.mdcd.dirty_sources.add("B")
+        a.mdcd.taint_map, a.mdcd.vr_map = {"C1_act": 2}, {"C1_act": 1}
+        a.mdcd.msg_sn_map = {"C1_act": 2}
+        a.msg_log.append(1, held[0])
+        frozen = copy.deepcopy(a.make_snapshot())
+        assert (frozen.dedup_seen and frozen.unacked and frozen.dsn_counters
+                and len(frozen.journal_sent) and len(frozen.journal_recv))
+
+        checkpoint = a.capture_checkpoint(CheckpointKind.TYPE_1)
+
+        # Everything make_snapshot referenced moves on.
+        a.perform_action(step_action())
+        a.component.state.corrupt = True
+        a.mdcd.dirty_bit = 0
+        a.mdcd.dirty_sources.add("C")
+        for live in (a.mdcd.taint_map, a.mdcd.vr_map, a.mdcd.msg_sn_map):
+            live["C1_act"] += 5
+            live["C2_act"] = 1
+        a.send_internal(Payload(4), [b.process_id], sn=4, dirty_bit=0,
+                        validated=True)  # journal, acks, dsn counters
+        b.send_internal(Payload(14), [a.process_id], sn=4, dirty_bit=0,
+                        validated=True)
+        sim.run()                        # dedup set, receive journal, acks
+        a.journal_sent.mark_validated(a.process_id)
+        a.journal_recv.discard(a.journal_recv.keys()[:1])
+        a.msg_log.append(2, held[0])
+        assert a.make_snapshot() != frozen
+
+        restored = checkpoint.restore_state()
+        assert restored == frozen
+        restored.app_state.corrupt = True
+        restored.dedup_seen.clear()
+        restored.mdcd.dirty_sources.clear()
+        assert checkpoint.restore_state() == frozen
+
+    #: Accounted checkpoint bytes of one pinned paper schedule
+    #: (coordinated, campaign seed 7, ``random:14``) as the copying
+    #: ``make_snapshot`` of PR 19 wrote them: (stable, volatile).
+    PINNED_BYTES = {"pickle": (45837, 1829), "null": (44628, 1829)}
+
+    @pytest.mark.parametrize("codec", sorted(PINNED_BYTES))
+    def test_capture_by_reference_writes_the_same_bytes(self, codec):
+        from repro.audit import AuditConfig, build_audit_system
+        from repro.audit.generator import generate_schedules
+        config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
+        schedule = next(s for s in generate_schedules(config)
+                        if s.label == "random:14")
+        system = build_audit_system(config, schedule)
+        for node in system.nodes.values():
+            node.stable.codec = node.volatile.codec = get_codec(codec)
+        system.run()
+        nodes = system.nodes.values()
+        assert (sum(node.stable.bytes_written for node in nodes),
+                sum(node.volatile.bytes_written for node in nodes)
+                ) == self.PINNED_BYTES[codec]
 
 
 class TestCompaction:
