@@ -2,9 +2,10 @@
 
 The paper positions MDCD as "a general-purpose low-cost software fault
 tolerance technique for distributed systems" whose architectural
-restrictions its follow-up work removes.  This bench sweeps the
-generalized system over the peer count ``K`` and measures that the
-coordination's guarantees and costs survive the scale-up: every audited
+restrictions its follow-up work removes.  This bench sweeps one guarded
+component over the peer count ``K`` (``1x1+K`` memberships; ``K = 1``
+is the paper shape) and measures that the coordination's guarantees and
+costs survive the scale-up: every audited
 stable line stays valid, hardware rollback distance stays set by the
 checkpoint interval + contamination span (not by ``K``), and blocking
 overhead stays negligible.
@@ -16,7 +17,7 @@ from repro.analysis import check_system_line
 from repro.analysis.global_state import stable_line
 from repro.app.faults import HardwareFaultPlan
 from repro.app.workload import WorkloadConfig
-from repro.general import GeneralSystemConfig, build_general_system
+from repro.coordination.scheme import SystemConfig, build_system
 from repro.experiments.reporting import format_table
 from repro.parallel.pool import default_worker_count, parallel_map
 from repro.sim.monitor import RunningStat
@@ -24,19 +25,21 @@ from repro.tb.blocking import TbConfig
 
 
 def run_scale_point(n_peers: int, horizon: float = 4000.0, seed: int = 17):
-    config = GeneralSystemConfig(
-        n_peers=n_peers, seed=seed, horizon=horizon,
+    config = SystemConfig(
+        topology="paper" if n_peers == 1 else f"1x1+{n_peers}",
+        seed=seed, horizon=horizon,
         tb=TbConfig(interval=30.0),
         workload1=WorkloadConfig(internal_rate=0.05, external_rate=0.01,
                                  step_rate=0.02, horizon=horizon),
-        workload_peer=WorkloadConfig(internal_rate=0.04, external_rate=0.01,
-                                     step_rate=0.02, horizon=horizon),
+        workload2=WorkloadConfig(internal_rate=0.04, external_rate=0.01,
+                                 step_rate=0.02, horizon=horizon),
         stable_history=300)
-    system = build_general_system(config)
+    system = build_system(config)
+    peers = system.topology.peers()
     for k, at in enumerate((1200.0, 2400.0, 3600.0)):
-        node = f"N{(k % n_peers) + 2}"
-        system.inject_crash(HardwareFaultPlan(node_id=node, crash_at=at,
-                                              repair_time=1.0))
+        system.inject_crash(HardwareFaultPlan(
+            node_id=peers[k % n_peers].node_id, crash_at=at,
+            repair_time=1.0))
     system.run()
 
     distances = RunningStat()
@@ -55,7 +58,7 @@ def run_scale_point(n_peers: int, horizon: float = 4000.0, seed: int = 17):
         if len(line) < len(system.process_list()):
             continue
         lines += 1
-        if check_system_line(line):
+        if check_system_line(line, topology=system.topology):
             dirty_lines += 1
     end_clean = all(not p.component.state.corrupt
                     for p in system.process_list())

@@ -2,12 +2,12 @@
 """Beyond three processes: a guarded upgrade in a K-peer constellation.
 
 The paper fixes three processes "for simplicity and clarity" and cites
-follow-up work removing the restriction.  This example runs the
-generalized architecture: one upgraded flight-software component (active
-+ escorting shadow) interacting with **five** peer subsystems that also
-talk to each other — so when the upgrade's latent fault activates,
-potential contamination spreads *transitively* through the constellation
-and must be traced back (provenance) before validations can clean it.
+follow-up work removing the restriction.  This example runs a ``1x1+5``
+membership: one upgraded flight-software component (active + escorting
+shadow) feeding **five** peer subsystems that also talk to each other —
+so when the upgrade's latent fault activates, potential contamination
+spreads *transitively* through the constellation and must be traced
+back (provenance) before validations can clean it.
 
 Run:  python examples/constellation.py
 """
@@ -16,7 +16,7 @@ from repro.analysis import check_system_line
 from repro.analysis.global_state import common_stable_line
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.app.workload import WorkloadConfig
-from repro.general import GeneralSystemConfig, build_general_system
+from repro.coordination.scheme import SystemConfig, build_system
 from repro.tb.blocking import TbConfig
 
 HORIZON = 6_000.0
@@ -24,16 +24,16 @@ PEERS = 5
 
 
 def main() -> None:
-    config = GeneralSystemConfig(
-        n_peers=PEERS, seed=7, horizon=HORIZON,
+    config = SystemConfig(
+        topology=f"1x1+{PEERS}", seed=7, horizon=HORIZON,
         tb=TbConfig(interval=60.0),
         workload1=WorkloadConfig(internal_rate=0.06, external_rate=0.01,
                                  step_rate=0.02, horizon=HORIZON),
-        workload_peer=WorkloadConfig(internal_rate=0.05, external_rate=0.008,
-                                     step_rate=0.02, horizon=HORIZON))
-    system = build_general_system(config)
+        workload2=WorkloadConfig(internal_rate=0.05, external_rate=0.008,
+                                 step_rate=0.02, horizon=HORIZON))
+    system = build_system(config)
     system.inject_software_fault(SoftwareFaultPlan(activate_at=1_500.0))
-    system.inject_crash(HardwareFaultPlan(node_id="N4", crash_at=4_000.0,
+    system.inject_crash(HardwareFaultPlan(node_id="NP3", crash_at=4_000.0,
                                           repair_time=2.0))
     system.run()
 
@@ -49,7 +49,8 @@ def main() -> None:
     print(f"processes that entered potential contamination at least once: "
           f"{reached}")
 
-    print(f"\nshadow takeover completed: {system.sw_recovery.completed}")
+    print(f"\nshadow takeover completed: "
+          f"{bool(system.sw_recovery.completed)}")
     print("local recovery decisions:",
           {str(k): v.value for k, v in system.sw_recovery.decisions.items()})
     print(f"suppressed messages re-sent by the shadow: "
@@ -61,7 +62,8 @@ def main() -> None:
 
     clean = all(not p.component.state.corrupt
                 for p in system.process_list() if not p.deposed)
-    violations = check_system_line(common_stable_line(system))
+    violations = check_system_line(common_stable_line(system),
+                                   topology=system.topology)
     print(f"\nall in-service states non-contaminated: {clean}")
     print(f"final hardware-recovery line violations: "
           f"{len(violations) or 'none'}")

@@ -32,7 +32,8 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import InvariantViolation
 from ..messages.message import DEVICE
-from ..types import MessageKind, ProcessId
+from ..topology.model import Topology
+from ..types import ProcessId
 from .global_state import ProcessView
 
 
@@ -97,7 +98,7 @@ def check_consistency(line: Dict[ProcessId, ProcessView],
             sent_rec = journal._records.get(rec.key)
             if sent_rec is None:
                 if rec.dsn is not None:
-                    # Replay-protected (generalized protocol): the
+                    # Replay-protected (coordinated schemes): the
                     # sender's snapshot precedes the send, and its
                     # piecewise-deterministic re-execution regenerates
                     # the identical (sender, receiver, dsn) message,
@@ -128,8 +129,6 @@ def check_consistency(line: Dict[ProcessId, ProcessView],
 
 def check_recoverability(line: Dict[ProcessId, ProcessView],
                          exempt_receivers: Iterable[ProcessId] = (),
-                         guarded_active: Optional[ProcessId] = None,
-                         shadow_vr: Optional[int] = None,
                          in_flight_keys: Iterable[int] = (),
                          guarded_map: Optional[Dict[ProcessId,
                                                     Optional[int]]] = None) -> List[Violation]:
@@ -139,12 +138,14 @@ def check_recoverability(line: Dict[ProcessId, ProcessView],
     Restoration mechanisms recognised:
 
     * the sender's snapshotted unacknowledged set (TB re-send);
-    * for ``guarded_active``'s messages: the shadow's suppressed-message
-      log and lock-step re-execution — the shadow re-sends (or
-      regenerates) every component-1 message with sequence number beyond
-      the valid message register, so a lost ``P1_act`` message with
-      ``sn > shadow_vr`` is restorable by takeover (this is exactly the
-      "or the error recovery algorithm must be able to restore m" arm of
+    * for a guarded active's messages (``guarded_map``: each guarded
+      active's process id mapped to its component's valid message
+      register ``VR``): the shadow's suppressed-message log and
+      lock-step re-execution — the shadow re-sends (or regenerates)
+      every message of its component with sequence number beyond the
+      valid message register, so a lost active's message with
+      ``sn > VR`` is restorable by takeover (this is exactly the "or
+      the error recovery algorithm must be able to restore m" arm of
       the paper's definition);
     * senders whose snapshot *precedes* the send re-execute and
       regenerate the message (such messages are simply absent from the
@@ -156,17 +157,10 @@ def check_recoverability(line: Dict[ProcessId, ProcessView],
     divergence it accumulates is covered by the shadow (see DESIGN.md,
     "known corner cases").  Callers that want the strict property pass
     nothing.
-
-    ``guarded_map`` is the N-component form of the shadow-log arm: each
-    guarded active's process id mapped to its component's valid message
-    register (the scalar ``guarded_active``/``shadow_vr`` pair is merged
-    into it, so the paper's callers are a special case).
     """
     exempt = set(exempt_receivers)
     wire = set(in_flight_keys)
-    guarded: Dict[ProcessId, Optional[int]] = dict(guarded_map or {})
-    if guarded_active is not None:
-        guarded[guarded_active] = shadow_vr
+    guarded: Dict[ProcessId, Optional[int]] = guarded_map or {}
     received = {pid: view.snapshot.journal_recv for pid, view in line.items()}
     violations: List[Violation] = []
     for pid, view in line.items():
@@ -250,112 +244,61 @@ def check_pseudo_conservatism(line: Dict[ProcessId, ProcessView],
 
 def check_line(line: Dict[ProcessId, ProcessView],
                exempt_receivers: Iterable[ProcessId] = (),
-               guarded_active: Optional[ProcessId] = None,
-               shadow_vr: Optional[int] = None,
+               guarded_map: Optional[Dict[ProcessId, Optional[int]]] = None,
                include_ground_truth: bool = True) -> List[Violation]:
     """Run all checks over a line."""
     violations = check_consistency(line, exempt_receivers=exempt_receivers)
     violations += check_recoverability(line, exempt_receivers=exempt_receivers,
-                                       guarded_active=guarded_active,
-                                       shadow_vr=shadow_vr)
+                                       guarded_map=guarded_map)
     if include_ground_truth:
         violations += check_ground_truth(line)
     return violations
 
 
-def check_system_line(line: Dict[ProcessId, ProcessView],
-                      include_ground_truth: bool = True,
-                      pseudo_conservatism: bool = False) -> List[Violation]:
-    """:func:`check_line` specialised to the paper's three-process
-    system: the always-suspect ``P1_act`` is the exempt receiver and the
-    shadow-log restorability arm is wired to the shadow's valid message
-    register as captured in the line itself.
-
-    ``pseudo_conservatism`` additionally runs
-    :func:`check_pseudo_conservatism` — pass it only for schemes running
-    the modified MDCD (see that checker's docstring).
-    """
-    from ..types import Role
-    active = ProcessId(Role.ACTIVE_1.value)
-    shadow = line.get(ProcessId(Role.SHADOW_1.value))
-    shadow_vr = shadow.snapshot.mdcd.vr if shadow is not None else None
-    violations = check_line(line, exempt_receivers=[active],
-                            guarded_active=active, shadow_vr=shadow_vr,
-                            include_ground_truth=include_ground_truth)
-    if pseudo_conservatism and include_ground_truth:
-        violations += check_pseudo_conservatism(line, guarded_active=active)
-    return violations
-
-
-def _topology_guarded_map(line: Dict[ProcessId, ProcessView],
-                          topology) -> Dict[ProcessId, Optional[int]]:
-    """Per-active valid-message-register bounds, from the line itself.
+def _exempt_and_guarded(line: Dict[ProcessId, ProcessView], topology):
+    """What a line owes a membership: the exempt receivers (the
+    always-suspect low-confidence actives) and the per-active
+    valid-message-register bounds, from the line itself.
 
     Each guarded active maps to the *minimum* of its shadows' VRs (a
     message beyond a shadow's VR sits in that shadow's suppressed log or
     is regenerated by its re-execution, so the lowest register is the
     bound every potential successor can restore past); any shadow with
-    no validation yet (``VR = None``) makes everything restorable."""
+    no validation yet (``VR = None``) — or no shadow in the line at
+    all — makes everything restorable."""
     guarded: Dict[ProcessId, Optional[int]] = {}
     for active in topology.actives():
-        vrs = []
-        for spec in topology.shadows_of(active.component):
-            view = line.get(ProcessId(spec.role_id))
-            if view is None:
-                continue
-            vrs.append(view.snapshot.mdcd.vr)
-        if not vrs or any(vr is None for vr in vrs):
-            guarded[ProcessId(active.role_id)] = None
-        else:
-            guarded[ProcessId(active.role_id)] = min(vrs)
-    return guarded
-
-
-def check_topology_system_line(line: Dict[ProcessId, ProcessView],
-                               topology,
-                               include_ground_truth: bool = True,
-                               pseudo_conservatism: bool = False) -> List[Violation]:
-    """:func:`check_line` generalised to an N-component
-    :class:`~repro.topology.model.Topology`: every low-confidence
-    active is an exempt receiver, and the shadow-log restorability arm
-    runs per component against the VRs captured in the line.  On the
-    paper topology this is exactly :func:`check_system_line`."""
+        shadows = [line.get(ProcessId(spec.role_id))
+                   for spec in topology.shadows_of(active.component)]
+        vrs = [view.snapshot.mdcd.vr for view in shadows if view is not None]
+        guarded[ProcessId(active.role_id)] = (
+            None if not vrs or None in vrs else min(vrs))
     exempt = [ProcessId(rid) for rid in topology.exempt_role_ids()]
-    guarded = _topology_guarded_map(line, topology)
-    violations = check_consistency(line, exempt_receivers=exempt)
-    violations += check_recoverability(line, exempt_receivers=exempt,
-                                       guarded_map=guarded)
-    if include_ground_truth:
-        violations += check_ground_truth(line)
-        if pseudo_conservatism:
-            for pid in guarded:
-                violations += check_pseudo_conservatism(
-                    line, guarded_active=pid)
-    return violations
+    return exempt, guarded
 
 
-def check_live_topology(system, include_ground_truth: bool = True) -> List[Violation]:
-    """:func:`check_live_system` generalised to the system's topology
-    (falls through to the paper-specialised checker on the paper
-    shape, keeping that path byte-identical)."""
-    topology = getattr(system, "topology", None)
-    if topology is None or topology.is_paper:
-        return check_live_system(system,
-                                 include_ground_truth=include_ground_truth)
-    from .global_state import live_line
-    line = live_line(system)
-    wire = {m.dedup_key for m in system.network.in_flight()}
-    for proc in system.process_list():
-        wire.update(m.dedup_key for m in proc._buffer)
-    exempt = [ProcessId(rid) for rid in topology.exempt_role_ids()]
-    guarded = _topology_guarded_map(line, topology)
-    violations = check_consistency(line, exempt_receivers=exempt,
-                                   include_validity_views=False)
-    violations += check_recoverability(line, exempt_receivers=exempt,
-                                       guarded_map=guarded,
-                                       in_flight_keys=wire)
-    if include_ground_truth:
-        violations += check_ground_truth(line)
+def check_system_line(line: Dict[ProcessId, ProcessView],
+                      include_ground_truth: bool = True,
+                      pseudo_conservatism: bool = False,
+                      topology=None) -> List[Violation]:
+    """:func:`check_line` specialised to a system's membership
+    (``topology``; the paper's three processes when a bare line is
+    checked): every always-suspect low-confidence active is an exempt
+    receiver, and the shadow-log restorability arm runs per component
+    against the valid message registers captured in the line itself.
+
+    ``pseudo_conservatism`` additionally runs
+    :func:`check_pseudo_conservatism` on each guarded active — pass it
+    only for schemes running the modified MDCD (see that checker's
+    docstring).
+    """
+    exempt, guarded = _exempt_and_guarded(line, topology or Topology.paper())
+    violations = check_line(line, exempt_receivers=exempt,
+                            guarded_map=guarded,
+                            include_ground_truth=include_ground_truth)
+    if pseudo_conservatism and include_ground_truth:
+        for pid in guarded:
+            violations += check_pseudo_conservatism(line, guarded_active=pid)
     return violations
 
 
@@ -369,20 +312,17 @@ def check_live_system(system, include_ground_truth: bool = True) -> List[Violati
     the standard checks — so live consistency can be asserted at any
     instant of a healthy run.
     """
-    from ..types import Role
     from .global_state import live_line
     line = live_line(system)
     wire = {m.dedup_key for m in system.network.in_flight()}
     for proc in system.process_list():
         wire.update(m.dedup_key for m in proc._buffer)
-    active = ProcessId(Role.ACTIVE_1.value)
-    shadow = line.get(ProcessId(Role.SHADOW_1.value))
-    shadow_vr = shadow.snapshot.mdcd.vr if shadow is not None else None
-    violations = check_consistency(line, exempt_receivers=[active],
+    exempt, guarded = _exempt_and_guarded(line, system.topology)
+    violations = check_consistency(line, exempt_receivers=exempt,
                                    include_validity_views=False)
-    violations += check_recoverability(
-        line, exempt_receivers=[active], guarded_active=active,
-        shadow_vr=shadow_vr, in_flight_keys=wire)
+    violations += check_recoverability(line, exempt_receivers=exempt,
+                                       guarded_map=guarded,
+                                       in_flight_keys=wire)
     if include_ground_truth:
         violations += check_ground_truth(line)
     return violations

@@ -30,9 +30,8 @@ from typing import Dict, List, Optional
 from ..analysis.global_state import ProcessView, live_line, stable_line
 from ..analysis.invariants import (
     Violation,
-    check_live_topology,
+    check_live_system,
     check_system_line,
-    check_topology_system_line,
     summarize_violations,
 )
 from ..errors import AuditViolation
@@ -133,11 +132,6 @@ class OnlineAuditor:
         self.fail_fast = fail_fast
         self.include_ground_truth = include_ground_truth
         self.pseudo_conservatism = system.config.scheme.uses_modified_mdcd
-        # Non-paper topologies audit through the N-component checkers;
-        # the paper shape keeps the historical specialised path.
-        topology = getattr(system, "topology", None)
-        self._topology = (topology if topology is not None
-                          and not topology.is_paper else None)
         self.findings: List[AuditFinding] = []
         self.epochs_checked = 0
         self.live_checks = 0
@@ -220,15 +214,10 @@ class OnlineAuditor:
         if not line:
             return
         self.epochs_checked += 1
-        if self._topology is not None:
-            violations = check_topology_system_line(
-                line, self._topology,
-                include_ground_truth=self.include_ground_truth,
-                pseudo_conservatism=self.pseudo_conservatism)
-        else:
-            violations = check_system_line(
-                line, include_ground_truth=self.include_ground_truth,
-                pseudo_conservatism=self.pseudo_conservatism)
+        violations = check_system_line(
+            line, include_ground_truth=self.include_ground_truth,
+            pseudo_conservatism=self.pseudo_conservatism,
+            topology=self.system.topology)
         if violations:
             self._report(AuditFinding(
                 time=now, hook=hook, epoch=epoch, violations=violations,
@@ -236,7 +225,7 @@ class OnlineAuditor:
 
     def _check_live(self, now: float, hook: str) -> None:
         self.live_checks += 1
-        violations = check_live_topology(
+        violations = check_live_system(
             self.system, include_ground_truth=self.include_ground_truth)
         if violations:
             self._report(AuditFinding(

@@ -26,11 +26,11 @@ to a :class:`Scheme`:
 the historical construction order — node creation, workload-stream RNG
 draws, process and acceptance-test instantiation — so every paper-shape
 run, and in particular the pinned Fig. 6 golden digests, is bit-for-bit
-identical to the pre-topology builder.  Non-paper topologies require a
-coordinated scheme: the topology engines generalize the modified MDCD
-algorithms with per-source provenance, and recovery runs through the
-:class:`~repro.topology.recovery.TopologyRecoveryManager` with a
-deterministic shadow election over the live group view.
+identical to the pre-topology builder.  Which MDCD engines and which
+recovery manager a membership gets is decided in one place,
+:mod:`repro.coordination.wiring`; non-paper topologies require a
+coordinated scheme (the topology engines generalize the modified MDCD
+algorithms with per-source provenance).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import dataclasses
 import enum
 from typing import Dict, List, Optional
 
-from ..app.acceptance import AcceptanceTest, AcceptanceTestConfig
+from ..app.acceptance import AcceptanceTestConfig
 from ..app.component import ApplicationComponent
 from ..app.faults import (
     HardwareFaultInjector,
@@ -51,17 +51,6 @@ from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
 from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
 from ..host import FtProcess, IncarnationCounter
 from ..messages.message import MsgIdAllocator
-from ..mdcd.modified import (
-    ModifiedActiveEngine,
-    ModifiedPeerEngine,
-    ModifiedShadowEngine,
-)
-from ..mdcd.original import (
-    OriginalActiveEngine,
-    OriginalPeerEngine,
-    OriginalShadowEngine,
-)
-from ..mdcd.recovery import SoftwareRecoveryManager
 from ..runtime import (ClockConfig, Network, NetworkConfig, Node, RngRegistry,
                        Simulator, TraceRecorder)
 from ..tb.adapted import AdaptedTbEngine
@@ -69,15 +58,9 @@ from ..tb.blocking import TbConfig
 from ..tb.hardware_recovery import HardwareRecoveryCoordinator
 from ..tb.original import OriginalTbEngine
 from ..tb.resync import ResyncService
-from ..topology.engines import (
-    TopologyActiveEngine,
-    TopologyPeerEngine,
-    TopologyShadowEngine,
-)
-from ..topology.model import Member, MemberKind, Topology, parse_topology
-from ..topology.recovery import TopologyRecoveryManager
-from ..topology.view import GroupView
+from ..topology.model import Member, MemberKind, parse_topology
 from ..types import NodeId, ProcessId, Role
+from .wiring import recovery_manager, software_engine
 from .write_through import WriteThroughEngine
 
 
@@ -119,11 +102,6 @@ class SystemConfig:
     #: everything).  Campaign runners that assert over one slice of the
     #: trace set this so every other record costs nothing.
     trace_categories: Optional[tuple] = None
-    #: Recycle fired kernel events through a free-list (see
-    #: :class:`repro.sim.events.EventPool`).  Pure representation:
-    #: ``tests/integration/test_representation_knobs.py`` asserts a
-    #: faulted run's samples are identical on/off.
-    event_pooling: bool = False
     #: Retention window for validated journal records; the effective
     #: value is never below four TB intervals so pruning cannot touch
     #: records near a live checkpoint line.
@@ -162,12 +140,7 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.topology = parse_topology(config.topology)
-        if not self.topology.is_paper and not config.scheme.uses_modified_mdcd:
-            raise ValueError(
-                f"non-paper topology {self.topology.spec!r} requires a "
-                "coordinated scheme: the topology engines generalize the "
-                "modified MDCD algorithms")
-        self.sim = Simulator(pooling=config.event_pooling)
+        self.sim = Simulator()
         #: Per-system message-id sequence.  Captured and thawed with the
         #: system (warm-start images), so thawed and forked systems in
         #: one OS process never share or reset global allocator state.
@@ -227,24 +200,9 @@ class System:
         self.resync: Optional[ResyncService] = None
         self.hw_recovery: Optional[HardwareRecoveryCoordinator] = None
         self._wire_engines()
-
-        if self.topology.is_paper:
-            # Inert bookkeeping view (no trace, no node listeners):
-            # the paper path must stay byte-identical.
-            self.view = GroupView(self.topology)
-            self.sw_recovery = SoftwareRecoveryManager(
-                active=self.active, shadow=self.shadow, peer=self.peer,
-                incarnation=self.incarnation, trace=self.trace)
-        else:
-            self.view = GroupView(self.topology, trace=self.trace,
-                                  clock=self.sim)
-            for node in self.nodes.values():
-                node.on_crash(self.view._on_node_crash)
-                node.on_restart(self.view._on_node_restart)
-            self.sw_recovery = TopologyRecoveryManager(
-                self.topology, self.view, self.members,
-                incarnation=self.incarnation, trace=self.trace)
-        self.sw_recovery.install()
+        self.view, self.sw_recovery = recovery_manager(
+            self.topology, self.members, self.nodes, self.incarnation,
+            self.trace, clock=self.sim)
         self.injectors: List = []
         self._started = False
 
@@ -254,10 +212,7 @@ class System:
     def _build_process(self, member: Member,
                        component: ApplicationComponent,
                        driver: WorkloadDriver) -> None:
-        try:
-            role: Optional[Role] = Role(member.role_id)
-        except ValueError:
-            role = None
+        role = Role.of(member.role_id)
         process = FtProcess(
             process_id=ProcessId(member.role_id),
             node=self.nodes[member.node_id], network=self.network,
@@ -273,20 +228,14 @@ class System:
             self.processes[role] = process
 
     def _wire_engines(self) -> None:
-        if not self.topology.is_paper:
-            self._wire_topology_engines()
-            return
         config = self.config
-        active, shadow, peer = self.active, self.shadow, self.peer
-        at_active = AcceptanceTest(config.at, self.rng, "P1act")
-        at_peer = AcceptanceTest(config.at, self.rng, "P2")
-
-        if config.scheme.uses_modified_mdcd:
-            sw_active = ModifiedActiveEngine(active, at_active,
-                                             peer=peer.process_id,
-                                             shadow=shadow.process_id)
-            sw_shadow = ModifiedShadowEngine(shadow)
-            sw_peer = ModifiedPeerEngine(peer, at_peer)
+        scheme = config.scheme
+        software = {
+            member.role_id: software_engine(
+                self.topology, member, scheme, self.members[member.role_id],
+                config.at, self.rng)
+            for member in self.topology.members}
+        if scheme.uses_modified_mdcd:
             # The adapted TB's checkpoint swap can durably anchor a
             # process *before* internal sends its peers durably reflect
             # receiving (e.g. P1_act's pseudo checkpoint vs. P2's
@@ -297,103 +246,34 @@ class System:
             # per-receiver stream and receivers deduplicate it — so the
             # coordinated schemes carry destination sequence numbers.
             # Found by the schedule audit; see DESIGN.md.
-            for proc in (active, shadow, peer):
+            for proc in self.members.values():
                 proc.replay_dedup = True
-        else:
-            sw_active = OriginalActiveEngine(active, at_active,
-                                             peer=peer.process_id,
-                                             shadow=shadow.process_id)
-            sw_shadow = OriginalShadowEngine(shadow)
-            sw_peer = OriginalPeerEngine(peer, at_peer)
 
-        hw_engines: Dict[Role, object] = {}
-        if config.scheme in (Scheme.COORDINATED, Scheme.COORDINATED_NO_SWAP,
-                             Scheme.NAIVE):
+        hardware: Dict[str, object] = {}
+        if scheme in (Scheme.COORDINATED, Scheme.COORDINATED_NO_SWAP,
+                      Scheme.NAIVE):
             self.resync = ResyncService(
                 self.sim, [n.clock for n in self.nodes.values()], self.trace)
             tb_config = config.tb
-            if config.scheme is Scheme.COORDINATED_NO_SWAP:
+            if scheme is Scheme.COORDINATED_NO_SWAP:
                 tb_config = dataclasses.replace(tb_config,
                                                 swap_on_confidence_change=False)
-            engine_cls = (OriginalTbEngine if config.scheme is Scheme.NAIVE
+            engine_cls = (OriginalTbEngine if scheme is Scheme.NAIVE
                           else AdaptedTbEngine)
-            for role, proc in self.processes.items():
-                hw_engines[role] = engine_cls(proc, tb_config, config.clock,
-                                              config.network, resync=self.resync)
-        elif config.scheme is Scheme.WRITE_THROUGH:
-            for role, proc in self.processes.items():
-                hw_engines[role] = WriteThroughEngine(proc)
+            for rid, proc in self.members.items():
+                hardware[rid] = engine_cls(proc, tb_config, config.clock,
+                                           config.network, resync=self.resync)
+        elif scheme is Scheme.WRITE_THROUGH:
+            for rid, proc in self.members.items():
+                hardware[rid] = WriteThroughEngine(proc)
 
-        active.attach_engines(software=sw_active, hardware=hw_engines.get(Role.ACTIVE_1))
-        shadow.attach_engines(software=sw_shadow, hardware=hw_engines.get(Role.SHADOW_1))
-        peer.attach_engines(software=sw_peer, hardware=hw_engines.get(Role.PEER_2))
-
-        if config.scheme.has_stable_checkpoints:
-            self.hw_recovery = HardwareRecoveryCoordinator(
-                list(self.processes.values()), self.incarnation, self.trace)
-            self.hw_recovery.install()
-
-    def _wire_topology_engines(self) -> None:
-        """Wire the per-source-provenance engines over a non-paper
-        topology (always a coordinated scheme — checked at build).
-
-        Interaction shape: actives are pure ingress — they produce into
-        the peer mesh and receive no application traffic, so a guarded
-        pair's action streams never diverge when *another* component
-        recovers; peers exchange among themselves, which is where
-        multi-source contamination mixes and the per-source taint maps
-        earn their keep.
-        """
-        config = self.config
-        topo = self.topology
-        pids = {rid: self.members[rid].process_id for rid in topo.role_ids()}
-        peer_pids = [pids[p.role_id] for p in topo.peers()]
-        active_pids = [pids[a.role_id] for a in topo.actives()]
-
-        software: Dict[str, object] = {}
-        for member in topo.members:
-            proc = self.members[member.role_id]
-            if member.kind is MemberKind.ACTIVE:
-                at = AcceptanceTest(config.at, self.rng, member.driver)
-                software[member.role_id] = TopologyActiveEngine(
-                    proc, at,
-                    shadows=[pids[s.role_id]
-                             for s in topo.shadows_of(member.component)],
-                    peers=peer_pids)
-            elif member.kind is MemberKind.SHADOW:
-                software[member.role_id] = TopologyShadowEngine(
-                    proc,
-                    active_id=pids[topo.active_of(member.component).role_id],
-                    peers=peer_pids)
-            else:
-                at = AcceptanceTest(config.at, self.rng, member.driver)
-                software[member.role_id] = TopologyPeerEngine(
-                    proc, at, active_ids=active_pids,
-                    other_peers=[pid for pid in peer_pids
-                                 if pid != proc.process_id],
-                    notification_recipients=[pids[rid]
-                                             for rid in topo.role_ids()
-                                             if rid != member.role_id])
-            # Same piecewise-determinism argument as the paper path:
-            # coordinated schemes carry destination sequence numbers.
-            proc.replay_dedup = True
-
-        self.resync = ResyncService(
-            self.sim, [n.clock for n in self.nodes.values()], self.trace)
-        tb_config = config.tb
-        if config.scheme is Scheme.COORDINATED_NO_SWAP:
-            tb_config = dataclasses.replace(tb_config,
-                                            swap_on_confidence_change=False)
-        hw_engines: Dict[str, object] = {
-            rid: AdaptedTbEngine(proc, tb_config, config.clock,
-                                 config.network, resync=self.resync)
-            for rid, proc in self.members.items()}
         for rid, proc in self.members.items():
             proc.attach_engines(software=software[rid],
-                                hardware=hw_engines.get(rid))
-        self.hw_recovery = HardwareRecoveryCoordinator(
-            list(self.members.values()), self.incarnation, self.trace)
-        self.hw_recovery.install()
+                                hardware=hardware.get(rid))
+        if scheme.has_stable_checkpoints:
+            self.hw_recovery = HardwareRecoveryCoordinator(
+                list(self.members.values()), self.incarnation, self.trace)
+            self.hw_recovery.install()
 
     # ------------------------------------------------------------------
     # accessors

@@ -9,8 +9,7 @@ through the shared-table codec images are frozen with
 (:mod:`repro.warmstart.image`), dumping only where a schedule forks.
 The :class:`~repro.flock.runner.FlockRunner` is the one campaign runner
 whose schedules do not start from a fresh build (``flock=True`` and
-``warmstart=True`` both); it keeps one template per prefix group and
-one kernel event pool across all forks.
+``warmstart=True`` both); it keeps one template per prefix group.
 
 Results are bit-for-bit identical to cold execution — findings,
 errors, shrink results, trace digests.

@@ -24,13 +24,12 @@ template, advance and dump there; behind it, the newest dump at or
 before it (a longer suffix, the same run); a fresh build only when
 there is none.
 
-Across forks two things are recycled on top of the shared-object table
-itself (whose checkpoints remember the auditor view they decode to, and
-whose payloads what they resolve to, whichever fork needs it first):
-every fork's kernel acquires from one **event pool**, keeping the hot
-event objects resident, and every finished fork is handed back by
-reference count (:meth:`~repro.coordination.scheme.System.release`), so
-the collector never has to walk the resident template to free one.
+Forks share the shared-object table itself (whose checkpoints remember
+the auditor view they decode to, and whose payloads what they resolve
+to, whichever fork needs it first), and every finished fork is handed
+back by reference count
+(:meth:`~repro.coordination.scheme.System.release`), so the collector
+never has to walk the resident template to free one.
 
 Everything observable is bit-for-bit identical to a cold run: findings,
 error strings, shrink results, trace digests.  The property tests and
@@ -43,7 +42,6 @@ import time
 from typing import Dict, List, Optional, Set
 
 from ..audit.campaign import ScheduleRunner
-from ..sim.events import EventPool
 from ..warmstart.engine import divergence_time, fault_times
 from ..warmstart.store import ImageStore, PrefixKey
 from .template import FORK_EPS, FORK_QUANTUM, ForkTemplate, fork_position
@@ -74,7 +72,6 @@ class FlockRunner(ScheduleRunner):
         #: pickled.
         self._planned: Dict[str, Set[float]] = {}
         self._templates: Dict[str, ForkTemplate] = {}
-        self._pool = EventPool()
         self.flock_runs = 0
         self.templates_built = 0
         self.decode_seconds = 0.0
@@ -192,7 +189,6 @@ class FlockRunner(ScheduleRunner):
             return None
         begin = time.monotonic()
         system, auditor = template.fork(image, fail_fast=fail_fast)
-        system.sim._pool = self._pool
         schedule.arm(system)
         self.fork_seconds += time.monotonic() - begin
         self.flock_runs += 1
@@ -225,7 +221,6 @@ class FlockRunner(ScheduleRunner):
             "shared_objects": shared,
             "advance_seconds": round(advance, 6),
             "dump_encode_seconds": round(encode, 6),
-            "pool_reused": self._pool.reused,
         })
         stats.update(self.store.stats())
         return stats

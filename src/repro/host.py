@@ -138,11 +138,11 @@ class FtProcess(SimProcess):
         #: Set when the process is taken out of service (a deposed
         #: ``P1_act`` after shadow takeover).
         self.deposed = False
-        #: Generalized-protocol mode: allocate per-destination sequence
+        #: Coordinated-scheme mode: allocate per-destination sequence
         #: numbers on internal sends so deterministic replay after a
         #: rollback regenerates a dedup-able stream (the
         #: piecewise-determinism assumption of message-logging systems).
-        #: The paper-faithful three-process schemes leave this off.
+        #: The paper-faithful uncoordinated schemes leave this off.
         self.replay_dedup = False
         self._dsn_counters: Dict[ProcessId, int] = {}
         #: How long validated journal records are retained before the
@@ -251,16 +251,14 @@ class FtProcess(SimProcess):
     def send_internal(self, payload: Payload, receivers: List[ProcessId],
                       sn: Optional[int], dirty_bit: int, validated: bool,
                       ndc: Optional[int] = None,
-                      taint_sn: Optional[int] = None,
                       taint_map: Optional[Dict[str, int]] = None) -> List[Message]:
         """Send an internal application message to each receiver.
 
         One logical send fans out to one :class:`Message` per receiver
         (each tracked separately for acknowledgement).  The sender's
         journal records its validity view at send time: messages sent
-        from a clean state are born validated.  ``taint_sn`` piggybacks
-        contamination provenance (generalized protocol); ``taint_map``
-        is its per-source form (N-component topologies).
+        from a clean state are born validated.  ``taint_map`` piggybacks
+        per-source contamination provenance (N-component topologies).
         """
         sent = []
         for receiver in receivers:
@@ -270,7 +268,7 @@ class FtProcess(SimProcess):
                 self._dsn_counters[receiver] = dsn
             message = Message(kind=MessageKind.INTERNAL, sender=self.process_id,
                               receiver=receiver, payload=payload, sn=sn,
-                              ndc=ndc, dirty_bit=dirty_bit, taint_sn=taint_sn,
+                              ndc=ndc, dirty_bit=dirty_bit,
                               taint_map=dict(taint_map) if taint_map else None,
                               dsn=dsn, corrupt=payload.corrupt,
                               incarnation=self.incarnation.value,
@@ -331,6 +329,26 @@ class FtProcess(SimProcess):
         self.transmit(clone)
         self.counters.bump("resent")
         return clone
+
+    def resend_unacknowledged(self, deposed=()) -> int:
+        """Re-send every unacknowledged message under the current
+        incarnation — each recovery's last step.
+
+        The incarnation fence drops pre-recovery in-flight deliveries;
+        a message this process sent (and still counts as sent) must
+        therefore be re-transmitted or it would be lost to a receiver
+        that rolled back past it.  Receivers that did process the
+        original drop the re-send by dedup key.  Messages addressed to
+        a ``deposed`` process id are written off — it is out of
+        service.  Returns the number re-sent."""
+        resent = 0
+        for message in self.acks.unacknowledged():
+            if message.receiver in deposed:
+                self.acks.acked(message.msg_id)
+                continue
+            self.resend(message)
+            resent += 1
+        return resent
 
     # ------------------------------------------------------------------
     # receiving
@@ -417,9 +435,9 @@ class FtProcess(SimProcess):
         the TB protocols' "ack certifies read" to "ack certifies a read
         that rollback cannot forget"; without it, a clean process
         feeding a contaminated one loses messages across the
-        contamination interval (observed in the generalized K-peer
-        topology, where processes off the contamination path keep
-        sending into it).
+        contamination interval (observed on ``1x1+K`` memberships,
+        where processes off the contamination path keep sending into
+        it).
         """
         record = self.journal_recv.get(message.dedup_key)
         if (message.kind is MessageKind.INTERNAL and record is not None

@@ -50,16 +50,12 @@ class JournalRecord:
     validated: bool
     corrupt: bool
     time: float
-    #: Provenance bound (generalized protocol): the highest ``P1_act``
-    #: sequence number influencing the message; ``None`` when untainted
-    #: or untracked.
-    taint_sn: Optional[int] = None
     #: Per-source provenance (N-component topologies): guarded active
     #: role id -> highest influencing sequence number of that active.
     #: ``None`` when untainted or untracked.
     taint_map: Optional[dict] = None
-    #: Destination sequence number (generalized protocol); ``None`` in
-    #: the three-process protocols.  A record with a ``dsn`` is
+    #: Destination sequence number (coordinated schemes); ``None``
+    #: under the uncoordinated ones.  A record with a ``dsn`` is
     #: replay-protected: a rolled-back sender regenerates it
     #: deterministically, so its absence from the sender's snapshot is
     #: not an orphan.
@@ -104,7 +100,6 @@ class Journal:
             validated=validated,
             corrupt=message.corrupt,
             time=time,
-            taint_sn=message.taint_sn,
             taint_map=dict(message.taint_map) if message.taint_map else None,
             dsn=message.dsn,
         )

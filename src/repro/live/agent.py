@@ -4,11 +4,10 @@
 :class:`~repro.host.FtProcess` — wired with the same engines, RNG
 streams, and configuration the sim backend's ``COORDINATED`` scheme
 uses — on the live adapters: wall clock, TCP transport, file-backed
-stable storage.  The spec names a topology member; the paper shape
-gets the historical ``Modified*`` engines, any other topology the
-per-source-provenance engines from :mod:`repro.topology.engines` —
-exactly mirroring :class:`~repro.coordination.scheme.System`'s wiring
-so the two backends stay decision-equivalent.  The harness drives it
+stable storage.  The spec names a topology member, wired through the
+same :func:`~repro.coordination.wiring.software_engine` the sim's
+:class:`~repro.coordination.scheme.System` calls, so the two backends
+stay decision-equivalent.  The harness drives it
 over a line-JSON control channel on stdin/stdout (commands below);
 peer traffic arrives on the listening socket; protocol decisions
 stream to a JSONL artifact via the shared
@@ -44,13 +43,14 @@ import sys
 import uuid
 from typing import Any, Dict, Optional
 
-from ..app.acceptance import AcceptanceTest, AcceptanceTestConfig
+from ..app.acceptance import AcceptanceTestConfig
 from ..app.component import ApplicationComponent
 from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
 from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
+from ..coordination.scheme import Scheme
+from ..coordination.wiring import software_engine
 from ..host import FtProcess, IncarnationCounter
-from ..mdcd.modified import (ModifiedActiveEngine, ModifiedPeerEngine,
-                             ModifiedShadowEngine)
+from ..mdcd.recovery import drop_recipient
 from ..messages.message import reset_msg_ids
 from ..runtime import ClockConfig, NetworkConfig, RngRegistry, TraceRecorder
 from ..runtime.decisions import record_to_decision
@@ -58,12 +58,10 @@ from ..runtime.script import SCRIPT_ACTION_BASE, _ACTION_KINDS
 from ..tb.adapted import AdaptedTbEngine
 from ..tb.blocking import TbConfig
 from ..tb.resync import ResyncService
-from ..topology.engines import (TopologyActiveEngine, TopologyPeerEngine,
-                                TopologyShadowEngine)
 from ..topology.model import MemberKind, parse_topology
 from ..types import NodeId, ProcessId, Role
 from .clock import WallClock
-from .failover import drop_recipient, peer_adopt_takeover, shadow_takeover
+from .failover import peer_adopt_takeover, shadow_takeover
 from .loop import LiveScheduler
 from .node import LiveNode
 from .storage import FileStableStore
@@ -78,10 +76,8 @@ class LiveAgent:
 
     def __init__(self, spec: Dict[str, Any]) -> None:
         self.spec = spec
-        self.topology = parse_topology(spec.get("topology", "paper"))
+        self.topology = parse_topology(spec["topology"])
         self.member = self.topology.member(spec["role"])
-        self.role: Optional[Role] = (Role(self.member.role_id)
-                                     if self.topology.is_paper else None)
         self.process_id = ProcessId(self.member.role_id)
         self.seed = int(spec.get("seed", 0))
         self.tb_interval = float(spec.get("tb_interval", 10_000.0))
@@ -105,7 +101,7 @@ class LiveAgent:
 
         self.stable = FileStableStore(spec["data_dir"],
                                       history=int(spec.get("stable_history", 2)))
-        self.node = LiveNode(NodeId(spec.get("node", f"N:{self.process_id}")),
+        self.node = LiveNode(NodeId(spec["node"]),
                              self.scheduler, self.clock, self.stable)
         self.rng = RngRegistry(self.seed)
         self.incarnation = IncarnationCounter()
@@ -164,60 +160,22 @@ class LiveAgent:
         process = FtProcess(
             process_id=self.process_id, node=self.node, network=self.transport,
             component=component, driver=driver, incarnation=self.incarnation,
-            role=self.role, trace=self.trace)
+            role=Role.of(self.member.role_id), trace=self.trace)
         process.is_guarded_active = self.member.kind is MemberKind.ACTIVE
         process.journal_retention = max(600.0, 4.0 * self.tb_interval)
         return process
 
     def _wire_engines(self) -> None:
         process = self.process
-        at_config = AcceptanceTestConfig(
-            **(self.spec.get("at") or {}))
-        if not self.topology.is_paper:
-            software = self._topology_engine(at_config)
-        elif self.role is Role.ACTIVE_1:
-            software = ModifiedActiveEngine(
-                process, AcceptanceTest(at_config, self.rng, "P1act"),
-                peer=ProcessId(Role.PEER_2.value),
-                shadow=ProcessId(Role.SHADOW_1.value))
-        elif self.role is Role.SHADOW_1:
-            software = ModifiedShadowEngine(process)
-        else:
-            software = ModifiedPeerEngine(
-                process, AcceptanceTest(at_config, self.rng, "P2"))
+        software = software_engine(
+            self.topology, self.member, Scheme.COORDINATED, process,
+            AcceptanceTestConfig(**(self.spec.get("at") or {})), self.rng)
         process.replay_dedup = True
         resync = ResyncService(self.scheduler, [self.clock], self.trace)
         hardware = AdaptedTbEngine(
             process, TbConfig(interval=self.tb_interval),
             ClockConfig(), NetworkConfig(), resync=resync)
         process.attach_engines(software=software, hardware=hardware)
-
-    def _topology_engine(self, at_config: AcceptanceTestConfig):
-        """The per-source-provenance engine for this member — the same
-        wiring :meth:`System._wire_topology_engines` performs in the
-        sim's single address space."""
-        topo, member, process = self.topology, self.member, self.process
-        peer_pids = [ProcessId(p.role_id) for p in topo.peers()]
-        active_pids = [ProcessId(a.role_id) for a in topo.actives()]
-        if member.kind is MemberKind.ACTIVE:
-            return TopologyActiveEngine(
-                process, AcceptanceTest(at_config, self.rng, member.driver),
-                shadows=[ProcessId(s.role_id)
-                         for s in topo.shadows_of(member.component)],
-                peers=peer_pids)
-        if member.kind is MemberKind.SHADOW:
-            return TopologyShadowEngine(
-                process,
-                active_id=ProcessId(topo.active_of(member.component).role_id),
-                peers=peer_pids)
-        return TopologyPeerEngine(
-            process, AcceptanceTest(at_config, self.rng, member.driver),
-            active_ids=active_pids,
-            other_peers=[pid for pid in peer_pids
-                         if pid != process.process_id],
-            notification_recipients=[ProcessId(rid)
-                                     for rid in topo.role_ids()
-                                     if rid != member.role_id])
 
     # ------------------------------------------------------------------
     # decision artifact
@@ -356,14 +314,8 @@ class LiveAgent:
         return {"distance": distance, "epoch": line}
 
     def _cmd_hw_resend(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        deposed = {str(pid) for pid in command.get("deposed", [])}
-        resent = 0
-        for message in self.process.acks.unacknowledged():
-            if str(message.receiver) in deposed:
-                self.process.acks.acked(message.msg_id)
-                continue
-            self.process.resend(message)
-            resent += 1
+        resent = self.process.resend_unacknowledged(
+            {str(pid) for pid in command.get("deposed", [])})
         self.process.driver.resume()
         return {"resent": resent}
 
@@ -400,14 +352,11 @@ class LiveAgent:
             self._run_takeover(condemned)
 
     def _run_takeover(self, condemned: str) -> None:
-        active_id = ProcessId(condemned)
-        peer_ids = [ProcessId(p.role_id) for p in self.topology.peers()]
         self.transport.drop_peer(condemned)
         self.takeover_summary = shadow_takeover(
-            self.process, active_id, peer_ids[0], self.incarnation,
-            peer_ids=None if self.topology.is_paper else peer_ids)
-        for peer_id in peer_ids:
-            self.transport.send_control(str(peer_id), {
+            self.process, ProcessId(condemned), self.incarnation)
+        for peer in self.topology.peers():
+            self.transport.send_control(peer.role_id, {
                 "type": "takeover", "active": condemned,
                 "incarnation": self.incarnation.value})
 

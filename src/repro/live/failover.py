@@ -11,7 +11,7 @@ the license to do that.
 * The **shadow**'s failure detector (heartbeat timeout on the active)
   triggers :func:`shadow_takeover`: bump the incarnation, local
   decision, re-send the suppressed log beyond ``VR``, switch to the
-  :class:`~repro.mdcd.recovery.TakeoverEngine`, re-send unacknowledged
+  shadow engine's post-takeover engine, re-send unacknowledged
   messages, end guarded operation, and broadcast a ``takeover`` control
   frame.
 * Each **peer** receiving the broadcast runs :func:`peer_adopt_takeover`:
@@ -19,115 +19,45 @@ the license to do that.
   deposed active, end guarded operation, re-send unacknowledged
   messages through surviving routes.
 
-Both halves are line-for-line ports of the manager's per-process
-slices, so the decisions they trace are the ones the sim oracle
-predicts.
+Both halves run the manager's own per-process steps
+(:func:`~repro.mdcd.recovery.local_decision`,
+:func:`~repro.mdcd.recovery.promote_shadow`), so the decisions they
+trace are the ones the sim oracle predicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..errors import RecoveryError
 from ..host import FtProcess
-from ..mdcd.recovery import TakeoverEngine
-from ..topology.engines import TopologyTakeoverEngine
-from ..types import MessageKind, ProcessId, RecoveryAction
+from ..mdcd.recovery import drop_recipient, local_decision, promote_shadow
+from ..types import ProcessId, RecoveryAction
 
 
-def _local_decision(process: FtProcess) -> RecoveryAction:
-    """The paper's local rule (SoftwareRecoveryManager._local_decision,
-    minus the crashed-survivor case — a dead live process simply never
-    runs this)."""
-    if process.mdcd.dirty_bit == 1:
-        checkpoint = process.volatile_checkpoint()
-        if checkpoint is None:
-            checkpoint = process.node.stable.peek(process.process_id)
-            process.counters.bump("recovery.degraded_fallback")
-            process.trace.record(process.sim.now, "recovery.degraded_fallback",
-                                 process.process_id)
-        if checkpoint is None:
-            raise RecoveryError(
-                f"{process.process_id} is dirty but has no checkpoint to roll back to")
-        process.restore_from(checkpoint, "software")
-        return RecoveryAction.ROLLBACK
-    process.roll_forward("software")
-    return RecoveryAction.ROLL_FORWARD
+def _decide(process: FtProcess) -> RecoveryAction:
+    decisions: Dict[ProcessId, RecoveryAction] = {}
+    local_decision(process, decisions, {})
+    return decisions[process.process_id]
 
 
-def _resend_unacknowledged(process: FtProcess, deposed: ProcessId) -> int:
-    """Re-send this process's unacknowledged messages under the new
-    incarnation, writing off those addressed to the deposed active."""
-    resent = 0
-    for message in process.acks.unacknowledged():
-        if message.receiver == deposed:
-            process.acks.acked(message.msg_id)
-            continue
-        process.resend(message)
-        resent += 1
-    return resent
-
-
-def drop_recipient(engine, dead_id: ProcessId) -> None:
-    """Stop ``engine`` addressing ``dead_id``: covers the paper-shape
-    recipient list and every topology-engine recipient collection."""
-    recipients = getattr(engine, "component1_recipients", None)
-    if recipients is not None:
-        engine.component1_recipients = [
-            pid for pid in recipients if pid != dead_id]
-    for attr in ("shadows", "peers", "other_peers", "notification_recipients"):
-        pids = getattr(engine, attr, None)
-        if isinstance(pids, list):
-            setattr(engine, attr, [pid for pid in pids if pid != dead_id])
-
-
-def shadow_takeover(shadow: FtProcess, active_id: ProcessId,
-                    peer_id: ProcessId, incarnation,
-                    reason: str = "heartbeat-timeout",
-                    peer_ids: Optional[List[ProcessId]] = None
-                    ) -> Dict[str, object]:
+def shadow_takeover(shadow: FtProcess, active_id: ProcessId, incarnation,
+                    reason: str = "heartbeat-timeout") -> Dict[str, object]:
     """Promote the shadow after its failure detector condemns the
-    active.  Returns a summary for the harness/decision artifact.
-
-    ``peer_ids`` switches the promoted shadow onto the topology
-    takeover engine (stimulus-routed sends into the peer mesh); left
-    ``None``, the paper-shape :class:`TakeoverEngine` addressing the
-    single peer is used.
-    """
+    active.  Returns a summary for the harness/decision artifact."""
     trace = shadow.trace
     trace.record(shadow.sim.now, "recovery.software.start",
                  shadow.process_id, failed=reason)
     incarnation.bump()
-    decision = _local_decision(shadow)
-    # Promote: transmit the suppressed, never-validated tail of the
-    # message log (born valid — the shadow's state is clean after its
-    # local decision), then switch engines and leave guarded mode.
-    vr = shadow.mdcd.vr
-    to_resend = shadow.msg_log.entries_after(vr)
-    suppressed = shadow.msg_log.reclaim_up_to(vr) if vr is not None else 0
-    for entry in to_resend:
-        message = entry.message
-        if message.kind is MessageKind.EXTERNAL:
-            shadow.send_external(message.payload, validated=True)
-        else:
-            shadow.send_internal(message.payload, entry.destinations(),
-                                 sn=message.sn, dirty_bit=0, validated=True,
-                                 ndc=shadow.current_ndc())
-    shadow.msg_log.clear()
-    if peer_ids is not None:
-        shadow.software = TopologyTakeoverEngine(shadow, list(peer_ids))
-    else:
-        shadow.software = TakeoverEngine(shadow, peer=peer_id)
-    shadow.mdcd.guarded = False
-    shadow.driver.resume()
-    resent = _resend_unacknowledged(shadow, active_id)
+    decision = _decide(shadow)
+    log_resent, suppressed = promote_shadow(shadow)
+    resent = shadow.resend_unacknowledged((active_id,))
     trace.record(shadow.sim.now, "recovery.software.done", shadow.process_id,
                  decisions={str(shadow.process_id): decision.value},
-                 resent=len(to_resend) + resent, suppressed=suppressed)
+                 resent=log_resent + resent, suppressed=suppressed)
     return {
         "decision": decision.value,
         "incarnation": incarnation.value,
-        "log_resent": len(to_resend),
+        "log_resent": log_resent,
         "log_suppressed": suppressed,
         "unacked_resent": resent,
         "reason": reason,
@@ -141,10 +71,10 @@ def peer_adopt_takeover(peer: FtProcess, active_id: ProcessId,
     if incarnation.value >= new_incarnation:
         return None
     incarnation.value = new_incarnation
-    decision = _local_decision(peer)
+    decision = _decide(peer)
     drop_recipient(peer.software, active_id)
     peer.mdcd.guarded = False
-    resent = _resend_unacknowledged(peer, active_id)
+    resent = peer.resend_unacknowledged((active_id,))
     peer.trace.record(peer.sim.now, "recovery.takeover.adopted",
                       peer.process_id, incarnation=new_incarnation)
     return {

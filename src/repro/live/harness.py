@@ -207,8 +207,10 @@ class LiveHarness:
             if slot.kind is MemberKind.SHADOW and self._is_successor(slot):
                 heartbeat.setdefault(
                     "watch", self.topology.active_of(slot.component).role_id)
-        spec = {
+        return {
             "role": member,
+            "topology": self.topology.spec,
+            "node": self.topology.member(member).node_id,
             "seed": self.seed,
             "host": "127.0.0.1",
             "port": self.ports[member],
@@ -223,10 +225,6 @@ class LiveHarness:
             "incarnation": incarnation,
             "deposed": list(self.deposed),
         }
-        if not self.topology.is_paper:
-            spec["topology"] = self.topology.spec
-            spec["node"] = self.topology.member(member).node_id
-        return spec
 
     def _is_successor(self, slot) -> bool:
         """Whether ``slot`` is the deterministic takeover winner of its

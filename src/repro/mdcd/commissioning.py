@@ -21,8 +21,7 @@ direction.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..types import Role
-from .recovery import TakeoverEngine
+from .recovery import TakeoverEngine, drop_recipient
 
 
 def commission_upgrade(system) -> None:
@@ -59,7 +58,6 @@ def commission_upgrade(system) -> None:
     # acknowledgements that were waiting on a validation).  Dirty bits
     # drop first: ack release requires a clean receiver.
     peer.mdcd.dirty_bit = 0
-    peer.mdcd.taint_sn = None
     for proc in (active, peer):
         for journal in (proc.journal_sent, proc.journal_recv):
             for record in journal.records(validated=False):
@@ -73,10 +71,7 @@ def commission_upgrade(system) -> None:
 
     # P2 stops addressing the retired shadow; its dirty bit can only
     # stay clean from now on (all incoming messages are clean-flagged).
-    recipients = getattr(peer.software, "component1_recipients", None)
-    if recipients is not None:
-        peer.software.component1_recipients = [
-            pid for pid in recipients if pid != shadow.process_id]
+    drop_recipient(peer.software, shadow.process_id)
     peer.mdcd.guarded = False
     peer.mdcd.dirty_bit = 0
 

@@ -28,13 +28,14 @@ as a deliberate deviation in bookkeeping order only.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..app.acceptance import AcceptanceTest
 from ..app.workload import Action
 from ..messages.message import Message
 from ..types import CheckpointKind, MessageKind, ProcessId, Role
 from .base import MdcdEngineBase
+from .recovery import TakeoverEngine
 
 
 class ModifiedActiveEngine(MdcdEngineBase):
@@ -153,6 +154,11 @@ class ModifiedShadowEngine(MdcdEngineBase):
         self.process.msg_log.append(sn, suppressed)
         self.process.counters.bump("suppressed")
 
+    def takeover_engine(self) -> TakeoverEngine:
+        """What this shadow runs once promoted."""
+        return TakeoverEngine(self.process,
+                              peer=ProcessId(Role.PEER_2.value))
+
     def on_send_internal(self, action: Action) -> None:
         """Suppress and log (guarded operation)."""
         self._suppress(action, MessageKind.INTERNAL)
@@ -191,12 +197,10 @@ class ModifiedPeerEngine(MdcdEngineBase):
 
     variant = "mdcd-modified"
 
-    def __init__(self, process, at: AcceptanceTest,
-                 component1_recipients: Optional[List[ProcessId]] = None) -> None:
+    def __init__(self, process, at: AcceptanceTest) -> None:
         super().__init__(process, at=at, ndc_gating=True)
-        self.component1_recipients: List[ProcessId] = list(
-            component1_recipients
-            or [ProcessId(Role.ACTIVE_1.value), ProcessId(Role.SHADOW_1.value)])
+        self.component1_recipients: List[ProcessId] = [
+            ProcessId(Role.ACTIVE_1.value), ProcessId(Role.SHADOW_1.value)]
 
     def on_send_external(self, action: Action) -> None:
         """Fig. 10: AT-test while dirty; on success clean, advance the

@@ -18,13 +18,14 @@ scheme.  Figure 1 of the paper is a trace of exactly these rules, and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..app.acceptance import AcceptanceTest
 from ..app.workload import Action
 from ..messages.message import Message
 from ..types import CheckpointKind, MessageKind, ProcessId, Role
 from .base import MdcdEngineBase
+from .recovery import TakeoverEngine
 
 
 class OriginalActiveEngine(MdcdEngineBase):
@@ -116,6 +117,11 @@ class OriginalShadowEngine(MdcdEngineBase):
         self.process.msg_log.append(sn, suppressed)
         self.process.counters.bump("suppressed")
 
+    def takeover_engine(self) -> TakeoverEngine:
+        """What this shadow runs once promoted."""
+        return TakeoverEngine(self.process,
+                              peer=ProcessId(Role.PEER_2.value))
+
     def on_send_internal(self, action: Action) -> None:
         """Suppress and log (guarded operation)."""
         self._suppress(action, MessageKind.INTERNAL)
@@ -159,14 +165,12 @@ class OriginalPeerEngine(MdcdEngineBase):
 
     variant = "mdcd-original"
 
-    def __init__(self, process, at: AcceptanceTest,
-                 component1_recipients: Optional[List[ProcessId]] = None) -> None:
+    def __init__(self, process, at: AcceptanceTest) -> None:
         super().__init__(process, at=at, ndc_gating=False)
         #: Where P2's internal messages go (the active and shadow of
         #: component 1); mutated by recovery after a takeover.
-        self.component1_recipients: List[ProcessId] = list(
-            component1_recipients
-            or [ProcessId(Role.ACTIVE_1.value), ProcessId(Role.SHADOW_1.value)])
+        self.component1_recipients: List[ProcessId] = [
+            ProcessId(Role.ACTIVE_1.value), ProcessId(Role.SHADOW_1.value)]
 
     def on_send_external(self, action: Action) -> None:
         """AT-test only while potentially contaminated (Fig. 10); on

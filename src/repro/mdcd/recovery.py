@@ -17,12 +17,12 @@ original (Section 4.2, last paragraph).
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Dict, Tuple
 
 from ..app.workload import Action
 from ..errors import RecoveryError
 from ..messages.message import Message
-from ..types import MessageKind, ProcessId, RecoveryAction, Role
+from ..types import MessageKind, ProcessId, RecoveryAction
 from .base import MdcdEngineBase
 
 
@@ -68,19 +68,90 @@ class TakeoverEngine(MdcdEngineBase):
             message, validated=(message.dirty_bit in (0, None)))
 
 
+def local_decision(proc, decisions: Dict, distances: Dict) -> None:
+    """The paper's local rule: dirty -> roll back to the volatile
+    checkpoint, clean -> roll forward.  Every recovery path (both sim
+    managers, the live backend's distributed takeover) decides through
+    this one function, which notes the :class:`RecoveryAction` in
+    ``decisions`` and a rollback's distance in ``distances``, both
+    keyed by process id."""
+    if proc.node.crashed:
+        # A crashed survivor has nothing to decide: its volatile state
+        # is already lost, and its node's restart rolls every process
+        # back to the stable recovery line — strictly more conservative
+        # than either local decision.
+        proc.counters.bump("recovery.decision_skipped_crashed")
+        return
+    if proc.mdcd.dirty_bit == 0:
+        proc.roll_forward("software")
+        decisions[proc.process_id] = RecoveryAction.ROLL_FORWARD
+        return
+    checkpoint = proc.volatile_checkpoint()
+    if checkpoint is None:
+        # Volatile storage was lost (e.g. an earlier crash) and never
+        # re-established: fall back to the latest stable checkpoint if
+        # one exists.  This is the degraded path a naive protocol
+        # combination can force (paper Fig. 4(a)); the trace records it
+        # so scenarios can assert on it.
+        checkpoint = proc.node.stable.peek(proc.process_id)
+        proc.counters.bump("recovery.degraded_fallback")
+        proc.trace.record(proc.sim.now, "recovery.degraded_fallback",
+                          proc.process_id)
+    if checkpoint is None:
+        raise RecoveryError(
+            f"{proc.process_id} is dirty but has no checkpoint to roll back to")
+    distances[proc.process_id] = proc.restore_from(checkpoint, "software")
+    decisions[proc.process_id] = RecoveryAction.ROLLBACK
+
+
+def promote_shadow(shadow) -> Tuple[int, int]:
+    """Promote ``shadow`` after its local decision: transmit the
+    suppressed, never-validated tail of its message log (beyond ``VR``)
+    and switch it to the post-takeover engine its shadow engine names.
+    Returns ``(resent, suppressed)`` log-entry counts."""
+    vr = shadow.mdcd.vr
+    to_resend = shadow.msg_log.entries_after(vr)
+    suppressed = shadow.msg_log.reclaim_up_to(vr) if vr is not None else 0
+    for entry in to_resend:
+        message = entry.message
+        # The suppressed copies were never transmitted; send them now
+        # under the new incarnation.  The shadow's state is
+        # non-contaminated after its local decision, so they are born
+        # valid.
+        if message.kind is MessageKind.EXTERNAL:
+            shadow.send_external(message.payload, validated=True)
+        else:
+            shadow.send_internal(message.payload, entry.destinations(),
+                                 sn=message.sn, dirty_bit=0, validated=True,
+                                 ndc=shadow.current_ndc())
+    shadow.msg_log.clear()
+    shadow.software = shadow.software.takeover_engine()
+    shadow.driver.resume()
+    return len(to_resend), suppressed
+
+
+def drop_recipient(engine, dead_id: ProcessId) -> None:
+    """Stop ``engine`` addressing ``dead_id``, whichever recipient
+    lists its family keeps."""
+    for attr in ("component1_recipients", "shadows", "peers", "other_peers",
+                 "notification_recipients"):
+        pids = getattr(engine, attr, None)
+        if isinstance(pids, list):
+            setattr(engine, attr, [pid for pid in pids if pid != dead_id])
+
+
 class SoftwareRecoveryManager:
-    """Coordinates a shadow takeover across the interacting processes.
+    """Coordinates a shadow takeover across the paper's three
+    interacting processes.
 
     Installed on every process as ``process.recovery_manager`` by the
-    system builder; engines escalate failed ATs here.  ``peer`` may be a
-    single process (the paper's three-process model) or a list of peers
-    (the generalized architecture of :mod:`repro.general`).
+    system builder; engines escalate failed ATs here.
     """
 
     def __init__(self, active, shadow, peer, incarnation, trace) -> None:
         self.active = active
         self.shadow = shadow
-        self.peers = list(peer) if isinstance(peer, (list, tuple)) else [peer]
+        self.peer = peer
         self.incarnation = incarnation
         self.trace = trace
         self.completed = False
@@ -94,29 +165,15 @@ class SoftwareRecoveryManager:
         #: Number of log entries the promoted shadow re-sent / dropped.
         self.resent = 0
         self.suppressed = 0
-        #: Builds the promoted shadow's post-takeover engine; the
-        #: generalized architecture overrides this with a multicast-
-        #: routing variant.  A bound method (not a closure) so managers
-        #: pickle into warm-start images.
-        self.takeover_engine_factory = self._default_takeover_engine
 
     # ------------------------------------------------------------------
-    def _default_takeover_engine(self, shadow):
-        return TakeoverEngine(shadow, peer=self.peer.process_id)
-
     def _deferred_recover(self, detected_by, failed_message: Message,
                           _node) -> None:
         self.recover(detected_by, failed_message)
 
-    @property
-    def peer(self):
-        """The first peer (the paper's ``P2``) — compatibility accessor
-        for the three-process model."""
-        return self.peers[0]
-
     def install(self) -> None:
         """Attach this manager to every process."""
-        for proc in [self.active, self.shadow] + self.peers:
+        for proc in (self.active, self.shadow, self.peer):
             proc.recovery_manager = self
 
     def recover(self, detected_by, failed_message: Message) -> None:
@@ -137,7 +194,7 @@ class SoftwareRecoveryManager:
             # promotes the restored shadow.
             if not self.active.deposed:
                 self.active.depose()
-            self._detach_active_from_peers()
+            drop_recipient(self.peer.software, self.active.process_id)
             if not self.deferred:
                 self.deferred = True
                 self.trace.record(sim.now, "recovery.software.deferred",
@@ -158,104 +215,20 @@ class SoftwareRecoveryManager:
         if not self.active.deposed:
             self.active.depose()
 
-        for proc in [self.shadow] + self.peers:
-            self._local_decision(proc)
+        for proc in (self.shadow, self.peer):
+            local_decision(proc, self.decisions, self.distances)
 
-        self._promote_shadow()
-        self._detach_active_from_peers()
-        self._resend_unacknowledged()
+        resent, suppressed = promote_shadow(self.shadow)
+        self.resent += resent
+        self.suppressed += suppressed
+        drop_recipient(self.peer.software, self.active.process_id)
+        for proc in (self.shadow, self.peer):
+            # A crashed survivor cannot transmit; its node's restart
+            # runs the hardware recovery, which resends for it.
+            if not proc.node.crashed:
+                proc.resend_unacknowledged((self.active.process_id,))
         self.active.mdcd.guarded = False
-        for proc in self.peers:
-            proc.mdcd.guarded = False
+        self.peer.mdcd.guarded = False
         self.trace.record(sim.now, "recovery.software.done", None,
                           decisions={str(k): v.value for k, v in self.decisions.items()},
                           resent=self.resent, suppressed=self.suppressed)
-
-    # ------------------------------------------------------------------
-    def _local_decision(self, proc) -> None:
-        """The paper's local rule: dirty -> rollback, clean -> roll forward."""
-        if proc.node.crashed:
-            # A crashed survivor has nothing to decide: its volatile
-            # state is already lost, and its node's restart rolls every
-            # process back to the stable recovery line — strictly more
-            # conservative than either local decision.
-            proc.counters.bump("recovery.decision_skipped_crashed")
-            return
-        if proc.mdcd.dirty_bit == 1:
-            checkpoint = proc.volatile_checkpoint()
-            if checkpoint is None:
-                # Volatile storage was lost (e.g. an earlier crash) and
-                # never re-established: fall back to the latest stable
-                # checkpoint if one exists.  This is the degraded path a
-                # naive protocol combination can force (paper Fig. 4(a));
-                # the trace records it so scenarios can assert on it.
-                checkpoint = proc.node.stable.peek(proc.process_id)
-                proc.counters.bump("recovery.degraded_fallback")
-                proc.trace.record(proc.sim.now, "recovery.degraded_fallback",
-                                  proc.process_id)
-            if checkpoint is None:
-                raise RecoveryError(
-                    f"{proc.process_id} is dirty but has no checkpoint to roll back to")
-            self.distances[proc.process_id] = proc.restore_from(checkpoint, "software")
-            self.decisions[proc.process_id] = RecoveryAction.ROLLBACK
-        else:
-            proc.roll_forward("software")
-            self.decisions[proc.process_id] = RecoveryAction.ROLL_FORWARD
-
-    def _promote_shadow(self) -> None:
-        """Re-send unvalidated logged messages and switch the shadow's
-        engine to post-takeover behaviour."""
-        shadow = self.shadow
-        vr = shadow.mdcd.vr
-        to_resend = shadow.msg_log.entries_after(vr)
-        if vr is not None:
-            self.suppressed += shadow.msg_log.reclaim_up_to(vr)
-        for entry in to_resend:
-            message = entry.message
-            # The suppressed copies were never transmitted; send them now
-            # under the new incarnation.  The shadow's state is
-            # non-contaminated after its local decision, so they are born
-            # valid.
-            if message.kind is MessageKind.EXTERNAL:
-                shadow.send_external(message.payload, validated=True)
-            else:
-                shadow.send_internal(message.payload, entry.destinations(),
-                                     sn=message.sn, dirty_bit=0, validated=True,
-                                     ndc=shadow.current_ndc())
-            self.resent += 1
-        shadow.msg_log.clear()
-        shadow.software = self.takeover_engine_factory(shadow)
-        shadow.driver.resume()
-
-    def _detach_active_from_peers(self) -> None:
-        """Stop the peers from addressing the deposed active."""
-        for peer in self.peers:
-            engine = peer.software
-            recipients = getattr(engine, "component1_recipients", None)
-            if recipients is not None:
-                engine.component1_recipients = [
-                    pid for pid in recipients if pid != self.active.process_id]
-
-    def _resend_unacknowledged(self) -> None:
-        """Re-send survivors' unacknowledged messages under the new
-        incarnation.
-
-        The incarnation fence drops pre-recovery in-flight deliveries;
-        a message a surviving process sent (and still counts as sent)
-        must therefore be re-transmitted or it would be lost to a
-        receiver that rolled back past it.  Receivers that did process
-        the original drop the re-send by dedup key.  Messages addressed
-        to the deposed active are skipped — it is out of service.
-        """
-        deposed = self.active.process_id
-        for proc in [self.shadow] + self.peers:
-            if proc.node.crashed:
-                # A crashed survivor cannot transmit; its node's restart
-                # runs the hardware recovery, which resends its
-                # unacknowledged messages itself.
-                continue
-            for message in proc.acks.unacknowledged():
-                if message.receiver == deposed:
-                    proc.acks.acked(message.msg_id)
-                    continue
-                proc.resend(message)

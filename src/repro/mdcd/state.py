@@ -50,24 +50,14 @@ class MdcdState:
     vr: Optional[int] = None
     msg_sn_p1act: int = 0
     guarded: bool = True
-    #: Contamination provenance (generalized K-peer protocol): the
-    #: highest ``P1_act`` sequence number that influenced this process's
-    #: state, directly or transitively.  ``None`` while clean.  The
-    #: paper's three-process protocols leave it unused: their chain
-    #: topology guarantees a validator's bound covers its audience's
-    #: contamination, so the unconditional dirty-bit reset is sound
-    #: there — but not in a general interaction graph.
-    taint_sn: Optional[int] = None
-    #: Rollback-hazard sources (generalized protocol): peers whose
-    #: dirty-flagged messages this process applied and whose *cleaning*
-    #: it has not yet observed.  Until a dirty sender is known clean,
-    #: it may still roll back past those sends (its recovery anchor is
-    #: its contamination onset), so the receiver must stay suspicious
-    #: even if the messages' own provenance is covered by a validation.
-    dirty_sources: Optional[set] = None
     #: Per-source contamination provenance (N-component topologies):
     #: guarded active role id -> highest sequence number of that active
-    #: influencing this process's state.  ``None``/empty while clean.
+    #: influencing this process's state, directly or transitively.
+    #: ``None``/empty while clean.  The paper's three-process protocols
+    #: leave it unused: their chain topology guarantees a validator's
+    #: bound covers its audience's contamination, so the unconditional
+    #: dirty-bit reset is sound there — but not in a general
+    #: interaction graph.
     taint_map: Optional[dict] = None
     #: Per-source valid-bound registers (N-component topologies): the
     #: highest certified sequence number per guarded active.
@@ -80,7 +70,3 @@ class MdcdState:
     #: Snapshot section this state is encoded under (see
     #: :mod:`repro.snapshot.sections`).
     snapshot_section = "mdcd"
-
-    def __post_init__(self) -> None:
-        if self.dirty_sources is None:
-            self.dirty_sources = set()

@@ -119,26 +119,21 @@ class Message:
     sn: Optional[int] = None
     ndc: Optional[int] = None
     dirty_bit: Optional[int] = None
-    #: Contamination provenance (generalized K-peer protocol): the
-    #: highest ``P1_act`` sequence number that influenced the sender's
-    #: state when this message was produced.  ``None`` on clean sends
-    #: and in the paper's three-process protocols (where the chain
-    #: topology makes provenance implicit).
-    taint_sn: Optional[int] = None
     #: Per-source contamination provenance (N-component topologies):
     #: maps each guarded active's role id to the highest sequence
     #: number of that active influencing the sender's state when this
     #: message was produced.  On ``PASSED_AT`` notifications the same
     #: field carries the *certified bound map* of the validation.
-    #: ``None`` on clean sends and outside topology systems.
+    #: ``None`` on clean sends and in the paper's three-process
+    #: protocols (where the chain topology makes provenance implicit).
     taint_map: Optional[dict] = None
-    #: Destination sequence number (generalized K-peer protocol): the
+    #: Destination sequence number (coordinated schemes): the
     #: k-th internal message this sender addressed to this receiver.
     #: Under the piecewise-determinism assumption a rolled-back sender's
     #: replay regenerates the same (sender, receiver, dsn) stream with
     #: identical content, so receivers deduplicate replayed sends just
-    #: like recovery re-sends.  ``None`` in the paper-faithful
-    #: three-process protocols.
+    #: like recovery re-sends.  ``None`` under the paper-faithful
+    #: uncoordinated schemes.
     dsn: Optional[int] = None
     corrupt: bool = False
     resend_of: Optional[int] = None
@@ -162,7 +157,7 @@ class Message:
     def dedup_key(self):
         """Logical identity used by receivers to drop duplicates.
 
-        With a destination sequence number (generalized protocol) the
+        With a destination sequence number (coordinated schemes) the
         identity is ``(sender, receiver, dsn)`` — stable across both
         recovery re-sends and deterministic replay; otherwise it is the
         original ``msg_id`` (stable across re-sends only)."""

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 
 from ..topology.model import parse_topology
 from .decisions import diff_decisions
-from .script import WorkloadScript, standard_script, topology_script
+from .script import WorkloadScript, topology_script
 from .sim_backend import SimBackend
 
 
@@ -51,16 +51,15 @@ def run_crosscheck(seed: int = 0, script: Optional[WorkloadScript] = None,
 
     ``workdir`` keeps the live backend's artifacts (decision JSONL
     files, stable-storage directories, agent logs) for inspection;
-    otherwise a temporary directory is used and cleaned up.  A
-    non-paper ``topology`` spawns one live OS process per member and
-    defaults the script to the generalized :func:`topology_script`.
+    otherwise a temporary directory is used and cleaned up.  One live
+    OS process is spawned per member of ``topology``; the script
+    defaults to :func:`topology_script` over it.
     """
     from ..live.harness import LiveHarness  # deferred: OS-process backend
 
     topo = parse_topology(topology)
     if script is None:
-        script = (standard_script() if topo.is_paper
-                  else topology_script(topo))
+        script = topology_script(topo)
     sim_decisions = SimBackend(seed=seed, topology=topology).run_script(script)
     live_decisions = LiveHarness(seed=seed, workdir=workdir,
                                  topology=topology).run_script(script)

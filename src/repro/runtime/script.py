@@ -20,8 +20,7 @@ scripted).  ``crash``/``restart`` name a node; restart implies the
 coordinated hardware recovery.  ``settle`` is a pure barrier.
 
 Targets resolve against a :class:`~repro.topology.model.Topology` via
-:func:`member_targets`; the legacy :meth:`ScriptOp.roles` API keeps
-working for the paper shape.
+:func:`member_targets`.
 """
 
 from __future__ import annotations
@@ -31,13 +30,6 @@ from typing import Iterator, List, Tuple
 
 from ..app.workload import Action, ActionKind
 from ..topology.model import MemberKind, Topology
-from ..types import Role
-
-#: Component targets and the process roles each op fans out to.
-COMPONENT_TARGETS = {
-    "C1": (Role.ACTIVE_1, Role.SHADOW_1),
-    "P2": (Role.PEER_2,),
-}
 
 #: Script-injected actions use indices far past any generated stream.
 SCRIPT_ACTION_BASE = 20_000_000
@@ -73,13 +65,6 @@ class ScriptOp:
         return Action(index=SCRIPT_ACTION_BASE + sequence,
                       kind=_ACTION_KINDS[self.op], gap=0.0,
                       stimulus=self.stimulus)
-
-    def roles(self) -> Tuple[Role, ...]:
-        """The process roles an application op targets (paper shape)."""
-        try:
-            return COMPONENT_TARGETS[self.target]
-        except KeyError:
-            raise ValueError(f"unknown component target {self.target!r}") from None
 
 
 def member_targets(target: str, topology: Topology) -> Tuple[str, ...]:
@@ -118,37 +103,6 @@ class WorkloadScript:
         return list(enumerate(self.ops))
 
 
-def standard_script() -> WorkloadScript:
-    """The canonical cross-check script: contamination build-up, dirty
-    and clean establishments, an external validation round each way, one
-    node crash + coordinated hardware recovery, and post-recovery
-    traffic — every decision family the equivalence claim covers.
-    """
-    return WorkloadScript(ops=(
-        # Contaminate: active takes its pseudo checkpoint, P2 its Type-1.
-        ScriptOp("internal", "C1", stimulus=11),
-        ScriptOp("internal", "C1", stimulus=12),
-        # Dirty establishment (volatile-copy contents).
-        ScriptOp("tb-round"),
-        # Active passes its AT: passed-AT fan-out cleans the system.
-        ScriptOp("external", "C1", stimulus=13),
-        # Clean establishment (current-state contents).
-        ScriptOp("tb-round"),
-        # Re-contaminate, then validate from the peer side.
-        ScriptOp("internal", "C1", stimulus=14),
-        ScriptOp("external", "P2", stimulus=15),
-        ScriptOp("tb-round"),
-        # Crash the peer's node; recovery rolls everyone to the line.
-        ScriptOp("crash", "N2"),
-        ScriptOp("settle"),
-        ScriptOp("restart", "N2"),
-        # Post-recovery traffic and a final establishment.
-        ScriptOp("internal", "C1", stimulus=16),
-        ScriptOp("external", "C1", stimulus=17),
-        ScriptOp("tb-round"),
-    ))
-
-
 def smoke_script() -> WorkloadScript:
     """A short crash-free script for quick conformance smokes."""
     return WorkloadScript(ops=(
@@ -161,14 +115,18 @@ def smoke_script() -> WorkloadScript:
 
 def topology_script(topology: Topology,
                     crash: bool = True) -> WorkloadScript:
-    """The ``standard_script`` shape generalized over a topology.
+    """The canonical cross-check script over a topology — every
+    decision family the equivalence claim covers.
 
-    Every component contaminates and then validates (so each guarded
-    pair and the whole peer mesh see dirty and clean establishments);
-    the first peer validates from its own side; optionally the first
-    peer's node crashes and the coordinated hardware recovery runs;
-    post-recovery traffic closes the run.  Stimuli are deterministic so
-    both backends construct identical actions.
+    Every component contaminates (its active takes a pseudo checkpoint,
+    the peers their Type-1s) and then validates, so each guarded pair
+    and the whole peer mesh see a dirty (volatile-copy) and a clean
+    (current-state) establishment; component 1 re-contaminates and the
+    first peer validates from its own side; optionally the first peer's
+    node crashes and the coordinated hardware recovery rolls everyone
+    to the line; post-recovery traffic and a final establishment close
+    the run.  Stimuli are deterministic so both backends construct
+    identical actions.
     """
     components = [f"C{c}" for c in range(1, topology.n_components + 1)]
     first_peer = topology.peers()[0]

@@ -147,7 +147,6 @@ def message_to_dict(message: Message) -> Dict[str, Any]:
         "sn": message.sn,
         "ndc": message.ndc,
         "dirty_bit": message.dirty_bit,
-        "taint_sn": message.taint_sn,
         "taint_map": message.taint_map,
         "dsn": message.dsn,
         "corrupt": message.corrupt,
@@ -180,7 +179,7 @@ def message_from_dict(data: Dict[str, Any]) -> Message:
         kind=kind, sender=sender, receiver=receiver,
         payload=_decode_payload(data.get("payload")),
         sn=data.get("sn"), ndc=data.get("ndc"),
-        dirty_bit=data.get("dirty_bit"), taint_sn=data.get("taint_sn"),
+        dirty_bit=data.get("dirty_bit"),
         taint_map=(None if data.get("taint_map") is None
                    else {str(k): int(v)
                          for k, v in data["taint_map"].items()}),

@@ -9,14 +9,13 @@ This module is the innermost hot path of every experiment campaign —
 millions of events are created, compared, and fired per run — so
 :class:`Event` is a ``__slots__`` class with a plain mutable
 ``cancelled`` flag and a comparison that touches fields directly
-instead of building tuples.  An optional :class:`EventPool` lets the
-kernel recycle fired event objects instead of allocating fresh ones.
+instead of building tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class EventPriority(enum.IntEnum):
@@ -152,95 +151,3 @@ def make_event(
     if seq is None:
         seq = (sequencer if sequencer is not None else _fallback_sequencer)()
     return Event(time, int(priority), seq, callback, args, label)
-
-
-class EventPool:
-    """A free-list of fired :class:`Event` objects.
-
-    The kernel releases events here after they fire (or after a
-    cancelled event is popped) and reacquires them for new schedules,
-    skipping object allocation on the hot path.  Released events drop
-    their callback/args references immediately so the pool never keeps
-    closures or messages alive.
-
-    Pooling changes object identity across schedules, so it is opt-in
-    (``Simulator(pooling=True)``): a caller holding a *dead* handle —
-    the event fired, or was cancelled and has since left the heap —
-    must not call :meth:`Event.cancel` on it (the object may already
-    describe a different scheduled event).  All in-tree callers null or
-    guard their handles (e.g. ``Alarm.cancel`` checks both its ``fired``
-    and ``cancelled`` flags);
-    ``tests/integration/test_representation_knobs.py`` asserts a faulted
-    run's samples are bit-for-bit identical pooling on/off.
-    """
-
-    __slots__ = ("_free", "max_size", "reused", "released")
-
-    def __init__(self, max_size: int = 4096) -> None:
-        self._free: List[Event] = []
-        self.max_size = max_size
-        #: Diagnostics: how many acquisitions were served from the pool.
-        self.reused = 0
-        #: Diagnostics: how many events were returned to the pool.
-        self.released = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, time: float, priority: int, seq: int,
-                callback: Callable[..., Any], args: tuple,
-                label: str) -> Event:
-        """A ready-to-push event: recycled if available, else fresh."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.label = label
-            event.cancelled = False
-            self.reused += 1
-            return event
-        return Event(time, priority, seq, callback, args, label)
-
-    def release(self, event: Event) -> None:
-        """Return a dead (fired or cancelled-and-popped) event."""
-        free = self._free
-        if len(free) >= self.max_size:
-            return
-        event.callback = None
-        event.args = ()
-        event.label = ""
-        event.sim = None
-        self.released += 1
-        free.append(event)
-
-    # ------------------------------------------------------------------
-    # cross-run recycling (flock group execution)
-    # ------------------------------------------------------------------
-    def adopt(self, donor: "EventPool") -> None:
-        """Take over another pool's free list (and its diagnostics).
-
-        Flock groups run forks back-to-back in one process; adopting
-        the previous fork's free list keeps the hot event objects
-        cache-resident instead of re-allocating them per fork.  Safe
-        because released events are dead by contract — they reference
-        no callback, args, or simulator.
-        """
-        take = self.max_size - len(self._free)
-        if take > 0:
-            self._free.extend(donor._free[:take])
-        donor._free.clear()
-        self.reused += donor.reused
-        self.released += donor.released
-
-    def harvest(self, simulator) -> None:
-        """Adopt the free list of a finished simulator's pool, if any.
-
-        Convenience for the flock runner: called on each completed
-        fork's ``system.sim`` before the next fork starts."""
-        pool = getattr(simulator, "_pool", None)
-        if pool is not None and pool is not self:
-            self.adopt(pool)

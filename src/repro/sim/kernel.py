@@ -15,8 +15,7 @@ locals, ``run(until=...)`` peeks at the heap head instead of popping
 and re-pushing boundary-straddling events, a live-event counter makes
 :meth:`pending_count` O(1), and cancelled events are compacted out of
 the heap once they outnumber half of it (lazy deletion otherwise keeps
-dead entries churning through every sift).  Event-object allocation can
-be amortized with an opt-in :class:`~repro.sim.events.EventPool`.
+dead entries churning through every sift).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import heapq
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..errors import SchedulingError
-from .events import Event, EventPool, EventPriority
+from .events import Event, EventPriority
 
 #: One :meth:`Simulator.schedule_many` entry:
 #: ``(time, callback, args, priority, label)``.
@@ -34,15 +33,6 @@ EventSpec = Tuple[float, Callable[..., Any], tuple, int, str]
 
 class Simulator:
     """A deterministic discrete-event simulator.
-
-    Parameters
-    ----------
-    pooling:
-        Recycle fired event objects through an
-        :class:`~repro.sim.events.EventPool` instead of allocating a
-        fresh :class:`~repro.sim.events.Event` per schedule.  Off by
-        default; see the pool's docstring for the handle-holding
-        caveat.
 
     Example
     -------
@@ -62,14 +52,13 @@ class Simulator:
     #: live-event population.
     _COMPACT_MIN = 64
 
-    def __init__(self, pooling: bool = False) -> None:
+    def __init__(self) -> None:
         self._heap: List[Event] = []
         self._now: float = 0.0
         self._next_seq = 0
         self._cancelled_in_heap = 0
         self._running = False
         self._stopped = False
-        self._pool: Optional[EventPool] = EventPool() if pooling else None
         #: Number of events executed so far (cancelled events excluded).
         self.events_executed: int = 0
         #: Diagnostics: how many heap compactions have run.
@@ -82,11 +71,6 @@ class Simulator:
     def now(self) -> float:
         """The current simulated true time, in seconds."""
         return self._now
-
-    @property
-    def pool(self) -> Optional[EventPool]:
-        """The event free-list, when pooling is enabled."""
-        return self._pool
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1): the
@@ -121,11 +105,7 @@ class Simulator:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        pool = self._pool
-        if pool is not None:
-            event = pool.acquire(time, int(priority), seq, callback, args, label)
-        else:
-            event = Event(time, int(priority), seq, callback, args, label)
+        event = Event(time, int(priority), seq, callback, args, label)
         event.sim = self
         event.in_heap = True
         heapq.heappush(self._heap, event)
@@ -203,7 +183,6 @@ class Simulator:
         executed = 0
         heap = self._heap
         pop = heapq.heappop
-        pool = self._pool
         try:
             while heap:
                 if self._stopped:
@@ -213,8 +192,6 @@ class Simulator:
                     pop(heap)
                     head.in_heap = False
                     self._cancelled_in_heap -= 1
-                    if pool is not None:
-                        pool.release(head)
                     continue
                 if until is not None and head.time > until:
                     break
@@ -225,8 +202,6 @@ class Simulator:
                 head.callback(*head.args)
                 self.events_executed += 1
                 executed += 1
-                if pool is not None:
-                    pool.release(head)
                 if max_events is not None and executed >= max_events:
                     break
             if until is not None and self._now < until and not self._stopped:
@@ -235,11 +210,7 @@ class Simulator:
             self._running = False
 
     def step(self) -> Optional[Event]:
-        """Execute exactly one live event and return it (``None`` if drained).
-
-        Stepped events are never recycled through the pool — the caller
-        receives the handle.
-        """
+        """Execute exactly one live event and return it (``None`` if drained)."""
         self._drop_cancelled_head()
         if not self._heap:
             return None
@@ -284,16 +255,9 @@ class Simulator:
         """Physically remove cancelled events and re-heapify (in place,
         so aliases of the heap list held by a running loop stay valid)."""
         heap = self._heap
-        pool = self._pool
-        if pool is not None:
-            for event in heap:
-                if event.cancelled:
-                    event.in_heap = False
-                    pool.release(event)
-        else:
-            for event in heap:
-                if event.cancelled:
-                    event.in_heap = False
+        for event in heap:
+            if event.cancelled:
+                event.in_heap = False
         heap[:] = [event for event in heap if not event.cancelled]
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
@@ -301,10 +265,6 @@ class Simulator:
 
     def _drop_cancelled_head(self) -> None:
         heap = self._heap
-        pool = self._pool
         while heap and heap[0].cancelled:
-            event = heapq.heappop(heap)
-            event.in_heap = False
+            heapq.heappop(heap).in_heap = False
             self._cancelled_in_heap -= 1
-            if pool is not None:
-                pool.release(event)

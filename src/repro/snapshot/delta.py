@@ -57,17 +57,16 @@ def _pack_record(rec: JournalRecord) -> Tuple:
     form, and so the accounted bytes, they always had.
     """
     packed = (rec.key, rec.kind.value, rec.sender, rec.receiver, rec.sn,
-              rec.sent_dirty, rec.validated, rec.corrupt, rec.time,
-              rec.taint_sn, rec.dsn)
+              rec.sent_dirty, rec.validated, rec.corrupt, rec.time, rec.dsn)
     return packed if rec.taint_map is None else packed + (rec.taint_map,)
 
 
 def _unpack_record(data: Tuple) -> JournalRecord:
     (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
-     time, taint_sn, dsn) = data[:11]
+     time, dsn) = data[:10]
     return JournalRecord(key, MessageKind(kind), sender, receiver, sn,
-                         sent_dirty, validated, corrupt, time, taint_sn,
-                         data[11] if len(data) > 11 else None, dsn)
+                         sent_dirty, validated, corrupt, time,
+                         data[10] if len(data) > 10 else None, dsn)
 
 
 # ----------------------------------------------------------------------

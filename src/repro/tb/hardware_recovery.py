@@ -116,6 +116,8 @@ class HardwareRecoveryCoordinator:
                 eng.reset_after_recovery(line, boundary_index)
             else:
                 eng.reset_after_recovery(line)
+        deposed = {proc.process_id for proc in self.processes
+                   if proc.deposed}
         for proc, _ckpt in restored:
             if proc.node.crashed:
                 # Overlapping crashes: a process whose own node is still
@@ -126,12 +128,7 @@ class HardwareRecoveryCoordinator:
                 # own restart.
                 proc.counters.bump("recovery.resend_deferred_crashed")
                 continue
-            for message in proc.acks.unacknowledged():
-                receiver = self._find(message.receiver)
-                if receiver is not None and receiver.deposed:
-                    proc.acks.acked(message.msg_id)
-                    continue
-                proc.resend(message)
+            proc.resend_unacknowledged(deposed)
             proc.driver.resume()
         self.trace.record(sim.now, "recovery.hardware.done", None, epoch=line)
 
@@ -145,12 +142,6 @@ class HardwareRecoveryCoordinator:
                     f"{proc.process_id} has no stable checkpoint (no genesis?)")
             epochs.append(latest.epoch)
         return min(epochs)
-
-    def _find(self, process_id: ProcessId):
-        for proc in self.processes:
-            if proc.process_id == process_id:
-                return proc
-        return None
 
     # ------------------------------------------------------------------
     def distances(self, process_id: Optional[ProcessId] = None) -> List[float]:

@@ -1,10 +1,8 @@
 """MDCD engines for N-component/K-shadow topologies, with per-source
 contamination provenance.
 
-The generalized single-component engines (:mod:`repro.general.engines`)
-track provenance as one scalar ``taint_sn`` because there is a single
-low-confidence producer.  With **N guarded components** there are N
-independent sequence-number spaces, so provenance becomes a **map**:
+With **N guarded components** there are N independent sequence-number
+spaces, so contamination provenance is a **map**:
 ``{active role id -> highest influencing sequence number}``.  Every
 dirty message piggybacks its sender's map; a validation broadcasts a
 *bound map* of what it certifies per source; a process is cleaned —
@@ -61,12 +59,10 @@ class TopologyActiveEngine(MdcdEngineBase):
 
     The paper's Fig. 8 algorithm with stimulus-routed peer addressing
     and a per-source bound map on its validation broadcasts.  The
-    stale-``msg_SN`` conservatism guard is kept (unlike the
-    single-component generalized engine, whose audience topology makes
-    the unconditional reset safe): a peer's bound map certifies this
-    active's messages only up to its recorded frontier, and newer
-    allocations mean the current state depends on an unvalidated
-    produce.
+    stale-``msg_SN`` conservatism guard is kept: a peer's bound map
+    certifies this active's messages only up to its recorded frontier,
+    and newer allocations mean the current state depends on an
+    unvalidated produce.
     """
 
     variant = "mdcd-topology"
@@ -191,6 +187,10 @@ class TopologyShadowEngine(MdcdEngineBase):
                              msg_id=self.process.msg_ids.allocate())
         self.process.msg_log.append(sn, suppressed, recipients=recipients)
         self.process.counters.bump("suppressed")
+
+    def takeover_engine(self) -> "TopologyTakeoverEngine":
+        """What this shadow runs once elected and promoted."""
+        return TopologyTakeoverEngine(self.process, self.peers)
 
     def on_send_internal(self, action: Action) -> None:
         """Suppress and log (guarded operation)."""

@@ -25,10 +25,9 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional
 
-from ..errors import RecoveryError
+from ..mdcd.recovery import local_decision, promote_shadow
 from ..messages.message import Message
-from ..types import MessageKind, RecoveryAction
-from .engines import TopologyTakeoverEngine
+from ..types import RecoveryAction
 from .model import MemberKind, Topology
 from .view import GroupView
 
@@ -145,11 +144,18 @@ class TopologyRecoveryManager:
         # application traffic flows into a guarded component), so the
         # paper's local rule has nothing to decide for them.
         for proc in [winner] + self._peer_processes():
-            self._local_decision(proc)
+            local_decision(proc, self.decisions, self.distances)
 
-        self._promote(component, winner)
+        resent, suppressed = promote_shadow(winner)
+        self.resent += resent
+        self.suppressed += suppressed
+        self.view.note_promoted(winner_id)
         self._retire_losing_shadows(component, winner_id)
-        self._resend_unacknowledged()
+        deposed = {proc.process_id for proc in self.members.values()
+                   if proc.deposed}
+        for proc in self.members.values():
+            if not (proc.deposed or proc.node.crashed):
+                proc.resend_unacknowledged(deposed)
         active.mdcd.guarded = False
         if not any(not self.completed.get(c)
                    for c in range(1, self.topology.n_components + 1)):
@@ -164,51 +170,6 @@ class TopologyRecoveryManager:
             resent=self.resent, suppressed=self.suppressed)
 
     # ------------------------------------------------------------------
-    def _local_decision(self, proc) -> None:
-        """The paper's local rule: dirty -> rollback, clean -> forward."""
-        if proc.node.crashed:
-            proc.counters.bump("recovery.decision_skipped_crashed")
-            return
-        if proc.mdcd.dirty_bit == 1:
-            checkpoint = proc.volatile_checkpoint()
-            if checkpoint is None:
-                checkpoint = proc.node.stable.peek(proc.process_id)
-                proc.counters.bump("recovery.degraded_fallback")
-                proc.trace.record(proc.sim.now, "recovery.degraded_fallback",
-                                  proc.process_id)
-            if checkpoint is None:
-                raise RecoveryError(f"{proc.process_id} is dirty but has "
-                                    "no checkpoint to roll back to")
-            self.distances[proc.process_id] = proc.restore_from(
-                checkpoint, "software")
-            self.decisions[proc.process_id] = RecoveryAction.ROLLBACK
-        else:
-            proc.roll_forward("software")
-            self.decisions[proc.process_id] = RecoveryAction.ROLL_FORWARD
-
-    def _promote(self, component: int, shadow) -> None:
-        """Re-send the unvalidated suppressed log and switch the
-        elected shadow to post-takeover behaviour."""
-        vr = shadow.mdcd.vr
-        to_resend = shadow.msg_log.entries_after(vr)
-        if vr is not None:
-            self.suppressed += shadow.msg_log.reclaim_up_to(vr)
-        for entry in to_resend:
-            message = entry.message
-            if message.kind is MessageKind.EXTERNAL:
-                shadow.send_external(message.payload, validated=True)
-            else:
-                shadow.send_internal(message.payload, entry.destinations(),
-                                     sn=message.sn, dirty_bit=0,
-                                     validated=True, ndc=shadow.current_ndc())
-            self.resent += 1
-        shadow.msg_log.clear()
-        peer_ids = [p.process_id for p in self._peer_processes()]
-        shadow.software = TopologyTakeoverEngine(shadow, peers=peer_ids)
-        shadow.mdcd.guarded = False
-        self.view.note_promoted(str(shadow.process_id))
-        shadow.driver.resume()
-
     def _retire_losing_shadows(self, component: int, winner_id: str) -> None:
         """Depose the component's remaining shadows: their suppressed
         logs mirror a producer that no longer exists."""
@@ -220,19 +181,3 @@ class TopologyRecoveryManager:
                 proc.depose()
             proc.mdcd.guarded = False
             self.view.note_deposed(spec.role_id)
-
-    def _resend_unacknowledged(self) -> None:
-        """Re-send in-service survivors' unacknowledged messages under
-        the new incarnation (receivers deduplicate); drop messages
-        addressed to deposed members."""
-        deposed = {pid for pid, proc in
-                   ((p.process_id, p) for p in self.members.values())
-                   if proc.deposed}
-        for proc in self.members.values():
-            if proc.deposed or proc.node.crashed:
-                continue
-            for message in proc.acks.unacknowledged():
-                if message.receiver in deposed:
-                    proc.acks.acked(message.msg_id)
-                    continue
-                proc.resend(message)

@@ -8,7 +8,7 @@ prevents import cycles between the protocol packages.
 from __future__ import annotations
 
 import enum
-from typing import NewType
+from typing import NewType, Optional
 
 #: Simulated "true" time, in seconds.  The simulator's master clock.
 TrueTime = NewType("TrueTime", float)
@@ -39,6 +39,14 @@ class Role(enum.Enum):
     ACTIVE_1 = "P1_act"
     SHADOW_1 = "P1_sdw"
     PEER_2 = "P2"
+
+    @classmethod
+    def of(cls, process_id: str) -> Optional["Role"]:
+        """The paper role ``process_id`` names, if any."""
+        try:
+            return cls(process_id)
+        except ValueError:
+            return None
 
     @property
     def is_component_one(self) -> bool:

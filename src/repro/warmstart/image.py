@@ -81,7 +81,9 @@ _HEADER = struct.Struct(">B8sI")
 
 #: 2: every persistent id is a table index, an RNG stream a
 #: :func:`_thaw_rng` reduce (before: no marker, ``("r", index)`` ids).
-_FORMAT = 2
+#: 3: packed journal records lost their scalar-provenance slot, so a
+#: format-2 set's checkpoints would unpack shifted.
+_FORMAT = 3
 
 
 class ForkContext:

@@ -153,11 +153,11 @@ class TestRecoverability:
             ProcessId("B"): make_view("B"),
         }
         assert check_recoverability(
-            line, guarded_active=ProcessId("P1_act"), shadow_vr=3) == []
+            line, guarded_map={ProcessId("P1_act"): 3}) == []
         # Covered by a validation (sn <= vr): the shadow reclaimed its
         # copy, so the message is genuinely unrestorable.
         assert len(check_recoverability(
-            line, guarded_active=ProcessId("P1_act"), shadow_vr=9)) == 1
+            line, guarded_map={ProcessId("P1_act"): 9})) == 1
 
     def test_exempt_receiver_skipped(self):
         m = msg()

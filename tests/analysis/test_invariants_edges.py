@@ -4,8 +4,12 @@ The main checker behaviours are covered in ``test_invariants.py``; this
 module pins the boundary conditions the online auditor leans on: empty
 and partial lines, DEVICE-endpoint traffic, messages restorable by more
 than one mechanism at once, the replay-protection (dsn) exemption, and
-the gating of the pseudo-conservatism oracle.
+the gating of the pseudo-conservatism oracle, and the paper-shape
+verdicts the topology-general ``check_system_line`` inherited from the
+paper-only checker it replaced.
 """
+
+import pytest
 
 from repro.analysis.global_state import ProcessView
 from repro.analysis.invariants import (
@@ -26,6 +30,7 @@ from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
 from repro.messages.message import DEVICE, Message
+from repro.topology.model import Topology
 from repro.types import MessageKind, ProcessId
 
 
@@ -112,8 +117,8 @@ class TestRestorationPaths:
             ProcessId("A"): make_view("A", sent=[(m, True)]),
             ProcessId("B"): make_view("B"),
         }
-        assert check_recoverability(line, guarded_active=ProcessId("A"),
-                                    shadow_vr=5) == []
+        assert check_recoverability(
+            line, guarded_map={ProcessId("A"): 5}) == []
 
     def test_both_paths_at_once_is_one_clean_pass(self):
         # A message restorable by BOTH the unacked set and the shadow
@@ -124,8 +129,8 @@ class TestRestorationPaths:
             ProcessId("A"): make_view("A", sent=[(m, True)], unacked=[m]),
             ProcessId("B"): make_view("B"),
         }
-        assert check_recoverability(line, guarded_active=ProcessId("A"),
-                                    shadow_vr=5) == []
+        assert check_recoverability(
+            line, guarded_map={ProcessId("A"): 5}) == []
 
     def test_covered_sn_not_restorable_by_shadow(self):
         # sn <= vr: the shadow reclaimed its copy, the unacked set is
@@ -135,9 +140,8 @@ class TestRestorationPaths:
             ProcessId("A"): make_view("A", sent=[(m, True)]),
             ProcessId("B"): make_view("B"),
         }
-        violations = check_recoverability(line,
-                                          guarded_active=ProcessId("A"),
-                                          shadow_vr=5)
+        violations = check_recoverability(
+            line, guarded_map={ProcessId("A"): 5})
         assert [v.kind for v in violations] == [UNRESTORABLE_MESSAGE]
 
     def test_dsn_exempts_orphan(self):
@@ -197,3 +201,64 @@ class TestPseudoConservatismGating:
         line = self.line_with_active(content="current-state", corrupt=True,
                                      pseudo=1, dirty=1)
         assert check_pseudo_conservatism(line, self.ACTIVE) == []
+
+
+def paper_line(vr=5, shadow=True, active=True):
+    """A paper-shape line with one message per verdict the system-line
+    checker can reach; ``(line, {message key: name})``."""
+    m = {name: msg(sender, receiver, sn=sn)
+         for name, sender, receiver, sn in (
+             ("covered", "P1_act", "P2", 3),     # acked, lost, sn <= VR
+             ("beyond", "P1_act", "P2", 9),      # acked, lost, sn > VR
+             ("disputed", "P1_act", "P2", 4),    # views disagree
+             ("to-active", "P2", "P1_act", None),   # lost on the way in
+             ("to-shadow", "P2", "P1_sdw", None),   # lost, acked
+             ("orphan", "P2", "P1_sdw", None),      # never sent
+             ("orphan-in", "P2", "P1_act", None))}  # never sent, exempt
+    line = {}
+    if active:
+        line[ProcessId("P1_act")] = make_view(
+            "P1_act", dirty=1, corrupt=True, content="current-state",
+            sent=[(m["covered"], False), (m["beyond"], False),
+                  (m["disputed"], False)],
+            recv=[(m["orphan-in"], True)])
+    if shadow:
+        line[ProcessId("P1_sdw")] = make_view(
+            "P1_sdw", vr=vr, recv=[(m["orphan"], True)])
+    line[ProcessId("P2")] = make_view(
+        "P2", corrupt=True,
+        sent=[(m["to-active"], True), (m["to-shadow"], True)],
+        recv=[(m["disputed"], True)])
+    return line, {message.dedup_key: name for name, message in m.items()}
+
+
+class TestMergedSystemLine:
+    """Expected lists captured from the paper-only ``check_system_line``
+    at the commit before the merge (8d90035), kind / process / message,
+    in order."""
+
+    ORPHAN = ("orphan-message", "P1_sdw", "orphan")
+    MISMATCH = ("validity-mismatch", "P2", "disputed")
+    COVERED = ("unrestorable-message", "P1_act", "covered")
+    TO_SHADOW = ("unrestorable-message", "P2", "to-shadow")
+    TRUTH = ("undetected-contamination", "P2", None)
+    PSEUDO = ("pseudo-undetected-contamination", "P1_act", None)
+
+    @pytest.mark.parametrize("shape, expected", [
+        (dict(), [ORPHAN, MISMATCH, COVERED, TO_SHADOW, TRUTH, PSEUDO]),
+        # No shadow view: nothing bounds the shadow-log arm, and the
+        # shadow is outside the line as a receiver.
+        (dict(shadow=False), [MISMATCH, TRUTH, PSEUDO]),
+        # No validation yet: every active message is restorable.
+        (dict(vr=None), [ORPHAN, MISMATCH, TO_SHADOW, TRUTH, PSEUDO]),
+        # Deposed active: its view is not part of the line.
+        (dict(active=False), [ORPHAN, TO_SHADOW, TRUTH]),
+    ], ids=["full", "shadow-missing", "vr-none", "active-deposed"])
+    def test_paper_shape_verdicts_are_the_parents(self, shape, expected):
+        line, names = paper_line(**shape)
+        violations = check_system_line(line, pseudo_conservatism=True)
+        assert [(v.kind, str(v.process), names.get(v.message_key))
+                for v in violations] == expected
+        # A bare line is checked as the paper's membership.
+        assert check_system_line(line, pseudo_conservatism=True,
+                                 topology=Topology.paper()) == violations

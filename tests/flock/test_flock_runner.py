@@ -128,7 +128,6 @@ class TestRunBatch:
         assert stats["forks"] == 4
         # Nearby divergences share a quantized dump position.
         assert stats["dumps"] < stats["forks"]
-        assert stats["pool_reused"] > 0
 
     def test_mixed_fault_kinds(self):
         schedules = [

@@ -1,4 +1,6 @@
-"""Tests for the generalized (K-peer) guarded architecture."""
+"""One guarded component among K interacting peers — the restriction
+removal the paper cites as its follow-up [5] — on ``build_system``'s
+``1x1+K`` memberships (K = 1 is the paper's own three processes)."""
 
 import pytest
 
@@ -6,33 +8,49 @@ from repro.analysis import check_system_line
 from repro.analysis.global_state import common_stable_line, stable_line
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.app.workload import WorkloadConfig
-from repro.errors import ConfigurationError
-from repro.general import GeneralSystemConfig, build_general_system, route
+from repro.coordination.scheme import SystemConfig, build_system
 from repro.tb.blocking import TbConfig
+from repro.topology.engines import route
 from repro.types import ProcessId
 
 
 def make_system(n_peers=3, seed=5, horizon=2000.0, **overrides):
-    config = GeneralSystemConfig(
-        n_peers=n_peers, seed=seed, horizon=horizon,
+    config = SystemConfig(
+        topology="paper" if n_peers == 1 else f"1x1+{n_peers}",
+        seed=seed, horizon=horizon,
         tb=TbConfig(interval=40.0),
         workload1=WorkloadConfig(internal_rate=0.05, external_rate=0.01,
                                  step_rate=0.02, horizon=horizon),
-        workload_peer=WorkloadConfig(internal_rate=0.04, external_rate=0.01,
-                                     step_rate=0.02, horizon=horizon),
+        workload2=WorkloadConfig(internal_rate=0.04, external_rate=0.01,
+                                 step_rate=0.02, horizon=horizon),
         stable_history=200, **overrides)
-    return build_general_system(config)
+    return build_system(config)
+
+
+def guarded_pair(system):
+    """The guarded component's (active, shadow) processes."""
+    topology = system.topology
+    return (system.member(topology.active_of(1).role_id),
+            system.member(topology.shadows_of(1)[0].role_id))
+
+
+def peers(system):
+    return [system.member(p.role_id) for p in system.topology.peers()]
+
+
+def line_violations(system, line):
+    return check_system_line(line, topology=system.topology)
 
 
 class TestConstruction:
     def test_rejects_zero_peers(self):
-        with pytest.raises(ConfigurationError):
-            GeneralSystemConfig(n_peers=0)
+        with pytest.raises(ValueError):
+            make_system(n_peers=0)
 
     def test_process_roster(self):
         system = make_system(n_peers=4)
         ids = [str(p.process_id) for p in system.process_list()]
-        assert ids == ["P1_act", "P1_sdw", "P2", "P3", "P4", "P5"]
+        assert ids == ["C1_act", "C1_sdw1", "P1", "P2", "P3", "P4"]
 
     def test_one_node_per_process(self):
         system = make_system(n_peers=3)
@@ -51,23 +69,27 @@ class TestGuardedOperationAtScale:
         system = make_system(n_peers=3)
         system.run()
         # Every peer eventually gets contaminated (Type-1 checkpoints),
-        # even those P1_act never addresses directly in a given window —
-        # peer-to-peer dirty messages carry the wavefront.
-        for peer in system.peers:
+        # even those the active never addresses directly in a given
+        # window — peer-to-peer dirty messages carry the wavefront.
+        for peer in peers(system):
             assert peer.counters.get("checkpoint.type-1") > 0
-        assert system.shadow.counters.get("checkpoint.type-1") > 0
+        # At K > 1 no application traffic flows *into* the guarded
+        # pair, so the wavefront never reaches the shadow (the paper
+        # shape keeps P2 -> {P1_act, P1_sdw}).
+        _active, shadow = guarded_pair(system)
+        assert shadow.counters.get("checkpoint.type-1") == 0
 
     def test_validations_clean_every_process(self):
         system = make_system(n_peers=3)
         system.run()
-        for peer in system.peers:
+        for peer in peers(system):
             assert peer.counters.get("recv.passed_at") > 0
 
     def test_shadow_mirrors_active(self):
         system = make_system(n_peers=3)
         system.run()
-        assert (system.shadow.component.state.value
-                == system.active.component.state.value)
+        active, shadow = guarded_pair(system)
+        assert shadow.component.state.value == active.component.state.value
 
     @pytest.mark.parametrize("n_peers", [1, 2, 5])
     def test_all_epoch_lines_valid(self, n_peers):
@@ -83,12 +105,13 @@ class TestGuardedOperationAtScale:
             if len(line) < len(system.process_list()):
                 continue
             checked += 1
-            assert check_system_line(line) == [], f"epoch {epoch}"
+            assert line_violations(system, line) == [], f"epoch {epoch}"
         assert checked > 10
 
     def test_single_peer_matches_paper_model(self):
         # K = 1 is exactly the paper's architecture.
         system = make_system(n_peers=1)
+        assert system.topology.spec == "paper"
         system.run()
         assert check_system_line(common_stable_line(system)) == []
 
@@ -109,24 +132,24 @@ class TestRecoveryAtScale:
         system.inject_software_fault(SoftwareFaultPlan(activate_at=500.0))
         system.run()
         assert system.sw_recovery.completed
-        for peer in system.peers:
-            shadow_msgs = peer.journal_recv.records(
-                sender=system.shadow.process_id)
+        _active, shadow = guarded_pair(system)
+        for peer in peers(system):
+            shadow_msgs = peer.journal_recv.records(sender=shadow.process_id)
             assert shadow_msgs, f"{peer.process_id} never heard the shadow"
 
     def test_crash_of_any_peer_recovers_globally(self):
         system = make_system(n_peers=3, horizon=3000.0)
-        system.inject_crash(HardwareFaultPlan(node_id="N4", crash_at=1500.0,
+        system.inject_crash(HardwareFaultPlan(node_id="NP3", crash_at=1500.0,
                                               repair_time=2.0))
         system.run()
         assert system.hw_recovery.recoveries == 1
         assert len(system.hw_recovery.records) == 5
-        assert check_system_line(common_stable_line(system)) == []
+        assert line_violations(system, common_stable_line(system)) == []
 
     def test_combined_faults_at_scale(self):
         system = make_system(n_peers=4, horizon=3000.0)
         system.inject_software_fault(SoftwareFaultPlan(activate_at=800.0))
-        system.inject_crash(HardwareFaultPlan(node_id="N3", crash_at=1800.0,
+        system.inject_crash(HardwareFaultPlan(node_id="NP2", crash_at=1800.0,
                                               repair_time=2.0))
         system.run()
         assert system.sw_recovery.completed

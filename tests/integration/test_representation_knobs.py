@@ -1,7 +1,7 @@
 """Representation knobs are invisible in a run's outcome.
 
-Tracing, event pooling, the snapshot codecs, incremental capture and
-the worker count change how a run is recorded, stored or scheduled —
+Tracing, the snapshot codecs, incremental capture and the worker
+count change how a run is recorded, stored or scheduled —
 never what happens in it.  One Fig. 7 crash-recovery cell (coordinated
 scheme, internal rate 100, the sweep's own Poisson crash plans) runs
 once per knob setting; rollback distances and the executed-event count
@@ -27,12 +27,10 @@ SEED = 2001
 FIG = Figure7Config(horizon=3_000.0)
 
 #: name -> ``SystemConfig`` overrides on the reference run (which traces
-#: every category, allocates a fresh event per callback, pickles both
-#: stores and captures incrementally).
+#: every category, pickles both stores and captures incrementally).
 KNOBS = {
     "trace-off": dict(trace_enabled=False),
     "trace-allowlist": dict(trace_categories=("tb.establish.",)),
-    "event-pooling": dict(event_pooling=True),
     **{f"codec-{codec}": dict(volatile_codec=codec, stable_codec=codec)
        for codec in available_codecs()
        if codec != SystemConfig.volatile_codec},

@@ -1,5 +1,5 @@
-"""Property-based sweeps over the generalized K-peer architecture and
-the live-state audit."""
+"""Property-based sweeps over one guarded component among K peers
+(``1x1+K``; K = 1 is the paper shape) and the live-state audit."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -8,7 +8,6 @@ from repro.analysis.global_state import common_stable_line
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.app.workload import WorkloadConfig
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
-from repro.general import GeneralSystemConfig, build_general_system
 from repro.tb.blocking import TbConfig
 
 HORIZON = 500.0
@@ -25,16 +24,20 @@ general_params = st.fixed_dictionaries({
 
 
 def build(params):
-    return build_general_system(GeneralSystemConfig(
-        n_peers=params["n_peers"], seed=params["seed"], horizon=HORIZON,
+    workload = WorkloadConfig(internal_rate=params["internal_rate"],
+                              external_rate=0.02, step_rate=0.01,
+                              horizon=HORIZON)
+    return build_system(SystemConfig(
+        topology=("paper" if params["n_peers"] == 1
+                  else f"1x1+{params['n_peers']}"),
+        seed=params["seed"], horizon=HORIZON,
         tb=TbConfig(interval=params["interval"]),
-        workload1=WorkloadConfig(internal_rate=params["internal_rate"],
-                                 external_rate=0.02, step_rate=0.01,
-                                 horizon=HORIZON),
-        workload_peer=WorkloadConfig(internal_rate=params["internal_rate"],
-                                     external_rate=0.02, step_rate=0.01,
-                                     horizon=HORIZON),
-        trace_enabled=False))
+        workload1=workload, workload2=workload, trace_enabled=False))
+
+
+def line_violations(system):
+    return check_system_line(common_stable_line(system),
+                             topology=system.topology)
 
 
 @slow
@@ -42,8 +45,7 @@ def build(params):
 def test_general_lines_valid_for_any_topology(params):
     system = build(params)
     system.run()
-    line = common_stable_line(system)
-    assert check_system_line(line) == []
+    assert line_violations(system) == []
 
 
 @slow
@@ -51,13 +53,14 @@ def test_general_lines_valid_for_any_topology(params):
        st.floats(min_value=50.0, max_value=HORIZON - 100.0))
 def test_general_crash_recovery_invariants(params, crash_at):
     system = build(params)
-    node = f"N{(params['seed'] % params['n_peers']) + 2}"
+    peers = system.topology.peers()
+    node = peers[params["seed"] % len(peers)].node_id
     system.inject_crash(HardwareFaultPlan(node_id=node, crash_at=crash_at,
                                           repair_time=1.0))
     system.run()
     assert system.hw_recovery.recoveries == 1
     assert all(r.distance >= 0 for r in system.hw_recovery.records)
-    assert check_system_line(common_stable_line(system)) == []
+    assert line_violations(system) == []
 
 
 @slow

@@ -4,10 +4,10 @@ A random interleaving of ``schedule`` / ``cancel`` / ``step`` /
 ``run(until)`` operations is applied simultaneously to the real kernel
 and to a naive reference model (a flat list with eager selection of the
 minimum ``(time, seq)`` entry).  Fire order, ``pending_count``, and the
-clock must agree at every step — for the plain kernel, the pooled
-kernel, and a variant with an aggressive compaction threshold, so heap
-compaction is exercised by short programs and provably never drops or
-reorders live events.
+clock must agree at every step — for the plain kernel and a variant
+with an aggressive compaction threshold, so heap compaction is
+exercised by short programs and provably never drops or reorders live
+events.
 """
 
 import pytest
@@ -25,9 +25,7 @@ class EagerCompactSimulator(Simulator):
 
 KERNELS = [
     ("plain", lambda: Simulator()),
-    ("pooled", lambda: Simulator(pooling=True)),
     ("eager-compact", lambda: EagerCompactSimulator()),
-    ("eager-compact-pooled", lambda: EagerCompactSimulator(pooling=True)),
 ]
 
 # Mix continuous delays with a few fixed values so same-time ties (the
@@ -117,10 +115,9 @@ class TestKernelAgainstModel:
                 if not handles:
                     continue
                 index = int(value) % len(handles)
-                # Dead handles (fired, or cancelled and since collected)
-                # may have been recycled by the pool and now alias a
-                # different live event; in-tree callers null or guard
-                # theirs, so the program only cancels live entries.
+                # In-tree callers null or guard their dead handles
+                # (fired, or cancelled and since collected), so the
+                # program only cancels live entries.
                 if model.state(index) != "live":
                     continue
                 handles[index].cancel()

@@ -1,14 +1,17 @@
 """Property-based tests of the provenance machinery under random
-interleavings of sends, peer-to-peer relays, faults and validations."""
+interleavings of sends, peer-to-peer relays, faults and validations,
+on a manually driven ``1x1+3`` membership."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.app.workload import Action, ActionKind, WorkloadConfig
-from repro.general import GeneralSystemConfig, build_general_system
+from repro.coordination.scheme import SystemConfig, build_system
 from repro.tb.blocking import TbConfig
 
 slow = settings(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
+
+ACTIVE = "C1_act"
 
 #: A step of the random schedule: (actor, operation, stimulus)
 steps = st.lists(
@@ -18,18 +21,22 @@ steps = st.lists(
     min_size=5, max_size=40)
 
 
+def peers(system):
+    return [system.member(p.role_id) for p in system.topology.peers()]
+
+
 def drive(system, schedule, fault_after=None):
     """Apply a schedule of manual protocol actions."""
     for index, (actor, op, stimulus) in enumerate(schedule):
         if fault_after is not None and index == fault_after:
             system.low_version.fault_active = True
-        process = system.active if actor == 0 else system.peers[actor - 1]
+        process = (system.member(ACTIVE) if actor == 0
+                   else peers(system)[actor - 1])
         if process.deposed:
             continue
         kind = (ActionKind.SEND_INTERNAL if op == "internal"
                 else ActionKind.SEND_EXTERNAL)
-        process.software.__getattribute__(
-            "on_send_internal" if op == "internal" else "on_send_external")(
+        getattr(process.software, f"on_send_{op}")(
             Action(index=10_000_000 + index, kind=kind, gap=0.0,
                    stimulus=stimulus))
         system.sim.run(until=system.sim.now + 0.5)
@@ -38,15 +45,12 @@ def drive(system, schedule, fault_after=None):
 
 def build(seed):
     horizon = 10_000.0
-    config = GeneralSystemConfig(
-        n_peers=3, seed=seed, horizon=horizon,
-        tb=TbConfig(interval=100_000.0),
-        workload1=WorkloadConfig(internal_rate=1e-9, external_rate=1e-9,
-                                 step_rate=0.001, horizon=horizon),
-        workload_peer=WorkloadConfig(internal_rate=1e-9, external_rate=1e-9,
-                                     step_rate=0.001, horizon=horizon),
-        trace_enabled=False)
-    system = build_general_system(config)
+    quiet = WorkloadConfig(internal_rate=1e-9, external_rate=1e-9,
+                           step_rate=0.001, horizon=horizon)
+    system = build_system(SystemConfig(
+        topology="1x1+3", seed=seed, horizon=horizon,
+        tb=TbConfig(interval=100_000.0), workload1=quiet, workload2=quiet,
+        trace_enabled=False))
     system.start()
     return system
 
@@ -56,10 +60,9 @@ def build(seed):
 def test_clean_bit_implies_no_taint(seed, schedule):
     system = build(seed)
     drive(system, schedule)
-    for proc in system.process_list():
-        if proc.role is None or not proc.role.is_component_one:
-            if proc.mdcd.dirty_bit == 0:
-                assert proc.mdcd.taint_sn is None
+    for proc in peers(system):
+        if proc.mdcd.dirty_bit == 0:
+            assert not proc.mdcd.taint_map
 
 
 @slow
@@ -71,7 +74,7 @@ def test_dirty_bits_conservative_under_fault(seed, schedule, fault_after):
     system = build(seed)
     drive(system, schedule, fault_after=fault_after)
     for proc in system.process_list():
-        if proc.deposed or proc is system.active:
+        if proc.deposed or proc is system.member(ACTIVE):
             continue
         if proc.component.state.corrupt:
             assert proc.mdcd.dirty_bit == 1, str(proc.process_id)
@@ -81,14 +84,16 @@ def test_dirty_bits_conservative_under_fault(seed, schedule, fault_after):
 @given(st.integers(min_value=0, max_value=1000), steps)
 def test_vr_monotone_and_bounded(seed, schedule):
     system = build(seed)
-    observed = {p.process_id: [] for p in system.peers}
+    observed = {p.process_id: [] for p in peers(system)}
 
-    # Sample vr between steps by interleaving manually.
-    for index, step in enumerate(schedule):
+    # Sample the active's valid bound between steps by interleaving
+    # manually.
+    for step in schedule:
         drive(system, [step])
-        for proc in system.peers:
-            observed[proc.process_id].append(proc.mdcd.vr)
-    top = system.active.sn.current
+        for proc in peers(system):
+            observed[proc.process_id].append(
+                (proc.mdcd.vr_map or {}).get(ACTIVE))
+    top = system.member(ACTIVE).sn.current
     for series in observed.values():
         cleaned = [v for v in series if v is not None]
         assert cleaned == sorted(cleaned)

@@ -25,17 +25,16 @@ from repro.snapshot.sections import SnapshotEncoder
 from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
 
 
-def make_msg(sn, t=0.0, taint_sn=None, taint_map=None, dsn=None):
+def make_msg(sn, t=0.0, taint_map=None, dsn=None):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
                 receiver=ProcessId("B"), sn=sn, dirty_bit=1,
-                taint_sn=taint_sn, taint_map=taint_map, dsn=dsn)
+                taint_map=taint_map, dsn=dsn)
     m.send_time = t
     return m
 
 
-#: Provenance a journal record may carry: (taint_sn, taint_map, dsn).
+#: Provenance a journal record may carry: (taint_map, dsn).
 _provenance = st.tuples(
-    st.none() | st.integers(0, 60),
     st.none() | st.dictionaries(st.sampled_from(("C1_act", "C2_act")),
                                 st.integers(0, 60), min_size=1),
     st.none() | st.integers(0, 60))
@@ -130,7 +129,7 @@ def drive_checkpoints(ops, max_chain):
     journal = Journal()
     log = MessageLog()
     app = AppState()
-    mdcd = MdcdState()
+    mdcd = MdcdState(taint_map={})
     unacked = []
     next_key = [1]
     log_sn = [1]
@@ -170,7 +169,7 @@ def drive_checkpoints(ops, max_chain):
             app.apply_step(op[1])
         elif op[0] == "taint":
             mdcd.dirty_bit = op[1] % 2
-            mdcd.dirty_sources.add(op[1])
+            mdcd.taint_map[f"C{op[1]}_act"] = op[1]
         elif op[0] == "ack":
             del unacked[:op[1]]
         elif op[0] == "capture":
@@ -368,7 +367,7 @@ def scribble(snapshot):
     journal, log = snapshot.journal_sent, snapshot.msg_log
     snapshot.app_state.apply_step(7)
     snapshot.mdcd.dirty_bit ^= 1
-    snapshot.mdcd.dirty_sources.add("scribble")
+    snapshot.mdcd.taint_map["scribble"] = 1
     snapshot.dedup_seen.add(-1)
     snapshot.unacked.append(make_msg(999))
     snapshot.dsn_counters["scribble"] = 1

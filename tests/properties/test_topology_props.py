@@ -13,7 +13,7 @@ and software faults.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.global_state import common_stable_line
-from repro.analysis.invariants import check_topology_system_line
+from repro.analysis.invariants import check_system_line
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.app.workload import WorkloadConfig
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
@@ -181,8 +181,8 @@ def test_crash_recovery_view_invariants(params):
         acting = system.view.acting_active(component)
         assert acting is not None
         assert system.view.is_up(acting)
-    assert check_topology_system_line(common_stable_line(system), topo,
-                                      include_ground_truth=False) == []
+    assert check_system_line(common_stable_line(system), topology=topo,
+                             include_ground_truth=False) == []
 
 
 @slow

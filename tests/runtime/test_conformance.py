@@ -20,8 +20,9 @@ from repro.live.transport import LiveTransport
 from repro.messages.message import Message
 from repro.runtime import Endpoint, TimerService
 from repro.runtime.script import ScriptOp, WorkloadScript, smoke_script, \
-    standard_script
+    topology_script
 from repro.runtime.sim_backend import SimBackend
+from repro.topology.model import Topology
 from repro.types import CheckpointKind, MessageKind, ProcessId
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -76,7 +77,7 @@ class TestScriptedConformance:
         assert contents == ["volatile-copy", "current-state"]
 
     def test_crash_recovery_rolls_every_process_to_the_line(self, run_script):
-        decisions = run_script(0, standard_script())
+        decisions = run_script(0, topology_script(Topology.paper()))
         for process in ("P1_act", "P1_sdw", "P2"):
             rollbacks = [entry for entry in decisions[process]
                          if entry["event"] == "recovery.rollback.hardware"]
@@ -94,7 +95,7 @@ class TestScriptedConformance:
             assert epochs[-1] > line
 
     def test_post_recovery_traffic_still_validates(self, run_script):
-        decisions = run_script(0, standard_script())
+        decisions = run_script(0, topology_script(Topology.paper()))
         events = _events(decisions, "P1_act")
         # The final external op (after the crash + recovery) passes its
         # AT: at least two at.pass events in the run.

@@ -7,7 +7,8 @@ import pytest
 
 from repro.runtime.crosscheck import run_crosscheck
 from repro.runtime.decisions import diff_decisions
-from repro.runtime.script import standard_script
+from repro.runtime.script import topology_script
+from repro.topology.model import Topology
 
 
 class TestCrosscheck:
@@ -30,7 +31,7 @@ class TestCrosscheck:
         result = run_crosscheck(seed=0, workdir=str(tmp_path / "live"))
         summary = result.summary()
         assert summary["equivalent"] is True
-        assert summary["ops"] == len(standard_script())
+        assert summary["ops"] == len(topology_script(Topology.paper()))
         assert set(summary["decisions_per_process"]) == \
             {"P1_act", "P1_sdw", "P2"}
 

@@ -104,7 +104,7 @@ class TestMessageCodec:
         for message in (
                 _message(kind=MessageKind.EXTERNAL, payload=None, sn=None),
                 _message(kind=MessageKind.ACK, corrupt=True),
-                _message(kind=MessageKind.PASSED_AT, taint_sn=9),
+                _message(kind=MessageKind.PASSED_AT, taint_map={"C1_act": 9}),
                 _message(resend_of=("P1_act", "P2", 7)),  # dedup-key tuple
                 _message(resend_of=41),
                 _message(payload=Payload(value="text", corrupt=True)),

@@ -1,8 +1,6 @@
 """Unit tests for the event primitives."""
 
 from repro.sim.events import (
-    Event,
-    EventPool,
     EventPriority,
     EventSequencer,
     make_event,
@@ -116,45 +114,3 @@ class TestSequencerScoping:
         first = Simulator().schedule_at(1.0, _noop)
         second = Simulator().schedule_at(1.0, _noop)
         assert first.seq == second.seq == 0
-
-
-class TestEventPool:
-    def test_acquire_recycles_released_object(self):
-        pool = EventPool()
-        event = Event(1.0, 0, 0, _noop)
-        pool.release(event)
-        recycled = pool.acquire(2.0, 1, 7, _noop, ("x",), "lbl")
-        assert recycled is event
-        assert (recycled.time, recycled.priority, recycled.seq) == (2.0, 1, 7)
-        assert recycled.args == ("x",)
-        assert not recycled.cancelled
-        assert pool.reused == 1
-
-    def test_release_drops_references(self):
-        pool = EventPool()
-        payload = []
-        event = Event(1.0, 0, 0, payload.append, (payload,))
-        pool.release(event)
-        assert event.callback is None
-        assert event.args == ()
-        assert event.sim is None
-
-    def test_release_clears_cancelled_on_reacquire(self):
-        pool = EventPool()
-        event = Event(1.0, 0, 0, _noop)
-        event.cancel()
-        pool.release(event)
-        assert not pool.acquire(1.0, 0, 1, _noop, (), "").cancelled
-
-    def test_max_size_bounds_free_list(self):
-        pool = EventPool(max_size=2)
-        for k in range(5):
-            pool.release(Event(float(k), 0, k, _noop))
-        assert len(pool) == 2
-        assert pool.released == 2
-
-    def test_acquire_empty_pool_allocates(self):
-        pool = EventPool()
-        event = pool.acquire(1.0, 0, 0, _noop, (), "")
-        assert isinstance(event, Event)
-        assert pool.reused == 0

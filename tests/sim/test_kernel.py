@@ -272,45 +272,3 @@ class TestScheduleMany:
         with pytest.raises(SchedulingError):
             sim.schedule_many(
                 [(1.0, lambda: None, (), EventPriority.ACTION, "late")])
-
-
-class TestPooling:
-    def test_fired_events_are_recycled(self):
-        sim = Simulator(pooling=True)
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < 50:
-                sim.schedule_after(1.0, tick)
-
-        sim.schedule_after(1.0, tick)
-        sim.run()
-        assert count[0] == 50
-        assert sim.pool.reused > 0
-        assert len(sim.pool) >= 1
-
-    def test_pooling_preserves_execution_order(self):
-        def run_workload(sim):
-            order = []
-
-            def emit(tag):
-                order.append((sim.now, tag))
-
-            events = [sim.schedule_at(float(k % 7) + 1.0, emit, args=(k,))
-                      for k in range(60)]
-            for event in events[::3]:
-                event.cancel()
-            sim.run()
-            return order
-
-        assert run_workload(Simulator(pooling=True)) == \
-            run_workload(Simulator())
-
-    def test_stepped_events_are_not_recycled(self):
-        sim = Simulator(pooling=True)
-        sim.schedule_at(1.0, lambda: None)
-        stepped = sim.step()
-        # The caller holds the handle; it must not be in the free list.
-        assert stepped is not None
-        assert len(sim.pool) == 0

@@ -2,11 +2,8 @@
 
 ``resume(capture(system))`` then running to the horizon must produce
 exactly the trace an uninterrupted run produces — same canonical
-digest, same findings, same global message-id position — for plain
-and event-pooled kernels alike.
+digest, same findings, same global message-id position.
 """
-
-import dataclasses
 
 import pytest
 
@@ -39,11 +36,8 @@ def _drain(system, auditor) -> None:
         pass
 
 
-def _cold_digest(schedule: FaultSchedule, pooling: bool = False):
-    config = SMALL.system_config(schedule)
-    if pooling:
-        config = dataclasses.replace(config, event_pooling=True)
-    system = build_system(config)
+def _cold_digest(schedule: FaultSchedule):
+    system = build_system(SMALL.system_config(schedule))
     system.run()
     return trace_digest(canonical_trace_lines(system))
 
@@ -92,18 +86,6 @@ class TestRoundTrip:
         thawed.run()
         assert trace_digest(canonical_trace_lines(thawed)) == \
             _cold_digest(_schedule())
-
-    def test_event_pooled_kernel_round_trips(self):
-        schedule = _schedule()
-        config = dataclasses.replace(SMALL.system_config(schedule),
-                                     event_pooling=True)
-        system = build_system(config)
-        system.run(until=60.0)
-        image = capture(system)
-        thawed, _ = resume(image)
-        thawed.run()
-        assert trace_digest(canonical_trace_lines(thawed)) == \
-            _cold_digest(schedule, pooling=True)
 
     def test_msg_id_allocator_travels_with_the_system(self):
         system = build_audit_system(SMALL, _schedule())
