@@ -10,7 +10,7 @@ Every reproduction artifact is runnable from the shell:
     python -m repro overhead            # performance cost by scheme
     python -m repro ablations           # design-choice removals
     python -m repro demo                # one coordinated run, narrated
-    python -m repro --help              # ... and the other nine
+    python -m repro --help              # ... and the other eight
 
 The campaign commands (``fig7``, ``overhead``, ``ablations``) take
 ``--seed`` / ``--replications`` to reshape the campaign, ``--workers N``
@@ -147,13 +147,11 @@ def _cmd_snapshot_stats(args) -> int:
     from .app.workload import WorkloadConfig
     from .coordination.scheme import Scheme, SystemConfig, build_system
     from .experiments.reporting import format_table
-    from .snapshot import available_codecs
     from .snapshot.sections import SECTION_ORDER
 
     horizon = args.horizon
     system = build_system(SystemConfig(
         scheme=Scheme(args.scheme), seed=args.seed, horizon=horizon,
-        volatile_codec=args.codec, stable_codec=args.codec,
         incremental_snapshots=not args.full_snapshots,
         workload1=WorkloadConfig(internal_rate=0.1, external_rate=0.02,
                                  step_rate=0.02, horizon=horizon),
@@ -163,8 +161,7 @@ def _cmd_snapshot_stats(args) -> int:
 
     mode = "full" if args.full_snapshots else "incremental"
     print(f"scheme={args.scheme} seed={args.seed} horizon={horizon:.0f}s "
-          f"codec={args.codec} capture={mode} "
-          f"(codecs available: {', '.join(available_codecs())})\n")
+          f"capture={mode}\n")
     rows = []
     for p in system.process_list():
         for store_name, store in (("volatile", p.node.volatile),
@@ -239,16 +236,18 @@ def _cmd_audit(args) -> int:
                              topology=args.topology, flock=args.flock,
                              fork_batch=args.fork_batch)
         schedules = None
-    fabric = getattr(args, "fabric", None)
     fabric_opts = None
-    if fabric is not None:
-        fabric_opts = {}
-        if getattr(args, "journal", None):
+    if args.fabric is not None:
+        from .fabric import FabricConfig
+        fabric_opts = {"fabric": FabricConfig(
+            host=args.host, port=args.port, shard_size=args.shard_size,
+            heartbeat_timeout=args.heartbeat_timeout)}
+        if args.journal:
             fabric_opts["journal"] = args.journal
-        if getattr(args, "cas_dir", None):
+        if args.cas_dir:
             fabric_opts["cas_dir"] = args.cas_dir
     return _run_campaign(args, config, schedules, workers=args.workers,
-                         fabric=fabric, fabric_opts=fabric_opts)
+                         fabric=args.fabric, fabric_opts=fabric_opts)
 
 
 def _run_campaign(args, config, schedules, **where) -> int:
@@ -269,6 +268,7 @@ def _run_campaign(args, config, schedules, **where) -> int:
         timeline = reference_timeline(config)
         schedules = share_schedule_seeds(
             config, generate_schedules(config, timeline=timeline))
+        print(f"shared system seed {schedules[0].system_seed}", flush=True)
     report = run_audit(config, shrink=args.shrink, schedules=schedules,
                        log=lambda msg: print(msg, flush=True),
                        warmstart=args.warmstart, timeline=timeline,
@@ -280,26 +280,6 @@ def _run_campaign(args, config, schedules, **where) -> int:
     if args.expect_violation:
         return 0 if report.violations else 1
     return 0 if report.clean else 1
-
-
-def _cmd_fabric_supervisor(args) -> int:
-    """Serve one campaign to externally-started fabric workers."""
-    from .audit import AuditConfig
-    from .fabric import FabricConfig
-
-    config = AuditConfig(scheme=args.scheme, seed=args.seed,
-                         schedules=args.schedules, horizon=args.horizon,
-                         topology=args.topology, flock=args.flock)
-    fabric_opts = {
-        "cas_dir": args.cas_dir,
-        "fabric": FabricConfig(host=args.host, port=args.port,
-                               shard_size=args.shard_size,
-                               heartbeat_timeout=args.heartbeat_timeout),
-    }
-    if args.journal:
-        fabric_opts["journal"] = args.journal
-    return _run_campaign(args, config, None, fabric=args.spawn_workers,
-                         fabric_opts=fabric_opts)
 
 
 def _cmd_fabric_worker(args) -> int:
@@ -513,10 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "write-through"])
     snapstats.add_argument("--seed", type=int, default=7)
     snapstats.add_argument("--horizon", type=float, default=3_000.0)
-    from .snapshot import available_codecs
-    snapstats.add_argument("--codec", default="pickle",
-                           choices=sorted(available_codecs()),
-                           help="snapshot codec for both stores")
     snapstats.add_argument("--full-snapshots", action="store_true",
                            help="disable incremental (delta) capture")
     snapstats.set_defaults(fn=_cmd_snapshot_stats)
@@ -633,45 +609,18 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--cas-dir", metavar="DIR", default=None,
                        help="fabric content-addressed store directory "
                             "(image-set blobs dedup across campaigns)")
+    audit.add_argument("--host", default="127.0.0.1",
+                       help="fabric bind address for worker connections "
+                            "(0.0.0.0 to serve other hosts)")
+    audit.add_argument("--port", type=int, default=0,
+                       help="fabric bind port (0: ephemeral, printed at "
+                            "startup)")
+    audit.add_argument("--shard-size", type=int, default=16,
+                       help="schedules per dispatched fabric shard")
+    audit.add_argument("--heartbeat-timeout", type=float, default=2.0,
+                       help="seconds of silence before a fabric worker is "
+                            "declared dead and its shards requeue")
     audit.set_defaults(fn=_cmd_audit)
-
-    fsup = sub.add_parser(
-        "fabric-supervisor",
-        help="serve one audit campaign to fabric workers over TCP "
-             "(work-stealing dispatch, journaled kill -9 resume)")
-    fsup.add_argument("--scheme", default="coordinated",
-                      choices=["naive", "coordinated", "coordinated-no-swap"])
-    fsup.add_argument("--seed", type=int, default=7)
-    fsup.add_argument("--schedules", type=int, default=120)
-    fsup.add_argument("--horizon", type=float, default=600.0)
-    fsup.add_argument("--topology", default="paper")
-    fsup.add_argument("--warmstart", action="store_true",
-                      help="suffix-fork execution on each worker, its "
-                           "template thawed from the image sets shipped "
-                           "through the content-addressed store")
-    fsup.add_argument("--flock", action="store_true",
-                      help="the same, reported as mode=flock")
-    fsup.add_argument("--shrink", action="store_true")
-    fsup.add_argument("--host", default="0.0.0.0",
-                      help="bind address for worker connections")
-    fsup.add_argument("--port", type=int, default=7707,
-                      help="bind port (0: ephemeral, printed at startup)")
-    fsup.add_argument("--shard-size", type=int, default=16,
-                      help="schedules per dispatched shard")
-    fsup.add_argument("--heartbeat-timeout", type=float, default=2.0,
-                      help="seconds of silence before a worker is declared "
-                           "dead and its shards requeue")
-    fsup.add_argument("--spawn-workers", type=int, default=0, metavar="N",
-                      help="also spawn N local workers (default: external "
-                           "workers only)")
-    fsup.add_argument("--journal", metavar="PATH", default=None,
-                      help="dispatch journal for crash-resume")
-    fsup.add_argument("--cas-dir", required=True, metavar="DIR",
-                      help="content-addressed store directory")
-    fsup.add_argument("--out", metavar="PATH", default=None,
-                      help="write the campaign report artifact")
-    fsup.add_argument("--expect-violation", action="store_true")
-    fsup.set_defaults(fn=_cmd_fabric_supervisor)
 
     fwork = sub.add_parser(
         "fabric-worker",

@@ -361,9 +361,13 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
     if schedules is None:
         schedules = generate_schedules(config, timeline=timeline)
     mode = "flock" if use_flock else ("warm" if warmstart else "cold")
+    # The seed model, read off the input: one prefix per schedule is a
+    # per-schedule-seed campaign, a handful is a shared-seed one.
+    prefixes = len({(sched.system_seed, tuple(sorted(sched.overrides)))
+                    for sched in schedules})
     emit(f"auditing {len(schedules)} schedules "
          f"(scheme={config.scheme}, seed={config.seed}, "
-         f"workers={workers or 1}, mode={mode})")
+         f"workers={workers or 1}, mode={mode}, prefixes={prefixes})")
 
     with contextlib.ExitStack() as cleanup:
         store = image_store

@@ -8,19 +8,17 @@ volatile checkpoints (Type-1 / Type-2 / pseudo) and the TB protocols'
 stable checkpoints; the ``kind``, ``epoch`` and ``content`` fields say
 which flavour a given record is.
 
-The record no longer holds raw pickled bytes: it wraps a
-:class:`~repro.snapshot.sections.SnapshotPayload` — per-section encoded
-data tagged with the codec id that produced it — so stores can account
-bytes per section, incremental captures can chain deltas, and the codec
-can change between runs without changing this record type.
+The record wraps a :class:`~repro.snapshot.sections.SnapshotPayload` —
+per-section encoded data — so stores can account bytes per section and
+incremental captures can chain deltas.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from .snapshot import Codec, SnapshotPayload, decode_payload, encode_full
+from .snapshot import SnapshotPayload, decode_payload, encode_full
 from .snapshot.sections import SnapshotEncoder
 from .types import CheckpointKind, ProcessId, StableContent
 
@@ -45,7 +43,7 @@ class Checkpoint:
     payload:
         The encoded state: one
         :class:`~repro.snapshot.sections.SectionPayload` per snapshot
-        section, each carrying its codec id and accounted byte size.
+        section, each carrying its accounted byte size.
     epoch:
         For stable checkpoints, the TB epoch number ``Ndc`` this
         establishment belongs to; ``None`` for volatile checkpoints.
@@ -91,21 +89,19 @@ class Checkpoint:
                 taken_at: float, work_done: float, epoch: Optional[int] = None,
                 content: Optional[StableContent] = None,
                 meta: Optional[Dict[str, Any]] = None,
-                codec: Union[str, Codec, None] = None,
                 encoder: Optional[SnapshotEncoder] = None) -> "Checkpoint":
         """Encode ``state`` and wrap it in a checkpoint record.
 
-        ``codec`` selects the byte-level encoding (default: pickle, the
-        seed behaviour).  ``encoder`` is the owning process's
+        ``encoder`` is the owning process's
         :class:`~repro.snapshot.sections.SnapshotEncoder`; when given,
         the journal and message-log sections may encode as deltas
         against the process's previous capture.  Without it, the state
         is encoded whole — arbitrary (non-snapshot) states always are.
         """
         if encoder is not None:
-            payload = encoder.encode_snapshot(state, codec)
+            payload = encoder.encode_snapshot(state)
         else:
-            payload = encode_full(state, codec)
+            payload = encode_full(state)
         return cls(process_id=process_id, kind=kind, taken_at=taken_at,
                    work_done=work_done, payload=payload,
                    epoch=epoch, content=content, meta=dict(meta or {}))
@@ -120,22 +116,15 @@ class Checkpoint:
         protocol swaps checkpoint contents mid-blocking)."""
         return dataclasses.replace(self, **changes)
 
-    def with_section(self, section: str, value: Any,
-                     codec: Union[str, Codec, None] = None) -> "Checkpoint":
+    def with_section(self, section: str, value: Any) -> "Checkpoint":
         """A copy with one payload section re-encoded from ``value``
         (the ``save_unacked`` ablation rewrites the counters section
         without disturbing the rest)."""
         return dataclasses.replace(
-            self, payload=self.payload.replace_section(section, value, codec))
+            self, payload=self.payload.replace_section(section, value))
 
     @property
     def size_bytes(self) -> int:
         """Accounted size of the encoded state — a proxy for
         checkpoint cost."""
         return self.payload.nbytes
-
-    @property
-    def codec_id(self) -> str:
-        """Codec id of the payload (sections share one codec per
-        capture)."""
-        return self.payload.sections[0].codec_id

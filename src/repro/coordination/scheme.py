@@ -110,14 +110,6 @@ class SystemConfig:
     #: recovery line survives a laggard establishment; scenario analyses
     #: raise it to audit every historical line).
     stable_history: int = 2
-    #: Snapshot codec ids for the two checkpoint stores (see
-    #: :func:`repro.snapshot.available_codecs`).  Pure representation
-    #: knobs: they cannot perturb the event sequence of a run.
-    volatile_codec: str = "pickle"
-    stable_codec: str = "pickle"
-    #: Size-proportional component of the stable write latency
-    #: (seconds per KiB written); ``0.0`` keeps the fixed-latency model.
-    stable_latency_per_kib: float = 0.0
     #: Whether journals and message logs encode as deltas against the
     #: previous capture (full sections when off).
     incremental_snapshots: bool = True
@@ -153,10 +145,7 @@ class System:
 
         self.nodes: Dict[str, Node] = {
             name: Node(NodeId(name), self.sim, config.clock, self.rng,
-                       stable_history=config.stable_history,
-                       volatile_codec=config.volatile_codec,
-                       stable_codec=config.stable_codec,
-                       stable_latency_per_kib=config.stable_latency_per_kib)
+                       stable_history=config.stable_history)
             for name in dict.fromkeys(self.topology.node_ids())
         }
 

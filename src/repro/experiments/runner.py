@@ -7,25 +7,27 @@ replication ``k`` of one configuration is paired with replication ``k``
 of another (variance reduction for paired comparisons such as
 E[D_co] vs E[D_wt]).
 
-Campaigns run serially by default; pass ``workers`` to shard the
-replications across worker processes (see :mod:`repro.parallel`) and
-``cache`` to persist completed cells on disk.  Both paths derive the
-identical seed list, so a parallel campaign reproduces the serial
-sample sequence exactly.
+Campaigns run serially by default; pass ``workers`` to map the
+replications over worker processes (see :mod:`repro.parallel`) and
+``cache`` to persist completed cells on disk.  There is one body either
+way: the seed list, the per-cell samples and the order they are folded
+in do not depend on where a cell ran, so a parallel campaign reproduces
+the serial result bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+import functools
+import time
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
-from ..sim.monitor import RunningStat
+from ..sim.monitor import RunningStat, summarize
 from ..sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel.cache import ResultCache
-    from ..parallel.progress import ProgressReporter
-    from ..parallel.supervisor import ShardSupervisor
 
 
 @dataclasses.dataclass
@@ -72,52 +74,56 @@ def replication_seeds(master_seed: int, label: str, replications: int) -> List[i
             for k in range(replications)]
 
 
+def _run_cell(run_one: Callable[[int], Iterable[float]],
+              seed: int) -> Tuple[List[float], float]:
+    """One replication, wherever it runs: its samples and wall time."""
+    started = time.monotonic()
+    return [float(v) for v in run_one(seed)], time.monotonic() - started
+
+
 def run_campaign(label: str, master_seed: int, replications: int,
                  run_one: Callable[[int], Iterable[float]], *,
                  workers: Optional[int] = None,
                  cache: Optional["ResultCache"] = None,
-                 fingerprint: str = "",
-                 progress: Optional["ProgressReporter"] = None,
-                 supervisor: Optional["ShardSupervisor"] = None
-                 ) -> CampaignResult:
+                 fingerprint: str = "") -> CampaignResult:
     """Run ``replications`` seeded replications and merge the samples.
 
     ``run_one(seed)`` builds+runs one system and returns metric samples
     (e.g. rollback distances).  With ``workers`` > 1 the replications
-    are sharded across worker processes (``run_one`` must be picklable:
-    a module-level function or a :func:`functools.partial` of one);
+    are mapped over worker processes, one progress line per cell on
+    stderr (``run_one`` must be picklable: a module-level function or a
+    :func:`functools.partial` of one; anything else runs in-process);
     with ``cache`` set, completed replications are read from / written
     to disk keyed by ``(label, master_seed, replication, fingerprint)``.
     """
-    if workers is not None and workers > 1:
-        from ..parallel.pool import ParallelCampaignRunner
-        from ..parallel.progress import ProgressReporter
-        if progress is None:
-            progress = ProgressReporter(label)
-        runner = ParallelCampaignRunner(workers=workers, cache=cache,
-                                        supervisor=supervisor,
-                                        progress=progress)
-        return runner.run(label, master_seed, replications, run_one,
-                          fingerprint=fingerprint)
+    from ..parallel import CacheKey, ProgressReporter, parallel_map
 
-    from ..parallel.cache import CacheKey
+    seeds = replication_seeds(master_seed, label, replications)
+    keys = [CacheKey(label, master_seed, rep_index, fingerprint)
+            for rep_index in range(replications)]
+    cells: List[Optional[List[float]]] = [
+        cache.get(key) if cache is not None else None for key in keys]
+    missing = [rep_index for rep_index, cell in enumerate(cells)
+               if cell is None]
+    progress = ProgressReporter(
+        label, enabled=workers is not None and workers > 1)
+    progress.start(len(missing),
+                   cached_replications=replications - len(missing))
 
-    stat = RunningStat()
-    samples: List[float] = []
-    for rep_index, seed in enumerate(
-            replication_seeds(master_seed, label, replications)):
-        cell: Optional[List[float]] = None
+    def land(index: int, outcome: Tuple[List[float], float]) -> None:
+        rep_index = missing[index]
+        cell, wall_seconds = outcome
+        cells[rep_index] = cell
         if cache is not None:
-            cell = cache.get(CacheKey(label, master_seed, rep_index,
-                                      fingerprint))
-        if cell is None:
-            cell = [float(v) for v in run_one(seed)]
-            if cache is not None:
-                cache.put(CacheKey(label, master_seed, rep_index,
-                                   fingerprint), cell)
-        add = stat.add
-        for value in cell:
-            add(value)
-        samples.extend(cell)
-    return CampaignResult(label=label, stat=stat, samples=samples,
-                          replications=replications)
+            cache.put(keys[rep_index], cell)
+        progress.shard_done(index, replications=1, samples=len(cell),
+                            wall_time=wall_seconds)
+
+    parallel_map(functools.partial(_run_cell, run_one),
+                 [seeds[rep_index] for rep_index in missing], workers,
+                 on_done=land, progress=progress)
+    progress.finish()
+
+    samples = [value for cell in cells for value in cell]
+    return CampaignResult(label=label, stat=summarize(samples),
+                          samples=samples, replications=replications)

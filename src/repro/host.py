@@ -557,13 +557,10 @@ class FtProcess(SimProcess):
         base_meta = {"dirty_bit": self.mdcd.dirty_bit,
                      "pseudo_dirty_bit": self.mdcd.pseudo_dirty_bit}
         base_meta.update(meta or {})
-        store = self.node.stable if kind is CheckpointKind.STABLE \
-            else self.node.volatile
         return Checkpoint.capture(
             process_id=self.process_id, kind=kind, state=self.make_snapshot(),
             taken_at=self.sim.now, work_done=self.progress, epoch=epoch,
-            content=content, meta=base_meta, codec=store.codec,
-            encoder=self.snapshot_encoder)
+            content=content, meta=base_meta, encoder=self.snapshot_encoder)
 
     def take_volatile_checkpoint(self, kind: CheckpointKind,
                                  meta: Optional[Dict[str, Any]] = None) -> Checkpoint:

@@ -282,6 +282,7 @@ class LiveAgent:
             "ndc": process.current_ndc(),
             "takeover": self.takeover_summary,
             "stable_epochs": self.stable.epochs(self.process_id),
+            "damaged_files": self.stable.damaged_files,
             "counters": self.transport.counters,
         }
 

@@ -26,13 +26,12 @@ class LiveNode:
     """Per-OS-process node facade."""
 
     def __init__(self, node_id: Union[NodeId, str], scheduler: LiveScheduler,
-                 clock: WallClock, stable: FileStableStore,
-                 volatile_codec=None) -> None:
+                 clock: WallClock, stable: FileStableStore) -> None:
         self.node_id = node_id
         self.sim = scheduler
         self.clock = clock
         self.timers = TimerService(scheduler, clock)
-        self.volatile = VolatileStore(codec=volatile_codec)
+        self.volatile = VolatileStore()
         self.stable = stable
         self.crashed = False
         self.crash_count: int = 0

@@ -10,21 +10,27 @@ state or the new, never a torn file.  The in-memory
 :class:`~repro.sim.storage.StableStore` chain fronts the files (same
 surface, same trimming, same accounting); a restarted process rebuilds
 the chain from the directory.
+
+A file is the sha256 of its body (hex) followed by the body, and the
+restart path unpickles only a body that verifies: a torn, flipped or
+foreign file is skipped and counted (:attr:`FileStableStore
+.damaged_files`), so recovery falls back to the newest epoch that
+reads back as it was written instead of stopping the agent.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import List, Optional, Union
+from typing import List, Optional
 
+from ..cas import blob_digest
 from ..checkpoint import Checkpoint
-from ..errors import StorageError
 from ..sim.storage import StableStore
-from ..snapshot import Codec
 from ..types import ProcessId
 
 _SUFFIX = ".ckpt"
+_DIGEST_LEN = len(blob_digest(b""))
 
 
 class FileStableStore(StableStore):
@@ -36,11 +42,12 @@ class FileStableStore(StableStore):
     """
 
     def __init__(self, root: str, history: int = 2,
-                 codec: Union[str, Codec, None] = None,
                  write_latency: float = 0.0) -> None:
-        super().__init__(history=history, write_latency=write_latency,
-                         codec=codec)
+        super().__init__(history=history, write_latency=write_latency)
         self.root = root
+        #: Checkpoint files the restart path found unreadable (damaged
+        #: or not this store's) and left out of the chains.
+        self.damaged_files = 0
         os.makedirs(root, exist_ok=True)
         self._recover_chains()
 
@@ -66,9 +73,9 @@ class FileStableStore(StableStore):
     def _persist(self, checkpoint: Checkpoint) -> None:
         final = os.path.join(self.root, self._filename(checkpoint))
         tmp = final + ".tmp"
-        data = pickle.dumps(checkpoint)
+        body = pickle.dumps(checkpoint)
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            handle.write(blob_digest(body).encode("ascii") + body)
             handle.flush()
             os.fsync(handle.fileno())
         os.rename(tmp, final)
@@ -101,7 +108,8 @@ class FileStableStore(StableStore):
         Files are replayed in epoch order through the parent ``save``
         (re-applying history trimming); leftover temporaries from an
         interrupted write are discarded — their rename never happened,
-        so they were never durable.
+        so they were never durable.  A file that does not read back as
+        the checkpoint its name says is counted and skipped.
         """
         entries = []
         for name in sorted(os.listdir(self.root)):
@@ -111,16 +119,33 @@ class FileStableStore(StableStore):
                 continue
             if not name.endswith(_SUFFIX):
                 continue
-            try:
-                with open(path, "rb") as handle:
-                    checkpoint = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError) as exc:
-                raise StorageError(f"unreadable stable checkpoint {path}: {exc}")
+            checkpoint = self._read_verified(path)
+            if checkpoint is None or self._filename(checkpoint) != name:
+                self.damaged_files += 1
+                continue
             entries.append(checkpoint)
         entries.sort(key=lambda c: (str(c.process_id),
                                     -1 if c.epoch is None else c.epoch))
         for checkpoint in entries:
             StableStore.save(self, checkpoint)
+
+    @staticmethod
+    def _read_verified(path: str) -> Optional[Checkpoint]:
+        """The checkpoint stored at ``path``, or ``None`` unless the
+        body matches the digest written in front of it."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        body = data[_DIGEST_LEN:]
+        if blob_digest(body).encode("ascii") != data[:_DIGEST_LEN]:
+            return None
+        try:
+            checkpoint = pickle.loads(body)
+        except Exception:  # digest-valid bytes some other writer left
+            return None
+        return checkpoint if isinstance(checkpoint, Checkpoint) else None
 
     # ------------------------------------------------------------------
     def files(self, process_id: Optional[ProcessId] = None) -> List[str]:

@@ -1,19 +1,18 @@
-"""Sharded multi-process campaign execution.
+"""Supervised multi-process execution for campaigns.
 
 A fault-tolerant executor for a fault-tolerance reproduction: campaigns
-shard their replication seed list across worker processes, merge shard
-statistics with the parallel Welford merge, cache completed cells on
-disk, supervise workers (timeout, bounded retry, serial degradation)
-and report progress telemetry.
+map their cells over worker processes, cache completed cells on disk,
+supervise workers (timeout, bounded retry, serial degradation) and
+report progress telemetry.
 
-* :mod:`~repro.parallel.pool` — :class:`ParallelCampaignRunner` and the
-  generic :func:`parallel_map`.
+* :mod:`~repro.parallel.pool` — :func:`parallel_map`, the one parallel
+  entry point.
 * :mod:`~repro.parallel.cache` — :class:`ResultCache`, keyed by
   ``(label, master seed, replication, config fingerprint)``.
 * :mod:`~repro.parallel.supervisor` — :class:`ShardSupervisor` retry /
   timeout / degradation policy.
 * :mod:`~repro.parallel.progress` — :class:`ProgressReporter` stderr
-  lines + JSON telemetry.
+  lines + telemetry snapshot.
 """
 
 from .cache import (
@@ -23,31 +22,19 @@ from .cache import (
     config_fingerprint,
     default_cache_dir,
 )
-from .pool import (
-    ParallelCampaignRunner,
-    default_worker_count,
-    make_shards,
-    parallel_map,
-)
+from .pool import default_worker_count, parallel_map
 from .progress import ProgressReporter
-from .supervisor import (
-    ShardSupervisor,
-    SupervisorConfig,
-    multiprocessing_supported,
-)
+from .supervisor import ShardSupervisor, multiprocessing_supported
 
 __all__ = [
     "CacheKey",
-    "ParallelCampaignRunner",
     "ProgressReporter",
     "ResultCache",
     "ShardSupervisor",
-    "SupervisorConfig",
     "campaign_fingerprint",
     "config_fingerprint",
     "default_cache_dir",
     "default_worker_count",
-    "make_shards",
     "multiprocessing_supported",
     "parallel_map",
 ]

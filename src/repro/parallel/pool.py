@@ -1,42 +1,21 @@
-"""Sharded multi-process campaign execution.
+"""The supervised process-pool map every parallel campaign runs on.
 
-:class:`ParallelCampaignRunner` turns a replicated campaign — the exact
-workload :func:`repro.experiments.runner.run_campaign` runs serially —
-into sharded multi-process execution:
-
-* the replication seed list comes from the same
-  :func:`~repro.experiments.runner.replication_seeds`, so seed pairing
-  across configurations (the variance-reduction device behind paired
-  comparisons like E[D_co] vs E[D_wt]) is preserved bit-for-bit;
-* each worker runs a contiguous shard of replications and sends back
-  the per-replication samples plus its shard
-  :class:`~repro.sim.monitor.RunningStat`;
-* the parent folds shard statistics together with the existing
-  parallel Welford :meth:`~repro.sim.monitor.RunningStat.merge` and
-  reassembles the sample list in replication order, so the sample
-  multiset (in fact the sample *sequence*) is identical to a serial
-  run; the merged mean agrees up to floating-point reassociation
-  (≤ a few ulps).
-
-Worker failures are owned by :class:`~repro.parallel.supervisor
-.ShardSupervisor`; completed cells land in an optional
-:class:`~repro.parallel.cache.ResultCache` so interrupted or repeated
-sweeps only compute what is missing.
+:func:`parallel_map` is the one parallel entry point: replicated
+campaigns (:func:`repro.experiments.runner.run_campaign`) map it over
+their missing ``(replication, seed)`` cells, audit campaigns over their
+shards, the table / sweep experiments over their configurations.
+Worker failures are owned by
+:class:`~repro.parallel.supervisor.ShardSupervisor`.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-from ..sim.monitor import RunningStat, summarize
-from .cache import CacheKey, ResultCache, stable_dumps
+from .cache import stable_dumps
 from .progress import ProgressReporter
-from .supervisor import ShardSupervisor, SupervisorConfig
-
-# One work unit: (replication index, seed) pairs for one worker call.
-Shard = List[Tuple[int, int]]
+from .supervisor import ShardSupervisor
 
 
 def default_worker_count() -> int:
@@ -45,140 +24,6 @@ def default_worker_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
         return max(1, os.cpu_count() or 1)
-
-
-def _run_shard(payload: Tuple[Callable[[int], Iterable[float]], Shard]
-               ) -> Dict[str, Any]:
-    """Worker body: run every replication of one shard.
-
-    Returns per-replication samples plus the shard's own Welford
-    accumulation (serialized — instances cross process boundaries as
-    plain dicts).
-    """
-    task, shard = payload
-    cells: List[Tuple[int, List[float]]] = []
-    stat = RunningStat()
-    add = stat.add
-    started = time.monotonic()
-    for rep_index, seed in shard:
-        samples = [float(v) for v in task(seed)]
-        for value in samples:
-            add(value)
-        cells.append((rep_index, samples))
-    return {
-        "cells": cells,
-        "stat": stat.to_dict(),
-        "wall_seconds": time.monotonic() - started,
-    }
-
-
-def make_shards(cells: Sequence[Tuple[int, int]], workers: int,
-                shards_per_worker: int = 2) -> List[Shard]:
-    """Split ``(replication index, seed)`` cells into contiguous shards.
-
-    More shards than workers (default 2×) keeps the pool busy when
-    replication run times vary; contiguity keeps cache/file locality.
-    """
-    if not cells:
-        return []
-    target = max(1, min(len(cells), workers * shards_per_worker))
-    size, extra = divmod(len(cells), target)
-    shards: List[Shard] = []
-    start = 0
-    for k in range(target):
-        end = start + size + (1 if k < extra else 0)
-        shards.append(list(cells[start:end]))
-        start = end
-    return [s for s in shards if s]
-
-
-class ParallelCampaignRunner:
-    """Executes replicated campaigns across worker processes."""
-
-    def __init__(self, workers: Optional[int] = None, *,
-                 cache: Optional[ResultCache] = None,
-                 supervisor: Optional[ShardSupervisor] = None,
-                 progress: Optional[ProgressReporter] = None,
-                 shards_per_worker: int = 2) -> None:
-        self.workers = workers if workers is not None else default_worker_count()
-        self.cache = cache
-        self.progress = progress
-        self.supervisor = supervisor if supervisor is not None \
-            else ShardSupervisor(SupervisorConfig(), progress=progress)
-        if self.supervisor.progress is None:
-            self.supervisor.progress = progress
-        self.shards_per_worker = shards_per_worker
-
-    def run(self, label: str, master_seed: int, replications: int,
-            run_one: Callable[[int], Iterable[float]],
-            fingerprint: str = "") -> "CampaignResult":
-        """Parallel drop-in for
-        :func:`repro.experiments.runner.run_campaign`."""
-        from ..experiments.runner import CampaignResult, replication_seeds
-
-        seeds = replication_seeds(master_seed, label, replications)
-        by_rep: Dict[int, List[float]] = {}
-        missing: List[Tuple[int, int]] = []
-        cached_reps: List[int] = []
-        for rep_index, seed in enumerate(seeds):
-            cached = None
-            if self.cache is not None:
-                cached = self.cache.get(CacheKey(label, master_seed,
-                                                 rep_index, fingerprint))
-            if cached is None:
-                missing.append((rep_index, seed))
-            else:
-                by_rep[rep_index] = cached
-                cached_reps.append(rep_index)
-
-        shards = make_shards(missing, self.workers, self.shards_per_worker)
-        progress = self.progress
-        if progress is not None:
-            progress.start(len(shards), cached_replications=len(by_rep))
-
-        shard_stats: List[RunningStat] = []
-
-        def land(shard_index: int, outcome: Dict[str, Any]) -> None:
-            for rep_index, samples in outcome["cells"]:
-                by_rep[rep_index] = samples
-                if self.cache is not None:
-                    self.cache.put(CacheKey(label, master_seed, rep_index,
-                                            fingerprint), samples)
-            shard_stats.append(RunningStat.from_dict(outcome["stat"]))
-            if progress is not None:
-                progress.shard_done(
-                    shard_index, replications=len(outcome["cells"]),
-                    samples=sum(len(s) for _, s in outcome["cells"]),
-                    wall_time=outcome["wall_seconds"])
-
-        payloads = [(run_one, shard) for shard in shards]
-        if payloads and not _picklable(payloads[0]):
-            self.supervisor._degrade_note(
-                "task is not picklable; running in-process")
-            self.supervisor.run_serial(_run_shard, payloads,
-                                       on_shard_done=land)
-        elif payloads:
-            self.supervisor.run(_run_shard, payloads, workers=self.workers,
-                                on_shard_done=land)
-
-        samples: List[float] = []
-        for rep_index in range(replications):
-            samples.extend(by_rep.get(rep_index, []))
-
-        # Shard stats merge via the parallel Welford; cached cells (which
-        # arrive as raw samples) contribute one accumulated stat as well.
-        stat = RunningStat()
-        cached_values = [v for rep_index in cached_reps
-                         for v in by_rep[rep_index]]
-        if cached_values:
-            stat.merge(summarize(cached_values))
-        for shard_stat in shard_stats:
-            stat.merge(shard_stat)
-
-        if progress is not None:
-            progress.finish()
-        return CampaignResult(label=label, stat=stat, samples=samples,
-                              replications=replications)
 
 
 def _picklable(obj: Any) -> bool:
@@ -190,19 +35,22 @@ def _picklable(obj: Any) -> bool:
 
 
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
-                 workers: Optional[int] = None,
-                 supervisor: Optional[ShardSupervisor] = None) -> List[Any]:
+                 workers: Optional[int] = None, *,
+                 on_done: Optional[Callable[[int, Any], None]] = None,
+                 progress: Optional[ProgressReporter] = None) -> List[Any]:
     """Order-preserving supervised map over worker processes.
 
     Each item is one shard; with ``workers`` absent/1, an unpicklable
     ``fn``, or a platform without multiprocessing, this is a plain
     in-process map — callers never need a fallback path of their own.
+    ``on_done(index, result)`` fires here, in the caller's process, as
+    each item lands (exactly once per item, retried or not);
+    ``progress`` is told of every retry and degradation.
     """
-    if supervisor is None:
-        supervisor = ShardSupervisor(SupervisorConfig())
+    supervisor = ShardSupervisor(progress=progress)
+    items = list(items)
     count = workers if workers is not None else 1
-    if count > 1 and not _picklable((fn, list(items)[:1])):
-        supervisor._degrade_note("map function is not picklable; "
-                                 "running in-process")
+    if count > 1 and not _picklable((fn, items[:1])):
+        supervisor.degraded("map function is not picklable")
         count = 1
-    return supervisor.run(fn, list(items), workers=count)
+    return supervisor.run(fn, items, workers=count, on_shard_done=on_done)

@@ -1,17 +1,15 @@
 """Progress and telemetry for sharded campaign execution.
 
 The reporter is deliberately dependency-free: one line to stderr per
-shard (throughput, ETA) plus a machine-readable JSON summary for
-tooling.  The clock is injectable so the arithmetic is testable without
-real sleeping.
+shard (throughput, ETA) plus a machine-readable :meth:`~ProgressReporter
+.snapshot` for tooling.  The clock is injectable so the arithmetic is
+testable without real sleeping.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
 
@@ -118,11 +116,6 @@ class ProgressReporter:
             "fallbacks": self.fallbacks,
             "events": list(self.events),
         }
-
-    def write_json(self, path) -> None:
-        """Dump :meth:`snapshot` to ``path``."""
-        Path(path).write_text(json.dumps(self.snapshot(), indent=2),
-                              encoding="utf-8")
 
     def _emit(self, line: str) -> None:
         if not self.enabled:

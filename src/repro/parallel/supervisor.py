@@ -1,27 +1,27 @@
-"""Worker supervision for sharded campaign execution.
+"""Worker supervision for the process-pool map.
 
-The executor layer (:mod:`repro.parallel.pool`) hands this supervisor a
-list of shard payloads and a picklable worker function; the supervisor
-owns every failure mode between "submit" and "all results collected":
+:func:`repro.parallel.pool.parallel_map` hands this supervisor a list
+of shard payloads and a picklable worker function; the supervisor owns
+every failure mode between "submit" and "all results collected":
 
 * **per-shard timeout** — a hung worker is abandoned (the pool is torn
   down; futures cannot kill a single process) and the shard retried;
 * **bounded retry with exponential backoff** — crashes
   (``BrokenProcessPool``), timeouts and raised exceptions requeue the
-  shard up to ``max_retries`` extra attempts;
+  shard up to :data:`MAX_RETRIES` extra attempts;
 * **graceful degradation** — a shard that keeps failing in workers, or
-  a platform with no usable ``fork``/``spawn`` start method, runs
-  in-process serially instead, so the campaign always completes (a
-  deterministic error then surfaces with its real traceback).
+  a platform that cannot start worker processes, runs in-process
+  serially instead, so the campaign always completes (a deterministic
+  error then surfaces with its real traceback).
 
-The sleep function is injectable so retry/backoff logic is testable
-without wall-clock delays.
+The policy is module constants, not configuration: no caller ever set
+another value.  The sleep function and the jitter RNG are injectable so
+retry/backoff logic is testable without wall-clock delays.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import multiprocessing
 import random
 import time
@@ -29,85 +29,61 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .progress import ProgressReporter
 
-
-@dataclasses.dataclass(frozen=True)
-class SupervisorConfig:
-    """Retry/timeout policy for one campaign."""
-
-    shard_timeout: Optional[float] = 600.0
-    max_retries: int = 2
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    #: Full jitter: each retry sleeps ``uniform(0, ceiling)`` instead of
-    #: the ceiling itself, so the shards of one failed round don't
-    #: resubmit in lockstep against whatever resource killed them.
-    jitter: bool = True
-    start_method: Optional[str] = None
-
-    def backoff(self, attempt: int,
-                rng: Optional[random.Random] = None) -> float:
-        """Sleep before retry ``attempt`` (1-based).
-
-        The exponential ceiling is ``base * factor**(attempt-1)``; with
-        ``jitter`` the actual sleep is drawn uniformly from
-        ``[0, ceiling)`` (full jitter — the variant that minimizes
-        total contention for a fixed expected delay).  ``rng=None``
-        uses module-level :mod:`random`; tests pass a seeded
-        :class:`random.Random` for reproducible draws.
-        """
-        ceiling = self.backoff_base * (self.backoff_factor ** (attempt - 1))
-        if not self.jitter:
-            return ceiling
-        draw = (rng or random).uniform(0.0, ceiling)
-        return draw
+#: Seconds one shard may run in a worker before it is abandoned.
+SHARD_TIMEOUT = 600.0
+#: Extra attempts a shard gets in workers before it runs in-process.
+MAX_RETRIES = 2
+#: Ceiling of the sleep before the first retry round; doubles per round.
+BACKOFF_BASE = 0.25
 
 
-def multiprocessing_supported(start_method: Optional[str] = None) -> bool:
+def backoff(attempt: int, rng: Optional[random.Random] = None) -> float:
+    """Sleep before retry round ``attempt`` (1-based).
+
+    Full jitter: drawn uniformly from ``[0, BACKOFF_BASE * 2**(attempt
+    - 1)]`` instead of the ceiling itself, so the shards of one failed
+    round don't resubmit in lockstep against whatever resource killed
+    them.  ``rng=None`` uses module-level :mod:`random`; tests pass a
+    seeded :class:`random.Random` for reproducible draws.
+    """
+    return (rng or random).uniform(0.0, BACKOFF_BASE * 2.0 ** (attempt - 1))
+
+
+def multiprocessing_supported() -> bool:
     """Whether this platform can actually start worker processes."""
     try:
-        methods = multiprocessing.get_all_start_methods()
-        if not methods:
-            return False
-        if start_method is not None and start_method not in methods:
-            return False
-        return True
+        return bool(multiprocessing.get_all_start_methods())
     except (ImportError, OSError, ValueError):
         return False
 
 
-def _pick_start_method(config: SupervisorConfig) -> Optional[str]:
-    if config.start_method is not None:
-        return config.start_method
+def _mp_context():
     # fork avoids re-importing the package per worker, which matters for
-    # the short shards the quick benches run; fall back to the default.
+    # short shards; elsewhere the platform default.
     if "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
+        return multiprocessing.get_context("fork")
     return None
 
 
 class ShardSupervisor:
     """Runs shards in a process pool and survives its failures."""
 
-    def __init__(self, config: SupervisorConfig = SupervisorConfig(), *,
-                 sleep: Callable[[float], None] = time.sleep,
+    def __init__(self, *, sleep: Callable[[float], None] = time.sleep,
                  rng: Optional[random.Random] = None,
                  progress: Optional[ProgressReporter] = None) -> None:
-        self.config = config
         self._sleep = sleep
         self._rng = rng
         self.progress = progress
         self.events: List[str] = []
 
-    def _note(self, event: str) -> None:
-        self.events.append(event)
-
     def _retry_note(self, index: int, attempt: int, reason: str) -> None:
-        self._note(f"retry shard {index} (attempt {attempt}): {reason}")
+        self.events.append(f"retry shard {index} (attempt {attempt}): {reason}")
         if self.progress is not None:
             self.progress.shard_retried(index, attempt, reason)
 
-    def _degrade_note(self, reason: str) -> None:
-        self._note(f"degraded: {reason}")
+    def degraded(self, reason: str) -> None:
+        """Record that (part of) the run falls back in-process."""
+        self.events.append(f"degraded: {reason}")
         if self.progress is not None:
             self.progress.degraded(reason)
 
@@ -129,34 +105,29 @@ class ShardSupervisor:
                 on_shard_done(index, value)
 
         if workers <= 1 or len(shards) <= 1 \
-                or not multiprocessing_supported(self.config.start_method):
+                or not multiprocessing_supported():
             if workers > 1 and len(shards) > 1:
-                self._degrade_note("platform lacks multiprocessing support")
+                self.degraded("platform lacks multiprocessing support")
             for index, shard in enumerate(shards):
                 land(index, worker_fn(shard))
             return results
 
         pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(shards))]
-        method = _pick_start_method(self.config)
-        context = (multiprocessing.get_context(method)
-                   if method is not None else None)
+        context = _mp_context()
 
         while pending:
-            exhausted = [(i, a) for i, a in pending
-                         if a > self.config.max_retries]
-            pending = [(i, a) for i, a in pending
-                       if a <= self.config.max_retries]
+            exhausted = [(i, a) for i, a in pending if a > MAX_RETRIES]
+            pending = [(i, a) for i, a in pending if a <= MAX_RETRIES]
             for index, _ in exhausted:
-                self._degrade_note(
-                    f"shard {index} exceeded {self.config.max_retries} "
-                    "retries; running in-process")
+                self.degraded(f"shard {index} exceeded {MAX_RETRIES} "
+                              "retries; running in-process")
                 land(index, worker_fn(shards[index]))
             if not pending:
                 break
 
             max_attempt = max(a for _, a in pending)
             if max_attempt > 0:
-                self._sleep(self.config.backoff(max_attempt, self._rng))
+                self._sleep(backoff(max_attempt, self._rng))
 
             requeue: List[Tuple[int, int]] = []
             try:
@@ -164,8 +135,8 @@ class ShardSupervisor:
                     max_workers=min(workers, len(pending)),
                     mp_context=context)
             except (OSError, ValueError) as exc:
-                self._degrade_note(f"cannot start worker pool ({exc!r}); "
-                                   "running in-process")
+                self.degraded(f"cannot start worker pool ({exc!r}); "
+                              "running in-process")
                 for index, _ in pending:
                     land(index, worker_fn(shards[index]))
                 return results
@@ -196,12 +167,10 @@ class ShardSupervisor:
                             requeue.append((index, attempt))
                         continue
                     try:
-                        land(index,
-                             future.result(timeout=self.config.shard_timeout))
+                        land(index, future.result(timeout=SHARD_TIMEOUT))
                     except concurrent.futures.TimeoutError:
                         self._retry_note(index, attempt + 1,
-                                         f"timeout after "
-                                         f"{self.config.shard_timeout}s")
+                                         f"timeout after {SHARD_TIMEOUT}s")
                         requeue.append((index, attempt + 1))
                         abandoned = True
                     except concurrent.futures.process.BrokenProcessPool:
@@ -220,12 +189,3 @@ class ShardSupervisor:
             pending = requeue
 
         return results
-
-    def run_serial(self, worker_fn: Callable[[Any], Any],
-                   shards: Sequence[Any],
-                   on_shard_done: Optional[Callable[[int, Any], None]] = None
-                   ) -> List[Any]:
-        """The in-process path, exposed for callers that degrade early
-        (e.g. an unpicklable task)."""
-        return self.run(worker_fn, shards, workers=1,
-                        on_shard_done=on_shard_done)

@@ -125,7 +125,7 @@ class StablePort(Protocol):
     """Durable checkpoint storage with per-process bounded history.
 
     ``save`` must be durable once it returns (fsync semantics in a real
-    backend; the sim models the latency via ``write_latency_for``).
+    backend; the sim models the latency as ``write_latency``).
     """
 
     def save(self, checkpoint: Any) -> None: ...
@@ -143,8 +143,6 @@ class StablePort(Protocol):
     def epochs(self, process_id: Any) -> List[int]: ...
 
     def history(self, process_id: Any) -> List[Any]: ...
-
-    def write_latency_for(self, checkpoint: Optional[Any] = ...) -> float: ...
 
 
 @runtime_checkable

@@ -33,28 +33,19 @@ class Node:
         Optionally shared between nodes (a common disk array); by default
         each node gets its own store.  Stable contents survive crashes
         either way.
-    volatile_codec, stable_codec:
-        Snapshot codec ids (or instances) the node's stores encode
-        checkpoints with; default pickle.
-    stable_latency_per_kib:
-        Size-proportional component of the stable write latency
-        (seconds per KiB); ``0.0`` keeps the fixed-latency model.
     """
 
     def __init__(self, node_id: NodeId, sim: Simulator, clock_config: ClockConfig,
                  rng_registry: RngRegistry,
                  stable_store: Optional[StableStore] = None,
-                 stable_history: int = 2,
-                 volatile_codec=None, stable_codec=None,
-                 stable_latency_per_kib: float = 0.0) -> None:
+                 stable_history: int = 2) -> None:
         self.node_id = node_id
         self.sim = sim
         self.clock = DriftingClock(sim, clock_config, rng_registry, name=str(node_id))
         self.timers = TimerService(sim, self.clock)
-        self.volatile = VolatileStore(codec=volatile_codec)
+        self.volatile = VolatileStore()
         self.stable = stable_store if stable_store is not None \
-            else StableStore(history=stable_history, codec=stable_codec,
-                            latency_per_kib=stable_latency_per_kib)
+            else StableStore(history=stable_history)
         self.crashed = False
         #: Number of crashes suffered, for monitoring.
         self.crash_count: int = 0

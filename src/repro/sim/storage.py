@@ -7,29 +7,24 @@ survives crashes and retains a short history of checkpoint epochs so
 that hardware recovery can fall back to the last *complete* global line
 even if a crash interrupts an establishment.
 
-Each store owns the :class:`~repro.snapshot.codec.Codec` its
-checkpoints are encoded with (threaded down from the system configs)
-and keeps byte accounting behind the snapshot pipeline: totals, a
-per-checkpoint-kind breakdown, and a per-section breakdown — the raw
+Each store keeps byte accounting behind the snapshot pipeline: totals,
+a per-checkpoint-kind breakdown, and a per-section breakdown — the raw
 material of the overhead report's "where do checkpoint bytes go" table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..checkpoint import Checkpoint
 from ..errors import StorageError
-from ..snapshot import Codec, get_codec
 from ..types import ProcessId
 
 
 class _AccountingMixin:
     """Shared byte accounting for checkpoint stores."""
 
-    def _init_accounting(self, codec: Union[str, Codec, None]) -> None:
-        #: The codec checkpoints written to this store are encoded with.
-        self.codec: Codec = get_codec(codec)
+    def _init_accounting(self) -> None:
         #: Number of checkpoints saved over the store's lifetime.
         self.saves: int = 0
         #: Total accounted bytes written (a performance-cost proxy).
@@ -53,9 +48,9 @@ class _AccountingMixin:
 class VolatileStore(_AccountingMixin):
     """Per-node RAM checkpoint store — most-recent-only, crash-erasable."""
 
-    def __init__(self, codec: Union[str, Codec, None] = None) -> None:
+    def __init__(self) -> None:
         self._latest: Dict[ProcessId, Checkpoint] = {}
-        self._init_accounting(codec)
+        self._init_accounting()
 
     def save(self, checkpoint: Checkpoint) -> None:
         """Replace the owner's volatile checkpoint with ``checkpoint``."""
@@ -88,33 +83,16 @@ class StableStore(_AccountingMixin):
     ``write_latency`` models the fixed wall-clock cost of writing a
     snapshot; the TB protocols' blocking periods overlap this write
     (paper Section 2.2), so the protocol engines read the attribute
-    when sequencing establishment completion.  ``latency_per_kib``
-    optionally makes the write cost size-proportional — it defaults to
-    ``0.0`` so existing experiments keep the seed's fixed-latency
-    behaviour; :meth:`write_latency_for` folds both together.
+    when sequencing establishment completion.
     """
 
-    def __init__(self, history: int = 2, write_latency: float = 0.05,
-                 codec: Union[str, Codec, None] = None,
-                 latency_per_kib: float = 0.0) -> None:
+    def __init__(self, history: int = 2, write_latency: float = 0.05) -> None:
         if history < 1:
             raise StorageError("stable store must retain at least one checkpoint")
-        if latency_per_kib < 0:
-            raise StorageError("latency_per_kib must be non-negative")
         self._history = history
         self._chain: Dict[ProcessId, List[Checkpoint]] = {}
         self.write_latency = write_latency
-        self.latency_per_kib = latency_per_kib
-        self._init_accounting(codec)
-
-    def write_latency_for(self, checkpoint: Optional[Checkpoint]) -> float:
-        """The modelled wall-clock cost of writing ``checkpoint``:
-        the fixed floor plus the size-proportional component (if
-        enabled).  ``None`` — size unknown yet — prices at the floor."""
-        latency = self.write_latency
-        if checkpoint is not None and self.latency_per_kib > 0.0:
-            latency += self.latency_per_kib * (checkpoint.size_bytes / 1024.0)
-        return latency
+        self._init_accounting()
 
     def save(self, checkpoint: Checkpoint) -> None:
         """Append a completed stable checkpoint, trimming old epochs."""

@@ -1,13 +1,12 @@
-"""The pluggable snapshot pipeline.
+"""The snapshot pipeline.
 
 Every checkpoint in the system — MDCD Type-1/Type-2/pseudo volatile
 checkpoints and TB stable establishments alike — funnels state capture
-through this package instead of a hard-wired ``pickle.dumps``:
+through this package:
 
-* :mod:`~repro.snapshot.codec` — byte-level encoding strategies
-  (:class:`PickleCodec`, :class:`CompressedPickleCodec`,
-  :class:`NullCodec`) behind a registry, selected per checkpoint store
-  and threaded through the system configurations;
+* :mod:`~repro.snapshot.codec` — the one byte-level encoding
+  (``encode`` / ``decode``) and the isolation contract it gives every
+  capture;
 * :mod:`~repro.snapshot.sections` — a process snapshot is split into
   independently-encoded *sections* (``app``, ``mdcd``, ``journals``,
   ``msg_log``, ``counters``) with per-section byte accounting, so cost
@@ -21,22 +20,13 @@ through this package instead of a hard-wired ``pickle.dumps``:
   follows one process's captures (the online auditor) advances a
   :class:`ChainReader` cursor and decodes each delta once.
 
-Codec choice and incremental capture are pure representation concerns:
-they never touch the simulator's RNG streams or event ordering, so the
-campaign sample sequence is bit-for-bit independent of them (asserted
+Incremental capture is a pure representation concern: it never touches
+the simulator's RNG streams or event ordering, so the campaign sample
+sequence is bit-for-bit independent of it (asserted
 by ``tests/integration/test_representation_knobs.py`` and the snapshot
 test suite).
 """
 
-from .codec import (
-    Codec,
-    CompressedPickleCodec,
-    NullCodec,
-    PickleCodec,
-    available_codecs,
-    get_codec,
-    register_codec,
-)
 from .sections import (
     SECTION_ORDER,
     ChainReader,
@@ -46,17 +36,9 @@ from .sections import (
     declared_section,
     decode_payload,
     encode_full,
-    encode_value,
 )
 
 __all__ = [
-    "Codec",
-    "PickleCodec",
-    "CompressedPickleCodec",
-    "NullCodec",
-    "available_codecs",
-    "get_codec",
-    "register_codec",
     "SECTION_ORDER",
     "SectionPayload",
     "SnapshotPayload",
@@ -65,5 +47,4 @@ __all__ = [
     "declared_section",
     "decode_payload",
     "encode_full",
-    "encode_value",
 ]

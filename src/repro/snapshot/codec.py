@@ -1,148 +1,34 @@
-"""Snapshot codecs — the byte-level encoding axis of the pipeline.
+"""The snapshot codec — the byte-level encoding under every checkpoint.
 
-A :class:`Codec` turns a section value (plain checkpointable data) into
-an opaque payload and back.  The contract every codec must honour:
+:func:`encode` turns a section value (plain checkpointable data) into
+bytes and :func:`decode` turns them back.  The contract the rest of the
+pipeline relies on:
 
 * **isolation** — ``decode(encode(x))`` is an independent deep copy of
-  ``x`` (restoring a checkpoint must never alias live state);
+  ``x`` (restoring a checkpoint must never alias live state; captures
+  hand the codec references to the live state and this is all that
+  freezes them);
 * **purity** — encoding consumes no simulator randomness and has no
-  side effect on the value, so codec choice cannot perturb the event
+  side effect on the value, so capture cannot perturb the event
   sequence of a run (the determinism property the campaign machinery
   relies on);
 * **round-trip equality** — the decoded value compares equal to the
-  original (property-tested for every registered codec).
+  original (property-tested).
 
-Codecs are looked up by id through a registry; checkpoint records store
-the id next to each payload, so a store's codec can change between runs
-without stranding old records.
+A payload is accounted at ``len()`` of its bytes.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle
-import zlib
-from typing import Any, Dict, List, Union
+from typing import Any
 
 
-class Codec:
-    """Base class: encode section values to payloads and back.
-
-    ``codec_id`` is the registry key persisted inside checkpoint
-    records.  :meth:`measure` reports the byte cost a payload is
-    accounted at — ``len()`` of the encoded bytes for real serializers,
-    overridden by codecs whose payload is not its own cost.
-    """
-
-    codec_id: str = "abstract"
-
-    def encode(self, value: Any) -> Any:  # pragma: no cover - interface
-        """Freeze ``value`` into an opaque payload."""
-        raise NotImplementedError
-
-    def decode(self, payload: Any) -> Any:  # pragma: no cover - interface
-        """Reconstruct an independent copy of the encoded value."""
-        raise NotImplementedError
-
-    def measure(self, value: Any, payload: Any) -> int:
-        """Bytes this payload is accounted at (cost-proxy)."""
-        return len(payload)
+def encode(value: Any) -> bytes:
+    """Freeze ``value`` into bytes (highest-protocol pickling)."""
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-class PickleCodec(Codec):
-    """The default codec: highest-protocol pickling (the seed
-    behaviour of ``Checkpoint.capture``, now behind the interface)."""
-
-    codec_id = "pickle"
-
-    def encode(self, value: Any) -> bytes:
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, payload: bytes) -> Any:
-        return pickle.loads(payload)
-
-
-class CompressedPickleCodec(Codec):
-    """Pickle + zlib: trades encode/decode CPU for checkpoint bytes —
-    the knob for runs where storage traffic is the binding cost."""
-
-    codec_id = "zpickle"
-
-    def __init__(self, level: int = 6) -> None:
-        self.level = level
-
-    def encode(self, value: Any) -> bytes:
-        return zlib.compress(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), self.level)
-
-    def decode(self, payload: bytes) -> Any:
-        return pickle.loads(zlib.decompress(payload))
-
-
-class NullCodec(Codec):
-    """Size-tracking non-serializing codec for analysis-only runs.
-
-    The payload is a deep copy of the value itself — no byte stream is
-    built or stored, so views decode by copying instead of unpickling.
-    Byte accounting stays meaningful: :meth:`measure` prices each
-    payload at its pickled size (tracked in :attr:`bytes_measured`), so
-    overhead studies report the same costs a serializing run would,
-    while the run itself skips the storage representation entirely.
-    """
-
-    codec_id = "null"
-
-    def __init__(self) -> None:
-        #: Cumulative pickled size of everything encoded (analysis
-        #: accounting; reset freely between measurements).
-        self.bytes_measured: int = 0
-        self.encodes: int = 0
-
-    def encode(self, value: Any) -> Any:
-        self.encodes += 1
-        return copy.deepcopy(value)
-
-    def decode(self, payload: Any) -> Any:
-        return copy.deepcopy(payload)
-
-    def measure(self, value: Any, payload: Any) -> int:
-        size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        self.bytes_measured += size
-        return size
-
-
-_REGISTRY: Dict[str, Codec] = {}
-
-
-def register_codec(codec: Codec) -> Codec:
-    """Add (or replace) a codec in the registry; returns it."""
-    _REGISTRY[codec.codec_id] = codec
-    return codec
-
-
-def get_codec(codec: Union[str, Codec, None]) -> Codec:
-    """Resolve a codec id (or pass an instance through).
-
-    ``None`` resolves to the default pickle codec.  Unknown ids raise
-    ``KeyError`` listing what is registered — the error a checkpoint
-    record with a stale codec id surfaces as.
-    """
-    if codec is None:
-        return _REGISTRY["pickle"]
-    if isinstance(codec, Codec):
-        return codec
-    try:
-        return _REGISTRY[codec]
-    except KeyError:
-        raise KeyError(f"unknown snapshot codec {codec!r}; registered: "
-                       f"{sorted(_REGISTRY)}") from None
-
-
-def available_codecs() -> List[str]:
-    """Registered codec ids (sorted, for CLI help and tests)."""
-    return sorted(_REGISTRY)
-
-
-register_codec(PickleCodec())
-register_codec(CompressedPickleCodec())
-register_codec(NullCodec())
+def decode(data: bytes) -> Any:
+    """An independent copy of the encoded value."""
+    return pickle.loads(data)

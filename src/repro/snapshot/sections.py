@@ -46,9 +46,9 @@ it keeps a cursor per section and decodes just what moved past it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from .codec import Codec, get_codec
+from .codec import decode, encode
 from ..journal import Journal
 from .delta import (
     DELTA_SECTIONS,
@@ -81,11 +81,11 @@ def declared_section(value: Any) -> Optional[str]:
 class SectionPayload:
     """One encoded section of one checkpoint.
 
-    ``data`` is opaque to everything but the codec identified by
-    ``codec_id``.  ``nbytes`` is the accounted byte cost (see
-    :meth:`~repro.snapshot.codec.Codec.measure`).  A delta payload
-    (``full=False``) chains to the payload it was diffed against;
-    ``depth`` counts the chain links back to the nearest full section.
+    ``data`` is opaque to everything but :mod:`~repro.snapshot.codec`;
+    ``nbytes``, its length, is the accounted byte cost.  A delta
+    payload (``full=False``) chains to the payload it was diffed
+    against; ``depth`` counts the chain links back to the nearest full
+    section.
 
     What a ``journals`` / ``msg_log`` payload resolved to rides beside
     the fields (:func:`_resolved`): ``==`` and :func:`dataclasses
@@ -93,8 +93,7 @@ class SectionPayload:
     """
 
     section: str
-    codec_id: str
-    data: Any
+    data: bytes
     nbytes: int
     full: bool = True
     base: Optional["SectionPayload"] = None
@@ -126,32 +125,27 @@ class SnapshotPayload:
         return (len(self.sections) == 1
                 and self.sections[0].section == OPAQUE_SECTION)
 
-    def replace_section(self, section: str, value: Any,
-                        codec: Union[str, Codec, None] = None
-                        ) -> "SnapshotPayload":
+    def replace_section(self, section: str, value: Any) -> "SnapshotPayload":
         """A copy with one section re-encoded (full) from ``value``.
 
         Used when a consumer rewrites part of a captured state (the
         ``save_unacked`` ablation clears the unacked list) without
         re-encoding — or breaking the delta chains of — the others.
         """
-        out = []
-        for payload in self.sections:
-            if payload.section == section:
-                chosen = get_codec(codec if codec is not None
-                                   else payload.codec_id)
-                data, nbytes = encode_value(value, chosen)
-                payload = SectionPayload(section=section,
-                                         codec_id=chosen.codec_id,
-                                         data=data, nbytes=nbytes)
-            out.append(payload)
-        return SnapshotPayload(sections=tuple(out))
+        return SnapshotPayload(sections=tuple(
+            _encode_section(section, value)
+            if payload.section == section else payload
+            for payload in self.sections))
 
 
-def encode_value(value: Any, codec: Codec) -> Tuple[Any, int]:
-    """Encode one value, returning ``(data, accounted bytes)``."""
-    data = codec.encode(value)
-    return data, codec.measure(value, data)
+def _encode_section(section: str, value: Any,
+                    tip: Optional[SectionPayload] = None) -> SectionPayload:
+    """Encode one section value: full, or a delta chained to ``tip``."""
+    data = encode(value)
+    if tip is None:
+        return SectionPayload(section=section, data=data, nbytes=len(data))
+    return SectionPayload(section=section, data=data, nbytes=len(data),
+                          full=False, base=tip, depth=tip.depth + 1)
 
 
 #: Field -> section layout per snapshot class, as ``(section, field
@@ -194,32 +188,24 @@ def split_sections(snapshot: Any) -> Dict[str, Dict[str, Any]]:
             for section, names in _layout(snapshot) or ()}
 
 
-def encode_full(state: Any, codec: Union[str, Codec, None] = None
-                ) -> SnapshotPayload:
+def encode_full(state: Any) -> SnapshotPayload:
     """One-shot full encoding (no incremental state).
 
     ``ProcessSnapshot``-like dataclasses with declared sections are
     sectioned; anything else becomes a single opaque section — the path
     arbitrary test states and rewritten snapshots take.
     """
-    chosen = get_codec(codec)
     sections = split_sections(state)
     if sections:
-        payloads = []
-        for name, fields in sections.items():
-            data, nbytes = encode_value(fields, chosen)
-            payloads.append(SectionPayload(section=name,
-                                           codec_id=chosen.codec_id,
-                                           data=data, nbytes=nbytes))
-        return SnapshotPayload(sections=tuple(payloads))
-    data, nbytes = encode_value(state, chosen)
-    return SnapshotPayload(sections=(SectionPayload(
-        section=OPAQUE_SECTION, codec_id=chosen.codec_id,
-        data=data, nbytes=nbytes),))
+        return SnapshotPayload(sections=tuple(
+            _encode_section(name, fields)
+            for name, fields in sections.items()))
+    return SnapshotPayload(
+        sections=(_encode_section(OPAQUE_SECTION, state),))
 
 
 def _decode(payload: SectionPayload) -> Any:
-    return get_codec(payload.codec_id).decode(payload.data)
+    return decode(payload.data)
 
 
 def _resolved(payload: SectionPayload) -> Tuple[Dict[str, Any], Dict]:
@@ -329,8 +315,8 @@ class ChainReader:
     (:func:`_resolved`), taken as it is, and becomes the new cursor —
     the one value that moves: links it advances over are not remembered
     on their payloads.  A full section (``app`` / ``mdcd`` /
-    ``counters``) with the cursor's codec id and encoded data is the
-    cursor's value again, and a whole payload that *is* the one last
+    ``counters``) with the cursor's encoded data is the cursor's value
+    again, and a whole payload that *is* the one last
     read — the adapted TB protocol copies a dirty process's volatile
     checkpoint to disk epoch after epoch, one frozen payload under many
     checkpoint records — is the snapshot it read as: decoded once.
@@ -374,8 +360,7 @@ class ChainReader:
                                              _decode(link))
         elif payload.section in DELTA_SECTIONS:
             value = _resolved(payload)[0]
-        elif (at is None or at.codec_id != payload.codec_id
-              or at.data != payload.data):
+        elif at is None or at.data != payload.data:
             value = _decode(payload)
         self._cursor[payload.section] = (payload, value)
         return value
@@ -385,7 +370,7 @@ class SnapshotEncoder:
     """Per-process capture pipeline with incremental section encoding.
 
     One encoder serves all of a process's captures (volatile and
-    stable, any codec): it remembers, per delta-capable section, the
+    stable): it remembers, per delta-capable section, the
     previously emitted payload (the chain tip) and a lightweight
     baseline of the live state it encoded, and emits deltas while the
     chain stays representable and shorter than ``max_chain``.
@@ -419,47 +404,38 @@ class SnapshotEncoder:
         self._log_baselines.clear()
 
     # ------------------------------------------------------------------
-    def encode_snapshot(self, snapshot: Any,
-                        codec: Union[str, Codec, None] = None
-                        ) -> SnapshotPayload:
+    def encode_snapshot(self, snapshot: Any) -> SnapshotPayload:
         """Encode one capture, emitting delta sections where possible."""
-        chosen = get_codec(codec)
         sections = split_sections(snapshot)
         if not sections:
-            return encode_full(snapshot, chosen)
+            return encode_full(snapshot)
         payloads = []
         for name, fields in sections.items():
             if self.incremental and name == "journals":
-                payloads.append(self._encode_journals(fields, chosen))
+                payloads.append(self._encode_journals(fields))
             elif self.incremental and name == "msg_log":
-                payloads.append(self._encode_log(fields, chosen))
+                payloads.append(self._encode_log(fields))
             else:
-                data, nbytes = encode_value(fields, chosen)
-                payloads.append(SectionPayload(
-                    section=name, codec_id=chosen.codec_id,
-                    data=data, nbytes=nbytes))
-                self._bump(self.full_encodes, name)
+                payloads.append(self._full_payload(name, fields))
         return SnapshotPayload(sections=tuple(payloads))
 
     # ------------------------------------------------------------------
-    def _encode_journals(self, fields: Dict[str, Any],
-                         codec: Codec) -> SectionPayload:
+    def _encode_journals(self, fields: Dict[str, Any]) -> SectionPayload:
         tip = self._usable_tip("journals")
         if tip is not None and set(self._journal_baselines) == set(fields):
             delta_value = {
                 name: journal_delta(journal,
                                     self._journal_baselines[name]).pack()
                 for name, journal in fields.items()}
-            payload = self._delta_payload("journals", delta_value, codec, tip)
+            payload = self._delta_payload("journals", delta_value, tip)
         else:
-            payload = self._full_payload("journals", fields, codec)
+            payload = self._full_payload("journals", fields)
         self._journal_baselines = {name: JournalBaseline.of(journal)
                                    for name, journal in fields.items()}
         self._tips["journals"] = payload
         return payload
 
-    def _encode_log(self, fields: Dict[str, Any],
-                    codec: Codec) -> SectionPayload:
+    def _encode_log(self, fields: Dict[str, Any]) -> SectionPayload:
         tip = self._usable_tip("msg_log")
         delta_value: Optional[Dict[str, Any]] = None
         if tip is not None and set(self._log_baselines) == set(fields):
@@ -471,9 +447,9 @@ class SnapshotEncoder:
                     break
                 delta_value[name] = delta.pack()
         if delta_value is not None:
-            payload = self._delta_payload("msg_log", delta_value, codec, tip)
+            payload = self._delta_payload("msg_log", delta_value, tip)
         else:
-            payload = self._full_payload("msg_log", fields, codec)
+            payload = self._full_payload("msg_log", fields)
         self._log_baselines = {name: LogBaseline.of(log)
                                for name, log in fields.items()}
         self._tips["msg_log"] = payload
@@ -487,20 +463,14 @@ class SnapshotEncoder:
             return None
         return tip
 
-    def _full_payload(self, section: str, value: Any,
-                      codec: Codec) -> SectionPayload:
-        data, nbytes = encode_value(value, codec)
+    def _full_payload(self, section: str, value: Any) -> SectionPayload:
         self._bump(self.full_encodes, section)
-        return SectionPayload(section=section, codec_id=codec.codec_id,
-                              data=data, nbytes=nbytes)
+        return _encode_section(section, value)
 
-    def _delta_payload(self, section: str, value: Any, codec: Codec,
+    def _delta_payload(self, section: str, value: Any,
                        tip: SectionPayload) -> SectionPayload:
-        data, nbytes = encode_value(value, codec)
         self._bump(self.delta_encodes, section)
-        return SectionPayload(section=section, codec_id=codec.codec_id,
-                              data=data, nbytes=nbytes, full=False,
-                              base=tip, depth=tip.depth + 1)
+        return _encode_section(section, value, tip)
 
     @staticmethod
     def _bump(counter: Dict[str, int], key: str) -> None:

@@ -78,7 +78,7 @@ class AdaptedTbEngine(TbEngineBase):
         return PendingEstablishment(
             epoch=epoch, initial=initial, match_bit=bit,
             started_at=self.sim.now,
-            blocking_len=self._blocking_len(bit, initial))
+            blocking_len=self._blocking_len(bit))
 
     def _final_checkpoint(self, pending: PendingEstablishment) -> Checkpoint:
         """The ``write_disk`` third-argument semantics: if the bit no

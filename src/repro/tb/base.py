@@ -273,9 +273,8 @@ class TbEngineBase:
         counters = split_sections(snapshot).get("counters", {})
         return checkpoint.with_section("counters", counters)
 
-    def _blocking_len(self, dirty_bit: int,
-                      checkpoint: Optional[Checkpoint] = None) -> float:
-        write_latency = self.process.node.stable.write_latency_for(checkpoint)
+    def _blocking_len(self, dirty_bit: int) -> float:
+        write_latency = self.process.node.stable.write_latency
         if not self.config.blocking_enabled:
             # Fig. 2(a) ablation: the write still takes its latency, but
             # no message blocking protects the establishment.

@@ -38,4 +38,4 @@ class OriginalTbEngine(TbEngineBase):
         return PendingEstablishment(
             epoch=epoch, initial=initial, match_bit=0,
             started_at=self.sim.now,
-            blocking_len=self._blocking_len(0, initial))
+            blocking_len=self._blocking_len(0))

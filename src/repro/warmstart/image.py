@@ -83,7 +83,9 @@ _HEADER = struct.Struct(">B8sI")
 #: :func:`_thaw_rng` reduce (before: no marker, ``("r", index)`` ids).
 #: 3: packed journal records lost their scalar-provenance slot, so a
 #: format-2 set's checkpoints would unpack shifted.
-_FORMAT = 3
+#: 4: stores hold no codec instance and section payloads no codec id; a
+#: format-3 dump names the deleted ``PickleCodec`` and would not thaw.
+_FORMAT = 4
 
 
 class ForkContext:

@@ -102,6 +102,29 @@ class TestDeterminism:
         assert serial.errors == parallel.errors
 
 
+class TestSeedModelOnTheRecord:
+    def test_first_log_line_counts_the_distinct_prefixes(self):
+        """A sweep says which seed model it ran under: per-schedule
+        seeds are one prefix each, a shared seed a handful (one per
+        timing-override set) — ``--warmstart --seed 11`` is clean only
+        because of it (ROADMAP item 1)."""
+        config = AuditConfig(scheme="naive", seed=7, schedules=12,
+                             horizon=200.0)
+        schedules = generate_schedules(config)
+
+        def first_line(campaign):
+            lines = []
+            run_audit(config, schedules=campaign, log=lines.append)
+            return lines[0]
+
+        own = {(s.system_seed, s.overrides) for s in schedules}
+        shared = {s.overrides for s in schedules}
+        assert 1 <= len(shared) < len(own)
+        assert first_line(schedules).endswith(f"prefixes={len(own)})")
+        assert first_line(share_schedule_seeds(config, schedules)).endswith(
+            f"prefixes={len(shared)})")
+
+
 #: Builds a campaign's image sets into an on-disk store and exits: the
 #: "other process" whose table a reader only ever sees decoded.
 _SET_WRITER = """

@@ -1,8 +1,7 @@
 """Representation knobs are invisible in a run's outcome.
 
-Tracing, the snapshot codecs, incremental capture and the worker
-count change how a run is recorded, stored or scheduled —
-never what happens in it.  One Fig. 7 crash-recovery cell (coordinated
+Tracing, incremental capture and the worker count change how a run is
+recorded, stored or scheduled — never what happens in it.  One Fig. 7 crash-recovery cell (coordinated
 scheme, internal rate 100, the sweep's own Poisson crash plans) runs
 once per knob setting; rollback distances and the executed-event count
 must equal the reference run's exactly.
@@ -13,27 +12,23 @@ import functools
 
 import pytest
 
-from repro.coordination.scheme import Scheme, SystemConfig, build_system
+from repro.coordination.scheme import Scheme, build_system
 from repro.experiments.figure7 import (
     Figure7Config,
     _crash_plans,
     _system_config,
 )
 from repro.experiments.runner import replication_seeds, run_campaign
-from repro.snapshot import available_codecs
 
 RATE = 100
 SEED = 2001
 FIG = Figure7Config(horizon=3_000.0)
 
 #: name -> ``SystemConfig`` overrides on the reference run (which traces
-#: every category, pickles both stores and captures incrementally).
+#: every category and captures incrementally).
 KNOBS = {
     "trace-off": dict(trace_enabled=False),
     "trace-allowlist": dict(trace_categories=("tb.establish.",)),
-    **{f"codec-{codec}": dict(volatile_codec=codec, stable_codec=codec)
-       for codec in available_codecs()
-       if codec != SystemConfig.volatile_codec},
     "full-capture": dict(incremental_snapshots=False),
 }
 

@@ -14,9 +14,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.parallel import supervisor
 from repro.parallel.supervisor import (
     ShardSupervisor,
-    SupervisorConfig,
+    backoff,
     multiprocessing_supported,
 )
 
@@ -57,43 +58,53 @@ def _always_raise(x):
     raise ValueError(f"bad cell {x}")
 
 
-def fast_supervisor(**overrides):
-    defaults = dict(shard_timeout=30.0, max_retries=1, backoff_base=0.0)
-    defaults.update(overrides)
-    slept = []
-    sup = ShardSupervisor(SupervisorConfig(**defaults), sleep=slept.append)
-    return sup, slept
+@pytest.fixture
+def fast_supervisor(monkeypatch):
+    """A supervisor under a short policy (the module constants,
+    monkeypatched) that records its sleeps instead of taking them."""
+    def build(shard_timeout=30.0, max_retries=1, backoff_base=0.0, rng=None):
+        monkeypatch.setattr(supervisor, "SHARD_TIMEOUT", shard_timeout)
+        monkeypatch.setattr(supervisor, "MAX_RETRIES", max_retries)
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", backoff_base)
+        slept = []
+        return ShardSupervisor(sleep=slept.append, rng=rng), slept
+    return build
+
+
+class _Ceiling:
+    """An RNG whose every draw is the top of the interval."""
+
+    @staticmethod
+    def uniform(_low, high):
+        return high
 
 
 class TestSerialPaths:
-    def test_workers_one_runs_in_process(self):
+    def test_workers_one_runs_in_process(self, fast_supervisor):
         sup, _ = fast_supervisor()
         assert sup.run(_double, [1, 2, 3], workers=1) == [2, 4, 6]
 
-    def test_single_shard_runs_in_process(self):
+    def test_single_shard_runs_in_process(self, fast_supervisor):
         sup, _ = fast_supervisor()
         assert sup.run(_double, [21], workers=8) == [42]
 
-    def test_run_serial_helper(self):
-        sup, _ = fast_supervisor()
-        assert sup.run_serial(_double, [5]) == [10]
-
-    def test_unsupported_platform_degrades(self, monkeypatch):
+    def test_unsupported_platform_degrades(self, monkeypatch,
+                                           fast_supervisor):
         monkeypatch.setattr(
             "repro.parallel.supervisor.multiprocessing_supported",
-            lambda method=None: False)
+            lambda: False)
         sup, _ = fast_supervisor()
         assert sup.run(_double, [1, 2], workers=4) == [2, 4]
         assert any("degraded" in e for e in sup.events)
 
 
 class TestParallelExecution:
-    def test_results_align_with_shards(self):
+    def test_results_align_with_shards(self, fast_supervisor):
         sup, _ = fast_supervisor()
         assert sup.run(_double, list(range(6)), workers=2) == \
             [0, 2, 4, 6, 8, 10]
 
-    def test_on_shard_done_fires_once_per_shard(self):
+    def test_on_shard_done_fires_once_per_shard(self, fast_supervisor):
         sup, _ = fast_supervisor()
         landed = {}
         sup.run(_double, [3, 4], workers=2,
@@ -102,24 +113,26 @@ class TestParallelExecution:
 
 
 class TestFailureHandling:
-    def test_killed_worker_is_retried_to_completion(self, tmp_path):
+    def test_killed_worker_is_retried_to_completion(self, tmp_path,
+                                                    fast_supervisor):
         sup, _ = fast_supervisor(max_retries=3)
         payloads = [(str(tmp_path), x) for x in range(3)]
         assert sup.run(_crash_once, payloads, workers=2) == [0, 10, 20]
         assert any("worker process died" in e for e in sup.events)
 
-    def test_persistent_crasher_degrades_to_in_process(self):
+    def test_persistent_crasher_degrades_to_in_process(self, fast_supervisor):
         sup, _ = fast_supervisor(max_retries=1)
         assert sup.run(_always_crash_in_worker, [1, 2], workers=2) == \
             [101, 102]
         assert any("running in-process" in e for e in sup.events)
 
-    def test_hung_worker_times_out_then_completes(self):
+    def test_hung_worker_times_out_then_completes(self, fast_supervisor):
         sup, _ = fast_supervisor(shard_timeout=0.2, max_retries=1)
         assert sup.run(_hang_in_worker, [1, 2], workers=2) == [8, 9]
         assert any("timeout" in e for e in sup.events)
 
-    def test_pool_broken_at_submission_requeues(self, monkeypatch):
+    def test_pool_broken_at_submission_requeues(self, monkeypatch,
+                                                fast_supervisor):
         """A worker that dies before every shard is submitted breaks
         the pool under ``submit`` itself: the unsubmitted shards must
         requeue like any other casualty, not kill the campaign."""
@@ -153,19 +166,16 @@ class TestFailureHandling:
         assert Pool.rounds == 2
         assert sum("worker process died" in e for e in sup.events) == 1
 
-    def test_deterministic_error_finally_surfaces(self):
+    def test_deterministic_error_finally_surfaces(self, fast_supervisor):
         sup, _ = fast_supervisor(max_retries=1)
         with pytest.raises(ValueError, match="bad cell"):
             sup.run(_always_raise, [5], workers=2)
 
     def test_backoff_grows_exponentially(self):
-        config = SupervisorConfig(backoff_base=0.5, backoff_factor=3.0,
-                                  jitter=False)
-        assert config.backoff(1) == 0.5
-        assert config.backoff(2) == 1.5
-        assert config.backoff(3) == 4.5
+        assert [backoff(attempt, _Ceiling) for attempt in (1, 2, 3)] == [
+            0.25, 0.5, 1.0]
 
-    def test_backoff_sleep_called_between_retries(self):
+    def test_backoff_sleep_called_between_retries(self, fast_supervisor):
         sup, slept = fast_supervisor(max_retries=2, backoff_base=0.01)
         sup.run(_always_crash_in_worker, [1, 2], workers=2)
         assert slept, "retry rounds should sleep"
@@ -174,38 +184,27 @@ class TestFailureHandling:
 class TestBackoffJitter:
     """Full jitter: sleeps draw from [0, exponential ceiling)."""
 
-    def test_jitter_respects_exponential_ceiling(self):
-        config = SupervisorConfig(backoff_base=0.5, backoff_factor=3.0)
+    def test_jitter_respects_exponential_ceiling(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.5)
         rng = random.Random(7)
         for attempt in (1, 2, 3, 4):
-            ceiling = 0.5 * (3.0 ** (attempt - 1))
+            ceiling = 0.5 * (2.0 ** (attempt - 1))
             for _ in range(200):
-                draw = config.backoff(attempt, rng)
-                assert 0.0 <= draw <= ceiling
+                assert 0.0 <= backoff(attempt, rng) <= ceiling
 
     def test_jitter_actually_spreads(self):
-        config = SupervisorConfig(backoff_base=1.0, backoff_factor=2.0)
         rng = random.Random(11)
-        draws = {config.backoff(3, rng) for _ in range(50)}
+        draws = {backoff(3, rng) for _ in range(50)}
         assert len(draws) > 40, "full jitter should not collapse"
 
     def test_seeded_rng_is_deterministic(self):
-        config = SupervisorConfig(backoff_base=0.25, backoff_factor=2.0)
-        first = [config.backoff(a, random.Random(42)) for a in (1, 2, 3)]
-        second = [config.backoff(a, random.Random(42)) for a in (1, 2, 3)]
+        first = [backoff(a, random.Random(42)) for a in (1, 2, 3)]
+        second = [backoff(a, random.Random(42)) for a in (1, 2, 3)]
         assert first == second
 
-    def test_jitter_off_restores_pure_exponential(self):
-        config = SupervisorConfig(backoff_base=0.25, backoff_factor=2.0,
-                                  jitter=False)
-        assert [config.backoff(a) for a in (1, 2, 3)] == [0.25, 0.5, 1.0]
-
-    def test_supervisor_threads_rng_into_sleeps(self):
-        slept = []
-        sup = ShardSupervisor(
-            SupervisorConfig(shard_timeout=30.0, max_retries=1,
-                             backoff_base=0.125, backoff_factor=2.0),
-            sleep=slept.append, rng=random.Random(3))
+    def test_supervisor_threads_rng_into_sleeps(self, fast_supervisor):
+        sup, slept = fast_supervisor(backoff_base=0.125,
+                                     rng=random.Random(3))
         sup.run(_always_crash_in_worker, [1, 2], workers=2)
         expected_first = random.Random(3).uniform(0.0, 0.125)
         assert slept and slept[0] == expected_first
@@ -215,6 +214,3 @@ class TestBackoffJitter:
 class TestPlatformProbe:
     def test_current_platform_supported(self):
         assert multiprocessing_supported()
-
-    def test_unknown_start_method_rejected(self):
-        assert not multiprocessing_supported("no-such-method")

@@ -17,7 +17,6 @@ from repro.messages.log import MessageLog
 from repro.messages.message import Message
 from repro.snapshot import (
     ChainReader,
-    available_codecs,
     decode_payload,
     encode_full,
 )
@@ -75,21 +74,22 @@ def snapshots(draw):
 
 
 class TestCodecRoundTrip:
+    """The codec contract; there is one codec, so "every codec" is
+    every capture."""
+
     @settings(max_examples=40, deadline=None)
     @given(snapshots())
     def test_decode_encode_identity_for_every_codec(self, snapshot):
-        for codec in available_codecs():
-            restored = decode_payload(encode_full(snapshot, codec))
-            assert restored == snapshot, codec
-            # and the restore is private (no aliasing into the capture)
-            assert restored.journal_sent is not snapshot.journal_sent
+        restored = decode_payload(encode_full(snapshot))
+        assert restored == snapshot
+        # and the restore is private (no aliasing into the capture)
+        assert restored.journal_sent is not snapshot.journal_sent
 
     @settings(max_examples=25, deadline=None)
     @given(snapshots())
     def test_opaque_roundtrip_for_every_codec(self, snapshot):
         state = {"snapshot": snapshot, "tag": 7}
-        for codec in available_codecs():
-            assert decode_payload(encode_full(state, codec)) == state, codec
+        assert decode_payload(encode_full(state)) == state
 
 
 #: One mutation step of the live journals/log between captures.
@@ -103,8 +103,7 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("step"), st.integers(0, 9)),     # app section moves
     st.tuples(st.just("taint"), st.integers(0, 9)),    # mdcd section moves
     st.tuples(st.just("ack"), st.integers(0, 9)),      # counters section moves
-    st.tuples(st.just("capture"), st.sampled_from(
-        ("pickle", "zpickle", "null"))),
+    st.just(("capture",)),
     st.just(("copy",)),                     # volatile copy: payload reused
     st.just(("recover",)),                  # restore + encoder reset
 ), max_size=30)
@@ -115,8 +114,7 @@ def drive_checkpoints(ops, max_chain):
     the pruning ``compact_journals`` performs, application steps, MDCD
     knowledge updates, acknowledgements, and recovery restores (decode
     the last capture, ``encoder.reset()``) — through one encoder,
-    capturing along the way with whichever codec each capture names
-    (the volatile and stable stores of one process interleave theirs).
+    capturing along the way.
     Captures with nothing in between leave the ``app`` / ``mdcd`` /
     ``counters`` sections byte-identical; a ``copy`` puts the previous
     capture's payload under a new checkpoint record, as the adapted TB
@@ -141,7 +139,7 @@ def drive_checkpoints(ops, max_chain):
             journal_recv=Journal(), msg_log=log, cursor=0)
 
     captured = []
-    for op in ops + [("capture", "pickle")]:
+    for op in ops + [("capture",)]:
         if op[0] == "send":
             msg = make_msg(next_key[0], float(next_key[0]), *op[1])
             journal.add(msg, validated=False, time=float(next_key[0]))
@@ -175,7 +173,7 @@ def drive_checkpoints(ops, max_chain):
         elif op[0] == "capture":
             # Captured by reference, as FtProcess.make_snapshot does:
             # the codec is what freezes the state.
-            payload = encoder.encode_snapshot(snapshot(), op[1])
+            payload = encoder.encode_snapshot(snapshot())
             captured.append((
                 Checkpoint(process_id=ProcessId("A"),
                            kind=CheckpointKind.TYPE_1,
@@ -238,7 +236,7 @@ class TestIncrementalCapture:
                 app_state=AppState(), mdcd=MdcdState(), sn_value=k,
                 dedup_seen=set(), unacked=[], journal_sent=journal,
                 journal_recv=Journal(), msg_log=log, cursor=0)
-            payloads.append((encoder.encode_snapshot(state, "pickle"),
+            payloads.append((encoder.encode_snapshot(state),
                              copy.deepcopy(state)))
         for payload, expected in payloads:
             for section in payload.sections:
@@ -305,7 +303,7 @@ class TestChainReader:
         previous = None
         shared = 0
         for checkpoint, expected in drive_checkpoints(
-                ops + [("capture", "pickle"), ("copy",)], max_chain):
+                ops + [("capture",), ("copy",)], max_chain):
             view = view_from_checkpoint(checkpoint, reader)
             assert view.snapshot == expected
             assert (view.epoch, view.kind, view.meta) == (
@@ -322,18 +320,16 @@ class TestChainReader:
 
     def test_unchanged_full_sections_are_decoded_once(self):
         captured = drive_captures(
-            [("step", 1), ("capture", "zpickle"), ("capture", "pickle"),
-             ("capture", "pickle"), ("step", 2)], max_chain=4)
+            [("step", 1), ("capture",), ("capture",), ("step", 2)],
+            max_chain=4)
         reader = ChainReader()
-        first, other_codec, same, moved = [reader.read(payload)
-                                           for payload, _ in captured]
-        # Another codec's bytes say nothing: decoded.
-        assert other_codec.app_state is not first.app_state
+        first, same, moved = [reader.read(payload)
+                              for payload, _ in captured]
         for name in ("app_state", "mdcd", "dedup_seen", "unacked"):
-            assert getattr(same, name) is getattr(other_codec, name), name
+            assert getattr(same, name) is getattr(first, name), name
         assert moved.app_state is not same.app_state
         assert moved.mdcd is same.mdcd and moved.unacked is same.unacked
-        assert [value for value in (first, other_codec, same, moved)] == [
+        assert [first, same, moved] == [
             expected for _, expected in captured]
 
     @settings(max_examples=40, deadline=None)

@@ -5,11 +5,13 @@ sim adapters define (reliable delivery with retry/dedup, durable
 stable reads across a crash, timer re-arm across a clock resync)."""
 
 import os
+import pickle
 import selectors
 import socket
 
 import pytest
 
+from repro.cas import blob_digest
 from repro.checkpoint import Checkpoint
 from repro.errors import SchedulingError
 from repro.live.clock import WallClock
@@ -24,6 +26,8 @@ from repro.runtime.script import ScriptOp, WorkloadScript, smoke_script, \
 from repro.runtime.sim_backend import SimBackend
 from repro.topology.model import Topology
 from repro.types import CheckpointKind, MessageKind, ProcessId
+
+from blob_damage import each_bit_flip
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -191,6 +195,44 @@ def _stable_ckpt(pid, epoch, work):
                               work_done=work, epoch=epoch)
 
 
+NEWEST = "P2__00000002.ckpt"
+
+
+def _write(root, name, data):
+    (root / name).write_bytes(data)
+
+
+def _digested(body):
+    """A digest-valid file body, whoever wrote it."""
+    return blob_digest(body).encode("ascii") + body
+
+
+#: name -> (damage(root) applied to a directory holding P2 epochs 1 and
+#: 2, files the restart must count as damaged, epochs it must serve).
+STABLE_FILE_DAMAGE = {
+    "truncated": (lambda root: _write(
+        root, NEWEST, (root / NEWEST).read_bytes()[:-7]), 1, [1]),
+    "emptied": (lambda root: _write(root, NEWEST, b""), 1, [1]),
+    "foreign-bytes": (lambda root: _write(
+        root, "P9__00000001.ckpt", b"not a checkpoint at all"), 1, [1, 2]),
+    "foreign-pickle": (lambda root: _write(
+        root, "P9__00000001.ckpt", _digested(pickle.dumps({"w": 9.0}))),
+        1, [1, 2]),
+    "foreign-unpicklable": (lambda root: _write(
+        root, "P9__00000001.ckpt", _digested(b"verifies, not a pickle")),
+        1, [1, 2]),
+    "misfiled-epoch": (lambda root: _write(
+        root, "P2__00000007.ckpt", (root / "P2__00000001.ckpt").read_bytes()),
+        1, [1, 2]),
+    "pre-digest-format": (lambda root: _write(
+        root, "P9__00000001.ckpt", pickle.dumps(_stable_ckpt("P9", 1, 1.0))),
+        1, [1, 2]),
+    "leftover-tmp": (lambda root: _write(
+        root, "P2__00000003.ckpt.tmp", b"torn half-written checkpoint"),
+        0, [1, 2]),
+}
+
+
 class TestDurableStableStore:
     def test_read_after_restart_sees_saved_chain(self, tmp_path):
         root = str(tmp_path / "stable")
@@ -223,6 +265,48 @@ class TestDurableStableStore:
         rebuilt = FileStableStore(root, history=2)
         assert rebuilt.epochs(ProcessId("P2")) == [1]
         assert not any(name.endswith(".tmp") for name in os.listdir(root))
+
+
+    def test_every_single_bit_flip_is_a_miss_never_a_raise(self, tmp_path):
+        """Exhaustive over one stored checkpoint file, digest and body:
+        a restart reads the newest epoch back exactly as it was written
+        or not at all, and falls back to the epoch before it."""
+        root = tmp_path / "stable"
+        store = FileStableStore(str(root), history=2)
+        for epoch in (1, 2):
+            store.save(_stable_ckpt("P2", epoch, float(epoch)))
+        newest = root / NEWEST
+        flips = 0
+        for bit in each_bit_flip(newest):
+            rebuilt = FileStableStore(str(root), history=2)
+            assert rebuilt.damaged_files == 1, bit
+            assert rebuilt.epochs(ProcessId("P2")) == [1], bit
+            assert rebuilt.latest(ProcessId("P2")) == store.at_epoch(
+                ProcessId("P2"), 1), bit
+            flips += 1
+        assert flips == 8 * newest.stat().st_size
+        pristine = FileStableStore(str(root), history=2)
+        assert pristine.damaged_files == 0
+        assert pristine.history(ProcessId("P2")) == store.history(
+            ProcessId("P2"))
+
+    @pytest.mark.parametrize("damage", sorted(STABLE_FILE_DAMAGE))
+    def test_damaged_file_is_counted_and_skipped(self, tmp_path, damage):
+        apply, damaged, epochs = STABLE_FILE_DAMAGE[damage]
+        root = tmp_path / "stable"
+        store = FileStableStore(str(root), history=3)
+        for epoch in (1, 2):
+            store.save(_stable_ckpt("P2", epoch, float(epoch)))
+        apply(root)
+        rebuilt = FileStableStore(str(root), history=3)
+        assert rebuilt.damaged_files == damaged
+        assert rebuilt.history(ProcessId("P2")) == [
+            store.at_epoch(ProcessId("P2"), epoch) for epoch in epochs]
+        assert rebuilt.epochs(ProcessId("P9")) == []
+        # ... and the store keeps working over the damage.
+        rebuilt.save(_stable_ckpt("P2", 3, 3.0))
+        assert FileStableStore(str(root), history=3).latest(
+            ProcessId("P2")).restore_state() == {"w": 3.0}
 
 
 # ----------------------------------------------------------------------

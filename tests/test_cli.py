@@ -21,8 +21,8 @@ class TestParser:
         assert set(subparsers.choices) == {
             "scenarios", "fig7", "table1", "overhead", "ablations",
             "topology-sweep", "demo", "timeline", "report",
-            "snapshot-stats", "audit", "fabric-supervisor",
-            "fabric-worker", "live-demo", "live-crosscheck"}
+            "snapshot-stats", "audit", "fabric-worker", "live-demo",
+            "live-crosscheck"}
         for command, subparser in subparsers.choices.items():
             assert callable(subparser.get_default("fn")), command
 
@@ -81,22 +81,30 @@ class TestParser:
         assert args.fabric is None
         assert args.journal is None
         assert args.cas_dir is None
+        # The deployment flags default to FabricConfig's own values.
+        from repro.fabric import FabricConfig
+        assert FabricConfig(
+            host=args.host, port=args.port, shard_size=args.shard_size,
+            heartbeat_timeout=args.heartbeat_timeout) == FabricConfig()
 
     def test_fabric_supervisor_flags(self):
+        # The fabric supervisor's deployment flags live on ``audit``.
         args = build_parser().parse_args(
-            ["fabric-supervisor", "--cas-dir", "/tmp/cas", "--flock",
-             "--port", "0", "--shard-size", "8", "--spawn-workers", "2",
-             "--journal", "j.jsonl", "--out", "a.json"])
+            ["audit", "--fabric", "0", "--cas-dir", "/tmp/cas", "--flock",
+             "--host", "0.0.0.0", "--port", "7707", "--shard-size", "8",
+             "--heartbeat-timeout", "5", "--journal", "j.jsonl",
+             "--out", "a.json"])
+        assert args.fabric == 0
         assert args.cas_dir == "/tmp/cas"
         assert args.flock
-        assert args.port == 0
+        assert (args.host, args.port) == ("0.0.0.0", 7707)
         assert args.shard_size == 8
-        assert args.spawn_workers == 2
+        assert args.heartbeat_timeout == 5.0
         assert args.journal == "j.jsonl"
         assert args.out == "a.json"
-        assert callable(args.fn)
 
     def test_fabric_supervisor_requires_cas_dir(self):
+        # ... and there is no second command to build a campaign with.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fabric-supervisor"])
 
@@ -116,6 +124,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fabric-worker", "--cas-dir", "/x"])
 
+    def test_snapshot_stats_rejects_unknown_codec(self):
+        # There is one codec and no flag to name another.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["snapshot-stats", "--codec", "bogus"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["snapshot-stats", "--codec", "pickle"])
+
     def test_audit_rejects_unknown_scheme(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["audit", "--scheme", "mdcd-only"])
@@ -126,16 +141,11 @@ class TestParser:
 
     def test_snapshot_stats_flags(self):
         args = build_parser().parse_args(
-            ["snapshot-stats", "--codec", "zpickle", "--full-snapshots",
+            ["snapshot-stats", "--full-snapshots",
              "--horizon", "500", "--seed", "3"])
-        assert args.codec == "zpickle"
         assert args.full_snapshots
         assert args.horizon == 500.0
         assert args.seed == 3
-
-    def test_snapshot_stats_rejects_unknown_codec(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["snapshot-stats", "--codec", "bogus"])
 
     def test_fig7_full_flag(self):
         args = build_parser().parse_args(["fig7", "--full"])
@@ -282,10 +292,10 @@ class TestExecution:
         assert list((tmp_path / "refs").glob("cell-*"))
 
     def test_snapshot_stats_prints_section_table(self, capsys):
-        assert main(["snapshot-stats", "--horizon", "600",
-                     "--codec", "zpickle"]) == 0
+        assert main(["snapshot-stats", "--horizon", "600"]) == 0
         out = capsys.readouterr().out
         assert "snapshot section" in out
+        assert "capture=incremental" in out
         for section in ("app", "mdcd", "journals", "msg_log", "counters"):
             assert section in out
 
@@ -317,6 +327,11 @@ class TestExecution:
                      "--expect-violation"]) == 0
         out = capsys.readouterr().out
         assert "mode=warm" in out
+        # The seed model is on the record: every schedule was rewritten
+        # onto this one system seed.
+        from repro.sim.rng import derive_seed
+        assert (f"shared system seed "
+                f"{derive_seed(7, 'audit:shared') % 2 ** 31}\n") in out
         # The same runner as --flock: forks off a template, no set built.
         assert "warm: " in out and "forked" in out and "templates" in out
         assert "VIOLATION" in out

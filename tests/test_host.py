@@ -10,7 +10,6 @@ from repro.app.workload import Action, ActionKind, WorkloadConfig, WorkloadDrive
     generate_actions
 from repro.host import FtProcess, IncarnationCounter
 from repro.messages.message import Message
-from repro.snapshot import available_codecs, get_codec
 from repro.types import CheckpointKind, MessageKind, ProcessId
 
 
@@ -197,11 +196,8 @@ class TestCaptureIsolation:
     """``make_snapshot`` hands the codec references to the live state;
     the codec's isolation is all that freezes a checkpoint."""
 
-    @pytest.mark.parametrize("codec", available_codecs())
-    def test_checkpoint_survives_every_later_mutation(self, sim, plain_pair,
-                                                      codec):
+    def test_checkpoint_survives_every_later_mutation(self, sim, plain_pair):
         a, b = plain_pair
-        a.node.volatile.codec = get_codec(codec)
         a.replay_dedup = b.replay_dedup = True
         for sn in (1, 2):
             a.send_internal(Payload(sn), [b.process_id], sn=sn, dirty_bit=1,
@@ -252,24 +248,21 @@ class TestCaptureIsolation:
     #: (45837, 1829) / (44628, 1829); PR 21 took the scalar
     #: ``taint_sn`` slot out of every packed journal record and
     #: ``taint_sn`` / ``dirty_sources`` out of every ``mdcd`` section
-    #: (-1 993 stable, -94 volatile, both codecs), nothing else moved.
-    PINNED_BYTES = {"pickle": (43844, 1735), "null": (42635, 1735)}
+    #: (-1 993 stable, -94 volatile), nothing else moved.
+    PINNED_BYTES = (43844, 1735)
 
-    @pytest.mark.parametrize("codec", sorted(PINNED_BYTES))
-    def test_capture_by_reference_writes_the_same_bytes(self, codec):
+    def test_capture_by_reference_writes_the_same_bytes(self):
         from repro.audit import AuditConfig, build_audit_system
         from repro.audit.generator import generate_schedules
         config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
         schedule = next(s for s in generate_schedules(config)
                         if s.label == "random:14")
         system = build_audit_system(config, schedule)
-        for node in system.nodes.values():
-            node.stable.codec = node.volatile.codec = get_codec(codec)
         system.run()
         nodes = system.nodes.values()
         assert (sum(node.stable.bytes_written for node in nodes),
                 sum(node.volatile.bytes_written for node in nodes)
-                ) == self.PINNED_BYTES[codec]
+                ) == self.PINNED_BYTES
 
 
 class TestCompaction:
