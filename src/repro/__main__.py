@@ -360,7 +360,7 @@ def _cmd_demo(args) -> int:
         check_system_line(common_stable_line(system)))
     clean = all(not p.component.state.corrupt
                 for p in system.process_list() if not p.deposed)
-    print(f"\nshadow takeover: {system.sw_recovery.completed}; hardware "
+    print(f"\nshadow takeover: {bool(system.sw_recovery.completed)}; hardware "
           f"recoveries: {system.hw_recovery.recoveries}")
     print(f"final stable line violations: {violations or 'none'}")
     print(f"in-service states clean: {clean}")

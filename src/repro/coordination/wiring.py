@@ -1,17 +1,19 @@
 """What a topology member runs — decided here and nowhere else.
 
-Two MDCD engine families serve the two membership shapes: the paper's
-three-process algorithms (:mod:`repro.mdcd` — ``Original*`` for the
-uncoordinated schemes, ``Modified*`` for the coordinated ones) on
-``Topology.paper()``, and the per-source-provenance engines
-(:mod:`repro.topology.engines`) on every ``NxK+U`` membership.  The sim
-builder (:class:`~repro.coordination.scheme.System`) and the live agent
+One MDCD engine family serves the coordinated schemes on every
+membership: the per-source-provenance engines
+(:mod:`repro.topology.engines`), which on ``Topology.paper()`` are the
+modified algorithms of Appendix A.  The uncoordinated paper baselines
+(naive, write-through) run the original protocol's ``Original*``
+engines (:mod:`repro.mdcd.original`).  The sim builder
+(:class:`~repro.coordination.scheme.System`) and the live agent
 (:class:`~repro.live.agent.LiveAgent`) both wire a member through
 :func:`software_engine`, so the two backends cannot disagree on the
 engine class or its audiences; the engine a promoted shadow switches to
-follows from its shadow engine (``takeover_engine()``), and the
+follows from its shadow engine (``takeover_engine()``), and the one
 recovery manager that promotes it from :func:`recovery_manager`.  This
-module is the only reader of ``Topology.is_paper``.
+module is the only reader of ``Topology.is_paper``: it picks the
+uncoordinated schemes' engines and the paper peer's route list.
 """
 
 from __future__ import annotations
@@ -19,25 +21,14 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..app.acceptance import AcceptanceTest, AcceptanceTestConfig
-from ..mdcd.modified import (ModifiedActiveEngine, ModifiedPeerEngine,
-                             ModifiedShadowEngine)
 from ..mdcd.original import (OriginalActiveEngine, OriginalPeerEngine,
                              OriginalShadowEngine)
-from ..mdcd.recovery import SoftwareRecoveryManager
 from ..topology.engines import (TopologyActiveEngine, TopologyPeerEngine,
                                 TopologyShadowEngine)
 from ..topology.model import Member, MemberKind, Topology
 from ..topology.recovery import TopologyRecoveryManager
 from ..topology.view import GroupView
 from ..types import ProcessId
-
-
-#: The paper shape's (active, shadow, peer) engine classes, by whether
-#: the scheme runs the modified (Appendix A) algorithms.
-_PAPER_ENGINES = {
-    True: (ModifiedActiveEngine, ModifiedShadowEngine, ModifiedPeerEngine),
-    False: (OriginalActiveEngine, OriginalShadowEngine, OriginalPeerEngine),
-}
 
 
 def _pids(members) -> List[ProcessId]:
@@ -49,13 +40,14 @@ def software_engine(topology: Topology, member: Member, scheme, process,
     """The MDCD engine ``member`` of ``topology`` runs under ``scheme``,
     built on ``process`` (acceptance tests draw from ``rng``).
 
-    Paper shape: active and shadow address the one peer, the peer
-    multicasts to the guarded pair.  Any other topology: actives are
-    pure ingress — they produce into the peer mesh and receive no
+    Actives and shadows address the peers, stimulus-routed.  The paper
+    peer's one route is component 1's pair (it multicasts to the guarded
+    pair, Fig. 1); any other topology's peers route to each other, one
+    peer a route — actives there are pure ingress and receive no
     application traffic, so a guarded pair's action streams never
-    diverge when *another* component recovers; peers exchange among
-    themselves, which is where multi-source contamination mixes and the
-    per-source taint maps earn their keep.
+    diverge when *another* component recovers, and the peer mesh is
+    where multi-source contamination mixes and the per-source taint
+    maps earn their keep.
     """
     if not (topology.is_paper or scheme.uses_modified_mdcd):
         raise ValueError(
@@ -67,16 +59,14 @@ def software_engine(topology: Topology, member: Member, scheme, process,
 
     kind = member.kind
     peers = _pids(topology.peers())
-    if topology.is_paper:
-        active_cls, shadow_cls, peer_cls = _PAPER_ENGINES[
-            scheme.uses_modified_mdcd]
+    if not scheme.uses_modified_mdcd:
         if kind is MemberKind.ACTIVE:
             shadow, = _pids(topology.shadows_of(member.component))
-            return active_cls(process, acceptance_test(), peer=peers[0],
-                              shadow=shadow)
+            return OriginalActiveEngine(process, acceptance_test(),
+                                        peer=peers[0], shadow=shadow)
         if kind is MemberKind.SHADOW:
-            return shadow_cls(process)
-        return peer_cls(process, acceptance_test())
+            return OriginalShadowEngine(process)
+        return OriginalPeerEngine(process, acceptance_test())
     if kind is MemberKind.ACTIVE:
         return TopologyActiveEngine(
             process, acceptance_test(),
@@ -85,9 +75,13 @@ def software_engine(topology: Topology, member: Member, scheme, process,
         active = topology.active_of(member.component)
         return TopologyShadowEngine(
             process, active_id=ProcessId(active.role_id), peers=peers)
+    if topology.is_paper:
+        routes = [_pids(topology.component_members(1))]
+    else:
+        routes = [[pid] for pid in peers if pid != process.process_id]
     return TopologyPeerEngine(
         process, acceptance_test(), active_ids=_pids(topology.actives()),
-        other_peers=[pid for pid in peers if pid != process.process_id],
+        routes=routes,
         notification_recipients=[pid for pid in _pids(topology.members)
                                  if pid != process.process_id])
 
@@ -97,20 +91,11 @@ def recovery_manager(topology: Topology, members: Dict[str, object],
                      ) -> Tuple[GroupView, object]:
     """The group view and the installed software recovery manager of a
     system over ``topology`` (``members``: role id -> process)."""
-    if topology.is_paper:
-        # Inert bookkeeping view (no trace, no node listeners): the
-        # paper path must stay byte-identical.
-        view = GroupView(topology)
-        active, shadow, peer = (members[rid] for rid in topology.role_ids())
-        manager = SoftwareRecoveryManager(
-            active=active, shadow=shadow, peer=peer,
-            incarnation=incarnation, trace=trace)
-    else:
-        view = GroupView(topology, trace=trace, clock=clock)
-        for node in nodes.values():
-            node.on_crash(view._on_node_crash)
-            node.on_restart(view._on_node_restart)
-        manager = TopologyRecoveryManager(
-            topology, view, members, incarnation=incarnation, trace=trace)
+    view = GroupView(topology, trace=trace, clock=clock)
+    for node in nodes.values():
+        node.on_crash(view._on_node_crash)
+        node.on_restart(view._on_node_restart)
+    manager = TopologyRecoveryManager(
+        topology, view, members, incarnation=incarnation, trace=trace)
     manager.install()
     return view, manager

@@ -170,7 +170,7 @@ def _at_coverage_cell(horizon: float, cell) -> Dict[str, bool]:
     system.inject_software_fault(SoftwareFaultPlan(activate_at=horizon / 4.0))
     system.run()
     from ..analysis.global_state import live_line
-    return {"detected": system.sw_recovery.completed,
+    return {"detected": bool(system.sw_recovery.completed),
             "contaminated": bool(check_ground_truth(live_line(system)))}
 
 

@@ -276,7 +276,8 @@ def figure4a_naive_loss(seed: int = 13, horizon: float = 2500.0) -> ScenarioResu
     naive_corrupt = naive.peer.component.state.corrupt
     coord_corrupt = coordinated.peer.component.state.corrupt
     naive_degraded = naive.trace.count("recovery.degraded_fallback") > 0
-    both_detected = naive.sw_recovery.completed and coordinated.sw_recovery.completed
+    both_detected = bool(naive.sw_recovery.completed
+                         and coordinated.sw_recovery.completed)
     ok = (both_detected and naive_corrupt and naive_degraded
           and not coord_corrupt
           and not coordinated.shadow.component.state.corrupt)

@@ -1,8 +1,8 @@
 """Heartbeat-driven shadow takeover for the live backend.
 
-The sim's :class:`~repro.mdcd.recovery.SoftwareRecoveryManager` runs the
-whole takeover in one place because it holds references to every
-process.  On the live backend the same algorithm executes
+The sim's :class:`~repro.topology.recovery.TopologyRecoveryManager`
+runs the whole takeover in one place because it holds references to
+every process.  On the live backend the same algorithm executes
 *distributedly*, which is how the paper means it: each process makes its
 **local** decision (dirty -> roll back to the volatile checkpoint, clean
 -> roll forward) with no coordination — the MDCD theorems are exactly

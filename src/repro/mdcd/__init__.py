@@ -1,27 +1,23 @@
 """The MDCD (message-driven confidence-driven) protocol family.
 
-``original`` implements the protocol of paper Section 2.1 (Fig. 1);
-``modified`` implements the coordination-ready algorithms of Section 3 /
-Appendix A (Fig. 3); ``recovery`` implements shadow takeover.
+``original`` implements the protocol of paper Section 2.1 (Fig. 1), the
+uncoordinated baselines' engines; ``recovery`` implements shadow
+takeover.  The coordination-ready algorithms of Section 3 / Appendix A
+(Fig. 3) are :mod:`repro.topology.engines` on every membership.
 """
 
 from .base import MdcdEngineBase
 from .commissioning import commission_upgrade
-from .modified import ModifiedActiveEngine, ModifiedPeerEngine, ModifiedShadowEngine
 from .original import OriginalActiveEngine, OriginalPeerEngine, OriginalShadowEngine
-from .recovery import SoftwareRecoveryManager, TakeoverEngine
+from .recovery import TakeoverEngine
 from .state import MdcdState
 
 __all__ = [
     "MdcdEngineBase",
     "commission_upgrade",
     "MdcdState",
-    "ModifiedActiveEngine",
-    "ModifiedPeerEngine",
-    "ModifiedShadowEngine",
     "OriginalActiveEngine",
     "OriginalPeerEngine",
     "OriginalShadowEngine",
-    "SoftwareRecoveryManager",
     "TakeoverEngine",
 ]

@@ -122,22 +122,21 @@ class MdcdEngineBase:
         self.process.counters.bump("at.pass" if passed else "at.fail")
         return passed
 
-    def validate_knowledge(self, p1act_sn: Optional[int]) -> None:
+    def validate_knowledge(self, bound: Optional[int] = None,
+                           source: Optional[ProcessId] = None) -> None:
         """Apply a validation event to the journals.
 
         A validation certifies the validating process's state, hence
-        every message it sent or received up to that state.  ``P1_act``'s
-        messages are additionally bounded by the validated sequence
-        number ``p1act_sn`` (the notification's ``msg_SN``), because its
-        sequence numbers are the coordinate system of the valid message
-        register.
+        every message it sent or received up to that state.  The guarded
+        active ``source``'s messages are additionally bounded by the
+        validated sequence number ``bound`` (the notification's
+        ``msg_SN``), because its sequence numbers are the coordinate
+        system of the valid message register.
         """
-        from ..types import Role
-        p1act = ProcessId(Role.ACTIVE_1.value)
         for journal in (self.process.journal_sent, self.process.journal_recv):
             for rec in journal.records(validated=False):
-                if rec.sender == p1act:
-                    if p1act_sn is not None and rec.sn is not None and rec.sn <= p1act_sn:
+                if rec.sender == source:
+                    if bound is not None and rec.sn is not None and rec.sn <= bound:
                         rec.validated = True
                 else:
                     rec.validated = True

@@ -48,7 +48,7 @@ def commission_upgrade(system) -> None:
     # The upgraded version is trusted from here on: it behaves like a
     # post-takeover component-1 (clean sends, no ATs) — which is exactly
     # "high-confidence active" behaviour.
-    active.software = TakeoverEngine(active, peer=peer.process_id)
+    active.software = TakeoverEngine(active, [peer.process_id])
     active.mdcd.guarded = False
     active.mdcd.dirty_bit = 0
     active.mdcd.pseudo_dirty_bit = 0

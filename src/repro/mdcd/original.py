@@ -27,6 +27,8 @@ from ..types import CheckpointKind, MessageKind, ProcessId, Role
 from .base import MdcdEngineBase
 from .recovery import TakeoverEngine
 
+P1_ACT = ProcessId(Role.ACTIVE_1.value)
+
 
 class OriginalActiveEngine(MdcdEngineBase):
     """``P1_act`` under the original protocol.
@@ -58,7 +60,7 @@ class OriginalActiveEngine(MdcdEngineBase):
                         msg_id=self.process.msg_ids.allocate()))
             return
         self.process.sn.allocate()
-        self.validate_knowledge(p1act_sn=self.process.sn.current)
+        self.validate_knowledge(self.process.sn.current, source=P1_ACT)
         self.process.send_external(payload, validated=True)
         self.process.send_passed_at([self.shadow, self.peer],
                                     msg_sn=self.process.sn.current, ndc=None)
@@ -75,7 +77,7 @@ class OriginalActiveEngine(MdcdEngineBase):
     def on_passed_at(self, message: Message) -> None:
         # P2 passed an AT: P1_act's messages up to message.sn are valid.
         """P2 passed an AT: mark the covered knowledge validated."""
-        self.validate_knowledge(p1act_sn=message.sn)
+        self.validate_knowledge(message.sn, source=P1_ACT)
         # P1_act is invariably suspect, so every validation notification
         # "validates" it (the write-through variant saves here).
         self._notify_validation(type2=True)
@@ -119,8 +121,7 @@ class OriginalShadowEngine(MdcdEngineBase):
 
     def takeover_engine(self) -> TakeoverEngine:
         """What this shadow runs once promoted."""
-        return TakeoverEngine(self.process,
-                              peer=ProcessId(Role.PEER_2.value))
+        return TakeoverEngine(self.process, [ProcessId(Role.PEER_2.value)])
 
     def on_send_internal(self, action: Action) -> None:
         """Suppress and log (guarded operation)."""
@@ -138,7 +139,7 @@ class OriginalShadowEngine(MdcdEngineBase):
             self.process.msg_log.reclaim_up_to(message.sn)
         was_dirty = self.mdcd.dirty_bit == 1
         self.set_dirty(0, reason="passed-at")
-        self.validate_knowledge(p1act_sn=message.sn)
+        self.validate_knowledge(message.sn, source=P1_ACT)
         if was_dirty:
             self.process.take_volatile_checkpoint(CheckpointKind.TYPE_2)
         self._notify_validation(type2=was_dirty)
@@ -170,7 +171,7 @@ class OriginalPeerEngine(MdcdEngineBase):
         #: Where P2's internal messages go (the active and shadow of
         #: component 1); mutated by recovery after a takeover.
         self.component1_recipients: List[ProcessId] = [
-            ProcessId(Role.ACTIVE_1.value), ProcessId(Role.SHADOW_1.value)]
+            P1_ACT, ProcessId(Role.SHADOW_1.value)]
 
     def on_send_external(self, action: Action) -> None:
         """AT-test only while potentially contaminated (Fig. 10); on
@@ -187,7 +188,7 @@ class OriginalPeerEngine(MdcdEngineBase):
                             msg_id=self.process.msg_ids.allocate()))
                 return
             self.set_dirty(0, reason="own-at")
-            self.validate_knowledge(p1act_sn=self.mdcd.msg_sn_p1act)
+            self.validate_knowledge(self.mdcd.msg_sn_p1act, source=P1_ACT)
             self.process.send_external(payload, validated=True)
             self.process.send_passed_at(
                 list(self.component1_recipients),
@@ -212,7 +213,7 @@ class OriginalPeerEngine(MdcdEngineBase):
             self.mdcd.msg_sn_p1act = message.sn
         was_dirty = self.mdcd.dirty_bit == 1
         self.set_dirty(0, reason="passed-at")
-        self.validate_knowledge(p1act_sn=message.sn)
+        self.validate_knowledge(message.sn, source=P1_ACT)
         if was_dirty:
             self.process.take_volatile_checkpoint(CheckpointKind.TYPE_2)
         self._notify_validation(type2=was_dirty)

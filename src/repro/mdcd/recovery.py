@@ -12,12 +12,16 @@ register ``VR`` (the ones whose ``P1_act`` counterparts were never
 validated) and keeps suppressing the rest, and guarded operation ends:
 dirty bits stay 0 and the adapted TB protocol degenerates to the
 original (Section 4.2, last paragraph).
+
+This module holds the per-process steps; the one sim manager that
+sequences them, on every membership and scheme, is
+:class:`~repro.topology.recovery.TopologyRecoveryManager` (the live
+backend runs them distributedly, :mod:`repro.live.failover`).
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..app.workload import Action
 from ..errors import RecoveryError
@@ -26,30 +30,36 @@ from ..types import MessageKind, ProcessId, RecoveryAction
 from .base import MdcdEngineBase
 
 
-class TakeoverEngine(MdcdEngineBase):
-    """The promoted shadow's post-takeover behaviour.
+def route(stimulus: int, targets: Sequence):
+    """Deterministic stimulus-based routing (shared by an active and
+    its shadows so their message streams stay aligned)."""
+    return targets[stimulus % len(targets)]
 
-    A single high-confidence component 1 remains: internal messages go
-    to ``P2`` flagged clean (born valid), external messages go straight
-    to the device world, and no acceptance tests run — so dirty bits
-    never set again and the TB protocol behaves like its original
-    version.
+
+class TakeoverEngine(MdcdEngineBase):
+    """A high-confidence component's post-takeover behaviour (a promoted
+    shadow, or a commissioned upgrade).
+
+    Internal messages go to the stimulus-routed peer flagged clean (born
+    valid), external messages go straight to the device world, and no
+    acceptance tests run — so dirty bits never set again and the TB
+    protocol behaves like its original version.
     """
 
     variant = "mdcd-takeover"
 
-    def __init__(self, process, peer: ProcessId) -> None:
+    def __init__(self, process, peers: List[ProcessId]) -> None:
         super().__init__(process, at=None, ndc_gating=True)
-        self.peer = peer
+        self.peers = list(peers)
         process.mdcd.guarded = False
         process.mdcd.dirty_bit = 0
 
     def on_send_internal(self, action: Action) -> None:
-        """Clean (born-valid) internal send to the surviving peer."""
+        """Clean (born-valid) internal send to the routed peer."""
         payload = self.process.component.produce_internal(action.stimulus)
         sn = self.process.sn.allocate()
-        self.process.send_internal(payload, [self.peer], sn=sn, dirty_bit=0,
-                                   validated=True,
+        self.process.send_internal(payload, [route(action.stimulus, self.peers)],
+                                   sn=sn, dirty_bit=0, validated=True,
                                    ndc=self.process.current_ndc())
 
     def on_send_external(self, action: Action) -> None:
@@ -58,9 +68,10 @@ class TakeoverEngine(MdcdEngineBase):
         self.process.send_external(payload, validated=True)
 
     def on_passed_at(self, message: Message) -> None:
-        """Validate knowledge (notifications are rare post-takeover)."""
+        """Validate knowledge (notifications are rare post-takeover);
+        no guarded active's messages reach this process any more."""
         if self.ndc_matches(message):
-            self.validate_knowledge(p1act_sn=message.sn)
+            self.validate_knowledge()
 
     def on_incoming_app(self, message: Message) -> None:
         """Apply; peers only send clean-flagged messages now."""
@@ -70,8 +81,8 @@ class TakeoverEngine(MdcdEngineBase):
 
 def local_decision(proc, decisions: Dict, distances: Dict) -> None:
     """The paper's local rule: dirty -> roll back to the volatile
-    checkpoint, clean -> roll forward.  Every recovery path (both sim
-    managers, the live backend's distributed takeover) decides through
+    checkpoint, clean -> roll forward.  Every recovery path (the sim
+    manager, the live backend's distributed takeover) decides through
     this one function, which notes the :class:`RecoveryAction` in
     ``decisions`` and a rollback's distance in ``distances``, both
     keyed by process id."""
@@ -132,103 +143,13 @@ def promote_shadow(shadow) -> Tuple[int, int]:
 
 def drop_recipient(engine, dead_id: ProcessId) -> None:
     """Stop ``engine`` addressing ``dead_id``, whichever recipient
-    lists its family keeps."""
-    for attr in ("component1_recipients", "shadows", "peers", "other_peers",
+    lists its family keeps (a peer's ``routes`` are recipient groups)."""
+    for attr in ("component1_recipients", "shadows", "peers",
                  "notification_recipients"):
         pids = getattr(engine, attr, None)
-        if isinstance(pids, list):
+        if pids is not None:
             setattr(engine, attr, [pid for pid in pids if pid != dead_id])
-
-
-class SoftwareRecoveryManager:
-    """Coordinates a shadow takeover across the paper's three
-    interacting processes.
-
-    Installed on every process as ``process.recovery_manager`` by the
-    system builder; engines escalate failed ATs here.
-    """
-
-    def __init__(self, active, shadow, peer, incarnation, trace) -> None:
-        self.active = active
-        self.shadow = shadow
-        self.peer = peer
-        self.incarnation = incarnation
-        self.trace = trace
-        self.completed = False
-        #: A takeover is waiting for the shadow's node to restart.
-        self.deferred = False
-        #: Per-process recovery decisions of the last takeover, for
-        #: tests and reports: {process_id: RecoveryAction}.
-        self.decisions = {}
-        #: Rollback distances of the last takeover (work-seconds).
-        self.distances = {}
-        #: Number of log entries the promoted shadow re-sent / dropped.
-        self.resent = 0
-        self.suppressed = 0
-
-    # ------------------------------------------------------------------
-    def _deferred_recover(self, detected_by, failed_message: Message,
-                          _node) -> None:
-        self.recover(detected_by, failed_message)
-
-    def install(self) -> None:
-        """Attach this manager to every process."""
-        for proc in (self.active, self.shadow, self.peer):
-            proc.recovery_manager = self
-
-    def recover(self, detected_by, failed_message: Message) -> None:
-        """Run the takeover.  Idempotent: a second detection (e.g. a
-        false alarm racing the first) is traced and ignored."""
-        sim = detected_by.sim
-        if self.completed:
-            self.trace.record(sim.now, "recovery.software.duplicate",
-                              detected_by.process_id)
-            return
-        if self.shadow.node.crashed:
-            # Coincident software + hardware fault: the takeover target
-            # is down.  Fail-stop the faulty active immediately (no
-            # further contamination) but defer the takeover until the
-            # shadow's node restarts — the hardware recovery that runs
-            # on that restart rolls the survivors back first (its
-            # listener registered earlier), then the deferred takeover
-            # promotes the restored shadow.
-            if not self.active.deposed:
-                self.active.depose()
-            drop_recipient(self.peer.software, self.active.process_id)
-            if not self.deferred:
-                self.deferred = True
-                self.trace.record(sim.now, "recovery.software.deferred",
-                                  detected_by.process_id,
-                                  node=str(self.shadow.node.node_id))
-                self.shadow.node.on_restart(
-                    functools.partial(self._deferred_recover, detected_by,
-                                      failed_message))
-            return
-        self.deferred = False
-        self.completed = True
-        self.trace.record(sim.now, "recovery.software.start",
-                          detected_by.process_id,
-                          failed=failed_message.describe())
-        # Fence off every message of the failed incarnation: the failed
-        # active's traffic, and any pre-rollback traffic of the others.
-        self.incarnation.bump()
-        if not self.active.deposed:
-            self.active.depose()
-
-        for proc in (self.shadow, self.peer):
-            local_decision(proc, self.decisions, self.distances)
-
-        resent, suppressed = promote_shadow(self.shadow)
-        self.resent += resent
-        self.suppressed += suppressed
-        drop_recipient(self.peer.software, self.active.process_id)
-        for proc in (self.shadow, self.peer):
-            # A crashed survivor cannot transmit; its node's restart
-            # runs the hardware recovery, which resends for it.
-            if not proc.node.crashed:
-                proc.resend_unacknowledged((self.active.process_id,))
-        self.active.mdcd.guarded = False
-        self.peer.mdcd.guarded = False
-        self.trace.record(sim.now, "recovery.software.done", None,
-                          decisions={str(k): v.value for k, v in self.decisions.items()},
-                          resent=self.resent, suppressed=self.suppressed)
+    routes = getattr(engine, "routes", None)
+    if routes is not None:
+        engine.routes = [[pid for pid in group if pid != dead_id]
+                         for group in routes]

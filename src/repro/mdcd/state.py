@@ -35,9 +35,10 @@ class MdcdState:
         ``P1_act`` sequence number known valid.  ``None`` before any
         validation.
     msg_sn_p1act:
-        ``P2``'s (and, symmetrically, the recovery logic's) record of
-        the last ``P1_act`` message sequence number it received —
-        the value ``P2`` piggybacks on its own "passed AT" broadcasts.
+        ``P2``'s record, under the original protocol, of the last
+        ``P1_act`` message sequence number it received — the value
+        ``P2`` piggybacks on its own "passed AT" broadcasts (the
+        coordinated peers keep it per source, ``msg_sn_map``).
     guarded:
         Whether guarded operation is in effect.  After a shadow takeover
         (or a completed upgrade) MDCD "goes on leave": every dirty bit
@@ -50,17 +51,15 @@ class MdcdState:
     vr: Optional[int] = None
     msg_sn_p1act: int = 0
     guarded: bool = True
-    #: Per-source contamination provenance (N-component topologies):
-    #: guarded active role id -> highest sequence number of that active
-    #: influencing this process's state, directly or transitively.
-    #: ``None``/empty while clean.  The paper's three-process protocols
-    #: leave it unused: their chain topology guarantees a validator's
-    #: bound covers its audience's contamination, so the unconditional
-    #: dirty-bit reset is sound there — but not in a general
-    #: interaction graph.
+    #: Per-source contamination provenance (the coordinated schemes'
+    #: peers): guarded active role id -> highest sequence number of
+    #: that active influencing this process's state, directly or
+    #: transitively.  ``None``/empty while clean.  On the paper's three
+    #: processes it has one entry, ``P1_act``; the original protocol
+    #: (uncoordinated baselines) leaves it unused.
     taint_map: Optional[dict] = None
-    #: Per-source valid-bound registers (N-component topologies): the
-    #: highest certified sequence number per guarded active.
+    #: Per-source valid-bound registers (the coordinated schemes'
+    #: peers): the highest certified sequence number per guarded active.
     vr_map: Optional[dict] = None
     #: Per-source record of the last sequence number received from each
     #: guarded active (the value peers merge into their own "passed AT"

@@ -169,7 +169,7 @@ class GsuRuntime:
 
     def takeover_happened(self) -> bool:
         """Whether the secondary has taken over the primary's role."""
-        return self.system.sw_recovery.completed
+        return bool(self.system.sw_recovery.completed)
 
     def commission_upgrade(self) -> None:
         """Declare the upgrade successful: the primary is trusted from

@@ -14,7 +14,7 @@ exact paper shape and reproduces every pinned result bit-for-bit.
 
 from .election import CRASHED, DEPOSED, UP, elect_successor, eligible
 from .engines import (TopologyActiveEngine, TopologyPeerEngine,
-                      TopologyShadowEngine, TopologyTakeoverEngine)
+                      TopologyShadowEngine)
 from .model import Member, MemberKind, Topology, parse_topology
 from .recovery import TopologyRecoveryManager
 from .view import GroupView
@@ -23,6 +23,6 @@ __all__ = [
     "CRASHED", "DEPOSED", "UP",
     "GroupView", "Member", "MemberKind", "Topology",
     "TopologyActiveEngine", "TopologyPeerEngine", "TopologyShadowEngine",
-    "TopologyTakeoverEngine", "TopologyRecoveryManager",
+    "TopologyRecoveryManager",
     "elect_successor", "eligible", "parse_topology",
 ]

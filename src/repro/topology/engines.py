@@ -9,14 +9,22 @@ dirty message piggybacks its sender's map; a validation broadcasts a
 and a journal record validated — **iff every entry of the relevant
 taint map is covered by the bound map**.
 
+These are the coordinated schemes' engines on every membership, the
+paper's three processes included: with one guarded component the map
+has one entry and the rules reduce to the modified MDCD algorithms of
+Appendix A (Figs. 8-10) — pseudo checkpoints, no Type-2, ``Ndc``-gated
+"passed AT" handling.
+
 Interaction shape.  Guarded components are *ingress* points: each
 active produces traffic into the unguarded peer mesh (stimulus-routed,
-mirrored by its shadows' suppressed logs), peers exchange traffic among
-themselves (the edges along which multi-source contamination mixes),
-and no application traffic flows *into* a guarded component — so an
-active/shadow group's states stay aligned action-for-action and the
-per-component consistency line is exactly the paper's.  Validations
-flow everywhere: an active's AT certifies its own frontier
+mirrored by its shadows' suppressed logs), and peers send along their
+*routes* — recipient groups picked by stimulus.  On ``NxK+U`` a peer's
+routes are its fellow peers, one each (the edges along which
+multi-source contamination mixes), so no application traffic flows
+*into* a guarded component and an active/shadow group's states stay
+aligned action-for-action.  On the paper shape ``P2``'s one route is
+component 1's pair ``{P1_act, P1_sdw}``, the multicast Fig. 1 draws.
+Validations flow everywhere: an active's AT certifies its own frontier
 (``{self: msg_SN}``), a peer's AT certifies the merged frontier of
 everything it absorbed.
 """
@@ -29,13 +37,8 @@ from ..app.acceptance import AcceptanceTest
 from ..app.workload import Action
 from ..messages.message import Message
 from ..mdcd.base import MdcdEngineBase
+from ..mdcd.recovery import TakeoverEngine, route
 from ..types import CheckpointKind, MessageKind, ProcessId
-
-
-def route(stimulus: int, targets: List[ProcessId]) -> ProcessId:
-    """Deterministic stimulus-based routing (shared by an active and
-    its shadows so their message streams stay aligned)."""
-    return targets[stimulus % len(targets)]
 
 
 def merge_bounds(a: Optional[Dict[str, int]],
@@ -59,10 +62,13 @@ class TopologyActiveEngine(MdcdEngineBase):
 
     The paper's Fig. 8 algorithm with stimulus-routed peer addressing
     and a per-source bound map on its validation broadcasts.  The
-    stale-``msg_SN`` conservatism guard is kept: a peer's bound map
-    certifies this active's messages only up to its recorded frontier,
-    and newer allocations mean the current state depends on an
-    unvalidated produce.
+    stale-``msg_SN`` conservatism guard (a deviation the schedule audit
+    forced — see DESIGN.md) is kept: a peer's bound map certifies this
+    active's messages only up to its recorded frontier, and newer
+    allocations mean the current state depends on an unvalidated
+    produce (the contaminating send may still be in flight), so
+    resetting the pseudo bit would let the adapted TB write a
+    ``current-state`` stable checkpoint of an unvalidated state.
     """
 
     variant = "mdcd-topology"
@@ -77,21 +83,15 @@ class TopologyActiveEngine(MdcdEngineBase):
         process.mdcd.pseudo_dirty_bit = 0
         self.trace("confidence.dirty", bit="dirty", reason="guarded-active")
 
-    def _validate_own(self, bound: Optional[int]) -> None:
-        """Validate own-sent journal records up to ``bound``."""
-        if bound is None:
-            return
-        for journal in (self.process.journal_sent, self.process.journal_recv):
-            for rec in journal.records(validated=False):
-                if (rec.sender == self.process.process_id
-                        and rec.sn is not None and rec.sn <= bound):
-                    rec.validated = True
-        self.process.flush_deferred_acks()
-
     def on_send_internal(self, action: Action) -> None:
         """Pseudo-checkpoint before the first internal send of a
         suspicion window, then send dirty to the routed peer."""
         if self.mdcd.pseudo_dirty_bit == 0:
+            # Before the production itself (a faulty version contaminates
+            # the state while computing the message, and the pseudo
+            # checkpoint anchors the last *validated* state) and before
+            # the sequence number is allocated, so a restored process has
+            # not yet allocated a number its state does not reflect.
             self.process.take_volatile_checkpoint(
                 CheckpointKind.PSEUDO, meta={"trigger": "first-internal-send"})
         payload = self.process.component.produce_internal(action.stimulus)
@@ -116,7 +116,7 @@ class TopologyActiveEngine(MdcdEngineBase):
         self.set_pseudo_dirty(0, reason="own-at")
         self.process.sn.allocate()
         bound = self.process.sn.current
-        self._validate_own(bound)
+        self.validate_knowledge(bound, source=self.process.process_id)
         self.process.send_external(payload, validated=True)
         self.process.send_passed_at(self.shadows + self.peers, msg_sn=bound,
                                     ndc=self.process.current_ndc(),
@@ -140,15 +140,15 @@ class TopologyActiveEngine(MdcdEngineBase):
             return
         if self.mdcd.pseudo_dirty_bit == 1 and my_bound < self.process.sn.current:
             self.process.counters.bump("passed_at.stale_sn")
-            self._validate_own(my_bound)
+            self.validate_knowledge(my_bound, source=self.process.process_id)
             return
         self.set_pseudo_dirty(0, reason="passed-at")
-        self._validate_own(my_bound)
+        self.validate_knowledge(my_bound, source=self.process.process_id)
         self._notify_validation(type2=True)
 
     def on_incoming_app(self, message: Message) -> None:
-        """Topology actives receive no routed application traffic;
-        apply defensively without a checkpoint."""
+        """Apply a peer's message (the active never checkpoints on
+        receipt); only the paper shape routes traffic to an active."""
         self.process.apply_app_message(
             message, validated=(message.dirty_bit in (0, None)))
 
@@ -156,9 +156,9 @@ class TopologyActiveEngine(MdcdEngineBase):
 class TopologyShadowEngine(MdcdEngineBase):
     """A guarded component's high-confidence shadow (by rank).
 
-    Suppresses with the active's routing so the logs stay aligned,
-    and advances its valid message register from any validation whose
-    bound map covers its own active.
+    The paper's Fig. 9 algorithm: suppresses with the active's routing
+    so the logs stay aligned, and advances its valid message register
+    from any validation whose bound map covers its own active.
     """
 
     variant = "mdcd-topology"
@@ -188,9 +188,9 @@ class TopologyShadowEngine(MdcdEngineBase):
         self.process.msg_log.append(sn, suppressed, recipients=recipients)
         self.process.counters.bump("suppressed")
 
-    def takeover_engine(self) -> "TopologyTakeoverEngine":
+    def takeover_engine(self) -> TakeoverEngine:
         """What this shadow runs once elected and promoted."""
-        return TopologyTakeoverEngine(self.process, self.peers)
+        return TakeoverEngine(self.process, self.peers)
 
     def on_send_internal(self, action: Action) -> None:
         """Suppress and log (guarded operation)."""
@@ -202,7 +202,8 @@ class TopologyShadowEngine(MdcdEngineBase):
 
     def on_passed_at(self, message: Message) -> None:
         """Ndc-gated: advance ``VR`` monotonically from the bound map's
-        entry for this shadow's active and reclaim the log up to it."""
+        entry for this shadow's active, reclaim the log up to it, clean
+        the dirty bit and validate the journals; no Type-2."""
         if not self.ndc_matches(message):
             self.process.counters.bump("passed_at.ndc_mismatch")
             return
@@ -216,10 +217,12 @@ class TopologyShadowEngine(MdcdEngineBase):
             self.process.msg_log.reclaim_up_to(bound)
         was_dirty = self.mdcd.dirty_bit == 1
         self.set_dirty(0, reason="passed-at")
+        self.validate_knowledge(bound, source=self.active_id)
         self._notify_validation(type2=was_dirty)
 
     def on_incoming_app(self, message: Message) -> None:
-        """Defensive: topology shadows receive no application traffic."""
+        """Type-1 checkpoint before the first contaminating receipt,
+        then apply; only the paper shape routes traffic to a shadow."""
         if message.dirty_bit == 1 and self.mdcd.dirty_bit == 0:
             self.process.take_volatile_checkpoint(
                 CheckpointKind.TYPE_1, meta={"trigger": message.describe()})
@@ -233,19 +236,21 @@ class TopologyPeerEngine(MdcdEngineBase):
 
     Receives stimulus-routed traffic from every active (implicit
     provenance ``{sender: sn}``) and from fellow peers (piggybacked
-    taint maps), mixes the two on its own dirty sends, and certifies
-    the merged frontier when its own acceptance test passes.
+    taint maps), mixes the two on its own dirty sends along ``routes``,
+    and certifies the merged frontier when its own acceptance test
+    passes (the paper's Fig. 10, per source).
     """
 
     variant = "mdcd-topology"
 
     def __init__(self, process, at: AcceptanceTest,
                  active_ids: List[ProcessId],
-                 other_peers: List[ProcessId],
+                 routes: List[List[ProcessId]],
                  notification_recipients: List[ProcessId]) -> None:
         super().__init__(process, at=at, ndc_gating=True)
         self.active_ids = {str(pid) for pid in active_ids}
-        self.other_peers = list(other_peers)
+        #: Recipient groups of internal sends, picked by stimulus.
+        self.routes = [list(group) for group in routes]
         self.notification_recipients = list(notification_recipients)
 
     # ------------------------------------------------------------------
@@ -307,7 +312,7 @@ class TopologyPeerEngine(MdcdEngineBase):
         was_dirty = self.mdcd.dirty_bit == 1
         if was_dirty and covered_by(self._taint(), bounds):
             self.mdcd.taint_map = {}
-            self.set_dirty(0, reason="passed-at-covered")
+            self.set_dirty(0, reason="passed-at")
             self._validate_everything()
             self.process.flush_deferred_acks()
             return True
@@ -337,15 +342,15 @@ class TopologyPeerEngine(MdcdEngineBase):
     # engine hooks
     # ------------------------------------------------------------------
     def on_send_internal(self, action: Action) -> None:
-        """Stimulus-routed send to a fellow peer, taint piggybacked
-        while dirty."""
+        """Stimulus-routed send to one recipient group, taint
+        piggybacked while dirty."""
         payload = self.process.component.produce_internal(action.stimulus)
-        if not self.other_peers:
+        if not self.routes:
             self.process.counters.bump("sent.no_route")
             return
         dirty = self.mdcd.dirty_bit
         self.process.send_internal(
-            payload, [route(action.stimulus, self.other_peers)],
+            payload, list(route(action.stimulus, self.routes)),
             sn=None, dirty_bit=dirty, validated=(dirty == 0),
             ndc=self.process.current_ndc(),
             taint_map=self._taint() if dirty else None)
@@ -401,40 +406,3 @@ class TopologyPeerEngine(MdcdEngineBase):
         if sender in self.active_ids:
             self._note_source_sn(sender, message.sn)
         self.process.apply_app_message(message, validated=valid_now)
-
-
-class TopologyTakeoverEngine(MdcdEngineBase):
-    """A promoted shadow's post-takeover behaviour: clean routed sends,
-    no acceptance tests — its component leaves guarded operation."""
-
-    variant = "mdcd-topology-takeover"
-
-    def __init__(self, process, peers: List[ProcessId]) -> None:
-        super().__init__(process, at=None, ndc_gating=True)
-        self.peers = list(peers)
-        process.mdcd.guarded = False
-        process.mdcd.dirty_bit = 0
-
-    def on_send_internal(self, action: Action) -> None:
-        """Clean (born-valid) routed send."""
-        payload = self.process.component.produce_internal(action.stimulus)
-        sn = self.process.sn.allocate()
-        self.process.send_internal(payload,
-                                   [route(action.stimulus, self.peers)],
-                                   sn=sn, dirty_bit=0, validated=True,
-                                   ndc=self.process.current_ndc())
-
-    def on_send_external(self, action: Action) -> None:
-        """Direct external send — no acceptance test post-takeover."""
-        payload = self.process.component.produce_external(action.stimulus)
-        self.process.send_external(payload, validated=True)
-
-    def on_passed_at(self, message: Message) -> None:
-        """Notifications are rare post-takeover; nothing to validate."""
-        if self.ndc_matches(message):
-            self.process.flush_deferred_acks()
-
-    def on_incoming_app(self, message: Message) -> None:
-        """Apply; peers only send this component clean traffic now."""
-        self.process.apply_app_message(
-            message, validated=(message.dirty_bit in (0, None)))

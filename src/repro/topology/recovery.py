@@ -1,8 +1,9 @@
 """Per-component software recovery with deterministic shadow election.
 
-The paper's single :class:`~repro.mdcd.recovery.SoftwareRecoveryManager`
-promotes *the* shadow when *the* active fails.  With N guarded
-components and K shadows each, recovery becomes per-component: when a
+The one software recovery manager, on every membership and scheme.  On
+the paper's three processes it promotes *the* shadow when *the* active
+fails (paper Section 2.1).  With N guarded components and K shadows
+each, recovery is per-component: when a
 component's active is condemned, the takeover target is chosen by the
 deterministic election (:mod:`repro.topology.election`) over the
 current :class:`~repro.topology.view.GroupView` — so the system
@@ -10,9 +11,9 @@ survives the preferred shadow itself being crashed, and every observer
 agrees on the successor.  The losing shadows of the recovered
 component are retired (their suppressed logs mirror a producer that no
 longer exists); the other components stay guarded and untouched — in
-the topology interaction shape their states carry no provenance from
+the ``NxK+U`` interaction shape their states carry no provenance from
 the failed component, so the paper's locality argument applies
-component-wise.
+component-wise.  Every peer stops addressing the deposed active.
 
 A peer's failed acceptance test implicates every source in its taint
 map: each such component is recovered (contamination could have
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional
 
-from ..mdcd.recovery import local_decision, promote_shadow
+from ..mdcd.recovery import drop_recipient, local_decision, promote_shadow
 from ..messages.message import Message
 from ..types import RecoveryAction
 from .model import MemberKind, Topology
@@ -94,6 +95,15 @@ class TopologyRecoveryManager:
     def _peer_processes(self):
         return [self.members[p.role_id] for p in self.topology.peers()]
 
+    def _depose(self, active) -> None:
+        """Fail-stop a condemned active and stop every peer addressing
+        it."""
+        if not active.deposed:
+            active.depose()
+        self.view.note_deposed(str(active.process_id))
+        for peer in self._peer_processes():
+            drop_recipient(peer.software, active.process_id)
+
     def _deferred_recover(self, component: int, detected_by,
                           failed_message: Message, _node) -> None:
         self._recover_component(component, detected_by, failed_message)
@@ -115,9 +125,7 @@ class TopologyRecoveryManager:
             # recovery on that restart (its listener registered
             # earlier) rolls the survivors back first, then the
             # deferred takeover re-runs the election.
-            if not active.deposed:
-                active.depose()
-                self.view.note_deposed(str(active.process_id))
+            self._depose(active)
             if not self.deferred.get(component):
                 self.deferred[component] = True
                 self.trace.record(sim.now, "recovery.software.deferred",
@@ -135,14 +143,13 @@ class TopologyRecoveryManager:
                           elected=winner_id, failed=failed_message.describe())
         # Fence off every message of the failed incarnation.
         self.incarnation.bump()
-        if not active.deposed:
-            active.depose()
-        self.view.note_deposed(str(active.process_id))
+        self._depose(active)
 
         # Local decisions: the elected shadow plus every peer.  Other
-        # components' members carry no provenance from this one (no
-        # application traffic flows into a guarded component), so the
-        # paper's local rule has nothing to decide for them.
+        # components' members carry no provenance from this one (on
+        # ``NxK+U`` no application traffic flows into a guarded
+        # component), so the paper's local rule has nothing to decide
+        # for them.
         for proc in [winner] + self._peer_processes():
             local_decision(proc, self.decisions, self.distances)
 

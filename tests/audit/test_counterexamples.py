@@ -9,7 +9,9 @@ through a cold ``audit_schedule`` and is asserted *clean* — an expected
 failure for as long as the file says ``"open": true``, and a strict
 one: the fix that closes a lead turns its case into an unexpected pass,
 so it has to flip its own pin to ``"open": false``, after which the
-schedule is an ordinary regression test.
+schedule is an ordinary regression test.  A ``<lead>.min.json`` beside a
+lead is the same schema holding ``shrink_schedule``'s minimal form of
+it (``found_by`` names the shrink call); it is collected the same way.
 """
 
 import json

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.coordination.scheme import Scheme, System, SystemConfig, build_system
-from repro.mdcd.modified import ModifiedActiveEngine
 from repro.mdcd.original import OriginalActiveEngine
 from repro.coordination.naive import build_naive_system
 from repro.coordination.write_through import WriteThroughEngine
 from repro.tb.adapted import AdaptedTbEngine
 from repro.tb.original import OriginalTbEngine
+from repro.topology.engines import TopologyActiveEngine
 from repro.types import Role
 
 
@@ -28,7 +28,7 @@ class TestSchemeEnum:
 class TestWiring:
     def test_coordinated_uses_modified_and_adapted(self):
         system = build_system(SystemConfig(scheme=Scheme.COORDINATED))
-        assert isinstance(system.active.software, ModifiedActiveEngine)
+        assert isinstance(system.active.software, TopologyActiveEngine)
         assert isinstance(system.active.hardware, AdaptedTbEngine)
         assert system.resync is not None
         assert system.hw_recovery is not None

@@ -10,16 +10,14 @@ import pytest
 from repro.coordination.scheme import Scheme, build_system
 from repro.live.agent import LiveAgent
 from repro.live.harness import LiveHarness
-from repro.mdcd.recovery import SoftwareRecoveryManager, TakeoverEngine
-from repro.topology.engines import TopologyTakeoverEngine
+from repro.mdcd.recovery import TakeoverEngine
 from repro.topology.recovery import TopologyRecoveryManager
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 #: Every recipient collection an engine family keeps.
 AUDIENCES = ("peer", "shadow", "component1_recipients", "shadows", "peers",
-             "active_id", "active_ids", "other_peers",
-             "notification_recipients")
+             "active_id", "active_ids", "routes", "notification_recipients")
 
 KINDS = ("Active", "Shadow", "Peer")
 
@@ -68,14 +66,20 @@ def test_sim_and_live_wire_every_member_alike(spec, live_agent, tmp_path):
 
 @pytest.mark.parametrize("scheme, family", [
     (Scheme.NAIVE, "Original"), (Scheme.WRITE_THROUGH, "Original"),
-    (Scheme.MDCD_ONLY, "Original"), (Scheme.COORDINATED, "Modified"),
-    (Scheme.COORDINATED_NO_SWAP, "Modified")])
+    (Scheme.MDCD_ONLY, "Original"), (Scheme.COORDINATED, "Topology"),
+    (Scheme.COORDINATED_NO_SWAP, "Topology")])
 def test_paper_engine_family_follows_the_scheme(scheme, family):
     system = build_system(scheme=scheme, horizon=100.0)
     assert [type(proc.software).__name__ for proc in system.process_list()] \
         == [f"{family}{kind}Engine" for kind in KINDS]
-    assert isinstance(system.sw_recovery, SoftwareRecoveryManager)
+    assert isinstance(system.sw_recovery, TopologyRecoveryManager)
     assert isinstance(system.shadow.software.takeover_engine(), TakeoverEngine)
+
+
+def test_paper_peer_multicasts_into_component_one():
+    peer = build_system(scheme=Scheme.COORDINATED, horizon=100.0).peer.software
+    assert peer.routes == [["P1_act", "P1_sdw"]]
+    assert peer.notification_recipients == ["P1_act", "P1_sdw"]
 
 
 @pytest.mark.parametrize("spec", ["1x1+3", "1x2+2", "2x2+3", "4x1"])
@@ -86,8 +90,7 @@ def test_every_other_membership_runs_the_topology_engines(spec):
         assert type(engine).__name__ == \
             f"Topology{member.kind.value.capitalize()}Engine"
         if hasattr(engine, "takeover_engine"):
-            assert isinstance(engine.takeover_engine(),
-                              TopologyTakeoverEngine)
+            assert isinstance(engine.takeover_engine(), TakeoverEngine)
     assert isinstance(system.sw_recovery, TopologyRecoveryManager)
 
 

@@ -42,8 +42,7 @@ class TestCommissioning:
         system.commission_upgrade()
         assert system.shadow.deposed
         assert len(system.shadow.msg_log) == 0
-        assert system.shadow.process_id not in \
-            system.peer.software.component1_recipients
+        assert system.peer.software.routes == [[system.active.process_id]]
 
     def test_dirty_bits_stay_zero(self, manual_system):
         system = manual_system(scheme=Scheme.COORDINATED)

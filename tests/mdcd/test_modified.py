@@ -1,4 +1,5 @@
-"""Unit tests for the modified MDCD engines (Appendix A)."""
+"""The modified MDCD rules (Appendix A) on the paper's three processes,
+run by the coordinated schemes' per-source-provenance engines."""
 
 from conftest import EXTERNAL, INTERNAL, action, settle
 
@@ -132,7 +133,7 @@ class TestPeerValidBound:
         note = passed_at_notification(system.active.process_id,
                                       peer.process_id, msg_sn=5, ndc=0)
         peer.dispatch(note)
-        assert peer.mdcd.vr == 5
+        assert peer.mdcd.vr_map["P1_act"] == 5
         # A dirty-flagged message with sn <= 5 arrives afterwards (it
         # was overtaken by the notification): no contamination.
         system.active.software.on_send_internal(action(INTERNAL))

@@ -116,8 +116,9 @@ class TestTakeover:
     def test_peer_stops_addressing_deposed_active(self, manual_system):
         system = manual_system(scheme=Scheme.COORDINATED)
         contaminate_and_fail(system)
+        assert system.peer.software.routes == [[system.shadow.process_id]]
         assert system.active.process_id not in \
-            system.peer.software.component1_recipients
+            system.peer.software.notification_recipients
         dropped_before = system.active.counters.get("dropped.deposed")
         system.peer.software.on_send_internal(action(INTERNAL))
         settle(system)

@@ -248,8 +248,11 @@ class TestCaptureIsolation:
     #: (45837, 1829) / (44628, 1829); PR 21 took the scalar
     #: ``taint_sn`` slot out of every packed journal record and
     #: ``taint_sn`` / ``dirty_sources`` out of every ``mdcd`` section
-    #: (-1 993 stable, -94 volatile), nothing else moved.
-    PINNED_BYTES = (43844, 1735)
+    #: (-1 993 stable, -94 volatile).  Running the paper peer on the
+    #: per-source-provenance engine made its dirty sends piggyback its
+    #: taint map, and its ``mdcd`` section carry the per-source
+    #: registers: (43844, 1735) -> (44158, 1753), +314 / +18.
+    PINNED_BYTES = (44158, 1753)
 
     def test_capture_by_reference_writes_the_same_bytes(self):
         from repro.audit import AuditConfig, build_audit_system
