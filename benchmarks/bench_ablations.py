@@ -48,7 +48,7 @@ def test_ablation_ndc_gating(bench_once):
 
 
 def test_ablation_blocking(bench_once):
-    rows = bench_once(ablate_blocking, 4 if full_mode() else 2, 1000.0)
+    rows = bench_once(ablate_blocking, 4 if full_mode() else 2, 2000.0)
     print()
     print(format_ablation("Ablation 3 — blocking period", rows))
     on = next(r for r in rows if "on" in r.label)

@@ -25,9 +25,10 @@ from repro.tb.blocking import TbConfig
 
 
 def test_overhead_comparison(bench_once):
-    observations = bench_once(run_overhead, OverheadConfig())
+    profiles = bench_once(run_overhead, OverheadConfig())
     print()
-    print(format_overhead(observations))
+    print(format_overhead(profiles))
+    observations = {profile.scheme: profile for profile in profiles}
     coordinated = observations["coordinated"]
     mdcd_only = observations["mdcd-only"]
     naive = observations["naive"]

@@ -78,12 +78,12 @@ def _cmd_overhead(args) -> int:
 
 def _cmd_topology_sweep(args) -> int:
     import dataclasses
-    from .experiments.topology_sweep import (
-        TopologySweepConfig,
+    from .experiments.overhead import (
+        TOPOLOGY_SWEEP,
         format_topology_sweep,
-        run_topology_sweep,
+        run_overhead,
     )
-    config = TopologySweepConfig()
+    config = TOPOLOGY_SWEEP
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.horizon is not None:
@@ -91,8 +91,7 @@ def _cmd_topology_sweep(args) -> int:
     if args.topologies:
         specs = tuple(s.strip() for s in args.topologies.split(",") if s.strip())
         config = dataclasses.replace(config, topologies=specs)
-    print(format_topology_sweep(run_topology_sweep(config,
-                                                   workers=args.workers)))
+    print(format_topology_sweep(run_overhead(config, workers=args.workers)))
     return 0
 
 
@@ -126,7 +125,7 @@ def _cmd_ablations(args) -> int:
                           ablate_ndc_gating(seeds=n, horizon=2000.0)))
     print()
     print(format_ablation("Ablation 3 — blocking period",
-                          ablate_blocking(seeds=n, horizon=1000.0)))
+                          ablate_blocking(seeds=n, horizon=2000.0)))
     print()
     print(format_ablation("Ablation 4 — AT coverage",
                           ablate_at_coverage(seeds=max(n, 4),
@@ -309,32 +308,15 @@ def _cmd_fabric_worker(args) -> int:
 
 
 def _cmd_report(_args) -> int:
-    from .experiments.report import generate_report
+    from .experiments.reporting import generate_report
     print(generate_report())
     return 0
 
 
 def _cmd_timeline(args) -> int:
-    from .app.workload import WorkloadConfig
-    from .coordination.scheme import Scheme, SystemConfig, build_system
-    from .experiments.timeline import render_timeline
-    from .types import ProcessId, Role
-
-    scheme = Scheme(args.scheme)
-    horizon = 2_000.0
-    system = build_system(SystemConfig(
-        scheme=scheme, seed=args.seed, horizon=horizon,
-        workload1=WorkloadConfig(internal_rate=0.02, external_rate=0.004,
-                                 step_rate=0.01, horizon=horizon),
-        workload2=WorkloadConfig(internal_rate=0.01, external_rate=0.004,
-                                 step_rate=0.01, horizon=horizon)))
-    system.run()
-    pseudo = (ProcessId(Role.ACTIVE_1.value)
-              if scheme.uses_modified_mdcd else None)
-    print(render_timeline(system.trace,
-                          [p.process_id for p in system.process_list()],
-                          since=100.0, until=horizon - 100.0, width=args.width,
-                          pseudo_for=pseudo))
+    from .coordination.scheme import Scheme
+    from .experiments.timeline import demo_timeline
+    print(demo_timeline(Scheme(args.scheme), seed=args.seed, width=args.width))
     return 0
 
 

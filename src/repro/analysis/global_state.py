@@ -18,7 +18,7 @@ states (for end-of-run oracles).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..checkpoint import Checkpoint
 from ..host import FtProcess, ProcessSnapshot
@@ -129,6 +129,15 @@ def stable_line(system, epoch: Optional[int] = None,
                     reader = readers[proc.process_id] = ChainReader()
             line[proc.process_id] = view_from_checkpoint(checkpoint, reader)
     return line
+
+
+def stable_lines(system) -> Iterator[Dict[ProcessId, ProcessView]]:
+    """The :func:`stable_line` of every retained epoch that every
+    in-service process completed, oldest first."""
+    epochs = [set(proc.node.stable.epochs(proc.process_id))
+              for proc in system.process_list() if not proc.deposed]
+    for epoch in sorted(set.intersection(*epochs) if epochs else ()):
+        yield stable_line(system, epoch=epoch)
 
 
 def common_stable_line(system) -> Dict[ProcessId, ProcessView]:

@@ -22,14 +22,13 @@ from .ablations import (
 )
 from .figure7 import Figure7Config, Figure7Point, format_figure7, run_figure7, run_point
 from .overhead import (
+    CostProfile,
     OverheadConfig,
-    OverheadObservation,
     format_overhead,
     measure_scheme,
     run_overhead,
 )
-from .report import generate_report
-from .reporting import format_kv_block, format_table, log_series_bar
+from .reporting import format_table, generate_report, log_series_bar
 from .runner import CampaignResult, replication_seeds, run_campaign
 from .scenarios import (
     PairSystem,
@@ -48,10 +47,10 @@ from .timeline import render_timeline
 __all__ = [
     "AblationRow",
     "CampaignResult",
+    "CostProfile",
     "Figure7Config",
     "Figure7Point",
     "OverheadConfig",
-    "OverheadObservation",
     "PairSystem",
     "ScenarioResult",
     "Table1Config",
@@ -70,7 +69,6 @@ __all__ = [
     "format_ablation",
     "format_figure7",
     "format_overhead",
-    "format_kv_block",
     "format_table",
     "format_table1",
     "generate_report",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from ..analysis.global_state import common_stable_line, stable_line
+from ..analysis.global_state import live_line, stable_lines
 from ..analysis.invariants import check_ground_truth, check_system_line, summarize_violations
 from ..analysis.model import ModelParams, expected_rollback_coordinated, \
     expected_rollback_write_through
@@ -100,14 +100,7 @@ def ablate_ndc_gating(seeds: int = 6, horizon: float = 4000.0) -> List[AblationR
                 for proc in system.process_list():
                     proc.software.ndc_gating = False
             system.run()
-            common = None
-            for proc in system.process_list():
-                epochs = set(proc.node.stable.epochs(proc.process_id))
-                common = epochs if common is None else common & epochs
-            for epoch in sorted(common or ()):
-                line = stable_line(system, epoch=epoch)
-                if len(line) < 3:
-                    continue
+            for line in stable_lines(system):
                 total_lines += 1
                 for v in check_system_line(line):
                     violations[v.kind] = violations.get(v.kind, 0) + 1
@@ -138,14 +131,7 @@ def ablate_blocking(seeds: int = 6, horizon: float = 2000.0) -> List[AblationRow
                                          step_rate=0.01, horizon=horizon),
                 stable_history=1000))
             system.run()
-            common = None
-            for proc in system.process_list():
-                epochs = set(proc.node.stable.epochs(proc.process_id))
-                common = epochs if common is None else common & epochs
-            for epoch in sorted(common or ()):
-                line = stable_line(system, epoch=epoch)
-                if len(line) < 3:
-                    continue
+            for line in stable_lines(system):
                 total_lines += 1
                 for v in check_system_line(line, include_ground_truth=False):
                     violations[v.kind] = violations.get(v.kind, 0) + 1
@@ -169,7 +155,6 @@ def _at_coverage_cell(horizon: float, cell) -> Dict[str, bool]:
                                  step_rate=0.01, horizon=horizon)))
     system.inject_software_fault(SoftwareFaultPlan(activate_at=horizon / 4.0))
     system.run()
-    from ..analysis.global_state import live_line
     return {"detected": bool(system.sw_recovery.completed),
             "contaminated": bool(check_ground_truth(live_line(system)))}
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from ..sim.monitor import RunningStat, summarize
 from ..sim.rng import derive_seed
@@ -48,24 +47,6 @@ class CampaignResult:
     def ci95(self) -> float:
         """95% confidence half-width of the mean."""
         return self.stat.confidence_halfwidth()
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (cross-process transport / cache format)."""
-        return {
-            "label": self.label,
-            "stat": self.stat.to_dict(),
-            "samples": list(self.samples),
-            "replications": self.replications,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            label=str(data["label"]),
-            stat=RunningStat.from_dict(data["stat"]),  # type: ignore[arg-type]
-            samples=[float(v) for v in data["samples"]],  # type: ignore[union-attr]
-            replications=int(data["replications"]))  # type: ignore[arg-type]
 
 
 def replication_seeds(master_seed: int, label: str, replications: int) -> List[int]:

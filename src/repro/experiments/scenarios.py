@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.global_state import stable_line
+from ..analysis.global_state import stable_line, stable_lines
 from ..analysis.invariants import Violation, check_line, check_system_line, summarize_violations
 from ..app.component import ApplicationComponent
 from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
@@ -191,20 +191,12 @@ class PairSystem:
 
     def check_all_epochs(self) -> Tuple[int, List[Violation]]:
         """Check every common epoch line; returns (lines checked, violations)."""
-        store_a = self.processes[0].node.stable
-        store_b = self.processes[1].node.stable
-        epochs = sorted(set(store_a.epochs(self.processes[0].process_id))
-                        & set(store_b.epochs(self.processes[1].process_id)))
+        lines = 0
         violations: List[Violation] = []
-        for epoch in epochs:
-            line = {}
-            for proc in self.processes:
-                ckpt = proc.node.stable.at_epoch(proc.process_id, epoch)
-                if ckpt is not None:
-                    from ..analysis.global_state import view_from_checkpoint
-                    line[proc.process_id] = view_from_checkpoint(ckpt)
+        for line in stable_lines(self):
+            lines += 1
             violations.extend(check_line(line, include_ground_truth=False))
-        return len(epochs), violations
+        return lines, violations
 
 
 def figure2_tb_blocking(seed: int = 3, horizon: float = 400.0) -> ScenarioResult:
@@ -411,28 +403,16 @@ def figure6_coordination_cases(seed: int = 29, horizon: float = 4000.0) -> Scena
                                  step_rate=0.02, horizon=horizon),
         stable_history=1000))
     system.run()
-    procs = system.process_list()
-    common = None
-    for proc in procs:
-        epochs = set(proc.node.stable.epochs(proc.process_id))
-        common = epochs if common is None else (common & epochs)
     violations: List[Violation] = []
     content_counts: Dict[str, int] = {}
     lines_checked = 0
-    for epoch in sorted(common or ()):
-        line = stable_line(system, epoch=epoch)
-        if len(line) < 3:
-            continue
+    for line in stable_lines(system):
         lines_checked += 1
         violations.extend(check_system_line(line, include_ground_truth=True))
         for view in line.values():
-            if view.meta.get("genesis"):
-                continue
-        for proc in procs:
-            ckpt = proc.node.stable.at_epoch(proc.process_id, epoch)
-            if ckpt is not None and ckpt.content is not None and epoch > 0:
-                content_counts[ckpt.content.value] = \
-                    content_counts.get(ckpt.content.value, 0) + 1
+            if view.content is not None and view.epoch > 0:
+                content_counts[view.content] = \
+                    content_counts.get(view.content, 0) + 1
     ok = (lines_checked > 20 and not violations
           and content_counts.get("current-state", 0) > 0
           and content_counts.get("volatile-copy", 0) > 0)

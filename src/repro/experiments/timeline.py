@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..app.workload import WorkloadConfig
+from ..coordination.scheme import Scheme, SystemConfig, build_system
 from ..sim.trace import TraceRecorder
-from ..types import ProcessId
+from ..types import ProcessId, Role
 
 #: Rendering priority (higher wins a shared column).
 _PRIORITY = {"!": 6, "X": 5, "R": 4, "S": 3, "1": 2, "2": 2, "P": 2, "A": 1}
@@ -116,3 +118,24 @@ def render_timeline(trace: TraceRecorder, processes: Sequence[ProcessId],
     for pid in processes:
         lines.append(f"{str(pid):>{label_width}} |{''.join(lanes[pid])}|")
     return "\n".join(lines)
+
+
+def demo_timeline(scheme: Scheme, seed: int = 11, since: float = 100.0,
+                  until: float = 1_900.0, width: int = 100) -> str:
+    """Run the figures' light workload for 2 000 s under ``scheme`` and
+    render its lanes over ``[since, until]`` (``P1_act`` shaded by its
+    pseudo dirty bit where the scheme runs the modified MDCD)."""
+    horizon = 2_000.0
+    system = build_system(SystemConfig(
+        scheme=scheme, seed=seed, horizon=horizon,
+        workload1=WorkloadConfig(internal_rate=0.02, external_rate=0.004,
+                                 step_rate=0.01, horizon=horizon),
+        workload2=WorkloadConfig(internal_rate=0.01, external_rate=0.004,
+                                 step_rate=0.01, horizon=horizon)))
+    system.run()
+    pseudo = (ProcessId(Role.ACTIVE_1.value)
+              if scheme.uses_modified_mdcd else None)
+    return render_timeline(system.trace,
+                           [p.process_id for p in system.process_list()],
+                           since=since, until=until, width=width,
+                           pseudo_for=pseudo)

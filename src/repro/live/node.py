@@ -7,8 +7,8 @@ with the address space, no erasure needed), and a restart is a fresh
 process rebuilding from the file-backed stable store.  The facade
 exists so the protocol layer finds the same attribute surface it has on
 :class:`~repro.sim.node.Node` — scheduler, clock, timers, stores,
-liveness — plus the soft-crash hooks the takeover path uses to mark a
-*remote* node down locally (the failure detector's verdict).
+liveness and the crash/restart listener hooks, which never fire here:
+a live crash ends the process that would run them.
 """
 
 from __future__ import annotations
@@ -44,20 +44,3 @@ class LiveNode:
 
     def on_restart(self, listener: Callable[["LiveNode"], None]) -> None:
         self._restart_listeners.append(listener)
-
-    # ------------------------------------------------------------------
-    def mark_down(self) -> None:
-        """Record that this node's process is (being) terminated.
-
-        Used for orderly in-process shutdown paths; a real ``kill -9``
-        never reaches here — the next incarnation of the process starts
-        from :class:`FileStableStore` instead.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        self.crash_count += 1
-        self.volatile.erase()
-        self.timers.cancel_all()
-        for listener in list(self._crash_listeners):
-            listener(self)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import List, Optional
+from typing import Optional
 
 from ..cas import blob_digest
 from ..checkpoint import Checkpoint
@@ -146,10 +146,3 @@ class FileStableStore(StableStore):
         except Exception:  # digest-valid bytes some other writer left
             return None
         return checkpoint if isinstance(checkpoint, Checkpoint) else None
-
-    # ------------------------------------------------------------------
-    def files(self, process_id: Optional[ProcessId] = None) -> List[str]:
-        """Checkpoint file names currently on disk (diagnostics)."""
-        prefix = f"{process_id}__" if process_id is not None else ""
-        return sorted(name for name in os.listdir(self.root)
-                      if name.startswith(prefix) and name.endswith(_SUFFIX))

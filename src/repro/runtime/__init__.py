@@ -33,7 +33,7 @@ from ..sim.trace import TraceRecord, TraceRecorder
 from .decisions import decisions_from_trace, diff_decisions, record_to_decision
 from .ports import (CancellableEvent, ClockSource, CrashPort, SchedulerPort,
                     StablePort, TimerPort, TraceSink, TransportPort,
-                    VolatilePort, verify_ports)
+                    VolatilePort)
 from .wire import (FrameReader, WireIntegrityError, checksum_of, encode_frame,
                    decode_frame_payload, encode_message_frame,
                    message_from_dict, message_to_dict)
@@ -79,5 +79,4 @@ __all__ = [
     "message_from_dict",
     "message_to_dict",
     "record_to_decision",
-    "verify_ports",
 ]

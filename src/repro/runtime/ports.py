@@ -27,8 +27,8 @@ unchanged and serves as the verification oracle for any other backend
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterable, List, Optional, Protocol,
-                    Sequence, Tuple, runtime_checkable)
+from typing import (Any, Callable, List, Optional, Protocol, Sequence, Tuple,
+                    runtime_checkable)
 
 
 @runtime_checkable
@@ -180,22 +180,3 @@ class TraceSink(Protocol):
 
     def record(self, time: float, category: str,
                process: Optional[Any] = ..., **data: Any) -> Any: ...
-
-
-def verify_ports(node: Any, transport: Any, scheduler: Any) -> List[str]:
-    """Structural sanity check a backend can run at build time: returns
-    the list of port violations (empty when everything conforms)."""
-    problems: List[str] = []
-    checks: Iterable[Tuple[str, Any, type]] = (
-        ("scheduler", scheduler, SchedulerPort),
-        ("transport", transport, TransportPort),
-        ("node", node, CrashPort),
-        ("node.stable", getattr(node, "stable", None), StablePort),
-        ("node.volatile", getattr(node, "volatile", None), VolatilePort),
-        ("node.timers.clock", getattr(getattr(node, "timers", None),
-                                      "clock", None), ClockSource),
-    )
-    for name, obj, port in checks:
-        if obj is None or not isinstance(obj, port):
-            problems.append(f"{name} does not satisfy {port.__name__}")
-    return problems

@@ -56,22 +56,6 @@ class RunningStat:
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
 
-    def merge(self, other: "RunningStat") -> None:
-        """Fold another statistic in (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self._mean, self._m2 = other.count, other._mean, other._m2
-            self.minimum, self.maximum = other.minimum, other.maximum
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)  # type: ignore[type-var]
-        self.maximum = max(self.maximum, other.maximum)  # type: ignore[type-var]
-
     @property
     def mean(self) -> float:
         """Sample mean (0.0 when empty)."""
@@ -103,29 +87,6 @@ class RunningStat:
         if z is None:
             z = t_critical_95(self.count - 1)
         return z * self.stderr
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot for cross-process transport and caching."""
-        return {
-            "count": self.count,
-            "mean": self._mean,
-            "m2": self._m2,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunningStat":
-        """Rebuild a statistic from :meth:`to_dict` output."""
-        stat = cls()
-        stat.count = int(data["count"])  # type: ignore[arg-type]
-        stat._mean = float(data["mean"])  # type: ignore[arg-type]
-        stat._m2 = float(data["m2"])  # type: ignore[arg-type]
-        stat.minimum = (None if data["minimum"] is None
-                        else float(data["minimum"]))  # type: ignore[arg-type]
-        stat.maximum = (None if data["maximum"] is None
-                        else float(data["maximum"]))  # type: ignore[arg-type]
-        return stat
 
 
 class TimeWeightedValue:

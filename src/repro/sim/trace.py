@@ -145,17 +145,6 @@ class TraceRecorder:
         """Sorted distinct categories present in the trace."""
         return sorted({rec.category for rec in self._records})
 
-    def timeline(self, categories: Iterable[str],
-                 formatter: Optional[Callable[[TraceRecord], str]] = None) -> List[str]:
-        """Human-readable timeline lines for the given category prefixes."""
-        prefixes = tuple(categories)
-        fmt = formatter or self._default_format
-        lines = []
-        for rec in self._records:
-            if any(rec.category.startswith(p) for p in prefixes):
-                lines.append(fmt(rec))
-        return lines
-
     def clear(self) -> None:
         """Drop every record kept so far (listeners stay subscribed)."""
         self._records.clear()
@@ -165,9 +154,3 @@ class TraceRecorder:
 
     def __iter__(self):
         return iter(self._records)
-
-    @staticmethod
-    def _default_format(rec: TraceRecord) -> str:
-        who = f" {rec.process}" if rec.process else ""
-        extras = " ".join(f"{k}={v}" for k, v in sorted(rec.data.items()))
-        return f"t={rec.time:10.4f}{who:>8} {rec.category:24s} {extras}"

@@ -48,11 +48,6 @@ class Role(enum.Enum):
         except ValueError:
             return None
 
-    @property
-    def is_component_one(self) -> bool:
-        """Whether this role belongs to the guarded component (1)."""
-        return self in (Role.ACTIVE_1, Role.SHADOW_1)
-
 
 class CheckpointKind(enum.Enum):
     """Classification of checkpoints, following the paper's terminology.

@@ -13,7 +13,8 @@ from repro.experiments.overhead import (
 
 @pytest.fixture(scope="module")
 def observations():
-    return run_overhead(OverheadConfig(horizon=3000.0))
+    return {profile.scheme: profile
+            for profile in run_overhead(OverheadConfig(horizon=3000.0))}
 
 
 class TestMeasurements:
@@ -49,7 +50,7 @@ class TestMeasurements:
 
 class TestFormatting:
     def test_table_renders_all_rows(self, observations):
-        text = format_overhead(observations)
+        text = format_overhead(list(observations.values()))
         for name in observations:
             assert name in text
 

@@ -1,7 +1,7 @@
 """Smoke test for the one-shot reproduction report."""
 
 from repro.experiments.figure7 import Figure7Config
-from repro.experiments.report import generate_report
+from repro.experiments.reporting import generate_report
 
 
 def test_report_regenerates_everything():

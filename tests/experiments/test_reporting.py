@@ -2,7 +2,6 @@
 
 from repro.experiments.reporting import (
     format_cell,
-    format_kv_block,
     format_table,
     log_series_bar,
 )
@@ -37,13 +36,6 @@ class TestFormatTable:
     def test_contains_all_cells(self):
         table = format_table(["x"], [["hello"], ["world"]])
         assert "hello" in table and "world" in table
-
-
-class TestKvBlock:
-    def test_renders_pairs(self):
-        block = format_kv_block("B", [("key", 1.5), ("other", "v")])
-        assert block.splitlines()[0] == "B"
-        assert "key" in block and "1.500" in block
 
 
 class TestLogSeriesBar:

@@ -1,6 +1,6 @@
 """Unit tests for the campaign runner."""
 
-from repro.experiments.runner import CampaignResult, replication_seeds, run_campaign
+from repro.experiments.runner import replication_seeds, run_campaign
 
 
 def _det_task(seed):
@@ -38,22 +38,6 @@ class TestRunCampaign:
     def test_ci_property(self):
         result = run_campaign("t", 1, 1, lambda seed: [1.0, 3.0])
         assert result.ci95 > 0
-
-    def test_result_round_trips_through_dict(self):
-        result = run_campaign("t", 1, 2, lambda seed: [1.0, 2.0])
-        clone = CampaignResult.from_dict(result.to_dict())
-        assert clone.label == result.label
-        assert clone.samples == result.samples
-        assert clone.replications == result.replications
-        assert clone.mean == result.mean
-        assert clone.stat.variance == result.stat.variance
-
-    def test_result_dict_is_json_safe(self):
-        import json
-        result = run_campaign("t", 1, 1, lambda seed: [4.0])
-        clone = CampaignResult.from_dict(json.loads(
-            json.dumps(result.to_dict())))
-        assert clone.samples == [4.0]
 
     def test_workers_path_matches_serial(self):
         serial = run_campaign("w", 2, 5, _det_task)

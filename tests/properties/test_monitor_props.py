@@ -5,7 +5,7 @@ import statistics
 
 from hypothesis import given, strategies as st
 
-from repro.sim.monitor import RunningStat, summarize
+from repro.sim.monitor import summarize
 
 values = st.lists(st.floats(min_value=-1e6, max_value=1e6,
                             allow_nan=False, allow_infinity=False),
@@ -32,50 +32,6 @@ def test_extrema_bound_mean(xs):
 @given(values)
 def test_variance_nonnegative(xs):
     assert summarize(xs).variance >= -1e-9
-
-
-@given(values, values)
-def test_merge_equals_concatenation(xs, ys):
-    merged = summarize(xs)
-    merged.merge(summarize(ys))
-    combined = summarize(xs + ys)
-    assert merged.count == combined.count
-    assert merged.mean == pytest_approx(combined.mean, rel=1e-6, abs_=1e-3)
-    assert merged.variance == pytest_approx(combined.variance, rel=1e-4,
-                                            abs_=1e-2)
-
-
-@given(st.lists(values, min_size=1, max_size=8))
-def test_merge_of_deserialized_shards_equals_single_pass(shards):
-    # Cross-process transport: each shard is serialized (as the cache
-    # and the worker protocol do), deserialized in the parent, and
-    # merged; the result must match accumulating every sample once.
-    import json
-
-    merged = RunningStat()
-    for shard in shards:
-        wire = json.loads(json.dumps(summarize(shard).to_dict()))
-        merged.merge(RunningStat.from_dict(wire))
-    combined = summarize([x for shard in shards for x in shard])
-    assert merged.count == combined.count
-    assert merged.mean == pytest_approx(combined.mean, rel=1e-6, abs_=1e-3)
-    assert merged.variance == pytest_approx(combined.variance, rel=1e-4,
-                                            abs_=1e-2)
-    assert merged.minimum == combined.minimum
-    assert merged.maximum == combined.maximum
-
-
-@given(values, values, values)
-def test_merge_is_associative_in_distribution(xs, ys, zs):
-    left = summarize(xs)
-    left.merge(summarize(ys))
-    left.merge(summarize(zs))
-    right_tail = summarize(ys)
-    right_tail.merge(summarize(zs))
-    right = summarize(xs)
-    right.merge(right_tail)
-    assert left.count == right.count
-    assert left.mean == pytest_approx(right.mean, rel=1e-6, abs_=1e-3)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.001, max_value=100.0),

@@ -58,78 +58,6 @@ class TestRunningStat:
         assert t_critical_95(29) == pytest.approx(2.045)
         assert t_critical_95(30) == 1.96
 
-    def test_merge_equals_combined(self):
-        a_vals, b_vals = [1.0, 2.0, 3.0], [10.0, 20.0]
-        merged = summarize(a_vals)
-        merged.merge(summarize(b_vals))
-        combined = summarize(a_vals + b_vals)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
-        assert merged.minimum == combined.minimum
-        assert merged.maximum == combined.maximum
-
-    def test_merge_with_empty_sides(self):
-        stat = summarize([1.0, 2.0])
-        stat.merge(RunningStat())
-        assert stat.count == 2
-        empty = RunningStat()
-        empty.merge(summarize([5.0]))
-        assert empty.count == 1 and empty.mean == 5.0
-
-    def test_merge_empty_into_empty(self):
-        stat = RunningStat()
-        stat.merge(RunningStat())
-        assert stat.count == 0
-        assert stat.mean == 0.0
-        assert stat.minimum is None and stat.maximum is None
-
-    def test_merge_empty_into_nonempty_preserves_extrema(self):
-        stat = summarize([-3.0, 8.0])
-        stat.merge(RunningStat())
-        assert (stat.minimum, stat.maximum) == (-3.0, 8.0)
-
-    def test_merge_single_sample_shards(self):
-        # Shard-per-sample merging must equal plain accumulation — the
-        # degenerate sharding a one-replication-per-worker campaign hits.
-        values = [4.0, -1.0, 2.5, 2.5, 9.0]
-        merged = RunningStat()
-        for v in values:
-            merged.merge(summarize([v]))
-        combined = summarize(values)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
-        assert (merged.minimum, merged.maximum) == (-1.0, 9.0)
-
-    def test_merge_min_max_propagate_across_chains(self):
-        a = summarize([5.0, 6.0])
-        b = summarize([-10.0, 4.0])
-        c = summarize([100.0])
-        a.merge(b)
-        a.merge(c)
-        assert a.minimum == -10.0
-        assert a.maximum == 100.0
-
-    def test_to_dict_round_trip(self):
-        stat = summarize([1.0, 2.5, -4.0])
-        clone = RunningStat.from_dict(stat.to_dict())
-        assert clone.count == stat.count
-        assert clone.mean == stat.mean
-        assert clone.variance == stat.variance
-        assert (clone.minimum, clone.maximum) == (stat.minimum, stat.maximum)
-
-    def test_to_dict_round_trip_empty(self):
-        clone = RunningStat.from_dict(RunningStat().to_dict())
-        assert clone.count == 0
-        assert clone.minimum is None and clone.maximum is None
-
-    def test_to_dict_is_json_safe(self):
-        import json
-        payload = json.dumps(summarize([1.0, 2.0]).to_dict())
-        clone = RunningStat.from_dict(json.loads(payload))
-        assert clone.mean == 1.5
-
 
 class TestTimeWeightedValue:
     def test_constant_signal(self):

@@ -62,11 +62,6 @@ class TestQueries:
         assert cats == sorted(set(cats))
         assert "at.pass" in cats
 
-    def test_timeline_renders_lines(self):
-        lines = loaded_recorder().timeline(["checkpoint"])
-        assert len(lines) == 3
-        assert all("checkpoint" in line for line in lines)
-
     def test_record_data_is_captured(self):
         trace = loaded_recorder()
         rec = trace.records("checkpoint.stable")[0]
