@@ -8,8 +8,9 @@ checkers need (epoch, dirty bit at snapshot time, ground-truth
 corruption).  A one-off view replays the checkpoint's delta chains
 from their base; a caller that walks one process's checkpoints in
 order (the online auditor) passes that process's
-:class:`~repro.snapshot.ChainReader` and pays for each delta once.
-Views are read-only either way.  Lines
+:class:`~repro.snapshot.ChainReader` and pays for each delta once — and
+only for the sections its checkers read.  Views are read-only either
+way.  Lines
 can be built from stable storage (the hardware recovery line), from
 volatile storage (the MDCD recovery anchors), or from the live process
 states (for end-of-run oracles).
@@ -22,7 +23,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..checkpoint import Checkpoint
 from ..host import FtProcess, ProcessSnapshot
-from ..snapshot import ChainReader
+from ..snapshot import ChainReader, SnapshotView
 from ..types import ProcessId
 
 
@@ -62,21 +63,32 @@ def view_from_checkpoint(checkpoint: Checkpoint,
 
     Without a ``reader`` the state is a private ``restore_state()``
     copy (full delta-chain replay).  With the owning process's reader
-    only the chain links past its cursor are decoded, and the state
-    shares structure with the reader's earlier views.
+    it is a :class:`~repro.snapshot.sections.SnapshotView`: a section
+    is decoded when a checker first reads one of its fields, only the
+    chain links past the reader's cursor, and the state shares
+    structure with the reader's earlier views.
 
     A checkpoint a fork table owns
     (:meth:`~repro.checkpoint.Checkpoint.remember_view`) keeps the view
     and hands the same one to every fork that checks it — sound because
-    views are read-only by contract.  Any other checkpoint is private
-    to one run that checks it once: its view is the caller's alone."""
+    views are read-only by contract; its sections resolve from the
+    shared payload, never through one fork's reader.  Any other
+    checkpoint is private to one run that checks it once: its view is
+    the caller's alone."""
     memo = checkpoint.__dict__
     view = memo.get("_view")
     if view is None:
+        if reader is None:
+            snapshot = checkpoint.restore_state()
+        elif "_view" in memo:
+            # Every fork gets this view: it resolves through no fork's
+            # reader, only through the (shared) payload itself.
+            snapshot = SnapshotView(checkpoint.payload)
+        else:
+            snapshot = reader.read(checkpoint.payload)
         view = ProcessView(
             process_id=checkpoint.process_id,
-            snapshot=(reader.read(checkpoint.payload) if reader is not None
-                      else checkpoint.restore_state()),
+            snapshot=snapshot,
             taken_at=checkpoint.taken_at,
             work_done=checkpoint.work_done,
             epoch=checkpoint.epoch,

@@ -146,7 +146,7 @@ class OnlineAuditor:
         # Subscribe the bound method and remember it (not the closure
         # subscribe() returns) so auditors pickle into warm-start images.
         self._listener = self._on_record
-        system.trace.subscribe(self._listener)
+        system.trace.subscribe(self._listener, names=self.HOOKS)
         self._finalized = False
 
     def __getstate__(self) -> Dict:
@@ -174,20 +174,31 @@ class OnlineAuditor:
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
+    def _on_establish_done(self, rec) -> None:
+        epoch = rec.data.get("epoch")
+        if epoch is not None and epoch not in self._checked_epochs:
+            self._pending_epochs.add(epoch)
+            self._max_epoch_seen = max(self._max_epoch_seen, epoch)
+        self._drain_pending(rec.time)
+
+    def _on_hardware_start(self, rec) -> None:
+        epoch = rec.data.get("epoch")
+        if epoch is not None:
+            self._check_stable_epoch(rec.time, epoch,
+                                     hook="recovery.hardware.start")
+
+    def _on_live_hook(self, rec) -> None:
+        self._check_live(rec.time, hook=rec.category)
+
+    #: Category -> handler: the one table that both subscribes the
+    #: auditor (by exact name, so the recorder never calls it for any
+    #: other record) and dispatches what arrives.
+    HOOKS = {"tb.establish.done": _on_establish_done,
+             "recovery.hardware.start": _on_hardware_start,
+             **dict.fromkeys(LIVE_HOOKS, _on_live_hook)}
+
     def _on_record(self, rec) -> None:
-        if rec.category == "tb.establish.done":
-            epoch = rec.data.get("epoch")
-            if epoch is not None and epoch not in self._checked_epochs:
-                self._pending_epochs.add(epoch)
-                self._max_epoch_seen = max(self._max_epoch_seen, epoch)
-            self._drain_pending(rec.time)
-        elif rec.category == "recovery.hardware.start":
-            epoch = rec.data.get("epoch")
-            if epoch is not None:
-                self._check_stable_epoch(rec.time, epoch,
-                                         hook="recovery.hardware.start")
-        elif rec.category in LIVE_HOOKS:
-            self._check_live(rec.time, hook=rec.category)
+        self.HOOKS[rec.category](self, rec)
 
     def _drain_pending(self, now: float) -> None:
         for epoch in sorted(self._pending_epochs):

@@ -18,7 +18,8 @@ through this package:
   nearest full section once per payload (rollbacks take private
   containers over the resolved value), while a read-only consumer that
   follows one process's captures (the online auditor) advances a
-  :class:`ChainReader` cursor and decodes each delta once.
+  :class:`ChainReader` cursor and decodes each delta once, and only
+  for the sections it actually reads.
 
 Incremental capture is a pure representation concern: it never touches
 the simulator's RNG streams or event ordering, so the campaign sample
@@ -33,6 +34,7 @@ from .sections import (
     SectionPayload,
     SnapshotEncoder,
     SnapshotPayload,
+    SnapshotView,
     declared_section,
     decode_payload,
     encode_full,
@@ -44,6 +46,7 @@ __all__ = [
     "SnapshotPayload",
     "SnapshotEncoder",
     "ChainReader",
+    "SnapshotView",
     "declared_section",
     "decode_payload",
     "encode_full",

@@ -40,12 +40,14 @@ process goes on to mutate what it gets — hands out private containers
 over the resolved value's frozen records.  :class:`ChainReader` is the
 encoder's read-side twin for a consumer that reads one process's
 payloads in capture order and only inspects them (the online auditor):
-it keeps a cursor per section and decodes just what moved past it.
+it keeps a cursor per section, decodes just what moved past it, and
+only for the sections the consumer reads (:class:`SnapshotView`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 from .codec import decode, encode
@@ -155,6 +157,11 @@ def _encode_section(section: str, value: Any,
 #: instance of a class instead of reflecting over it at every capture.
 _LAYOUTS: Dict[type, Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]] = {}
 
+#: Field name -> section, from every layout computed: which section a
+#: :class:`SnapshotView` resolves for a field it has not read yet (a
+#: field it cannot place resolves them all).
+_SECTION_OF: Dict[str, str] = {}
+
 
 def _layout(state: Any) -> Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]:
     """The section layout of ``state``'s class; ``None`` unless it is a
@@ -177,6 +184,9 @@ def _layout(state: Any) -> Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]:
         if declared:
             layout = tuple((name, tuple(names))
                            for name, names in groups.items() if names)
+            for section, names in layout:
+                for name in names:
+                    _SECTION_OF.setdefault(name, section)
     _LAYOUTS[cls] = layout
     return layout
 
@@ -272,16 +282,6 @@ def _apply_section_delta(section: str, base_value: Dict[str, Any],
     return out
 
 
-def _assemble(payload: SnapshotPayload, read_section) -> Any:
-    """A sectioned payload's section dicts (``read_section`` of each)
-    merged into a fresh ``ProcessSnapshot``."""
-    from ..host import ProcessSnapshot  # deferred: host imports this package
-    fields: Dict[str, Any] = {}
-    for section in payload.sections:
-        fields.update(read_section(section))
-    return ProcessSnapshot(**fields)
-
-
 def _owned_section(payload: SectionPayload) -> Dict[str, Any]:
     """One section's fields, the caller's to mutate."""
     if payload.section in DELTA_SECTIONS:
@@ -296,7 +296,92 @@ def decode_payload(payload: SnapshotPayload) -> Any:
     them, whether or not the payload was decoded before."""
     if payload.opaque:
         return _decode(payload.sections[0])
-    return _assemble(payload, _owned_section)
+    from ..host import ProcessSnapshot  # deferred: host imports this package
+    fields: Dict[str, Any] = {}
+    for section in payload.sections:
+        fields.update(_owned_section(section))
+    return ProcessSnapshot(**fields)
+
+
+def _shared_section(payload: SectionPayload) -> Dict[str, Any]:
+    """One section's fields, read-only (a delta section's resolved
+    value, remembered on its payload)."""
+    if payload.section in DELTA_SECTIONS:
+        return _resolved(payload)[0]
+    return _decode(payload)
+
+
+class SnapshotView:
+    """A read-only ``ProcessSnapshot`` that decodes a section the first
+    time one of its fields is read.
+
+    The invariant checkers read the journals and MDCD knowledge of
+    every view in a line, the application state and the unacked list
+    only on some paths, and the message log never: a view resolves
+    just the sections its reader asks for.  A section resolves through
+    the :class:`ChainReader` that made the view — its per-section
+    cursor, so a field gets exactly the value an eager read would
+    give it — or, for a view no one reader owns (``reader=None``, or
+    the reader is gone), as the payload's own remembered value.
+
+    The reader is held weakly: it keeps its last view (the whole-payload
+    memo), and a strong back-reference would be a cycle outliving the
+    run.  Resolved fields live in the instance ``__dict__``, so a field
+    read twice costs an ordinary attribute lookup.  A view compares
+    equal to the plain ``ProcessSnapshot`` of all its fields.
+    """
+
+    __slots__ = ("_pending", "_reader", "__dict__")
+
+    def __init__(self, payload: SnapshotPayload,
+                 reader: Optional["ChainReader"] = None) -> None:
+        #: The sections not resolved yet, by name.
+        self._pending: Dict[str, SectionPayload] = {
+            section.section: section for section in payload.sections}
+        self._reader = weakref.ref(reader) if reader is not None else None
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for a field not resolved yet.
+        if name[:1] == "_":
+            raise AttributeError(name)
+        section = _SECTION_OF.get(name)
+        if section is not None:
+            self._resolve(section)
+        if name not in self.__dict__:
+            self._resolve_all()
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(
+                f"snapshot has no field {name!r}") from None
+
+    def _resolve(self, section: str) -> None:
+        payload = self._pending.pop(section, None)
+        if payload is None:
+            return
+        reader = self._reader() if self._reader is not None else None
+        self.__dict__.update(reader._read_section(payload)
+                             if reader is not None
+                             else _shared_section(payload))
+
+    def _resolve_all(self) -> None:
+        for section in list(self._pending):
+            self._resolve(section)
+
+    def _materialize(self) -> Any:
+        """The plain ``ProcessSnapshot`` of every field (shared
+        values, still read-only)."""
+        from ..host import ProcessSnapshot  # deferred: host imports this package
+        self._resolve_all()
+        return ProcessSnapshot(**self.__dict__)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SnapshotView):
+            other = other._materialize()
+        return self._materialize() == other
+
+    def __repr__(self) -> str:
+        return f"SnapshotView({self._materialize()!r})"
 
 
 class ChainReader:
@@ -321,6 +406,13 @@ class ChainReader:
     checkpoint to disk epoch after epoch, one frozen payload under many
     checkpoint records — is the snapshot it read as: decoded once.
 
+    A read decodes nothing by itself: it hands out a
+    :class:`SnapshotView` whose sections come through these cursors
+    the first time one of their fields is read, so a section no caller
+    looks at (the auditor never reads ``msg_log``) is never decoded.
+    The cursors answer correctly in any order, so a field read late
+    gets the value an eager read would have given it.
+
     Values of successive reads share structure with each other, with
     the cursor and with resolved payloads; they are read-only by
     contract.  A rollback takes its own from :func:`decode_payload`.
@@ -337,13 +429,15 @@ class ChainReader:
         return {"_cursor": {}}
 
     def read(self, payload: SnapshotPayload) -> Any:
-        """The state ``payload`` froze; equal to ``decode_payload(
-        payload)``, but not private to the caller."""
+        """The state ``payload`` froze, as a :class:`SnapshotView` that
+        resolves its sections through this reader when first read;
+        equal to ``decode_payload(payload)``, but not private to the
+        caller."""
         if payload.opaque:
             return decode_payload(payload)
         last, snapshot = self._cursor.get(None, (None, None))
         if payload is not last:
-            snapshot = _assemble(payload, self._read_section)
+            snapshot = SnapshotView(payload, self)
             self._cursor[None] = (payload, snapshot)
         return snapshot
 
@@ -358,10 +452,9 @@ class ChainReader:
             for link in reversed(links):
                 value = _apply_section_delta(link.section, value,
                                              _decode(link))
-        elif payload.section in DELTA_SECTIONS:
-            value = _resolved(payload)[0]
-        elif at is None or at.data != payload.data:
-            value = _decode(payload)
+        elif (payload.section in DELTA_SECTIONS or at is None
+              or at.data != payload.data):
+            value = _shared_section(payload)
         self._cursor[payload.section] = (payload, value)
         return value
 

@@ -85,7 +85,9 @@ _HEADER = struct.Struct(">B8sI")
 #: format-2 set's checkpoints would unpack shifted.
 #: 4: stores hold no codec instance and section payloads no codec id; a
 #: format-3 dump names the deleted ``PickleCodec`` and would not thaw.
-_FORMAT = 4
+#: 5: trace records reduce to their four fields (``__slots__``, no
+#: state dict), so a format-4 dump's records would not thaw.
+_FORMAT = 5
 
 
 class ForkContext:

@@ -1,5 +1,6 @@
 """Tests for the online invariant auditor."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -318,6 +319,39 @@ class TestIncrementalReadPath:
             assert snapshot.dedup_seen is process.dedup.seen
             assert snapshot.dsn_counters is process._dsn_counters
             assert snapshot.journal_sent is process.journal_sent
+
+    def test_a_pinned_schedule_hears_only_its_hooks_and_never_reads_the_log(
+            self, monkeypatch):
+        """The audit's two counters for one pinned paper schedule,
+        audited cold: the auditor is called once per record in its hook
+        names (not once per record kept), and its readers decode the
+        sections the checkers read — never ``msg_log``."""
+        calls = []
+        on_record = OnlineAuditor._on_record
+
+        def counting(auditor, rec):
+            calls.append(rec.category)
+            on_record(auditor, rec)
+        sections_read = []
+        read_section = sections.ChainReader._read_section
+
+        def recording(reader, payload):
+            sections_read.append(payload.section)
+            return read_section(reader, payload)
+        monkeypatch.setattr(OnlineAuditor, "_on_record", counting)
+        monkeypatch.setattr(sections.ChainReader, "_read_section", recording)
+        config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
+        schedule = next(s for s in generate_schedules(config)
+                        if s.label == "random:14")
+        system, auditor = _run_audited(config, schedule)
+        hook_records = [rec.category for rec in system.trace
+                        if rec.category in OnlineAuditor.HOOKS]
+        assert calls == hook_records
+        assert len(calls) * 2 < len(system.trace)
+        assert auditor.epochs_checked > 10
+        read = collections.Counter(sections_read)
+        assert read["msg_log"] == 0
+        assert read["journals"] >= auditor.epochs_checked
 
     def test_cursors_stay_out_of_images(self):
         system = build_audit_system(

@@ -3,7 +3,9 @@ and incremental (delta-chain) capture/restore."""
 
 import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -346,6 +348,124 @@ class TestChainReader:
             assert reader.read(payload) is view
             for seen, frozen in views:
                 assert seen == frozen
+
+
+FIELDS = tuple(field.name for field in dataclasses.fields(ProcessSnapshot))
+
+
+class TestReaderViews:
+    """A reader hands out views that decode a section when one of its
+    fields is first read: whatever is read, in whatever order, and
+    whatever is never read, every field equals ``decode_payload``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ops, st.integers(1, 16), st.data())
+    def test_fields_read_in_any_order_with_any_skipped_equal_decode(
+            self, ops, max_chain, data):
+        captured = drive_captures(ops, max_chain)
+        indices = list(range(len(captured)))
+        reads = data.draw(st.lists(st.sampled_from(indices), max_size=40),
+                          label="payload reads")
+        reader = ChainReader()
+        views = []
+        for i in reads:
+            payload, _ = captured[i]
+            view = reader.read(payload)
+            views.append((i, view))
+            # Read some fields now, in a drawn order, skipping the rest;
+            # and some of an earlier view's, after the cursors moved on.
+            fields = data.draw(st.lists(st.sampled_from(FIELDS),
+                                        unique=True), label=f"fields{i}")
+            j, earlier = data.draw(st.sampled_from(views), label="earlier")
+            late = data.draw(st.lists(st.sampled_from(FIELDS),
+                                      unique=True), label=f"late{j}")
+            for view_i, view, names in ((i, view, fields),
+                                        (j, earlier, late)):
+                decoded = decode_payload(captured[view_i][0])
+                for name in names:
+                    assert getattr(view, name) == getattr(decoded, name), (
+                        view_i, name)
+        for i, view in views:
+            assert view == captured[i][1] == decode_payload(captured[i][0])
+
+    def test_a_section_no_one_reads_is_never_decoded(self, monkeypatch):
+        captured = drive_captures(
+            [("send", (None, None)), ("capture",), ("send", (None, None)),
+             ("step", 3)], max_chain=4)
+        read = []
+        read_section = ChainReader._read_section
+
+        def recording(reader, payload):
+            read.append(payload.section)
+            return read_section(reader, payload)
+        monkeypatch.setattr(ChainReader, "_read_section", recording)
+        reader = ChainReader()
+        for payload, expected in captured:
+            view = reader.read(payload)
+            assert view.journal_sent == expected.journal_sent
+            assert view.mdcd == expected.mdcd
+        assert read == ["journals", "mdcd"] * len(captured)
+        assert view.msg_log == expected.msg_log
+        assert read[-1] == "msg_log"
+
+    @settings(max_examples=20, deadline=None)
+    @given(_ops, st.integers(1, 16), st.integers(0, 30))
+    def test_dropping_views_frees_their_reader_by_reference_count(
+            self, ops, max_chain, cut):
+        captured = drive_captures(ops, max_chain)
+        gc.collect()
+        gc.disable()
+        try:
+            reader = ChainReader()
+            alive = weakref.ref(reader)
+            views = [reader.read(payload) for payload, _ in captured]
+            for view in views[:cut]:
+                view.journal_sent
+            del reader
+            # No view holds its reader: the reader (and the view it
+            # remembers) went with the last strong reference.
+            assert alive() is None
+            # A view outliving its reader still reads what it froze.
+            for view, (_, expected) in zip(views, captured):
+                assert view == expected
+            del views, view
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            leaked = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ops, st.integers(1, 16), st.data())
+    def test_a_memoized_view_reads_identically_from_every_fork(
+            self, ops, max_chain, data):
+        """A checkpoint a fork table owns keeps one view for every fork
+        (``Checkpoint.remember_view``): whichever fork's reader asks
+        first, the view resolves through none of them, reads the same
+        from every fork, and outlives them all."""
+        checkpoints = drive_checkpoints(ops, max_chain)
+        for checkpoint, _ in checkpoints:
+            checkpoint.remember_view()
+        forks = [ChainReader() for _ in range(3)]
+        order = data.draw(st.lists(
+            st.tuples(st.integers(0, len(forks) - 1),
+                      st.integers(0, len(checkpoints) - 1)), max_size=30),
+            label="(fork, checkpoint) reads")
+        first = {}
+        for fork, k in order:
+            checkpoint, expected = checkpoints[k]
+            view = view_from_checkpoint(checkpoint, forks[fork])
+            assert first.setdefault(k, view) is view
+            name = data.draw(st.sampled_from(FIELDS), label="field")
+            assert getattr(view.snapshot, name) == getattr(expected, name)
+        # No fork's cursor moved, and no view needs any fork's reader.
+        assert all(reader._cursor == {} for reader in forks)
+        del forks
+        for k, view in first.items():
+            assert view.snapshot == checkpoints[k][1]
+            assert view.snapshot == decode_payload(checkpoints[k][0].payload)
 
 
 def full_replay(payload):

@@ -1,7 +1,18 @@
 """Unit tests for the trace recorder."""
 
-from repro.sim.trace import TraceRecorder
+import pickle
+
+import pytest
+
+from repro.audit import (
+    AuditConfig,
+    FaultSchedule,
+    OnlineAuditor,
+    build_audit_system,
+)
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.types import ProcessId
+from repro.warmstart.image import capture, resume
 
 
 def loaded_recorder():
@@ -95,3 +106,145 @@ class TestCategoryFilter:
         trace.record(1.0, "at.pass", None)
         assert len(trace) == 0
         assert not trace.wants("at.pass")
+
+
+class TestSubscription:
+    def test_named_listener_hears_only_its_names(self):
+        trace = TraceRecorder()
+        named, everything = [], []
+        trace.subscribe(named.append, names=("at.pass", "blocking.start"))
+        trace.subscribe(everything.append)
+        for t, category in enumerate(("at.pass", "at.passed",
+                                      "blocking.start", "blocking",
+                                      "checkpoint.stable")):
+            trace.record(float(t), category, None)
+        # Exact names, not prefixes.
+        assert [rec.category for rec in named] == ["at.pass",
+                                                   "blocking.start"]
+        assert everything == list(trace)
+
+    def test_filtered_out_records_reach_no_listener(self):
+        trace = TraceRecorder(categories=("blocking.",))
+        heard = []
+        trace.subscribe(heard.append, names=("at.pass",))
+        trace.subscribe(heard.append)
+        trace.record(1.0, "at.pass", None)
+        assert heard == [] and len(trace) == 0
+
+    def test_unsubscribe_detaches_only_that_listener(self):
+        trace = TraceRecorder()
+        first, second = [], []
+        trace.subscribe(first.append, names=("at.pass",))
+        unsubscribe = trace.subscribe(second.append)
+        trace.record(1.0, "at.pass", None)
+        unsubscribe()
+        trace.unsubscribe(second.append)  # already gone: a no-op
+        trace.record(2.0, "at.pass", None)
+        assert [rec.time for rec in first] == [1.0, 2.0]
+        assert [rec.time for rec in second] == [1.0]
+
+    def test_a_listener_may_unsubscribe_while_a_record_is_dispatched(self):
+        trace = TraceRecorder()
+        heard = []
+
+        def once(rec):
+            heard.append(("once", rec.time))
+            trace.unsubscribe(once)
+        trace.subscribe(once)
+        trace.subscribe(lambda rec: heard.append(("always", rec.time)))
+        trace.record(1.0, "x", None)
+        trace.record(2.0, "x", None)
+        assert heard == [("once", 1.0), ("always", 1.0), ("always", 2.0)]
+
+
+class TestTraceRecord:
+    def test_pickle_round_trip_is_equal(self):
+        for rec in loaded_recorder():
+            thawed = pickle.loads(pickle.dumps(rec))
+            assert type(thawed) is TraceRecord
+            assert thawed == rec and thawed is not rec
+            assert (thawed.time, thawed.category, thawed.process,
+                    thawed.data) == (rec.time, rec.category, rec.process,
+                                     rec.data)
+
+    def test_read_only_by_contract(self):
+        """A record has its four fields and nowhere to grow more, and
+        nothing writes one after it is kept: warm-start images share
+        records between forks on that promise.  The records an audited
+        run kept by mid-run are, at its end, what a pickled copy taken
+        then says they were."""
+        rec = TraceRecord(1.0, "at.pass", ProcessId("P1"), {"sn": 3})
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        with pytest.raises(TypeError):
+            hash(rec)  # ``data`` is a dict: records are not keys
+        system, auditor = _audited(until=200.0)
+        kept = list(system.trace)
+        frozen = pickle.dumps(kept)
+        system.run()
+        auditor.finalize()
+        assert auditor.epochs_checked > 5
+        assert list(system.trace)[:len(kept)] == pickle.loads(frozen)
+
+    def test_equality_is_by_value(self):
+        a = TraceRecord(1.0, "at.pass", ProcessId("P1"), {"sn": 1})
+        assert a == TraceRecord(1.0, "at.pass", ProcessId("P1"), {"sn": 1})
+        assert a != TraceRecord(1.0, "at.pass", ProcessId("P1"), {"sn": 2})
+        assert a != (1.0, "at.pass", ProcessId("P1"), {"sn": 1})
+        assert TraceRecord(0.0, "x", None).data == {}
+
+
+def _audited(until=None):
+    system = build_audit_system(
+        AuditConfig(scheme="coordinated", seed=7, schedules=1),
+        FaultSchedule(label="clean", system_seed=11))
+    auditor = OnlineAuditor(system)
+    system.run(until=until)
+    return system, auditor
+
+
+def _auditor_pairs(system):
+    return [(names, listener) for names, listener in system.trace._listeners
+            if getattr(listener, "__func__", None) is OnlineAuditor._on_record]
+
+
+class TestAuditorSubscription:
+    def test_subscription_is_the_hook_table(self):
+        system, auditor = _audited(until=50.0)
+        [(names, listener)] = _auditor_pairs(system)
+        assert names == frozenset(OnlineAuditor.HOOKS)
+        assert listener == auditor._on_record
+        # Every category _on_record handles is subscribed, and it
+        # handles nothing else.
+        for category in names:
+            assert category in OnlineAuditor.HOOKS
+        with pytest.raises(KeyError):
+            auditor._on_record(TraceRecord(0.0, "at.pass", None))
+
+    def test_auditor_hears_exactly_its_hook_records(self, monkeypatch):
+        heard = []
+        on_record = OnlineAuditor._on_record
+
+        def counting(auditor, rec):
+            heard.append(rec)
+            on_record(auditor, rec)
+        monkeypatch.setattr(OnlineAuditor, "_on_record", counting)
+        system, auditor = _audited()
+        auditor.finalize()
+        hooks = [rec for rec in system.trace
+                 if rec.category in OnlineAuditor.HOOKS]
+        assert heard == hooks
+        assert 0 < len(heard) < len(system.trace)
+
+    def test_an_auditor_unpickled_from_an_image_still_unsubscribes(self):
+        system, auditor = _audited(until=100.0)
+        thawed_system, thawed = resume(capture(system, auditor))
+        assert len(_auditor_pairs(thawed_system)) == 1
+        thawed_system.run(until=150.0)
+        thawed.finalize()
+        assert thawed_system.trace._listeners == ()
+        # The original is untouched by the copy's detaching.
+        assert len(_auditor_pairs(system)) == 1
+        auditor.finalize()
+        assert system.trace._listeners == ()
