@@ -22,7 +22,6 @@ from repro import (
     WorkloadConfig,
     build_system,
 )
-from repro.analysis import software_rollback_distances
 from repro.sim.monitor import RunningStat
 from repro.sim.rng import RngRegistry
 
@@ -62,8 +61,8 @@ def main() -> None:
             latency.add(detection.time - activate_at)
             for decision in system.sw_recovery.decisions.values():
                 decisions[decision.value] += 1
-            for d in software_rollback_distances(system.trace):
-                rollback.add(d)
+            for rec in system.trace.records("recovery.rollback.software"):
+                rollback.add(rec.data["distance"])
 
     print("=== Primary/secondary (DRB-style) campaign ===")
     print(f"deployments:                     {DEPLOYMENTS}")

@@ -8,7 +8,6 @@ from .faults import (
     HardwareFaultPlan,
     SoftwareFaultInjector,
     SoftwareFaultPlan,
-    poisson_crash_plan,
 )
 from .versions import HighConfidenceVersion, LowConfidenceVersion, SoftwareVersion
 from .workload import (
@@ -37,5 +36,4 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadDriver",
     "generate_actions",
-    "poisson_crash_plan",
 ]

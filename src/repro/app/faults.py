@@ -18,7 +18,7 @@ configure them from seeded RNG streams so fault times are reproducible.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..sim.events import EventPriority
@@ -132,23 +132,3 @@ class HardwareFaultInjector:
                           node=str(self.node.node_id))
         self.node.restart()
 
-
-def poisson_crash_plan(rate: float, horizon: float, node_ids: List[str],
-                       rng, repair_time: float = 1.0) -> List[HardwareFaultPlan]:
-    """Draw a Poisson crash schedule over ``horizon`` across ``node_ids``.
-
-    Used by campaign experiments that average rollback distance over
-    many hardware-fault occurrences.
-    """
-    if rate < 0:
-        raise ConfigurationError(f"crash rate must be non-negative: {rate}")
-    plans: List[HardwareFaultPlan] = []
-    if rate == 0:
-        return plans
-    t = rng.expovariate(rate)
-    while t < horizon:
-        node_id = rng.choice(node_ids)
-        plans.append(HardwareFaultPlan(node_id=node_id, crash_at=t,
-                                       repair_time=repair_time))
-        t += rng.expovariate(rate)
-    return plans

@@ -1,7 +1,6 @@
 """Protocol combinations: the coordinated scheme (the paper's
 contribution), the write-through baseline, and the naive combination."""
 
-from .naive import build_naive_system
 from .scheme import Scheme, System, SystemConfig, build_system
 from .write_through import WriteThroughEngine
 
@@ -10,6 +9,5 @@ __all__ = [
     "System",
     "SystemConfig",
     "WriteThroughEngine",
-    "build_naive_system",
     "build_system",
 ]

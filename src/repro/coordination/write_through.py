@@ -13,6 +13,8 @@ compared.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..messages.message import Message
 from ..types import CheckpointKind, StableContent
 
@@ -23,7 +25,8 @@ class WriteThroughEngine:
 
     Exposes the same surface the host and the hardware-recovery
     coordinator expect from a TB engine (``start``/``stop``/
-    ``should_buffer``/``on_crash``/``reset_after_recovery``/``ndc``),
+    ``should_buffer``/``on_crash``/``next_boundary_index``/
+    ``reset_after_recovery``/``ndc``),
     so it is a drop-in alternative.
     """
 
@@ -56,8 +59,15 @@ class WriteThroughEngine:
     def on_crash(self) -> None:
         """Nothing in flight to abort — saves are synchronous."""
 
-    def reset_after_recovery(self, epoch: int) -> None:
-        """Adopt the recovery line's epoch after a global rollback."""
+    def next_boundary_index(self) -> None:
+        """No timer, so no interval boundary to agree on."""
+        return None
+
+    def reset_after_recovery(self, epoch: int,
+                             boundary_index: Optional[int] = None) -> None:
+        """Adopt the recovery line's epoch after a global rollback (there
+        is no timer for ``boundary_index`` to re-arm)."""
+        del boundary_index
         self.ndc = epoch
 
     def should_buffer(self, message: Message) -> bool:

@@ -57,6 +57,7 @@ from ..runtime.decisions import record_to_decision
 from ..runtime.script import SCRIPT_ACTION_BASE, _ACTION_KINDS
 from ..tb.adapted import AdaptedTbEngine
 from ..tb.blocking import TbConfig
+from ..tb.hardware_recovery import line_report, restore_to_line
 from ..tb.resync import ResyncService
 from ..topology.model import MemberKind, parse_topology
 from ..types import NodeId, ProcessId, Role
@@ -287,28 +288,18 @@ class LiveAgent:
         }
 
     def _cmd_hw_latest(self, _command: Dict[str, Any]) -> Dict[str, Any]:
-        latest = self.stable.peek(self.process_id)
-        boundary = (self.process.hardware.next_boundary_index()
-                    if self.process.hardware is not None else None)
-        return {"epoch": None if latest is None else latest.epoch,
-                "boundary": boundary}
+        _process_id, epoch, boundary = line_report(self.process)
+        return {"epoch": epoch, "boundary": boundary}
 
     def _cmd_hw_recover(self, command: Dict[str, Any]) -> Dict[str, Any]:
         """One process's slice of HardwareRecoveryCoordinator.recover_all:
-        fence, discard the abandoned timeline, restore the line
-        checkpoint, re-align the TB engine on the agreed boundary."""
+        fence, restore the line checkpoint (the shared
+        :func:`~repro.tb.hardware_recovery.restore_to_line`), re-align
+        the TB engine on the agreed boundary."""
         line = int(command["line"])
         process = self.process
         self.incarnation.value = int(command["incarnation"])
-        checkpoint = self.stable.line_checkpoint(self.process_id, line)
-        if checkpoint is None:
-            raise RuntimeError(f"{self.process_id} has no stable checkpoints")
-        if checkpoint.epoch != line:
-            process.counters.bump("recovery.line_fallback")
-        stale = self.stable.discard_after_epoch(self.process_id, line)
-        if stale:
-            process.counters.bump("recovery.stale_epochs_discarded", stale)
-        distance = process.restore_from(checkpoint, "hardware")
+        distance = restore_to_line(process, line)
         if process.hardware is not None:
             process.hardware.reset_after_recovery(
                 line, command.get("boundary"))

@@ -38,6 +38,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
+from ..tb.hardware_recovery import agree_line
 from ..topology.election import elect_successor
 from ..topology.model import MemberKind, Topology, parse_topology
 from ..types import Role
@@ -327,7 +328,8 @@ class LiveHarness:
 
     # ------------------------------------------------------------------
     # coordinated hardware recovery (HardwareRecoveryCoordinator's
-    # phases, orchestrated across address spaces)
+    # phases, orchestrated across address spaces: the line agreement
+    # here, each process's restore inside its agent)
     # ------------------------------------------------------------------
     def recover_node(self, member) -> Dict[str, Any]:
         # The restarted agent comes up *held*: it receipts traffic but
@@ -341,16 +343,12 @@ class LiveHarness:
         restarted = self._spawn(member, incarnation=current)
         restarted.request({"cmd": "start", "release": False},
                           timeout=self._budget(15.0))
-        latest = [agent.request({"cmd": "hw-latest"},
-                                timeout=self._budget(15.0))
-                  for agent in self._in_service()]
-        epochs = [entry["epoch"] for entry in latest]
-        if any(epoch is None for epoch in epochs):
-            raise HarnessError("a process has no stable checkpoint (no genesis?)")
-        line = min(epochs)
-        boundaries = [entry["boundary"] for entry in latest
-                      if entry["boundary"] is not None]
-        boundary = max(boundaries) if boundaries else None
+        reports = []
+        for agent in self._in_service():
+            latest = agent.request({"cmd": "hw-latest"},
+                                   timeout=self._budget(15.0))
+            reports.append((agent.member, latest["epoch"], latest["boundary"]))
+        line, boundary = agree_line(reports)
         incarnation = current + 1
         for agent in self._in_service():
             agent.request({"cmd": "hw-recover", "line": line,

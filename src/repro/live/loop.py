@@ -9,45 +9,19 @@ protocol layer touches it (``now``, ``schedule_at``, ``schedule_after``,
 ``schedule_many``, cancellable events) with one semantic difference: a
 deadline already in the past fires on the next loop turn instead of
 raising — wall time, unlike simulated time, moves between the decision
-to schedule and the call.
+to schedule and the call.  The heap holds the kernel's own
+:class:`~repro.sim.events.Event`, numbered by an
+:class:`~repro.sim.events.EventSequencer`: same ``(time, priority,
+seq)`` order, same tombstone cancellation (with no simulator attached,
+``Event.cancel`` only sets the flag).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..runtime import EventPriority
-
-
-class LiveEvent:
-    """A scheduled callback; cancellation is a tombstone the dispatch
-    loop skips (same contract as the sim kernel's events)."""
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "label",
-                 "cancelled")
-
-    def __init__(self, time: float, priority: int, seq: int,
-                 callback: Callable[..., Any], args: tuple, label: str) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.label = label
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "LiveEvent") -> bool:
-        return ((self.time, self.priority, self.seq)
-                < (other.time, other.priority, other.seq))
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        state = " cancelled" if self.cancelled else ""
-        return f"<LiveEvent t={self.time:.3f} {self.label!r}{state}>"
+from ..sim.events import Event, EventPriority, EventSequencer
 
 
 class LiveScheduler:
@@ -55,8 +29,8 @@ class LiveScheduler:
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._heap: List[LiveEvent] = []
-        self._seq = itertools.count()
+        self._heap: List[Event] = []
+        self._seq = EventSequencer()
         self.fired = 0
 
     # ------------------------------------------------------------------
@@ -66,19 +40,19 @@ class LiveScheduler:
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     args: tuple = (), priority: EventPriority = EventPriority.ACTION,
-                    label: str = "") -> LiveEvent:
-        event = LiveEvent(max(time, self.now), int(priority), next(self._seq),
-                          callback, args, label)
+                    label: str = "") -> Event:
+        event = Event(max(time, self.now), int(priority), self._seq(),
+                      callback, args, label)
         heapq.heappush(self._heap, event)
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., Any],
                        args: tuple = (), priority: EventPriority = EventPriority.ACTION,
-                       label: str = "") -> LiveEvent:
+                       label: str = "") -> Event:
         return self.schedule_at(self.now + max(delay, 0.0), callback,
                                 args=args, priority=priority, label=label)
 
-    def schedule_many(self, specs: Sequence[Tuple]) -> List[LiveEvent]:
+    def schedule_many(self, specs: Sequence[Tuple]) -> List[Event]:
         return [self.schedule_at(time, callback, args=args,
                                  priority=priority, label=label)
                 for time, callback, args, priority, label in specs]
@@ -110,7 +84,7 @@ class LiveScheduler:
         return max(0.0, self._heap[0].time - self.now)
 
     def pending_within(self, horizon: float,
-                       exclude_prefix: str = "_infra") -> List[LiveEvent]:
+                       exclude_prefix: str = "_infra") -> List[Event]:
         """Non-cancelled events due within ``horizon`` seconds, minus
         infrastructure events — the quiesce probe: a process is idle
         when nothing protocol-originated is about to fire.  (Parked

@@ -10,7 +10,7 @@ statistics collectors.
 from .clock import ClockConfig, DriftingClock
 from .events import Event, EventPriority
 from .kernel import Simulator
-from .monitor import CounterSet, RunningStat, TimeWeightedValue, summarize
+from .monitor import CounterSet, RunningStat, summarize
 from .network import Endpoint, Network, NetworkConfig, Transmission
 from .node import Node
 from .process import SimProcess
@@ -35,7 +35,6 @@ __all__ = [
     "SimProcess",
     "Simulator",
     "StableStore",
-    "TimeWeightedValue",
     "TimerService",
     "TraceRecord",
     "TraceRecorder",

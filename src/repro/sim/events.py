@@ -15,7 +15,7 @@ instead of building tuples.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class EventPriority(enum.IntEnum):
@@ -100,8 +100,8 @@ class EventSequencer:
 
     Each :class:`~repro.sim.kernel.Simulator` owns one, so tie-break
     order never leaks between simulator instances in the same Python
-    process.  Code that builds events without a simulator (tests,
-    tooling) can construct its own sequencer for the same isolation.
+    process.  Code that builds events without a simulator (the live
+    scheduler, tests) numbers them with its own sequencer.
     """
 
     __slots__ = ("_next",)
@@ -118,36 +118,3 @@ class EventSequencer:
         """Rewind the sequence (fresh-run determinism for tooling)."""
         self._next = start
 
-
-#: Fallback sequencer for :func:`make_event` calls that supply neither
-#: ``seq`` nor ``sequencer``.  Simulators never draw from it (each owns
-#: an :class:`EventSequencer`), so it only orders free-standing events;
-#: :func:`reset_event_sequence` rewinds it between independent runs.
-_fallback_sequencer = EventSequencer()
-
-
-def reset_event_sequence(start: int = 0) -> None:
-    """Reset the module fallback sequence used by :func:`make_event`."""
-    _fallback_sequencer.reset(start)
-
-
-def make_event(
-    time: float,
-    callback: Callable[..., Any],
-    args: tuple = (),
-    priority: int = EventPriority.ACTION,
-    label: str = "",
-    seq: Optional[int] = None,
-    sequencer: Optional[EventSequencer] = None,
-) -> Event:
-    """Construct a free-standing :class:`Event`.
-
-    ``seq`` may be pinned explicitly by tests that need to control
-    tie-break order; ``sequencer`` scopes automatic numbering to the
-    caller (a fresh :class:`EventSequencer` per logical run).  With
-    neither, a module-level fallback sequencer is used — reset it with
-    :func:`reset_event_sequence` when cross-run isolation matters.
-    """
-    if seq is None:
-        seq = (sequencer if sequencer is not None else _fallback_sequencer)()
-    return Event(time, int(priority), seq, callback, args, label)

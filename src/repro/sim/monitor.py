@@ -89,40 +89,6 @@ class RunningStat:
         return z * self.stderr
 
 
-class TimeWeightedValue:
-    """Integrates a piecewise-constant signal over simulated time.
-
-    Used for metrics such as "fraction of time the dirty bit was set"
-    or "fraction of time spent blocked".
-    """
-
-    def __init__(self, initial: float, at: float) -> None:
-        self._value = initial
-        self._since = at
-        self._integral = 0.0
-        self._origin = at
-
-    @property
-    def value(self) -> float:
-        """Current value of the signal."""
-        return self._value
-
-    def set(self, value: float, at: float) -> None:
-        """Change the signal value at time ``at``."""
-        self._integral += self._value * (at - self._since)
-        self._value = value
-        self._since = at
-
-    def integral(self, until: float) -> float:
-        """Integral of the signal from creation until ``until``."""
-        return self._integral + self._value * (until - self._since)
-
-    def mean(self, until: float) -> float:
-        """Time-average of the signal from creation until ``until``."""
-        span = until - self._origin
-        return self.integral(until) / span if span > 0 else self._value
-
-
 @dataclasses.dataclass
 class CounterSet:
     """A named bag of integer counters."""

@@ -8,8 +8,8 @@ consistency.  Recoverability needs no blocking: every unacknowledged
 message is part of the snapshot and is re-sent during hardware recovery.
 The protocol is confidence-oblivious — it ignores MDCD dirty bits —
 which is exactly why naively combining it with MDCD loses
-non-contaminated states (paper Fig. 4(a); reproduced by
-``repro.coordination.naive``).
+non-contaminated states (paper Fig. 4(a); reproduced by the
+``Scheme.NAIVE`` system and :mod:`repro.experiments.scenarios`).
 """
 
 from __future__ import annotations

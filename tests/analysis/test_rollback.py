@@ -1,11 +1,7 @@
-"""Unit tests for rollback-distance aggregation."""
+"""Rollback distances read back from the trace: every
+``FtProcess.restore_from`` records a ``recovery.rollback.<reason>``
+entry, and those entries agree with the recovery managers' own lists."""
 
-from repro.analysis.rollback import (
-    hardware_rollback_distances,
-    per_process_rollback_stats,
-    rollback_stat,
-    software_rollback_distances,
-)
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
 
@@ -20,33 +16,20 @@ def run_with_faults(seed=5, horizon=3000.0):
     return system
 
 
+def traced_distances(system, reason):
+    return [rec.data["distance"]
+            for rec in system.trace.records(f"recovery.rollback.{reason}")]
+
+
 class TestExtraction:
     def test_hardware_distances_match_coordinator(self):
         system = run_with_faults()
-        from_trace = hardware_rollback_distances(system.trace)
+        from_trace = traced_distances(system, "hardware")
         from_coordinator = system.hw_recovery.distances()
         assert sorted(from_trace) == sorted(from_coordinator)
-
-    def test_per_process_filter(self):
-        system = run_with_faults()
-        peer_only = hardware_rollback_distances(system.trace,
-                                                system.peer.process_id)
-        assert len(peer_only) == 1
 
     def test_software_distances_recorded_on_takeover(self):
         system = run_with_faults()
         assert system.sw_recovery.completed
-        distances = software_rollback_distances(system.trace)
+        distances = traced_distances(system, "software")
         assert len(distances) == len(system.sw_recovery.distances)
-
-    def test_rollback_stat_aggregates(self):
-        system = run_with_faults()
-        stat = rollback_stat(system, "hardware")
-        assert stat.count == 3
-        assert stat.mean >= 0
-
-    def test_per_process_stats(self):
-        system = run_with_faults()
-        stats = per_process_rollback_stats(system, "hardware")
-        assert len(stats) == 3
-        assert all(s.count == 1 for s in stats.values())

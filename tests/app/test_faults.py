@@ -7,11 +7,9 @@ from repro.app.faults import (
     HardwareFaultPlan,
     SoftwareFaultInjector,
     SoftwareFaultPlan,
-    poisson_crash_plan,
 )
 from repro.app.versions import LowConfidenceVersion
 from repro.errors import ConfigurationError
-from repro.sim.rng import RngRegistry
 
 
 class TestSoftwareFaultPlan:
@@ -87,26 +85,3 @@ class TestHardwareInjector:
         sim.run()
         assert trace.count("fault.crash") == 1
         assert trace.count("fault.restart") == 1
-
-
-class TestPoissonCrashPlan:
-    def test_zero_rate_gives_no_crashes(self):
-        rng = RngRegistry(1).stream("c")
-        assert poisson_crash_plan(0.0, 1000.0, ["N1"], rng) == []
-
-    def test_negative_rate_rejected(self):
-        rng = RngRegistry(1).stream("c")
-        with pytest.raises(ConfigurationError):
-            poisson_crash_plan(-1.0, 1000.0, ["N1"], rng)
-
-    def test_plans_within_horizon_on_known_nodes(self):
-        rng = RngRegistry(1).stream("c")
-        plans = poisson_crash_plan(0.01, 5000.0, ["N1", "N2"], rng)
-        assert plans
-        assert all(0 <= p.crash_at < 5000.0 for p in plans)
-        assert all(p.node_id in ("N1", "N2") for p in plans)
-
-    def test_rate_roughly_matches(self):
-        rng = RngRegistry(3).stream("c")
-        plans = poisson_crash_plan(0.01, 50_000.0, ["N1"], rng)
-        assert 350 < len(plans) < 650  # ~500 expected

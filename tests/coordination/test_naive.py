@@ -1,8 +1,7 @@
-"""Tests for the naive-combination builder and its characteristic
+"""Tests for the naive combination's wiring and its characteristic
 interference (complements the end-to-end Fig. 4 scenarios)."""
 
-from repro.coordination.naive import build_naive_system
-from repro.coordination.scheme import Scheme
+from repro.coordination.scheme import Scheme, SystemConfig, build_system
 from repro.mdcd.original import OriginalPeerEngine
 from repro.tb.original import OriginalTbEngine
 from repro.types import StableContent
@@ -10,14 +9,17 @@ from repro.types import StableContent
 
 class TestBuilder:
     def test_builds_naive_scheme(self):
-        system = build_naive_system(seed=3, horizon=100.0)
+        system = build_system(scheme=Scheme.NAIVE, seed=3, horizon=100.0)
         assert system.config.scheme is Scheme.NAIVE
         assert isinstance(system.peer.software, OriginalPeerEngine)
         assert isinstance(system.peer.hardware, OriginalTbEngine)
 
     def test_overrides_cannot_change_scheme(self):
-        system = build_naive_system(seed=3, horizon=100.0)
+        # A keyword override replaces the config's scheme.
+        system = build_system(SystemConfig(scheme=Scheme.COORDINATED, seed=3,
+                                           horizon=100.0), scheme=Scheme.NAIVE)
         assert system.config.scheme is Scheme.NAIVE
+        assert isinstance(system.peer.hardware, OriginalTbEngine)
 
 
 class TestInterference:
@@ -25,7 +27,6 @@ class TestInterference:
         """The defining flaw: the original TB saves the *current* state
         even when the dirty bit says it is potentially contaminated."""
         from repro.app.workload import WorkloadConfig
-        from repro.coordination.scheme import SystemConfig, build_system
         from repro.tb.blocking import TbConfig
         horizon = 500.0
         system = build_system(SystemConfig(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.coordination.scheme import Scheme, System, SystemConfig, build_system
 from repro.mdcd.original import OriginalActiveEngine
-from repro.coordination.naive import build_naive_system
 from repro.coordination.write_through import WriteThroughEngine
 from repro.tb.adapted import AdaptedTbEngine
 from repro.tb.original import OriginalTbEngine
@@ -34,7 +33,7 @@ class TestWiring:
         assert system.hw_recovery is not None
 
     def test_naive_uses_original_both(self):
-        system = build_naive_system()
+        system = build_system(scheme=Scheme.NAIVE)
         assert isinstance(system.active.software, OriginalActiveEngine)
         assert isinstance(system.active.hardware, OriginalTbEngine)
 

@@ -20,7 +20,7 @@ from repro.live.loop import LiveScheduler
 from repro.live.storage import FileStableStore
 from repro.live.transport import LiveTransport
 from repro.messages.message import Message
-from repro.runtime import Endpoint, TimerService
+from repro.runtime import Endpoint, EventPriority, TimerService
 from repro.runtime.script import ScriptOp, WorkloadScript, smoke_script, \
     topology_script
 from repro.runtime.sim_backend import SimBackend
@@ -359,3 +359,55 @@ class TestTimerResyncConformance:
         timers = TimerService(scheduler, clock)
         with pytest.raises(SchedulingError):
             timers.set_alarm_after(-1.0, lambda: None)
+
+
+# ----------------------------------------------------------------------
+# port conformance: both schedulers order and cancel events alike
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["sim", "live"])
+def scheduler_substrate(request):
+    if request.param == "sim":
+        from repro.runtime import Simulator
+        sim = Simulator()
+        return sim, lambda until: sim.run(until=until)
+
+    scheduler = LiveScheduler(WallClock())
+
+    def advance(until):
+        import time
+        while scheduler.now < until:
+            scheduler.run_due()
+            time.sleep(0.005)
+    return scheduler, advance
+
+
+class TestSchedulerConformance:
+    def test_same_instant_fires_by_priority_then_insertion(
+            self, scheduler_substrate):
+        scheduler, advance = scheduler_substrate
+        due = scheduler.now + 0.05
+        fired = []
+        for label, priority in (("c1", EventPriority.CONTROL),
+                                ("a1", EventPriority.ACTION),
+                                ("d1", EventPriority.DELIVERY),
+                                ("a2", EventPriority.ACTION),
+                                ("t1", EventPriority.TIMER),
+                                ("d2", EventPriority.DELIVERY)):
+            scheduler.schedule_at(due, fired.append, args=(label,),
+                                  priority=priority, label=label)
+        advance(due + 0.1)
+        assert fired == ["d1", "d2", "t1", "a1", "a2", "c1"]
+
+    def test_cancelled_event_never_fires(self, scheduler_substrate):
+        scheduler, advance = scheduler_substrate
+        due = scheduler.now + 0.05
+        fired = []
+        events = scheduler.schedule_many(
+            [(due, fired.append, (label,), EventPriority.ACTION, label)
+             for label in ("a", "b", "c")])
+        events[1].cancel()
+        events[1].cancel()
+        scheduler.schedule_after(0.02, events[2].cancel,
+                                 priority=EventPriority.CONTROL)
+        advance(due + 0.1)
+        assert fired == ["a"]

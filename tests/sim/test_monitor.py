@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from repro.sim.monitor import CounterSet, RunningStat, TimeWeightedValue, summarize
+from repro.sim.monitor import CounterSet, RunningStat, summarize
 
 
 class TestRunningStat:
@@ -57,28 +57,6 @@ class TestRunningStat:
         assert values == sorted(values, reverse=True)
         assert t_critical_95(29) == pytest.approx(2.045)
         assert t_critical_95(30) == 1.96
-
-
-class TestTimeWeightedValue:
-    def test_constant_signal(self):
-        signal = TimeWeightedValue(2.0, at=0.0)
-        assert signal.integral(10.0) == pytest.approx(20.0)
-        assert signal.mean(10.0) == pytest.approx(2.0)
-
-    def test_step_change(self):
-        signal = TimeWeightedValue(0.0, at=0.0)
-        signal.set(1.0, at=4.0)
-        assert signal.integral(10.0) == pytest.approx(6.0)
-        assert signal.mean(10.0) == pytest.approx(0.6)
-
-    def test_value_tracks_current(self):
-        signal = TimeWeightedValue(0.0, at=0.0)
-        signal.set(3.0, at=1.0)
-        assert signal.value == 3.0
-
-    def test_zero_span_mean_returns_value(self):
-        signal = TimeWeightedValue(7.0, at=5.0)
-        assert signal.mean(5.0) == 7.0
 
 
 class TestCounterSet:

@@ -6,6 +6,8 @@ from conftest import EXTERNAL, INTERNAL, action, run_to
 
 from repro.app.faults import HardwareFaultPlan
 from repro.coordination.scheme import Scheme
+from repro.errors import RecoveryError
+from repro.tb.hardware_recovery import agree_line, line_report
 
 
 def crash_and_recover(system, node="N2", at=25.0, repair=1.0, until=40.0):
@@ -133,9 +135,61 @@ class TestRepeatedCrashes:
         assert len(system.hw_recovery.distances()) == 9
         assert all(d >= 0 for d in system.hw_recovery.distances())
 
-    def test_distances_by_process_grouping(self, tb_system):
-        system = tb_system(interval=10.0, horizon=100.0)
-        crash_and_recover(system, at=25.0, until=100.0)
-        grouped = system.hw_recovery.distances_by_process()
-        assert len(grouped) == 3
-        assert all(len(v) == 1 for v in grouped.values())
+
+class TestLineAgreement:
+    def test_line_is_min_epoch_and_boundary_the_max_reported(self):
+        assert agree_line([("a", 4, 7), ("b", 3, None), ("c", 5, 8)]) == (3, 8)
+
+    def test_no_timer_anywhere_agrees_no_boundary(self):
+        assert agree_line([("a", 2, None), ("b", 2, None)]) == (2, None)
+
+    def test_missing_genesis_raises(self):
+        with pytest.raises(RecoveryError, match="b has no stable checkpoint"):
+            agree_line([("a", 2, 5), ("b", None, 5)])
+
+    def test_reports_read_the_chain_and_the_engine(self, tb_system):
+        system = tb_system(interval=10.0)
+        run_to(system, 25.0)
+        for proc in system.process_list():
+            assert line_report(proc) == (
+                proc.process_id, 2, proc.hardware.next_boundary_index())
+
+    def test_write_through_reports_no_boundary(self, tb_system):
+        system = tb_system(scheme=Scheme.WRITE_THROUGH)
+        assert line_report(system.peer) == (system.peer.process_id, 0, None)
+
+
+class TestLongOutage:
+    def test_fallback_keeps_the_restored_checkpoint(self):
+        """An outage longer than the retained history: component 1's
+        processes no longer hold the line's epoch and fall back to their
+        oldest retained checkpoint.  That checkpoint must survive the
+        discard of the abandoned timeline, or the next crash finds a
+        chain with nothing in it."""
+        from repro.coordination.scheme import SystemConfig, build_system
+        from repro.tb.blocking import TbConfig
+        system = build_system(SystemConfig(scheme=Scheme.COORDINATED, seed=3,
+                                           horizon=400.0,
+                                           tb=TbConfig(interval=20.0)))
+        restored = []
+
+        def on_record(rec):
+            if rec.category == "recovery.rollback.hardware":
+                restored.append((rec.process, rec.data["epoch"]))
+                return
+            for process_id, epoch in restored:
+                proc = system.members[process_id]
+                assert epoch in proc.node.stable.epochs(process_id)
+            restored.clear()
+
+        system.trace.subscribe(on_record, names=(
+            "recovery.rollback.hardware", "recovery.hardware.done"))
+        system.inject_crash(HardwareFaultPlan(node_id="N2", crash_at=200.0,
+                                              repair_time=45.0))
+        system.inject_crash(HardwareFaultPlan(node_id="N2", crash_at=247.0,
+                                              repair_time=1.0))
+        system.run()
+        assert system.hw_recovery.recoveries == 2
+        fallbacks = sum(proc.counters.get("recovery.line_fallback")
+                        for proc in system.process_list())
+        assert fallbacks >= 1
