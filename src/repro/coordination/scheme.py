@@ -28,9 +28,11 @@ draws, process and acceptance-test instantiation — so every paper-shape
 run, and in particular the pinned Fig. 6 golden digests, is bit-for-bit
 identical to the pre-topology builder.  Which MDCD engines and which
 recovery manager a membership gets is decided in one place,
-:mod:`repro.coordination.wiring`; non-paper topologies require a
-coordinated scheme (the topology engines generalize the modified MDCD
-algorithms with per-source provenance).
+:mod:`repro.coordination.wiring`: every scheme runs the
+:mod:`repro.topology.engines` family, with the paper's modifications on
+iff :attr:`Scheme.uses_modified_mdcd` ("original MDCD" above is that
+family with them off).  Non-paper topologies require a coordinated
+scheme.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class Scheme(enum.Enum):
 
     @property
     def uses_modified_mdcd(self) -> bool:
-        """Whether the scheme runs the Appendix A (modified) algorithms."""
+        """Whether the scheme runs the Appendix A (modified) algorithms;
+        the MDCD engines' ``modified`` switch."""
         return self in (Scheme.COORDINATED, Scheme.COORDINATED_NO_SWAP)
 
 

@@ -1,19 +1,20 @@
 """What a topology member runs — decided here and nowhere else.
 
-One MDCD engine family serves the coordinated schemes on every
-membership: the per-source-provenance engines
-(:mod:`repro.topology.engines`), which on ``Topology.paper()`` are the
-modified algorithms of Appendix A.  The uncoordinated paper baselines
-(naive, write-through) run the original protocol's ``Original*``
-engines (:mod:`repro.mdcd.original`).  The sim builder
+One MDCD engine family serves every scheme on every membership: the
+per-source-provenance engines (:mod:`repro.topology.engines`).  The
+scheme sets their ``modified`` switch: on ``Topology.paper()`` the
+coordinated schemes run the modified algorithms of Appendix A, and the
+uncoordinated baselines (naive, write-through, MDCD-only) the original
+protocol of Section 2.1.  The sim builder
 (:class:`~repro.coordination.scheme.System`) and the live agent
 (:class:`~repro.live.agent.LiveAgent`) both wire a member through
 :func:`software_engine`, so the two backends cannot disagree on the
 engine class or its audiences; the engine a promoted shadow switches to
 follows from its shadow engine (``takeover_engine()``), and the one
 recovery manager that promotes it from :func:`recovery_manager`.  This
-module is the only reader of ``Topology.is_paper``: it picks the
-uncoordinated schemes' engines and the paper peer's route list.
+module is the only reader of ``Topology.is_paper``: it confines the
+uncoordinated schemes to the paper shape and picks the paper peer's
+route list.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..app.acceptance import AcceptanceTest, AcceptanceTestConfig
-from ..mdcd.original import (OriginalActiveEngine, OriginalPeerEngine,
-                             OriginalShadowEngine)
 from ..topology.engines import (TopologyActiveEngine, TopologyPeerEngine,
                                 TopologyShadowEngine)
 from ..topology.model import Member, MemberKind, Topology
@@ -59,22 +58,17 @@ def software_engine(topology: Topology, member: Member, scheme, process,
 
     kind = member.kind
     peers = _pids(topology.peers())
-    if not scheme.uses_modified_mdcd:
-        if kind is MemberKind.ACTIVE:
-            shadow, = _pids(topology.shadows_of(member.component))
-            return OriginalActiveEngine(process, acceptance_test(),
-                                        peer=peers[0], shadow=shadow)
-        if kind is MemberKind.SHADOW:
-            return OriginalShadowEngine(process)
-        return OriginalPeerEngine(process, acceptance_test())
+    modified = scheme.uses_modified_mdcd
     if kind is MemberKind.ACTIVE:
         return TopologyActiveEngine(
             process, acceptance_test(),
-            shadows=_pids(topology.shadows_of(member.component)), peers=peers)
+            shadows=_pids(topology.shadows_of(member.component)), peers=peers,
+            modified=modified)
     if kind is MemberKind.SHADOW:
         active = topology.active_of(member.component)
         return TopologyShadowEngine(
-            process, active_id=ProcessId(active.role_id), peers=peers)
+            process, active_id=ProcessId(active.role_id), peers=peers,
+            modified=modified)
     if topology.is_paper:
         routes = [_pids(topology.component_members(1))]
     else:
@@ -83,7 +77,8 @@ def software_engine(topology: Topology, member: Member, scheme, process,
         process, acceptance_test(), active_ids=_pids(topology.actives()),
         routes=routes,
         notification_recipients=[pid for pid in _pids(topology.members)
-                                 if pid != process.process_id])
+                                 if pid != process.process_id],
+        modified=modified)
 
 
 def recovery_manager(topology: Topology, members: Dict[str, object],

@@ -30,8 +30,6 @@ class WriteThroughEngine:
     so it is a drop-in alternative.
     """
 
-    variant = "write-through"
-
     def __init__(self, process) -> None:
         self.process = process
         #: Epoch counter: one per stable save, to align recovery lines.

@@ -1,10 +1,12 @@
 """Common machinery for the MDCD protocol engines.
 
 Each of the paper's three process roles has its own error-containment
-algorithm (Appendix A); the engines share bookkeeping: acceptance-test
-execution, validity-view updates on the journals, the ``Ndc`` gate for
-"passed AT" notifications, and a validation-event hook that the
-write-through baseline uses to trigger stable Type-2 saves.
+algorithm (Section 2.1, and its modified form in Appendix A); the
+engines share bookkeeping: acceptance-test execution, validity-view
+updates on the journals, the two helpers that are the modifications'
+switch points (the ``Ndc`` piggyback and the Type-2 checkpoint), the
+``Ndc`` gate for "passed AT" notifications, and a validation-event hook
+that the write-through baseline uses to trigger stable Type-2 saves.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, List, Optional
 from ..app.acceptance import AcceptanceTest
 from ..app.workload import Action
 from ..messages.message import Message
-from ..types import ProcessId
+from ..types import CheckpointKind, ProcessId
 
 
 class MdcdEngineBase:
@@ -26,20 +28,23 @@ class MdcdEngineBase:
         The hosting :class:`~repro.host.FtProcess`.
     at:
         The acceptance test (roles that validate external messages).
-    ndc_gating:
-        Whether "passed AT" handling compares the piggybacked stable
-        checkpoint epoch ``Ndc`` with the local one (the modified
-        protocol's rule; the original protocol has no ``Ndc``).
+    modified:
+        Whether the engine runs the paper's modified algorithms
+        (Section 3, Appendix A) rather than the original protocol of
+        Section 2.1, which has no pseudo checkpoints, keeps Type-2
+        checkpoints and knows no ``Ndc``.  The coordinated schemes run
+        modified; the uncoordinated baselines do not.
     """
 
-    #: Human-readable protocol variant tag, overridden by subclasses.
-    variant = "mdcd"
-
-    def __init__(self, process, at: Optional[AcceptanceTest] = None,
-                 ndc_gating: bool = False) -> None:
+    def __init__(self, process, at: Optional[AcceptanceTest] = None, *,
+                 modified: bool) -> None:
         self.process = process
         self.at = at
-        self.ndc_gating = ndc_gating
+        self.modified = modified
+        #: Whether "passed AT" handling compares the piggybacked stable
+        #: checkpoint epoch ``Ndc`` with the local one (the modified
+        #: protocol's rule; Ablation 2 turns it off on a modified engine).
+        self.ndc_gating = modified
         self._validation_listeners: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
@@ -113,6 +118,18 @@ class MdcdEngineBase:
         if not self.ndc_gating:
             return True
         return message.ndc == self.process.current_ndc()
+
+    def piggyback_ndc(self) -> Optional[int]:
+        """The ``Ndc`` an outgoing message carries: the local epoch
+        under the modified protocol, none under the original."""
+        return self.process.current_ndc() if self.modified else None
+
+    def take_type2(self) -> None:
+        """The original protocol's Type-2 checkpoint, right after a
+        potentially contaminated state is validated; the modified
+        protocol drops it."""
+        if not self.modified:
+            self.process.take_volatile_checkpoint(CheckpointKind.TYPE_2)
 
     def run_acceptance_test(self, payload) -> bool:
         """Run the AT and trace the outcome."""

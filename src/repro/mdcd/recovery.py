@@ -46,10 +46,10 @@ class TakeoverEngine(MdcdEngineBase):
     protocol behaves like its original version.
     """
 
-    variant = "mdcd-takeover"
-
     def __init__(self, process, peers: List[ProcessId]) -> None:
-        super().__init__(process, at=None, ndc_gating=True)
+        # Ndc-gated under every scheme; a promoted shadow takes no
+        # pseudo or Type-2 checkpoints either way.
+        super().__init__(process, at=None, modified=True)
         self.peers = list(peers)
         process.mdcd.guarded = False
         process.mdcd.dirty_bit = 0
@@ -144,7 +144,7 @@ def promote_shadow(shadow) -> Tuple[int, int]:
 def drop_recipient(engine, dead_id: ProcessId) -> None:
     """Stop ``engine`` addressing ``dead_id``, whichever recipient
     lists its family keeps (a peer's ``routes`` are recipient groups)."""
-    for attr in ("component1_recipients", "shadows", "peers",
+    for attr in ("shadows", "peers",
                  "notification_recipients"):
         pids = getattr(engine, attr, None)
         if pids is not None:

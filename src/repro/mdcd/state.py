@@ -1,9 +1,11 @@
 """MDCD per-process knowledge state.
 
-These are the variables the paper's algorithms (Appendix A) read and
-write: the dirty bit, ``P1_act``'s pseudo dirty bit, the shadow's valid
-message register ``VR``, and the peers' record of ``P1_act``'s message
-sequence number.  The state is plain data and is included in every
+These are the variables the paper's algorithms (Section 2.1 and
+Appendix A) read and write: the dirty bit, ``P1_act``'s pseudo dirty
+bit, the shadow's valid message register ``VR``, and the peers'
+per-source provenance maps (on the paper's three processes, one entry:
+``P2``'s record of ``P1_act``'s message sequence number).  Every scheme
+keeps the same fields; the state is plain data and is included in every
 checkpoint, so rollback restores the knowledge a process had at
 checkpoint time.
 """
@@ -34,11 +36,6 @@ class MdcdState:
         The shadow's valid message register ``VR``: the highest
         ``P1_act`` sequence number known valid.  ``None`` before any
         validation.
-    msg_sn_p1act:
-        ``P2``'s record, under the original protocol, of the last
-        ``P1_act`` message sequence number it received — the value
-        ``P2`` piggybacks on its own "passed AT" broadcasts (the
-        coordinated peers keep it per source, ``msg_sn_map``).
     guarded:
         Whether guarded operation is in effect.  After a shadow takeover
         (or a completed upgrade) MDCD "goes on leave": every dirty bit
@@ -49,17 +46,15 @@ class MdcdState:
     dirty_bit: int = 0
     pseudo_dirty_bit: int = 0
     vr: Optional[int] = None
-    msg_sn_p1act: int = 0
     guarded: bool = True
-    #: Per-source contamination provenance (the coordinated schemes'
-    #: peers): guarded active role id -> highest sequence number of
-    #: that active influencing this process's state, directly or
-    #: transitively.  ``None``/empty while clean.  On the paper's three
-    #: processes it has one entry, ``P1_act``; the original protocol
-    #: (uncoordinated baselines) leaves it unused.
+    #: Per-source contamination provenance (the peers): guarded active
+    #: role id -> highest sequence number of that active influencing
+    #: this process's state, directly or transitively.  ``None``/empty
+    #: while clean.  On the paper's three processes it has one entry,
+    #: ``P1_act``.
     taint_map: Optional[dict] = None
-    #: Per-source valid-bound registers (the coordinated schemes'
-    #: peers): the highest certified sequence number per guarded active.
+    #: Per-source valid-bound registers (the peers): the highest
+    #: certified sequence number per guarded active.
     vr_map: Optional[dict] = None
     #: Per-source record of the last sequence number received from each
     #: guarded active (the value peers merge into their own "passed AT"

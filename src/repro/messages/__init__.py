@@ -2,7 +2,7 @@
 
 from .log import LogEntry, MessageLog
 from .message import DEVICE, Message, passed_at_notification
-from .sequence import AckTracker, ReceiveDeduplicator, SequenceAllocator, latest_sn
+from .sequence import AckTracker, ReceiveDeduplicator, SequenceAllocator
 
 __all__ = [
     "AckTracker",
@@ -12,6 +12,5 @@ __all__ = [
     "MessageLog",
     "ReceiveDeduplicator",
     "SequenceAllocator",
-    "latest_sn",
     "passed_at_notification",
 ]

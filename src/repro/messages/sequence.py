@@ -10,9 +10,8 @@ processed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
-from ..types import ProcessId
 from .message import Message
 
 
@@ -110,14 +109,3 @@ class ReceiveDeduplicator:
     def __len__(self) -> int:
         return len(self._seen)
 
-
-def latest_sn(messages: Iterable[Message], sender: Optional[ProcessId] = None) -> Optional[int]:
-    """Highest sequence number among ``messages`` (optionally filtered by
-    sender); ``None`` if there is none.  Convenience for checkers."""
-    best: Optional[int] = None
-    for m in messages:
-        if sender is not None and m.sender != sender:
-            continue
-        if m.sn is not None and (best is None or m.sn > best):
-            best = m.sn
-    return best

@@ -44,8 +44,6 @@ from .base import PendingEstablishment, TbEngineBase
 class AdaptedTbEngine(TbEngineBase):
     """The coordination-aware engine."""
 
-    variant = "tb-adapted"
-
     def should_buffer(self, message: Message) -> bool:
         """Block everything except "passed AT" notifications — the
         adapted protocol monitors confidence changes mid-blocking."""

@@ -60,8 +60,6 @@ class TbEngineBase:
         for timer resynchronization.
     """
 
-    variant = "tb"
-
     def __init__(self, process, config: TbConfig, clock_config: ClockConfig,
                  net_config: NetworkConfig, resync=None) -> None:
         self.process = process

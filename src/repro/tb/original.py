@@ -22,8 +22,6 @@ from .base import PendingEstablishment, TbEngineBase
 class OriginalTbEngine(TbEngineBase):
     """The unmodified Neves-Fuchs engine."""
 
-    variant = "tb-original"
-
     def should_buffer(self, message: Message) -> bool:
         """The original protocol blocks every message during a blocking
         period — including "passed AT" notifications, which is one half

@@ -9,11 +9,18 @@ dirty message piggybacks its sender's map; a validation broadcasts a
 and a journal record validated — **iff every entry of the relevant
 taint map is covered by the bound map**.
 
-These are the coordinated schemes' engines on every membership, the
-paper's three processes included: with one guarded component the map
-has one entry and the rules reduce to the modified MDCD algorithms of
+These are every scheme's engines on every membership, the paper's
+three processes included: with one guarded component the map has one
+entry and the rules reduce to the modified MDCD algorithms of
 Appendix A (Figs. 8-10) — pseudo checkpoints, no Type-2, ``Ndc``-gated
-"passed AT" handling.
+"passed AT" handling.  With the modifications off (``modified=False``,
+the uncoordinated baselines) they are the original protocol of
+Section 2.1 (Fig. 1): no pseudo bit, a Type-2 checkpoint whenever a
+validation cleans a contaminated state, and no ``Ndc`` on the wire.
+The engines read ``modified`` only there (``take_type2``,
+``piggyback_ndc`` and the pseudo checkpoint below); the fourth
+modification, notifications monitored during blocking, is the adapted
+TB engine's.
 
 Interaction shape.  Guarded components are *ingress* points: each
 active produces traffic into the unguarded peer mesh (stimulus-routed,
@@ -71,11 +78,10 @@ class TopologyActiveEngine(MdcdEngineBase):
     ``current-state`` stable checkpoint of an unvalidated state.
     """
 
-    variant = "mdcd-topology"
-
     def __init__(self, process, at: AcceptanceTest,
-                 shadows: List[ProcessId], peers: List[ProcessId]) -> None:
-        super().__init__(process, at=at, ndc_gating=True)
+                 shadows: List[ProcessId], peers: List[ProcessId],
+                 modified: bool) -> None:
+        super().__init__(process, at=at, modified=modified)
         self.member_id = str(process.process_id)
         self.shadows = list(shadows)
         self.peers = list(peers)
@@ -85,8 +91,10 @@ class TopologyActiveEngine(MdcdEngineBase):
 
     def on_send_internal(self, action: Action) -> None:
         """Pseudo-checkpoint before the first internal send of a
-        suspicion window, then send dirty to the routed peer."""
-        if self.mdcd.pseudo_dirty_bit == 0:
+        suspicion window (modified protocol only), then send dirty to
+        the routed peer."""
+        pseudo = self.modified and self.mdcd.pseudo_dirty_bit == 0
+        if pseudo:
             # Before the production itself (a faulty version contaminates
             # the state while computing the message, and the pseudo
             # checkpoint anchors the last *validated* state) and before
@@ -95,12 +103,12 @@ class TopologyActiveEngine(MdcdEngineBase):
             self.process.take_volatile_checkpoint(
                 CheckpointKind.PSEUDO, meta={"trigger": "first-internal-send"})
         payload = self.process.component.produce_internal(action.stimulus)
-        if self.mdcd.pseudo_dirty_bit == 0:
+        if pseudo:
             self.set_pseudo_dirty(1, reason="internal-send")
         sn = self.process.sn.allocate()
         self.process.send_internal(payload, [route(action.stimulus, self.peers)],
                                    sn=sn, dirty_bit=1, validated=False,
-                                   ndc=self.process.current_ndc())
+                                   ndc=self.piggyback_ndc())
 
     def on_send_external(self, action: Action) -> None:
         """AT-test; on success broadcast the validation — with this
@@ -119,7 +127,7 @@ class TopologyActiveEngine(MdcdEngineBase):
         self.validate_knowledge(bound, source=self.process.process_id)
         self.process.send_external(payload, validated=True)
         self.process.send_passed_at(self.shadows + self.peers, msg_sn=bound,
-                                    ndc=self.process.current_ndc(),
+                                    ndc=self.piggyback_ndc(),
                                     bound_map={self.member_id: bound})
         self._notify_validation(type2=True)
 
@@ -161,11 +169,9 @@ class TopologyShadowEngine(MdcdEngineBase):
     from any validation whose bound map covers its own active.
     """
 
-    variant = "mdcd-topology"
-
     def __init__(self, process, active_id: ProcessId,
-                 peers: List[ProcessId]) -> None:
-        super().__init__(process, at=None, ndc_gating=True)
+                 peers: List[ProcessId], modified: bool) -> None:
+        super().__init__(process, at=None, modified=modified)
         self.active_id = str(active_id)
         self.peers = list(peers)
 
@@ -203,7 +209,8 @@ class TopologyShadowEngine(MdcdEngineBase):
     def on_passed_at(self, message: Message) -> None:
         """Ndc-gated: advance ``VR`` monotonically from the bound map's
         entry for this shadow's active, reclaim the log up to it, clean
-        the dirty bit and validate the journals; no Type-2."""
+        the dirty bit and validate the journals; Type-2 only under the
+        original protocol, when previously contaminated."""
         if not self.ndc_matches(message):
             self.process.counters.bump("passed_at.ndc_mismatch")
             return
@@ -218,6 +225,8 @@ class TopologyShadowEngine(MdcdEngineBase):
         was_dirty = self.mdcd.dirty_bit == 1
         self.set_dirty(0, reason="passed-at")
         self.validate_knowledge(bound, source=self.active_id)
+        if was_dirty:
+            self.take_type2()
         self._notify_validation(type2=was_dirty)
 
     def on_incoming_app(self, message: Message) -> None:
@@ -241,13 +250,12 @@ class TopologyPeerEngine(MdcdEngineBase):
     passes (the paper's Fig. 10, per source).
     """
 
-    variant = "mdcd-topology"
-
     def __init__(self, process, at: AcceptanceTest,
                  active_ids: List[ProcessId],
                  routes: List[List[ProcessId]],
-                 notification_recipients: List[ProcessId]) -> None:
-        super().__init__(process, at=at, ndc_gating=True)
+                 notification_recipients: List[ProcessId],
+                 modified: bool) -> None:
+        super().__init__(process, at=at, modified=modified)
         self.active_ids = {str(pid) for pid in active_ids}
         #: Recipient groups of internal sends, picked by stimulus.
         self.routes = [list(group) for group in routes]
@@ -352,12 +360,13 @@ class TopologyPeerEngine(MdcdEngineBase):
         self.process.send_internal(
             payload, list(route(action.stimulus, self.routes)),
             sn=None, dirty_bit=dirty, validated=(dirty == 0),
-            ndc=self.process.current_ndc(),
+            ndc=self.piggyback_ndc(),
             taint_map=self._taint() if dirty else None)
 
     def on_send_external(self, action: Action) -> None:
-        """AT-test while dirty; on success certify the whole frontier
-        and broadcast its bound map."""
+        """AT-test while dirty; on success certify the whole frontier,
+        broadcast its bound map and (original protocol) take the
+        Type-2 checkpoint."""
         payload = self.process.component.produce_external(action.stimulus)
         if self.mdcd.dirty_bit == 1:
             if not self.run_acceptance_test(payload):
@@ -372,13 +381,15 @@ class TopologyPeerEngine(MdcdEngineBase):
             self.process.send_external(payload, validated=True)
             self.process.send_passed_at(
                 list(self.notification_recipients), msg_sn=None,
-                ndc=self.process.current_ndc(), bound_map=bounds)
+                ndc=self.piggyback_ndc(), bound_map=bounds)
+            self.take_type2()
             self._notify_validation(type2=True)
         else:
             self.process.send_external(payload, validated=True)
 
     def on_passed_at(self, message: Message) -> None:
-        """Ndc-gated per-source validation."""
+        """Ndc-gated per-source validation (Type-2 under the original
+        protocol when it cleans a contaminated state)."""
         if not self.ndc_matches(message):
             self.process.counters.bump("passed_at.ndc_mismatch")
             return
@@ -389,6 +400,8 @@ class TopologyPeerEngine(MdcdEngineBase):
         for src, sn in bounds.items():
             self._note_source_sn(src, sn)
         cleaned = self.apply_validation(bounds)
+        if cleaned:
+            self.take_type2()
         self._notify_validation(type2=cleaned)
 
     def on_incoming_app(self, message: Message) -> None:

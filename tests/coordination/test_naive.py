@@ -2,8 +2,8 @@
 interference (complements the end-to-end Fig. 4 scenarios)."""
 
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
-from repro.mdcd.original import OriginalPeerEngine
 from repro.tb.original import OriginalTbEngine
+from repro.topology.engines import TopologyPeerEngine
 from repro.types import StableContent
 
 
@@ -11,7 +11,7 @@ class TestBuilder:
     def test_builds_naive_scheme(self):
         system = build_system(scheme=Scheme.NAIVE, seed=3, horizon=100.0)
         assert system.config.scheme is Scheme.NAIVE
-        assert isinstance(system.peer.software, OriginalPeerEngine)
+        assert isinstance(system.peer.software, TopologyPeerEngine)
         assert isinstance(system.peer.hardware, OriginalTbEngine)
 
     def test_overrides_cannot_change_scheme(self):

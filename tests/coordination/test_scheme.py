@@ -3,7 +3,6 @@
 import pytest
 
 from repro.coordination.scheme import Scheme, System, SystemConfig, build_system
-from repro.mdcd.original import OriginalActiveEngine
 from repro.coordination.write_through import WriteThroughEngine
 from repro.tb.adapted import AdaptedTbEngine
 from repro.tb.original import OriginalTbEngine
@@ -34,12 +33,12 @@ class TestWiring:
 
     def test_naive_uses_original_both(self):
         system = build_system(scheme=Scheme.NAIVE)
-        assert isinstance(system.active.software, OriginalActiveEngine)
+        assert isinstance(system.active.software, TopologyActiveEngine)
         assert isinstance(system.active.hardware, OriginalTbEngine)
 
     def test_write_through_engine(self):
         system = build_system(SystemConfig(scheme=Scheme.WRITE_THROUGH))
-        assert isinstance(system.active.software, OriginalActiveEngine)
+        assert isinstance(system.active.software, TopologyActiveEngine)
         assert isinstance(system.active.hardware, WriteThroughEngine)
         assert system.resync is None
 

@@ -16,8 +16,8 @@ from repro.topology.recovery import TopologyRecoveryManager
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 #: Every recipient collection an engine family keeps.
-AUDIENCES = ("peer", "shadow", "component1_recipients", "shadows", "peers",
-             "active_id", "active_ids", "routes", "notification_recipients")
+AUDIENCES = ("shadows", "peers", "active_id", "active_ids", "routes",
+             "notification_recipients")
 
 KINDS = ("Active", "Shadow", "Peer")
 
@@ -59,19 +59,23 @@ def test_sim_and_live_wire_every_member_alike(spec, live_agent, tmp_path):
         assert agent.node.node_id == member.node_id
         assert wiring(agent.process.software) == wiring(sim_engine), \
             member.role_id
+        assert agent.process.software.modified is \
+            Scheme.COORDINATED.uses_modified_mdcd
         if hasattr(sim_engine, "takeover_engine"):
             assert wiring(agent.process.software.takeover_engine()) == \
                 wiring(sim_engine.takeover_engine())
 
 
 @pytest.mark.parametrize("scheme, family", [
-    (Scheme.NAIVE, "Original"), (Scheme.WRITE_THROUGH, "Original"),
-    (Scheme.MDCD_ONLY, "Original"), (Scheme.COORDINATED, "Topology"),
+    (Scheme.NAIVE, "Topology"), (Scheme.WRITE_THROUGH, "Topology"),
+    (Scheme.MDCD_ONLY, "Topology"), (Scheme.COORDINATED, "Topology"),
     (Scheme.COORDINATED_NO_SWAP, "Topology")])
 def test_paper_engine_family_follows_the_scheme(scheme, family):
     system = build_system(scheme=scheme, horizon=100.0)
     assert [type(proc.software).__name__ for proc in system.process_list()] \
         == [f"{family}{kind}Engine" for kind in KINDS]
+    assert all(proc.software.modified is scheme.uses_modified_mdcd
+               for proc in system.process_list())
     assert isinstance(system.sw_recovery, TopologyRecoveryManager)
     assert isinstance(system.shadow.software.takeover_engine(), TakeoverEngine)
 

@@ -1,4 +1,6 @@
-"""Unit tests for the original MDCD engines (paper Section 2.1)."""
+"""Unit tests for the original MDCD protocol (paper Section 2.1): the
+:mod:`repro.topology.engines` family with the modifications off, as an
+uncoordinated scheme wires it."""
 
 from conftest import EXTERNAL, INTERNAL, action, settle
 
@@ -132,7 +134,7 @@ class TestPeerEngine:
         settle(system)
         peer = system.peer
         assert peer.mdcd.dirty_bit == 1
-        assert peer.mdcd.msg_sn_p1act == 1
+        assert peer.mdcd.msg_sn_map == {"P1_act": 1}
         assert peer.counters.get("checkpoint.type-1") == 1
 
     def test_type1_snapshot_predates_contamination(self, manual_system):

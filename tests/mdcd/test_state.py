@@ -9,5 +9,4 @@ class TestDefaults:
         assert state.dirty_bit == 0
         assert state.pseudo_dirty_bit == 0
         assert state.vr is None
-        assert state.msg_sn_p1act == 0
         assert state.guarded

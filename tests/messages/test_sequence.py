@@ -5,7 +5,6 @@ from repro.messages.sequence import (
     AckTracker,
     ReceiveDeduplicator,
     SequenceAllocator,
-    latest_sn,
 )
 from repro.types import MessageKind, ProcessId
 
@@ -96,18 +95,3 @@ class TestDeduplicator:
         dedup.record(early)
         dedup.restore(set())
         assert not dedup.is_duplicate(early)
-
-
-class TestLatestSn:
-    def test_none_when_empty(self):
-        assert latest_sn([]) is None
-
-    def test_highest_overall(self):
-        assert latest_sn([msg(sn=1), msg(sn=9), msg(sn=4)]) == 9
-
-    def test_filter_by_sender(self):
-        msgs = [msg(sn=1, sender="A"), msg(sn=9, sender="C")]
-        assert latest_sn(msgs, sender=ProcessId("A")) == 1
-
-    def test_ignores_null_sns(self):
-        assert latest_sn([msg(sn=None), msg(sn=2)]) == 2
