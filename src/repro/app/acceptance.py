@@ -43,13 +43,15 @@ class AcceptanceTestConfig:
 
 
 class AcceptanceTest:
-    """A stateful AT instance (owns an RNG stream and counters)."""
+    """A stateful AT instance (owns an RNG stream and counters).  The
+    stream is taken on the first draw; a perfect AT never draws."""
 
     def __init__(self, config: AcceptanceTestConfig,
                  rng_registry: RngRegistry, name: str) -> None:
         self.config = config
         self.name = name
-        self._rng = rng_registry.stream(f"at.{name}")
+        self._registry = rng_registry
+        self._rng = None
         #: Monitoring counters.
         self.runs = 0
         self.passes = 0
@@ -79,4 +81,6 @@ class AcceptanceTest:
             return False
         if p >= 1.0:
             return True
+        if self._rng is None:
+            self._rng = self._registry.stream(f"at.{self.name}")
         return self._rng.random() < p

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import random
 from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..sim.events import EventPriority
 from ..sim.kernel import Simulator
-from ..sim.rng import RngRegistry
+from ..sim.rng import RngRegistry, derive_seed
 
 
 class ActionKind(enum.Enum):
@@ -79,9 +80,11 @@ def generate_actions(config: WorkloadConfig, rng_registry: RngRegistry,
 
     Superposes the three Poisson streams by drawing each kind's next
     arrival and merging in time order; gaps are stored relative to the
-    previous action in the merged stream.
+    previous action in the merged stream, drawn from an unregistered
+    local ``workload.<stream_name>`` stream.
     """
-    rng = rng_registry.stream(f"workload.{stream_name}")
+    rng = random.Random(derive_seed(rng_registry.master_seed,
+                                    f"workload.{stream_name}"))
     arrivals = []
     for kind, rate in ((ActionKind.LOCAL_STEP, config.step_rate),
                        (ActionKind.SEND_INTERNAL, config.internal_rate),

@@ -82,7 +82,7 @@ class ForkTemplate:
         #: position before this.
         self.start_position = system.sim.now
         self._dumps: Dict[float, SystemImage] = {}
-        self._trace_seen = collect_shared(self.context, system, auditor)
+        collect_shared(self.context, system, auditor)
         #: Wall-clock spent advancing the reference (shared work).
         self.advance_seconds = 0.0
         #: Wall-clock spent encoding dumps (amortized over forks).
@@ -139,8 +139,7 @@ class ForkTemplate:
                 while self.position < stop and self.clean:
                     self.system.run(until=min(
                         stop, self.position + ADVANCE_CHECK_INTERVAL))
-                self._trace_seen = collect_shared(
-                    self.context, self.system, self.auditor, self._trace_seen)
+                collect_shared(self.context, self.system, self.auditor)
                 self.advance_seconds += time.monotonic() - begin
             if stop < t and self.clean:
                 self.dump()

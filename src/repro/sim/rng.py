@@ -11,6 +11,11 @@ properties the experiments rely on:
   message rate) does not perturb the random draws of unrelated
   components, which sharpens paired comparisons such as
   E[D_co] vs E[D_wt] in Figure 7.
+
+Per name, one consumer and draws fixed by seed and name alone.  A
+stream only drawn at build time (workload action lists) is a local
+``random.Random(derive_seed(master_seed, name))``, never registered,
+so forked systems do not carry it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class RngRegistry:
 
     >>> reg = RngRegistry(master_seed=42)
     >>> a = reg.stream("network")
-    >>> b = reg.stream("workload.P2")
+    >>> b = reg.stream("clock.N2")
     >>> a is reg.stream("network")
     True
     """
@@ -49,12 +54,6 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a new registry whose master seed is derived from this
-        registry's seed and ``name`` — used to give each replication of
-        an experiment campaign its own independent universe."""
-        return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))
 
 
 class BatchedUniform:

@@ -9,6 +9,7 @@ traces, and the figure benches render them as timelines.
 
 from __future__ import annotations
 
+import itertools
 from typing import (Any, Callable, Collection, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -83,6 +84,10 @@ class TraceRecorder:
     hands a record only to the listeners whose names hold its
     category, so the online auditor — which acts on five categories —
     is not called for the thousands of other records a run keeps.
+
+    Records are frozen *segments* (tuples, shared by identity between a
+    fork template and its forks; see :meth:`freeze`) then a private
+    *tail* list; queries read both, in time order.
     """
 
     def __init__(self, enabled: bool = True,
@@ -90,7 +95,8 @@ class TraceRecorder:
         self.enabled = enabled
         self._prefixes: Optional[tuple] = (tuple(categories)
                                            if categories is not None else None)
-        self._records: List[TraceRecord] = []
+        self._segments: Tuple[Tuple[TraceRecord, ...], ...] = ()
+        self._tail: List[TraceRecord] = []
         #: ``(names, listener)`` pairs in subscription order; ``names``
         #: is a frozenset of categories, ``None`` for every record.
         #: Replaced, never mutated, so a listener may unsubscribe while
@@ -144,10 +150,18 @@ class TraceRecorder:
         if prefixes is not None and not category.startswith(prefixes):
             return
         rec = TraceRecord(time, category, process, data)
-        self._records.append(rec)
+        self._tail.append(rec)
         for names, listener in self._listeners:
             if names is None or category in names:
                 listener(rec)
+
+    def freeze(self) -> Tuple[Tuple[TraceRecord, ...], ...]:
+        """Seal the tail (if any) into a new segment, replacing the
+        segments tuple, never extending it; return every segment."""
+        if self._tail:
+            self._segments += (tuple(self._tail),)
+            self._tail.clear()
+        return self._segments
 
     # ------------------------------------------------------------------
     def records(self, category: Optional[str] = None,
@@ -155,40 +169,29 @@ class TraceRecorder:
                 since: Optional[float] = None,
                 until: Optional[float] = None) -> List[TraceRecord]:
         """Filtered view of the trace (category is a prefix match)."""
-        out = []
-        for rec in self._records:
-            if not rec.matches(category, process):
-                continue
-            if since is not None and rec.time < since:
-                continue
-            if until is not None and rec.time > until:
-                continue
-            out.append(rec)
-        return out
+        return [rec for rec in self if rec.matches(category, process)
+                and (since is None or rec.time >= since)
+                and (until is None or rec.time <= until)]
 
     def last(self, category: Optional[str] = None,
              process: Optional[ProcessId] = None) -> Optional[TraceRecord]:
         """Most recent matching record, or ``None``."""
-        for rec in reversed(self._records):
-            if rec.matches(category, process):
-                return rec
-        return None
+        parts = (self._tail, *reversed(self._segments))
+        return next((rec for part in parts for rec in reversed(part)
+                     if rec.matches(category, process)), None)
 
     def count(self, category: Optional[str] = None,
               process: Optional[ProcessId] = None) -> int:
         """Number of matching records."""
-        return sum(1 for rec in self._records if rec.matches(category, process))
-
-    def categories(self) -> List[str]:
-        """Sorted distinct categories present in the trace."""
-        return sorted({rec.category for rec in self._records})
+        return sum(1 for rec in self if rec.matches(category, process))
 
     def clear(self) -> None:
-        """Drop every record kept so far (listeners stay subscribed)."""
-        self._records.clear()
+        """Drop every record (listeners stay); shared segments are let go."""
+        self._segments = ()
+        self._tail.clear()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(map(len, self._segments)) + len(self._tail)
 
     def __iter__(self):
-        return iter(self._records)
+        return itertools.chain(*self._segments, self._tail)

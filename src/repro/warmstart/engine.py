@@ -158,13 +158,12 @@ def build_image_set(config, seed: int,
                           origin="warmstart")
     system, auditor = start_fresh(config, probe, fail_fast=False)
     context = ForkContext()
-    trace_seen = 0
     images: List[SystemImage] = []
     for t in times:
         system.run(until=t)
         if auditor.violated:
             break
-        trace_seen = collect_shared(context, system, auditor, trace_seen)
+        collect_shared(context, system, auditor)
         images.append(capture(system, auditor, context=context))
     return images
 

@@ -15,7 +15,7 @@ counters as the original running uninterrupted, whatever other copies do.
 
 Pickling the whole graph per copy would re-encode hundreds of kilobytes
 every copy shares with the reference it was taken from: the frozen
-configs, the topology, the workload action streams, the trace records
+configs, the topology, the workload action streams, the trace segments
 so far, every already-written checkpoint.  :class:`ForkContext` is the
 table of those *fork-safe* objects: the pickler swaps each for a small
 table reference, the unpickler resolves it back to the very same
@@ -79,15 +79,11 @@ SHARED_STR_MIN = 8
 #: the table's length when the dump was taken.
 _HEADER = struct.Struct(">B8sI")
 
-#: 2: every persistent id is a table index, an RNG stream a
-#: :func:`_thaw_rng` reduce (before: no marker, ``("r", index)`` ids).
-#: 3: packed journal records lost their scalar-provenance slot, so a
-#: format-2 set's checkpoints would unpack shifted.
-#: 4: stores hold no codec instance and section payloads no codec id; a
-#: format-3 dump names the deleted ``PickleCodec`` and would not thaw.
-#: 5: trace records reduce to their four fields (``__slots__``, no
-#: state dict), so a format-4 dump's records would not thaw.
-_FORMAT = 5
+#: Bumped whenever a dumped object changes shape, so an older dump is
+#: refused by its header instead of thawing wrong (DESIGN.md lists the
+#: formats).  6: a trace recorder holds shared segments plus a private
+#: tail, and an acceptance test takes its stream on first draw.
+_FORMAT = 6
 
 
 class ForkContext:
@@ -222,15 +218,12 @@ def _thaw_rng(state: tuple) -> random.Random:
     return rng
 
 
-def collect_shared(context: ForkContext, system, auditor=None,
-                   trace_seen: int = 0) -> int:
+def collect_shared(context: ForkContext, system, auditor=None) -> None:
     """Register everything fork-safe reachable from ``system``.
 
     Called before a reference's first dump and again after every
     advancement (``share`` is idempotent; only genuinely new objects
     append).
-    ``trace_seen`` is how many trace records were already registered;
-    returns the new count so callers can pass it back next time.
 
     What qualifies — and why (the safety argument per class):
 
@@ -238,9 +231,10 @@ def collect_shared(context: ForkContext, system, auditor=None,
       never mutated after construction.
     * workload action lists — built once by ``generate_actions``;
       drivers move a cursor over them, never mutate the list.
-    * trace records — :class:`~repro.sim.trace.TraceRecord` objects
-      are written once and only read afterwards.  (The recorder's
-      *list* grows, so the list itself stays private.)
+    * trace segments — each call seals the recorder's tail into a new
+      segment (:meth:`~repro.sim.trace.TraceRecorder.freeze`), a tuple
+      of records written once and only read afterwards.  The tail list
+      a run appends to stays private.
     * checkpoints — frozen; stores replace/trim entries but never
       mutate a stored checkpoint.  Sharing the checkpoint shares its
       whole payload graph (the dominant bytes), and — every copy now
@@ -253,8 +247,8 @@ def collect_shared(context: ForkContext, system, auditor=None,
       ``_buf`` wholesale (never in place), so the block at fork time is
       final; each fork consumes it through a private index.
     * RNG stream *states* (not the streams) — see
-      :meth:`ForkContext.share_rng`.  The registry's streams cover the
-      clocks' and the network's draws, the bulk of a mid-run dump.
+      :meth:`ForkContext.share_rng`.  The registry holds only streams
+      a run draws from: the clocks', the network's, an imperfect AT's.
     """
     context.share(system.config)
     topology = getattr(system, "topology", None)
@@ -264,8 +258,7 @@ def collect_shared(context: ForkContext, system, auditor=None,
         actions = getattr(process.driver, "_actions", None)
         if actions is not None:
             context.share(actions)
-    records = system.trace._records
-    context.share_all(records[trace_seen:])
+    context.share_all(system.trace.freeze())
     for node in system.nodes.values():
         for chain in (node.volatile._latest.values(),
                       *node.stable._chain.values()):
@@ -306,7 +299,6 @@ def collect_shared(context: ForkContext, system, auditor=None,
     if registry is not None:
         for stream in registry._streams.values():
             context.share_rng(stream)
-    return len(records)
 
 
 @dataclasses.dataclass

@@ -76,3 +76,30 @@ class TestImperfectDetector:
         pa = [a.test(Payload(1, corrupt=True)) for _ in range(50)]
         pb = [b.test(Payload(1, corrupt=True)) for _ in range(50)]
         assert pa == pb
+
+
+class TestLazyStream:
+    def test_imperfect_detector_draws_what_an_eager_stream_would(self):
+        """The stream is taken on the first draw, by name, so the
+        pass/fail sequence is the one an ``at.<name>`` stream taken at
+        construction would have produced."""
+        registry = RngRegistry(13)
+        at = AcceptanceTest(AcceptanceTestConfig(coverage=0.7,
+                                                 false_alarm=0.1),
+                            registry, "P1_act")
+        assert "at.P1_act" not in registry._streams
+        eager = RngRegistry(13).stream("at.P1_act")
+        payloads = [Payload(n, corrupt=n % 3 == 0) for n in range(300)]
+        got = [at.test(payload) for payload in payloads]
+        expected = [not eager.random() < (0.7 if payload.corrupt else 0.1)
+                    for payload in payloads]
+        assert got == expected
+        assert 0 < got.count(False) < len(got)
+        assert registry._streams["at.P1_act"] is at._rng
+
+    def test_perfect_detector_takes_no_stream(self):
+        registry = RngRegistry(13)
+        at = AcceptanceTest(AcceptanceTestConfig(), registry, "P1_act")
+        assert [at.test(Payload(1, corrupt=c)) for c in (True, False)] == \
+            [False, True]
+        assert not registry._streams

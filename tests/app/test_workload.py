@@ -1,5 +1,7 @@
 """Unit tests for workload generation and the replayable driver."""
 
+import hashlib
+
 import pytest
 
 from repro.app.workload import (
@@ -37,6 +39,24 @@ class TestGeneration:
         a = generate_actions(self.config(), RngRegistry(5), "s")
         b = generate_actions(self.config(), RngRegistry(5), "s")
         assert a == b
+
+    #: sha256 of ``index kind gap.hex() stimulus`` lines for stream
+    #: ``component1`` under :meth:`config`, as drawn when the stream
+    #: was the registry's ``workload.component1``.
+    PINNED = {7: (1521, "b6446b9a8701245a7f51b67ed5ac4d21"
+                        "25d35101a9e87916dc5e0096580c5ae5"),
+              23: (1585, "c3ce46f607ec486f9b2ceba52cb9299f"
+                         "8489c824dc2870b013c1ce79a93adbb9")}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_actions_pinned_and_no_stream_registered(self, seed):
+        registry = RngRegistry(seed)
+        actions = generate_actions(self.config(), registry, "component1")
+        text = "\n".join(f"{a.index} {a.kind.value} {a.gap.hex()} "
+                         f"{a.stimulus}" for a in actions)
+        assert (len(actions), hashlib.sha256(text.encode()).hexdigest()) \
+            == self.PINNED[seed]
+        assert not registry._streams
 
     def test_name_gives_independent_streams(self):
         a = generate_actions(self.config(), RngRegistry(5), "s1")

@@ -67,6 +67,13 @@ class TestWiring:
         for proc in system.process_list():
             assert proc.recovery_manager is system.sw_recovery
 
+    def test_build_time_streams_are_not_registered(self):
+        """Workload actions are drawn from local streams and a perfect
+        AT never draws: the registry holds only what a run draws."""
+        system = build_system(SystemConfig())
+        assert sorted(system.rng._streams) == [
+            "clock.N1a", "clock.N1b", "clock.N2", "network"]
+
 
 class TestConfig:
     def test_with_scheme_keeps_everything_else(self):

@@ -117,29 +117,48 @@ class TestCollectShared:
     def test_registers_config_and_prefix_state(self):
         system = _reference_system()
         context = ForkContext()
-        seen = collect_shared(context, system)
+        collect_shared(context, system)
         assert len(context) > 0
-        assert seen == len(system.trace._records)
+        # The prefix is registered as segments: all of it, none left
+        # in the private tail.
+        segments = system.trace._segments
+        assert segments and not system.trace._tail
+        assert sum(map(len, segments)) == len(system.trace)
+        assert all(id(segment) in context._index_by_id
+                   for segment in segments)
 
     def test_incremental_trace_registration(self):
         system = _reference_system(until=30.0)
         context = ForkContext()
-        seen = collect_shared(context, system)
+        collect_shared(context, system)
+        first = system.trace._segments
         before = len(context)
         system.run(until=60.0)
-        seen2 = collect_shared(context, system, trace_seen=seen)
-        assert seen2 == len(system.trace._records) > seen
+        collect_shared(context, system)
+        later = system.trace._segments
+        # One new segment for the stretch since, the old ones kept.
+        assert later[:len(first)] == first and len(later) == len(first) + 1
+        assert all(a is b for a, b in zip(first, later))
+        assert id(later[-1]) in context._index_by_id
         assert len(context) > before
+        # Nothing new recorded: no empty segment, nothing registered.
+        size = len(context)
+        collect_shared(context, system)
+        assert system.trace._segments == later and len(context) == size
 
     def test_forked_copy_shares_trace_records_not_the_list(self):
         system = _reference_system()
         context = ForkContext()
         collect_shared(context, system)
         copy = context.loads(context.dumps({"system": system}))["system"]
-        assert copy.trace._records is not system.trace._records
-        assert all(a is b for a, b in zip(copy.trace._records,
-                                          system.trace._records))
+        assert all(a is b for a, b in zip(copy.trace._segments,
+                                          system.trace._segments))
+        assert copy.trace._tail is not system.trace._tail
         # Suffix records appended to the copy never touch the template.
-        n = len(system.trace._records)
+        segments, n = system.trace._segments, len(system.trace)
         copy.run(until=50.0)
-        assert len(system.trace._records) == n
+        assert copy.trace._tail and len(copy.trace) > n
+        assert system.trace._segments is segments
+        assert len(system.trace) == n and not system.trace._tail
+        assert all(len(a) == len(b) for a, b in zip(copy.trace._segments,
+                                                    segments))

@@ -239,3 +239,55 @@ class TestViolatedReference:
         assert template.dump_at(45.0) is clean
         system, _auditor = template.fork(clean)
         assert system.sim.now == 40.0
+
+
+class TestForkSharesOnlyWhatNoSuffixChanges:
+    def _template(self):
+        template = ForkTemplate.from_reference(SMALL, _crash("seg", 70.0))
+        template.advance_to(30.0, stops=(15.0,))
+        template.advance_to(fork_position(70.0, SMALL.horizon))
+        return template
+
+    def test_forks_hold_the_template_trace_segments_by_identity(self):
+        template = self._template()
+        segments = template.system.trace._segments
+        assert len(segments) >= 2 and not template.system.trace._tail
+        one, _ = template.fork(fail_fast=False)
+        two, _ = template.fork(fail_fast=False)
+        for fork in (one, two):
+            assert len(fork.trace._segments) == len(segments)
+            assert all(a is b for a, b in zip(fork.trace._segments,
+                                              segments))
+        assert one.trace._tail is not two.trace._tail
+
+    def test_a_record_appended_in_one_fork_stays_there(self):
+        template = self._template()
+        one, _ = template.fork(fail_fast=False)
+        two, _ = template.fork(fail_fast=False)
+        size = len(template.system.trace)
+        assert len(one.trace) == len(two.trace) == size
+        one.trace.record(one.sim.now, "fault.private", None, n=1)
+        assert one.trace.count("fault.private") == 1
+        assert len(one.trace) == size + 1
+        for other in (two.trace, template.system.trace):
+            assert other.count("fault.private") == 0
+            assert len(other) == size and not other._tail
+
+    def test_a_paper_topology_fork_thaws_four_streams(self, monkeypatch):
+        """Three clocks and the network: the workload streams are never
+        registered and a perfect AT never takes one."""
+        from repro.warmstart import image as image_module
+        template = self._template()
+        assert SMALL.topology == "paper"
+        dump = template.dump()
+        thawed = []
+        real = image_module._thaw_rng
+
+        def counting(state):
+            thawed.append(state)
+            return real(state)
+        monkeypatch.setattr(image_module, "_thaw_rng", counting)
+        system, _ = template.fork(dump, fail_fast=False)
+        assert len(thawed) == 4
+        assert sorted(system.rng._streams) == [
+            "clock.N1a", "clock.N1b", "clock.N2", "network"]

@@ -47,16 +47,6 @@ class TestRegistry:
         v2 = reg2.stream("signal").random()
         assert v1 == v2
 
-    def test_fork_changes_universe(self):
-        reg = RngRegistry(7)
-        child = reg.fork("rep1")
-        assert child.stream("x").random() != reg.stream("x").random()
-
-    def test_fork_is_deterministic(self):
-        a = RngRegistry(7).fork("rep1").stream("x").random()
-        b = RngRegistry(7).fork("rep1").stream("x").random()
-        assert a == b
-
 
 class TestBatchedUniform:
     def test_bit_for_bit_matches_sequential_uniform(self):

@@ -38,6 +38,53 @@ class TestRecording:
         assert times == [1.0, 2.0, 3.0, 4.0]
 
 
+class TestSegments:
+    """Frozen segments, then the private tail: every query reads both,
+    in time order."""
+
+    def segmented(self):
+        trace = TraceRecorder()
+        trace.record(1.0, "at.pass", ProcessId("P1"))
+        trace.record(2.0, "checkpoint.stable", ProcessId("P2"), epoch=1)
+        trace.freeze()
+        trace.record(3.0, "at.pass", ProcessId("P2"))
+        trace.freeze()
+        trace.record(4.0, "checkpoint.volatile", ProcessId("P1"))
+        trace.record(5.0, "blocking.start", ProcessId("P1"))
+        return trace
+
+    def test_queries_read_segments_then_tail(self):
+        trace = self.segmented()
+        assert [len(seg) for seg in trace._segments] == [2, 1]
+        assert len(trace._tail) == 2
+        assert [rec.time for rec in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert len(trace) == 5
+        assert [rec.time for rec in trace.records("at.")] == [1.0, 3.0]
+        assert [rec.time for rec in trace.records(since=2.0, until=4.0)] \
+            == [2.0, 3.0, 4.0]
+        assert trace.count("at.") == 2 and trace.count(
+            process=ProcessId("P1")) == 3
+        assert trace.last().time == 5.0
+        assert trace.last("at.").time == 3.0
+        assert trace.last(process=ProcessId("P2")).time == 3.0
+        assert trace.last("checkpoint.stable").time == 2.0
+
+    def test_freeze_seals_only_new_records(self):
+        trace = self.segmented()
+        segments = trace.freeze()
+        assert [len(seg) for seg in segments] == [2, 1, 2]
+        assert not trace._tail
+        assert trace.freeze() is segments          # nothing new: no segment
+        assert [rec.time for rec in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_clear_lets_go_of_segments_without_emptying_them(self):
+        trace = self.segmented()
+        segments = trace._segments
+        trace.clear()
+        assert len(trace) == 0 and list(trace) == []
+        assert [len(seg) for seg in segments] == [2, 1]
+
+
 class TestQueries:
     def test_category_prefix_filter(self):
         trace = loaded_recorder()
@@ -67,11 +114,6 @@ class TestQueries:
 
     def test_count(self):
         assert loaded_recorder().count("at.") == 1
-
-    def test_categories_sorted_unique(self):
-        cats = loaded_recorder().categories()
-        assert cats == sorted(set(cats))
-        assert "at.pass" in cats
 
     def test_record_data_is_captured(self):
         trace = loaded_recorder()

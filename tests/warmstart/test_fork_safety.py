@@ -90,10 +90,9 @@ class BuiltSet:
         self.images = []
         #: ``(table length, digest)`` right after each capture.
         self.marks = []
-        seen = 0
         for t in capture_times(config, reference_timeline(config)):
             system.run(until=t)
-            seen = collect_shared(self.context, system, auditor, seen)
+            collect_shared(self.context, system, auditor)
             self.images.append(capture(system, auditor,
                                        context=self.context))
             self.marks.append((len(self.context), _table_digest(
@@ -210,10 +209,14 @@ def test_two_resumes_of_one_image_share_nothing_mutable(built):
             assert other == getattr(untouched, attr)
 
     # The trace and event heap are private too: running one copy on
-    # leaves the other where it was.
-    records = len(two.trace._records)
+    # leaves the other where it was.  The trace prefix is the image's
+    # segments, held by identity; each copy appends to its own tail.
+    assert all(a is b for a, b in zip(one.trace._segments,
+                                      two.trace._segments))
+    assert one.trace._tail is not two.trace._tail
+    records = len(two.trace)
     one.run(until=one.sim.now + 5.0)
-    assert len(two.trace._records) == records
+    assert len(two.trace) == records and not two.trace._tail
     assert two.sim.now == pytest.approx(image.captured_at)
     built.assert_table_untouched()
 

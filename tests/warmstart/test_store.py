@@ -183,6 +183,14 @@ def _as_the_parent_wrote_it(record):
                        for at, _dump in record["dumps"]]
 
 
+def _as_format_5_wrote_it(record):
+    # Format 5 thawed a trace recorder with one record list and an
+    # acceptance test with an eager stream: its dumps lack the fields
+    # this code reads, so the header's format byte turns them away.
+    record["dumps"] = [(at, bytes([5]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -204,6 +212,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, lambda record: record["dumps"].reverse()),
     "parent-format-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_the_parent_wrote_it),
+    "format-5-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_5_wrote_it),
 }
 
 
