@@ -178,7 +178,7 @@ class WorkloadDriver:
         action = self._actions[self.cursor]
         self._pending_event = self._sim.schedule_after(
             action.gap, self._fire, args=(action,),
-            priority=EventPriority.ACTION, label=f"action:{self.name}:{action.index}")
+            priority=EventPriority.ACTION, label="action")
 
     def _fire(self, action: Action) -> None:
         self._pending_event = None

@@ -19,6 +19,7 @@ import dataclasses
 from typing import Any, Dict, Optional
 
 from .snapshot import SnapshotPayload, decode_payload, encode_full
+from .snapshot.codec import record
 from .snapshot.sections import SnapshotEncoder
 from .types import CheckpointKind, ProcessId, StableContent
 
@@ -102,9 +103,10 @@ class Checkpoint:
             payload = encoder.encode_snapshot(state)
         else:
             payload = encode_full(state)
-        return cls(process_id=process_id, kind=kind, taken_at=taken_at,
-                   work_done=work_done, payload=payload,
-                   epoch=epoch, content=content, meta=dict(meta or {}))
+        return record(cls, {
+            "process_id": process_id, "kind": kind, "taken_at": taken_at,
+            "work_done": work_done, "payload": payload, "epoch": epoch,
+            "content": content, "meta": dict(meta or {})})
 
     def restore_state(self) -> Any:
         """The snapshotted state, the caller's to mutate (see
@@ -113,18 +115,29 @@ class Checkpoint:
 
     def rewritten(self, **changes: Any) -> "Checkpoint":
         """A copy with some fields replaced (used when the adapted TB
-        protocol swaps checkpoint contents mid-blocking)."""
-        return dataclasses.replace(self, **changes)
+        protocol swaps checkpoint contents mid-blocking): what
+        :func:`dataclasses.replace` returns, built without ``__init__``
+        (a remembered view stays behind)."""
+        fields = {name: self.__dict__[name] for name in _FIELDS}
+        unknown = changes.keys() - fields.keys()
+        if unknown:
+            raise TypeError(f"Checkpoint has no field(s) {sorted(unknown)}")
+        fields.update(changes)
+        return record(type(self), fields)
 
     def with_section(self, section: str, value: Any) -> "Checkpoint":
         """A copy with one payload section re-encoded from ``value``
         (the ``save_unacked`` ablation rewrites the counters section
         without disturbing the rest)."""
-        return dataclasses.replace(
-            self, payload=self.payload.replace_section(section, value))
+        return self.rewritten(
+            payload=self.payload.replace_section(section, value))
 
     @property
     def size_bytes(self) -> int:
         """Accounted size of the encoded state — a proxy for
         checkpoint cost."""
         return self.payload.nbytes
+
+
+#: The record's field names, in order (a rewritten copy's ``__dict__``).
+_FIELDS = tuple(field.name for field in dataclasses.fields(Checkpoint))

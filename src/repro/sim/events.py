@@ -6,10 +6,12 @@ simulations are deterministic: ties in time are broken first by an
 explicit priority and then by insertion order.
 
 This module is the innermost hot path of every experiment campaign —
-millions of events are created, compared, and fired per run — so
-:class:`Event` is a ``__slots__`` class with a plain mutable
-``cancelled`` flag and a comparison that touches fields directly
-instead of building tuples.
+millions of events are created and fired per run — so :class:`Event`
+is a ``__slots__`` class with a plain mutable ``cancelled`` flag.  The
+simulator's heap does not compare events: it holds ``(time, priority,
+seq, event)`` tuples, which ``heapq`` orders in C.  ``Event.__lt__``
+(field-direct, no tuples built) stays for the heaps that do hold bare
+events — the live backend's wall-clock scheduler.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class Event:
         self.in_heap = False
 
     def __lt__(self, other: "Event") -> bool:
-        # Field-direct comparison: no tuple construction on the heap's
-        # hottest operation.
+        # Field-direct comparison, for heaps of bare events (the live
+        # scheduler's); the simulator's heap compares entry tuples.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

@@ -10,9 +10,13 @@ completion in timestamp order, and the only sources of nondeterminism
 are the seeded RNG streams in :mod:`repro.sim.rng`.
 
 It is also the hot path under every experiment campaign, so the run
-loop is written for throughput: heap operations and counters live in
-locals, ``run(until=...)`` peeks at the heap head instead of popping
-and re-pushing boundary-straddling events, a live-event counter makes
+loop is written for throughput.  A heap entry is the tuple ``(time,
+priority, seq, event)``: ``heapq`` orders tuples in C, where comparing
+:class:`~repro.sim.events.Event` objects would call ``Event.__lt__``
+in Python on every sift step, and ``seq`` is unique, so no comparison
+ever reaches the event.  Heap operations and counters live in locals,
+``run(until=...)`` peeks at the heap head instead of popping and
+re-pushing boundary-straddling events, a live-event counter makes
 :meth:`pending_count` O(1), and cancelled events are compacted out of
 the heap once they outnumber half of it (lazy deletion otherwise keeps
 dead entries churning through every sift).
@@ -29,6 +33,9 @@ from .events import Event, EventPriority
 #: One :meth:`Simulator.schedule_many` entry:
 #: ``(time, callback, args, priority, label)``.
 EventSpec = Tuple[float, Callable[..., Any], tuple, int, str]
+
+#: One heap entry: ``(time, priority, seq, event)``.
+HeapEntry = Tuple[float, int, int, Event]
 
 
 class Simulator:
@@ -53,7 +60,7 @@ class Simulator:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[HeapEntry] = []
         self._now: float = 0.0
         self._next_seq = 0
         self._cancelled_in_heap = 0
@@ -80,7 +87,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if drained."""
         self._drop_cancelled_head()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -105,10 +112,11 @@ class Simulator:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, int(priority), seq, callback, args, label)
+        priority = int(priority)
+        event = Event(time, priority, seq, callback, args, label)
         event.sim = self
         event.in_heap = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def schedule_after(
@@ -140,24 +148,27 @@ class Simulator:
         now = self._now
         seq = self._next_seq
         events: List[Event] = []
+        entries: List[HeapEntry] = []
         for time, callback, args, priority, label in specs:
             if time < now:
                 raise SchedulingError(
                     f"cannot schedule event {label!r} at t={time} (now={now})")
-            event = Event(time, int(priority), seq, callback, args, label)
+            priority = int(priority)
+            event = Event(time, priority, seq, callback, args, label)
             event.sim = self
             event.in_heap = True
+            entries.append((time, priority, seq, event))
             seq += 1
             events.append(event)
         self._next_seq = seq
         heap = self._heap
-        if len(events) * 4 >= len(heap):
-            heap.extend(events)
+        if len(entries) * 4 >= len(heap):
+            heap.extend(entries)
             heapq.heapify(heap)
         else:
             push = heapq.heappush
-            for event in events:
-                push(heap, event)
+            for entry in entries:
+                push(heap, entry)
         return events
 
     # ------------------------------------------------------------------
@@ -187,18 +198,20 @@ class Simulator:
             while heap:
                 if self._stopped:
                     break
-                head = heap[0]
+                entry = heap[0]
+                head = entry[3]
                 if head.cancelled:
                     pop(heap)
                     head.in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head.time > until:
+                time = entry[0]
+                if until is not None and time > until:
                     break
                 pop(heap)
                 head.in_heap = False
-                if head.time > self._now:
-                    self._now = head.time
+                if time > self._now:
+                    self._now = time
                 head.callback(*head.args)
                 self.events_executed += 1
                 executed += 1
@@ -214,7 +227,7 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         event.in_heap = False
         if event.time > self._now:
             self._now = event.time
@@ -234,7 +247,8 @@ class Simulator:
         keeps nothing else alive."""
         if self._running:
             raise SchedulingError("cannot clear a running simulator")
-        for event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             event.in_heap = False
             event.callback = event.sim = None
             event.args = ()
@@ -255,16 +269,16 @@ class Simulator:
         """Physically remove cancelled events and re-heapify (in place,
         so aliases of the heap list held by a running loop stay valid)."""
         heap = self._heap
-        for event in heap:
-            if event.cancelled:
-                event.in_heap = False
-        heap[:] = [event for event in heap if not event.cancelled]
+        for entry in heap:
+            if entry[3].cancelled:
+                entry[3].in_heap = False
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
 
     def _drop_cancelled_head(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap).in_heap = False
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3].in_heap = False
             self._cancelled_in_heap -= 1

@@ -155,7 +155,7 @@ class Network:
         self._sim.schedule_at(tx.arrives_at, self._deliver,
                               args=(self.sent_count,),
                               priority=EventPriority.DELIVERY,
-                              label=f"deliver:{message.describe()}")
+                              label="deliver")
         return tx
 
     def ack(self, message: Message) -> None:
@@ -201,7 +201,7 @@ class Network:
         delay = self._draw_delay()
         self._sim.schedule_after(
             delay, self._deliver_ack, args=(original.sender, original.msg_id),
-            priority=EventPriority.DELIVERY, label=f"ack:{original.msg_id}")
+            priority=EventPriority.DELIVERY, label="ack")
 
     def _deliver_ack(self, sender: ProcessId, msg_id: int) -> None:
         endpoint = self._endpoints.get(sender)

@@ -34,9 +34,6 @@ class Alarm:
     event: Optional[Event] = None
     fired: bool = False
     cancelled: bool = False
-    #: The simulator-event label, built once at arm time (resyncs reuse
-    #: it instead of re-formatting per reschedule).
-    event_label: str = ""
 
     def cancel(self) -> None:
         """Cancel the alarm; a no-op if it already fired or was
@@ -80,8 +77,7 @@ class TimerService:
         protocol re-arms its periodic timer with absolute local
         deadlines that may have just been overrun)."""
         alarm = Alarm(alarm_id=next(self._ids), local_deadline=local_deadline,
-                      callback=callback, args=args, label=label,
-                      event_label=f"alarm:{label}")
+                      callback=callback, args=args, label=label)
         self._alarms[alarm.alarm_id] = alarm
         self._arm(alarm)
         return alarm
@@ -110,7 +106,7 @@ class TimerService:
         true_deadline = max(true_deadline, self._sim.now)
         alarm.event = self._sim.schedule_at(
             true_deadline, self._fire, args=(alarm,),
-            priority=EventPriority.TIMER, label=alarm.event_label)
+            priority=EventPriority.TIMER, label="alarm")
 
     def _fire(self, alarm: Alarm) -> None:
         if alarm.cancelled or alarm.fired:
@@ -141,7 +137,6 @@ class TimerService:
             deadline = true_time_of(alarm.local_deadline)
             if deadline < now:
                 deadline = now
-            specs.append((deadline, fire, (alarm,), timer_priority,
-                          alarm.event_label))
+            specs.append((deadline, fire, (alarm,), timer_priority, "alarm"))
         for alarm, event in zip(pending, self._sim.schedule_many(specs)):
             alarm.event = event

@@ -13,6 +13,10 @@ difference of a section against the previous capture and replays it:
   capture's last sequence number plus the surviving prefix bound (the
   reclaim/clear effect) and the monitoring counter.
 
+The diff functions (:func:`journal_delta` / :func:`log_delta`) return
+a delta already *packed* into the plain tuples that get encoded; the
+delta classes are what a packed delta unpacks to for replay.
+
 Capture-side *baselines* record just enough of the previous state to
 diff against (the journal's record objects and which of them were still
 unvalidated; the log's sequence numbers) — references, not a copy of
@@ -42,6 +46,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from ..journal import Journal, JournalRecord
 from ..messages.log import LogEntry, MessageLog
 from ..types import MessageKind
+from .codec import record
 
 #: Sections that support delta encoding, in snapshot-assembly order.
 DELTA_SECTIONS = ("journals", "msg_log")
@@ -56,17 +61,31 @@ def _pack_record(rec: JournalRecord) -> Tuple:
     (every record outside the N-component topologies) keep the wire
     form, and so the accounted bytes, they always had.
     """
-    packed = (rec.key, rec.kind.value, rec.sender, rec.receiver, rec.sn,
+    # ``_value_`` is the plain attribute behind the enum's ``value``
+    # property.
+    packed = (rec.key, rec.kind._value_, rec.sender, rec.receiver, rec.sn,
               rec.sent_dirty, rec.validated, rec.corrupt, rec.time, rec.dsn)
     return packed if rec.taint_map is None else packed + (rec.taint_map,)
 
 
+#: ``MessageKind`` by value: an unpacked record's kind is looked up, not
+#: constructed through the enum's call.
+_KIND_OF = {kind.value: kind for kind in MessageKind}
+
+
 def _unpack_record(data: Tuple) -> JournalRecord:
-    (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
-     time, dsn) = data[:10]
-    return JournalRecord(key, MessageKind(kind), sender, receiver, sn,
-                         sent_dirty, validated, corrupt, time,
-                         data[10] if len(data) > 10 else None, dsn)
+    if len(data) > 10:
+        (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
+         time, dsn, taint_map) = data
+    else:
+        (key, kind, sender, receiver, sn, sent_dirty, validated, corrupt,
+         time, dsn) = data
+        taint_map = None
+    return record(JournalRecord, {
+        "key": key, "kind": _KIND_OF[kind], "sender": sender,
+        "receiver": receiver, "sn": sn, "sent_dirty": sent_dirty,
+        "validated": validated, "corrupt": corrupt, "time": time,
+        "taint_map": taint_map, "dsn": dsn})
 
 
 # ----------------------------------------------------------------------
@@ -91,15 +110,17 @@ class JournalBaseline:
     @classmethod
     def of(cls, journal: Journal) -> "JournalBaseline":
         records = dict(journal._records)
-        return cls(records=records,
-                   unvalidated=frozenset([key for key, rec in records.items()
-                                          if not rec.validated]),
-                   pruned_before=journal.pruned_before)
+        return record(cls, {
+            "records": records,
+            "unvalidated": frozenset([key for key, rec in records.items()
+                                      if not rec.validated]),
+            "pruned_before": journal.pruned_before})
 
 
 @dataclasses.dataclass(frozen=True)
 class JournalDelta:
-    """The change of one journal since its baseline."""
+    """The change of one journal since its baseline, unpacked for
+    replay (:func:`journal_delta` packs it)."""
 
     added: Tuple[JournalRecord, ...]
     revalidated: Tuple[object, ...]
@@ -110,35 +131,33 @@ class JournalDelta:
     def entry_count(self) -> int:
         return len(self.added) + len(self.revalidated) + len(self.removed)
 
-    def pack(self) -> Tuple:
-        """The delta as plain tuples (the form that gets encoded)."""
-        return (tuple(_pack_record(r) for r in self.added),
-                self.revalidated, self.removed, self.pruned_before)
-
     @classmethod
     def unpack(cls, data: Tuple) -> "JournalDelta":
         added, revalidated, removed, pruned_before = data
-        return cls(added=tuple(_unpack_record(t) for t in added),
-                   revalidated=tuple(revalidated), removed=tuple(removed),
-                   pruned_before=pruned_before)
+        return record(cls, {
+            "added": tuple([_unpack_record(t) for t in added]),
+            "revalidated": tuple(revalidated), "removed": tuple(removed),
+            "pruned_before": pruned_before})
 
 
-def journal_delta(journal: Journal, base: JournalBaseline) -> JournalDelta:
-    """Diff a live journal against its baseline."""
+def journal_delta(journal: Journal, base: JournalBaseline) -> Tuple:
+    """Diff a live journal against its baseline, packed: ``(added
+    records as plain tuples, revalidated keys, removed keys, pruning
+    horizon)`` — the form that gets encoded, and that
+    :meth:`JournalDelta.unpack` reads."""
     records = journal._records
     was = base.records
     unvalidated = base.unvalidated
     removed = [key for key, rec in was.items() if records.get(key) is not rec]
-    added: List[JournalRecord] = []
+    added: List[Tuple] = []
     revalidated: List[object] = []
     for key, rec in records.items():
         if was.get(key) is not rec:
-            added.append(rec)
+            added.append(_pack_record(rec))
         elif rec.validated and key in unvalidated:
             revalidated.append(key)
-    return JournalDelta(added=tuple(added), revalidated=tuple(revalidated),
-                        removed=tuple(removed),
-                        pruned_before=journal.pruned_before)
+    return (tuple(added), tuple(revalidated), tuple(removed),
+            journal.pruned_before)
 
 
 def private_journal(journal: Journal, mutable: Iterable[object]) -> Journal:
@@ -195,13 +214,14 @@ class LogBaseline:
 
     @classmethod
     def of(cls, log: MessageLog) -> "LogBaseline":
-        return cls(ids=tuple((entry.sn, entry.message.msg_id)
-                             for entry in log))
+        return record(cls, {"ids": tuple([(entry.sn, entry.message.msg_id)
+                                          for entry in log._entries])})
 
 
 @dataclasses.dataclass(frozen=True)
 class LogDelta:
-    """The change of the message log since its baseline.
+    """The change of the message log since its baseline, unpacked for
+    replay (:func:`log_delta` packs it).
 
     The live log evolves only by appending (increasing ``sn``),
     reclaiming a prefix, or clearing — so the new state is always "a
@@ -213,26 +233,22 @@ class LogDelta:
     appended: Tuple[LogEntry, ...]
     reclaimed_count: int
 
-    def pack(self) -> Tuple:
-        """The delta as plain tuples (the form that gets encoded);
-        appended messages ship whole — a full section would carry them
-        too."""
-        return (self.min_keep_sn,
-                tuple((e.sn, e.message, e.recipients) for e in self.appended),
-                self.reclaimed_count)
-
     @classmethod
     def unpack(cls, data: Tuple) -> "LogDelta":
         min_keep_sn, appended, reclaimed_count = data
-        return cls(min_keep_sn=min_keep_sn,
-                   appended=tuple(LogEntry(sn=sn, message=message,
-                                           recipients=recipients)
-                                  for sn, message, recipients in appended),
-                   reclaimed_count=reclaimed_count)
+        return record(cls, {
+            "min_keep_sn": min_keep_sn,
+            "appended": tuple([LogEntry(sn, message, recipients)
+                               for sn, message, recipients in appended]),
+            "reclaimed_count": reclaimed_count})
 
 
-def log_delta(log: MessageLog, base: LogBaseline) -> Optional[LogDelta]:
-    """Diff the live log against its baseline.
+def log_delta(log: MessageLog, base: LogBaseline) -> Optional[Tuple]:
+    """Diff the live log against its baseline, packed: ``(min_keep_sn,
+    appended entries as (sn, message, recipients) tuples,
+    reclaimed_count)`` — the form that gets encoded, and that
+    :meth:`LogDelta.unpack` reads (appended messages ship whole: a full
+    section would carry them too).
 
     Returns ``None`` when the delta language cannot express the change
     (sequence numbers restarted after a ``clear()``, whether or not
@@ -241,17 +257,16 @@ def log_delta(log: MessageLog, base: LogBaseline) -> Optional[LogDelta]:
     """
     base_last = base.ids[-1][0] if base.ids else None
     kept: List[Tuple[int, int]] = []
-    appended: List[LogEntry] = []
-    for entry in log:
+    appended: List[Tuple] = []
+    for entry in log._entries:
         if base_last is not None and entry.sn <= base_last:
             kept.append((entry.sn, entry.message.msg_id))
         else:
-            appended.append(entry)
+            appended.append((entry.sn, entry.message, entry.recipients))
     if kept and tuple(kept) != base.ids[len(base.ids) - len(kept):]:
         return None
-    return LogDelta(min_keep_sn=kept[0][0] if kept else None,
-                    appended=tuple(appended),
-                    reclaimed_count=log.reclaimed_count)
+    return (kept[0][0] if kept else None, tuple(appended),
+            log.reclaimed_count)
 
 
 def private_log(log: MessageLog) -> MessageLog:

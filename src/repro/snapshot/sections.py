@@ -50,7 +50,7 @@ import dataclasses
 import weakref
 from typing import Any, Dict, Optional, Tuple
 
-from .codec import decode, encode
+from .codec import decode, encode, record
 from ..journal import Journal
 from .delta import (
     DELTA_SECTIONS,
@@ -134,10 +134,10 @@ class SnapshotPayload:
         ``save_unacked`` ablation clears the unacked list) without
         re-encoding — or breaking the delta chains of — the others.
         """
-        return SnapshotPayload(sections=tuple(
+        return record(SnapshotPayload, {"sections": tuple([
             _encode_section(section, value)
             if payload.section == section else payload
-            for payload in self.sections))
+            for payload in self.sections])})
 
 
 def _encode_section(section: str, value: Any,
@@ -145,9 +145,12 @@ def _encode_section(section: str, value: Any,
     """Encode one section value: full, or a delta chained to ``tip``."""
     data = encode(value)
     if tip is None:
-        return SectionPayload(section=section, data=data, nbytes=len(data))
-    return SectionPayload(section=section, data=data, nbytes=len(data),
-                          full=False, base=tip, depth=tip.depth + 1)
+        return record(SectionPayload, {
+            "section": section, "data": data, "nbytes": len(data),
+            "full": True, "base": None, "depth": 0})
+    return record(SectionPayload, {
+        "section": section, "data": data, "nbytes": len(data),
+        "full": False, "base": tip, "depth": tip.depth + 1})
 
 
 #: Field -> section layout per snapshot class, as ``(section, field
@@ -207,11 +210,11 @@ def encode_full(state: Any) -> SnapshotPayload:
     """
     sections = split_sections(state)
     if sections:
-        return SnapshotPayload(sections=tuple(
+        return record(SnapshotPayload, {"sections": tuple([
             _encode_section(name, fields)
-            for name, fields in sections.items()))
-    return SnapshotPayload(
-        sections=(_encode_section(OPAQUE_SECTION, state),))
+            for name, fields in sections.items()])})
+    return record(SnapshotPayload, {
+        "sections": (_encode_section(OPAQUE_SECTION, state),)})
 
 
 def _decode(payload: SectionPayload) -> Any:
@@ -510,15 +513,14 @@ class SnapshotEncoder:
                 payloads.append(self._encode_log(fields))
             else:
                 payloads.append(self._full_payload(name, fields))
-        return SnapshotPayload(sections=tuple(payloads))
+        return record(SnapshotPayload, {"sections": tuple(payloads)})
 
     # ------------------------------------------------------------------
     def _encode_journals(self, fields: Dict[str, Any]) -> SectionPayload:
         tip = self._usable_tip("journals")
         if tip is not None and set(self._journal_baselines) == set(fields):
             delta_value = {
-                name: journal_delta(journal,
-                                    self._journal_baselines[name]).pack()
+                name: journal_delta(journal, self._journal_baselines[name])
                 for name, journal in fields.items()}
             payload = self._delta_payload("journals", delta_value, tip)
         else:
@@ -538,7 +540,7 @@ class SnapshotEncoder:
                 if delta is None:  # inexpressible (sn restart) -> full
                     delta_value = None
                     break
-                delta_value[name] = delta.pack()
+                delta_value[name] = delta
         if delta_value is not None:
             payload = self._delta_payload("msg_log", delta_value, tip)
         else:

@@ -192,7 +192,7 @@ class TbEngineBase:
     def _arm(self, local_deadline: float) -> None:
         self._next_deadline = local_deadline
         self._alarm = self.process.node.timers.set_alarm(
-            local_deadline, self._on_timer, label=f"tb:{self.process.process_id}")
+            local_deadline, self._on_timer, label="tb")
 
     def _on_timer(self) -> None:
         if self.stopped or self.process.node.crashed or self.process.deposed:
@@ -210,7 +210,7 @@ class TbEngineBase:
         self.trace("blocking.start", length=pending.blocking_len)
         self.sim.schedule_after(pending.blocking_len, self._complete,
                                 args=(pending,), priority=EventPriority.CONTROL,
-                                label=f"tb-complete:{self.process.process_id}")
+                                label="tb-complete")
 
     def _complete(self, pending: PendingEstablishment) -> None:
         if pending.aborted or pending is not self._pending:

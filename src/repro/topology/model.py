@@ -23,7 +23,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class MemberKind(enum.Enum):
@@ -69,6 +69,25 @@ class Topology:
 
     members: Tuple[Member, ...]
     spec: str
+
+    def _memo(self, key: object, build: Callable[[], Tuple]) -> Tuple:
+        """The lookup ``key``, built once and remembered beside the
+        (frozen) fields: out of ``==``, :func:`dataclasses.replace` and
+        (see :meth:`__getstate__`) pickles.  The builders and the
+        process list ask the same questions of one membership thousands
+        of times a campaign."""
+        lookups = self.__dict__.get("_lookups")
+        if lookups is None:
+            lookups = {}
+            object.__setattr__(self, "_lookups", lookups)
+        found = lookups.get(key)
+        if found is None:
+            found = lookups[key] = build()
+        return found
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_lookups"}
 
     # ------------------------------------------------------------------
     # constructors
@@ -149,17 +168,18 @@ class Topology:
         raise KeyError(f"no member {role_id!r} in topology {self.spec!r}")
 
     def actives(self) -> Tuple[Member, ...]:
-        return tuple(m for m in self.members if m.kind is MemberKind.ACTIVE)
+        return self._memo("actives", lambda: tuple(
+            m for m in self.members if m.kind is MemberKind.ACTIVE))
 
     def peers(self) -> Tuple[Member, ...]:
         return tuple(m for m in self.members if m.kind is MemberKind.PEER)
 
     def shadows_of(self, component: int) -> Tuple[Member, ...]:
         """A component's shadows, by election preference (rank)."""
-        return tuple(sorted((m for m in self.members
-                             if m.kind is MemberKind.SHADOW
-                             and m.component == component),
-                            key=lambda m: (m.rank, m.role_id)))
+        return self._memo(("shadows_of", component), lambda: tuple(sorted(
+            (m for m in self.members
+             if m.kind is MemberKind.SHADOW and m.component == component),
+            key=lambda m: (m.rank, m.role_id))))
 
     def active_of(self, component: int) -> Member:
         for m in self.members:
@@ -177,7 +197,8 @@ class Topology:
         return tuple(m.node_id for m in self.members)
 
     def role_ids(self) -> Tuple[str, ...]:
-        return tuple(m.role_id for m in self.members)
+        return self._memo("role_ids", lambda: tuple(
+            m.role_id for m in self.members))
 
     def members_on(self, node_id: str) -> Tuple[Member, ...]:
         return tuple(m for m in self.members if m.node_id == node_id)
@@ -186,7 +207,8 @@ class Topology:
         """Role ids whose state is never a recovery basis (the
         low-confidence actives) — the consistency-line checkers exempt
         these as receivers."""
-        return tuple(m.role_id for m in self.actives())
+        return self._memo("exempt_role_ids", lambda: tuple(
+            m.role_id for m in self.actives()))
 
     def guarded_pairs(self) -> Dict[str, Tuple[str, ...]]:
         """Derived consistency-line structure: each active role id

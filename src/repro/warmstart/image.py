@@ -81,9 +81,9 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  6: a trace recorder holds shared segments plus a private
-#: tail, and an acceptance test takes its stream on first draw.
-_FORMAT = 6
+#: formats).  7: the simulator's heap holds ``(time, priority, seq,
+#: event)`` entries, and an alarm keeps no event label.
+_FORMAT = 7
 
 
 class ForkContext:

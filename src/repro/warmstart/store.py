@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -65,12 +66,21 @@ class PrefixKey:
                    overrides=tuple(sorted(schedule.overrides)))
 
     def digest(self) -> str:
-        """Filename-safe digest of the full key."""
-        payload = json.dumps(
-            [self.config_fingerprint, self.system_seed,
-             [[k, v] for k, v in self.overrides]],
-            separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        """Filename-safe digest of the full key, computed once per
+        distinct key however many keys are built for it (a campaign
+        builds one per schedule at several steps), and kept off the
+        instance: out of ``==`` and of every pickle."""
+        return _prefix_digest(self.config_fingerprint, self.system_seed,
+                              self.overrides)
+
+
+@functools.lru_cache(maxsize=4096)
+def _prefix_digest(config_fingerprint: str, system_seed: int,
+                   overrides: Tuple[Tuple[str, float], ...]) -> str:
+    payload = json.dumps(
+        [config_fingerprint, system_seed, [[k, v] for k, v in overrides]],
+        separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 class ImageStore:

@@ -10,9 +10,12 @@ exercised by short programs and provably never drops or reorders live
 events.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 
 
@@ -138,3 +141,69 @@ class TestKernelAgainstModel:
         assert fired == model.fired
         assert sim.pending_count() == model.pending() == 0
         assert sim.events_executed == len(model.fired)
+
+
+#: Few distinct instants and every priority, so events tie on time and
+#: on (time, priority) and the order falls through to ``seq``.
+TIMES = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+PRIORITIES = tuple(EventPriority)
+
+
+class TestHeapOrder:
+    """Whatever way an event entered the heap — ``schedule_at``, a bulk
+    ``schedule_many`` (re-heapified), a small one (pushed one by one),
+    after a compaction — the kernel fires the live events in
+    ``sorted((time, priority, seq))`` order across chunked
+    ``run(until=)`` calls."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_fires_in_time_priority_seq_order(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        fired = []
+        live = {}
+
+        def schedule_at(time):
+            event = sim.schedule_at(time, fired.append,
+                                    args=(len(live),),
+                                    priority=rng.choice(PRIORITIES))
+            live[len(live)] = event
+
+        def schedule_many(count, floor):
+            specs = [(floor + rng.choice(TIMES), fired.append,
+                      (len(live) + k,), rng.choice(PRIORITIES), "")
+                     for k in range(count)]
+            for event in sim.schedule_many(specs):
+                live[len(live)] = event
+
+        # A push-path batch goes in after the last heapify (a bulk
+        # batch or a compaction rebuilds the whole heap).
+        for _ in range(rng.randint(150, 250)):
+            schedule_at(rng.choice(TIMES) + rng.choice((0.0, 10.0)))
+        schedule_many(len(sim._heap) // 2 + 1, 0.0)        # bulk path
+        # Cancel well past ``_COMPACT_MIN`` and half the heap.
+        doomed = rng.sample(sorted(live), k=len(live) * 3 // 5)
+        for index in doomed:
+            live[index].cancel()
+        assert sim.compactions >= 1
+        schedule_many(rng.randint(1, 20), 0.0)            # push path
+
+        for until in (1.5, 4.0, 9.0):
+            sim.run(until=until)
+            # Everything scheduled from here on lies past every event
+            # fired so far, so the whole firing sequence stays sorted.
+            schedule_many(len(sim._heap) + 1, until)
+            schedule_at(until + rng.choice(TIMES))
+            schedule_many(rng.randint(1, 5), until)
+            victim = rng.choice(sorted(live))
+            if live[victim].in_heap:
+                live[victim].cancel()
+                doomed.append(victim)
+        sim.run()
+
+        keys = [(e.time, e.priority, e.seq) for e in live.values()]
+        cancelled = set(doomed)
+        expected = sorted(k for index, k in enumerate(keys)
+                          if index not in cancelled)
+        assert [keys[index] for index in fired] == expected

@@ -146,12 +146,14 @@ class TestStepAndPeek:
 class TestRunUntilBoundary:
     def test_until_peeks_instead_of_popping(self, sim):
         # A boundary-straddling run must leave the heap untouched — the
-        # head is peeked, never popped and re-pushed.
+        # head is peeked, never popped and re-pushed.  A heap entry is
+        # ``(time, priority, seq, event)``.
         event = sim.schedule_at(5.0, lambda: None)
         before = list(sim._heap)
         sim.run(until=2.0)
         assert sim._heap == before
-        assert sim._heap[0] is event
+        assert sim._heap[0][3] is event
+        assert sim._heap[0][:3] == (event.time, event.priority, event.seq)
         assert event.in_heap
 
     def test_chunked_until_runs_preserve_tie_order(self, sim):

@@ -1,7 +1,17 @@
 """Unit tests for checkpoint records."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.checkpoint import Checkpoint
-from repro.types import CheckpointKind, ProcessId, StableContent
+from repro.journal import Journal
+from repro.messages.log import MessageLog
+from repro.messages.message import Message
+from repro.snapshot.delta import (JournalBaseline, JournalDelta, LogBaseline,
+                                  LogDelta, journal_delta, log_delta)
+from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
 
 
 def capture(state, **kw):
@@ -54,3 +64,68 @@ class TestMetadata:
         # The original record is untouched (frozen dataclass copy).
         assert checkpoint.kind is CheckpointKind.TYPE_1
         assert checkpoint.epoch is None
+
+
+def _msg(sn, taint=None):
+    message = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
+                      receiver=ProcessId("B"), sn=sn, dirty_bit=1)
+    message.taint_map = taint
+    return message
+
+
+def _as_init_built(obj):
+    """``obj`` against the same record built through its ``__init__``:
+    equal, the same ``__dict__`` key order, the same pickle."""
+    cls = type(obj)
+    twin = cls(**{f.name: getattr(obj, f.name)
+                  for f in dataclasses.fields(cls)})
+    assert obj == twin
+    assert list(vars(obj)) == list(vars(twin))
+    assert pickle.dumps(obj) == pickle.dumps(twin)
+
+
+class TestRecordsBuiltWithoutInit:
+    """The snapshot pipeline fills its records' ``__dict__`` instead of
+    calling their (frozen) ``__init__``; every record it builds is the
+    one ``__init__`` would have built."""
+
+    def test_checkpoint_payload_and_sections(self):
+        checkpoint = capture({"x": 1}, meta={"dirty_bit": 1})
+        _as_init_built(checkpoint)
+        _as_init_built(checkpoint.payload)
+        for section in checkpoint.payload.sections:
+            _as_init_built(section)
+        stable = checkpoint.rewritten(kind=CheckpointKind.STABLE, epoch=3)
+        _as_init_built(stable)
+        assert stable == dataclasses.replace(
+            checkpoint, kind=CheckpointKind.STABLE, epoch=3)
+        with pytest.raises(TypeError):
+            checkpoint.rewritten(no_such_field=1)
+
+    def test_rewritten_leaves_a_remembered_view_behind(self):
+        checkpoint = capture({"x": 1})
+        checkpoint.remember_view()
+        assert "_view" not in vars(checkpoint.rewritten(epoch=1))
+
+    def test_delta_records_round_trip(self):
+        journal, log = Journal(), MessageLog()
+        first, second = _msg(1), _msg(2)
+        for message in (first, second):
+            journal.add(message, validated=False, time=float(message.sn))
+        journal_base = JournalBaseline.of(journal)
+        log_base = LogBaseline.of(log)
+        _as_init_built(journal_base)
+        _as_init_built(log_base)
+        journal.mark_validated(ProcessId("A"), up_to_sn=1)
+        added = journal.add(_msg(3, taint={"P1_act": 2}), validated=True,
+                            time=3.0)
+        log.append(1, _msg(4), recipients=["B", "C"])
+        journal_unpacked = JournalDelta.unpack(
+            journal_delta(journal, journal_base))
+        log_unpacked = LogDelta.unpack(log_delta(log, log_base))
+        for record in (journal_unpacked, log_unpacked,
+                       *journal_unpacked.added):
+            _as_init_built(record)
+        assert journal_unpacked.added == (added,)
+        assert journal_unpacked.revalidated == (first.dedup_key,)
+        assert log_unpacked.appended == tuple(log)

@@ -191,6 +191,14 @@ def _as_format_5_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_6_wrote_it(record):
+    # Format 6 thawed a simulator heap of bare events, which this
+    # code's run loop would read as entry tuples: the header's format
+    # byte turns its dumps away.
+    record["dumps"] = [(at, bytes([6]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -214,6 +222,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_the_parent_wrote_it),
     "format-5-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_5_wrote_it),
+    "format-6-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_6_wrote_it),
 }
 
 
