@@ -7,47 +7,52 @@ change what gets encoded: this pins, per section name, how many
 payloads one audited ``cold_paper``-shaped schedule (seed 7, paper
 membership, coordinated scheme; a software fault coincident with a
 crash, so restores, encoder resets and full re-bases all occur) encodes,
-and the sha256 of their ``data`` concatenated in capture order.
+their total ``data`` length and the sha256 of that ``data`` concatenated
+in capture order.  Every checkpoint the schedule captures or rewrites,
+its payload and each of its sections (full, delta and re-based) is
+checked against the record its ``__init__`` would have built.
 
-The schedule runs in a child process with ``PYTHONHASHSEED=0``: the
-``counters`` section pickles the receive-dedup set, whose order follows
-the string hashes inside its keys, so its bytes (not its length) differ
-between interpreters with different hash seeds.
+The ``counters`` section is pinned by count and length only: it pickles
+the receive-dedup set, whose order follows the string hashes inside its
+keys, so its bytes differ between hash seeds and between interpreters
+with different string-hash algorithms (its length does not).
 
-Run as a script to print the digests of the current tree.
+Run as a script (``PYTHONPATH=src:tests python
+tests/integration/test_section_bytes.py``) to print the pins of the
+current tree.
 """
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
-import repro
+from init_built import assert_init_built
+from repro.checkpoint import Checkpoint
 
-#: Section name -> [payloads, sha256 of their ``data`` in capture
-#: order], computed at the commit before records were built without
-#: their ``__init__``.
+#: Section name -> [payloads, total ``data`` bytes, sha256 of their
+#: ``data`` in capture order (None: hash-ordered, see above)], computed
+#: at the commit before records were built without their ``__init__``.
 PINNED_SECTIONS = {
-    "app": [45, "78d288e55f62d879597a343197b92396"
-                "30b70dd6c760064829bcc6fc72e56a62"],
-    "counters": [45, "f2d157b16780c734a50832debdea441e"
-                     "5d502297f50b67e023cabc923dade224"],
-    "journals": [45, "893a34b95030dfd344f96f7406f18464"
-                     "f6130ff529e5c6e0e88117c326432fec"],
-    "mdcd": [45, "1e63a46ec8f54e2931b1e699cb5966d7"
-                 "a5b1abf66aed1efd2d92318288702b09"],
-    "msg_log": [45, "85de7b7debdf20cd53e7f2d0c6ec974e"
-                    "f58b3c3c89d90516432a0d3839eb2c40"],
+    "app": [45, 5955, "78d288e55f62d879597a343197b92396"
+                      "30b70dd6c760064829bcc6fc72e56a62"],
+    "counters": [45, 9078, None],
+    "journals": [45, 10614, "893a34b95030dfd344f96f7406f18464"
+                            "f6130ff529e5c6e0e88117c326432fec"],
+    "mdcd": [45, 6840, "1e63a46ec8f54e2931b1e699cb5966d7"
+                       "a5b1abf66aed1efd2d92318288702b09"],
+    "msg_log": [45, 4435, "85de7b7debdf20cd53e7f2d0c6ec974e"
+                          "f58b3c3c89d90516432a0d3839eb2c40"],
 }
 
+#: Sections whose bytes follow the interpreter's string hashes.
+HASH_ORDERED = {"counters"}
 
-def section_digests():
-    """Run the pinned schedule; its per-section payload digests."""
+
+def section_pins(check):
+    """Run the pinned schedule with ``check`` applied to every
+    checkpoint it captures or rewrites; its per-section pins."""
     from repro.audit import (AuditConfig, generate_schedules,
                              reference_timeline)
     from repro.audit.campaign import audit_schedule
-    from repro.checkpoint import Checkpoint
 
     config = AuditConfig(scheme="coordinated", seed=7, schedules=72,
                          horizon=600.0, topology="paper")
@@ -55,34 +60,63 @@ def section_digests():
         config, timeline=reference_timeline(config))
         if s.label == "boundary:coincident:0")
     payloads = []
+    originals = dict(vars(Checkpoint))
     capture = Checkpoint.capture.__func__
+    rewritten = Checkpoint.rewritten
 
-    def spy(cls, *args, **kwargs):
+    def spy_capture(cls, *args, **kwargs):
         checkpoint = capture(cls, *args, **kwargs)
+        check(checkpoint)
         payloads.extend(checkpoint.payload.sections)
         return checkpoint
 
-    Checkpoint.capture = classmethod(spy)
-    assert audit_schedule(config, schedule, fail_fast=False) == []
-    digests = {}
+    def spy_rewritten(self, **changes):
+        checkpoint = rewritten(self, **changes)
+        check(checkpoint)
+        return checkpoint
+
+    Checkpoint.capture = classmethod(spy_capture)
+    Checkpoint.rewritten = spy_rewritten
+    try:
+        assert audit_schedule(config, schedule, fail_fast=False) == []
+    finally:
+        Checkpoint.capture = originals["capture"]
+        Checkpoint.rewritten = originals["rewritten"]
+    pins = {}
     for payload in payloads:
-        entry = digests.setdefault(payload.section, [0, hashlib.sha256()])
+        entry = pins.setdefault(payload.section, [0, 0, hashlib.sha256()])
         entry[0] += 1
-        entry[1].update(payload.data)
-    return {name: [count, digest.hexdigest()]
-            for name, (count, digest) in sorted(digests.items())}
+        entry[1] += len(payload.data)
+        entry[2].update(payload.data)
+    return {name: [count, size,
+                   None if name in HASH_ORDERED else digest.hexdigest()]
+            for name, (count, size, digest) in sorted(pins.items())}
+
+
+def check_init_built(checkpoint):
+    assert_init_built(checkpoint)
+    assert_init_built(checkpoint.payload)
+    for section in checkpoint.payload.sections:
+        assert_init_built(section)
 
 
 def test_every_section_encodes_the_pinned_bytes():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert json.loads(out) == PINNED_SECTIONS
+    checked = []
+
+    def check(checkpoint):
+        check_init_built(checkpoint)
+        checked.append(checkpoint)
+
+    assert section_pins(check) == PINNED_SECTIONS
+    # The init check covered the encoder's delta branch and its full
+    # re-bases (a process's journals encoded whole again after its
+    # first capture).
+    journals = {id(s): s for c in checked for s in c.payload.sections
+                if s.section == "journals"}.values()
+    assert any(not s.full for s in journals)
+    assert sum(s.full for s in journals) > len({c.process_id
+                                                for c in checked})
 
 
 if __name__ == "__main__":
-    print(json.dumps(section_digests()))
+    print(json.dumps(section_pins(check_init_built)))

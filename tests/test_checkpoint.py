@@ -1,10 +1,10 @@
 """Unit tests for checkpoint records."""
 
 import dataclasses
-import pickle
 
 import pytest
 
+from init_built import assert_init_built
 from repro.checkpoint import Checkpoint
 from repro.journal import Journal
 from repro.messages.log import MessageLog
@@ -73,17 +73,6 @@ def _msg(sn, taint=None):
     return message
 
 
-def _as_init_built(obj):
-    """``obj`` against the same record built through its ``__init__``:
-    equal, the same ``__dict__`` key order, the same pickle."""
-    cls = type(obj)
-    twin = cls(**{f.name: getattr(obj, f.name)
-                  for f in dataclasses.fields(cls)})
-    assert obj == twin
-    assert list(vars(obj)) == list(vars(twin))
-    assert pickle.dumps(obj) == pickle.dumps(twin)
-
-
 class TestRecordsBuiltWithoutInit:
     """The snapshot pipeline fills its records' ``__dict__`` instead of
     calling their (frozen) ``__init__``; every record it builds is the
@@ -91,16 +80,26 @@ class TestRecordsBuiltWithoutInit:
 
     def test_checkpoint_payload_and_sections(self):
         checkpoint = capture({"x": 1}, meta={"dirty_bit": 1})
-        _as_init_built(checkpoint)
-        _as_init_built(checkpoint.payload)
+        assert_init_built(checkpoint)
+        assert_init_built(checkpoint.payload)
         for section in checkpoint.payload.sections:
-            _as_init_built(section)
+            assert_init_built(section)
         stable = checkpoint.rewritten(kind=CheckpointKind.STABLE, epoch=3)
-        _as_init_built(stable)
+        assert_init_built(stable)
         assert stable == dataclasses.replace(
             checkpoint, kind=CheckpointKind.STABLE, epoch=3)
         with pytest.raises(TypeError):
             checkpoint.rewritten(no_such_field=1)
+
+    def test_with_section_replaces_one_section(self):
+        checkpoint = capture({"x": 1})
+        rewritten = checkpoint.with_section("state", {"x": 2})
+        assert rewritten.restore_state() == {"x": 2}
+        assert checkpoint.restore_state() == {"x": 1}
+        assert_init_built(rewritten)
+        assert_init_built(rewritten.payload)
+        for section in rewritten.payload.sections:
+            assert_init_built(section)
 
     def test_rewritten_leaves_a_remembered_view_behind(self):
         checkpoint = capture({"x": 1})
@@ -114,8 +113,8 @@ class TestRecordsBuiltWithoutInit:
             journal.add(message, validated=False, time=float(message.sn))
         journal_base = JournalBaseline.of(journal)
         log_base = LogBaseline.of(log)
-        _as_init_built(journal_base)
-        _as_init_built(log_base)
+        assert_init_built(journal_base)
+        assert_init_built(log_base)
         journal.mark_validated(ProcessId("A"), up_to_sn=1)
         added = journal.add(_msg(3, taint={"P1_act": 2}), validated=True,
                             time=3.0)
@@ -125,7 +124,7 @@ class TestRecordsBuiltWithoutInit:
         log_unpacked = LogDelta.unpack(log_delta(log, log_base))
         for record in (journal_unpacked, log_unpacked,
                        *journal_unpacked.added):
-            _as_init_built(record)
+            assert_init_built(record)
         assert journal_unpacked.added == (added,)
         assert journal_unpacked.revalidated == (first.dedup_key,)
         assert log_unpacked.appended == tuple(log)
