@@ -16,7 +16,6 @@ from .global_state import (
     live_view,
     stable_line,
     view_from_checkpoint,
-    volatile_line,
 )
 from .invariants import (
     ORPHAN_MESSAGE,
@@ -77,5 +76,4 @@ __all__ = [
     "summarize_violations",
     "validation_rate",
     "view_from_checkpoint",
-    "volatile_line",
 ]

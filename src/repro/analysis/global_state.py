@@ -11,9 +11,8 @@ order (the online auditor) passes that process's
 :class:`~repro.snapshot.ChainReader` and pays for each delta once — and
 only for the sections its checkers read.  Views are read-only either
 way.  Lines
-can be built from stable storage (the hardware recovery line), from
-volatile storage (the MDCD recovery anchors), or from the live process
-states (for end-of-run oracles).
+can be built from stable storage (the hardware recovery line) or from
+the live process states (for end-of-run oracles).
 """
 
 from __future__ import annotations
@@ -119,10 +118,9 @@ def stable_line(system, epoch: Optional[int] = None,
     """The stable-storage line of a system.
 
     ``epoch=None`` picks, for each process, its latest completed stable
-    checkpoint; an explicit epoch picks what hardware recovery restores
-    for that line (:meth:`~repro.sim.storage.StableStore.line_checkpoint`:
-    that establishment or, if no longer retained, the oldest that is —
-    a view with its own epoch).  ``readers`` holds one chain reader per
+    checkpoint; an explicit epoch picks its checkpoint of that
+    establishment (what hardware recovery restores), omitting a process
+    that does not retain it.  ``readers`` holds one chain reader per
     process for a caller that builds line after line (see
     :func:`view_from_checkpoint`); missing processes are added.
     """
@@ -132,7 +130,7 @@ def stable_line(system, epoch: Optional[int] = None,
             continue
         store = proc.node.stable
         checkpoint = (store.peek(proc.process_id) if epoch is None
-                      else store.line_checkpoint(proc.process_id, epoch))
+                      else store.at_epoch(proc.process_id, epoch))
         if checkpoint is not None:
             reader = None
             if readers is not None:
@@ -166,19 +164,6 @@ def common_stable_line(system) -> Dict[ProcessId, ProcessView]:
     if not epochs:
         return {}
     return stable_line(system, epoch=min(epochs))
-
-
-def volatile_line(system) -> Dict[ProcessId, ProcessView]:
-    """The most recent volatile checkpoints (processes without one are
-    omitted — a clean process may never have checkpointed)."""
-    line: Dict[ProcessId, ProcessView] = {}
-    for proc in system.process_list():
-        if proc.deposed:
-            continue
-        checkpoint = proc.volatile_checkpoint()
-        if checkpoint is not None:
-            line[proc.process_id] = view_from_checkpoint(checkpoint)
-    return line
 
 
 def live_line(system) -> Dict[ProcessId, ProcessView]:

@@ -22,7 +22,8 @@ Control commands::
     quiesce {horizon}  report whether the process is idle
     status             role/incarnation/takeover/confidence snapshot
     hw-latest          latest stable epoch + next TB boundary index
-    hw-recover {line, boundary, incarnation}   roll back to the line
+    hw-hold {floor}    keep every stable epoch from ``floor`` on (a member is down)
+    hw-recover {line, boundary, incarnation}   roll back to the line, lift the hold
     hw-resend          re-send unacknowledged messages, resume driver
     shutdown           flush artifacts and exit
 
@@ -291,14 +292,19 @@ class LiveAgent:
         _process_id, epoch, boundary = line_report(self.process)
         return {"epoch": epoch, "boundary": boundary}
 
+    def _cmd_hw_hold(self, command: Dict[str, Any]) -> Dict[str, Any]:
+        self.stable.hold(command["floor"])
+        return {}
+
     def _cmd_hw_recover(self, command: Dict[str, Any]) -> Dict[str, Any]:
         """One process's slice of HardwareRecoveryCoordinator.recover_all:
         fence, restore the line checkpoint (the shared
         :func:`~repro.tb.hardware_recovery.restore_to_line`), re-align
-        the TB engine on the agreed boundary."""
+        the TB engine on the agreed boundary; lift the crash's hold."""
         line = int(command["line"])
         process = self.process
         self.incarnation.value = int(command["incarnation"])
+        self.stable.hold(None)
         distance = restore_to_line(process, line)
         if process.hardware is not None:
             process.hardware.reset_after_recovery(

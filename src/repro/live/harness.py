@@ -38,7 +38,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
-from ..tb.hardware_recovery import agree_line
+from ..tb.hardware_recovery import agree_line, retention_floor
 from ..topology.election import elect_successor
 from ..topology.model import MemberKind, Topology, parse_topology
 from ..types import Role
@@ -314,8 +314,7 @@ class LiveHarness:
                 agent.request({"cmd": "tb-round"}, timeout=self._budget(15.0))
             return
         if op.op == "crash":
-            agent = self.agents.pop(self._node_member[op.target])
-            agent.kill9()
+            self.crash(self._node_member[op.target])
             return
         if op.op == "restart":
             self.recover_node(self._node_member[op.target])
@@ -328,9 +327,25 @@ class LiveHarness:
 
     # ------------------------------------------------------------------
     # coordinated hardware recovery (HardwareRecoveryCoordinator's
-    # phases, orchestrated across address spaces: the line agreement
-    # here, each process's restore inside its agent)
+    # phases, orchestrated across address spaces: the hold and the line
+    # agreement here, each process's restore inside its agent)
     # ------------------------------------------------------------------
+    def crash(self, member: str) -> int:
+        """``kill -9`` ``member`` (returns its exit code) and hold every
+        survivor's stable epochs from the victim's newest on.  Read
+        before the kill, that epoch can only be too old: a store keeps
+        more, never less."""
+        agent = self.agents.pop(member)
+        latest = agent.request({"cmd": "hw-latest"},
+                               timeout=self._budget(15.0))
+        code = agent.kill9()
+        floor = retention_floor(
+            [(member, latest["epoch"], latest["boundary"])])
+        for survivor in self._in_service():
+            survivor.request({"cmd": "hw-hold", "floor": floor},
+                             timeout=self._budget(15.0))
+        return code
+
     def recover_node(self, member) -> Dict[str, Any]:
         # The restarted agent comes up *held*: it receipts traffic but
         # dispatches nothing until recovery has restored its state and
@@ -434,8 +449,8 @@ class LiveHarness:
             self._demo_op("external", 3, 44)
             self.quiesce_all(horizon=0.0)
 
-            peer = self.agents.pop(peer_ids[0])
-            summary["peer_killed"] = peer.kill9() == -signal.SIGKILL
+            summary["peer_killed"] = (self.crash(peer_ids[0])
+                                      == -signal.SIGKILL)
             time.sleep(0.2)
             summary["hardware_recovery"] = self.recover_node(peer_ids[0])
             self._demo_op("internal", 4, 45)

@@ -9,11 +9,11 @@ protocol layer touches it (``now``, ``schedule_at``, ``schedule_after``,
 ``schedule_many``, cancellable events) with one semantic difference: a
 deadline already in the past fires on the next loop turn instead of
 raising — wall time, unlike simulated time, moves between the decision
-to schedule and the call.  The heap holds the kernel's own
-:class:`~repro.sim.events.Event`, numbered by an
-:class:`~repro.sim.events.EventSequencer`: same ``(time, priority,
-seq)`` order, same tombstone cancellation (with no simulator attached,
-``Event.cancel`` only sets the flag).
+to schedule and the call.  The heap holds the kernel's own ``(time,
+priority, seq, event)`` entries over :class:`~repro.sim.events.Event`,
+numbered by an :class:`~repro.sim.events.EventSequencer`: one order on
+both backends, same tombstone cancellation (with no simulator
+attached, ``Event.cancel`` only sets the flag).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import heapq
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..sim.events import Event, EventPriority, EventSequencer
+from ..sim.kernel import HeapEntry
 
 
 class LiveScheduler:
@@ -29,7 +30,7 @@ class LiveScheduler:
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._heap: List[Event] = []
+        self._heap: List[HeapEntry] = []
         self._seq = EventSequencer()
         self.fired = 0
 
@@ -41,9 +42,9 @@ class LiveScheduler:
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     args: tuple = (), priority: EventPriority = EventPriority.ACTION,
                     label: str = "") -> Event:
-        event = Event(max(time, self.now), int(priority), self._seq(),
-                      callback, args, label)
-        heapq.heappush(self._heap, event)
+        order = (max(time, self.now), int(priority), self._seq())
+        event = Event(*order, callback, args, label)
+        heapq.heappush(self._heap, (*order, event))
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., Any],
@@ -67,21 +68,21 @@ class LiveScheduler:
         """
         fired = 0
         while self._heap and fired < limit:
-            event = self._heap[0]
+            time, _priority, _seq, event = self._heap[0]
             if event.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if event.time > self.now:
+            if time > self.now:
                 break
             heapq.heappop(self._heap)
             fired += 1
             self.fired += 1
             event.callback(*event.args)
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return max(0.0, self._heap[0].time - self.now)
+        return max(0.0, self._heap[0][0] - self.now)
 
     def pending_within(self, horizon: float,
                        exclude_prefix: str = "_infra") -> List[Event]:
@@ -92,6 +93,6 @@ class LiveScheduler:
         reasonable horizon; heartbeat/retry events carry the
         infrastructure label prefix.)"""
         cutoff = self.now + horizon
-        return [event for event in self._heap
-                if not event.cancelled and event.time <= cutoff
+        return [event for time, _priority, _seq, event in self._heap
+                if not event.cancelled and time <= cutoff
                 and not event.label.startswith(exclude_prefix)]

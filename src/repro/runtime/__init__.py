@@ -34,9 +34,8 @@ from .decisions import decisions_from_trace, diff_decisions, record_to_decision
 from .ports import (CancellableEvent, ClockSource, CrashPort, SchedulerPort,
                     StablePort, TimerPort, TraceSink, TransportPort,
                     VolatilePort)
-from .wire import (FrameReader, WireIntegrityError, checksum_of, encode_frame,
-                   decode_frame_payload, encode_message_frame,
-                   message_from_dict, message_to_dict)
+from .wire import (FrameReader, WireIntegrityError, decode_frame_payload,
+                   encode_frame, message_from_dict, message_to_dict)
 
 __all__ = [
     "Alarm",
@@ -69,13 +68,11 @@ __all__ = [
     "VolatilePort",
     "VolatileStore",
     "WireIntegrityError",
-    "checksum_of",
     "decisions_from_trace",
     "decode_frame_payload",
     "derive_seed",
     "diff_decisions",
     "encode_frame",
-    "encode_message_frame",
     "message_from_dict",
     "message_to_dict",
     "record_to_decision",

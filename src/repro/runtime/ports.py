@@ -125,18 +125,20 @@ class StablePort(Protocol):
     """Durable checkpoint storage with per-process bounded history.
 
     ``save`` must be durable once it returns (fsync semantics in a real
-    backend; the sim models the latency as ``write_latency``).
+    backend; the sim models the latency as ``write_latency``).  A chain
+    trims by count but never at or above the ``hold`` floor, so the
+    recovery line's ``at_epoch`` checkpoint survives any outage.
     """
 
     def save(self, checkpoint: Any) -> None: ...
+
+    def hold(self, floor: Optional[int]) -> None: ...
 
     def latest(self, process_id: Any) -> Any: ...
 
     def peek(self, process_id: Any) -> Optional[Any]: ...
 
     def at_epoch(self, process_id: Any, epoch: int) -> Optional[Any]: ...
-
-    def line_checkpoint(self, process_id: Any, epoch: int) -> Optional[Any]: ...
 
     def discard_after_epoch(self, process_id: Any, epoch: Optional[int]) -> int: ...
 

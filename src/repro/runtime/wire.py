@@ -107,11 +107,6 @@ class FrameReader:
             del self._buffer[:_LENGTH.size + length]
             bodies.append(decode_frame_payload(data))
 
-    def pending_bytes(self) -> int:
-        """Bytes buffered awaiting frame completion."""
-        return len(self._buffer)
-
-
 # ----------------------------------------------------------------------
 # Message <-> dict codec
 # ----------------------------------------------------------------------
@@ -190,19 +185,3 @@ def message_from_dict(data: Dict[str, Any]) -> Message:
         send_time=float(data.get("send_time", 0.0)),
         born_at=float(data.get("born_at", 0.0)),
     )
-
-
-def encode_message_frame(message: Message) -> bytes:
-    """One-step message framing (codec + envelope + length prefix)."""
-    return encode_frame(message_to_dict(message))
-
-
-def verify_message_roundtrip(message: Message) -> bool:
-    """Whether a message survives the wire codec unchanged (tuples in
-    ``resend_of`` are restored; everything else must be JSON-stable)."""
-    return message_from_dict(message_to_dict(message)) == message
-
-
-def checksum_of(message: Message) -> str:
-    """The integrity checksum a frame carrying ``message`` would bear."""
-    return body_checksum(message_to_dict(message))

@@ -7,11 +7,11 @@ explicit priority and then by insertion order.
 
 This module is the innermost hot path of every experiment campaign —
 millions of events are created and fired per run — so :class:`Event`
-is a ``__slots__`` class with a plain mutable ``cancelled`` flag.  The
-simulator's heap does not compare events: it holds ``(time, priority,
-seq, event)`` tuples, which ``heapq`` orders in C.  ``Event.__lt__``
-(field-direct, no tuples built) stays for the heaps that do hold bare
-events — the live backend's wall-clock scheduler.
+is a ``__slots__`` class with a plain mutable ``cancelled`` flag.
+Events do not compare: every scheduler's heap (the simulator's and the
+live backend's wall-clock one) holds ``(time, priority, seq, event)``
+entries, which ``heapq`` orders in C; ``seq`` is unique, so the
+comparison never reaches the event.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class EventPriority(enum.IntEnum):
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, priority, seq)``; ``cancelled`` is a
-    plain mutable flag the kernel checks when the event reaches the
+    Schedulers order events by ``(time, priority, seq)``; ``cancelled``
+    is a plain mutable flag the kernel checks when the event reaches the
     head of the heap.  ``sim`` back-references the owning
     :class:`~repro.sim.kernel.Simulator` (``None`` for free-standing
     events) so :meth:`cancel` can keep the kernel's live-event
@@ -68,15 +68,6 @@ class Event:
         self.cancelled = False
         self.sim = None
         self.in_heap = False
-
-    def __lt__(self, other: "Event") -> bool:
-        # Field-direct comparison, for heaps of bare events (the live
-        # scheduler's); the simulator's heap compares entry tuples.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

@@ -11,10 +11,9 @@ are the seeded RNG streams in :mod:`repro.sim.rng`.
 
 It is also the hot path under every experiment campaign, so the run
 loop is written for throughput.  A heap entry is the tuple ``(time,
-priority, seq, event)``: ``heapq`` orders tuples in C, where comparing
-:class:`~repro.sim.events.Event` objects would call ``Event.__lt__``
-in Python on every sift step, and ``seq`` is unique, so no comparison
-ever reaches the event.  Heap operations and counters live in locals,
+priority, seq, event)`` (the live scheduler's heap holds the same
+entries): ``heapq`` orders tuples in C, and ``seq`` is unique, so no
+comparison ever reaches the event, which defines none.  Heap operations and counters live in locals,
 ``run(until=...)`` peeks at the heap head instead of popping and
 re-pushing boundary-straddling events, a live-event counter makes
 :meth:`pending_count` O(1), and cancelled events are compacted out of

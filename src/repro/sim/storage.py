@@ -3,9 +3,11 @@
 The MDCD protocol keeps exactly one volatile checkpoint per process
 ("a process keeps only its most recent checkpoint in volatile storage",
 paper footnote 1); a node crash wipes volatile storage.  Stable storage
-survives crashes and retains a short history of checkpoint epochs so
-that hardware recovery can fall back to the last *complete* global line
-even if a crash interrupts an establishment.
+survives crashes and retains every epoch a recovery line may still
+need: the last ``history`` epochs of each process and, while a member
+is down, every epoch from that member's newest on
+(:meth:`StableStore.hold`), so hardware recovery finds the line's epoch
+in every chain.
 
 Each store keeps byte accounting behind the snapshot pipeline: totals,
 a per-checkpoint-kind breakdown, and a per-section breakdown — the raw
@@ -80,7 +82,10 @@ class VolatileStore(_AccountingMixin):
 class StableStore(_AccountingMixin):
     """Per-node disk checkpoint store with bounded epoch history.
 
-    ``write_latency`` models the fixed wall-clock cost of writing a
+    ``history`` is the floor of what each chain keeps: its newest
+    ``history`` checkpoints, plus every checkpoint at or above a
+    :meth:`hold`'s epoch.  ``write_latency`` models the fixed
+    wall-clock cost of writing a
     snapshot; the TB protocols' blocking periods overlap this write
     (paper Section 2.2), so the protocol engines read the attribute
     when sequencing establishment completion.
@@ -91,15 +96,27 @@ class StableStore(_AccountingMixin):
             raise StorageError("stable store must retain at least one checkpoint")
         self._history = history
         self._chain: Dict[ProcessId, List[Checkpoint]] = {}
+        #: The oldest epoch no trim may drop (``None``: trim by count).
+        self.floor: Optional[int] = None
         self.write_latency = write_latency
         self._init_accounting()
 
     def save(self, checkpoint: Checkpoint) -> None:
-        """Append a completed stable checkpoint, trimming old epochs."""
+        """Append a completed stable checkpoint, trimming old epochs
+        below the :attr:`floor`."""
         chain = self._chain.setdefault(checkpoint.process_id, [])
         chain.append(checkpoint)
-        del chain[:-self._history]
+        cut = len(chain) - self._history
+        if self.floor is not None:  # epochs ascend along a chain
+            while cut > 0 and chain[cut - 1].epoch >= self.floor:
+                cut -= 1
+        del chain[:max(cut, 0)]
         self._account(checkpoint)
+
+    def hold(self, floor: Optional[int]) -> None:
+        """Trim no epoch at or above ``floor`` (``None``: by count only)
+        — set from :func:`~repro.tb.hardware_recovery.retention_floor`."""
+        self.floor = floor
 
     def release(self) -> None:
         """Drop every retained checkpoint: a finished run handing its
@@ -125,16 +142,6 @@ class StableStore(_AccountingMixin):
             if ckpt.epoch == epoch:
                 return ckpt
         return None
-
-    def line_checkpoint(self, process_id: ProcessId,
-                        epoch: int) -> Optional[Checkpoint]:
-        """What a recovery line at ``epoch`` holds for ``process_id`` —
-        restored by hardware recovery, checked by the auditor: that
-        epoch's checkpoint or, once pathological divergence pushed it
-        out of the history, the *oldest* retained (most conservative)."""
-        chain = self._chain.get(process_id)
-        oldest = chain[0] if chain else None
-        return self.at_epoch(process_id, epoch) or oldest
 
     def discard_after_epoch(self, process_id: ProcessId, epoch: int) -> int:
         """Drop retained checkpoints with an epoch *beyond* ``epoch``.

@@ -13,12 +13,14 @@ The two steps every backend shares are module functions, the way
 
 * :func:`line_report` + :func:`agree_line` — the recovery line and the
   restart boundary every TB engine re-arms on;
+* :func:`retention_floor` — while members are down, the oldest epoch
+  every stable store keeps, so the line is there when they come back;
 * :func:`restore_to_line` — one process's restore to that line.
 
 Two callers run them: :class:`HardwareRecoveryCoordinator` on the sim,
 in one address space, and, on the live backend,
-:meth:`repro.live.harness.LiveHarness.recover_node` (the agreement,
-from each agent's ``hw-latest`` report) with
+:class:`repro.live.harness.LiveHarness` (the hold at a crash and the
+agreement, from each agent's ``hw-latest`` report) with
 :meth:`repro.live.agent.LiveAgent._cmd_hw_recover` (the restore, inside
 each agent).
 
@@ -80,26 +82,31 @@ def agree_line(reports: Iterable[Tuple[ProcessId, Optional[int], Optional[int]]]
     return min(epochs), (max(boundaries) if boundaries else None)
 
 
+def retention_floor(down_reports: Iterable[tuple]) -> Optional[int]:
+    """The oldest epoch every stable store keeps while the processes of
+    ``down_reports`` (:func:`line_report`) are down — the next line is
+    no newer than their newest epochs; ``None`` when none is down."""
+    return min((epoch for _process_id, epoch, _boundary in down_reports
+                if epoch is not None), default=None)
+
+
 def restore_to_line(proc, line: int) -> float:
     """Restore ``proc`` from its checkpoint of the recovery line and
     return the rollback distance.
 
-    A process whose history no longer holds the line's epoch (an outage
-    longer than the retained history) restores its oldest retained
-    checkpoint instead, counted as ``recovery.line_fallback``.
-    Checkpoints beyond the one restored belong to the timeline this
-    rollback abandons; they are dropped so no later recovery (or audit)
-    can mix them with post-rollback establishments.  The restored
-    checkpoint itself always stays.
+    Every chain holds the line's epoch (each process completed it, and
+    the :func:`retention_floor` kept it through the outage); a chain
+    without it is damaged, and recovery stops rather than restore
+    another epoch.  Checkpoints beyond the line belong to the abandoned
+    timeline; they are dropped so no later recovery (or audit) can mix
+    them with post-rollback establishments.
     """
     stable = proc.node.stable
-    checkpoint = stable.line_checkpoint(proc.process_id, line)
+    checkpoint = stable.at_epoch(proc.process_id, line)
     if checkpoint is None:
-        raise RecoveryError(f"{proc.process_id} has no stable checkpoints")
-    if checkpoint.epoch != line:
-        proc.counters.bump("recovery.line_fallback")
-    stale = stable.discard_after_epoch(proc.process_id,
-                                       max(line, checkpoint.epoch))
+        raise RecoveryError(f"{proc.process_id} lacks line epoch {line}: "
+                            f"{stable.epochs(proc.process_id)}")
+    stale = stable.discard_after_epoch(proc.process_id, line)
     if stale:
         proc.counters.bump("recovery.stale_epochs_discarded", stale)
     return proc.restore_from(checkpoint, "hardware")
@@ -128,18 +135,27 @@ class HardwareRecoveryCoordinator:
         self.recoveries = 0
 
     def install(self) -> None:
-        """Subscribe to restarts of every distinct node."""
+        """Subscribe to crashes and restarts of every distinct node."""
         seen = set()
         for proc in self.processes:
             node = proc.node
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            node.on_crash(self._hold_line)
             node.on_restart(self._on_restart)
 
     # ------------------------------------------------------------------
     def _on_restart(self, node: Node) -> None:
         self.recover_all(crashed_node=str(node.node_id))
+
+    def _hold_line(self, _node: Optional[Node] = None) -> None:
+        """Set every store's floor from the members down right now."""
+        active = [p for p in self.processes if not p.deposed]
+        floor = retention_floor(line_report(proc) for proc in active
+                                if proc.node.crashed)
+        for proc in active:
+            proc.node.stable.hold(floor)
 
     def recover_all(self, crashed_node: str = "?") -> None:
         """Roll every in-service process back to the recovery line."""
@@ -181,6 +197,7 @@ class HardwareRecoveryCoordinator:
                 continue
             proc.resend_unacknowledged(deposed)
             proc.driver.resume()
+        self._hold_line()
         self.trace.record(sim.now, "recovery.hardware.done", None, epoch=line)
 
     # ------------------------------------------------------------------

@@ -81,9 +81,10 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  7: the simulator's heap holds ``(time, priority, seq,
-#: event)`` entries, and an alarm keeps no event label.
-_FORMAT = 7
+#: formats).  8: every node's crash listeners include the hardware
+#: recovery coordinator, and every stable store carries a retention
+#: floor.
+_FORMAT = 8
 
 
 class ForkContext:

@@ -6,7 +6,6 @@ from repro.analysis.global_state import (
     live_view,
     stable_line,
     view_from_checkpoint,
-    volatile_line,
 )
 from repro.app.faults import SoftwareFaultPlan
 from repro.app.workload import WorkloadConfig
@@ -66,24 +65,24 @@ class TestLines:
         line = stable_line(system, epoch=3)
         assert all(v.epoch == 3 for v in line.values())
 
-    def test_stable_line_missing_epoch_falls_back_to_oldest_retained(self):
+    def test_stable_line_omits_a_missing_epoch(self):
         system = run_system()
-        line = stable_line(system, epoch=10_000)
-        assert len(line) == 3
-        for proc in system.process_list():
-            history = proc.node.stable.history(proc.process_id)
-            assert len(history) > 1
-            assert line[proc.process_id].epoch == history[0].epoch
+        assert stable_line(system, epoch=10_000) == {}
+        # One process no longer holding an epoch drops out of that
+        # line alone; no other epoch stands in for it.
+        peer = system.peer
+        del peer.node.stable._chain[peer.process_id][3]
+        line = stable_line(system, epoch=3)
+        assert set(line) == {proc.process_id
+                             for proc in system.process_list()} - {
+                                 peer.process_id}
+        assert all(view.epoch == 3 for view in line.values())
 
     def test_common_stable_line_uses_min_epoch(self):
         system = run_system()
         line = common_stable_line(system)
         epochs = {v.epoch for v in line.values()}
         assert len(epochs) == 1
-
-    def test_volatile_line_skips_processes_without_checkpoint(self):
-        system = run_system(horizon=1.0)  # nothing happened yet
-        assert volatile_line(system) == {}
 
     def test_live_line_has_everyone(self):
         system = run_system()

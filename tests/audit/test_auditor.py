@@ -118,56 +118,72 @@ class TestViolationDetection:
 
 
 class TestRecoveryLine:
-    def test_auditor_checks_the_checkpoints_recovery_restores_on_fallback(
-            self, monkeypatch):
-        """The line epoch fell out of one process's retained history:
-        the coordinator restores that process's *oldest* retained
-        checkpoint, and the auditor must check that one — not the
-        latest — before the rollback."""
+    def test_restore_raises_when_the_chain_lacks_the_line_epoch(self):
+        """Retention keeps the line's epoch in every chain, so a chain
+        without it is damage: recovery stops instead of restoring some
+        other epoch (and discards nothing)."""
+        from repro.errors import RecoveryError
+        from repro.tb.hardware_recovery import restore_to_line
         config = AuditConfig(scheme="coordinated", seed=7, schedules=1,
                              stable_history=3)
         system = build_audit_system(
             config, FaultSchedule(label="clean", system_seed=11))
-        OnlineAuditor(system, fail_fast=False)
         system.run(until=200.0)
-        lagging, ahead = system.peer, system.shadow
-        for proc in system.process_list():
-            assert len(proc.node.stable.history(proc.process_id)) == 3
-        # Epochs diverge by two: one process is left with the oldest
-        # epoch only, another no longer retains it.
-        del lagging.node.stable._chain[lagging.process_id][1:]
-        del ahead.node.stable._chain[ahead.process_id][0]
-        line_epoch = lagging.node.stable.peek(lagging.process_id).epoch
-        kept = ahead.node.stable.history(ahead.process_id)
-        assert [c.epoch for c in kept] == [line_epoch + 1, line_epoch + 2]
+        ahead = system.shadow
+        store = ahead.node.stable
+        line_epoch = store.epochs(ahead.process_id)[0]
+        del store._chain[ahead.process_id][0]
+        kept = store.history(ahead.process_id)
+        with pytest.raises(RecoveryError, match="lacks line epoch"):
+            restore_to_line(ahead, line_epoch)
+        assert store.history(ahead.process_id) == kept
 
-        checked = {}
+    def test_auditor_checks_the_line_the_long_outage_restores(
+            self, monkeypatch):
+        """Seed 3, ``N2`` down 45 s over a two-epoch history: the line
+        checked at ``recovery.hardware.start`` is the one every process
+        restores — epoch 9 everywhere — and it audits clean."""
+        from repro.app.faults import HardwareFaultPlan
+        from repro.coordination.scheme import (Scheme, SystemConfig,
+                                               build_system)
+        from repro.tb.blocking import TbConfig
+        system = build_system(SystemConfig(
+            scheme=Scheme.COORDINATED, seed=3, horizon=400.0,
+            stable_history=2, tb=TbConfig(interval=20.0)))
+        system.inject_crash(HardwareFaultPlan(node_id="N2", crash_at=200.0,
+                                              repair_time=45.0))
+        auditor = OnlineAuditor(system, fail_fast=False)
+        last_checked = {}
         stable_line = auditor_module.stable_line
 
         def recording_line(system, epoch=None, readers=None):
             line = stable_line(system, epoch=epoch, readers=readers)
-            checked.update(epoch=epoch, line=line)
+            last_checked.update(line=line)
             return line
         monkeypatch.setattr(auditor_module, "stable_line", recording_line)
-        restored = {}
+        # The auditor checks at recovery.hardware.start, before the
+        # first restore: the line last checked then is the one at stake.
+        restored, checked_line = {}, {}
         restore_from = FtProcess.restore_from
 
         def recording_restore(process, checkpoint, reason):
-            restored[process.process_id] = checkpoint
+            if reason == "hardware":
+                restored[process.process_id] = checkpoint
+                checked_line.update(last_checked["line"])
             return restore_from(process, checkpoint, reason)
         monkeypatch.setattr(FtProcess, "restore_from", recording_restore)
-        system.hw_recovery.recover_all(crashed_node="test")
+        system.run()
+        auditor.finalize()
 
-        assert checked["epoch"] == line_epoch
-        assert restored[ahead.process_id] is kept[0]
-        assert ahead.counters.get("recovery.line_fallback") == 1
-        assert lagging.counters.get("recovery.line_fallback") == 0
-        assert set(checked["line"]) == set(restored)
+        assert system.hw_recovery.recoveries == 1
+        assert {c.epoch for c in restored.values()} == {9}
+        assert set(checked_line) == set(restored) == {
+            proc.process_id for proc in system.process_list()}
         for pid, checkpoint in restored.items():
-            assert checked["line"][pid] == global_state.view_from_checkpoint(
+            assert checked_line[pid] == global_state.view_from_checkpoint(
                 checkpoint), pid
-        # A fallen-back view carries its own epoch, not the line's.
-        assert checked["line"][ahead.process_id].epoch == line_epoch + 1
+            assert checked_line[pid].epoch == 9
+        assert auditor.findings == []
 
 
 class TestAuditFinding:

@@ -35,17 +35,49 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 # ----------------------------------------------------------------------
 # scripted decision conformance, parametrized over both backends
 # ----------------------------------------------------------------------
+class _ScriptRunner:
+    """A backend-agnostic ``(seed, script) -> decisions`` runner;
+    :meth:`chains` reads back each process's retained stable epochs
+    after a run, oldest first as the chain holds them."""
+
+    def __init__(self, backend, workdir):
+        self.backend = backend
+        self.workdir = workdir
+        self._system = None
+
+    def __call__(self, seed, script):
+        if self.backend == "sim":
+            sim = SimBackend(seed=seed)
+            self._system = sim.system
+            return sim.run_script(script)
+        harness = LiveHarness(seed=seed, workdir=self.workdir, deadline=90.0)
+        return harness.run_script(script)
+
+    def chains(self):
+        if self.backend == "sim":
+            return {pid: proc.node.stable.epochs(proc.process_id)
+                    for pid, proc in self._system.members.items()}
+        # Every file the agent left, whatever its history would trim.
+        return {member: FileStableStore(
+                    os.path.join(self.workdir, f"stable_{member}"),
+                    history=1_000).epochs(ProcessId(member))
+                for member in ("P1_act", "P1_sdw", "P2")}
+
+
 @pytest.fixture(params=["sim", "live"])
 def run_script(request, tmp_path):
-    """A backend-agnostic ``(seed, script) -> decisions`` runner."""
-    if request.param == "sim":
-        return lambda seed, script: SimBackend(seed=seed).run_script(script)
+    return _ScriptRunner(request.param, str(tmp_path / "live"))
 
-    def live(seed, script):
-        harness = LiveHarness(seed=seed, workdir=str(tmp_path / "live"),
-                              deadline=90.0)
-        return harness.run_script(script)
-    return live
+
+def long_outage_script():
+    """The paper-shape standard script with the crashed node kept down
+    through three establishments of the survivors — longer than the
+    two-epoch history every store keeps by count."""
+    ops = []
+    for op in topology_script(Topology.paper()):
+        ops.extend([ScriptOp("tb-round")] * 3 if op.op == "settle"
+                   else [op])
+    return WorkloadScript(ops=tuple(ops))
 
 
 def _events(decisions, process):
@@ -97,6 +129,26 @@ class TestScriptedConformance:
             epochs = [entry["epoch"] for entry in decisions[process]
                       if entry["event"] == "tb.establish.done"]
             assert epochs[-1] > line
+
+    def test_long_outage_restores_one_line(self, run_script):
+        decisions = run_script(0, long_outage_script())
+        processes = ("P1_act", "P1_sdw", "P2")
+        lines = {entry["epoch"] for process in processes
+                 for entry in decisions[process]
+                 if entry["event"] == "recovery.rollback.hardware"}
+        assert len(lines) == 1, lines  # one common recovery line
+        line = lines.pop()
+        for process in processes:
+            steps = [(entry["event"], entry["epoch"])
+                     for entry in decisions[process]
+                     if entry["event"] in ("tb.establish.done",
+                                           "recovery.rollback.hardware")]
+            rolled_back = steps.index(("recovery.rollback.hardware", line))
+            # Establishments resume at line + 1.
+            assert steps[rolled_back + 1] == ("tb.establish.done",
+                                              line + 1), (process, steps)
+        for process, chain in run_script.chains().items():
+            assert chain == sorted(chain) and chain, (process, chain)
 
     def test_post_recovery_traffic_still_validates(self, run_script):
         decisions = run_script(0, topology_script(Topology.paper()))
@@ -255,6 +307,29 @@ class TestDurableStableStore:
         rebuilt = FileStableStore(root, history=4)
         assert rebuilt.epochs(ProcessId("P2")) == [0, 1]
 
+    def test_held_store_keeps_files_from_the_floor_until_recovery(
+            self, tmp_path):
+        root = str(tmp_path / "stable")
+        store = FileStableStore(root, history=2)
+        pid = ProcessId("P2")
+        for epoch in (1, 2):
+            store.save(_stable_ckpt("P2", epoch, float(epoch)))
+        store.hold(2)  # a member whose newest epoch is 2 went down
+        for epoch in (3, 4, 5):
+            store.save(_stable_ckpt("P2", epoch, float(epoch)))
+
+        def on_disk():
+            return FileStableStore(root, history=1_000).epochs(pid)
+        assert store.epochs(pid) == on_disk() == [2, 3, 4, 5]
+        # hw-recover: the hold lifts and the restore to line 2 discards
+        # the abandoned epochs, files included.
+        store.hold(None)
+        assert store.discard_after_epoch(pid, 2) == 3
+        assert store.epochs(pid) == on_disk() == [2]
+        for epoch in (3, 4):
+            store.save(_stable_ckpt("P2", epoch, float(epoch)))
+        assert store.epochs(pid) == on_disk() == [3, 4]
+
     def test_interrupted_write_leaves_old_state(self, tmp_path):
         root = str(tmp_path / "stable")
         store = FileStableStore(root, history=2)
@@ -381,7 +456,72 @@ def scheduler_substrate(request):
     return scheduler, advance
 
 
+def _fire_order(scheduler, advance, specs):
+    """Schedule ``(label, delay, priority)`` specs in list order, run
+    past the last one, and return the labels in firing order."""
+    fired = []
+    start = scheduler.now
+    for label, delay, priority in specs:
+        scheduler.schedule_at(start + delay, fired.append, args=(label,),
+                              priority=priority, label=label)
+    advance(start + max(delay for _label, delay, _p in specs) + 0.1)
+    return fired
+
+
+ACTION = EventPriority.ACTION
+
+
 class TestSchedulerConformance:
+    def test_orders_by_time(self, scheduler_substrate):
+        assert _fire_order(*scheduler_substrate, [
+            ("late", 0.08, ACTION), ("early", 0.04, ACTION)]) == [
+                "early", "late"]
+
+    def test_same_time_orders_by_priority(self, scheduler_substrate):
+        assert _fire_order(*scheduler_substrate, [
+            ("control", 0.05, EventPriority.CONTROL),
+            ("action", 0.05, EventPriority.ACTION),
+            ("timer", 0.05, EventPriority.TIMER),
+            ("delivery", 0.05, EventPriority.DELIVERY)]) == [
+                "delivery", "timer", "action", "control"]
+
+    def test_same_time_same_priority_orders_by_insertion(
+            self, scheduler_substrate):
+        assert _fire_order(*scheduler_substrate, [
+            (label, 0.05, ACTION) for label in "abcd"]) == list("abcd")
+
+    def test_seq_numbers_insertion_and_breaks_the_last_tie(
+            self, scheduler_substrate):
+        scheduler, advance = scheduler_substrate
+        due = scheduler.now + 0.05
+        fired = []
+        events = [scheduler.schedule_at(due, fired.append, args=(label,),
+                                        label=label)
+                  for label in ("first", "second")]
+        assert events[0].seq < events[1].seq
+        advance(due + 0.1)
+        assert fired == ["first", "second"]
+
+    def test_priority_beats_insertion_order(self, scheduler_substrate):
+        assert _fire_order(*scheduler_substrate, [
+            ("inserted-first", 0.05, EventPriority.CONTROL),
+            ("inserted-later", 0.05, EventPriority.DELIVERY)]) == [
+                "inserted-later", "inserted-first"]
+
+    def test_cancelled_flag_does_not_affect_ordering(
+            self, scheduler_substrate):
+        scheduler, advance = scheduler_substrate
+        start = scheduler.now
+        fired = []
+        events = [scheduler.schedule_at(start + delay, fired.append,
+                                        args=(label,), label=label)
+                  for label, delay in (("c", 0.06), ("a", 0.02),
+                                       ("b", 0.04))]
+        events[1].cancel()
+        assert events[1].cancelled
+        advance(start + 0.16)
+        assert fired == ["b", "c"]
+
     def test_same_instant_fires_by_priority_then_insertion(
             self, scheduler_substrate):
         scheduler, advance = scheduler_substrate

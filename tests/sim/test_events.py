@@ -1,4 +1,6 @@
-"""Unit tests for the event primitives."""
+"""Unit tests for the event primitives.  How schedulers order events is
+held on both backends by
+``tests/runtime/test_conformance.py::TestSchedulerConformance``."""
 
 from repro.sim.events import Event, EventPriority, EventSequencer
 
@@ -10,41 +12,6 @@ def _noop():
 def _event(time, sequencer, callback=_noop, args=(),
            priority=EventPriority.ACTION, label=""):
     return Event(time, int(priority), sequencer(), callback, args, label)
-
-
-class TestOrdering:
-    def test_orders_by_time(self):
-        seq = EventSequencer()
-        early = _event(1.0, seq)
-        late = _event(2.0, seq)
-        assert early < late
-        assert not late < early
-
-    def test_same_time_orders_by_priority(self):
-        seq = EventSequencer()
-        delivery = _event(1.0, seq, priority=EventPriority.DELIVERY)
-        timer = _event(1.0, seq, priority=EventPriority.TIMER)
-        action = _event(1.0, seq, priority=EventPriority.ACTION)
-        control = _event(1.0, seq, priority=EventPriority.CONTROL)
-        assert delivery < timer < action < control
-
-    def test_same_time_same_priority_orders_by_insertion(self):
-        seq = EventSequencer()
-        first = _event(1.0, seq)
-        second = _event(1.0, seq)
-        assert first < second
-
-    def test_explicit_seq_pins_tiebreak(self):
-        a = Event(1.0, int(EventPriority.ACTION), 10, _noop)
-        b = Event(1.0, int(EventPriority.ACTION), 5, _noop)
-        assert b < a
-
-    def test_priority_beats_insertion_order(self):
-        seq = EventSequencer()
-        later_inserted = _event(1.0, seq, priority=EventPriority.DELIVERY)
-        # Insert another afterwards with a lower-urgency priority.
-        earlier_priority = _event(1.0, seq, priority=EventPriority.CONTROL)
-        assert later_inserted < earlier_priority
 
 
 class TestCancellation:
@@ -62,13 +29,6 @@ class TestCancellation:
         event.cancel()
         event.cancel()
         assert event.cancelled
-
-    def test_cancelled_flag_does_not_affect_ordering(self):
-        seq = EventSequencer()
-        a = _event(1.0, seq)
-        b = _event(2.0, seq)
-        a.cancel()
-        assert a < b
 
 
 class TestFire:
@@ -89,7 +49,6 @@ class TestSequencerScoping:
         a = _event(1.0, sequencer)
         b = _event(1.0, sequencer)
         assert (a.seq, b.seq) == (0, 1)
-        assert a < b
 
     def test_sequencers_are_independent(self):
         first = EventSequencer()

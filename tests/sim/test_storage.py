@@ -73,6 +73,33 @@ class TestStableStore:
             store.save(ckpt(epoch=epoch))
         assert store.epochs(ProcessId("P")) == [2, 3]
 
+    def test_hold_keeps_every_epoch_from_the_floor(self):
+        store = StableStore(history=2)
+        for epoch in (1, 2, 3):
+            store.save(ckpt(epoch=epoch))
+        store.hold(3)
+        for epoch in (4, 5, 6):
+            store.save(ckpt(epoch=epoch))
+        assert store.epochs(ProcessId("P")) == [3, 4, 5, 6]
+
+    def test_hold_still_trims_below_the_floor_by_count(self):
+        store = StableStore(history=2)
+        store.save(ckpt(epoch=1))
+        store.hold(2)
+        for epoch in (2, 3, 4):
+            store.save(ckpt(epoch=epoch))
+        assert store.epochs(ProcessId("P")) == [2, 3, 4]
+
+    def test_lifted_hold_trims_back_to_history_at_the_next_save(self):
+        store = StableStore(history=2)
+        store.hold(1)
+        for epoch in (1, 2, 3, 4):
+            store.save(ckpt(epoch=epoch))
+        store.hold(None)
+        assert store.epochs(ProcessId("P")) == [1, 2, 3, 4]
+        store.save(ckpt(epoch=5))
+        assert store.epochs(ProcessId("P")) == [4, 5]
+
     def test_at_epoch_finds_retained(self):
         store = StableStore(history=3)
         for epoch in (1, 2, 3):

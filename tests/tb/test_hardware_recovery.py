@@ -7,7 +7,8 @@ from conftest import EXTERNAL, INTERNAL, action, run_to
 from repro.app.faults import HardwareFaultPlan
 from repro.coordination.scheme import Scheme
 from repro.errors import RecoveryError
-from repro.tb.hardware_recovery import agree_line, line_report
+from repro.tb.hardware_recovery import (agree_line, line_report,
+                                        retention_floor)
 
 
 def crash_and_recover(system, node="N2", at=25.0, repair=1.0, until=40.0):
@@ -159,37 +160,82 @@ class TestLineAgreement:
         assert line_report(system.peer) == (system.peer.process_id, 0, None)
 
 
+class TestRetentionFloor:
+    def test_floor_is_the_oldest_newest_epoch_of_the_down(self):
+        assert retention_floor([("P2", 9, 11), ("P3", 7, None)]) == 7
+
+    def test_nothing_down_holds_nothing(self):
+        assert retention_floor([]) is None
+        assert retention_floor([("P2", None, None)]) is None
+
+
+def _long_outage(history, crashes=((200.0, 45.0), (247.0, 1.0))):
+    """Seed 3, a 20 s TB interval, ``N2`` down 200 -> 245 s (two TB
+    intervals longer than a two-epoch history) and, by default, once
+    more briefly.  Returns the system and, per recovery, the epoch each
+    process restored."""
+    from repro.coordination.scheme import SystemConfig, build_system
+    from repro.tb.blocking import TbConfig
+    system = build_system(SystemConfig(scheme=Scheme.COORDINATED, seed=3,
+                                       horizon=400.0, stable_history=history,
+                                       tb=TbConfig(interval=20.0)))
+    recoveries = [{}]
+
+    def on_record(rec):
+        if rec.category == "recovery.rollback.hardware":
+            recoveries[-1][rec.process] = rec.data["epoch"]
+            return
+        # Each chain still holds the checkpoint it restored.
+        for process_id, epoch in recoveries[-1].items():
+            proc = system.members[process_id]
+            assert epoch in proc.node.stable.epochs(process_id)
+        recoveries.append({})
+
+    system.trace.subscribe(on_record, names=(
+        "recovery.rollback.hardware", "recovery.hardware.done"))
+    for crash_at, repair_time in crashes:
+        system.inject_crash(HardwareFaultPlan(
+            node_id="N2", crash_at=crash_at, repair_time=repair_time))
+    return system, recoveries
+
+
 class TestLongOutage:
-    def test_fallback_keeps_the_restored_checkpoint(self):
-        """An outage longer than the retained history: component 1's
-        processes no longer hold the line's epoch and fall back to their
-        oldest retained checkpoint.  That checkpoint must survive the
-        discard of the abandoned timeline, or the next crash finds a
-        chain with nothing in it."""
-        from repro.coordination.scheme import SystemConfig, build_system
-        from repro.tb.blocking import TbConfig
-        system = build_system(SystemConfig(scheme=Scheme.COORDINATED, seed=3,
-                                           horizon=400.0,
-                                           tb=TbConfig(interval=20.0)))
-        restored = []
-
-        def on_record(rec):
-            if rec.category == "recovery.rollback.hardware":
-                restored.append((rec.process, rec.data["epoch"]))
-                return
-            for process_id, epoch in restored:
-                proc = system.members[process_id]
-                assert epoch in proc.node.stable.epochs(process_id)
-            restored.clear()
-
-        system.trace.subscribe(on_record, names=(
-            "recovery.rollback.hardware", "recovery.hardware.done"))
-        system.inject_crash(HardwareFaultPlan(node_id="N2", crash_at=200.0,
-                                              repair_time=45.0))
-        system.inject_crash(HardwareFaultPlan(node_id="N2", crash_at=247.0,
-                                              repair_time=1.0))
+    def test_every_process_restores_the_line(self):
+        """An outage longer than the retained history: the survivors
+        hold every epoch from N2's newest on, so all three processes
+        restore the same line — epoch 9 — and each chain keeps the
+        checkpoint it restored for the next crash."""
+        system, recoveries = _long_outage(history=2)
         system.run()
         assert system.hw_recovery.recoveries == 2
-        fallbacks = sum(proc.counters.get("recovery.line_fallback")
-                        for proc in system.process_list())
-        assert fallbacks >= 1
+        restored = recoveries[:-1]
+        assert len(restored) == 2
+        assert restored[0] == dict.fromkeys(
+            (proc.process_id for proc in system.process_list()), 9)
+        for epochs in restored:
+            assert len(set(epochs.values())) == 1, epochs
+
+    def test_rollbacks_match_a_history_that_never_trims_the_line(self):
+        rollbacks = {}
+        for history in (2, 8):
+            system, _ = _long_outage(history=history)
+            system.run()
+            rollbacks[history] = [
+                (rec.time, rec.process, dict(rec.data))
+                for rec in system.trace.records("recovery.rollback.hardware")]
+        assert rollbacks[2] == rollbacks[8]
+        assert rollbacks[2]
+
+    def test_a_survivors_chain_trims_back_to_history_after_recovery(self):
+        system, _ = _long_outage(history=2, crashes=((200.0, 45.0),))
+        survivor = system.members["P1_act"]
+        store = survivor.node.stable
+        system.run(until=244.0)
+        held = store.epochs(survivor.process_id)
+        assert store.floor == 9
+        assert held[0] <= 9 and len(held) > 2
+        system.run(until=246.0)
+        assert store.floor is None
+        system.run(until=300.0)
+        for proc in system.process_list():
+            assert len(proc.node.stable.history(proc.process_id)) == 2

@@ -199,6 +199,15 @@ def _as_format_6_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_7_wrote_it(record):
+    # Format 7 thawed nodes whose crash listeners lack the hardware
+    # recovery coordinator and stable stores with no retention floor:
+    # a thawed run would trim the line a long outage needs.  The
+    # header's format byte turns its dumps away.
+    record["dumps"] = [(at, bytes([7]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -224,6 +233,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_format_5_wrote_it),
     "format-6-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_6_wrote_it),
+    "format-7-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_7_wrote_it),
 }
 
 
