@@ -151,16 +151,13 @@ def _cmd_snapshot_stats(args) -> int:
     horizon = args.horizon
     system = build_system(SystemConfig(
         scheme=Scheme(args.scheme), seed=args.seed, horizon=horizon,
-        incremental_snapshots=not args.full_snapshots,
         workload1=WorkloadConfig(internal_rate=0.1, external_rate=0.02,
                                  step_rate=0.02, horizon=horizon),
         workload2=WorkloadConfig(internal_rate=0.05, external_rate=0.02,
                                  step_rate=0.02, horizon=horizon)))
     system.run()
 
-    mode = "full" if args.full_snapshots else "incremental"
-    print(f"scheme={args.scheme} seed={args.seed} horizon={horizon:.0f}s "
-          f"capture={mode}\n")
+    print(f"scheme={args.scheme} seed={args.seed} horizon={horizon:.0f}s\n")
     rows = []
     for p in system.process_list():
         for store_name, store in (("volatile", p.node.volatile),
@@ -232,7 +229,7 @@ def _cmd_audit(args) -> int:
     else:
         config = AuditConfig(scheme=args.scheme, seed=args.seed,
                              schedules=args.schedules, horizon=args.horizon,
-                             topology=args.topology, flock=args.flock,
+                             topology=args.topology,
                              fork_batch=args.fork_batch)
         schedules = None
     fabric_opts = None
@@ -475,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "write-through"])
     snapstats.add_argument("--seed", type=int, default=7)
     snapstats.add_argument("--horizon", type=float, default=3_000.0)
-    snapstats.add_argument("--full-snapshots", action="store_true",
-                           help="disable incremental (delta) capture")
     snapstats.set_defaults(fn=_cmd_snapshot_stats)
 
     timeline = sub.add_parser(

@@ -158,11 +158,6 @@ class WorkloadDriver:
             self._schedule_next()
 
     @property
-    def paused(self) -> bool:
-        """Whether the driver is currently paused."""
-        return self._paused
-
-    @property
     def exhausted(self) -> bool:
         """Whether the stream has run out of actions."""
         return self.cursor >= len(self._actions)

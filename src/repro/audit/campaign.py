@@ -321,12 +321,12 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
               warmstart: bool = False,
               image_store=None,
               timeline=None,
-              flock: Optional[bool] = None,
+              flock: bool = False,
               fabric: Optional[int] = None,
               fabric_opts: Optional[Dict] = None) -> AuditReport:
     """Run a full campaign: generate, execute, optionally shrink.
 
-    ``warmstart=True`` and ``flock`` (default: ``config.flock``) both
+    ``warmstart=True`` and ``flock=True`` both
     start every schedule of a shared ``(seed, overrides)`` prefix (see
     ``repro.warmstart.share_schedule_seeds``) as a fork of that
     prefix's ONE resident template (:mod:`repro.flock`), falling back
@@ -355,12 +355,11 @@ def run_audit(config: AuditConfig, workers: Optional[int] = None,
     """
     emit = log or (lambda _msg: None)
     start = time.monotonic()
-    use_flock = config.flock if flock is None else bool(flock)
     if timeline is None and (schedules is None or warmstart):
         timeline = reference_timeline(config)
     if schedules is None:
         schedules = generate_schedules(config, timeline=timeline)
-    mode = "flock" if use_flock else ("warm" if warmstart else "cold")
+    mode = "flock" if flock else ("warm" if warmstart else "cold")
     # The seed model, read off the input: one prefix per schedule is a
     # per-schedule-seed campaign, a handful is a shared-seed one.
     prefixes = len({(sched.system_seed, tuple(sorted(sched.overrides)))

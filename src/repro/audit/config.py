@@ -77,14 +77,11 @@ class AuditConfig:
     #: campaign fingerprints — and the warm-start caches and golden
     #: digests keyed by them — are unchanged.
     topology: str = "paper"
-    #: Start the schedules of a shared prefix as forks off its resident
-    #: template (:mod:`repro.flock`) instead of from fresh builds.
-    #: Pure execution strategy — findings, traces, and shrink results
-    #: are bit-for-bit identical — so, like ``fork_batch``, it is
-    #: excluded from :meth:`to_dict` and the campaign fingerprint.
-    flock: bool = False
     #: Shard size for parallel flock campaigns: prefix groups larger
     #: than this split across workers, one resident template per shard.
+    #: Pure execution strategy — findings, traces, and shrink results
+    #: are bit-for-bit identical — so it is excluded from
+    #: :meth:`to_dict` and the campaign fingerprint.
     fork_batch: int = 32
 
     def __post_init__(self) -> None:
@@ -160,10 +157,9 @@ class AuditConfig:
             # Default topology is omitted so pre-topology fingerprints
             # (pinned goldens, warm-start cache keys) stay stable.
             del data["topology"]
-        # Execution-strategy knobs never enter a campaign's identity:
-        # the same schedules produce the same results cold, warm, or
-        # flocked, and fingerprints key caches and golden digests.
-        data.pop("flock", None)
+        # Execution strategy never enters a campaign's identity: the
+        # same schedules produce the same results however they are
+        # sharded, and fingerprints key caches and golden digests.
         data.pop("fork_batch", None)
         return data
 

@@ -51,7 +51,7 @@ from ..app.faults import (
 )
 from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
 from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
-from ..host import FtProcess, IncarnationCounter
+from ..host import FtProcess, IncarnationCounter, journal_retention
 from ..messages.message import MsgIdAllocator
 from ..runtime import (ClockConfig, Network, NetworkConfig, Node, RngRegistry,
                        Simulator, TraceRecorder)
@@ -105,27 +105,15 @@ class SystemConfig:
     #: everything).  Campaign runners that assert over one slice of the
     #: trace set this so every other record costs nothing.
     trace_categories: Optional[tuple] = None
-    #: Retention window for validated journal records; the effective
-    #: value is never below four TB intervals so pruning cannot touch
-    #: records near a live checkpoint line.
-    journal_retention: float = 600.0
     #: How many stable-checkpoint epochs each node retains (>= 2 so the
     #: recovery line survives a laggard establishment; scenario analyses
     #: raise it to audit every historical line).
     stable_history: int = 2
-    #: Whether journals and message logs encode as deltas against the
-    #: previous capture (full sections when off).
-    incremental_snapshots: bool = True
     #: Membership spec: ``"paper"`` (the exact three-process shape) or
     #: ``"NxK"``/``"NxK+U"`` — N guarded components with K shadows each
     #: plus U unguarded peers (default U = N).  Non-paper topologies
     #: require a coordinated scheme.
     topology: str = "paper"
-
-    def with_scheme(self, scheme: Scheme) -> "SystemConfig":
-        """Same configuration, different scheme — the paired-comparison
-        helper Figure 7 uses (identical seeds and workloads)."""
-        return dataclasses.replace(self, scheme=scheme)
 
 
 class System:
@@ -212,9 +200,7 @@ class System:
             role=role, trace=self.trace)
         process.msg_ids = self.msg_ids
         process.is_guarded_active = member.kind is MemberKind.ACTIVE
-        process.journal_retention = max(self.config.journal_retention,
-                                        4.0 * self.config.tb.interval)
-        process.snapshot_encoder.incremental = self.config.incremental_snapshots
+        process.journal_retention = journal_retention(self.config.tb.interval)
         self.members[member.role_id] = process
         if role is not None:
             self.processes[role] = process

@@ -73,15 +73,6 @@ class Figure7Config:
     replications: int = 3
     seed: int = 2001
 
-    def scaled(self, factor: float) -> "Figure7Config":
-        """A cheaper/heavier variant (fewer rates, shorter horizon)."""
-        rates = tuple(self.internal_rates[:: max(1, int(1 / factor))]) \
-            if factor < 1 else tuple(self.internal_rates)
-        return dataclasses.replace(
-            self, internal_rates=rates,
-            horizon=self.horizon * factor,
-            replications=max(1, int(self.replications * factor)))
-
 
 @dataclasses.dataclass
 class Figure7Point:

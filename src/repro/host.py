@@ -19,7 +19,7 @@ never writes stable checkpoints (pure-MDCD operation).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from .app.component import ApplicationComponent, AppState, Payload
 from .app.workload import Action, ActionKind, WorkloadDriver
@@ -36,6 +36,13 @@ from .runtime import CounterSet, SimProcess, TraceRecorder
 from .runtime.ports import CrashPort, TransportPort
 from .snapshot.sections import SnapshotEncoder
 from .types import CheckpointKind, MessageKind, ProcessId, Role, StableContent
+
+
+def journal_retention(tb_interval: float) -> float:
+    """How long a built process keeps validated journal records: ten
+    minutes, and never under four TB intervals, so pruning cannot touch
+    records near a live checkpoint line."""
+    return max(600.0, 4.0 * tb_interval)
 
 
 class IncarnationCounter:
@@ -73,7 +80,7 @@ class ProcessSnapshot:
     app_state: AppState
     mdcd: MdcdState
     sn_value: int
-    dedup_seen: Set[int]
+    dedup_seen: Dict[Any, None]
     unacked: List[Message]
     journal_sent: Journal
     journal_recv: Journal
@@ -148,12 +155,11 @@ class FtProcess(SimProcess):
         #: How long validated journal records are retained before the
         #: periodic compaction (run at stable-checkpoint completions)
         #: garbage-collects them.  Must comfortably exceed the stable
-        #: checkpoint interval plus message-delay bounds.
+        #: checkpoint interval plus message-delay bounds; builders set
+        #: it from :func:`journal_retention`.
         self.journal_retention: float = 600.0
         #: Per-process snapshot encoder: remembers the previous capture
-        #: so journals and the message log encode as deltas.  Set
-        #: ``incremental=False`` (via the system configs) to force full
-        #: sections on every capture.
+        #: so journals and the message log encode as deltas.
         self.snapshot_encoder = SnapshotEncoder()
         self._buffer: List[Message] = []
         self._deferred_actions: List[Action] = []
@@ -502,10 +508,6 @@ class FtProcess(SimProcess):
         for action in deferred:
             self.perform_action(action)
         return processed
-
-    def buffered_count(self) -> int:
-        """Number of deliveries currently held by the blocking buffer."""
-        return len(self._buffer)
 
     def reprocess_notifications(self) -> int:
         """Re-dispatch "passed AT" notifications that arrived ahead of

@@ -50,7 +50,7 @@ from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
 from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
 from ..coordination.scheme import Scheme
 from ..coordination.wiring import software_engine
-from ..host import FtProcess, IncarnationCounter
+from ..host import FtProcess, IncarnationCounter, journal_retention
 from ..mdcd.recovery import drop_recipient
 from ..messages.message import reset_msg_ids
 from ..runtime import ClockConfig, NetworkConfig, RngRegistry, TraceRecorder
@@ -164,7 +164,7 @@ class LiveAgent:
             component=component, driver=driver, incarnation=self.incarnation,
             role=Role.of(self.member.role_id), trace=self.trace)
         process.is_guarded_active = self.member.kind is MemberKind.ACTIVE
-        process.journal_retention = max(600.0, 4.0 * self.tb_interval)
+        process.journal_retention = journal_retention(self.tb_interval)
         return process
 
     def _wire_engines(self) -> None:

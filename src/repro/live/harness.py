@@ -51,6 +51,10 @@ ROLE_ORDER = (Role.ACTIVE_1, Role.SHADOW_1, Role.PEER_2)
 #: per-member).
 NODE_ROLES = {"N1a": Role.ACTIVE_1, "N1b": Role.SHADOW_1, "N2": Role.PEER_2}
 
+#: Seconds of local time an agent looks ahead for due protocol events
+#: when a script step waits for the system to go idle.
+QUIESCE_HORIZON = 2.0
+
 
 class HarnessError(ReproError):
     """A live agent failed to start, respond, or quiesce in time."""
@@ -170,14 +174,12 @@ class LiveHarness:
                  workdir: Optional[str] = None,
                  heartbeat: Optional[Dict[str, float]] = None,
                  deadline: float = 120.0, horizon: float = 1_000.0,
-                 quiesce_horizon: float = 2.0,
                  topology: str = "paper") -> None:
         self.seed = seed
         self.tb_interval = tb_interval
         self.heartbeat = heartbeat
         self.deadline = deadline
         self.horizon = horizon
-        self.quiesce_horizon = quiesce_horizon
         self.topology: Topology = parse_topology(topology)
         self.member_ids = list(self.topology.role_ids())
         self._node_member = {m.node_id: m.role_id
@@ -255,10 +257,9 @@ class LiveHarness:
     # ------------------------------------------------------------------
     # barriers
     # ------------------------------------------------------------------
-    def quiesce_all(self, horizon: Optional[float] = None) -> None:
+    def quiesce_all(self, horizon: float = QUIESCE_HORIZON) -> None:
         """Block until every in-service agent is idle twice in a row
         (no unreceipted frames, no due protocol events)."""
-        horizon = self.quiesce_horizon if horizon is None else horizon
         consecutive = 0
         while consecutive < 2:
             self._budget(1.0)

@@ -10,7 +10,7 @@ processed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Any, Dict, Iterable, List
 
 from .message import Message
 
@@ -83,10 +83,15 @@ class ReceiveDeduplicator:
     state, so a receiver that *rolled back* past the original delivery
     will accept the re-send — exactly the behaviour recoverability
     requires.
+
+    The seen keys are an insertion-ordered ``dict`` (values unused), not
+    a ``set``: a set of string-holding keys pickles in string-hash
+    order, so the checkpoint bytes would differ between interpreters
+    with different hash seeds.
     """
 
     def __init__(self) -> None:
-        self._seen: Set[int] = set()
+        self._seen: Dict[Any, None] = {}
 
     def is_duplicate(self, message: Message) -> bool:
         """Whether this logical message was already processed."""
@@ -94,17 +99,17 @@ class ReceiveDeduplicator:
 
     def record(self, message: Message) -> None:
         """Mark the logical message as processed."""
-        self._seen.add(message.dedup_key)
+        self._seen[message.dedup_key] = None
 
     @property
-    def seen(self) -> Set[int]:
-        """The live seen-set, by reference (a capture's codec freezes
-        it; :meth:`restore` takes its own copy)."""
+    def seen(self) -> Dict[Any, None]:
+        """The live seen keys, by reference (a capture's codec freezes
+        them; :meth:`restore` takes its own copy)."""
         return self._seen
 
-    def restore(self, seen: Set[int]) -> None:
-        """Restore the seen-set from a checkpoint."""
-        self._seen = set(seen)
+    def restore(self, seen: Iterable[Any]) -> None:
+        """Restore the seen keys from a checkpoint (any iterable)."""
+        self._seen = dict.fromkeys(seen)
 
     def __len__(self) -> int:
         return len(self._seen)

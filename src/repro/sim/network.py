@@ -33,12 +33,12 @@ class NetworkConfig:
     ``t_min``/``t_max`` bound application and notification messages;
     acknowledgements use the same bounds (the protocols only need acks
     to be eventually delivered, not bounded, but bounded acks keep the
-    simulation finite-horizon).
+    simulation finite-horizon).  Channels are always FIFO (see
+    :meth:`Network.send`).
     """
 
     t_min: float = 0.002
     t_max: float = 0.02
-    fifo: bool = True
 
     def __post_init__(self) -> None:
         if self.t_min < 0 or self.t_max < self.t_min:
@@ -137,17 +137,16 @@ class Network:
         if message.born_at == 0.0:
             message.born_at = self._sim.now
         arrives_at = self._sim.now + self._draw_delay()
-        if self.config.fifo:
-            # FIFO channels (TCP-like): a later send on the same
-            # (sender, receiver) pair never overtakes an earlier one.
-            # The MDCD notification semantics rely on this: a process's
-            # "passed AT" broadcast must not be overtaken by messages it
-            # sends afterwards.
-            pair = (message.sender, message.receiver)
-            floor = self._last_arrival.get(pair)
-            if floor is not None and arrives_at <= floor:
-                arrives_at = floor + 1e-9
-            self._last_arrival[pair] = arrives_at
+        # FIFO channels (TCP-like): a later send on the same (sender,
+        # receiver) pair never overtakes an earlier one.  The MDCD
+        # notification semantics rely on this: a process's "passed AT"
+        # broadcast must not be overtaken by messages it sends
+        # afterwards.
+        pair = (message.sender, message.receiver)
+        floor = self._last_arrival.get(pair)
+        if floor is not None and arrives_at <= floor:
+            arrives_at = floor + 1e-9
+        self._last_arrival[pair] = arrives_at
         tx = Transmission(message=message, sent_at=self._sim.now,
                           arrives_at=arrives_at)
         self.sent_count += 1

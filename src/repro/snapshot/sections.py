@@ -472,12 +472,10 @@ class SnapshotEncoder:
     chain stays representable and shorter than ``max_chain``.
 
     Determinism: the encoder reads the live state and writes only its
-    own bookkeeping — capture can never perturb the simulation, so
-    incremental and full runs produce identical event sequences.
+    own bookkeeping — capture can never perturb the simulation.
     """
 
-    def __init__(self, incremental: bool = True, max_chain: int = 16) -> None:
-        self.incremental = incremental
+    def __init__(self, max_chain: int = 16) -> None:
         if max_chain < 1:
             raise ValueError("max_chain must be at least 1")
         self.max_chain = max_chain
@@ -507,9 +505,9 @@ class SnapshotEncoder:
             return encode_full(snapshot)
         payloads = []
         for name, fields in sections.items():
-            if self.incremental and name == "journals":
+            if name == "journals":
                 payloads.append(self._encode_journals(fields))
-            elif self.incremental and name == "msg_log":
+            elif name == "msg_log":
                 payloads.append(self._encode_log(fields))
             else:
                 payloads.append(self._full_payload(name, fields))

@@ -29,7 +29,8 @@ from ..messages.message import Message
 from ..runtime import ClockConfig, EventPriority, NetworkConfig
 from ..snapshot.sections import split_sections
 from ..types import CheckpointKind, StableContent
-from .blocking import TbConfig, blocking_period, worst_case_blocking
+from .blocking import (RESYNC_LIMIT_FRACTION, TbConfig, blocking_period,
+                       worst_case_blocking)
 
 
 @dataclasses.dataclass
@@ -237,14 +238,14 @@ class TbEngineBase:
 
     def _check_resync(self) -> None:
         """The Fig. 5 guard: resynchronize before drift inflates the
-        worst-case blocking period past the configured fraction of the
+        worst-case blocking period past ``RESYNC_LIMIT_FRACTION`` of the
         checkpoint interval."""
         if self.resync is None:
             return
         elapsed_next = self.clock.elapsed_since_resync() + self.config.interval
         tau_worst = worst_case_blocking(self.clock_config, elapsed_next,
                                         self.net_config)
-        if tau_worst > self.config.resync_limit_fraction * self.config.interval:
+        if tau_worst > RESYNC_LIMIT_FRACTION * self.config.interval:
             self.resync.request(reason=f"tb:{self.process.process_id}")
 
     # ------------------------------------------------------------------

@@ -20,6 +20,13 @@ import dataclasses
 from ..errors import ConfigurationError
 from ..runtime import ClockConfig, NetworkConfig
 
+#: Request a timer resynchronization when the worst-case blocking
+#: period of the *next* establishment would exceed this fraction of the
+#: interval (our reading of the guard at the end of the paper's Fig. 5:
+#: resynchronize before clock drift inflates blocking beyond
+#: usefulness).
+RESYNC_LIMIT_FRACTION = 0.25
+
 
 @dataclasses.dataclass(frozen=True)
 class TbConfig:
@@ -30,12 +37,6 @@ class TbConfig:
     interval:
         The checkpointing interval ``Delta`` (local-clock seconds
         between stable checkpoint establishments).
-    resync_limit_fraction:
-        Request a timer resynchronization when the worst-case blocking
-        period of the *next* establishment would exceed this fraction of
-        the interval (our reading of the guard at the end of the paper's
-        Fig. 5: resynchronize before clock drift inflates blocking
-        beyond usefulness).
     swap_on_confidence_change:
         The adapted protocol's responsiveness: abort a volatile-copy
         establishment and write the current state instead when the dirty
@@ -56,7 +57,6 @@ class TbConfig:
     """
 
     interval: float = 300.0
-    resync_limit_fraction: float = 0.25
     swap_on_confidence_change: bool = True
     blocking_enabled: bool = True
     save_unacked: bool = True
@@ -64,9 +64,6 @@ class TbConfig:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ConfigurationError(f"interval must be positive: {self}")
-        if not 0 < self.resync_limit_fraction <= 1:
-            raise ConfigurationError(
-                f"resync_limit_fraction must be in (0, 1]: {self}")
 
 
 def message_delay_term(dirty_bit: int, net: NetworkConfig) -> float:
@@ -85,8 +82,8 @@ def blocking_period(dirty_bit: int, clock: ClockConfig,
     ``dirty_bit == 0`` this coincides with the original TB protocol's
     blocking period.
     """
-    skew = clock.delta + 2.0 * clock.rho * elapsed_since_resync
-    return max(floor, skew + message_delay_term(dirty_bit, net))
+    return max(floor, clock.max_skew(elapsed_since_resync)
+               + message_delay_term(dirty_bit, net))
 
 
 def worst_case_blocking(clock: ClockConfig, elapsed_since_resync: float,

@@ -60,8 +60,3 @@ class ResyncService:
         self.trace.record(self.sim.now, "resync", None,
                           reason=reason, clocks=len(self.clocks))
         return True
-
-    def max_elapsed_since_resync(self) -> float:
-        """Largest elapsed-since-resync over the registered clocks —
-        the quantity that bounds current skew."""
-        return max((c.elapsed_since_resync() for c in self.clocks), default=0.0)

@@ -210,13 +210,6 @@ class Topology:
         return self._memo("exempt_role_ids", lambda: tuple(
             m.role_id for m in self.actives()))
 
-    def guarded_pairs(self) -> Dict[str, Tuple[str, ...]]:
-        """Derived consistency-line structure: each active role id
-        mapped to its shadows' role ids in election order."""
-        return {self.active_of(c).role_id:
-                tuple(s.role_id for s in self.shadows_of(c))
-                for c in range(1, self.n_components + 1)}
-
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------

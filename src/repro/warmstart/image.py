@@ -81,10 +81,10 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  8: every node's crash listeners include the hardware
-#: recovery coordinator, and every stable store carries a retention
-#: floor.
-_FORMAT = 8
+#: formats).  9: system, network and TB configs and snapshot encoders
+#: lost their single-value settings, and a receive-dedup set is an
+#: insertion-ordered dict.
+_FORMAT = 9
 
 
 class ForkContext:

@@ -76,12 +76,6 @@ class TestWiring:
 
 
 class TestConfig:
-    def test_with_scheme_keeps_everything_else(self):
-        base = SystemConfig(seed=9, horizon=123.0)
-        other = base.with_scheme(Scheme.NAIVE)
-        assert other.scheme is Scheme.NAIVE
-        assert other.seed == 9 and other.horizon == 123.0
-
     def test_build_system_overrides(self):
         system = build_system(seed=77, scheme=Scheme.NAIVE)
         assert system.config.seed == 77

@@ -32,13 +32,6 @@ class TestRunPoint:
         assert point.model_wt > point.model_co
 
 
-class TestConfig:
-    def test_scaled_down(self):
-        config = Figure7Config().scaled(0.5)
-        assert config.horizon == Figure7Config().horizon * 0.5
-        assert len(config.internal_rates) <= len(Figure7Config().internal_rates)
-
-
 class TestFormatting:
     def test_format_contains_series(self):
         points = [Figure7Point(internal_rate=60, e_d_co=10.0, ci_co=1.0,

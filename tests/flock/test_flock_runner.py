@@ -261,17 +261,19 @@ class TestWorkerShard:
 
 class TestRunAuditIntegration:
     def test_flock_config_knob_enables_it(self, timeline):
+        """The flock knob is ``run_audit``'s keyword; the config has none."""
         config = AuditConfig(scheme="coordinated", seed=11, schedules=8,
-                             horizon=120.0, tb_interval=20.0, flock=True)
+                             horizon=120.0, tb_interval=20.0)
         schedules = [_crash("a", 30.0), _crash("b", 60.0)]
-        report = run_audit(config, schedules=schedules, timeline=timeline)
+        report = run_audit(config, schedules=schedules, timeline=timeline,
+                           flock=True)
         assert report.warmstart is not None
         assert report.warmstart["mode"] == "flock"
+        with pytest.raises(TypeError):
+            AuditConfig(scheme="coordinated", seed=11, flock=True)
 
     def test_flock_knobs_stay_out_of_fingerprint(self):
-        on = AuditConfig(scheme="coordinated", seed=11, flock=True,
-                         fork_batch=7)
+        on = AuditConfig(scheme="coordinated", seed=11, fork_batch=7)
         off = AuditConfig(scheme="coordinated", seed=11)
         assert on.fingerprint() == off.fingerprint()
-        assert "flock" not in on.to_dict()
         assert "fork_batch" not in on.to_dict()

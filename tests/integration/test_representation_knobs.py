@@ -1,7 +1,7 @@
 """Representation knobs are invisible in a run's outcome.
 
-Tracing, incremental capture and the worker count change how a run is
-recorded, stored or scheduled — never what happens in it.  One Fig. 7 crash-recovery cell (coordinated
+Tracing and the worker count change how a run is recorded or
+scheduled — never what happens in it.  One Fig. 7 crash-recovery cell (coordinated
 scheme, internal rate 100, the sweep's own Poisson crash plans) runs
 once per knob setting; rollback distances and the executed-event count
 must equal the reference run's exactly.
@@ -19,17 +19,18 @@ from repro.experiments.figure7 import (
     _system_config,
 )
 from repro.experiments.runner import replication_seeds, run_campaign
+from repro.sim.storage import VolatileStore
+from repro.snapshot.sections import encode_full
 
 RATE = 100
 SEED = 2001
 FIG = Figure7Config(horizon=3_000.0)
 
 #: name -> ``SystemConfig`` overrides on the reference run (which traces
-#: every category and captures incrementally).
+#: every category).
 KNOBS = {
     "trace-off": dict(trace_enabled=False),
     "trace-allowlist": dict(trace_categories=("tb.establish.",)),
-    "full-capture": dict(incremental_snapshots=False),
 }
 
 
@@ -76,18 +77,20 @@ def test_worker_processes_change_no_outcome():
     assert parallel.samples
 
 
-def test_incremental_capture_halves_volatile_bytes():
+def test_incremental_capture_halves_volatile_bytes(monkeypatch):
     """Fault-free steady state: delta capture writes at most half the
-    volatile bytes of full capture, over the identical save schedule."""
-    fig = Figure7Config(horizon=4_000.0)
-    volatile = {}
-    for incremental in (True, False):
-        system = _run(dict(incremental_snapshots=incremental), SEED,
-                      fig=fig, crashes=False)
-        stores = [p.node.volatile for p in system.process_list()]
-        volatile[incremental] = (sum(s.saves for s in stores),
-                                 sum(s.bytes_written for s in stores))
-    (saves, delta_bytes), (full_saves, full_bytes) = \
-        volatile[True], volatile[False]
-    assert saves == full_saves > 0
-    assert full_bytes >= 2 * delta_bytes
+    volatile bytes that full sections of the same saved states take."""
+    saved = []
+    save = VolatileStore.save
+
+    def spy(store, checkpoint):
+        saved.append(checkpoint)
+        save(store, checkpoint)
+
+    monkeypatch.setattr(VolatileStore, "save", spy)
+    system = _run({}, SEED, fig=Figure7Config(horizon=4_000.0),
+                  crashes=False)
+    stores = [p.node.volatile for p in system.process_list()]
+    assert sum(s.saves for s in stores) == len(saved) > 0
+    full_bytes = sum(encode_full(c.restore_state()).nbytes for c in saved)
+    assert full_bytes >= 2 * sum(s.bytes_written for s in stores)

@@ -12,10 +12,9 @@ in capture order.  Every checkpoint the schedule captures or rewrites,
 its payload and each of its sections (full, delta and re-based) is
 checked against the record its ``__init__`` would have built.
 
-The ``counters`` section is pinned by count and length only: it pickles
-the receive-dedup set, whose order follows the string hashes inside its
-keys, so its bytes differ between hash seeds and between interpreters
-with different string-hash algorithms (its length does not).
+The ``counters`` section holds the receive-dedup keys in insertion
+order, so its bytes, too, are the same under every hash seed and
+string-hash algorithm (``test_counters_bytes_ignore_the_hash_seed``).
 
 Run as a script (``PYTHONPATH=src:tests python
 tests/integration/test_section_bytes.py``) to print the pins of the
@@ -24,17 +23,23 @@ current tree.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from init_built import assert_init_built
 from repro.checkpoint import Checkpoint
 
 #: Section name -> [payloads, total ``data`` bytes, sha256 of their
-#: ``data`` in capture order (None: hash-ordered, see above)], computed
-#: at the commit before records were built without their ``__init__``.
+#: ``data`` in capture order], computed at the commit before records
+#: were built without their ``__init__``; ``counters`` re-pinned when
+#: the dedup keys became an insertion-ordered dict (9 078 -> 9 566
+#: bytes: one ``None`` value per key).
 PINNED_SECTIONS = {
     "app": [45, 5955, "78d288e55f62d879597a343197b92396"
                       "30b70dd6c760064829bcc6fc72e56a62"],
-    "counters": [45, 9078, None],
+    "counters": [45, 9566, "68b7dc7cda9c49bd46ba8f18ac451ddd"
+                          "59c864d33297df4c3feb2df1fe17a55b"],
     "journals": [45, 10614, "893a34b95030dfd344f96f7406f18464"
                             "f6130ff529e5c6e0e88117c326432fec"],
     "mdcd": [45, 6840, "1e63a46ec8f54e2931b1e699cb5966d7"
@@ -42,9 +47,6 @@ PINNED_SECTIONS = {
     "msg_log": [45, 4435, "85de7b7debdf20cd53e7f2d0c6ec974e"
                           "f58b3c3c89d90516432a0d3839eb2c40"],
 }
-
-#: Sections whose bytes follow the interpreter's string hashes.
-HASH_ORDERED = {"counters"}
 
 
 def section_pins(check):
@@ -88,8 +90,7 @@ def section_pins(check):
         entry[0] += 1
         entry[1] += len(payload.data)
         entry[2].update(payload.data)
-    return {name: [count, size,
-                   None if name in HASH_ORDERED else digest.hexdigest()]
+    return {name: [count, size, digest.hexdigest()]
             for name, (count, size, digest) in sorted(pins.items())}
 
 
@@ -116,6 +117,43 @@ def test_every_section_encodes_the_pinned_bytes():
     assert any(not s.full for s in journals)
     assert sum(s.full for s in journals) > len({c.process_id
                                                 for c in checked})
+
+
+#: Run in a child interpreter: the sha256 of every process's
+#: ``counters`` section after one pinned schedule (coordinated,
+#: campaign seed 7, ``random:14``) — dedup keys hold strings.
+_COUNTERS_DIGEST = """
+import hashlib
+from repro.audit import AuditConfig, build_audit_system
+from repro.audit.generator import generate_schedules
+from repro.snapshot.sections import encode_full
+config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
+schedule = next(s for s in generate_schedules(config)
+                if s.label == "random:14")
+system = build_audit_system(config, schedule)
+system.run()
+digest = hashlib.sha256()
+for process in system.process_list():
+    [counters] = [s for s in encode_full(process.make_snapshot()).sections
+                  if s.section == "counters"]
+    assert process.dedup.seen and len(counters.data) > 0
+    digest.update(counters.data)
+print(digest.hexdigest())
+"""
+
+
+def test_counters_bytes_ignore_the_hash_seed():
+    """Two interpreters with different string-hash seeds encode the
+    same ``counters`` bytes."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.abspath(src))
+        digests.add(subprocess.run(
+            [sys.executable, "-c", _COUNTERS_DIGEST], env=env, check=True,
+            timeout=120, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 if __name__ == "__main__":

@@ -87,7 +87,14 @@ class TestDeduplicator:
         other.restore(seen)
         seen.clear()  # restore took its own copy
         assert other.is_duplicate(m)
-        assert other.seen == {m.dedup_key}
+        assert list(other.seen) == [m.dedup_key]
+
+    def test_seen_keys_keep_insertion_order(self):
+        dedup = ReceiveDeduplicator()
+        sent = [msg() for _ in range(5)]
+        for m in reversed(sent):
+            dedup.record(m)
+        assert list(dedup.seen) == [m.dedup_key for m in reversed(sent)]
 
     def test_restore_discards_later_records(self):
         dedup = ReceiveDeduplicator()

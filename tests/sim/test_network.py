@@ -85,7 +85,7 @@ class TestDelivery:
 
 class TestFifo:
     def test_fifo_preserves_per_pair_order(self, sim, rng):
-        network = Network(sim, NetworkConfig(t_min=0.001, t_max=0.5, fifo=True), rng)
+        network = Network(sim, NetworkConfig(t_min=0.001, t_max=0.5), rng)
         order = []
         network.register(Endpoint(ProcessId("B"), lambda m: order.append(m.msg_id)))
         register(network, "A")
@@ -94,18 +94,6 @@ class TestFifo:
             network.send(m)
         sim.run()
         assert order == [m.msg_id for m in sent]
-
-    def test_non_fifo_can_reorder(self, sim, rng):
-        network = Network(sim, NetworkConfig(t_min=0.001, t_max=0.5, fifo=False), rng)
-        order = []
-        network.register(Endpoint(ProcessId("B"), lambda m: order.append(m.msg_id)))
-        register(network, "A")
-        sent = [msg() for _ in range(30)]
-        for m in sent:
-            network.send(m)
-        sim.run()
-        assert sorted(order) == sorted(m.msg_id for m in sent)
-        assert order != [m.msg_id for m in sent]
 
 
 class TestAcks:

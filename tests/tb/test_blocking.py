@@ -21,12 +21,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             TbConfig(interval=0.0)
 
-    def test_rejects_bad_resync_fraction(self):
-        with pytest.raises(ConfigurationError):
-            TbConfig(resync_limit_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            TbConfig(resync_limit_fraction=1.5)
-
     def test_defaults_enable_everything(self):
         config = TbConfig()
         assert config.swap_on_confidence_change

@@ -146,10 +146,10 @@ class TestBuffering:
         assert system.peer.hardware.in_blocking
         system.active.software.on_send_internal(action(INTERNAL))
         run_to(system, system.sim.now + 0.021)  # delivered mid-blocking
-        assert system.peer.buffered_count() == 1
+        assert len(system.peer._buffer) == 1
         assert system.peer.counters.get("recv.applied") == 0
         run_to(system, 11.0)
-        assert system.peer.buffered_count() == 0
+        assert len(system.peer._buffer) == 0
         assert system.peer.counters.get("recv.applied") == 1
 
     def test_own_sends_deferred_during_blocking(self, tb_system):

@@ -119,7 +119,7 @@ class TestRecoverabilityMechanics:
         system = tb_system(interval=10.0, horizon=100.0)
         crash_and_recover(system, at=25.0, until=100.0)
         for proc in system.process_list():
-            assert not proc.driver.paused
+            assert not proc.driver._paused
 
 
 class TestRepeatedCrashes:

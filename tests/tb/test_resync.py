@@ -58,9 +58,3 @@ class TestRequest:
         sim.run()
         service.request()
         assert extra.elapsed_since_resync() == 0.0
-
-    def test_max_elapsed_since_resync(self):
-        sim, _, service = make_service()
-        sim.schedule_at(42.0, lambda: None)
-        sim.run()
-        assert service.max_elapsed_since_resync() == 42.0

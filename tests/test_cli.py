@@ -141,11 +141,11 @@ class TestParser:
 
     def test_snapshot_stats_flags(self):
         args = build_parser().parse_args(
-            ["snapshot-stats", "--full-snapshots",
-             "--horizon", "500", "--seed", "3"])
-        assert args.full_snapshots
+            ["snapshot-stats", "--horizon", "500", "--seed", "3"])
         assert args.horizon == 500.0
         assert args.seed == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["snapshot-stats", "--full-snapshots"])
 
     def test_fig7_full_flag(self):
         args = build_parser().parse_args(["fig7", "--full"])
@@ -295,7 +295,7 @@ class TestExecution:
         assert main(["snapshot-stats", "--horizon", "600"]) == 0
         out = capsys.readouterr().out
         assert "snapshot section" in out
-        assert "capture=incremental" in out
+        assert "capture=" not in out
         for section in ("app", "mdcd", "journals", "msg_log", "counters"):
             assert section in out
 

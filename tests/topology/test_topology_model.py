@@ -37,7 +37,8 @@ class TestPaperShape:
     def test_exempt_and_guarded(self):
         topo = Topology.paper()
         assert topo.exempt_role_ids() == ("P1_act",)
-        assert topo.guarded_pairs() == {"P1_act": ("P1_sdw",)}
+        assert topo.active_of(1).role_id == "P1_act"
+        assert [s.role_id for s in topo.shadows_of(1)] == ["P1_sdw"]
 
 
 class TestGeneralShapes:

@@ -208,6 +208,15 @@ def _as_format_7_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_8_wrote_it(record):
+    # Format 8 thawed configs and snapshot encoders that still carry
+    # their single-value settings and receive-dedup sets where this
+    # code keeps insertion-ordered dicts.  The header's format byte
+    # turns its dumps away.
+    record["dumps"] = [(at, bytes([8]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -235,6 +244,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_format_6_wrote_it),
     "format-7-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_7_wrote_it),
+    "format-8-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_8_wrote_it),
 }
 
 

@@ -176,8 +176,6 @@ def entry_points(work: str) -> Dict[str, List[Tuple[str, List[str]]]]:
                                   "--workers", "2")),
         ("report", _repro("report")),
         ("snapshot-stats", _repro("snapshot-stats", "--horizon", "1000")),
-        ("snapshot-stats full", _repro("snapshot-stats", "--full-snapshots",
-                                       "--horizon", "600")),
         ("timeline", _repro("timeline")),
         ("demo", _repro("demo")),
         ("live-crosscheck smoke", _repro(
