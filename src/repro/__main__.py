@@ -195,6 +195,7 @@ def _cmd_audit(args) -> int:
         sensitivity_config,
         sensitivity_schedules,
     )
+    from .errors import ConfigurationError
 
     if args.expect_violation and args.expect_clean:
         print("--expect-violation and --expect-clean are mutually "
@@ -203,19 +204,24 @@ def _cmd_audit(args) -> int:
 
     if args.replay is not None:
         # Replay the counterexamples of an artifact (diagnosis mode):
-        # report every finding of every schedule, no fail-fast.
-        report = read_artifact(args.replay)
-        config = report.config
-        if args.mutation is not None:
-            config = dataclasses.replace(config, mutation=args.mutation)
+        # report every finding of every schedule, no fail-fast.  A
+        # fault the artifact's system cannot arm is rejected in one line.
         violated = 0
-        for schedule in artifact_schedules(report):
-            findings = audit_schedule(config, schedule, fail_fast=False)
-            status = "VIOLATES" if findings else "clean"
-            print(f"{schedule.describe()}: {status}")
-            for finding in findings[:5]:
-                print(f"  {finding.describe()}")
-            violated += bool(findings)
+        try:
+            report = read_artifact(args.replay)
+            config = report.config
+            if args.mutation is not None:
+                config = dataclasses.replace(config, mutation=args.mutation)
+            for schedule in artifact_schedules(report):
+                findings = audit_schedule(config, schedule, fail_fast=False)
+                status = "VIOLATES" if findings else "clean"
+                print(f"{schedule.describe()}: {status}")
+                for finding in findings[:5]:
+                    print(f"  {finding.describe()}")
+                violated += bool(findings)
+        except ConfigurationError as exc:
+            print(f"audit --replay: {args.replay}: {exc}", file=sys.stderr)
+            return 2
         if args.expect_violation:
             return 0 if violated else 1
         return 0 if not violated else 1

@@ -39,7 +39,6 @@ from .model import (
     dirty_fraction,
     expected_rollback_coordinated,
     expected_rollback_write_through,
-    improvement_factor,
     validation_rate,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "goodput_comparison",
     "expected_rollback_coordinated",
     "expected_rollback_write_through",
-    "improvement_factor",
     "live_line",
     "loss_rate",
     "measure_goodput",

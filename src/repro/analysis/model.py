@@ -117,8 +117,3 @@ def expected_rollback_coordinated(params: ModelParams,
     f_d = dirty_fraction(onset, lam_v)
     content_age_when_dirty = 1.0 / lam_v
     return params.tb_interval / 2.0 + f_d * content_age_when_dirty
-
-
-def improvement_factor(params: ModelParams) -> float:
-    """``E[D_wt] / E[D_co]`` — the paper's Fig. 7 gap."""
-    return expected_rollback_write_through(params) / expected_rollback_coordinated(params)

@@ -1,14 +1,9 @@
 """Application layer: deterministic components, versions, workload,
-acceptance tests and fault injection."""
+acceptance tests and fault plans."""
 
 from .acceptance import AcceptanceTest, AcceptanceTestConfig
 from .component import ApplicationComponent, AppState, Payload
-from .faults import (
-    HardwareFaultInjector,
-    HardwareFaultPlan,
-    SoftwareFaultInjector,
-    SoftwareFaultPlan,
-)
+from .faults import HardwareFaultPlan, SoftwareFaultPlan
 from .versions import HighConfidenceVersion, LowConfidenceVersion, SoftwareVersion
 from .workload import (
     Action,
@@ -25,12 +20,10 @@ __all__ = [
     "ActionKind",
     "ApplicationComponent",
     "AppState",
-    "HardwareFaultInjector",
     "HardwareFaultPlan",
     "HighConfidenceVersion",
     "LowConfidenceVersion",
     "Payload",
-    "SoftwareFaultInjector",
     "SoftwareFaultPlan",
     "SoftwareVersion",
     "WorkloadConfig",

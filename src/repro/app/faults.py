@@ -1,4 +1,4 @@
-"""Fault injection.
+"""Fault plans.
 
 Two fault classes drive every experiment in the paper:
 
@@ -11,22 +11,20 @@ Two fault classes drive every experiment in the paper:
   after which the node restarts and the hardware-recovery procedure
   runs.
 
-Injectors are plain schedulers over the simulation kernel; campaigns
-configure them from seeded RNG streams so fault times are reproducible.
+Each class is one frozen, serializable record: the same value is armed
+on a system (:meth:`~repro.coordination.scheme.System.inject_software_fault`,
+:meth:`~repro.coordination.scheme.System.inject_crash`), carried by an
+audit :class:`~repro.audit.schedule.FaultSchedule` and written to its
+replayable JSON artifact.  A malformed plan is rejected when it is
+built or loaded.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError
-from ..sim.events import EventPriority
-from ..sim.kernel import Simulator
-from ..sim.node import Node
-from ..sim.trace import TraceRecorder
-from ..types import FaultKind
-from .versions import LowConfidenceVersion
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,41 +47,22 @@ class SoftwareFaultPlan:
         if self.deactivate_at is not None and self.deactivate_at <= self.activate_at:
             raise ConfigurationError(f"deactivate_at must follow activate_at: {self}")
 
+    def to_dict(self) -> Dict:
+        data = {"activate_at": self.activate_at,
+                "deactivate_at": self.deactivate_at}
+        if self.component != 1:
+            # Omitted at the default so pre-topology artifacts replay
+            # (and hash) identically.
+            data["component"] = self.component
+        return data
 
-class SoftwareFaultInjector:
-    """Schedules (de)activation of a low-confidence version's defect."""
-
-    def __init__(self, sim: Simulator, version: LowConfidenceVersion,
-                 plan: SoftwareFaultPlan,
-                 trace: Optional[TraceRecorder] = None) -> None:
-        self.sim = sim
-        self.version = version
-        self.plan = plan
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.activated = False
-
-    def arm(self) -> None:
-        """Schedule the planned activation (and deactivation)."""
-        self.sim.schedule_at(self.plan.activate_at, self._activate,
-                             priority=EventPriority.CONTROL,
-                             label="fault:software:activate")
-        if self.plan.deactivate_at is not None:
-            self.sim.schedule_at(self.plan.deactivate_at, self._deactivate,
-                                 priority=EventPriority.CONTROL,
-                                 label="fault:software:deactivate")
-
-    def _activate(self) -> None:
-        self.version.fault_active = True
-        self.activated = True
-        self.trace.record(self.sim.now, "fault.software.activate", None,
-                          kind=FaultKind.SOFTWARE_DESIGN.value,
-                          version=self.version.name)
-
-    def _deactivate(self) -> None:
-        self.version.fault_active = False
-        self.trace.record(self.sim.now, "fault.software.deactivate", None,
-                          kind=FaultKind.SOFTWARE_DESIGN.value,
-                          version=self.version.name)
+    @classmethod
+    def from_dict(cls, data: Dict) -> "SoftwareFaultPlan":
+        return cls(activate_at=float(data["activate_at"]),
+                   deactivate_at=(float(data["deactivate_at"])
+                                  if data.get("deactivate_at") is not None
+                                  else None),
+                   component=int(data.get("component", 1)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,37 +77,13 @@ class HardwareFaultPlan:
         if self.crash_at < 0 or self.repair_time < 0:
             raise ConfigurationError(f"invalid hardware fault plan: {self}")
 
+    def to_dict(self) -> Dict:
+        return {"node_id": self.node_id, "crash_at": self.crash_at,
+                "repair_time": self.repair_time}
 
-class HardwareFaultInjector:
-    """Schedules fail-stop crashes and restarts for one node."""
-
-    def __init__(self, sim: Simulator, node: Node, plan: HardwareFaultPlan,
-                 trace: Optional[TraceRecorder] = None) -> None:
-        if plan.node_id != str(node.node_id):
-            raise ConfigurationError(
-                f"plan targets {plan.node_id!r} but node is {node.node_id!r}")
-        self.sim = sim
-        self.node = node
-        self.plan = plan
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-
-    def arm(self) -> None:
-        """Schedule the crash and the subsequent restart."""
-        self.sim.schedule_at(self.plan.crash_at, self._crash,
-                             priority=EventPriority.CONTROL,
-                             label=f"fault:crash:{self.plan.node_id}")
-
-    def _crash(self) -> None:
-        self.trace.record(self.sim.now, "fault.crash", None,
-                          kind=FaultKind.HARDWARE_CRASH.value,
-                          node=str(self.node.node_id))
-        self.node.crash()
-        self.sim.schedule_after(self.plan.repair_time, self._restart,
-                                priority=EventPriority.CONTROL,
-                                label=f"fault:restart:{self.plan.node_id}")
-
-    def _restart(self) -> None:
-        self.trace.record(self.sim.now, "fault.restart", None,
-                          node=str(self.node.node_id))
-        self.node.restart()
-
+    @classmethod
+    def from_dict(cls, data: Dict) -> "HardwareFaultPlan":
+        # Artifacts written without a repair time mean the audit's 2 s.
+        return cls(node_id=str(data["node_id"]),
+                   crash_at=float(data["crash_at"]),
+                   repair_time=float(data.get("repair_time", 2.0)))

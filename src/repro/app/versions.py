@@ -8,12 +8,12 @@ shadow ``P1_sdw``.  The second component ``P2`` is high-confidence.
 
 A design fault is modelled as a latent defect in the low-confidence
 version that *activates* at some point (see
-:class:`~repro.app.faults.SoftwareFaultInjector`); once active, every
-payload the version computes is perturbed and ground-truth ``corrupt``,
-and computing from it leaves the state contaminated.  The defect is in
-the *code*, not the state: rolling state back does not remove it —
-which is exactly why MDCD recovery switches to the shadow's version
-rather than re-running the active's.
+:meth:`~repro.coordination.scheme.System.inject_software_fault`); once
+active, every payload the version computes is perturbed and
+ground-truth ``corrupt``, and computing from it leaves the state
+contaminated.  The defect is in the *code*, not the state: rolling
+state back does not remove it — which is exactly why MDCD recovery
+switches to the shadow's version rather than re-running the active's.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class LowConfidenceVersion(SoftwareVersion):
     activates, then produces perturbed, corrupt payloads and contaminates
     the state it computes from.
 
-    ``fault_active`` is toggled by the fault injector.  ``fault_count``
-    counts faulty computations, for monitoring.
+    ``fault_active`` is toggled by the system's armed fault plans.
+    ``fault_count`` counts faulty computations, for monitoring.
     """
 
     def __init__(self, name: str = "low-confidence") -> None:

@@ -46,12 +46,7 @@ from .mutations import (
     sensitivity_config,
     sensitivity_schedules,
 )
-from .schedule import (
-    SYSTEM_NODES,
-    CrashSpec,
-    FaultSchedule,
-    SoftwareFaultSpec,
-)
+from .schedule import SYSTEM_NODES, FaultSchedule
 from .shrink import ShrinkResult, shrink_schedule
 
 __all__ = [
@@ -60,7 +55,6 @@ __all__ = [
     "AuditConfig",
     "AuditFinding",
     "AuditReport",
-    "CrashSpec",
     "FaultSchedule",
     "GOLDEN_CONFIG",
     "MUTATIONS",
@@ -69,7 +63,6 @@ __all__ = [
     "SYSTEM_NODES",
     "ScheduleRunner",
     "ShrinkResult",
-    "SoftwareFaultSpec",
     "artifact_schedules",
     "audit_schedule",
     "boundary_schedules",

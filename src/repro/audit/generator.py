@@ -27,18 +27,17 @@ import dataclasses
 import random
 from typing import Dict, List, Optional, Tuple
 
+from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from ..sim.rng import derive_seed
 from ..topology.model import parse_topology
 from .config import AuditConfig
-from .schedule import (
-    SYSTEM_NODES,
-    CrashSpec,
-    FaultSchedule,
-    SoftwareFaultSpec,
-)
+from .schedule import SYSTEM_NODES, FaultSchedule
 
 #: Epsilon used to land "just before"/"just after" a protocol instant.
 BOUNDARY_EPS = 0.25
+
+#: Repair time of every boundary-enumeration crash.
+BOUNDARY_REPAIR = 2.0
 
 #: Clock-skew extremes explored by the override schedules.
 SKEW_DELTAS = (0.0, 0.5)
@@ -114,6 +113,12 @@ def reference_timeline(config: AuditConfig) -> ReferenceTimeline:
 # ----------------------------------------------------------------------
 # systematic boundary enumeration
 # ----------------------------------------------------------------------
+def _crash(node: str, at: float) -> HardwareFaultPlan:
+    """A boundary-enumeration crash of ``node`` at ``at``."""
+    return HardwareFaultPlan(node_id=node, crash_at=at,
+                             repair_time=BOUNDARY_REPAIR)
+
+
 def boundary_schedules(config: AuditConfig,
                        timeline: Optional[ReferenceTimeline] = None
                        ) -> List[FaultSchedule]:
@@ -149,15 +154,15 @@ def boundary_schedules(config: AuditConfig,
     for t in commit_times:
         for node in nodes:
             add("commit-edge",
-                crashes=[CrashSpec(node_id=node, crash_at=t - BOUNDARY_EPS)])
+                crashes=[_crash(node, t - BOUNDARY_EPS)])
             add("commit-edge",
-                crashes=[CrashSpec(node_id=node, crash_at=t + BOUNDARY_EPS)])
+                crashes=[_crash(node, t + BOUNDARY_EPS)])
 
     # Crashes inside a TB blocking period (buffered messages, content
     # swaps and establishment commits all in flight).
     for t in mid_blocks:
         for node in nodes:
-            add("mid-blocking", crashes=[CrashSpec(node_id=node, crash_at=t)])
+            add("mid-blocking", crashes=[_crash(node, t)])
 
     # A software fault activated just before an acceptance-test pass:
     # contamination that the very next validation wave will (wrongly,
@@ -167,22 +172,22 @@ def boundary_schedules(config: AuditConfig,
     # always targets component 1, exactly as before.
     for i, t in enumerate(at_times):
         comp = (i % n_components) + 1
-        add("pre-at", software=[SoftwareFaultSpec(activate_at=t - BOUNDARY_EPS,
+        add("pre-at", software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
                                                   component=comp)])
         # ... with a crash landing mid-software-recovery (the fault's
         # eventual AT failure triggers rollback; crash it shortly after).
         for node in nodes:
             add("mid-recovery",
-                software=[SoftwareFaultSpec(activate_at=t - BOUNDARY_EPS,
+                software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
                                             component=comp)],
-                crashes=[CrashSpec(node_id=node, crash_at=t + 2.0)])
+                crashes=[_crash(node, t + 2.0)])
         # ... and the coincident case: software fault and crash at
         # (essentially) the same instant.
         for node in nodes:
             add("coincident",
-                software=[SoftwareFaultSpec(activate_at=t - BOUNDARY_EPS,
+                software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
                                             component=comp)],
-                crashes=[CrashSpec(node_id=node, crash_at=t)])
+                crashes=[_crash(node, t)])
 
     # Double crashes around one commit: the recovery line must survive
     # losing two nodes in quick succession.
@@ -190,15 +195,15 @@ def boundary_schedules(config: AuditConfig,
         for i, first in enumerate(nodes):
             for second in nodes[i + 1:]:
                 add("double-crash",
-                    crashes=[CrashSpec(node_id=first, crash_at=t - BOUNDARY_EPS),
-                             CrashSpec(node_id=second, crash_at=t + 1.0)])
+                    crashes=[_crash(first, t - BOUNDARY_EPS),
+                             _crash(second, t + 1.0)])
 
     # Crashes at resynchronization instants (timer resets in flight).
     for t in timeline.resyncs:
         if not BOUNDARY_EPS < t < horizon - 1.0:
             continue
         for node in nodes:
-            add("resync-edge", crashes=[CrashSpec(node_id=node, crash_at=t)])
+            add("resync-edge", crashes=[_crash(node, t)])
 
     # Clock-skew extremes: the same mid-horizon crash under the largest
     # and smallest clock deviations the model admits (the last node in
@@ -207,7 +212,7 @@ def boundary_schedules(config: AuditConfig,
     for delta in SKEW_DELTAS:
         for rho in SKEW_RHOS:
             add("skew",
-                crashes=[CrashSpec(node_id=nodes[-1], crash_at=mid)],
+                crashes=[_crash(nodes[-1], mid)],
                 overrides=[("clock_delta", delta), ("clock_rho", rho)])
 
     # Round-robin interleave so truncation keeps category diversity,
@@ -252,7 +257,7 @@ def random_schedules(config: AuditConfig, count: int, start_index: int = 0,
                 return min(max(lo, base + jitter), hi)
             return rng.uniform(lo, hi)
 
-        software: List[SoftwareFaultSpec] = []
+        software: List[SoftwareFaultPlan] = []
         for _ in range(rng.randint(0, config.max_software)):
             activate = pick_time(10.0, horizon * 0.8)
             deactivate = (activate + rng.uniform(20.0, 200.0)
@@ -261,12 +266,12 @@ def random_schedules(config: AuditConfig, count: int, start_index: int = 0,
             # campaigns (the paper shape) consume exactly the
             # historical RNG stream.
             comp = rng.randint(1, n_components) if n_components > 1 else 1
-            software.append(SoftwareFaultSpec(activate_at=activate,
+            software.append(SoftwareFaultPlan(activate_at=activate,
                                               deactivate_at=deactivate,
                                               component=comp))
-        crashes: List[CrashSpec] = []
+        crashes: List[HardwareFaultPlan] = []
         for _ in range(rng.randint(0, config.max_crashes)):
-            crashes.append(CrashSpec(
+            crashes.append(HardwareFaultPlan(
                 node_id=rng.choice(nodes),
                 crash_at=pick_time(10.0, horizon * 0.9),
                 repair_time=rng.uniform(0.5, 5.0)))

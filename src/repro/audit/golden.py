@@ -21,8 +21,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Tuple
 
+from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from .config import AuditConfig
-from .schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from .schedule import FaultSchedule
 
 #: Trace categories included in the canonical form — the protocol
 #: events the paper's figures are drawn from.
@@ -49,27 +50,28 @@ def golden_schedules() -> List[FaultSchedule]:
         # (e)-shaped: a crash of the peer's node forces a hardware
         # recovery line between establishments.
         FaultSchedule(label="fig6:crash-peer", system_seed=seeds["crash-peer"],
-                      crashes=(CrashSpec("N2", 95.0, 2.0),), origin="golden"),
+                      crashes=(HardwareFaultPlan("N2", 95.0, 2.0),),
+                      origin="golden"),
         # ... and of the active's node, the other rollback topology.
         FaultSchedule(label="fig6:crash-active",
                       system_seed=seeds["crash-active"],
-                      crashes=(CrashSpec("N1a", 115.0, 2.0),),
+                      crashes=(HardwareFaultPlan("N1a", 115.0, 2.0),),
                       origin="golden"),
         # (f)-shaped: a software fault makes an acceptance test fail and
         # the shadow take over mid-campaign.
         FaultSchedule(label="fig6:software", system_seed=seeds["software"],
-                      software=(SoftwareFaultSpec(activate_at=80.0),),
+                      software=(SoftwareFaultPlan(activate_at=80.0),),
                       origin="golden"),
         # Coincident software + hardware fault (the deferred-takeover
         # path).
         FaultSchedule(label="fig6:coincident", system_seed=seeds["coincident"],
-                      software=(SoftwareFaultSpec(activate_at=90.0),),
-                      crashes=(CrashSpec("N1b", 90.5, 2.0),),
+                      software=(SoftwareFaultPlan(activate_at=90.0),),
+                      crashes=(HardwareFaultPlan("N1b", 90.5, 2.0),),
                       origin="golden"),
         # Clock-skew extreme: the same protocol under the widest
         # deviation the model admits.
         FaultSchedule(label="fig6:skew", system_seed=seeds["skew"],
-                      crashes=(CrashSpec("N2", 120.0, 2.0),),
+                      crashes=(HardwareFaultPlan("N2", 120.0, 2.0),),
                       overrides=(("clock_delta", 0.5),), origin="golden"),
     ]
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional
 
+from ..app.faults import HardwareFaultPlan
 from ..errors import ConfigurationError
 from ..sim.rng import derive_seed
 from ..topology.model import parse_topology
-from .schedule import CrashSpec, FaultSchedule
+from .schedule import FaultSchedule
 
 
 class _PseudoDirtySuppressor:
@@ -143,8 +144,9 @@ def sensitivity_schedules(config) -> List[FaultSchedule]:
     node = parse_topology(config.topology).node_ids()[-1]
     out: List[FaultSchedule] = []
     for i in range(config.schedules):
-        crashes = ((CrashSpec(node_id=node, crash_at=120.0 + 31.0 * (i % 6),
-                              repair_time=2.0),)
+        crashes = ((HardwareFaultPlan(node_id=node,
+                                      crash_at=120.0 + 31.0 * (i % 6),
+                                      repair_time=2.0),)
                    if i % 2 == 0 else ())
         out.append(FaultSchedule(
             label=f"mut:{i}",

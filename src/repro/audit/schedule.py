@@ -27,63 +27,6 @@ TIMING_OVERRIDE_KEYS = ("clock_delta", "clock_rho", "tb_interval")
 
 
 @dataclasses.dataclass(frozen=True)
-class SoftwareFaultSpec:
-    """Activation (and optional deactivation) of the latent defect in
-    one guarded component (component 1 in the paper's shape)."""
-
-    activate_at: float
-    deactivate_at: Optional[float] = None
-    component: int = 1
-
-    def plan(self) -> SoftwareFaultPlan:
-        """The injectable plan."""
-        return SoftwareFaultPlan(activate_at=self.activate_at,
-                                 deactivate_at=self.deactivate_at,
-                                 component=self.component)
-
-    def to_dict(self) -> Dict:
-        data = {"activate_at": self.activate_at,
-                "deactivate_at": self.deactivate_at}
-        if self.component != 1:
-            # Omitted at the default so pre-topology artifacts replay
-            # (and hash) identically.
-            data["component"] = self.component
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SoftwareFaultSpec":
-        return cls(activate_at=float(data["activate_at"]),
-                   deactivate_at=(float(data["deactivate_at"])
-                                  if data.get("deactivate_at") is not None
-                                  else None),
-                   component=int(data.get("component", 1)))
-
-
-@dataclasses.dataclass(frozen=True)
-class CrashSpec:
-    """A fail-stop crash of one node, repaired after ``repair_time``."""
-
-    node_id: str
-    crash_at: float
-    repair_time: float = 2.0
-
-    def plan(self) -> HardwareFaultPlan:
-        """The injectable plan."""
-        return HardwareFaultPlan(node_id=self.node_id, crash_at=self.crash_at,
-                                 repair_time=self.repair_time)
-
-    def to_dict(self) -> Dict:
-        return {"node_id": self.node_id, "crash_at": self.crash_at,
-                "repair_time": self.repair_time}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CrashSpec":
-        return cls(node_id=str(data["node_id"]),
-                   crash_at=float(data["crash_at"]),
-                   repair_time=float(data.get("repair_time", 2.0)))
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultSchedule:
     """One adversarial schedule: faults plus timing overrides.
 
@@ -99,8 +42,8 @@ class FaultSchedule:
 
     label: str
     system_seed: int
-    software: Tuple[SoftwareFaultSpec, ...] = ()
-    crashes: Tuple[CrashSpec, ...] = ()
+    software: Tuple[SoftwareFaultPlan, ...] = ()
+    crashes: Tuple[HardwareFaultPlan, ...] = ()
     #: Optional timing overrides (see :data:`TIMING_OVERRIDE_KEYS`).
     overrides: Tuple[Tuple[str, float], ...] = ()
     origin: str = "random"
@@ -124,13 +67,13 @@ class FaultSchedule:
 
     def arm(self, system) -> None:
         """Arm every fault of this schedule on a built system."""
-        for spec in self.software:
-            system.inject_software_fault(spec.plan())
-        for spec in self.crashes:
-            system.inject_crash(spec.plan())
+        for plan in self.software:
+            system.inject_software_fault(plan)
+        for plan in self.crashes:
+            system.inject_crash(plan)
 
-    def with_faults(self, software: Tuple[SoftwareFaultSpec, ...],
-                    crashes: Tuple[CrashSpec, ...],
+    def with_faults(self, software: Tuple[SoftwareFaultPlan, ...],
+                    crashes: Tuple[HardwareFaultPlan, ...],
                     origin: Optional[str] = None) -> "FaultSchedule":
         """Same schedule, different fault set (the shrinker's move)."""
         return dataclasses.replace(self, software=tuple(software),
@@ -140,14 +83,14 @@ class FaultSchedule:
     def describe(self) -> str:
         """One-line human summary."""
         parts: List[str] = []
-        for spec in self.software:
-            window = (f"..{spec.deactivate_at:.2f}"
-                      if spec.deactivate_at is not None else "")
-            comp = f"[c{spec.component}]" if spec.component != 1 else ""
-            parts.append(f"sw{comp}@{spec.activate_at:.2f}{window}")
-        for spec in self.crashes:
-            parts.append(f"crash:{spec.node_id}@{spec.crash_at:.2f}"
-                         f"+{spec.repair_time:.1f}")
+        for plan in self.software:
+            window = (f"..{plan.deactivate_at:.2f}"
+                      if plan.deactivate_at is not None else "")
+            comp = f"[c{plan.component}]" if plan.component != 1 else ""
+            parts.append(f"sw{comp}@{plan.activate_at:.2f}{window}")
+        for plan in self.crashes:
+            parts.append(f"crash:{plan.node_id}@{plan.crash_at:.2f}"
+                         f"+{plan.repair_time:.1f}")
         for key, value in self.overrides:
             parts.append(f"{key}={value:g}")
         return f"{self.label}[{' '.join(parts) or 'fault-free'}]"
@@ -170,9 +113,9 @@ class FaultSchedule:
         return cls(
             label=str(data["label"]),
             system_seed=int(data["system_seed"]),
-            software=tuple(SoftwareFaultSpec.from_dict(s)
+            software=tuple(SoftwareFaultPlan.from_dict(s)
                            for s in data.get("software", ())),
-            crashes=tuple(CrashSpec.from_dict(c)
+            crashes=tuple(HardwareFaultPlan.from_dict(c)
                           for c in data.get("crashes", ())),
             overrides=tuple(sorted(
                 (str(k), float(v))
@@ -183,7 +126,3 @@ class FaultSchedule:
     def to_json(self) -> str:
         """Compact canonical JSON form."""
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_dict(json.loads(text))

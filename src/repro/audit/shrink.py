@@ -25,7 +25,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional, Tuple
 
-from .schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
+from .schedule import FaultSchedule
 
 #: Granularity of the latest-time binary search, in simulated seconds.
 TIME_GRID = 1.0
@@ -92,8 +93,8 @@ def _faults_of(schedule: FaultSchedule) -> List:
 
 
 def _with_fault_list(schedule: FaultSchedule, faults: List) -> FaultSchedule:
-    software = tuple(f for f in faults if isinstance(f, SoftwareFaultSpec))
-    crashes = tuple(f for f in faults if isinstance(f, CrashSpec))
+    software = tuple(f for f in faults if isinstance(f, SoftwareFaultPlan))
+    crashes = tuple(f for f in faults if isinstance(f, HardwareFaultPlan))
     return schedule.with_faults(software, crashes, origin="shrunk")
 
 

@@ -43,25 +43,22 @@ from typing import Dict, List, Optional
 
 from ..app.acceptance import AcceptanceTestConfig
 from ..app.component import ApplicationComponent
-from ..app.faults import (
-    HardwareFaultInjector,
-    HardwareFaultPlan,
-    SoftwareFaultInjector,
-    SoftwareFaultPlan,
-)
+from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
 from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
+from ..errors import ConfigurationError
 from ..host import FtProcess, IncarnationCounter, journal_retention
 from ..messages.message import MsgIdAllocator
 from ..runtime import (ClockConfig, Network, NetworkConfig, Node, RngRegistry,
                        Simulator, TraceRecorder)
+from ..sim.events import EventPriority
 from ..tb.adapted import AdaptedTbEngine
 from ..tb.blocking import TbConfig
 from ..tb.hardware_recovery import HardwareRecoveryCoordinator
 from ..tb.original import OriginalTbEngine
 from ..tb.resync import ResyncService
 from ..topology.model import Member, MemberKind, parse_topology
-from ..types import NodeId, ProcessId, Role
+from ..types import FaultKind, NodeId, ProcessId, Role
 from .wiring import recovery_manager, software_engine
 from .write_through import WriteThroughEngine
 
@@ -183,7 +180,6 @@ class System:
         self.view, self.sw_recovery = recovery_manager(
             self.topology, self.members, self.nodes, self.incarnation,
             self.trace, clock=self.sim)
-        self.injectors: List = []
         self._started = False
 
     # ------------------------------------------------------------------
@@ -282,23 +278,56 @@ class System:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def inject_software_fault(self, plan: SoftwareFaultPlan) -> SoftwareFaultInjector:
+    def inject_software_fault(self, plan: SoftwareFaultPlan) -> None:
         """Arm a software design fault in the targeted component's
         low-confidence version (component 1 unless the plan says
         otherwise)."""
-        version = self.low_versions[getattr(plan, "component", 1)]
-        injector = SoftwareFaultInjector(self.sim, version, plan, self.trace)
-        injector.arm()
-        self.injectors.append(injector)
-        return injector
+        if plan.component not in self.low_versions:
+            raise ConfigurationError(
+                f"software fault names unknown component {plan.component} "
+                f"(this topology has "
+                f"{', '.join(str(c) for c in sorted(self.low_versions))})")
+        self.sim.schedule_at(plan.activate_at, self._set_fault_active,
+                             args=(plan.component, True),
+                             priority=EventPriority.CONTROL,
+                             label="fault:software:activate")
+        if plan.deactivate_at is not None:
+            self.sim.schedule_at(plan.deactivate_at, self._set_fault_active,
+                                 args=(plan.component, False),
+                                 priority=EventPriority.CONTROL,
+                                 label="fault:software:deactivate")
 
-    def inject_crash(self, plan: HardwareFaultPlan) -> HardwareFaultInjector:
-        """Arm a node crash (and restart)."""
-        injector = HardwareFaultInjector(self.sim, self.nodes[plan.node_id],
-                                         plan, self.trace)
-        injector.arm()
-        self.injectors.append(injector)
-        return injector
+    def inject_crash(self, plan: HardwareFaultPlan) -> None:
+        """Arm a node crash (and its restart ``repair_time`` later)."""
+        if plan.node_id not in self.nodes:
+            raise ConfigurationError(
+                f"crash names unknown node {plan.node_id!r} "
+                f"(this topology has {', '.join(self.nodes)})")
+        self.sim.schedule_at(plan.crash_at, self._crash_node,
+                             args=(plan.node_id, plan.repair_time),
+                             priority=EventPriority.CONTROL,
+                             label=f"fault:crash:{plan.node_id}")
+
+    def _set_fault_active(self, component: int, active: bool) -> None:
+        version = self.low_versions[component]
+        version.fault_active = active
+        self.trace.record(self.sim.now, "fault.software.activate" if active
+                          else "fault.software.deactivate", None,
+                          kind=FaultKind.SOFTWARE_DESIGN.value,
+                          version=version.name)
+
+    def _crash_node(self, node_id: str, repair_time: float) -> None:
+        self.trace.record(self.sim.now, "fault.crash", None,
+                          kind=FaultKind.HARDWARE_CRASH.value, node=node_id)
+        self.nodes[node_id].crash()
+        self.sim.schedule_after(repair_time, self._restart_node,
+                                args=(node_id,),
+                                priority=EventPriority.CONTROL,
+                                label=f"fault:restart:{node_id}")
+
+    def _restart_node(self, node_id: str) -> None:
+        self.trace.record(self.sim.now, "fault.restart", None, node=node_id)
+        self.nodes[node_id].restart()
 
     # ------------------------------------------------------------------
     # execution
@@ -344,7 +373,7 @@ class System:
         self.trace.clear()
         self.sim.clear()
         skeleton = [self.network, self.rng, self.resync, self.hw_recovery,
-                    self.sw_recovery, self.view, *self.injectors]
+                    self.sw_recovery, self.view]
         for node in self.nodes.values():
             skeleton += (node.timers, node.clock, node)
         for proc in self.members.values():

@@ -43,11 +43,6 @@ class CampaignResult:
         """Mean over all samples."""
         return self.stat.mean
 
-    @property
-    def ci95(self) -> float:
-        """95% confidence half-width of the mean."""
-        return self.stat.confidence_halfwidth()
-
 
 def replication_seeds(master_seed: int, label: str, replications: int) -> List[int]:
     """Stable child seeds for a campaign's replications."""

@@ -19,7 +19,7 @@ never writes stable checkpoints (pure-MDCD operation).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .app.component import ApplicationComponent, AppState, Payload
 from .app.workload import Action, ActionKind, WorkloadDriver
@@ -80,7 +80,7 @@ class ProcessSnapshot:
     app_state: AppState
     mdcd: MdcdState
     sn_value: int
-    dedup_seen: Dict[Any, None]
+    dedup_seen: Tuple[Any, ...]
     unacked: List[Message]
     journal_sent: Journal
     journal_recv: Journal
@@ -535,13 +535,14 @@ class FtProcess(SimProcess):
     # checkpoint capture / restore
     # ------------------------------------------------------------------
     def make_snapshot(self) -> ProcessSnapshot:
-        """The checkpointable state by reference, nothing copied: the
+        """The checkpointable state by reference, nothing copied but the
+        dedup keys (a tuple of them pickles no per-key value): the
         codec's isolation freezes a capture, a live view reads at once."""
         return ProcessSnapshot(
             app_state=self.component.state,
             mdcd=self.mdcd,
             sn_value=self.sn.current,
-            dedup_seen=self.dedup.seen,
+            dedup_seen=tuple(self.dedup.seen),
             unacked=self.acks.unacknowledged(),
             journal_sent=self.journal_sent,
             journal_recv=self.journal_recv,

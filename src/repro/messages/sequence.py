@@ -103,8 +103,8 @@ class ReceiveDeduplicator:
 
     @property
     def seen(self) -> Dict[Any, None]:
-        """The live seen keys, by reference (a capture's codec freezes
-        them; :meth:`restore` takes its own copy)."""
+        """The live seen keys, by reference (a capture takes a tuple
+        of them; :meth:`restore` takes its own copy)."""
         return self._seen
 
     def restore(self, seen: Iterable[Any]) -> None:

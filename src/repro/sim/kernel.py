@@ -83,11 +83,6 @@ class Simulator:
         kernel maintains a cancelled-in-heap counter)."""
         return len(self._heap) - self._cancelled_in_heap
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if drained."""
-        self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..errors import NodeCrashedError
 from ..types import NodeId
 from .clock import ClockConfig, DriftingClock
 from .kernel import Simulator
@@ -53,11 +52,6 @@ class Node:
         self._restart_listeners: List[Callable[["Node"], None]] = []
 
     # ------------------------------------------------------------------
-    def ensure_up(self) -> None:
-        """Raise :class:`~repro.errors.NodeCrashedError` if crashed."""
-        if self.crashed:
-            raise NodeCrashedError(f"node {self.node_id} is crashed")
-
     def on_crash(self, listener: Callable[["Node"], None]) -> None:
         """Register a callback invoked when the node crashes."""
         self._crash_listeners.append(listener)

@@ -29,7 +29,7 @@ is what carries a prefix *across* processes:
    a fresh build, so this is always a pure optimization: identical
    findings, traces, and shrink results, just less wall-clock.
 
-Determinism fine print: fault injectors schedule at ``CONTROL``
+Determinism fine print: armed faults schedule at ``CONTROL``
 priority, the lowest, so arming them late (at fork time, with higher
 sequence numbers than the cold run's build-time arming) can only
 reorder events against other ``CONTROL`` events at the *exact* same

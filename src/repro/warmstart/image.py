@@ -7,11 +7,12 @@ warm-start resume, a fork off a flock template
 :func:`resume`.  It holds all the run's future depends on: the
 simulator (event heap, sequencer, pending cancellations), every RNG
 stream at its exact position, clocks, timers, nodes, stores, processes,
-the per-system message-id allocator, the trace so far, armed fault
-injectors and, optionally, the online auditor.  The contract (asserted by the warm-start and
-flock tests and the campaign ledger's cold cross-check): a thawed copy run to
-the horizon produces the *bit-for-bit* identical trace, findings and
-counters as the original running uninterrupted, whatever other copies do.
+the per-system message-id allocator, the trace so far, the armed
+faults' pending events and, optionally, the online auditor.  The
+contract (asserted by the warm-start and flock tests and the campaign
+ledger's cold cross-check): a thawed copy run to the horizon produces
+the *bit-for-bit* identical trace, findings and counters as the
+original running uninterrupted, whatever other copies do.
 
 Pickling the whole graph per copy would re-encode hundreds of kilobytes
 every copy shares with the reference it was taken from: the frozen
@@ -81,10 +82,10 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  9: system, network and TB configs and snapshot encoders
-#: lost their single-value settings, and a receive-dedup set is an
-#: insertion-ordered dict.
-_FORMAT = 9
+#: formats).  10: a system keeps no fault injectors (its armed faults
+#: are events on its own methods), and a snapshot's receive-dedup keys
+#: are a tuple.
+_FORMAT = 10
 
 
 class ForkContext:

@@ -7,7 +7,6 @@ from repro.analysis.model import (
     dirty_fraction,
     expected_rollback_coordinated,
     expected_rollback_write_through,
-    improvement_factor,
     validation_rate,
 )
 from repro.errors import ConfigurationError
@@ -19,6 +18,11 @@ def params(**kw):
                     tb_interval=6.0)
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def gap(p):
+    """``E[D_wt] / E[D_co]`` — the paper's Fig. 7 gap."""
+    return expected_rollback_write_through(p) / expected_rollback_coordinated(p)
 
 
 class TestValidation:
@@ -76,13 +80,13 @@ class TestExpectations:
         assert high > low
 
     def test_gap_erodes_as_dirty_fraction_saturates(self):
-        sparse = improvement_factor(params(internal_rate1=0.0005))
-        saturated = improvement_factor(params(internal_rate1=1.0))
+        sparse = gap(params(internal_rate1=0.0005))
+        saturated = gap(params(internal_rate1=1.0))
         assert sparse > 3.0
         assert saturated < sparse
         assert saturated < 1.5
 
     def test_small_interval_widens_gap(self):
-        wide = improvement_factor(params(tb_interval=1.0))
-        narrow = improvement_factor(params(tb_interval=50.0))
+        wide = gap(params(tb_interval=1.0))
+        narrow = gap(params(tb_interval=50.0))
         assert wide > narrow

@@ -8,15 +8,14 @@ import weakref
 
 import pytest
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.analysis import global_state
 from repro.audit import auditor as auditor_module
 from repro.audit import (
     AuditConfig,
     AuditFinding,
-    CrashSpec,
     FaultSchedule,
     OnlineAuditor,
-    SoftwareFaultSpec,
     audit_schedule,
     build_audit_system,
     sensitivity_config,
@@ -35,9 +34,9 @@ from repro.warmstart.image import capture, resume
 #: enumeration and pinned here as a deterministic regression input).
 FIG4_SCHEDULE = FaultSchedule(
     label="boundary:coincident:1", system_seed=761983209,
-    software=(SoftwareFaultSpec(activate_at=73.54541864228547),),
-    crashes=(CrashSpec(node_id="N1b", crash_at=73.79541864228547,
-                       repair_time=2.0),),
+    software=(SoftwareFaultPlan(activate_at=73.54541864228547),),
+    crashes=(HardwareFaultPlan(node_id="N1b", crash_at=73.79541864228547,
+                               repair_time=2.0),),
     origin="boundary")
 
 
@@ -143,7 +142,6 @@ class TestRecoveryLine:
         """Seed 3, ``N2`` down 45 s over a two-epoch history: the line
         checked at ``recovery.hardware.start`` is the one every process
         restores — epoch 9 everywhere — and it audits clean."""
-        from repro.app.faults import HardwareFaultPlan
         from repro.coordination.scheme import (Scheme, SystemConfig,
                                                build_system)
         from repro.tb.blocking import TbConfig
@@ -332,7 +330,8 @@ class TestIncrementalReadPath:
             snapshot = process.make_snapshot()
             assert snapshot.app_state is process.component.state
             assert snapshot.mdcd is process.mdcd
-            assert snapshot.dedup_seen is process.dedup.seen
+            # The one copy: the dedup keys as a tuple, no per-key value.
+            assert snapshot.dedup_seen == tuple(process.dedup.seen)
             assert snapshot.dsn_counters is process._dsn_counters
             assert snapshot.journal_sent is process.journal_sent
 

@@ -15,11 +15,10 @@ import sys
 
 import pytest
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit import (
     AuditConfig,
-    CrashSpec,
     FaultSchedule,
-    SoftwareFaultSpec,
     artifact_schedules,
     audit_schedule,
     generate_schedules,
@@ -255,13 +254,15 @@ class TestPipelineEquivalence:
         nodes = parse_topology(config.topology).node_ids()
         schedules = share_schedule_seeds(config, [FaultSchedule(
             label=f"heavy:{k}", system_seed=0, origin="test",
-            software=((SoftwareFaultSpec(activate_at=130.0 + 7.0 * k),)
+            software=((SoftwareFaultPlan(activate_at=130.0 + 7.0 * k),)
                       if k % 2 else ()),
             crashes=(
-                CrashSpec(node_id=node, crash_at=150.0 + 7.0 * k),
-                CrashSpec(node_id=node, crash_at=155.0 + 7.0 * k),
-                CrashSpec(node_id=nodes[(k + 3) % len(nodes)],
-                          crash_at=161.0 + 7.0 * k)))
+                HardwareFaultPlan(node_id=node, crash_at=150.0 + 7.0 * k,
+                                  repair_time=2.0),
+                HardwareFaultPlan(node_id=node, crash_at=155.0 + 7.0 * k,
+                                  repair_time=2.0),
+                HardwareFaultPlan(node_id=nodes[(k + 3) % len(nodes)],
+                                  crash_at=161.0 + 7.0 * k, repair_time=2.0)))
             for k, node in enumerate(nodes[:6])])
         restored = []
         restore_from = FtProcess.restore_from

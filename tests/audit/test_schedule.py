@@ -9,12 +9,15 @@ import pickle
 
 import pytest
 
+from repro.__main__ import main
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit import (
     GOLDEN_CONFIG,
     AuditConfig,
-    CrashSpec,
+    AuditReport,
     FaultSchedule,
-    SoftwareFaultSpec,
+    build_audit_system,
+    write_artifact,
 )
 from repro.errors import ConfigurationError
 
@@ -22,8 +25,9 @@ from repro.errors import ConfigurationError
 def sample_schedule():
     return FaultSchedule(
         label="t:0", system_seed=42,
-        software=(SoftwareFaultSpec(activate_at=10.0, deactivate_at=30.0),),
-        crashes=(CrashSpec(node_id="N2", crash_at=50.0, repair_time=1.5),),
+        software=(SoftwareFaultPlan(activate_at=10.0, deactivate_at=30.0),),
+        crashes=(HardwareFaultPlan(node_id="N2", crash_at=50.0,
+                                   repair_time=1.5),),
         overrides=(("clock_delta", 0.5),), origin="boundary")
 
 
@@ -31,15 +35,33 @@ class TestSerialization:
     def test_dict_round_trip(self):
         sched = sample_schedule()
         assert FaultSchedule.from_dict(sched.to_dict()) == sched
+        # A second component's fault keeps its component (and arms on a
+        # membership that has one); a crash written without a repair
+        # time reads as the audit's 2 s.
+        data = dataclasses.replace(sched, software=(
+            SoftwareFaultPlan(activate_at=10.0, component=2),)).to_dict()
+        assert data["software"] == [
+            {"activate_at": 10.0, "deactivate_at": None, "component": 2}]
+        del data["crashes"][0]["repair_time"]
+        data["crashes"][0]["node_id"] = "NP3"
+        loaded = FaultSchedule.from_dict(data)
+        assert loaded.software == (SoftwareFaultPlan(10.0, None, 2),)
+        assert loaded.crashes == (HardwareFaultPlan("NP3", 50.0, 2.0),)
+        system = build_audit_system(
+            AuditConfig(scheme="coordinated", topology="2x2+3",
+                        horizon=70.0), loaded)
+        system.run()
+        assert system.low_versions[2].fault_active
+        assert not system.low_versions[1].fault_active
 
     def test_json_round_trip(self):
         sched = sample_schedule()
-        assert FaultSchedule.from_json(sched.to_json()) == sched
+        assert FaultSchedule.from_dict(json.loads(sched.to_json())) == sched
 
     def test_json_is_canonical(self):
         # sort_keys + sorted overrides: equal schedules, equal bytes.
         a = sample_schedule()
-        b = FaultSchedule.from_json(a.to_json())
+        b = FaultSchedule.from_dict(json.loads(a.to_json()))
         assert a.to_json() == b.to_json()
 
     def test_from_dict_defaults(self):
@@ -48,11 +70,50 @@ class TestSerialization:
         assert sched.origin == "replay"
 
     def test_crash_spec_default_repair(self):
-        spec = CrashSpec.from_dict({"node_id": "N1a", "crash_at": 3.0})
-        assert spec.repair_time == 2.0
+        plan = HardwareFaultPlan.from_dict({"node_id": "N1a", "crash_at": 3.0})
+        assert plan.repair_time == 2.0
 
 
 class TestValidation:
+    def test_from_dict_rejects_malformed_times(self):
+        for software in ({"activate_at": -5.0, "deactivate_at": None},
+                         {"activate_at": 50.0, "deactivate_at": 40.0}):
+            with pytest.raises(ConfigurationError):
+                FaultSchedule.from_dict({"label": "bad", "system_seed": 1,
+                                         "software": [software]})
+        with pytest.raises(ConfigurationError):
+            FaultSchedule.from_dict({"label": "bad", "system_seed": 1,
+                                     "crashes": [{"node_id": "N2",
+                                                  "crash_at": -1.0}]})
+
+    @pytest.mark.parametrize("faults, reason", [
+        ({"crashes": [{"node_id": "N9", "crash_at": 50.0}]},
+         "unknown node 'N9' (this topology has N1a, N1b, N2)"),
+        ({"software": [{"activate_at": 50.0, "deactivate_at": None,
+                        "component": 3}]},
+         "unknown component 3 (this topology has 1)"),
+        ({"software": [{"activate_at": -5.0, "deactivate_at": None}]},
+         "activate_at must be >= 0"),
+        ({"software": [{"activate_at": 50.0, "deactivate_at": 40.0}]},
+         "deactivate_at must follow activate_at"),
+    ], ids=["unknown-node", "unknown-component", "negative-time",
+            "inverted-window"])
+    def test_replay_rejects_an_unarmable_fault_in_one_line(
+            self, faults, reason, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        write_artifact(AuditReport(
+            config=AuditConfig(scheme="naive", seed=7, schedules=1,
+                               horizon=100.0),
+            schedules_run=1, errors=[], shrunk=[], wall_seconds=0.0,
+            violations=[{"schedule": {"label": "bad", "system_seed": 1,
+                                      **faults},
+                         "findings": []}]), str(path))
+        assert main(["audit", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"audit --replay: {path}: ")
+        assert reason in captured.err and captured.err.count("\n") == 1
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultSchedule(label="bad", system_seed=1,

@@ -6,21 +6,21 @@ so every search-policy property is checked exactly; the end-to-end
 ``tests/properties/test_shrink_props.py`` and the campaign tests.
 """
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit import (
-    CrashSpec,
     FaultSchedule,
-    SoftwareFaultSpec,
     shrink_schedule,
 )
 
 
 def schedule_with(n_software=0, n_crashes=0, windows=False):
     software = tuple(
-        SoftwareFaultSpec(activate_at=10.0 + 5.0 * i,
+        SoftwareFaultPlan(activate_at=10.0 + 5.0 * i,
                           deactivate_at=(40.0 + 5.0 * i) if windows else None)
         for i in range(n_software))
     crashes = tuple(
-        CrashSpec(node_id="N2", crash_at=20.0 + 7.0 * i)
+        HardwareFaultPlan(node_id="N2", crash_at=20.0 + 7.0 * i,
+                          repair_time=2.0)
         for i in range(n_crashes))
     return FaultSchedule(label="syn", system_seed=1,
                          software=software, crashes=crashes)

@@ -37,7 +37,7 @@ class TestRunCampaign:
 
     def test_ci_property(self):
         result = run_campaign("t", 1, 1, lambda seed: [1.0, 3.0])
-        assert result.ci95 > 0
+        assert result.stat.confidence_halfwidth() > 0
 
     def test_workers_path_matches_serial(self):
         serial = run_campaign("w", 2, 5, _det_task)

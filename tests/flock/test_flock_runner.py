@@ -1,5 +1,6 @@
 """Flock-runner tests: grouping, sharding, gates, equivalence, workers."""
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit.campaign import (
     audit_schedule,
     execute_shard,
@@ -8,7 +9,7 @@ from repro.audit.campaign import (
 )
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
-from repro.audit.schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from repro.audit.schedule import FaultSchedule
 from repro.fabric import plan_shards
 from repro.flock import FlockRunner
 from repro.warmstart import (
@@ -37,8 +38,8 @@ def _shared_seed() -> int:
 def _crash(label: str, at: float, seed=None) -> FaultSchedule:
     return FaultSchedule(label=label,
                          system_seed=_shared_seed() if seed is None else seed,
-                         crashes=(CrashSpec(node_id="N2", crash_at=at,
-                                            repair_time=2.0),),
+                         crashes=(HardwareFaultPlan(node_id="N2", crash_at=at,
+                                                    repair_time=2.0),),
                          origin="test")
 
 
@@ -132,7 +133,7 @@ class TestRunBatch:
     def test_mixed_fault_kinds(self):
         schedules = [
             FaultSchedule(label="sw", system_seed=_shared_seed(),
-                          software=(SoftwareFaultSpec(activate_at=55.0),),
+                          software=(SoftwareFaultPlan(activate_at=55.0),),
                           origin="test"),
             _crash("cr", 70.0),
         ]
@@ -160,9 +161,9 @@ class TestEnsureTemplate:
     def test_predumps_at_fault_instants(self):
         original = FaultSchedule(
             label="orig", system_seed=_shared_seed(),
-            software=(SoftwareFaultSpec(activate_at=64.0),),
-            crashes=(CrashSpec(node_id="N2", crash_at=40.0,
-                               repair_time=2.0),),
+            software=(SoftwareFaultPlan(activate_at=64.0),),
+            crashes=(HardwareFaultPlan(node_id="N2", crash_at=40.0,
+                                       repair_time=2.0),),
             origin="test")
         runner = FlockRunner(SMALL)
         runner.prepare_shrink(original)
@@ -195,8 +196,8 @@ class TestEnsureTemplate:
         no dump that early.  Never a raise."""
         original = FaultSchedule(
             label="orig", system_seed=_shared_seed(),
-            crashes=(CrashSpec(node_id="N2", crash_at=40.0,
-                               repair_time=2.0),), origin="test")
+            crashes=(HardwareFaultPlan(node_id="N2", crash_at=40.0,
+                                       repair_time=2.0),), origin="test")
         runner = FlockRunner(SMALL)
         runner.prepare_shrink(original)
         ahead, behind, before_any = (_crash("ahead", 90.5),

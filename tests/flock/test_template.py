@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from repro.app.faults import HardwareFaultPlan
 from repro.audit.auditor import OnlineAuditor
 from repro.audit.campaign import build_audit_system
 from repro.audit.config import AuditConfig
 from repro.audit.golden import canonical_trace_lines, trace_digest
-from repro.audit.schedule import CrashSpec, FaultSchedule
+from repro.audit.schedule import FaultSchedule
 from repro.errors import AuditViolation
 from repro.flock import FORK_QUANTUM, ForkTemplate, fork_position
 from repro.warmstart import share_schedule_seeds
@@ -25,8 +26,8 @@ def _shared_seed() -> int:
 
 def _crash(label: str, at: float) -> FaultSchedule:
     return FaultSchedule(label=label, system_seed=_shared_seed(),
-                         crashes=(CrashSpec(node_id="N2", crash_at=at,
-                                            repair_time=2.0),),
+                         crashes=(HardwareFaultPlan(node_id="N2", crash_at=at,
+                                                    repair_time=2.0),),
                          origin="test")
 
 
@@ -119,9 +120,9 @@ class TestForkTemplate:
             naive, [FaultSchedule(label="probe", system_seed=0,
                                   origin="test")])[0].system_seed
         sched = FaultSchedule(label="bytes", system_seed=seed,
-                              crashes=(CrashSpec(node_id="N2",
-                                                 crash_at=crash_at,
-                                                 repair_time=2.0),),
+                              crashes=(HardwareFaultPlan(node_id="N2",
+                                                         crash_at=crash_at,
+                                                         repair_time=2.0),),
                               origin="test")
 
         def written(system):

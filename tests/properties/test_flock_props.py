@@ -12,6 +12,7 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit.auditor import OnlineAuditor
 from repro.audit.campaign import (
     SHRINK_MAX_REPLAYS,
@@ -21,7 +22,7 @@ from repro.audit.campaign import (
 from repro.audit.config import AuditConfig
 from repro.audit.generator import generate_schedules, reference_timeline
 from repro.audit.golden import canonical_trace_lines, trace_digest
-from repro.audit.schedule import CrashSpec, FaultSchedule, SoftwareFaultSpec
+from repro.audit.schedule import FaultSchedule
 from repro.audit.shrink import shrink_schedule
 from repro.errors import AuditViolation
 from repro.flock import FlockRunner, ForkTemplate, WarmRunner, fork_position
@@ -85,20 +86,20 @@ def test_flock_equals_resume_equals_cold(data):
     config = _config(data.draw(st.sampled_from(TOPOLOGIES), label="topo"))
     faults = []
     if data.draw(st.booleans(), label="software?"):
-        faults.append(SoftwareFaultSpec(
+        faults.append(SoftwareFaultPlan(
             activate_at=float(data.draw(st.integers(25, 110), label="sw"))))
     n_crashes = data.draw(st.integers(0 if faults else 1, 2), label="crashes")
     nodes = _nodes(config)
     for i in range(n_crashes):
-        faults.append(CrashSpec(
+        faults.append(HardwareFaultPlan(
             node_id=data.draw(st.sampled_from(nodes), label=f"n{i}"),
             crash_at=float(data.draw(st.integers(25, 110), label=f"c{i}")),
             repair_time=2.0))
     sched = FaultSchedule(
         label="prop", system_seed=_seed(config),
         software=tuple(f for f in faults
-                       if isinstance(f, SoftwareFaultSpec)),
-        crashes=tuple(f for f in faults if isinstance(f, CrashSpec)),
+                       if isinstance(f, SoftwareFaultPlan)),
+        crashes=tuple(f for f in faults if isinstance(f, HardwareFaultPlan)),
         origin="test")
     divergence = divergence_time(sched)
 

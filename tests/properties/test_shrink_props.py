@@ -14,24 +14,23 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan  # noqa: E402
 from repro.audit import (  # noqa: E402
-    CrashSpec,
     FaultSchedule,
-    SoftwareFaultSpec,
     shrink_schedule,
 )
 
 HORIZON = 500.0
 
 software_specs = st.builds(
-    SoftwareFaultSpec,
+    SoftwareFaultPlan,
     activate_at=st.floats(min_value=10.0, max_value=HORIZON * 0.8),
     deactivate_at=st.one_of(
         st.none(),
         st.floats(min_value=HORIZON * 0.8 + 1.0, max_value=HORIZON)))
 
 crash_specs = st.builds(
-    CrashSpec,
+    HardwareFaultPlan,
     node_id=st.sampled_from(["N1a", "N1b", "N2"]),
     crash_at=st.floats(min_value=10.0, max_value=HORIZON * 0.9),
     repair_time=st.floats(min_value=0.5, max_value=5.0))

@@ -125,16 +125,12 @@ class TestStepAndPeek:
     def test_step_on_empty_returns_none(self, sim):
         assert sim.step() is None
 
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        sim.schedule_at(7.0, lambda: None)
-        assert sim.peek_time() == 7.0
-
     def test_peek_skips_cancelled(self, sim):
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
         event.cancel()
-        assert sim.peek_time() == 2.0
+        sim.step()
+        assert sim.now == 2.0
 
     def test_pending_count_excludes_cancelled(self, sim):
         event = sim.schedule_at(1.0, lambda: None)

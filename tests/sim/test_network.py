@@ -165,15 +165,16 @@ class TestInFlight:
         network holds the handful of transmissions still on the wire,
         not every one ever sent, and ``in_flight()`` answers what a
         scan of all of them would (send order included)."""
+        from repro.app.faults import HardwareFaultPlan
         from repro.audit.campaign import build_audit_system
         from repro.audit.config import AuditConfig
-        from repro.audit.schedule import CrashSpec, FaultSchedule
+        from repro.audit.schedule import FaultSchedule
 
         config = AuditConfig(scheme="naive", seed=7, horizon=900.0)
         system = build_audit_system(config, FaultSchedule(
             label="long", system_seed=3, origin="test",
-            crashes=(CrashSpec(node_id="N2", crash_at=400.0,
-                               repair_time=5.0),)))
+            crashes=(HardwareFaultPlan(node_id="N2", crash_at=400.0,
+                                       repair_time=5.0),)))
         network = system.network
         every, held = [], []
 

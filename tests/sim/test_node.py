@@ -1,9 +1,6 @@
 """Unit tests for crashable nodes."""
 
-import pytest
-
 from repro.checkpoint import Checkpoint
-from repro.errors import NodeCrashedError
 from repro.types import CheckpointKind, ProcessId
 
 
@@ -53,15 +50,6 @@ class TestCrash:
         node.restart()
         node.crash()
         assert node.crash_count == 2
-
-    def test_ensure_up_raises_when_crashed(self, make_node):
-        node = make_node()
-        node.crash()
-        with pytest.raises(NodeCrashedError):
-            node.ensure_up()
-
-    def test_ensure_up_passes_when_up(self, make_node):
-        make_node().ensure_up()
 
 
 class TestRestart:

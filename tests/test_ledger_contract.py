@@ -14,7 +14,8 @@ import pathlib
 
 import pytest
 
-from repro.audit import AuditConfig, CrashSpec, FaultSchedule, run_audit
+from repro.app.faults import HardwareFaultPlan
+from repro.audit import AuditConfig, FaultSchedule, run_audit
 from repro.audit.campaign import SHRINK_MAX_REPLAYS
 from repro.audit.shrink import shrink_schedule
 from repro.flock import FlockRunner
@@ -36,8 +37,9 @@ CONFIG = AuditConfig(scheme="naive", seed=7, schedules=4, horizon=120.0,
 def _schedules():
     return share_schedule_seeds(CONFIG, [
         FaultSchedule(label=f"c{at}", system_seed=0, origin="test",
-                      crashes=(CrashSpec(node_id="N2", crash_at=float(at),
-                                         repair_time=2.0),))
+                      crashes=(HardwareFaultPlan(node_id="N2",
+                                                 crash_at=float(at),
+                                                 repair_time=2.0),))
         for at in (95, 40, 70, 41)])
 
 

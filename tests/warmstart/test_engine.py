@@ -5,6 +5,7 @@ contract under adversarial simulator states."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.audit.auditor import OnlineAuditor
 from repro.audit.campaign import (
     audit_schedule,
@@ -14,8 +15,7 @@ from repro.audit.campaign import (
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
 from repro.audit.golden import canonical_trace_lines, trace_digest
-from repro.audit.schedule import SYSTEM_NODES, CrashSpec, FaultSchedule, \
-    SoftwareFaultSpec
+from repro.audit.schedule import SYSTEM_NODES, FaultSchedule
 from repro.errors import AuditViolation
 from repro.fabric import plan_shards
 from repro.warmstart import (
@@ -49,8 +49,8 @@ def _shared_seed() -> int:
 
 def _crash(label: str, at: float, node: str = "N2") -> FaultSchedule:
     return FaultSchedule(label=label, system_seed=_shared_seed(),
-                         crashes=(CrashSpec(node_id=node, crash_at=at,
-                                            repair_time=2.0),),
+                         crashes=(HardwareFaultPlan(node_id=node, crash_at=at,
+                                                    repair_time=2.0),),
                          origin="test")
 
 
@@ -62,8 +62,9 @@ class TestDivergenceTime:
     def test_earliest_fault_wins(self):
         sched = FaultSchedule(
             label="d", system_seed=1,
-            software=(SoftwareFaultSpec(activate_at=50.0),),
-            crashes=(CrashSpec(node_id="N2", crash_at=30.0),),
+            software=(SoftwareFaultPlan(activate_at=50.0),),
+            crashes=(HardwareFaultPlan(node_id="N2", crash_at=30.0,
+                                       repair_time=2.0),),
             origin="test")
         assert divergence_time(sched) == 30.0
 
@@ -275,19 +276,19 @@ def test_property_resume_equals_cold(image_set, data):
     """capture -> resume -> run == cold run, for random fault mixes."""
     faults = []
     if data.draw(st.booleans(), label="software?"):
-        faults.append(SoftwareFaultSpec(
+        faults.append(SoftwareFaultPlan(
             activate_at=float(data.draw(st.integers(25, 110), label="sw"))))
     n_crashes = data.draw(st.integers(0 if faults else 1, 2), label="crashes")
     for i in range(n_crashes):
-        faults.append(CrashSpec(
+        faults.append(HardwareFaultPlan(
             node_id=data.draw(st.sampled_from(SYSTEM_NODES), label=f"n{i}"),
             crash_at=float(data.draw(st.integers(25, 110), label=f"c{i}")),
             repair_time=2.0))
     sched = FaultSchedule(
         label="prop", system_seed=_shared_seed(),
         software=tuple(f for f in faults
-                       if isinstance(f, SoftwareFaultSpec)),
-        crashes=tuple(f for f in faults if isinstance(f, CrashSpec)),
+                       if isinstance(f, SoftwareFaultPlan)),
+        crashes=tuple(f for f in faults if isinstance(f, HardwareFaultPlan)),
         origin="test")
 
     div = divergence_time(sched)

@@ -17,14 +17,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.analysis.global_state import view_from_checkpoint
 from repro.audit.auditor import OnlineAuditor
 from repro.audit.campaign import build_audit_system, start_fresh
 from repro.audit.config import AuditConfig
 from repro.audit.generator import reference_timeline
 from repro.audit.golden import canonical_trace_lines, trace_digest
-from repro.audit.schedule import SYSTEM_NODES, CrashSpec, FaultSchedule, \
-    SoftwareFaultSpec
+from repro.audit.schedule import SYSTEM_NODES, FaultSchedule
 from repro.checkpoint import Checkpoint
 from repro.errors import AuditViolation
 from repro.flock import ForkTemplate
@@ -133,8 +133,9 @@ def test_template_thawed_from_an_image_adopts_and_only_appends(built):
     image = built.images[len(built.images) // 2]
     sched = FaultSchedule(
         label="late", system_seed=built.seed,
-        crashes=(CrashSpec(node_id="N2", crash_at=image.captured_at + 3.0,
-                           repair_time=2.0),), origin="test")
+        crashes=(HardwareFaultPlan(node_id="N2",
+                                   crash_at=image.captured_at + 3.0,
+                                   repair_time=2.0),), origin="test")
     system, auditor = resume(image, fail_fast=False)
     sched.arm(system)
     assert _drain(system, auditor) == _cold(built.config, sched)
@@ -160,11 +161,11 @@ def test_property_resumes_in_any_order_equal_cold(built, data):
         if data.draw(st.booleans(), label=f"software{n}"):
             sched = FaultSchedule(
                 label=f"sw{n}", system_seed=built.seed, origin="test",
-                software=(SoftwareFaultSpec(activate_at=at),))
+                software=(SoftwareFaultPlan(activate_at=at),))
         else:
             sched = FaultSchedule(
                 label=f"hw{n}", system_seed=built.seed, origin="test",
-                crashes=(CrashSpec(
+                crashes=(HardwareFaultPlan(
                     node_id=data.draw(st.sampled_from(SYSTEM_NODES),
                                       label=f"node{n}"),
                     crash_at=at, repair_time=2.0),))
@@ -273,13 +274,14 @@ def _crash_heavy(data, n, seed, earliest, horizon):
     node = data.draw(st.sampled_from(SYSTEM_NODES), label=f"node{n}")
     at = float(data.draw(st.integers(earliest, max(earliest, horizon - 16)),
                          label=f"t{n}"))
-    crashes = [CrashSpec(node_id=node, crash_at=at, repair_time=2.0),
-               CrashSpec(node_id=node, crash_at=at + 5.0, repair_time=2.0)]
+    crashes = [HardwareFaultPlan(node_id=node, crash_at=at, repair_time=2.0),
+               HardwareFaultPlan(node_id=node, crash_at=at + 5.0,
+                                 repair_time=2.0)]
     if data.draw(st.booleans(), label=f"other{n}"):
         other = data.draw(st.sampled_from(SYSTEM_NODES), label=f"node{n}b")
         if other != node:
-            crashes.append(CrashSpec(node_id=other, crash_at=at + 9.0,
-                                     repair_time=2.0))
+            crashes.append(HardwareFaultPlan(node_id=other, crash_at=at + 9.0,
+                                             repair_time=2.0))
     return FaultSchedule(label=f"hw{n}", system_seed=seed, origin="test",
                          crashes=tuple(crashes))
 
@@ -483,9 +485,9 @@ def test_release_hands_a_finished_run_back_by_reference_count(built, start):
     at = image.captured_at + 3.0
     sched = FaultSchedule(
         label="rel", system_seed=built.seed, origin="test",
-        software=(SoftwareFaultSpec(activate_at=at),),
-        crashes=(CrashSpec(node_id="N2", crash_at=at + 6.0,
-                           repair_time=2.0),))
+        software=(SoftwareFaultPlan(activate_at=at),),
+        crashes=(HardwareFaultPlan(node_id="N2", crash_at=at + 6.0,
+                                   repair_time=2.0),))
     expected = _cold(config, sched)
     template = ForkTemplate.from_image(image) if start == "forked" else None
     gc.collect()

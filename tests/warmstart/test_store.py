@@ -217,6 +217,14 @@ def _as_format_8_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_9_wrote_it(record):
+    # Format 9 thawed systems that keep a list of fault-injector
+    # objects and snapshots whose receive-dedup keys are a dict.  The
+    # header's format byte turns its dumps away.
+    record["dumps"] = [(at, bytes([9]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -246,6 +254,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_format_7_wrote_it),
     "format-8-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_8_wrote_it),
+    "format-9-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_9_wrote_it),
 }
 
 
