@@ -22,9 +22,24 @@ built or loaded.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
+
+
+def _field(data: Dict, name: str, convert: Callable, default=...):
+    """``data[name]`` through ``convert``; a missing or malformed field
+    raises :class:`ConfigurationError` naming it."""
+    value = data.get(name, default) if isinstance(data, dict) else ...
+    if value is ...:
+        raise ConfigurationError(f"fault record lacks {name!r}: {data!r}")
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"fault record field {name!r} is not a "
+                                 f"number: {value!r}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,11 +73,9 @@ class SoftwareFaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SoftwareFaultPlan":
-        return cls(activate_at=float(data["activate_at"]),
-                   deactivate_at=(float(data["deactivate_at"])
-                                  if data.get("deactivate_at") is not None
-                                  else None),
-                   component=int(data.get("component", 1)))
+        return cls(activate_at=_field(data, "activate_at", float),
+                   deactivate_at=_field(data, "deactivate_at", float, None),
+                   component=_field(data, "component", int, 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +97,6 @@ class HardwareFaultPlan:
     @classmethod
     def from_dict(cls, data: Dict) -> "HardwareFaultPlan":
         # Artifacts written without a repair time mean the audit's 2 s.
-        return cls(node_id=str(data["node_id"]),
-                   crash_at=float(data["crash_at"]),
-                   repair_time=float(data.get("repair_time", 2.0)))
+        return cls(node_id=_field(data, "node_id", str),
+                   crash_at=_field(data, "crash_at", float),
+                   repair_time=_field(data, "repair_time", float, 2.0))

@@ -34,7 +34,7 @@ import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import AuditViolation
+from ..errors import AuditViolation, ConfigurationError
 from ..parallel import parallel_map
 from .auditor import AuditFinding, OnlineAuditor
 from .config import AuditConfig
@@ -428,9 +428,14 @@ def write_artifact(report: AuditReport, path: str) -> None:
 
 
 def read_artifact(path: str) -> AuditReport:
-    """Load a campaign artifact written by :func:`write_artifact`."""
+    """Load a campaign artifact written by :func:`write_artifact`; a
+    file that is not JSON raises :class:`ConfigurationError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return AuditReport.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"not a JSON artifact: {exc}") from None
+    return AuditReport.from_dict(data)
 
 
 def artifact_schedules(report: AuditReport) -> List[FaultSchedule]:

@@ -24,8 +24,9 @@ campaign of ``N`` schedules is reproducible from the config alone.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from ..sim.rng import derive_seed
@@ -119,13 +120,12 @@ def _crash(node: str, at: float) -> HardwareFaultPlan:
                              repair_time=BOUNDARY_REPAIR)
 
 
-def boundary_schedules(config: AuditConfig,
-                       timeline: Optional[ReferenceTimeline] = None
-                       ) -> List[FaultSchedule]:
-    """Every systematic boundary schedule, interleaved by category so a
-    truncated prefix still covers all categories."""
-    if timeline is None:
-        timeline = reference_timeline(config)
+def _boundary_stream(config: AuditConfig, timeline: ReferenceTimeline
+                     ) -> Iterator[FaultSchedule]:
+    """The systematic boundary schedules, one lazy stream per category,
+    interleaved round-robin (categories in name order) so a truncated
+    prefix still covers all categories — and builds no schedule past
+    the prefix its consumer takes."""
     nodes = _campaign_nodes(config)
     n_components = parse_topology(config.topology).n_components
     horizon = config.horizon
@@ -138,96 +138,79 @@ def boundary_schedules(config: AuditConfig,
     # *inside* it — the midpoint does, for every length.
     mid_blocks = sorted({(a + b) / 2.0 for a, b in timeline.blocking if b > a})
 
-    by_category: Dict[str, List[FaultSchedule]] = {}
+    def pre_at(i: int, t: float) -> Tuple[SoftwareFaultPlan]:
+        # With several guarded components the enumeration cycles the
+        # defective component (one per AT instant); the paper shape
+        # always targets component 1.
+        return (SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
+                                  component=(i % n_components) + 1),)
 
-    def add(category: str, *, software=(), crashes=(), overrides=()) -> None:
-        group = by_category.setdefault(category, [])
-        group.append(FaultSchedule(
-            label=f"boundary:{category}:{len(group)}",
-            system_seed=0,  # reassigned by the interleave below
-            software=tuple(software), crashes=tuple(crashes),
-            overrides=tuple(overrides), origin="boundary"))
-
-    # Crashes pinned to checkpoint-commit boundaries: just before a
-    # commit (the establishment is mid-flight) and just after (the new
-    # line is the freshest possible recovery basis).
-    for t in commit_times:
-        for node in nodes:
-            add("commit-edge",
-                crashes=[_crash(node, t - BOUNDARY_EPS)])
-            add("commit-edge",
-                crashes=[_crash(node, t + BOUNDARY_EPS)])
-
-    # Crashes inside a TB blocking period (buffered messages, content
-    # swaps and establishment commits all in flight).
-    for t in mid_blocks:
-        for node in nodes:
-            add("mid-blocking", crashes=[_crash(node, t)])
-
-    # A software fault activated just before an acceptance-test pass:
-    # contamination that the very next validation wave will (wrongly,
-    # under the naive scheme) launder into the checkpoints.  With
-    # several guarded components the enumeration cycles the defective
-    # component (one per AT instant); the single-component paper shape
-    # always targets component 1, exactly as before.
-    for i, t in enumerate(at_times):
-        comp = (i % n_components) + 1
-        add("pre-at", software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
-                                                  component=comp)])
+    # Each category is a lazy stream of (software, crashes, overrides).
+    categories = {
+        # Crashes pinned to checkpoint-commit boundaries: just before a
+        # commit (the establishment is mid-flight) and just after (the
+        # new line is the freshest possible recovery basis).
+        "commit-edge": (((), (_crash(node, t + side),), ())
+                        for t in commit_times for node in nodes
+                        for side in (-BOUNDARY_EPS, BOUNDARY_EPS)),
+        # Crashes inside a TB blocking period (buffered messages, content
+        # swaps and establishment commits all in flight).
+        "mid-blocking": (((), (_crash(node, t),), ())
+                         for t in mid_blocks for node in nodes),
+        # A software fault activated just before an acceptance-test
+        # pass: contamination that the very next validation wave will
+        # (wrongly, under the naive scheme) launder into the checkpoints
+        # ...
+        "pre-at": ((pre_at(i, t), (), ()) for i, t in enumerate(at_times)),
         # ... with a crash landing mid-software-recovery (the fault's
-        # eventual AT failure triggers rollback; crash it shortly after).
-        for node in nodes:
-            add("mid-recovery",
-                software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
-                                            component=comp)],
-                crashes=[_crash(node, t + 2.0)])
+        # eventual AT failure triggers rollback; crash it shortly after)
+        "mid-recovery": ((pre_at(i, t), (_crash(node, t + 2.0),), ())
+                         for i, t in enumerate(at_times) for node in nodes),
         # ... and the coincident case: software fault and crash at
         # (essentially) the same instant.
-        for node in nodes:
-            add("coincident",
-                software=[SoftwareFaultPlan(activate_at=t - BOUNDARY_EPS,
-                                            component=comp)],
-                crashes=[_crash(node, t)])
+        "coincident": ((pre_at(i, t), (_crash(node, t),), ())
+                       for i, t in enumerate(at_times) for node in nodes),
+        # Double crashes around one commit: the recovery line must
+        # survive losing two nodes in quick succession.
+        "double-crash": (((), (_crash(first, t - BOUNDARY_EPS),
+                               _crash(second, t + 1.0)), ())
+                         for t in commit_times
+                         for i, first in enumerate(nodes)
+                         for second in nodes[i + 1:]),
+        # Crashes at resynchronization instants (timer resets in flight).
+        "resync-edge": (((), (_crash(node, t),), ())
+                        for t in timeline.resyncs
+                        if BOUNDARY_EPS < t < horizon - 1.0
+                        for node in nodes),
+        # Clock-skew extremes: the same mid-horizon crash under the
+        # largest and smallest clock deviations the model admits (the
+        # last node in topology order — the paper's "N2").
+        "skew": (((), (_crash(nodes[-1], horizon / 2.0),),
+                  (("clock_delta", delta), ("clock_rho", rho)))
+                 for delta in SKEW_DELTAS for rho in SKEW_RHOS),
+    }
+    rounds = itertools.zip_longest(*(
+        zip(itertools.repeat(name), itertools.count(), categories[name])
+        for name in sorted(categories)))
+    interleaved = (entry for entries in rounds for entry in entries
+                   if entry is not None)
+    for position, (name, index, (software, crashes, overrides)) in \
+            enumerate(interleaved):
+        yield FaultSchedule(
+            label=f"boundary:{name}:{index}",
+            system_seed=_schedule_seed(config, position),
+            software=software, crashes=crashes, overrides=overrides,
+            origin="boundary")
 
-    # Double crashes around one commit: the recovery line must survive
-    # losing two nodes in quick succession.
-    for t in commit_times:
-        for i, first in enumerate(nodes):
-            for second in nodes[i + 1:]:
-                add("double-crash",
-                    crashes=[_crash(first, t - BOUNDARY_EPS),
-                             _crash(second, t + 1.0)])
 
-    # Crashes at resynchronization instants (timer resets in flight).
-    for t in timeline.resyncs:
-        if not BOUNDARY_EPS < t < horizon - 1.0:
-            continue
-        for node in nodes:
-            add("resync-edge", crashes=[_crash(node, t)])
-
-    # Clock-skew extremes: the same mid-horizon crash under the largest
-    # and smallest clock deviations the model admits (the last node in
-    # topology order — the paper's "N2").
-    mid = horizon / 2.0
-    for delta in SKEW_DELTAS:
-        for rho in SKEW_RHOS:
-            add("skew",
-                crashes=[_crash(nodes[-1], mid)],
-                overrides=[("clock_delta", delta), ("clock_rho", rho)])
-
-    # Round-robin interleave so truncation keeps category diversity,
-    # then assign each schedule its deterministic per-index system seed.
-    interleaved: List[FaultSchedule] = []
-    groups = [by_category[k] for k in sorted(by_category)]
-    while any(groups):
-        for group in groups:
-            if group:
-                interleaved.append(group.pop(0))
-    out: List[FaultSchedule] = []
-    for position, sched in enumerate(interleaved):
-        out.append(dataclasses.replace(
-            sched, system_seed=_schedule_seed(config, position)))
-    return out
+def boundary_schedules(config: AuditConfig,
+                       timeline: Optional[ReferenceTimeline] = None
+                       ) -> List[FaultSchedule]:
+    """Every systematic boundary schedule, interleaved by category so a
+    truncated prefix still covers all categories."""
+    if timeline is None:
+        timeline = reference_timeline(config)
+    return list(_boundary_stream(config, timeline))
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +280,9 @@ def generate_schedules(config: AuditConfig,
     """
     if timeline is None:
         timeline = reference_timeline(config)
-    boundary = boundary_schedules(config, timeline)
-    n_boundary = min(len(boundary),
-                     int(round(config.schedules * config.boundary_fraction)))
-    schedules = boundary[:n_boundary]
-    schedules += random_schedules(config, config.schedules - n_boundary,
-                                  start_index=n_boundary, timeline=timeline)
-    return schedules
+    schedules = list(itertools.islice(
+        _boundary_stream(config, timeline),
+        int(round(config.schedules * config.boundary_fraction))))
+    return schedules + random_schedules(
+        config, config.schedules - len(schedules),
+        start_index=len(schedules), timeline=timeline)

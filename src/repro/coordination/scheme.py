@@ -26,9 +26,11 @@ to a :class:`Scheme`:
 the historical construction order — node creation, workload-stream RNG
 draws, process and acceptance-test instantiation — so every paper-shape
 run, and in particular the pinned Fig. 6 golden digests, is bit-for-bit
-identical to the pre-topology builder.  Which MDCD engines and which
-recovery manager a membership gets is decided in one place,
-:mod:`repro.coordination.wiring`: every scheme runs the
+identical to the pre-topology builder.  How a member is built (stream,
+version, process, MDCD and hardware engines; the live agent builds its
+one member the same way) and which recovery manager a membership gets
+is decided in one place, :mod:`repro.coordination.wiring`: every
+scheme runs the
 :mod:`repro.topology.engines` family, with the paper's modifications on
 iff :attr:`Scheme.uses_modified_mdcd` ("original MDCD" above is that
 family with them off).  Non-paper topologies require a coordinated
@@ -42,25 +44,20 @@ import enum
 from typing import Dict, List, Optional
 
 from ..app.acceptance import AcceptanceTestConfig
-from ..app.component import ApplicationComponent
 from ..app.faults import HardwareFaultPlan, SoftwareFaultPlan
-from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
-from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
+from ..app.workload import WorkloadConfig
 from ..errors import ConfigurationError
-from ..host import FtProcess, IncarnationCounter, journal_retention
+from ..host import FtProcess, IncarnationCounter
 from ..messages.message import MsgIdAllocator
 from ..runtime import (ClockConfig, Network, NetworkConfig, Node, RngRegistry,
                        Simulator, TraceRecorder)
 from ..sim.events import EventPriority
-from ..tb.adapted import AdaptedTbEngine
 from ..tb.blocking import TbConfig
 from ..tb.hardware_recovery import HardwareRecoveryCoordinator
-from ..tb.original import OriginalTbEngine
-from ..tb.resync import ResyncService
-from ..topology.model import Member, MemberKind, parse_topology
-from ..types import FaultKind, NodeId, ProcessId, Role
-from .wiring import recovery_manager, software_engine
-from .write_through import WriteThroughEngine
+from ..topology.model import parse_topology
+from ..types import FaultKind, NodeId, Role
+from .wiring import (action_stream, attach_engines, ft_process,
+                     low_versions, recovery_manager)
 
 
 class Scheme(enum.Enum):
@@ -137,117 +134,41 @@ class System:
             for name in dict.fromkeys(self.topology.node_ids())
         }
 
-        # One action stream per distinct workload stream, generated in
-        # first-appearance member order — for the paper topology this is
-        # "component1" then "component2", the historical RNG draw order.
+        # One action stream per workload stream, shared by a component's
+        # replicas (each stream draws from its own seed-derived RNG).
         actions: Dict[str, list] = {}
-        for member in self.topology.members:
-            if member.stream in actions:
-                continue
-            workload = (config.workload2 if member.kind is MemberKind.PEER
-                        else config.workload1)
-            actions[member.stream] = generate_actions(
-                dataclasses.replace(workload, horizon=config.horizon),
-                self.rng, member.stream)
-
-        self.low_versions: Dict[int, LowConfidenceVersion] = {
-            c: LowConfidenceVersion(f"component{c}-low")
-            for c in range(1, self.topology.n_components + 1)}
+        self.low_versions = low_versions(self.topology)
         #: Component 1's low-confidence version (historical accessor).
         self.low_version = self.low_versions[1]
 
         self.processes: Dict[Role, FtProcess] = {}
         self.members: Dict[str, FtProcess] = {}
         for member in self.topology.members:
-            if member.kind is MemberKind.ACTIVE:
-                component = ApplicationComponent(
-                    member.stream, self.low_versions[member.component])
-            elif member.kind is MemberKind.SHADOW:
-                component = ApplicationComponent(
-                    member.stream,
-                    HighConfidenceVersion(f"{member.stream}-high"))
-            else:
-                component = ApplicationComponent(
-                    member.stream, HighConfidenceVersion(member.stream))
-            self._build_process(member, component,
-                                WorkloadDriver(self.sim,
-                                               actions[member.stream],
-                                               member.driver))
+            if member.stream not in actions:
+                actions[member.stream] = action_stream(config, member,
+                                                       self.rng)
+            process = ft_process(
+                config, member, node=self.nodes[member.node_id],
+                network=self.network, scheduler=self.sim,
+                actions=actions[member.stream], versions=self.low_versions,
+                incarnation=self.incarnation, msg_ids=self.msg_ids,
+                trace=self.trace)
+            self.members[member.role_id] = process
+            if process.role is not None:
+                self.processes[process.role] = process
 
-        self.resync: Optional[ResyncService] = None
+        self.resync = attach_engines(
+            self.topology, config, self.members, self.rng, self.sim,
+            [n.clock for n in self.nodes.values()], self.trace)
         self.hw_recovery: Optional[HardwareRecoveryCoordinator] = None
-        self._wire_engines()
+        if config.scheme.has_stable_checkpoints:
+            self.hw_recovery = HardwareRecoveryCoordinator(
+                list(self.members.values()), self.incarnation, self.trace)
+            self.hw_recovery.install()
         self.view, self.sw_recovery = recovery_manager(
             self.topology, self.members, self.nodes, self.incarnation,
             self.trace, clock=self.sim)
         self._started = False
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_process(self, member: Member,
-                       component: ApplicationComponent,
-                       driver: WorkloadDriver) -> None:
-        role = Role.of(member.role_id)
-        process = FtProcess(
-            process_id=ProcessId(member.role_id),
-            node=self.nodes[member.node_id], network=self.network,
-            component=component, driver=driver, incarnation=self.incarnation,
-            role=role, trace=self.trace)
-        process.msg_ids = self.msg_ids
-        process.is_guarded_active = member.kind is MemberKind.ACTIVE
-        process.journal_retention = journal_retention(self.config.tb.interval)
-        self.members[member.role_id] = process
-        if role is not None:
-            self.processes[role] = process
-
-    def _wire_engines(self) -> None:
-        config = self.config
-        scheme = config.scheme
-        software = {
-            member.role_id: software_engine(
-                self.topology, member, scheme, self.members[member.role_id],
-                config.at, self.rng)
-            for member in self.topology.members}
-        if scheme.uses_modified_mdcd:
-            # The adapted TB's checkpoint swap can durably anchor a
-            # process *before* internal sends its peers durably reflect
-            # receiving (e.g. P1_act's pseudo checkpoint vs. P2's
-            # current state once a later AT validated those messages).
-            # Such lines are safe exactly under the piecewise-
-            # determinism assumption of message-logging recovery: the
-            # rolled-back sender's replay regenerates the identical
-            # per-receiver stream and receivers deduplicate it — so the
-            # coordinated schemes carry destination sequence numbers.
-            # Found by the schedule audit; see DESIGN.md.
-            for proc in self.members.values():
-                proc.replay_dedup = True
-
-        hardware: Dict[str, object] = {}
-        if scheme in (Scheme.COORDINATED, Scheme.COORDINATED_NO_SWAP,
-                      Scheme.NAIVE):
-            self.resync = ResyncService(
-                self.sim, [n.clock for n in self.nodes.values()], self.trace)
-            tb_config = config.tb
-            if scheme is Scheme.COORDINATED_NO_SWAP:
-                tb_config = dataclasses.replace(tb_config,
-                                                swap_on_confidence_change=False)
-            engine_cls = (OriginalTbEngine if scheme is Scheme.NAIVE
-                          else AdaptedTbEngine)
-            for rid, proc in self.members.items():
-                hardware[rid] = engine_cls(proc, tb_config, config.clock,
-                                           config.network, resync=self.resync)
-        elif scheme is Scheme.WRITE_THROUGH:
-            for rid, proc in self.members.items():
-                hardware[rid] = WriteThroughEngine(proc)
-
-        for rid, proc in self.members.items():
-            proc.attach_engines(software=software[rid],
-                                hardware=hardware.get(rid))
-        if scheme.has_stable_checkpoints:
-            self.hw_recovery = HardwareRecoveryCoordinator(
-                list(self.members.values()), self.incarnation, self.trace)
-            self.hw_recovery.install()
 
     # ------------------------------------------------------------------
     # accessors
@@ -338,7 +259,6 @@ class System:
         if self._started:
             return
         self._started = True
-        self.msg_ids.reset()
         for proc in self.process_list():
             proc.start()
 

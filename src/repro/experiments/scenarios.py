@@ -39,6 +39,7 @@ from ..app.versions import HighConfidenceVersion
 from ..app.workload import Action, ActionKind, WorkloadConfig, WorkloadDriver, generate_actions
 from ..coordination.scheme import Scheme, System, SystemConfig, build_system
 from ..host import FtProcess, IncarnationCounter
+from ..messages.message import MsgIdAllocator
 from ..sim.clock import ClockConfig
 from ..sim.events import EventPriority
 from ..sim.kernel import Simulator
@@ -158,6 +159,8 @@ class PairSystem:
         self.trace = TraceRecorder()
         self.network = Network(self.sim, net, self.rng)
         self.incarnation = IncarnationCounter()
+        #: The pair's own ids: no run depends on what ran before it.
+        self.msg_ids = MsgIdAllocator()
         self.horizon = horizon
         workload = WorkloadConfig(internal_rate=message_rate, external_rate=0.0,
                                   step_rate=message_rate / 10.0, horizon=horizon)
@@ -169,7 +172,8 @@ class PairSystem:
             proc = FtProcess(ProcessId(name), node, self.network,
                              ApplicationComponent(name, HighConfidenceVersion(name)),
                              WorkloadDriver(self.sim, actions, name),
-                             self.incarnation, role=None, trace=self.trace)
+                             self.incarnation, self.msg_ids, role=None,
+                             trace=self.trace)
             engine = OriginalTbEngine(proc, tb, clock, net)
             proc.attach_engines(software=None, hardware=engine)
             self.processes.append(proc)

@@ -28,21 +28,13 @@ from .errors import StorageError
 from .journal import Journal
 from .messages.log import MessageLog
 from .messages.message import (DEVICE, Message, MsgIdAllocator,
-                               passed_at_notification,
-                               _default_allocator as _default_msg_ids)
+                               passed_at_notification)
 from .messages.sequence import AckTracker, ReceiveDeduplicator, SequenceAllocator
 from .mdcd.state import MdcdState
 from .runtime import CounterSet, SimProcess, TraceRecorder
 from .runtime.ports import CrashPort, TransportPort
 from .snapshot.sections import SnapshotEncoder
 from .types import CheckpointKind, MessageKind, ProcessId, Role, StableContent
-
-
-def journal_retention(tb_interval: float) -> float:
-    """How long a built process keeps validated journal records: ten
-    minutes, and never under four TB intervals, so pruning cannot touch
-    records near a live checkpoint line."""
-    return max(600.0, 4.0 * tb_interval)
 
 
 class IncarnationCounter:
@@ -105,11 +97,13 @@ class FtProcess(SimProcess):
         The workload driver replaying this process's action stream.
     incarnation:
         The shared :class:`IncarnationCounter`.
+    msg_ids:
+        The builder's message-id allocator this process mints sends from.
     """
 
     def __init__(self, process_id: ProcessId, node: CrashPort, network: TransportPort,
                  component: ApplicationComponent, driver: WorkloadDriver,
-                 incarnation: IncarnationCounter,
+                 incarnation: IncarnationCounter, msg_ids: MsgIdAllocator,
                  role: Optional[Role] = None,
                  trace: Optional[TraceRecorder] = None) -> None:
         super().__init__(process_id, node, network, trace)
@@ -123,12 +117,7 @@ class FtProcess(SimProcess):
         self.driver = driver
         self.incarnation = incarnation
         self.mdcd = MdcdState()
-        #: Message-id allocator this process draws from.  The owning
-        #: :class:`~repro.coordination.scheme.System` installs its own
-        #: (one sequence per system, captured with warm-start images);
-        #: bare processes built outside a system fall back to the
-        #: module-wide test allocator.
-        self.msg_ids: MsgIdAllocator = _default_msg_ids
+        self.msg_ids = msg_ids
         self.sn = SequenceAllocator()
         self.acks = AckTracker()
         self.dedup = ReceiveDeduplicator()
@@ -156,7 +145,7 @@ class FtProcess(SimProcess):
         #: periodic compaction (run at stable-checkpoint completions)
         #: garbage-collects them.  Must comfortably exceed the stable
         #: checkpoint interval plus message-delay bounds; builders set
-        #: it from :func:`journal_retention`.
+        #: it (:func:`repro.coordination.wiring.ft_process`).
         self.journal_retention: float = 600.0
         #: Per-process snapshot encoder: remembers the previous capture
         #: so journals and the message log encode as deltas.

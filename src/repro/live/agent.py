@@ -1,13 +1,14 @@
 """One live protocol process.
 
 ``python -m repro.live.agent '<spec-json>'`` hosts exactly one
-:class:`~repro.host.FtProcess` — wired with the same engines, RNG
-streams, and configuration the sim backend's ``COORDINATED`` scheme
-uses — on the live adapters: wall clock, TCP transport, file-backed
-stable storage.  The spec names a topology member, wired through the
-same :func:`~repro.coordination.wiring.software_engine` the sim's
-:class:`~repro.coordination.scheme.System` calls, so the two backends
-stay decision-equivalent.  The harness drives it
+:class:`~repro.host.FtProcess` on the live adapters: wall clock, TCP
+transport, file-backed stable storage.  The spec names a topology
+member; the agent builds it from the sim backend's
+:func:`~repro.runtime.sim_backend.scripted_config` through the same
+:mod:`repro.coordination.wiring` functions the sim's
+:class:`~repro.coordination.scheme.System` calls (workload stream,
+version, process, MDCD and TB engines), so the two backends stay
+decision-equivalent.  The harness drives it
 over a line-JSON control channel on stdin/stdout (commands below);
 peer traffic arrives on the listening socket; protocol decisions
 stream to a JSONL artifact via the shared
@@ -44,24 +45,18 @@ import sys
 import uuid
 from typing import Any, Dict, Optional
 
-from ..app.acceptance import AcceptanceTestConfig
-from ..app.component import ApplicationComponent
-from ..app.versions import HighConfidenceVersion, LowConfidenceVersion
-from ..app.workload import WorkloadConfig, WorkloadDriver, generate_actions
-from ..coordination.scheme import Scheme
-from ..coordination.wiring import software_engine
-from ..host import FtProcess, IncarnationCounter, journal_retention
+from ..coordination.wiring import (action_stream, attach_engines, ft_process,
+                                   low_versions)
+from ..host import IncarnationCounter
 from ..mdcd.recovery import drop_recipient
-from ..messages.message import reset_msg_ids
-from ..runtime import ClockConfig, NetworkConfig, RngRegistry, TraceRecorder
+from ..messages.message import MsgIdAllocator
+from ..runtime import RngRegistry, TraceRecorder
 from ..runtime.decisions import record_to_decision
 from ..runtime.script import SCRIPT_ACTION_BASE, _ACTION_KINDS
-from ..tb.adapted import AdaptedTbEngine
-from ..tb.blocking import TbConfig
+from ..runtime.sim_backend import scripted_config
 from ..tb.hardware_recovery import line_report, restore_to_line
-from ..tb.resync import ResyncService
 from ..topology.model import MemberKind, parse_topology
-from ..types import NodeId, ProcessId, Role
+from ..types import NodeId, ProcessId
 from .clock import WallClock
 from .failover import peer_adopt_takeover, shadow_takeover
 from .loop import LiveScheduler
@@ -69,31 +64,27 @@ from .node import LiveNode
 from .storage import FileStableStore
 from .transport import LiveTransport
 
-#: Near-zero Poisson rate (mirrors the sim backend's scripted config).
-_IDLE_RATE = 1e-12
-
 
 class LiveAgent:
     """Build and run one protocol process from its harness spec."""
 
     def __init__(self, spec: Dict[str, Any]) -> None:
-        self.spec = spec
-        self.topology = parse_topology(spec["topology"])
+        config = scripted_config(
+            seed=spec["seed"], horizon=spec["horizon"],
+            topology=spec["topology"], tb_interval=spec["tb_interval"])
+        self.topology = parse_topology(config.topology)
         self.member = self.topology.member(spec["role"])
         self.process_id = ProcessId(self.member.role_id)
-        self.seed = int(spec.get("seed", 0))
-        self.tb_interval = float(spec.get("tb_interval", 10_000.0))
-        self.horizon = float(spec.get("horizon", 1_000.0))
         self.running = True
         self.takeover_summary: Optional[Dict[str, Any]] = None
 
-        self.clock = WallClock(origin=spec.get("clock_origin"))
+        self.clock = WallClock(origin=spec["clock_origin"])
         self.scheduler = LiveScheduler(self.clock)
         self.selector = selectors.DefaultSelector()
 
         listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listen.bind((spec.get("host", "127.0.0.1"), int(spec["port"])))
+        listen.bind((spec["host"], int(spec["port"])))
         listen.listen(8)
         self.transport = LiveTransport(
             self.process_id, self.scheduler, self.selector, listen,
@@ -102,12 +93,13 @@ class LiveAgent:
         self.transport.on_control = self._on_control
 
         self.stable = FileStableStore(spec["data_dir"],
-                                      history=int(spec.get("stable_history", 2)))
+                                      history=config.stable_history)
         self.node = LiveNode(NodeId(spec["node"]),
                              self.scheduler, self.clock, self.stable)
-        self.rng = RngRegistry(self.seed)
+        self.rng = RngRegistry(config.seed)
         self.incarnation = IncarnationCounter()
-        self.incarnation.value = int(spec.get("incarnation", 0))
+        self.incarnation.value = int(spec["incarnation"])
+        self.msg_ids = MsgIdAllocator()
 
         self.trace = TraceRecorder(enabled=True)
         self._decision_file = open(spec["trace_path"], "a", encoding="utf-8")
@@ -120,17 +112,25 @@ class LiveAgent:
                 "a", encoding="utf-8")
             self.trace.subscribe(self._on_debug_record)
 
-        self.process = self._build_process()
-        self._wire_engines()
+        self.process = ft_process(
+            config, self.member, node=self.node, network=self.transport,
+            scheduler=self.scheduler,
+            actions=action_stream(config, self.member, self.rng),
+            versions=low_versions(self.topology),
+            incarnation=self.incarnation, msg_ids=self.msg_ids,
+            trace=self.trace)
+        attach_engines(self.topology, config,
+                       {self.member.role_id: self.process}, self.rng,
+                       self.scheduler, [self.clock], self.trace)
         # A process restarted after a software takeover must not talk to
         # the deposed active: the sim keeps the survivors' mutated
         # engines in memory, a fresh OS process re-applies the exclusion
         # from its spec.
-        for dead in spec.get("deposed", []):
+        for dead in spec["deposed"]:
             drop_recipient(self.process.software, ProcessId(str(dead)))
             self.transport.drop_peer(str(dead))
 
-        self._hb = spec.get("heartbeat") or None
+        self._hb = spec["heartbeat"]
         self._watch: Optional[str] = self._hb.get("watch") if self._hb else None
         self._started = False
 
@@ -139,45 +139,6 @@ class LiveAgent:
         os.set_blocking(sys.stdin.fileno(), False)
         self.selector.register(sys.stdin.fileno(), selectors.EVENT_READ,
                                self._stdin_readable)
-
-    # ------------------------------------------------------------------
-    # construction (mirrors coordination.scheme for COORDINATED)
-    # ------------------------------------------------------------------
-    def _build_process(self) -> FtProcess:
-        stream, driver_name = self.member.stream, self.member.driver
-        idle = WorkloadConfig(internal_rate=_IDLE_RATE, external_rate=_IDLE_RATE,
-                              step_rate=_IDLE_RATE, horizon=self.horizon)
-        actions = generate_actions(idle, self.rng, stream)
-        if self.member.kind is MemberKind.ACTIVE:
-            component = ApplicationComponent(
-                stream,
-                LowConfidenceVersion(f"component{self.member.component}-low"))
-        elif self.member.kind is MemberKind.SHADOW:
-            component = ApplicationComponent(
-                stream, HighConfidenceVersion(f"{stream}-high"))
-        else:
-            component = ApplicationComponent(
-                stream, HighConfidenceVersion(stream))
-        driver = WorkloadDriver(self.scheduler, actions, driver_name)
-        process = FtProcess(
-            process_id=self.process_id, node=self.node, network=self.transport,
-            component=component, driver=driver, incarnation=self.incarnation,
-            role=Role.of(self.member.role_id), trace=self.trace)
-        process.is_guarded_active = self.member.kind is MemberKind.ACTIVE
-        process.journal_retention = journal_retention(self.tb_interval)
-        return process
-
-    def _wire_engines(self) -> None:
-        process = self.process
-        software = software_engine(
-            self.topology, self.member, Scheme.COORDINATED, process,
-            AcceptanceTestConfig(**(self.spec.get("at") or {})), self.rng)
-        process.replay_dedup = True
-        resync = ResyncService(self.scheduler, [self.clock], self.trace)
-        hardware = AdaptedTbEngine(
-            process, TbConfig(interval=self.tb_interval),
-            ClockConfig(), NetworkConfig(), resync=resync)
-        process.attach_engines(software=software, hardware=hardware)
 
     # ------------------------------------------------------------------
     # decision artifact
@@ -239,7 +200,6 @@ class LiveAgent:
     # -- commands ------------------------------------------------------
     def _cmd_start(self, command: Dict[str, Any]) -> Dict[str, Any]:
         if not self._started:
-            reset_msg_ids()
             self.process.start()
             self._started = True
             if self._hb:

@@ -38,6 +38,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
+from ..runtime.sim_backend import SCRIPTED_HORIZON, SCRIPTED_TB_INTERVAL
 from ..tb.hardware_recovery import agree_line, retention_floor
 from ..topology.election import elect_successor
 from ..topology.model import MemberKind, Topology, parse_topology
@@ -170,10 +171,11 @@ class LiveHarness:
 
     name = "live"
 
-    def __init__(self, seed: int = 0, tb_interval: float = 10_000.0,
+    def __init__(self, seed: int = 0,
+                 tb_interval: float = SCRIPTED_TB_INTERVAL,
                  workdir: Optional[str] = None,
                  heartbeat: Optional[Dict[str, float]] = None,
-                 deadline: float = 120.0, horizon: float = 1_000.0,
+                 deadline: float = 120.0, horizon: float = SCRIPTED_HORIZON,
                  topology: str = "paper") -> None:
         self.seed = seed
         self.tb_interval = tb_interval

@@ -21,8 +21,9 @@ DEVICE: ProcessId = ProcessId("DEVICE")
 
 
 class MsgIdAllocator:
-    """A message-id sequence owned by one :class:`~repro.coordination
-    .scheme.System`.
+    """A message-id sequence owned by one builder of processes (a
+    :class:`~repro.coordination.scheme.System`, a live agent, Fig. 2's
+    pair); senders mint every message's id from it.
 
     Ids only need to be unique within one system, but they must be a
     deterministic function of *that system's* execution — audit
@@ -30,13 +31,13 @@ class MsgIdAllocator:
     runs first, last, or in a worker subprocess.  Making the allocator
     per-system state (captured and thawed with the rest of the system
     in warm-start images) lets many thawed systems coexist in one OS
-    process with no global resets: flock forks interleave freely.
+    process with no global state: flock forks interleave freely.
     """
 
     __slots__ = ("next_id",)
 
-    def __init__(self, start: int = 1) -> None:
-        self.next_id = start
+    def __init__(self) -> None:
+        self.next_id = 1
 
     def allocate(self) -> int:
         """Consume and return the next message id."""
@@ -48,25 +49,10 @@ class MsgIdAllocator:
         """The next id :meth:`allocate` would hand out (not consumed)."""
         return self.next_id
 
-    def reset(self, start: int = 1) -> None:
-        """Restart the sequence (system build / resume bookkeeping)."""
-        self.next_id = start
 
-
-#: Fallback allocator for messages constructed outside any system
-#: (direct ``Message(...)`` construction in unit tests and fixtures).
-#: Run-time send paths all draw from their system's own allocator.
-_default_allocator = MsgIdAllocator()
-
-
-def msg_id_position() -> int:
-    """The next message id the *fallback* allocator would hand out."""
-    return _default_allocator.position()
-
-
-def reset_msg_ids(start: int = 1) -> None:
-    """Restart the fallback message-id allocator (tests, fixtures)."""
-    _default_allocator.reset(start)
+def _unminted() -> int:
+    raise TypeError("a Message needs a msg_id: its sender mints one from "
+                    "its MsgIdAllocator")
 
 
 @dataclasses.dataclass
@@ -138,8 +124,9 @@ class Message:
     corrupt: bool = False
     resend_of: Optional[int] = None
     incarnation: int = 0
-    msg_id: int = dataclasses.field(
-        default_factory=lambda: _default_allocator.allocate())
+    #: Minted by the sender: a message built without one raises.  The
+    #: field keeps its position (it orders the pickled checkpoint bytes).
+    msg_id: int = dataclasses.field(default_factory=_unminted)
     send_time: float = 0.0
     #: Time of the logical message's *first* transmission (preserved by
     #: recovery re-sends).  Journals timestamp records with this, so the
@@ -165,18 +152,15 @@ class Message:
             return (str(self.sender), str(self.receiver), self.dsn)
         return self.resend_of if self.resend_of is not None else self.msg_id
 
-    def clone_for_resend(self,
-                         allocator: Optional[MsgIdAllocator] = None
-                         ) -> "Message":
+    def clone_for_resend(self, allocator: MsgIdAllocator) -> "Message":
         """A fresh transmission of the same logical message.
 
         The clone gets a new ``msg_id`` (it is a distinct transmission
-        for ack purposes) from ``allocator`` — the sending system's —
-        but remembers the original in ``resend_of``.
+        for ack purposes) from ``allocator`` — the sender's — but
+        remembers the original in ``resend_of``.
         """
-        chosen = allocator if allocator is not None else _default_allocator
         return dataclasses.replace(
-            self, msg_id=chosen.allocate(),
+            self, msg_id=allocator.allocate(),
             resend_of=self.dedup_key,
         )
 
@@ -196,8 +180,8 @@ class Message:
 
 def passed_at_notification(sender: ProcessId, receiver: ProcessId,
                            msg_sn: Optional[int], ndc: Optional[int],
-                           bound_map: Optional[dict] = None,
-                           msg_id: Optional[int] = None) -> Message:
+                           bound_map: Optional[dict] = None, *,
+                           msg_id: int) -> Message:
     """Build a "passed AT" notification (one per recipient).
 
     ``msg_sn`` is the sequence number of the last message of ``P1_act``
@@ -205,12 +189,10 @@ def passed_at_notification(sender: ProcessId, receiver: ProcessId,
     the sender's current stable-checkpoint epoch.  ``bound_map`` is the
     per-source form of ``msg_sn`` in N-component topologies: each
     guarded active's role id mapped to the highest sequence number of
-    that active the validation certifies.  ``msg_id`` lets the sender
-    pass an id from its system's allocator (the fallback allocator
-    serves callers that omit it).
+    that active the validation certifies.  ``msg_id`` is the sender's,
+    minted from its allocator.
     """
-    extra = {} if msg_id is None else {"msg_id": msg_id}
     return Message(kind=MessageKind.PASSED_AT, sender=sender, receiver=receiver,
                    payload=None, sn=msg_sn, ndc=ndc,
                    taint_map=dict(bound_map) if bound_map else None,
-                   **extra)
+                   msg_id=msg_id)

@@ -24,6 +24,9 @@ from .script import ScriptOp, WorkloadScript, member_targets
 #: the periodic timer never fires on its own within a scripted run.
 SCRIPTED_TB_INTERVAL = 10_000.0
 
+#: Workload horizon of scripted runs on both backends.
+SCRIPTED_HORIZON = 1_000.0
+
 #: Near-zero Poisson rate (the config forbids all-zero rates); the
 #: first generated arrival lands ~1e12 seconds out.
 _IDLE_RATE = 1e-12
@@ -33,19 +36,22 @@ _IDLE_RATE = 1e-12
 STEP_SECONDS = 5.0
 
 
-def scripted_config(seed: int = 0, horizon: float = 1_000.0,
-                    topology: str = "paper") -> SystemConfig:
-    """The system configuration scripted runs use on the sim backend.
+def scripted_config(seed: int = 0, horizon: float = SCRIPTED_HORIZON,
+                    topology: str = "paper",
+                    tb_interval: float = SCRIPTED_TB_INTERVAL
+                    ) -> SystemConfig:
+    """The system configuration scripted runs use on both backends.
 
-    The live agents mirror the protocol-relevant parts (scheme, TB
-    interval, acceptance-test coverage, seed-derived RNG streams); the
-    substrate parts (delays, drift) legitimately differ.
+    The sim builds its system and every live agent its member from it
+    (through :mod:`repro.coordination.wiring`); only the substrate parts
+    (delays, drift) legitimately differ.  The live demo lowers
+    ``tb_interval`` so its periodic rounds fire.
     """
     idle = WorkloadConfig(internal_rate=_IDLE_RATE, external_rate=_IDLE_RATE,
                           step_rate=_IDLE_RATE, horizon=horizon)
     return SystemConfig(
         scheme=Scheme.COORDINATED, seed=seed, horizon=horizon,
-        tb=TbConfig(interval=SCRIPTED_TB_INTERVAL),
+        tb=TbConfig(interval=tb_interval),
         workload1=idle, workload2=idle,
         trace_enabled=True,
         topology=topology,
@@ -59,10 +65,8 @@ class SimBackend:
 
     def __init__(self, seed: int = 0, step: float = STEP_SECONDS,
                  topology: str = "paper") -> None:
-        self.seed = seed
         self.step = step
-        horizon = 1_000.0
-        self.system = build_system(scripted_config(seed=seed, horizon=horizon,
+        self.system = build_system(scripted_config(seed=seed,
                                                    topology=topology))
 
     # ------------------------------------------------------------------

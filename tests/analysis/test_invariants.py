@@ -23,8 +23,11 @@ from repro.host import ProcessSnapshot
 from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
-from repro.messages.message import DEVICE, Message
+from repro.messages.message import DEVICE, Message, MsgIdAllocator
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def make_view(pid, sent=(), recv=(), unacked=(), dirty=0, corrupt=False,
@@ -48,7 +51,8 @@ def make_view(pid, sent=(), recv=(), unacked=(), dirty=0, corrupt=False,
 
 def msg(sender="A", receiver="B", sn=None, dirty=0, t=50.0):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId(sender),
-                receiver=ProcessId(receiver), sn=sn, dirty_bit=dirty)
+                receiver=ProcessId(receiver), sn=sn, dirty_bit=dirty,
+                msg_id=IDS.allocate())
     m.send_time = t
     return m
 
@@ -142,7 +146,7 @@ class TestRecoverability:
 
     def test_external_messages_skipped(self):
         m = Message(kind=MessageKind.EXTERNAL, sender=ProcessId("A"),
-                    receiver=DEVICE)
+                    receiver=DEVICE, msg_id=IDS.allocate())
         line = {ProcessId("A"): make_view("A", sent=[(m, True)])}
         assert check_recoverability(line) == []
 

@@ -29,9 +29,12 @@ from repro.host import ProcessSnapshot
 from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
-from repro.messages.message import DEVICE, Message
+from repro.messages.message import DEVICE, Message, MsgIdAllocator
 from repro.topology.model import Topology
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def make_view(pid, sent=(), recv=(), unacked=(), dirty=0, corrupt=False,
@@ -57,7 +60,8 @@ def make_view(pid, sent=(), recv=(), unacked=(), dirty=0, corrupt=False,
 
 def msg(sender="A", receiver="B", sn=None, dsn=None, t=50.0):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId(sender),
-                receiver=ProcessId(receiver), sn=sn, dsn=dsn)
+                receiver=ProcessId(receiver), sn=sn, dsn=dsn,
+                msg_id=IDS.allocate())
     m.send_time = t
     return m
 
@@ -89,7 +93,7 @@ class TestDeviceEndpoints:
         # Messages to DEVICE leave the system; they are not expected in
         # any receiver journal and need no restoration.
         m = Message(kind=MessageKind.EXTERNAL, sender=ProcessId("A"),
-                    receiver=DEVICE)
+                    receiver=DEVICE, msg_id=IDS.allocate())
         m.send_time = 50.0
         line = {ProcessId("A"): make_view("A", sent=[(m, True)])}
         assert check_recoverability(line) == []

@@ -96,8 +96,17 @@ class TestValidation:
          "activate_at must be >= 0"),
         ({"software": [{"activate_at": 50.0, "deactivate_at": 40.0}]},
          "deactivate_at must follow activate_at"),
+        ({"crashes": [{"node_id": "N2"}]},
+         "fault record lacks 'crash_at'"),
+        ({"crashes": [{"node_id": "N2", "crash_at": "soon"}]},
+         "fault record field 'crash_at' is not a number: 'soon'"),
+        ({"software": [{"deactivate_at": 40.0}]},
+         "fault record lacks 'activate_at'"),
+        ({"software": [{"activate_at": 5.0, "component": "two"}]},
+         "fault record field 'component' is not a number: 'two'"),
     ], ids=["unknown-node", "unknown-component", "negative-time",
-            "inverted-window"])
+            "inverted-window", "missing-crash-at", "non-numeric-crash-at",
+            "missing-activate-at", "non-numeric-component"])
     def test_replay_rejects_an_unarmable_fault_in_one_line(
             self, faults, reason, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -113,6 +122,17 @@ class TestValidation:
         assert captured.out == ""
         assert captured.err.startswith(f"audit --replay: {path}: ")
         assert reason in captured.err and captured.err.count("\n") == 1
+
+    def test_replay_rejects_a_file_that_is_not_json_in_one_line(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["audit", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"audit --replay: {path}: not a JSON artifact: ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError):

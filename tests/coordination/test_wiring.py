@@ -1,6 +1,6 @@
-"""The one wiring site (:mod:`repro.coordination.wiring`): which MDCD
-engine a topology member runs, on the sim builder and on a live agent
-built from the harness's own spec."""
+"""The one wiring site (:mod:`repro.coordination.wiring`): what a
+topology member runs, on the sim builder and on a live agent built from
+the harness's own spec."""
 
 import os
 import sys
@@ -11,6 +11,7 @@ from repro.coordination.scheme import Scheme, build_system
 from repro.live.agent import LiveAgent
 from repro.live.harness import LiveHarness
 from repro.mdcd.recovery import TakeoverEngine
+from repro.runtime.sim_backend import scripted_config
 from repro.topology.recovery import TopologyRecoveryManager
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -27,6 +28,19 @@ def wiring(engine):
     return (type(engine).__name__,
             {name: getattr(engine, name) for name in AUDIENCES
              if hasattr(engine, name)})
+
+
+def member(process):
+    """Everything the builder decides about a process, comparable
+    across backends (the substrate — node, transport, clock — aside)."""
+    version = process.component.version
+    return {"version": (type(version).__name__, version.name),
+            "hardware": (type(process.hardware).__name__,
+                         process.hardware.config),
+            "journal_retention": process.journal_retention,
+            "replay_dedup": process.replay_dedup,
+            "is_guarded_active": process.is_guarded_active,
+            "stable_history": process.node.stable._history}
 
 
 @pytest.fixture
@@ -51,14 +65,16 @@ def live_agent(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["paper", "1x2+2", "2x2+3"])
 def test_sim_and_live_wire_every_member_alike(spec, live_agent, tmp_path):
-    system = build_system(topology=spec, horizon=100.0)
+    system = build_system(scripted_config(topology=spec))
     harness = LiveHarness(seed=0, workdir=str(tmp_path), topology=spec)
-    for member in system.topology.members:
-        sim_engine = system.member(member.role_id).software
-        agent = live_agent(harness, member.role_id)
-        assert agent.node.node_id == member.node_id
+    for slot in system.topology.members:
+        sim_process = system.member(slot.role_id)
+        sim_engine = sim_process.software
+        agent = live_agent(harness, slot.role_id)
+        assert agent.node.node_id == slot.node_id
+        assert member(agent.process) == member(sim_process), slot.role_id
         assert wiring(agent.process.software) == wiring(sim_engine), \
-            member.role_id
+            slot.role_id
         assert agent.process.software.modified is \
             Scheme.COORDINATED.uses_modified_mdcd
         if hasattr(sim_engine, "takeover_engine"):

@@ -7,6 +7,7 @@ asserted (reduced sizes where the scenario allows it).
 import pytest
 
 from repro.experiments.scenarios import (
+    PairSystem,
     figure1_checkpoint_pattern,
     figure2_tb_blocking,
     figure3_modified_pattern,
@@ -15,6 +16,9 @@ from repro.experiments.scenarios import (
     figure6_coordination_cases,
 )
 from repro.experiments.table1 import Table1Config, format_table1, run_table1
+from repro.sim.clock import ClockConfig
+from repro.sim.network import NetworkConfig
+from repro.tb.blocking import TbConfig
 
 
 class TestScenarioClaims:
@@ -25,6 +29,20 @@ class TestScenarioClaims:
     def test_figure2(self):
         result = figure2_tb_blocking(horizon=250.0)
         assert result.passed, result.details
+
+    def test_figure2_pair_draws_the_same_ids_every_run(self):
+        """Fig. 2's pair owns its message-id sequence: two runs in one
+        OS process mint identical ids (no process-global state)."""
+        def run():
+            pair = PairSystem(seed=3, tb=TbConfig(interval=5.0),
+                              clock=ClockConfig(delta=0.5, rho=1e-6),
+                              net=NetworkConfig(t_min=0.005, t_max=0.02),
+                              message_rate=4.0, horizon=60.0)
+            pair.run()
+            return [record.key for proc in pair.process_list()
+                    for record in proc.journal_sent.records()]
+        first = run()
+        assert first and first == run()
 
     def test_figure3(self):
         result = figure3_modified_pattern(horizon=3000.0)

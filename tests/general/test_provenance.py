@@ -6,9 +6,13 @@ import pytest
 
 from repro.app.workload import Action, ActionKind, WorkloadConfig
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
-from repro.messages.message import Message, passed_at_notification
+from repro.messages.message import (Message, MsgIdAllocator,
+                                   passed_at_notification)
 from repro.tb.blocking import TbConfig
 from repro.types import CheckpointKind, MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 ACTIVE = "C1_act"
 
@@ -80,7 +84,8 @@ class TestCoverageCleaning:
         send_active_to(system, 0)
         p1 = system.member("P1")
         note = passed_at_notification(ProcessId(ACTIVE), p1.process_id,
-                                      msg_sn=1, ndc=0)
+                                      msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         p1.dispatch(note)
         assert p1.mdcd.dirty_bit == 0
         assert not p1.mdcd.taint_map
@@ -90,7 +95,8 @@ class TestCoverageCleaning:
         send_active_to(system, 0, count=2)  # taint = 2
         p1 = system.member("P1")
         note = passed_at_notification(ProcessId(ACTIVE), p1.process_id,
-                                      msg_sn=1, ndc=0)
+                                      msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         p1.dispatch(note)
         assert p1.mdcd.dirty_bit == 1
         assert p1.counters.get("passed_at.uncovered") == 1
@@ -122,7 +128,8 @@ class TestCoverageCleaning:
         system = quiet_system
         p2 = system.member("P2")
         note = passed_at_notification(ProcessId(ACTIVE), p2.process_id,
-                                      msg_sn=5, ndc=0)
+                                      msg_sn=5, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         p2.dispatch(note)
         send_active_to(system, 1)  # sn=1 <= bound 5
         assert p2.mdcd.dirty_bit == 0
@@ -143,9 +150,9 @@ class TestReplayDedup:
 
     def test_dedup_key_stable_across_regeneration(self):
         a = Message(kind=MessageKind.INTERNAL, sender=ProcessId("P2"),
-                    receiver=ProcessId("P3"), dsn=7)
+                    receiver=ProcessId("P3"), dsn=7, msg_id=IDS.allocate())
         b = Message(kind=MessageKind.INTERNAL, sender=ProcessId("P2"),
-                    receiver=ProcessId("P3"), dsn=7)
+                    receiver=ProcessId("P3"), dsn=7, msg_id=IDS.allocate())
         assert a.msg_id != b.msg_id
         assert a.dedup_key == b.dedup_key
 

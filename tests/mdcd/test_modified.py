@@ -86,7 +86,8 @@ class TestNdcGating:
         # All engines are at Ndc 0 (genesis); a notification with ndc=0
         # matches and cleans.
         note = passed_at_notification(system.active.process_id,
-                                      system.peer.process_id, msg_sn=1, ndc=0)
+                                      system.peer.process_id, msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         system.peer.dispatch(note)
         assert system.peer.mdcd.dirty_bit == 0
 
@@ -95,7 +96,8 @@ class TestNdcGating:
         system.active.software.on_send_internal(action(INTERNAL))
         settle(system)
         note = passed_at_notification(system.active.process_id,
-                                      system.peer.process_id, msg_sn=1, ndc=5)
+                                      system.peer.process_id, msg_sn=1, ndc=5,
+                                      msg_id=system.msg_ids.allocate())
         system.peer.dispatch(note)
         assert system.peer.mdcd.dirty_bit == 1
         assert system.peer.counters.get("passed_at.ndc_mismatch") == 1
@@ -105,7 +107,8 @@ class TestNdcGating:
         system.active.software.on_send_internal(action(INTERNAL))
         settle(system)
         note = passed_at_notification(system.active.process_id,
-                                      system.peer.process_id, msg_sn=1, ndc=1)
+                                      system.peer.process_id, msg_sn=1, ndc=1,
+                                      msg_id=system.msg_ids.allocate())
         system.peer.dispatch(note)
         assert system.peer.mdcd.dirty_bit == 1  # gated now
         # When the local epoch catches up, the stashed notification is
@@ -120,7 +123,8 @@ class TestNdcGating:
         system.active.software.on_send_internal(action(INTERNAL))
         settle(system)
         note = passed_at_notification(system.active.process_id,
-                                      system.peer.process_id, msg_sn=1, ndc=1)
+                                      system.peer.process_id, msg_sn=1, ndc=1,
+                                      msg_id=system.msg_ids.allocate())
         system.peer.dispatch(note)
         assert system.peer.counters.get("passed_at.deferred", ) == 0
 
@@ -131,7 +135,8 @@ class TestPeerValidBound:
         peer = system.peer
         # P2 learns that P1_act messages up to sn=5 are valid.
         note = passed_at_notification(system.active.process_id,
-                                      peer.process_id, msg_sn=5, ndc=0)
+                                      peer.process_id, msg_sn=5, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         peer.dispatch(note)
         assert peer.mdcd.vr_map["P1_act"] == 5
         # A dirty-flagged message with sn <= 5 arrives afterwards (it
@@ -147,7 +152,8 @@ class TestPeerValidBound:
         system = modified(manual_system)
         peer = system.peer
         note = passed_at_notification(system.active.process_id,
-                                      peer.process_id, msg_sn=0, ndc=0)
+                                      peer.process_id, msg_sn=0, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         peer.dispatch(note)
         system.active.software.on_send_internal(action(INTERNAL))  # sn=1 > 0
         settle(system)

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.messages.log import MessageLog
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def msg(sn):
     return Message(kind=MessageKind.INTERNAL, sender=ProcessId("S"),
-                   receiver=ProcessId("P2"), sn=sn)
+                   receiver=ProcessId("P2"), sn=sn, msg_id=IDS.allocate())
 
 
 def loaded(*sns):

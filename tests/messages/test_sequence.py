@@ -1,6 +1,6 @@
 """Unit tests for sequence numbers, ack tracking and deduplication."""
 
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.messages.sequence import (
     AckTracker,
     ReceiveDeduplicator,
@@ -8,10 +8,13 @@ from repro.messages.sequence import (
 )
 from repro.types import MessageKind, ProcessId
 
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
+
 
 def msg(sn=None, sender="A"):
     return Message(kind=MessageKind.INTERNAL, sender=ProcessId(sender),
-                   receiver=ProcessId("B"), sn=sn)
+                   receiver=ProcessId("B"), sn=sn, msg_id=IDS.allocate())
 
 
 class TestSequenceAllocator:
@@ -78,7 +81,7 @@ class TestDeduplicator:
         dedup = ReceiveDeduplicator()
         m = msg()
         dedup.record(m)
-        assert dedup.is_duplicate(m.clone_for_resend())
+        assert dedup.is_duplicate(m.clone_for_resend(IDS))
 
     def test_snapshot_restore_roundtrip(self):
         m = msg()

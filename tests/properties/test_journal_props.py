@@ -4,14 +4,18 @@ from hypothesis import given, strategies as st
 
 from repro.journal import Journal
 from repro.messages.log import MessageLog
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.messages.sequence import AckTracker, ReceiveDeduplicator
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def make_msg(sn, t=0.0):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
-                receiver=ProcessId("B"), sn=sn, dirty_bit=1)
+                receiver=ProcessId("B"), sn=sn, dirty_bit=1,
+                msg_id=IDS.allocate())
     m.send_time = t
     return m
 
@@ -84,7 +88,7 @@ class TestDedupProperties:
         applied = []
         for index in deliveries:
             m = originals[index]
-            delivery = m if index % 2 == 0 else m.clone_for_resend()
+            delivery = m if index % 2 == 0 else m.clone_for_resend(IDS)
             if not dedup.is_duplicate(delivery):
                 dedup.record(delivery)
                 applied.append(delivery.dedup_key)

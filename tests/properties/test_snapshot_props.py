@@ -16,7 +16,7 @@ from repro.host import ProcessSnapshot
 from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.snapshot import (
     ChainReader,
     decode_payload,
@@ -25,11 +25,14 @@ from repro.snapshot import (
 from repro.snapshot.sections import SnapshotEncoder
 from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
 
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
+
 
 def make_msg(sn, t=0.0, taint_map=None, dsn=None):
     m = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
                 receiver=ProcessId("B"), sn=sn, dirty_bit=1,
-                taint_map=taint_map, dsn=dsn)
+                taint_map=taint_map, dsn=dsn, msg_id=IDS.allocate())
     m.send_time = t
     return m
 

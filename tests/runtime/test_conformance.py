@@ -19,7 +19,7 @@ from repro.live.harness import LiveHarness
 from repro.live.loop import LiveScheduler
 from repro.live.storage import FileStableStore
 from repro.live.transport import LiveTransport
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.runtime import Endpoint, EventPriority, TimerService
 from repro.runtime.script import ScriptOp, WorkloadScript, smoke_script, \
     topology_script
@@ -28,6 +28,9 @@ from repro.topology.model import Topology
 from repro.types import CheckpointKind, MessageKind, ProcessId
 
 from blob_damage import each_bit_flip
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -214,7 +217,8 @@ class TestLiveTransportReliability:
                             deliver=lambda m: True,
                             on_ack=lambda msg_id: acked.append(msg_id)))
         message = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
-                          receiver=ProcessId("B"), payload=None, dsn=1)
+                          receiver=ProcessId("B"), payload=None, dsn=1,
+                          msg_id=IDS.allocate())
         try:
             a.send(message)
             assert a.unreceipted_count() == 1

@@ -6,13 +6,16 @@ import json
 import pytest
 
 from repro.app.component import Payload
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.runtime.wire import (MAX_FRAME_BYTES, WIRE_VERSION, FrameReader,
                                 WireIntegrityError, body_checksum,
                                 canonical_bytes, decode_frame_payload,
                                 encode_frame, message_from_dict,
                                 message_to_dict)
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def _roundtrip(message):
@@ -27,7 +30,8 @@ def _message(**overrides):
     fields = dict(kind=MessageKind.INTERNAL, sender=ProcessId("P1_act"),
                   receiver=ProcessId("P2"),
                   payload=Payload(value=17, corrupt=False),
-                  sn=3, ndc=1, dirty_bit=0, dsn=5, incarnation=2)
+                  sn=3, ndc=1, dirty_bit=0, dsn=5, incarnation=2,
+                  msg_id=IDS.allocate())
     fields.update(overrides)
     return Message(**fields)
 

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.messages.message import DEVICE, Message
+from repro.messages.message import DEVICE, Message, MsgIdAllocator
 from repro.sim.network import Endpoint, Network, NetworkConfig
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def msg(sender="A", receiver="B", kind=MessageKind.INTERNAL, **kw):
     return Message(kind=kind, sender=ProcessId(sender),
-                   receiver=ProcessId(receiver), **kw)
+                   receiver=ProcessId(receiver), msg_id=IDS.allocate(), **kw)
 
 
 def register(network, name, deliver=None, on_ack=None, alive=None):

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import NodeCrashedError
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.sim.process import SimProcess
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 class Recorder(SimProcess):
@@ -39,7 +42,7 @@ def pair(sim, network, make_node):
 
 def internal(sender, receiver, **kw):
     return Message(kind=MessageKind.INTERNAL, sender=sender.process_id,
-                   receiver=receiver.process_id, **kw)
+                   receiver=receiver.process_id, msg_id=IDS.allocate(), **kw)
 
 
 class TestTransmitAndDeliver:

@@ -86,7 +86,8 @@ class TestMidBlockingSwap:
         system = tb_system()
         peer = self._enter_blocking_dirty(system)
         note = passed_at_notification(system.active.process_id,
-                                      peer.process_id, msg_sn=1, ndc=0)
+                                      peer.process_id, msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         peer.dispatch(note)
         run_to(system, 11.0)
         ckpt = peer.node.stable.at_epoch(peer.process_id, 1)
@@ -98,7 +99,8 @@ class TestMidBlockingSwap:
         system = tb_system(scheme=Scheme.COORDINATED_NO_SWAP)
         peer = self._enter_blocking_dirty(system)
         note = passed_at_notification(system.active.process_id,
-                                      peer.process_id, msg_sn=1, ndc=0)
+                                      peer.process_id, msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         peer.dispatch(note)
         run_to(system, 11.0)
         ckpt = peer.node.stable.at_epoch(peer.process_id, 1)
@@ -108,7 +110,8 @@ class TestMidBlockingSwap:
         system = tb_system()
         peer = self._enter_blocking_dirty(system)
         note = passed_at_notification(system.active.process_id,
-                                      peer.process_id, msg_sn=1, ndc=1)
+                                      peer.process_id, msg_sn=1, ndc=1,
+                                      msg_id=system.msg_ids.allocate())
         peer.dispatch(note)
         run_to(system, 11.0)
         ckpt = peer.node.stable.at_epoch(peer.process_id, 1)
@@ -123,9 +126,11 @@ class TestBuffering:
         peer = system.peer
         assert peer.hardware.in_blocking
         app = Message(kind=MessageKind.INTERNAL, sender=ProcessId("P1_act"),
-                      receiver=peer.process_id)
+                      receiver=peer.process_id,
+                      msg_id=system.msg_ids.allocate())
         note = passed_at_notification(ProcessId("P1_act"), peer.process_id,
-                                      msg_sn=1, ndc=0)
+                                      msg_sn=1, ndc=0,
+                                      msg_id=system.msg_ids.allocate())
         assert peer.hardware.should_buffer(app)
         assert not peer.hardware.should_buffer(note)
 
@@ -136,7 +141,8 @@ class TestBuffering:
         peer = system.peer
         assert peer.hardware.in_blocking
         note = passed_at_notification(ProcessId("P1_act"), peer.process_id,
-                                      msg_sn=1, ndc=None)
+                                      msg_sn=1, ndc=None,
+                                      msg_id=system.msg_ids.allocate())
         assert peer.hardware.should_buffer(note)
 
     def test_buffered_messages_processed_at_release(self, tb_system):

@@ -8,10 +8,13 @@ from init_built import assert_init_built
 from repro.checkpoint import Checkpoint
 from repro.journal import Journal
 from repro.messages.log import MessageLog
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.snapshot.delta import (JournalBaseline, JournalDelta, LogBaseline,
                                   LogDelta, journal_delta, log_delta)
 from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def capture(state, **kw):
@@ -68,7 +71,8 @@ class TestMetadata:
 
 def _msg(sn, taint=None):
     message = Message(kind=MessageKind.INTERNAL, sender=ProcessId("A"),
-                      receiver=ProcessId("B"), sn=sn, dirty_bit=1)
+                      receiver=ProcessId("B"), sn=sn, dirty_bit=1,
+                      msg_id=IDS.allocate())
     message.taint_map = taint
     return message
 

@@ -9,7 +9,7 @@ from repro.app.versions import HighConfidenceVersion
 from repro.app.workload import Action, ActionKind, WorkloadConfig, WorkloadDriver, \
     generate_actions
 from repro.host import FtProcess, IncarnationCounter
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.types import CheckpointKind, MessageKind, ProcessId
 
 
@@ -17,6 +17,7 @@ from repro.types import CheckpointKind, MessageKind, ProcessId
 def plain_pair(sim, network, make_node, rng, trace):
     """Two engine-less FtProcesses wired as peers."""
     incarnation = IncarnationCounter()
+    msg_ids = MsgIdAllocator()
     procs = []
     for name in ("A", "B"):
         actions = generate_actions(
@@ -25,7 +26,7 @@ def plain_pair(sim, network, make_node, rng, trace):
         proc = FtProcess(ProcessId(name), make_node(f"N{name}"), network,
                          ApplicationComponent(name, HighConfidenceVersion(name)),
                          WorkloadDriver(sim, actions, name),
-                         incarnation, role=None, trace=trace)
+                         incarnation, msg_ids, role=None, trace=trace)
         procs.append(proc)
     procs[0].default_peers = [procs[1].process_id]
     procs[1].default_peers = [procs[0].process_id]

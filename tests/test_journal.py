@@ -1,13 +1,17 @@
 """Unit tests for the validity-view journal."""
 
 from repro.journal import Journal
-from repro.messages.message import Message
+from repro.messages.message import Message, MsgIdAllocator
 from repro.types import MessageKind, ProcessId
+
+#: The allocator these tests' hand-built messages mint their ids from.
+IDS = MsgIdAllocator()
 
 
 def msg(sn=None, sender="A", dirty=1):
     return Message(kind=MessageKind.INTERNAL, sender=ProcessId(sender),
-                   receiver=ProcessId("B"), sn=sn, dirty_bit=dirty)
+                   receiver=ProcessId("B"), sn=sn, dirty_bit=dirty,
+                   msg_id=IDS.allocate())
 
 
 class TestAdd:
@@ -25,7 +29,8 @@ class TestAdd:
         journal = Journal()
         m = msg()
         original = journal.add(m, validated=False, time=1.0)
-        duplicate = journal.add(m.clone_for_resend(), validated=True, time=2.0)
+        duplicate = journal.add(m.clone_for_resend(IDS), validated=True,
+                                time=2.0)
         assert duplicate is original
         assert not original.validated  # the re-add refreshed nothing
         assert len(journal) == 1

@@ -14,7 +14,6 @@ from repro.audit.golden import canonical_trace_lines, trace_digest
 from repro.audit.schedule import FaultSchedule
 from repro.coordination.scheme import build_system
 from repro.errors import AuditViolation
-from repro.messages.message import msg_id_position
 from repro.warmstart import capture, resume
 
 SMALL = AuditConfig(scheme="coordinated", seed=11, schedules=8,
@@ -92,13 +91,14 @@ class TestRoundTrip:
         system.run(until=60.0)
         at_capture = system.msg_ids.position()
         image = capture(system)
-        global_before = msg_id_position()
         thawed, _ = resume(image)
-        # Resume touches no process-global allocator state...
-        assert msg_id_position() == global_before
+        # Resume leaves the donor's allocator where it was...
+        assert system.msg_ids.position() == at_capture
         # ...because the thawed system carries its own allocator, at
         # the captured position, independent of the donor's.
         assert thawed.msg_ids.position() == at_capture
+        assert all(proc.msg_ids is thawed.msg_ids
+                   for proc in thawed.process_list())
         assert thawed.msg_ids is not system.msg_ids
         system.run()
         assert thawed.msg_ids.position() == at_capture
