@@ -18,7 +18,7 @@ the live process states (for end-of-run oracles).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..checkpoint import Checkpoint
 from ..host import FtProcess, ProcessSnapshot
@@ -100,12 +100,50 @@ def view_from_checkpoint(checkpoint: Checkpoint,
     return view
 
 
+class LiveState:
+    """A read-only ``ProcessSnapshot`` over a process's live fields —
+    the ones a checker or a finding's summary reads.
+
+    Each field is the process's own object, read when asked for: the
+    checkers read the journals and MDCD knowledge of every live view,
+    the application state only for the ground-truth test, and the
+    unacknowledged list only when a sent-but-not-received record
+    reaches that rule — so a live check copies nothing, where
+    :meth:`~repro.host.FtProcess.make_snapshot` would copy every dedup
+    key and sort the unacknowledged set."""
+
+    __slots__ = ("_process",)
+
+    def __init__(self, process: FtProcess) -> None:
+        self._process = process
+
+    @property
+    def app_state(self):
+        return self._process.component.state
+
+    @property
+    def mdcd(self):
+        return self._process.mdcd
+
+    @property
+    def unacked(self):
+        return self._process.acks.unacknowledged()
+
+    @property
+    def journal_sent(self):
+        return self._process.journal_sent
+
+    @property
+    def journal_recv(self):
+        return self._process.journal_recv
+
+
 def live_view(process: FtProcess) -> ProcessView:
-    """A view of the process's current state (no pickling round-trip;
-    read-only use only)."""
+    """A view of the process's current state, read in place (nothing
+    copied; read-only use only)."""
     return ProcessView(
         process_id=process.process_id,
-        snapshot=process.make_snapshot(),
+        snapshot=LiveState(process),
         taken_at=process.sim.now,
         work_done=process.progress,
         epoch=process.current_ndc(),
@@ -125,6 +163,21 @@ def stable_line(system, epoch: Optional[int] = None,
     :func:`view_from_checkpoint`); missing processes are added.
     """
     line: Dict[ProcessId, ProcessView] = {}
+    for checkpoint in line_checkpoints(system, epoch):
+        reader = None
+        if readers is not None:
+            reader = readers.get(checkpoint.process_id)
+            if reader is None:
+                reader = readers[checkpoint.process_id] = ChainReader()
+        line[checkpoint.process_id] = view_from_checkpoint(checkpoint, reader)
+    return line
+
+
+def line_checkpoints(system, epoch: Optional[int] = None
+                     ) -> Tuple[Checkpoint, ...]:
+    """The checkpoints :func:`stable_line` decodes, in process order —
+    the one place a line picks each in-service process's checkpoint."""
+    picked = []
     for proc in system.process_list():
         if proc.deposed:
             continue
@@ -132,13 +185,8 @@ def stable_line(system, epoch: Optional[int] = None,
         checkpoint = (store.peek(proc.process_id) if epoch is None
                       else store.at_epoch(proc.process_id, epoch))
         if checkpoint is not None:
-            reader = None
-            if readers is not None:
-                reader = readers.get(proc.process_id)
-                if reader is None:
-                    reader = readers[proc.process_id] = ChainReader()
-            line[proc.process_id] = view_from_checkpoint(checkpoint, reader)
-    return line
+            picked.append(checkpoint)
+    return tuple(picked)
 
 
 def stable_lines(system) -> Iterator[Dict[ProcessId, ProcessView]]:

@@ -28,7 +28,7 @@ snapshot whose dirty bit is 0 must not be actually contaminated
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Container, Dict, Iterable, List, Optional, Set
 
 from ..errors import InvariantViolation
 from ..messages.message import DEVICE
@@ -129,7 +129,7 @@ def check_consistency(line: Dict[ProcessId, ProcessView],
 
 def check_recoverability(line: Dict[ProcessId, ProcessView],
                          exempt_receivers: Iterable[ProcessId] = (),
-                         in_flight_keys: Iterable[int] = (),
+                         in_flight_keys: Container[int] = frozenset(),
                          guarded_map: Optional[Dict[ProcessId,
                                                     Optional[int]]] = None) -> List[Violation]:
     """Recoverability: every sent-but-not-received message must be
@@ -157,9 +157,15 @@ def check_recoverability(line: Dict[ProcessId, ProcessView],
     divergence it accumulates is covered by the shadow (see DESIGN.md,
     "known corner cases").  Callers that want the strict property pass
     nothing.
+
+    ``in_flight_keys`` is any container of the dedup keys on the wire
+    (live-state checks only); it is asked only about a sent-but-not-
+    received record that reaches that rule, so a lazy one
+    (:func:`check_live_system`'s) gathers nothing for a line that never
+    gets that far.
     """
     exempt = set(exempt_receivers)
-    wire = set(in_flight_keys)
+    wire = in_flight_keys
     guarded: Dict[ProcessId, Optional[int]] = guarded_map or {}
     received = {pid: view.snapshot.journal_recv for pid, view in line.items()}
     violations: List[Violation] = []
@@ -265,16 +271,15 @@ def _exempt_and_guarded(line: Dict[ProcessId, ProcessView], topology):
     is regenerated by its re-execution, so the lowest register is the
     bound every potential successor can restore past); any shadow with
     no validation yet (``VR = None``) — or no shadow in the line at
-    all — makes everything restorable."""
+    all — makes everything restorable.  The membership resolves once
+    per topology (role ids are the process ids); a line reads only its
+    shadows' registers."""
     guarded: Dict[ProcessId, Optional[int]] = {}
-    for active in topology.actives():
-        shadows = [line.get(ProcessId(spec.role_id))
-                   for spec in topology.shadows_of(active.component)]
-        vrs = [view.snapshot.mdcd.vr for view in shadows if view is not None]
-        guarded[ProcessId(active.role_id)] = (
-            None if not vrs or None in vrs else min(vrs))
-    exempt = [ProcessId(rid) for rid in topology.exempt_role_ids()]
-    return exempt, guarded
+    for active, shadows in topology.guard_role_ids():
+        vrs = [line[shadow].snapshot.mdcd.vr for shadow in shadows
+               if shadow in line]
+        guarded[active] = None if not vrs or None in vrs else min(vrs)
+    return topology.exempt_role_ids(), guarded
 
 
 def check_system_line(line: Dict[ProcessId, ProcessView],
@@ -302,21 +307,40 @@ def check_system_line(line: Dict[ProcessId, ProcessView],
     return violations
 
 
+class _InFlightKeys:
+    """The dedup keys of every message on a system's wire or held in a
+    process's blocking buffer, gathered at the first membership test
+    (most live lines never ask)."""
+
+    __slots__ = ("_system", "_keys")
+
+    def __init__(self, system) -> None:
+        self._system = system
+        self._keys: Optional[Set[int]] = None
+
+    def __contains__(self, key: object) -> bool:
+        keys = self._keys
+        if keys is None:
+            keys = {m.dedup_key for m in self._system.network.in_flight()}
+            for proc in self._system.process_list():
+                keys.update(m.dedup_key for m in proc._buffer)
+            self._keys = keys
+        return key in keys
+
+
 def check_live_system(system, include_ground_truth: bool = True) -> List[Violation]:
     """Audit a system's *live* states (not a checkpoint line).
 
     The live global state differs from a checkpoint line in exactly one
     way: a sent-but-not-received message may be legitimately on the wire
     or held in a blocking buffer / deferred-ack stash.  This helper
-    captures the live views, exempts those in-flight messages, and runs
-    the standard checks — so live consistency can be asserted at any
-    instant of a healthy run.
+    reads the live views (by reference, nothing copied), exempts those
+    in-flight messages, and runs the standard checks — so live
+    consistency can be asserted at any instant of a healthy run.
     """
     from .global_state import live_line
     line = live_line(system)
-    wire = {m.dedup_key for m in system.network.in_flight()}
-    for proc in system.process_list():
-        wire.update(m.dedup_key for m in proc._buffer)
+    wire = _InFlightKeys(system)
     exempt, guarded = _exempt_and_guarded(line, system.topology)
     violations = check_consistency(line, exempt_receivers=exempt,
                                    include_validity_views=False)

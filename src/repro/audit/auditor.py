@@ -9,7 +9,8 @@ paper's properties must hold:
   a stable checkpoint for an epoch, that epoch's line is the hardware
   recovery line: it must be consistent, recoverable, and conservative.
 * ``recovery.hardware.start`` — the exact line the coordinator picked
-  to restore is checked before the rollback happens.
+  to restore is checked before the rollback happens (a line already
+  checked over the very same checkpoints keeps its verdict).
 * ``recovery.hardware.done`` / ``recovery.software.done`` /
   ``confidence.clean`` — the live global state is checked at each
   recovery completion and each validation commit (with in-flight and
@@ -24,10 +25,12 @@ first inconsistent instant.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..analysis.global_state import ProcessView, live_line, stable_line
+from ..analysis.global_state import (ProcessView, line_checkpoints,
+                                     live_line, stable_line)
 from ..analysis.invariants import (
     Violation,
     check_live_system,
@@ -116,6 +119,13 @@ class AuditFinding:
         return f"t={self.time:.3f} {self.hook} ({at}): {counts}"
 
 
+def _same_line(old: Tuple, new: Tuple) -> bool:
+    """Identity, not ``==``: a checkpoint is the frozen object a
+    verdict read."""
+    return len(old) == len(new) and all(
+        a is b for a, b in zip(old, new))
+
+
 class OnlineAuditor:
     """Runs the invariant checkers at protocol events of one system.
 
@@ -135,9 +145,18 @@ class OnlineAuditor:
         self.findings: List[AuditFinding] = []
         self.epochs_checked = 0
         self.live_checks = 0
-        self._pending_epochs: set = set()
+        #: Pending epoch -> the in-service process last seen lacking it
+        #: (``None``: not looked for yet); see :meth:`_drain_pending`.
+        self._pending_epochs: Dict[int, object] = {}
         self._checked_epochs: set = set()
         self._max_epoch_seen = -1
+        #: Epoch -> the verdict of its last stable-line check: the
+        #: line's checkpoints (process order), its violations and, for a
+        #: violating line, its summary.  Pruned oldest first to the
+        #: lines the stores still retain (:meth:`_retained`) and dropped
+        #: at :meth:`finalize`; a pickle carries no other.
+        self._verdicts: Dict[int, Tuple[Tuple, List[Violation],
+                                        Optional[Dict]]] = {}
         #: One chain reader per process: consecutive stable lines decode
         #: only the delta links between them.  A cache, nothing more —
         #: kept out of pickles (images, flock dumps) and dropped at
@@ -152,6 +171,11 @@ class OnlineAuditor:
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         del state["_readers"]
+        # Never a checkpoint a store has dropped (a dump would carry it
+        # whole): the verdicts travel only while their lines do.
+        state["_verdicts"] = {epoch: verdict for epoch, verdict
+                              in self._verdicts.items()
+                              if self._retained(epoch, verdict[0])}
         return state
 
     def __setstate__(self, state: Dict) -> None:
@@ -177,7 +201,7 @@ class OnlineAuditor:
     def _on_establish_done(self, rec) -> None:
         epoch = rec.data.get("epoch")
         if epoch is not None and epoch not in self._checked_epochs:
-            self._pending_epochs.add(epoch)
+            self._pending_epochs.setdefault(epoch, None)
             self._max_epoch_seen = max(self._max_epoch_seen, epoch)
         self._drain_pending(rec.time)
 
@@ -201,38 +225,81 @@ class OnlineAuditor:
         self.HOOKS[rec.category](self, rec)
 
     def _drain_pending(self, now: float) -> None:
-        for epoch in sorted(self._pending_epochs):
-            if self._line_complete(epoch):
-                self._pending_epochs.discard(epoch)
+        """Check each pending epoch whose line every in-service process
+        has committed, oldest first; abandon one left ``PENDING_WINDOW``
+        epochs behind.  A process found lacking an epoch is remembered:
+        while it still lacks it the line stays incomplete, so most
+        records cost one store lookup per pending epoch, not a rescan
+        of every store."""
+        pending = self._pending_epochs
+        for epoch in sorted(pending):
+            witness = pending[epoch]
+            if (witness is not None and not witness.deposed
+                    and witness.node.stable.at_epoch(witness.process_id,
+                                                     epoch) is None):
+                missing = witness  # still lacks it: no store rescan
+            else:
+                missing = self._lacking(epoch)
+            if missing is None:
+                del pending[epoch]
                 self._checked_epochs.add(epoch)
                 self._check_stable_epoch(now, epoch,
                                          hook="tb.establish.done")
             elif epoch < self._max_epoch_seen - PENDING_WINDOW:
                 # Abandoned: some process (crashed at the time) never
                 # committed this epoch, and the system has moved on.
-                self._pending_epochs.discard(epoch)
+                del pending[epoch]
+            else:
+                pending[epoch] = missing
 
-    def _line_complete(self, epoch: int) -> bool:
+    def _lacking(self, epoch: int):
+        """The first in-service process whose store lacks ``epoch``
+        (``None``: the line is complete)."""
         for proc in self.system.process_list():
             if proc.deposed:
                 continue
             if proc.node.stable.at_epoch(proc.process_id, epoch) is None:
-                return False
-        return True
+                return proc
+        return None
+
+    def _retained(self, epoch: int, checkpoints: Tuple) -> bool:
+        """Whether every store still holds these very checkpoints."""
+        member = self.system.member
+        return all(member(ckpt.process_id).node.stable.at_epoch(
+            ckpt.process_id, epoch) is ckpt for ckpt in checkpoints)
 
     def _check_stable_epoch(self, now: float, epoch: int, hook: str) -> None:
-        line = stable_line(self.system, epoch=epoch, readers=self._readers)
-        if not line:
-            return
+        checkpoints = line_checkpoints(self.system, epoch)
+        verdict = self._verdicts.get(epoch)
+        if verdict is not None and _same_line(verdict[0], checkpoints):
+            # The verdict is a function of these frozen checkpoints (in
+            # this order), the topology and two constant flags.
+            _, violations, summary = verdict
+        else:
+            line = stable_line(self.system, epoch=epoch,
+                               readers=self._readers)
+            if not line:
+                return
+            violations = check_system_line(
+                line, include_ground_truth=self.include_ground_truth,
+                pseudo_conservatism=self.pseudo_conservatism,
+                topology=self.system.topology)
+            summary = line_summary(line) if violations else None
+            verdicts = self._verdicts
+            verdicts[epoch] = (checkpoints, violations, summary)
+            # Stores drop their oldest epochs first, and so does the
+            # table (a line a recovery discarded is replaced when its
+            # epoch is established again, and never pickled).
+            while True:
+                oldest = min(verdicts)
+                if self._retained(oldest, verdicts[oldest][0]):
+                    break
+                del verdicts[oldest]
         self.epochs_checked += 1
-        violations = check_system_line(
-            line, include_ground_truth=self.include_ground_truth,
-            pseudo_conservatism=self.pseudo_conservatism,
-            topology=self.system.topology)
         if violations:
             self._report(AuditFinding(
-                time=now, hook=hook, epoch=epoch, violations=violations,
-                line=line_summary(line)))
+                time=now, hook=hook, epoch=epoch, violations=list(violations),
+                line=copy.deepcopy(summary)))
 
     def _check_live(self, now: float, hook: str) -> None:
         self.live_checks += 1
@@ -258,6 +325,7 @@ class OnlineAuditor:
             self._check_live(now, hook="end-of-run")
         finally:
             self._readers.clear()
+            self._verdicts.clear()
         return self.findings
 
     def stats(self) -> Dict[str, int]:

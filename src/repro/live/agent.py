@@ -226,7 +226,7 @@ class LiveAgent:
         return {}
 
     def _cmd_quiesce(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        horizon = float(command.get("horizon", 2.0))
+        horizon = float(command["horizon"])
         pending = (len(self.scheduler.pending_within(horizon))
                    if horizon > 0 else 0)
         unreceipted = self.transport.unreceipted_count()

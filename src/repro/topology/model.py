@@ -210,6 +210,15 @@ class Topology:
         return self._memo("exempt_role_ids", lambda: tuple(
             m.role_id for m in self.actives()))
 
+    def guard_role_ids(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+        """Each active's role id with its shadows' role ids (by rank) —
+        the membership half of a line's valid-message-register bounds,
+        which the checkers read at every line."""
+        return self._memo("guard_role_ids", lambda: tuple(
+            (active.role_id, tuple(spec.role_id for spec in
+                                   self.shadows_of(active.component)))
+            for active in self.actives()))
+
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------

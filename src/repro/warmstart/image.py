@@ -82,10 +82,10 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  10: a system keeps no fault injectors (its armed faults
-#: are events on its own methods), and a snapshot's receive-dedup keys
-#: are a tuple.
-_FORMAT = 10
+#: formats).  11: an online auditor keeps the verdicts of the stable
+#: lines it checked and the process last seen lacking each pending
+#: epoch.
+_FORMAT = 11
 
 
 class ForkContext:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.app.faults import HardwareFaultPlan, SoftwareFaultPlan
 from repro.analysis import global_state
+from repro.analysis.invariants import _InFlightKeys, check_live_system
 from repro.audit import auditor as auditor_module
 from repro.audit import (
     AuditConfig,
@@ -203,6 +204,31 @@ class TestAuditFinding:
         assert "t=" in text
 
 
+def _record_stable_checks(monkeypatch):
+    """Record every stable-line check an auditor makes: its hook, time
+    and epoch, whether it built the line (checked against a full
+    replay) or kept an earlier verdict, the line's size, and whether it
+    counted in ``epochs_checked``."""
+    checks = []
+    check_stable_epoch = OnlineAuditor._check_stable_epoch
+
+    def full_replay_line(system, epoch=None, readers=None):
+        line = global_state.stable_line(system, epoch=epoch, readers=readers)
+        assert line == global_state.stable_line(system, epoch=epoch)
+        checks[-1].update(built=True, members=len(line))
+        return line
+
+    def recording(auditor, now, epoch, hook):
+        checks.append({"hook": hook, "time": now, "epoch": epoch,
+                       "built": False, "members": 0})
+        before = auditor.epochs_checked
+        check_stable_epoch(auditor, now, epoch, hook)
+        checks[-1]["counted"] = auditor.epochs_checked == before + 1
+    monkeypatch.setattr(auditor_module, "stable_line", full_replay_line)
+    monkeypatch.setattr(OnlineAuditor, "_check_stable_epoch", recording)
+    return checks
+
+
 def _run_audited(config, schedule):
     system = build_audit_system(config, schedule)
     auditor = OnlineAuditor(system, fail_fast=False)
@@ -272,29 +298,34 @@ class TestIncrementalReadPath:
         """Hardware recovery restarts from an epoch older than the last
         one audited — not a descendant of the cursor, so the reader
         falls back — and the restored processes then capture fresh full
-        sections."""
-        config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
+        sections.  Every line the auditor builds equals its full
+        replay; a line it checked before over the same checkpoints
+        keeps its verdict and is not built again."""
+        config = AuditConfig(scheme="coordinated", seed=7, schedules=40)
         schedule = next(s for s in generate_schedules(config)
-                        if s.label == "random:14")
-        compared = []
-
-        def both(system, epoch=None, readers=None):
-            line = global_state.stable_line(system, epoch=epoch,
-                                            readers=readers)
-            assert line == global_state.stable_line(system, epoch=epoch)
-            compared.append(epoch)
-            return line
-        monkeypatch.setattr(auditor_module, "stable_line", both)
+                        if s.label == "random:35")
+        checks = _record_stable_checks(monkeypatch)
         system, auditor = _run_audited(config, schedule)
-        assert len(compared) == auditor.epochs_checked > 10
+        built = [check for check in checks if check["built"]]
+        reused = [check for check in checks
+                  if check["counted"] and not check["built"]]
+        assert len(built) + len(reused) == auditor.epochs_checked > 10
+        assert reused and {check["hook"] for check in reused} == {
+            "recovery.hardware.start"}
         newest = -1
-        older = 0
+        older = []
         for rec in system.trace:
             if rec.category == "tb.establish.done":
                 newest = max(newest, rec.data["epoch"])
             elif rec.category == "recovery.hardware.start":
-                older += rec.data["epoch"] < newest
-        assert older >= 2
+                if rec.data["epoch"] < newest:
+                    older.append((rec.time, rec.data["epoch"]))
+        assert len(older) >= 2
+        # The reader's older-epoch fallback still runs: a recovery line
+        # behind the cursor that no earlier check read (the genesis
+        # line, at the first crash) had to be built.
+        assert any((check["time"], check["epoch"]) in older
+                   for check in built)
 
     def test_a_frozen_payload_is_assembled_once_per_reader(
             self, monkeypatch):
@@ -311,15 +342,18 @@ class TestIncrementalReadPath:
             reads.append((reader, payload, snapshot))
             return snapshot
         monkeypatch.setattr(sections.ChainReader, "read", recording_read)
+        checks = _record_stable_checks(monkeypatch)
         config = AuditConfig(scheme="coordinated", seed=7, schedules=24)
         schedule = next(s for s in generate_schedules(config)
                         if s.label == "random:14")
         system, auditor = _run_audited(config, schedule)
         assert auditor.epochs_checked > 10
+        # One read per checkpoint of every line built, no more.
+        assert len(reads) == sum(check["members"] for check in checks)
         payloads = {(id(reader), id(payload)) for reader, payload, _ in reads}
         snapshots = {(id(reader), id(snapshot)) for reader, _, snapshot in reads}
         assert len(snapshots) == len(payloads)
-        assert len(reads) >= len(payloads) + 10  # the copies it skipped
+        assert len(reads) > len(payloads)  # the copies it skipped
 
         def no_copy(*args, **kwargs):
             raise AssertionError("make_snapshot copied live state")
@@ -387,6 +421,151 @@ class TestIncrementalReadPath:
             FaultSchedule(label="clean", system_seed=11))
         assert auditor.epochs_checked > 5
         assert auditor._readers == {}
+
+
+class TestVerdictReuse:
+    """A recovery line the auditor already checked over the very same
+    checkpoints keeps its verdict; anything else is checked afresh."""
+
+    def test_a_reused_verdict_reports_what_a_fresh_check_reports(
+            self, monkeypatch):
+        config = AuditConfig(scheme="naive", seed=7, schedules=40)
+        schedule = next(s for s in generate_schedules(config)
+                        if s.label == "random:21")
+        checks = _record_stable_checks(monkeypatch)
+        _, auditor = _run_audited(config, schedule)
+        reused = [(check["time"], check["epoch"]) for check in checks
+                  if check["counted"] and not check["built"]]
+        flagged = [f for f in auditor.findings
+                   if (f.time, f.epoch) in reused]
+        # The recovery line was flagged at its establishment and again,
+        # from the kept verdict, when hardware recovery picked it.
+        assert [f.hook for f in flagged] == ["recovery.hardware.start"]
+        assert any(f.hook == "tb.establish.done"
+                   and f.epoch == flagged[0].epoch
+                   for f in auditor.findings)
+        kept = [f.to_dict() for f in auditor.findings]
+        monkeypatch.setattr(auditor_module, "_same_line",
+                            lambda old, new: False)
+        checks.clear()
+        _, fresh = _run_audited(config, schedule)
+        assert all(check["built"] for check in checks if check["counted"])
+        assert kept == [f.to_dict() for f in fresh.findings]
+        assert fresh.stats() == auditor.stats()
+
+    @staticmethod
+    def _checked_system():
+        """A coordinated run stopped mid-way, its auditor holding the
+        verdicts of the lines it checked so far."""
+        system = build_audit_system(
+            coordinated_config(),
+            FaultSchedule(label="clean", system_seed=11))
+        auditor = OnlineAuditor(system, fail_fast=False)
+        system.run(until=200.0)
+        epoch = max(auditor._verdicts)
+        return system, auditor, epoch
+
+    def test_the_same_line_keeps_its_verdict(self, monkeypatch):
+        system, auditor, epoch = self._checked_system()
+        checks = _record_stable_checks(monkeypatch)
+        auditor._check_stable_epoch(system.sim.now, epoch,
+                                    "recovery.hardware.start")
+        assert [(c["built"], c["counted"]) for c in checks] == [(False, True)]
+
+    def test_a_replaced_checkpoint_is_checked_afresh(self, monkeypatch):
+        system, auditor, epoch = self._checked_system()
+        proc = system.process_list()[-1]
+        chain = proc.node.stable._chain[proc.process_id]
+        index = next(i for i, c in enumerate(chain) if c.epoch == epoch)
+        chain[index] = chain[index].rewritten()  # equal, not the same
+        checks = _record_stable_checks(monkeypatch)
+        auditor._check_stable_epoch(system.sim.now, epoch,
+                                    "recovery.hardware.start")
+        assert [(c["built"], c["counted"]) for c in checks] == [(True, True)]
+
+    def test_a_deposed_member_is_checked_afresh(self, monkeypatch):
+        system, auditor, epoch = self._checked_system()
+        system.process_list()[0].deposed = True
+        checks = _record_stable_checks(monkeypatch)
+        auditor._check_stable_epoch(system.sim.now, epoch,
+                                    "recovery.hardware.start")
+        assert [(c["built"], c["counted"]) for c in checks] == [(True, True)]
+        assert checks[0]["members"] == len(system.process_list()) - 1
+
+    def test_verdicts_hold_only_retained_lines(self):
+        system = build_audit_system(
+            coordinated_config(),
+            FaultSchedule(label="clean", system_seed=11))
+        auditor = OnlineAuditor(system, fail_fast=False)
+        system.run(until=400.0)
+        retained = [set(proc.node.stable.epochs(proc.process_id))
+                    for proc in system.process_list()]
+        assert 1 < len(auditor._verdicts) <= len(set.intersection(*retained))
+        assert all(auditor._retained(epoch, checkpoints)
+                   for epoch, (checkpoints, _, _) in auditor._verdicts.items())
+        # A line whose checkpoint a store dropped since the last check
+        # leaves no trace in a dump.
+        epoch = min(auditor._verdicts)
+        for proc in system.process_list():
+            chain = proc.node.stable._chain[proc.process_id]
+            chain[:] = [c for c in chain if c.epoch != epoch]
+        _, thawed = resume(capture(system, auditor))
+        assert set(thawed._verdicts) == set(auditor._verdicts) - {epoch}
+
+    def test_forks_keep_the_template_verdicts(self):
+        system = build_audit_system(
+            coordinated_config(),
+            FaultSchedule(label="clean", system_seed=11))
+        auditor = OnlineAuditor(system, fail_fast=False)
+        system.run(until=200.0)
+        thawed_system, thawed = resume(capture(system, auditor))
+        assert thawed._verdicts
+        for epoch, (checkpoints, violations, _) in thawed._verdicts.items():
+            # The fork's own stores hold these very objects: its
+            # recoveries reuse what the template checked.
+            assert auditor_module._same_line(
+                checkpoints,
+                global_state.line_checkpoints(thawed_system, epoch))
+            assert violations == auditor._verdicts[epoch][1]
+
+
+class TestLiveChecksReadInPlace:
+    def test_a_live_check_copies_nothing(self, monkeypatch):
+        system, auditor = _run_audited(
+            coordinated_config(),
+            FaultSchedule(label="clean", system_seed=11))
+        gathered = []
+
+        def no_snapshot(process):
+            raise AssertionError("a live check built a snapshot")
+        monkeypatch.setattr(FtProcess, "make_snapshot", no_snapshot)
+        in_flight = system.network.in_flight
+        monkeypatch.setattr(system.network, "in_flight",
+                            lambda: gathered.append(1) or in_flight())
+        line = global_state.live_line(system)
+        for pid, view in line.items():
+            process = system.member(pid)
+            assert view.snapshot.journal_sent is process.journal_sent
+            assert view.snapshot.mdcd is process.mdcd
+            assert view.snapshot.unacked == process.acks.unacknowledged()
+        assert check_live_system(system) == []
+        auditor._check_live(system.sim.now, hook="end-of-run")
+        assert gathered == []  # no record reached the in-flight rule
+
+    def test_the_in_flight_keys_are_the_eager_ones(self):
+        system = build_audit_system(
+            coordinated_config(),
+            FaultSchedule(label="clean", system_seed=11))
+        t = 100.0
+        while not system.network.in_flight():  # stop with one on the wire
+            t += 0.005
+            system.run(until=t)
+        eager = {m.dedup_key for m in system.network.in_flight()}
+        for proc in system.process_list():
+            eager.update(m.dedup_key for m in proc._buffer)
+        lazy = _InFlightKeys(system)
+        candidates = eager | {-1, ("P2", "P1_act", 10 ** 9)}
+        assert {key for key in candidates if key in lazy} == eager
 
 
 class TestRelease:

@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import os
+import sys
+
 import pytest
 
 from repro.sim.clock import ClockConfig
@@ -54,3 +57,25 @@ def make_node(sim, clock_config, rng):
         return Node(NodeId(name), sim, clock_config, rng,
                     stable_history=stable_history)
     return factory
+
+
+@pytest.fixture
+def live_agent(monkeypatch):
+    """Factory: in-process :class:`~repro.live.agent.LiveAgent` s built
+    from a harness's specs (an agent reads its control channel off
+    stdin: give it a pipe); their sockets and files close afterwards."""
+    from repro.live.agent import LiveAgent
+    read_end, write_end = os.pipe()
+    monkeypatch.setattr(sys, "stdin", os.fdopen(read_end))
+    agents = []
+
+    def build(harness, member):
+        agents.append(LiveAgent(harness._spec(member)))
+        return agents[-1]
+    yield build
+    for agent in agents:
+        agent.transport.close()
+        agent.selector.close()
+        agent._decision_file.close()
+    sys.stdin.close()
+    os.close(write_end)

@@ -2,13 +2,9 @@
 topology member runs, on the sim builder and on a live agent built from
 the harness's own spec."""
 
-import os
-import sys
-
 import pytest
 
 from repro.coordination.scheme import Scheme, build_system
-from repro.live.agent import LiveAgent
 from repro.live.harness import LiveHarness
 from repro.mdcd.recovery import TakeoverEngine
 from repro.runtime.sim_backend import scripted_config
@@ -41,26 +37,6 @@ def member(process):
             "replay_dedup": process.replay_dedup,
             "is_guarded_active": process.is_guarded_active,
             "stable_history": process.node.stable._history}
-
-
-@pytest.fixture
-def live_agent(tmp_path, monkeypatch):
-    """Build in-process :class:`LiveAgent` s from harness specs (an
-    agent reads its control channel off stdin: give it a pipe)."""
-    read_end, write_end = os.pipe()
-    monkeypatch.setattr(sys, "stdin", os.fdopen(read_end))
-    agents = []
-
-    def build(harness, member):
-        agents.append(LiveAgent(harness._spec(member)))
-        return agents[-1]
-    yield build
-    for agent in agents:
-        agent.transport.close()
-        agent.selector.close()
-        agent._decision_file.close()
-    sys.stdin.close()
-    os.close(write_end)
 
 
 @pytest.mark.parametrize("spec", ["paper", "1x2+2", "2x2+3"])

@@ -2,18 +2,9 @@
 
 import pytest
 
-from repro.app.workload import Action, ActionKind, WorkloadConfig
+from repro.app.workload import WorkloadConfig
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
 from repro.tb.blocking import TbConfig
-
-
-def action(kind=ActionKind.SEND_INTERNAL, stimulus=7, index=10_000_000):
-    """A synthetic action for direct engine invocation."""
-    return Action(index=index, kind=kind, gap=0.0, stimulus=stimulus)
-
-
-INTERNAL = ActionKind.SEND_INTERNAL
-EXTERNAL = ActionKind.SEND_EXTERNAL
 
 
 @pytest.fixture
@@ -35,8 +26,3 @@ def manual_system():
         system.start()
         return system
     return build
-
-
-def settle(system, duration=1.0):
-    """Let in-flight messages drain."""
-    system.sim.run(until=system.sim.now + duration)

@@ -3,7 +3,7 @@ paper Section 4.2 last paragraph)."""
 
 import pytest
 
-from conftest import EXTERNAL, INTERNAL, action, settle
+from mdcd_helpers import EXTERNAL, INTERNAL, action, settle
 
 from repro.app.faults import HardwareFaultPlan
 from repro.coordination.scheme import Scheme

@@ -1,7 +1,7 @@
 """The modified MDCD rules (Appendix A) on the paper's three processes,
 run by the coordinated schemes' per-source-provenance engines."""
 
-from conftest import EXTERNAL, INTERNAL, action, settle
+from mdcd_helpers import EXTERNAL, INTERNAL, action, settle
 
 from repro.coordination.scheme import Scheme
 from repro.messages.message import passed_at_notification

@@ -2,7 +2,7 @@
 :mod:`repro.topology.engines` family with the modifications off, as an
 uncoordinated scheme wires it."""
 
-from conftest import EXTERNAL, INTERNAL, action, settle
+from mdcd_helpers import EXTERNAL, INTERNAL, action, settle
 
 from repro.coordination.scheme import Scheme
 from repro.types import CheckpointKind

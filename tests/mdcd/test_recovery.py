@@ -1,6 +1,6 @@
 """Unit tests for MDCD software error recovery (shadow takeover)."""
 
-from conftest import EXTERNAL, INTERNAL, action, settle
+from mdcd_helpers import EXTERNAL, INTERNAL, action, settle
 
 from repro.coordination.scheme import Scheme
 from repro.types import RecoveryAction

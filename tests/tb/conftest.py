@@ -2,19 +2,11 @@
 
 import pytest
 
-from repro.app.workload import Action, ActionKind, WorkloadConfig
+from repro.app.workload import WorkloadConfig
 from repro.coordination.scheme import Scheme, SystemConfig, build_system
 from repro.sim.clock import ClockConfig
 from repro.sim.network import NetworkConfig
 from repro.tb.blocking import TbConfig
-
-
-def action(kind=ActionKind.SEND_INTERNAL, stimulus=7, index=10_000_000):
-    return Action(index=index, kind=kind, gap=0.0, stimulus=stimulus)
-
-
-INTERNAL = ActionKind.SEND_INTERNAL
-EXTERNAL = ActionKind.SEND_EXTERNAL
 
 
 @pytest.fixture
@@ -39,7 +31,3 @@ def tb_system():
         system.start()
         return system
     return build
-
-
-def run_to(system, t):
-    system.sim.run(until=t)

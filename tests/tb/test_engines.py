@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import EXTERNAL, INTERNAL, action, run_to
+from tb_helpers import EXTERNAL, INTERNAL, action, run_to
 
 from repro.coordination.scheme import Scheme
 from repro.messages.message import Message, passed_at_notification

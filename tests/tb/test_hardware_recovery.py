@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import EXTERNAL, INTERNAL, action, run_to
+from tb_helpers import EXTERNAL, INTERNAL, action, run_to
 
 from repro.app.faults import HardwareFaultPlan
 from repro.coordination.scheme import Scheme

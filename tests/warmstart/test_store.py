@@ -225,6 +225,14 @@ def _as_format_9_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_10_wrote_it(record):
+    # Format 10 thawed online auditors with no verdict table and a set
+    # of pending epochs where this code keeps a dict.  The header's
+    # format byte turns its dumps away.
+    record["dumps"] = [(at, bytes([10]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -256,6 +264,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_format_8_wrote_it),
     "format-9-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_9_wrote_it),
+    "format-10-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_10_wrote_it),
 }
 
 
