@@ -611,8 +611,9 @@ class FtProcess(SimProcess):
         self._pending_notifications = []
         self._deferred_acks = {}
         # The decoded journals/log replace the objects the encoder's
-        # baselines describe: the next capture must emit full sections.
-        self.snapshot_encoder.reset()
+        # baselines describe: the next capture chains to the restored
+        # payload's sections instead.
+        self.snapshot_encoder.rebase(checkpoint.payload, snapshot)
         self._progress_offset = self.sim.now - checkpoint.work_done
         self.driver.rewind_to(snapshot.cursor)
         self.counters.bump(f"rollback.{reason}")

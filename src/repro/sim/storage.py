@@ -137,8 +137,30 @@ class StableStore(_AccountingMixin):
         return chain[-1] if chain else None
 
     def at_epoch(self, process_id: ProcessId, epoch: int) -> Optional[Checkpoint]:
-        """The retained checkpoint of ``process_id`` for ``epoch``, if any."""
-        for ckpt in reversed(self._chain.get(process_id, [])):
+        """The retained checkpoint of ``process_id`` for ``epoch``, if any.
+
+        Epochs ascend along a chain, one apart unless the process
+        missed an epoch, so an epoch is looked up where its distance
+        from the newest puts it, and one past either end of the chain
+        is answered from that end; only a chain with a gap there (or
+        epoch-less checkpoints) is scanned.
+        """
+        chain = self._chain.get(process_id)
+        if not chain:
+            return None
+        newest = chain[-1].epoch
+        if newest is not None:
+            back = newest - epoch
+            if back < 0:
+                return None
+            if back < len(chain):
+                ckpt = chain[-1 - back]
+                if ckpt.epoch == epoch:
+                    return ckpt
+            oldest = chain[0].epoch
+            if oldest is not None and epoch < oldest:
+                return None
+        for ckpt in reversed(chain):
             if ckpt.epoch == epoch:
                 return ckpt
         return None

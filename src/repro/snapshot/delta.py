@@ -21,8 +21,9 @@ Capture-side *baselines* record just enough of the previous state to
 diff against (the journal's record objects and which of them were still
 unvalidated; the log's sequence numbers) — references, not a copy of
 the section.  A baseline is only valid for the state the previous
-payload encodes, so the encoder refreshes it at every capture and drops
-it entirely on restore (the full-section fallback).
+payload encodes, so the encoder refreshes it at every capture; after a
+restore it builds one for the restored payload instead
+(:meth:`JournalBaseline.restored`).
 
 A delta is replayed *persistently* (:func:`advance_journal` /
 :func:`advance_log`): onto a new container that shares every unchanged
@@ -115,6 +116,18 @@ class JournalBaseline:
             "unvalidated": frozenset([key for key, rec in records.items()
                                       if not rec.validated]),
             "pruned_before": journal.pruned_before})
+
+    @classmethod
+    def restored(cls, shared: Journal,
+                 twins: Dict[object, JournalRecord]) -> "JournalBaseline":
+        """:meth:`of` the journal ``private_journal(shared, twins)``
+        made, as it was made: ``shared``'s records with the private
+        copies ``twins`` (its unvalidated ones) in their places."""
+        records = dict(shared._records)
+        records.update(twins)
+        return record(cls, {
+            "records": records, "unvalidated": frozenset(twins),
+            "pruned_before": shared.pruned_before})
 
 
 @dataclasses.dataclass(frozen=True)

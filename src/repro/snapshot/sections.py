@@ -29,9 +29,11 @@ fields need no pipeline change.
 :class:`SnapshotEncoder` (one per process) additionally encodes the
 ``journals`` and ``msg_log`` sections of steady-state captures as
 deltas against the previous capture (see :mod:`~repro.snapshot.delta`),
-emitting a full section on first capture, after a restore, when the
-delta language cannot express the change, or every ``max_chain``
-captures (bounding restore replay length and the retained chain).
+emitting a full section on first capture, when the delta language
+cannot express the change, or every ``max_chain`` captures (bounding
+restore replay length and the retained chain).  A restore does not
+start a chain over: the next capture's delta chains to the restored
+checkpoint's own section (:meth:`SnapshotEncoder.rebase`).
 
 There are two ways back, and a ``journals`` / ``msg_log`` section is
 decoded once for both: what it resolved to stays *on its*
@@ -398,8 +400,8 @@ class ChainReader:
     descendant: only the links past the cursor are decoded, and each is
     applied *persistently* — a new journal / log container sharing the
     unchanged records — so a value handed out earlier never changes.
-    Anything else (an older epoch, a fresh full section after a restore
-    reset the encoder) is the payload's own resolved value
+    Anything else (an older epoch, a chain that a restore continued from
+    an older section) is the payload's own resolved value
     (:func:`_resolved`), taken as it is, and becomes the new cursor —
     the one value that moves: links it advances over are not remembered
     on their payloads.  A full section (``app`` / ``mdcd`` /
@@ -468,7 +470,9 @@ class SnapshotEncoder:
     One encoder serves all of a process's captures (volatile and
     stable): it remembers, per delta-capable section, the
     previously emitted payload (the chain tip) and a lightweight
-    baseline of the live state it encoded, and emits deltas while the
+    baseline of the live state it encoded — after a restore, the
+    restored payload's section and what the baseline of the restored
+    state is built from (:meth:`rebase`) — and emits deltas while the
     chain stays representable and shorter than ``max_chain``.
 
     Determinism: the encoder reads the live state and writes only its
@@ -482,6 +486,10 @@ class SnapshotEncoder:
         self._tips: Dict[str, SectionPayload] = {}
         self._journal_baselines: Dict[str, JournalBaseline] = {}
         self._log_baselines: Dict[str, LogBaseline] = {}
+        #: Per delta section, what the last restore left for the next
+        #: capture to build its baselines from (:meth:`rebase`).
+        self._restored: Dict[str, Tuple[Dict[str, Any],
+                                        Dict[str, Dict[object, Any]]]] = {}
         #: Capture statistics per section: counts of full and delta
         #: encodes (the ``snapshot-stats`` CLI reads these).
         self.full_encodes: Dict[str, int] = {}
@@ -490,12 +498,41 @@ class SnapshotEncoder:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Drop all incremental state: the next capture emits full
-        sections.  Called after a restore, when the live journals and
-        log are replaced by decoded copies the baselines do not
-        describe."""
+        sections.  Called when the system is released."""
         self._tips.clear()
         self._journal_baselines.clear()
         self._log_baselines.clear()
+        self._restored.clear()
+
+    def rebase(self, payload: SnapshotPayload, restored: Any) -> None:
+        """Continue the delta chains from a restored checkpoint.
+
+        ``restored`` is ``decode_payload(payload)`` as the process took
+        it over, before any write to it.  The next capture's
+        ``journals`` / ``msg_log`` sections are deltas chained to
+        ``payload``'s own (their depth continues from it, so
+        ``max_chain`` still bounds replay), diffed against what
+        ``JournalBaseline.of`` / ``LogBaseline.of`` of ``restored``'s
+        journals and log would give: the restored section's resolved
+        value, with the process's private copies of its unvalidated
+        records in their places.  Only those copies are picked out here
+        (O(unvalidated records)); the baselines are built at the next
+        capture, which most restores — a flock's forks — never reach.
+        An opaque payload starts the chains over.
+        """
+        self.reset()
+        if payload.opaque:
+            return
+        for section in payload.sections:
+            name = section.section
+            if name in DELTA_SECTIONS:
+                value, unvalidated = _resolved(section)
+                twins = {}
+                for field, keys in unvalidated.items():
+                    records = getattr(restored, field)._records
+                    twins[field] = {key: records[key] for key in keys}
+                self._tips[name] = section
+                self._restored[name] = (value, twins)
 
     # ------------------------------------------------------------------
     def encode_snapshot(self, snapshot: Any) -> SnapshotPayload:
@@ -516,6 +553,12 @@ class SnapshotEncoder:
     # ------------------------------------------------------------------
     def _encode_journals(self, fields: Dict[str, Any]) -> SectionPayload:
         tip = self._usable_tip("journals")
+        restored = self._restored.pop("journals", None)
+        if tip is not None and restored is not None:
+            value, twins = restored
+            self._journal_baselines = {
+                name: JournalBaseline.restored(journal, twins[name])
+                for name, journal in value.items()}
         if tip is not None and set(self._journal_baselines) == set(fields):
             delta_value = {
                 name: journal_delta(journal, self._journal_baselines[name])
@@ -530,6 +573,10 @@ class SnapshotEncoder:
 
     def _encode_log(self, fields: Dict[str, Any]) -> SectionPayload:
         tip = self._usable_tip("msg_log")
+        restored = self._restored.pop("msg_log", None)
+        if tip is not None and restored is not None:
+            self._log_baselines = {name: LogBaseline.of(log)
+                                   for name, log in restored[0].items()}
         delta_value: Optional[Dict[str, Any]] = None
         if tip is not None and set(self._log_baselines) == set(fields):
             delta_value = {}

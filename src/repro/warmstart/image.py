@@ -82,10 +82,9 @@ _HEADER = struct.Struct(">B8sI")
 
 #: Bumped whenever a dumped object changes shape, so an older dump is
 #: refused by its header instead of thawing wrong (DESIGN.md lists the
-#: formats).  11: an online auditor keeps the verdicts of the stable
-#: lines it checked and the process last seen lacking each pending
-#: epoch.
-_FORMAT = 11
+#: formats).  12: a snapshot encoder keeps, from its last restore,
+#: what the next capture's delta chains build their baselines from.
+_FORMAT = 12
 
 
 class ForkContext:

@@ -6,11 +6,12 @@ journal and log diffs straight into the tuples it encodes.  Neither may
 change what gets encoded: this pins, per section name, how many
 payloads one audited ``cold_paper``-shaped schedule (seed 7, paper
 membership, coordinated scheme; a software fault coincident with a
-crash, so restores, encoder resets and full re-bases all occur) encodes,
-their total ``data`` length and the sha256 of that ``data`` concatenated
-in capture order.  Every checkpoint the schedule captures or rewrites,
-its payload and each of its sections (full, delta and re-based) is
-checked against the record its ``__init__`` would have built.
+crash, so restores, deltas chained to a restored section and full
+sections at the chain bound all occur) encodes, their total ``data``
+length and the sha256 of that ``data`` concatenated in capture order.
+Every checkpoint the schedule captures or rewrites, its payload and
+each of its sections (full, delta and re-based) is checked against the
+record its ``__init__`` would have built.
 
 The ``counters`` section holds the receive-dedup keys in insertion
 order, so its bytes, too, are the same under every hash seed and
@@ -36,17 +37,25 @@ from repro.checkpoint import Checkpoint
 #: the dedup keys became an insertion-ordered dict (9 078 -> 9 566
 #: bytes: one ``None`` value per key), and again when a capture took
 #: them as a tuple (9 566 -> 9 025 bytes, -541: no value per key).
+#: ``journals`` / ``msg_log`` re-pinned when the first capture after a
+#: restore became a delta chained to the restored section instead of a
+#: full one: ``msg_log`` 4 435 -> 3 676 bytes (-759), ``journals``
+#: 10 614 -> 13 893 (+3 279).  The journals grow on this schedule
+#: because the chains now run on past the restores (hardware at 75.8 s,
+#: software at 134.1 s), so their ``max_chain`` full sections land at
+#: 480 / 510 s, where the unpruned journals are about 3.1 KB, instead
+#: of at 90 / 150 s, where they were 0.4-1.2 KB.
 PINNED_SECTIONS = {
     "app": [45, 5955, "78d288e55f62d879597a343197b92396"
                       "30b70dd6c760064829bcc6fc72e56a62"],
     "counters": [45, 9025, "6033f3215c58dece80b7c48327d89641"
                           "cef76d191daad67aa70b554d7d90b55f"],
-    "journals": [45, 10614, "893a34b95030dfd344f96f7406f18464"
-                            "f6130ff529e5c6e0e88117c326432fec"],
+    "journals": [45, 13893, "57be95ecce90d4a30dac695760b42b37"
+                            "b50a526b01300729082ba48eda527076"],
     "mdcd": [45, 6840, "1e63a46ec8f54e2931b1e699cb5966d7"
                        "a5b1abf66aed1efd2d92318288702b09"],
-    "msg_log": [45, 4435, "85de7b7debdf20cd53e7f2d0c6ec974e"
-                          "f58b3c3c89d90516432a0d3839eb2c40"],
+    "msg_log": [45, 3676, "9e833b1918894016d7f461a5db531c30"
+                          "20b202a6df27fbd0fcc55bbf714cc916"],
 }
 
 

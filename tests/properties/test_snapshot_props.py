@@ -3,16 +3,20 @@ and incremental (delta-chain) capture/restore."""
 
 import copy
 import dataclasses
+import functools
 import gc
 import pickle
 import weakref
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.global_state import view_from_checkpoint
 from repro.app.component import AppState
+from repro.audit import AuditConfig, generate_schedules
+from repro.audit.campaign import build_audit_system
 from repro.checkpoint import Checkpoint
-from repro.host import ProcessSnapshot
+from repro.host import FtProcess, ProcessSnapshot
 from repro.journal import Journal
 from repro.mdcd.state import MdcdState
 from repro.messages.log import MessageLog
@@ -22,6 +26,8 @@ from repro.snapshot import (
     decode_payload,
     encode_full,
 )
+from repro.snapshot import sections
+from repro.snapshot.delta import JournalBaseline, LogBaseline
 from repro.snapshot.sections import SnapshotEncoder
 from repro.types import CheckpointKind, MessageKind, ProcessId, StableContent
 
@@ -110,7 +116,7 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("ack"), st.integers(0, 9)),      # counters section moves
     st.just(("capture",)),
     st.just(("copy",)),                     # volatile copy: payload reused
-    st.just(("recover",)),                  # restore + encoder reset
+    st.tuples(st.just("recover"), st.integers(0, 80)),  # restore + re-base
 ), max_size=30)
 
 
@@ -118,7 +124,7 @@ def drive_checkpoints(ops, max_chain):
     """Drive random state mutations — journal / log traffic including
     the pruning ``compact_journals`` performs, application steps, MDCD
     knowledge updates, acknowledgements, and recovery restores (decode
-    the last capture, ``encoder.reset()``) — through one encoder,
+    an earlier capture, ``encoder.rebase``) — through one encoder,
     capturing along the way.
     Captures with nothing in between leave the ``app`` / ``mdcd`` /
     ``counters`` sections byte-identical; a ``copy`` puts the previous
@@ -198,7 +204,11 @@ def drive_checkpoints(ops, max_chain):
         elif op[0] == "recover":
             if not captured:
                 continue
-            restored = decode_payload(captured[-1][0].payload)
+            # Back to the last capture or an older one (a hardware
+            # recovery line), as FtProcess.restore_from does it.
+            source = captured[-1 - op[1] % len(captured)][0].payload
+            restored = decode_payload(source)
+            encoder.rebase(source, restored)
             journal = restored.journal_sent
             log = restored.msg_log
             app, mdcd, unacked = (restored.app_state, restored.mdcd,
@@ -206,7 +216,6 @@ def drive_checkpoints(ops, max_chain):
             # The real system restores its sn counter from the
             # snapshot too — resync past the restored log's tail.
             log_sn[0] = (log._entries[-1].sn + 1) if log._entries else 1
-            encoder.reset()
     return captured
 
 
@@ -552,3 +561,188 @@ class TestSharedResolve:
             for section in payload.sections:
                 copy_ = dataclasses.replace(section)
                 assert copy_ == section and "_resolved" not in vars(copy_)
+
+
+# ----------------------------------------------------------------------
+# restores in running systems
+# ----------------------------------------------------------------------
+#: (scheme, topology) of the campaigns below.  Only the naive scheme
+#: restores checkpoints that hold unvalidated journal records.
+_CAMPAIGNS = (("naive", "paper"), ("coordinated", "paper"),
+              ("coordinated", "2x2+3"))
+
+
+@functools.lru_cache(maxsize=None)
+def _faulty_schedules(campaign):
+    """The random (crash and software fault) schedules of one small
+    ``(scheme, topology)`` campaign."""
+    scheme, topology = campaign
+    config = AuditConfig(scheme=scheme, seed=7, schedules=24,
+                         horizon=600.0, topology=topology)
+    return config, tuple(s for s in generate_schedules(config)
+                         if s.label.startswith("random:"))
+
+
+def same_baseline(built, expected):
+    """Baselines equal as the diff reads them: the same keys in the
+    same order, the very same record objects, the same unvalidated
+    keys and horizon (``==`` would compare records by value)."""
+    if isinstance(expected, LogBaseline):
+        return built == expected
+    return (list(built.records) == list(expected.records)
+            and all(a is b for a, b in zip(built.records.values(),
+                                           expected.records.values()))
+            and built.unvalidated == expected.unvalidated
+            and built.pruned_before == expected.pruned_before)
+
+
+class RestoreSpy:
+    """Runs one schedule recording, per capture, its payload and a deep
+    copy of ``make_snapshot()`` at that instant; per first capture after
+    a restore, the restored payload and the capture's; and per delta
+    diffed at such a capture, the baseline it read beside
+    ``JournalBaseline.of`` / ``LogBaseline.of`` taken at the restore."""
+
+    def __init__(self):
+        self.captures = []
+        self.firsts = []
+        self.baselines = []
+        self._restored = {}
+        self._expected = {}
+        self._inexpressible = False
+
+    def run(self, campaign, schedule):
+        config, _ = _faulty_schedules(campaign)
+        restore_from = FtProcess.restore_from
+        capture_checkpoint = FtProcess.capture_checkpoint
+        journal_delta, log_delta = sections.journal_delta, sections.log_delta
+
+        def spy_restore(process, checkpoint, reason):
+            distance = restore_from(process, checkpoint, reason)
+            self._restored[process] = checkpoint.payload
+            for live in (process.journal_sent, process.journal_recv):
+                self._expected[id(live)] = (live, JournalBaseline.of(live))
+            log = process.msg_log
+            self._expected[id(log)] = (log, LogBaseline.of(log))
+            return distance
+
+        def spy_capture(process, *args, **kwargs):
+            self._inexpressible = False
+            checkpoint = capture_checkpoint(process, *args, **kwargs)
+            self.captures.append((checkpoint.payload,
+                                  copy.deepcopy(process.make_snapshot())))
+            restored = self._restored.pop(process, None)
+            if restored is not None:
+                self.firsts.append((restored, checkpoint.payload,
+                                    process.snapshot_encoder.max_chain,
+                                    self._inexpressible))
+            for live in (process.journal_sent, process.journal_recv,
+                         process.msg_log):
+                self._expected.pop(id(live), None)
+            return checkpoint
+
+        def spy_delta(diff):
+            def spy(live, base):
+                expected = self._expected.pop(id(live), None)
+                if expected is not None:
+                    self.baselines.append((base, expected[1]))
+                delta = diff(live, base)
+                if delta is None:
+                    self._inexpressible = True
+                return delta
+            return spy
+
+        with mock.patch.object(FtProcess, "restore_from", spy_restore), \
+                mock.patch.object(FtProcess, "capture_checkpoint",
+                                  spy_capture), \
+                mock.patch.object(sections, "journal_delta",
+                                  spy_delta(journal_delta)), \
+                mock.patch.object(sections, "log_delta",
+                                  spy_delta(log_delta)):
+            build_audit_system(config, schedule).run()
+        return self
+
+
+def _section(payload, name):
+    [section] = [s for s in payload.sections if s.section == name]
+    return section
+
+
+_restoring_runs = st.sampled_from(_CAMPAIGNS).flatmap(
+    lambda campaign: st.tuples(
+        st.just(campaign),
+        st.sampled_from(_faulty_schedules(campaign)[1])))
+
+
+class TestRestoredChains:
+    """A restore continues the delta chains (``SnapshotEncoder.rebase``
+    from ``FtProcess.restore_from``): over schedules with crashes and
+    software faults on ``paper`` and ``2x2+3``, hardware and software
+    rollbacks alike."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(_restoring_runs)
+    def test_every_capture_decodes_to_its_instant(self, run):
+        """Every payload, replayed from its chain's full base (a pickled
+        copy remembers no resolved value), is the state at its capture
+        — deltas chained to a restored section included."""
+        spy = RestoreSpy().run(*run)
+        assert spy.captures
+        for payload, expected in spy.captures:
+            assert full_replay(payload) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(_restoring_runs)
+    def test_first_capture_after_a_restore_chains_to_it(self, run):
+        spy = RestoreSpy().run(*run)
+        chained = 0
+        for restored, payload, max_chain, inexpressible in spy.firsts:
+            for name in ("journals", "msg_log"):
+                base, section = _section(restored, name), _section(payload,
+                                                                   name)
+                if base.depth + 1 >= max_chain or (
+                        name == "msg_log" and inexpressible):
+                    assert section.full and section.depth == 0
+                else:
+                    assert section.base is base
+                    assert section.depth == base.depth + 1
+                    chained += 1
+        if spy.firsts:
+            assert chained
+
+    @settings(max_examples=16, deadline=None)
+    @given(_restoring_runs)
+    def test_the_restored_baseline_is_the_one_of_the_restore(self, run):
+        """What the first delta after a restore diffs against is what
+        ``JournalBaseline.of`` / ``LogBaseline.of`` gave at the restore:
+        the same records, by identity, in the same order."""
+        spy = RestoreSpy().run(*run)
+        assert len(spy.baselines) >= 2 * sum(
+            not _section(payload, "journals").full
+            for _, payload, _, _ in spy.firsts)
+        for built, expected in spy.baselines:
+            assert same_baseline(built, expected)
+
+    def test_the_schedules_restore_and_chain(self):
+        """The runs above are not vacuous: in each campaign some
+        schedule restores and chains its next capture to it, and the
+        naive one restores unvalidated journal records.  The first
+        schedules of each campaign hold to the properties above
+        whatever examples were drawn."""
+        for campaign in _CAMPAIGNS:
+            spies = [RestoreSpy().run(campaign, schedule)
+                     for schedule in _faulty_schedules(campaign)[1][:4]]
+            for spy in spies:
+                for payload, expected in spy.captures:
+                    assert full_replay(payload) == expected
+                for built, expected in spy.baselines:
+                    assert same_baseline(built, expected)
+            assert any(
+                _section(payload, "journals").base
+                is _section(restored, "journals")
+                for spy in spies for restored, payload, _, _ in spy.firsts)
+            assert any(spy.baselines for spy in spies)
+            if campaign[0] == "naive":
+                assert any(base.unvalidated for spy in spies
+                           for base, _ in spy.baselines
+                           if isinstance(base, JournalBaseline))

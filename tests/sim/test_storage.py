@@ -112,6 +112,23 @@ class TestStableStore:
         store.save(ckpt(epoch=5))
         assert store.at_epoch(ProcessId("P"), 1) is None
 
+    def test_at_epoch_over_gaps_ends_and_epochless_chains(self):
+        """The lookup by distance from the newest epoch answers like a
+        scan of the chain: across a missed epoch, past either end, and
+        on a chain whose checkpoints carry no epoch."""
+        store = StableStore(history=8)
+        saved = {epoch: ckpt(epoch=epoch) for epoch in (1, 2, 4, 5, 7)}
+        for checkpoint in saved.values():
+            store.save(checkpoint)
+        for epoch in range(-1, 10):
+            assert store.at_epoch(ProcessId("P"), epoch) is saved.get(epoch)
+        plain = StableStore(history=8)
+        first, second = ckpt(), ckpt(epoch=3)
+        plain.save(first)
+        plain.save(second)
+        assert plain.at_epoch(ProcessId("P"), 3) is second
+        assert plain.at_epoch(ProcessId("P"), 2) is None
+
     def test_history_listing_oldest_first(self):
         store = StableStore(history=3)
         for epoch in (1, 2):

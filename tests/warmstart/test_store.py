@@ -233,6 +233,14 @@ def _as_format_10_wrote_it(record):
                        for at, dump in record["dumps"]]
 
 
+def _as_format_11_wrote_it(record):
+    # Format 11 thawed snapshot encoders with nothing kept from their
+    # last restore, where this code reads what the next capture chains
+    # to.  The header's format byte turns its dumps away.
+    record["dumps"] = [(at, bytes([11]) + dump[1:])
+                       for at, dump in record["dumps"]]
+
+
 #: name -> damage(cas, ref path, blob path) for one stored set.
 DAMAGE = {
     **BLOB_DAMAGE,
@@ -266,6 +274,8 @@ DAMAGE = {
         _rewritten(cas, ref, blob, _as_format_9_wrote_it),
     "format-10-dump-set": lambda cas, ref, blob:
         _rewritten(cas, ref, blob, _as_format_10_wrote_it),
+    "format-11-dump-set": lambda cas, ref, blob:
+        _rewritten(cas, ref, blob, _as_format_11_wrote_it),
 }
 
 
